@@ -56,6 +56,13 @@ class StepTrace {
   // starting strictly inside the trimmed region are no longer resolvable.
   double IntegralOver(TimeNs t0, TimeNs t1) const;
 
+  // Exact integral over (-inf, t] of the original (never-trimmed) trace;
+  // 0.0 before the first retained step. IntegralOver(t0, t1) is
+  // CumulativeAt(t1) - CumulativeAt(t0), so a caller that recorded
+  // CumulativeAt(t0) while t0 was still retained can keep resolving windows
+  // starting at t0 bit-identically after TrimBefore has dropped it.
+  double CumulativeAt(TimeNs t) const;
+
   // Mean value over [t0, t1).
   double MeanOver(TimeNs t0, TimeNs t1) const;
 
@@ -129,10 +136,6 @@ class StepTrace {
   // cursor and gallops, then remembers the hit — amortized O(1) for monotone
   // query sweeps, O(log n) worst case.
   ptrdiff_t FindIndex(TimeNs time) const;
-
-  // Exact integral over (-inf, t] of the original (never-trimmed) trace;
-  // 0.0 before the first retained step.
-  double CumulativeAt(TimeNs t) const;
 
   std::vector<Step> steps_;
   // cum_[i] = integral of the original trace over (-inf, steps_[i].time).

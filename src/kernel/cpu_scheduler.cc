@@ -722,15 +722,6 @@ AppId CpuScheduler::balloon_owner() const {
   return active_balloon_ != nullptr ? active_balloon_->app() : kNoApp;
 }
 
-TimeNs CpuScheduler::TelemetryFloor(TimeNs desired) const {
-  // The spatial balloon bills its whole coscheduling period when it ends, so
-  // an in-progress one pins the rail floor at its start.
-  if (active_balloon_ != nullptr) {
-    return std::min(desired, active_balloon_->balloon_started_);
-  }
-  return desired;
-}
-
 void CpuScheduler::TrimTelemetry(TimeNs horizon) {
   for (Core& core : cores_) {
     core.schedule_trace.TrimBefore(horizon);

@@ -175,10 +175,7 @@ class CpuScheduler : public ResourceDomain {
     return cores_[static_cast<size_t>(core)].schedule_trace;
   }
 
-  // Telemetry retention: an in-progress coscheduling period pins the floor
-  // at its start (it is billed from there when it ends).
-  TimeNs TelemetryFloor(TimeNs desired) const override;
-  // Also trims the per-core schedule traces.
+  // Telemetry retention: also trims the per-core schedule traces.
   void TrimTelemetry(TimeNs horizon) override;
 
   // Snapshot support: groups, per-core runqueues and occupancy, utilisation

@@ -63,14 +63,10 @@ void Kernel::ArmTelemetryTrimAt(TimeNs when) {
 }
 
 TimeNs Kernel::TrimTelemetry(TimeNs desired) {
-  // Clamp the horizon to what every consumer can still resolve exactly:
-  // open accounting windows (domains) and sandbox retain floors (service).
+  // Clamp the horizon to what the sandboxes can still resolve exactly. The
+  // domains need no floor: they keep balloon times, not telemetry, and the
+  // energy of an open balloon is the psbox span's to keep.
   TimeNs horizon = desired;
-  for (ResourceDomain* d : domains_) {
-    if (d != nullptr) {
-      horizon = std::min(horizon, d->TelemetryFloor(desired));
-    }
-  }
   if (psbox_service_ != nullptr) {
     horizon = psbox_service_->TelemetryFloor(horizon);
   }

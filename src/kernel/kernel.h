@@ -134,10 +134,11 @@ class Kernel : public BalloonObserver {
   void RunUntil(TimeNs deadline) { board_->sim().RunUntil(deadline); }
 
   // --- telemetry retention ------------------------------------------------
-  // Trims power telemetry behind |desired|, clamped by open accounting
-  // windows and sandbox retain floors. Runs on a periodic tick when
-  // KernelConfig::telemetry_retention is set; tests and tools may also call
-  // it directly. Returns the horizon actually applied (0 = nothing done).
+  // Trims power telemetry behind |desired|, clamped by the sandboxes'
+  // retain floor (meter-dropout windows inside straddling spans). Runs on a
+  // periodic tick when KernelConfig::telemetry_retention is set; tests and
+  // tools may also call it directly. Returns the horizon actually applied
+  // (0 = nothing done).
   TimeNs TrimTelemetry(TimeNs desired);
   TimeNs last_trim_horizon() const { return last_trim_horizon_; }
 

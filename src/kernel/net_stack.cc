@@ -63,6 +63,11 @@ AppId NetStack::BestPendingApp(bool exclude_owner) const {
   return best;
 }
 
+size_t NetStack::HeadBytes(AppId app) {
+  const Socket& s = SockFor(app);
+  return s.q.empty() ? 0 : s.q.front().frame.bytes;
+}
+
 double NetStack::MinRecentCompetitorCredit(AppId owner) const {
   constexpr DurationNs kRecency = 200 * kMillisecond;
   double best = std::numeric_limits<double>::infinity();
@@ -204,8 +209,7 @@ void NetStack::Pump() {
           // Lost sharing opportunity: a competitor's head packet could have
           // used this free slot (§4.2); its bytes discount the owner.
           if (nic_free && contender != kNoApp) {
-            penalty_bytes_ +=
-                static_cast<double>(SockFor(contender).q.front().frame.bytes);
+            penalty_bytes_ += static_cast<double>(HeadBytes(contender));
           }
           return;
         }
@@ -213,8 +217,7 @@ void NetStack::Pump() {
           // The owner transmits while a competitor's packet waits: the
           // displaced airtime is a lost opportunity charged to the owner.
           penalty_bytes_ += static_cast<double>(
-              std::min(s.q.front().frame.bytes,
-                       SockFor(contender).q.front().frame.bytes));
+              std::min(s.q.front().frame.bytes, HeadBytes(contender)));
         }
         DispatchFrom(balloon_owner());
         return;
@@ -261,7 +264,7 @@ void NetStack::OnFrameDone(const WifiFrameDone& done) {
       const AppId contender = BestPendingApp(/*exclude_owner=*/true);
       if (contender != kNoApp) {
         penalty_bytes_ += static_cast<double>(
-            std::min(done.frame.bytes, SockFor(contender).q.front().frame.bytes));
+            std::min(done.frame.bytes, HeadBytes(contender)));
       }
     }
     if (s.expected_rx > 0) {

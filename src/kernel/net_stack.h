@@ -117,6 +117,10 @@ class NetStack : public ResourceDomain {
   void Pump();
   void OnFrameDone(const WifiFrameDone& done);
   AppId BestPendingApp(bool exclude_owner) const;
+  // Size of |app|'s head TX packet: the airtime it loses while the owner
+  // holds the NIC. 0 for a sandboxed contender that only awaits RX — it has
+  // no packet to displace.
+  size_t HeadBytes(AppId app);
   // Least byte-credit among recently-active competitors of |owner|;
   // +infinity when none. Gates balloon (re)entry like the CPU/accelerator
   // repayment rules.

@@ -50,15 +50,16 @@ class PsboxService {
 
   // --- telemetry retention (driven by Kernel::TrimTelemetry) --------------
   // Lowest trim horizon the sandboxes can tolerate, given the kernel's
-  // |desired| one: open balloons and ownership intervals straddling the
-  // horizon pin it (their spans must stay resolvable on the rails). Lowering
-  // the horizon for one constraint can expose an earlier straddler, so
-  // implementations iterate to a fixpoint. Default: no sandboxes, no floor.
+  // |desired| one: whatever of the rails their accounting still has to
+  // resolve exactly. Lowering the horizon for one constraint can expose an
+  // earlier one, so implementations iterate to a fixpoint. Default: no
+  // sandboxes, no floor.
   virtual TimeNs TelemetryFloor(TimeNs desired) { return desired; }
   // Folds sandbox ownership/energy history older than |horizon| into exact
-  // per-box base accumulators and drops undrained sample backlog behind it
-  // (ring-buffer semantics). Runs before the kernel trims the underlying
-  // rail and domain traces. Default: nothing to fold.
+  // per-box base accumulators (anchoring what straddles it) and drops
+  // undrained sample backlog behind it (ring-buffer semantics). Runs before
+  // the kernel trims the underlying rail and domain traces. Default: nothing
+  // to fold.
   virtual void TrimTelemetry(TimeNs horizon) { (void)horizon; }
 };
 

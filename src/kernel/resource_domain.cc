@@ -60,15 +60,6 @@ void ResourceDomain::RecordEdge(BalloonEdge::Kind kind, AppId app, PsboxId box) 
   timeline_.push_back({sim_->Now(), kind, app, box});
 }
 
-TimeNs ResourceDomain::TelemetryFloor(TimeNs desired) const {
-  // An open accounting window (balloon in flight) will be billed from
-  // balloon_start_; the rail must keep that span resolvable.
-  if (phase_ != BalloonPhase::kIdle) {
-    return std::min(desired, balloon_start_);
-  }
-  return desired;
-}
-
 void ResourceDomain::TrimTelemetry(TimeNs horizon) {
   size_t drop = 0;
   while (drop < timeline_.size() && timeline_[drop].when < horizon) {

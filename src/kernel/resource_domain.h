@@ -113,11 +113,6 @@ class ResourceDomain {
   const std::vector<BalloonEdge>& timeline() const { return timeline_; }
 
   // --- telemetry retention ------------------------------------------------
-  // Earliest instant the domain's telemetry (and the power rail behind it)
-  // must retain to keep accounting exact, given the kernel's desired trim
-  // horizon: an open accounting window pins the floor at its start. Policies
-  // with their own lifecycle (the spatial CPU domain) override.
-  virtual TimeNs TelemetryFloor(TimeNs desired) const;
   // Drops domain-side telemetry (lifecycle edges, policy traces) behind
   // |horizon|. Overrides trim their own traces and call the base.
   virtual void TrimTelemetry(TimeNs horizon);

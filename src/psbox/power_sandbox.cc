@@ -64,6 +64,8 @@ void PowerSandbox::ResetMeter(TimeNs now) {
   detail_base_.fill(EnergyDetail{});
   direct_base_.fill(0.0);
   direct_from_.fill(now);
+  // Spans now clamp to |now|, which the rail still holds.
+  anchors_.clear();
 }
 
 bool PowerSandbox::OwnedAt(HwComponent hw, TimeNs t) const {
@@ -74,13 +76,34 @@ bool PowerSandbox::OwnedAt(HwComponent hw, TimeNs t) const {
   return owned_[static_cast<size_t>(hw)].Contains(t);
 }
 
-DurationNs PowerSandbox::OwnedWithin(HwComponent hw, TimeNs t0, TimeNs t1) const {
-  DurationNs covered = owned_[static_cast<size_t>(hw)].CoveredWithin(t0, t1);
-  const TimeNs since = open_since_[static_cast<size_t>(hw)];
-  if (since >= 0 && since < t1) {
-    covered += t1 - std::max(since, t0);
+const PowerSandbox::Anchor* PowerSandbox::FindAnchor(HwComponent hw) const {
+  for (const Anchor& a : anchors_) {
+    if (a.hw == hw) {
+      return &a;
+    }
   }
-  return covered;
+  return nullptr;
+}
+
+Joules PowerSandbox::SpanEnergy(const PowerRail& rail, const Anchor* anchor,
+                                TimeNs b, TimeNs e) {
+  if (anchor != nullptr && b == anchor->at) {
+    return rail.trace().CumulativeAt(e) - anchor->cum;
+  }
+  return rail.EnergyOver(b, e);
+}
+
+TimeNs PowerSandbox::StraddleStart(HwComponent hw, TimeNs t) const {
+  const size_t i = static_cast<size_t>(hw);
+  for (const auto& iv : owned_[i].intervals()) {
+    if (iv.end <= t) {
+      continue;  // folded by a trim at |t|
+    }
+    // The first interval reaching past |t|; any open balloon starts after it.
+    return iv.begin < t ? std::max(iv.begin, meter_start_) : t;
+  }
+  const TimeNs since = open_since_[i];
+  return since >= 0 && since < t ? std::max(since, meter_start_) : t;
 }
 
 Joules PowerSandbox::ObservedEnergy(const PowerRail& rail, HwComponent hw,
@@ -99,23 +122,25 @@ Joules PowerSandbox::ObservedEnergy(const PowerRail& rail, HwComponent hw,
   if (now <= t0) {
     return energy;
   }
+  const Anchor* anchor = FindAnchor(hw);
   const auto& intervals = owned_[static_cast<size_t>(hw)].intervals();
   for (const auto& iv : intervals) {
     const TimeNs b = std::max(iv.begin, t0);
     const TimeNs e = std::min(iv.end, now);
     if (e > b) {
-      energy += rail.EnergyOver(b, e);
+      energy += SpanEnergy(rail, anchor, b, e);
     }
   }
   const TimeNs since = open_since_[static_cast<size_t>(hw)];
   if (since >= 0 && since < now) {
-    energy += rail.EnergyOver(std::max(since, t0), now);
+    energy += SpanEnergy(rail, anchor, std::max(since, t0), now);
   }
   return energy;
 }
 
 void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* faults,
-                                  TimeNs b, TimeNs e, EnergyDetail* d) const {
+                                  const Anchor* anchor, TimeNs b, TimeNs e,
+                                  EnergyDetail* d) const {
   if (e <= b) {
     return;
   }
@@ -133,7 +158,7 @@ void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* fa
       const TimeNs db = std::max(cursor, w.begin);
       const TimeNs de = std::min(e, w.end);
       if (db > cursor) {
-        d->measured += rail.EnergyOver(cursor, db);
+        d->measured += SpanEnergy(rail, anchor, cursor, db);
         d->measured_time += db - cursor;
       }
       d->estimated_time += de - db;
@@ -144,7 +169,7 @@ void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* fa
     }
   }
   if (cursor < e) {
-    d->measured += rail.EnergyOver(cursor, e);
+    d->measured += SpanEnergy(rail, anchor, cursor, e);
     d->measured_time += e - cursor;
   }
 }
@@ -161,12 +186,14 @@ PowerSandbox::EnergyDetail PowerSandbox::ObservedEnergyDetail(
   if (now <= t0) {
     return d;
   }
+  const Anchor* anchor = FindAnchor(hw);
   for (const auto& iv : owned_[static_cast<size_t>(hw)].intervals()) {
-    AccumulateSpan(rail, faults, std::max(iv.begin, t0), std::min(iv.end, now), &d);
+    AccumulateSpan(rail, faults, anchor, std::max(iv.begin, t0),
+                   std::min(iv.end, now), &d);
   }
   const TimeNs since = open_since_[static_cast<size_t>(hw)];
   if (since >= 0 && since < now) {
-    AccumulateSpan(rail, faults, std::max(since, t0), now, &d);
+    AccumulateSpan(rail, faults, anchor, std::max(since, t0), now, &d);
   }
   if (d.estimated_time > 0) {
     // Model-based estimation for the unmeasurable spans: the average power
@@ -240,48 +267,58 @@ void PowerSandbox::AccumulateObservedSamples(const PowerRail& rail, HwComponent 
   }
 }
 
-TimeNs PowerSandbox::RetainFloor(HwComponent hw, TimeNs desired) const {
-  const size_t i = static_cast<size_t>(hw);
-  TimeNs floor = desired;
-  // An open balloon will close at some t > now and be integrated from its
-  // start; the rail must keep that span. Spans always clamp to meter_start,
-  // so nothing earlier than it can pin the floor.
-  const TimeNs since = open_since_[i];
-  if (since >= 0) {
-    floor = std::min(floor, std::max(since, meter_start_));
+TimeNs PowerSandbox::RetainFloor(HwComponent hw, TimeNs desired,
+                                 const FaultInjector* faults) const {
+  // The straddling span's start is anchored by TrimOwned, so only the edges
+  // of a dropout window inside [start, desired) still need the rail: the
+  // first such edge pins the floor. A dropout inside the span but past the
+  // horizon splits it at instants the rail keeps anyway.
+  const TimeNs start = StraddleStart(hw, desired);
+  if (start >= desired || faults == nullptr) {
+    return desired;
   }
-  // A closed interval straddling the horizon is kept whole (never split —
-  // splitting would change the summation the untrimmed query performs), so
-  // its begin pins the floor too.
-  for (const auto& iv : owned_[i].intervals()) {
-    if (iv.end <= desired) {
-      continue;  // will be folded into the base
+  for (const FaultWindow& w : faults->meter_dropouts()) {
+    if (w.end <= start) {
+      continue;
     }
-    if (iv.begin < desired) {
-      floor = std::min(floor, std::max(iv.begin, meter_start_));
-    }
-    break;  // only the first retained interval can straddle
+    return w.begin < desired ? std::max(w.begin, start) : desired;
   }
-  return floor;
+  return desired;
 }
 
 void PowerSandbox::TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& rail,
                              const FaultInjector* faults) {
   const size_t i = static_cast<size_t>(hw);
+  const Anchor* anchor = FindAnchor(hw);
   // Fold exactly the spans the untrimmed queries would integrate for the
   // intervals about to drop, in the same order — the running sums (and hence
   // every later psbox_read) stay bit-identical to the untrimmed run.
+  bool anchor_folded = false;
   for (const auto& iv : owned_[i].intervals()) {
     if (iv.end > horizon) {
       break;
     }
     const TimeNs b = std::max(iv.begin, meter_start_);
     if (iv.end > b) {
-      plain_base_[i] += rail.EnergyOver(b, iv.end);
+      plain_base_[i] += SpanEnergy(rail, anchor, b, iv.end);
     }
-    AccumulateSpan(rail, faults, b, iv.end, &detail_base_[i]);
+    AccumulateSpan(rail, faults, anchor, b, iv.end, &detail_base_[i]);
+    anchor_folded |= anchor != nullptr && b == anchor->at;
   }
   owned_[i].TrimBefore(horizon);
+  if (anchor_folded) {
+    anchors_.erase(anchors_.begin() + (anchor - anchors_.data()));
+    anchor = nullptr;
+  }
+  // The span left straddling the horizon is integrated from its start by
+  // every later query; record that start while the rail still holds it. A
+  // span already anchored straddled an earlier horizon and is still the
+  // first retained one, so it is this straddler; any other began after the
+  // previous horizon, which the rail keeps.
+  const TimeNs start = StraddleStart(hw, horizon);
+  if (start < horizon && anchor == nullptr) {
+    anchors_.push_back({hw, start, rail.trace().CumulativeAt(start)});
+  }
 }
 
 void PowerSandbox::BankDirectEnergy(HwComponent hw, Joules energy, TimeNs new_from) {
@@ -321,6 +358,13 @@ void PowerSandbox::SaveState(SnapshotWriter& w) const {
   w.Bool(budget_claimed_);
   for (size_t i = 0; i < kNumHwComponents; ++i) {
     w.U32(static_cast<uint32_t>(compose_depth_[i]));
+  }
+  // v4: anchors, sparse — one byte on a box with no straddling span.
+  w.U8(static_cast<uint8_t>(anchors_.size()));
+  for (const Anchor& a : anchors_) {
+    w.U8(static_cast<uint8_t>(a.hw));
+    w.I64(a.at);
+    w.F64(a.cum);
   }
 }
 
@@ -365,6 +409,22 @@ void PowerSandbox::RestoreState(SnapshotReader& r) {
   budget_claimed_ = r.Bool();
   for (size_t i = 0; i < kNumHwComponents && r.ok(); ++i) {
     compose_depth_[i] = static_cast<int32_t>(r.U32());
+  }
+  anchors_.clear();
+  const size_t num_anchors = r.U8();
+  for (size_t i = 0; i < num_anchors && r.ok(); ++i) {
+    const auto hw = static_cast<HwComponent>(r.U8());
+    const TimeNs at = r.I64();
+    const Joules cum = r.F64();
+    if (!r.ok()) {
+      return;
+    }
+    if (static_cast<size_t>(hw) >= kNumHwComponents || !BoundTo(hw) ||
+        FindAnchor(hw) != nullptr) {
+      r.Fail("sandbox anchor on an unbound or already anchored component");
+      return;
+    }
+    anchors_.push_back({hw, at, cum});
   }
 }
 

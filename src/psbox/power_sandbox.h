@@ -16,7 +16,11 @@
 // owned interval is dropped, its exact energy contribution — measured and
 // dropout-estimated spans separately — is folded into per-component base
 // accumulators, so psbox_read stays exact (and bit-identical to the
-// untrimmed computation) while memory stays bounded.
+// untrimmed computation) while memory stays bounded. The one span per
+// component that straddles the horizon (a long balloon, possibly still open)
+// is anchored instead of kept resolvable: its start's cumulative rail
+// integral is recorded before the rail drops it, so the span never holds the
+// horizon back.
 
 #ifndef SRC_PSBOX_POWER_SANDBOX_H_
 #define SRC_PSBOX_POWER_SANDBOX_H_
@@ -137,16 +141,24 @@ class PowerSandbox {
   // --- retention (driven by PsboxManager::TrimTelemetry) ------------------
 
   // Earliest rail instant this sandbox still needs to resolve queries
-  // exactly, given a desired horizon: open balloons and closed intervals
-  // straddling |desired| pin the floor (trimmed intervals do not — their
-  // energy moves into the bases).
-  TimeNs RetainFloor(HwComponent hw, TimeNs desired) const;
+  // exactly, given a desired horizon. The span straddling |desired| is
+  // anchored, so its start never pins the floor; only a meter-dropout window
+  // inside it does, because the estimated pieces split the span at the
+  // window's edges and those need the rail. Trimmed intervals never pin —
+  // their energy moves into the bases.
+  TimeNs RetainFloor(HwComponent hw, TimeNs desired,
+                     const FaultInjector* faults) const;
 
   // Folds every owned interval of |hw| ending at or before |horizon| into
   // the plain/detail energy bases (exactly the spans the untrimmed query
-  // would integrate, in the same order) and drops those intervals.
+  // would integrate, in the same order), drops those intervals, and anchors
+  // the span left straddling |horizon| while |rail| still resolves its start.
   void TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& rail,
                  const FaultInjector* faults);
+
+  // Whether |hw|'s straddling span is anchored (the rail may no longer hold
+  // its start).
+  bool anchored(HwComponent hw) const { return FindAnchor(hw) != nullptr; }
 
   // Direct-metered components: banks [direct_from, horizon) energy (computed
   // by the caller from the domain) and advances the integration start.
@@ -174,19 +186,37 @@ class PowerSandbox {
   void set_transferred_base(Joules j) { transferred_base_ = j; }
 
   // Snapshot support: verifies identity (id/app/hardware must match the
-  // replayed CreateBox) and overwrites all mutable meter state.
+  // replayed CreateBox) and overwrites all mutable meter state. Anchors are
+  // stored sparsely (a count, then one record per anchored component).
   void SaveState(SnapshotWriter& w) const;
   void RestoreState(SnapshotReader& r);
 
  private:
-  // Owned duration within [t0, t1), treating a still-open balloon as
-  // extending to t1.
-  DurationNs OwnedWithin(HwComponent hw, TimeNs t0, TimeNs t1) const;
+  // The start of the ownership span straddling the trim horizon, clamped to
+  // meter_start, with the rail's CumulativeAt there. IntegralOver is the
+  // difference of two CumulativeAt values, so subtracting |cum| integrates
+  // the span bit-identically once the rail has dropped |at|.
+  struct Anchor {
+    HwComponent hw;
+    TimeNs at;
+    Joules cum;
+  };
+  const Anchor* FindAnchor(HwComponent hw) const;
+
+  // rail.EnergyOver(b, e) for e > b, reading the start from |anchor| when
+  // the window begins at it.
+  static Joules SpanEnergy(const PowerRail& rail, const Anchor* anchor,
+                           TimeNs b, TimeNs e);
+
+  // Clamped start of the span of |hw| that begins before |t| and ends after
+  // it (a closed interval, or the open balloon); |t| when none does.
+  TimeNs StraddleStart(HwComponent hw, TimeNs t) const;
 
   // Splits [b, e) at the meter-dropout windows, integrating measured pieces
   // off the rail and accumulating dropped pieces as estimation time.
   void AccumulateSpan(const PowerRail& rail, const FaultInjector* faults,
-                      TimeNs b, TimeNs e, EnergyDetail* d) const;
+                      const Anchor* anchor, TimeNs b, TimeNs e,
+                      EnergyDetail* d) const;
 
   PsboxId id_;
   AppId app_;
@@ -216,6 +246,9 @@ class PowerSandbox {
   std::array<EnergyDetail, kNumHwComponents> detail_base_{};
   std::array<Joules, kNumHwComponents> direct_base_{};
   std::array<TimeNs, kNumHwComponents> direct_from_;
+  // At most one per component, and none on most boxes: only a span alive
+  // across a trim needs one.
+  std::vector<Anchor> anchors_;
   uint64_t samples_lost_ = 0;
   Joules transferred_base_ = 0.0;
 };

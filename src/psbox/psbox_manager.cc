@@ -261,9 +261,16 @@ size_t PsboxManager::Sample(int box, std::vector<PowerSample>* buf,
 bool PsboxManager::InBox(int box) const { return sandbox(box).inside(); }
 
 TimeNs PsboxManager::TelemetryFloor(TimeNs desired) {
+  // Straddling spans are anchored, so only meter-dropout windows inside them
+  // hold the rails back; without dropouts every floor is |desired|.
+  const FaultInjector& faults = kernel_->board().fault_injector();
+  if (faults.meter_dropouts().empty()) {
+    return desired;
+  }
   // Lowering the horizon for one constraint can expose an earlier straddling
   // interval on another box or component, so iterate the per-box floors to a
-  // fixpoint (each strict drop lands on some interval begin — terminates).
+  // fixpoint (each strict drop lands on a dropout edge or a span start —
+  // terminates).
   TimeNs h = desired;
   while (true) {
     TimeNs next = h;
@@ -272,7 +279,7 @@ TimeNs PsboxManager::TelemetryFloor(TimeNs desired) {
         if (kernel_->domain(hw).direct_metered()) {
           continue;  // banked via BankDirectEnergy; no ownership windows
         }
-        next = std::min(next, boxp->RetainFloor(hw, h));
+        next = std::min(next, boxp->RetainFloor(hw, h, &faults));
       }
     }
     if (next == h) {

@@ -42,9 +42,10 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   void ResetEnergy(int box) override;
   size_t Sample(int box, std::vector<PowerSample>* buf, size_t max_samples) override;
   bool InBox(int box) const override;
-  // Telemetry retention: the sandboxes' exact-accounting floor (fixpoint
-  // over open balloons and straddling ownership intervals), and the fold of
-  // trimmed history into per-box energy bases + sample-backlog drop.
+  // Telemetry retention: the sandboxes' exact-accounting floor (a fixpoint
+  // over meter-dropout windows inside straddling ownership spans; the spans
+  // themselves are anchored), and the fold of trimmed history into per-box
+  // energy bases + anchors + sample-backlog drop.
   TimeNs TelemetryFloor(TimeNs desired) override;
   void TrimTelemetry(TimeNs horizon) override;
 

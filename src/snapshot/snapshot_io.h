@@ -42,7 +42,9 @@ namespace psbox {
 // v3: population + nested sandboxes — population config compat block,
 // per-spawn-record timestamps (arrival/spawn replay interleaving), sandbox
 // hierarchy state (parent, budget ledger, ownership compose depth).
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+// v4: per-sandbox retention anchors (a count, then component, time and
+// cumulative rail integral per anchored component).
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'B', 'X',
                                            'S', 'N', 'A', 'P'};
 inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;

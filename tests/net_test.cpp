@@ -187,6 +187,51 @@ TEST(NetTest, PowerStateVirtualisedPerBox) {
   EXPECT_TRUE(saw_high_tx);
 }
 
+TEST(NetTest, BoxedContenderAwaitingRxHasNoHeadPacket) {
+  // App B sends a request, then enters its box while the response is still
+  // outstanding and app A's balloon serves. B now contends for the NIC (its
+  // balloon must cover the response) with an empty TX queue. A's TX and RX
+  // completions inside the balloon charge lost opportunities against the
+  // contender's head packet; B has none, so it counts as 0 bytes. (Under
+  // _GLIBCXX_ASSERTIONS, reading the front of B's empty queue aborts.)
+  TestStack s;
+  NetApp a = SpawnSender(s, "a", 8 * 1024, /*resp=*/2 * 1024);
+  const AppId b = s.kernel.CreateApp("b");
+  Task* b_task = s.kernel.SpawnTask(
+      b, "b",
+      std::make_unique<ScriptBehavior>(std::vector<Action>{
+          Action::Sleep(Millis(2)),
+          Action::Send(64 * 1024, /*response_bytes=*/4 * 1024,
+                       /*response_delay=*/Millis(30)),
+          Action::WaitNet(), Action::Compute(kMillisecond)}));
+  const int box_a = s.manager.CreateBox(a.app, {HwComponent::kWifi});
+  const int box_b = s.manager.CreateBox(b, {HwComponent::kWifi});
+  s.manager.EnterBox(box_a);
+
+  // Step until B's request has flown (B blocks on the response) and A holds
+  // the NIC again, serving.
+  NetStack& net = s.kernel.net();
+  const auto a_serving = [&] {
+    return net.balloon_owner() == a.app && !net.timeline().empty() &&
+           net.timeline().back().kind == BalloonEdge::Kind::kServe;
+  };
+  while (s.kernel.Now() < Millis(100) &&
+         !(net.BytesDelivered(b) >= 64 * 1024 && a_serving())) {
+    s.kernel.RunUntil(s.kernel.Now() + 100 * kMicrosecond);
+  }
+  ASSERT_TRUE(a_serving()) << "A never served after B's request flew";
+  ASSERT_EQ(b_task->state(), TaskState::kBlocked);
+  ASSERT_LT(net.BytesDelivered(b), 68 * 1024u) << "response already arrived";
+  s.manager.EnterBox(box_b);
+
+  const uint64_t a_frames_before = net.stats().tx_frames;
+  s.kernel.RunUntil(s.kernel.Now() + Millis(200));
+  // B's response still lands and B finishes; A keeps transmitting.
+  EXPECT_EQ(b_task->state(), TaskState::kExited);
+  EXPECT_GE(net.BytesDelivered(b), 68 * 1024u);
+  EXPECT_GT(net.stats().tx_frames, a_frames_before);
+}
+
 TEST(NetTest, TxLatencyTracked) {
   TestStack s;
   SpawnSender(s, "a", 16 * 1024);

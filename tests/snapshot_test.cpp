@@ -112,7 +112,8 @@ TEST(BoardSnapshotTest, RoundTripIsBitIdentical) {
 
 // Three boards, mixed sandboxed/plain apps, one mid-run board failure: the
 // checkpoint exercised here covers live shards, a frozen (failed) shard,
-// pending timers, sandboxes, and migration history.
+// pending timers, sandboxes, and migration history. The DSP app is alone on
+// its accelerator, so its one balloon stays open across any cut.
 FleetScenario CheckpointScenario(DurationNs retention) {
   FleetScenario scenario;
   scenario.seed = 0xC4EC;
@@ -137,6 +138,7 @@ FleetScenario CheckpointScenario(DurationNs retention) {
       {"bodytrack", &SpawnBodytrack, 1, false, 0.0},
       {"scp", &SpawnScp, 2, true, 0.5},
       {"mediascan", &SpawnMediaScan, 2, true, 0.4},
+      {"sgemm", &SpawnSgemm, 0, true, 0.0},
   };
   for (const Mix& m : mix) {
     FleetAppSpec spec;
@@ -154,6 +156,25 @@ FleetScenario CheckpointScenario(DurationNs retention) {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + name;
+}
+
+// Whether some box on |fleet| owns a component through a balloon still open
+// at its current time |now| whose start only its anchor still resolves.
+bool HasAnchoredOpenBalloon(RootCoordinator& fleet, TimeNs now) {
+  for (int b = 0; b < fleet.board_count(); ++b) {
+    PsboxManager& manager = fleet.manager(b);
+    for (size_t i = 0; i < manager.box_count(); ++i) {
+      const PowerSandbox& sb = manager.sandbox(static_cast<int>(i));
+      for (HwComponent hw : sb.hardware()) {
+        // Closed intervals end at or before now, so ownership at now means
+        // the balloon is open.
+        if (sb.anchored(hw) && sb.OwnedAt(hw, now)) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
 }
 
 TEST(FleetCheckpointTest, WarmRestartMatchesUninterruptedRun) {
@@ -176,6 +197,9 @@ TEST(FleetCheckpointTest, WarmRestartMatchesUninterruptedRun) {
           RootCoordinator::RestoreFromCheckpoint(scenario, threads, path, &error);
       ASSERT_NE(restored, nullptr) << error;
       EXPECT_EQ(restored->resume_time(), Millis(730));
+      // Under retention the cut falls inside an anchored open balloon: the
+      // restored run keeps integrating it from the checkpointed anchor.
+      EXPECT_EQ(HasAnchoredOpenBalloon(*restored, Millis(730)), retention > 0);
       EXPECT_EQ(restored->Run().Fingerprint(), baseline);
     }
   }
@@ -367,7 +391,7 @@ FleetScenario GoldenScenario() {
 
 TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
   const std::string golden =
-      std::string(PSBOX_SOURCE_DIR) + "/tests/golden/fleet_checkpoint_v3.snap";
+      std::string(PSBOX_SOURCE_DIR) + "/tests/golden/fleet_checkpoint_v4.snap";
   if (std::getenv("PSBOX_REGEN_GOLDEN") != nullptr) {
     RootCoordinator fleet(GoldenScenario(), 2);
     // Cadence 25 with root boundaries on 20 ms multiples: the one

@@ -34,50 +34,115 @@ KernelConfig RetentionConfig(DurationNs retention = kRetention) {
   return cfg;
 }
 
+// The sandboxed inputs the retention contract is checked on. Each setup
+// creates box 0 and enters it.
+struct RetentionInput {
+  const char* name;
+  HwComponent hw;
+  void (*setup)(TestStack&);
+  // Meter-dropout windows for the board.
+  std::vector<FaultWindow> dropouts;
+  // When set, the box's meter is reset (psbox ResetEnergy) at this instant.
+  TimeNs reset_at = 0;
+};
+
+void BusyCpuBox(TestStack& s) {
+  s.SpawnBusy("busy");
+  const int box = s.manager.CreateBox(0, {HwComponent::kCpu});
+  s.manager.EnterBox(box);
+}
+
+// Alone on the GPU nothing ever contends for it, so the app's one balloon
+// stays open for the whole run and straddles every trim horizon.
+void LoneGpuBalloon(TestStack& s) {
+  AppOptions opts;
+  opts.use_psbox = true;
+  SpawnTriangle(s.kernel, "triangle", opts);
+}
+
+const RetentionInput kBusyCpu{"busy CPU box", HwComponent::kCpu, &BusyCpuBox, {}};
+const RetentionInput kLoneGpu{"lone GPU balloon", HwComponent::kGpu,
+                              &LoneGpuBalloon, {}};
+// A dropout inside the open span splits it at the window's edges, so the
+// rail must keep them: the horizon stays pinned at the window's start.
+const RetentionInput kLoneGpuDropout{"lone GPU balloon with a dropout",
+                                     HwComponent::kGpu,
+                                     &LoneGpuBalloon,
+                                     {{Millis(100), Millis(120)}}};
+// A reset re-clamps the open span to the reset instant, which must then be
+// anchored afresh once the horizon passes it.
+const RetentionInput kLoneGpuReset{"lone GPU balloon, meter reset mid-run",
+                                   HwComponent::kGpu,
+                                   &LoneGpuBalloon,
+                                   {},
+                                   Millis(260)};
+
+std::unique_ptr<TestStack> MakeStack(const RetentionInput& input,
+                                     KernelConfig kernel = {}) {
+  BoardConfig board;
+  board.faults.meter_dropout = input.dropouts;
+  auto s = std::make_unique<TestStack>(board, kernel);
+  input.setup(*s);
+  return s;
+}
+
 // --- exactness: retention on vs off ---------------------------------------
 
 TEST(RetentionTest, EnergyAndSamplesBitIdenticalWithRetention) {
   // Two identical stacks, one with bounded retention. Stepping both through
   // the same schedule of reads and drains must produce bit-identical psbox
-  // energy and bit-identical sample streams: trimming folds exact bases and
-  // consumes no randomness.
-  TestStack plain(BoardConfig{}, KernelConfig{});
-  TestStack trimmed(BoardConfig{}, RetentionConfig());
-  for (TestStack* s : {&plain, &trimmed}) {
-    s->SpawnBusy("busy");
-  }
-  const int box_plain = plain.manager.CreateBox(0, {HwComponent::kCpu});
-  const int box_trim = trimmed.manager.CreateBox(0, {HwComponent::kCpu});
-  plain.manager.EnterBox(box_plain);
-  trimmed.manager.EnterBox(box_trim);
+  // energy and bit-identical sample streams: trimming folds exact bases,
+  // anchors the straddling span and consumes no randomness.
+  for (const RetentionInput& input :
+       {kBusyCpu, kLoneGpu, kLoneGpuDropout, kLoneGpuReset}) {
+    SCOPED_TRACE(input.name);
+    auto plain = MakeStack(input);
+    auto trimmed = MakeStack(input, RetentionConfig());
+    const int box = 0;
 
-  std::vector<PowerSample> buf_plain;
-  std::vector<PowerSample> buf_trim;
-  for (TimeNs t = Millis(20); t <= Millis(500); t += Millis(20)) {
-    plain.kernel.RunUntil(t);
-    trimmed.kernel.RunUntil(t);
-    EXPECT_EQ(plain.manager.ReadEnergy(box_plain),
-              trimmed.manager.ReadEnergy(box_trim))
-        << "at " << t;
-    buf_plain.clear();
-    buf_trim.clear();
-    const size_t n_plain = plain.manager.Sample(box_plain, &buf_plain, 1u << 20);
-    const size_t n_trim = trimmed.manager.Sample(box_trim, &buf_trim, 1u << 20);
-    ASSERT_EQ(n_plain, n_trim) << "at " << t;
-    for (size_t i = 0; i < buf_plain.size(); ++i) {
-      ASSERT_EQ(buf_plain[i].timestamp, buf_trim[i].timestamp);
-      ASSERT_EQ(buf_plain[i].watts, buf_trim[i].watts);
-      ASSERT_EQ(buf_plain[i].estimated, buf_trim[i].estimated);
+    std::vector<PowerSample> buf_plain;
+    std::vector<PowerSample> buf_trim;
+    for (TimeNs t = Millis(20); t <= Millis(500); t += Millis(20)) {
+      plain->kernel.RunUntil(t);
+      trimmed->kernel.RunUntil(t);
+      EXPECT_EQ(plain->manager.ReadEnergy(box), trimmed->manager.ReadEnergy(box))
+          << "at " << t;
+      buf_plain.clear();
+      buf_trim.clear();
+      const size_t n_plain = plain->manager.Sample(box, &buf_plain, 1u << 20);
+      const size_t n_trim = trimmed->manager.Sample(box, &buf_trim, 1u << 20);
+      ASSERT_EQ(n_plain, n_trim) << "at " << t;
+      for (size_t i = 0; i < buf_plain.size(); ++i) {
+        ASSERT_EQ(buf_plain[i].timestamp, buf_trim[i].timestamp);
+        ASSERT_EQ(buf_plain[i].watts, buf_trim[i].watts);
+        ASSERT_EQ(buf_plain[i].estimated, buf_trim[i].estimated);
+      }
+      if (t == input.reset_at) {
+        plain->manager.ResetEnergy(box);
+        trimmed->manager.ResetEnergy(box);
+      }
+    }
+
+    // The trimmed stack really trimmed (this is not a vacuous comparison) and
+    // holds strictly less history than the unbounded one.
+    EXPECT_GT(trimmed->kernel.last_trim_horizon(), 0);
+    const StepTrace& rail_plain = plain->board.RailFor(input.hw).trace();
+    const StepTrace& rail_trim = trimmed->board.RailFor(input.hw).trace();
+    EXPECT_GT(rail_trim.trimmed_steps(), 0u);
+    EXPECT_LT(rail_trim.size(), rail_plain.size());
+    if (input.hw == HwComponent::kGpu) {
+      // The balloon never closed; its start was anchored before the rail
+      // dropped it.
+      const PowerSandbox& sb = trimmed->manager.sandbox(box);
+      EXPECT_TRUE(sb.OwnedAt(input.hw, trimmed->kernel.Now()));
+      EXPECT_TRUE(sb.anchored(input.hw));
+    }
+    if (!input.dropouts.empty()) {
+      // Only the dropout still pins the horizon, at the window's start.
+      EXPECT_EQ(trimmed->kernel.last_trim_horizon(), input.dropouts[0].begin);
+      EXPECT_GT(trimmed->manager.ReadEnergyDetail(box).estimated_time, 0);
     }
   }
-
-  // The trimmed stack really trimmed (this is not a vacuous comparison) and
-  // holds strictly less history than the unbounded one.
-  EXPECT_GT(trimmed.kernel.last_trim_horizon(), 0);
-  const StepTrace& rail_plain = plain.board.RailFor(HwComponent::kCpu).trace();
-  const StepTrace& rail_trim = trimmed.board.RailFor(HwComponent::kCpu).trace();
-  EXPECT_GT(rail_trim.trimmed_steps(), 0u);
-  EXPECT_LT(rail_trim.size(), rail_plain.size());
 }
 
 TEST(RetentionTest, ManualTrimPreservesEnergyDetailExactly) {
@@ -160,37 +225,39 @@ TEST(RetentionTest, DirectMeteredBankIsNearExact) {
 TEST(RetentionTest, SteadyStateWorkingSetIndependentOfDuration) {
   // Under retention, the retained telemetry (rail steps, ownership
   // intervals, timeline edges, ledger records) covers a bounded window, so
-  // running 4x longer must not grow the working set materially.
-  auto run = [](TimeNs until) {
-    auto s = std::make_unique<TestStack>(BoardConfig{}, RetentionConfig());
-    s->SpawnBusy("busy");
-    const int box = s->manager.CreateBox(0, {HwComponent::kCpu});
-    s->manager.EnterBox(box);
-    s->kernel.RunUntil(until);
-    return s;
-  };
-  auto short_run = run(Seconds(1));
-  auto long_run = run(Seconds(4));
+  // running 4x longer must not grow the working set materially — also while
+  // one balloon stays open for the whole run.
+  for (const RetentionInput& input : {kBusyCpu, kLoneGpu}) {
+    SCOPED_TRACE(input.name);
+    auto run = [&input](TimeNs until) {
+      auto s = MakeStack(input, RetentionConfig());
+      s->kernel.RunUntil(until);
+      return s;
+    };
+    auto short_run = run(Seconds(1));
+    auto long_run = run(Seconds(4));
 
-  const size_t rail_short =
-      short_run->board.RailFor(HwComponent::kCpu).trace().size();
-  const size_t rail_long =
-      long_run->board.RailFor(HwComponent::kCpu).trace().size();
-  EXPECT_GT(long_run->board.RailFor(HwComponent::kCpu).trace().trimmed_steps(),
-            0u);
-  // Generous 2x slack over the steady state; without trimming the 4 s run
-  // holds ~4x the steps of the 1 s run.
-  EXPECT_LE(rail_long, 2 * rail_short);
+    // The applied horizon trails now by the retention window plus at most
+    // one trim period; an open balloon does not hold it back.
+    EXPECT_GE(long_run->kernel.last_trim_horizon(), Seconds(4) - 2 * kRetention);
 
-  const IntervalSet& owned_short =
-      short_run->manager.sandbox(0).owned(HwComponent::kCpu);
-  const IntervalSet& owned_long =
-      long_run->manager.sandbox(0).owned(HwComponent::kCpu);
-  EXPECT_GT(owned_long.trimmed_intervals(), 0u);
-  EXPECT_LE(owned_long.size(), 2 * owned_short.size());
+    const StepTrace& rail_short = short_run->board.RailFor(input.hw).trace();
+    const StepTrace& rail_long = long_run->board.RailFor(input.hw).trace();
+    EXPECT_GT(rail_long.trimmed_steps(), 0u);
+    // Generous 2x slack over the steady state; without trimming the 4 s run
+    // holds ~4x the steps of the 1 s run.
+    EXPECT_LE(rail_long.size(), 2 * rail_short.size());
 
-  EXPECT_LE(long_run->kernel.ledger().records(HwComponent::kCpu).size(),
-            2 * short_run->kernel.ledger().records(HwComponent::kCpu).size() + 8);
+    const IntervalSet& owned_short = short_run->manager.sandbox(0).owned(input.hw);
+    const IntervalSet& owned_long = long_run->manager.sandbox(0).owned(input.hw);
+    EXPECT_LE(owned_long.size(), 2 * owned_short.size());
+    if (input.hw == HwComponent::kCpu) {
+      EXPECT_GT(owned_long.trimmed_intervals(), 0u);
+    }
+
+    EXPECT_LE(long_run->kernel.ledger().records(input.hw).size(),
+              2 * short_run->kernel.ledger().records(input.hw).size() + 8);
+  }
 }
 
 TEST(RetentionTest, UndrainedSampleBacklogDropsLikeRingBuffer) {
