@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/check.h"
-#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
@@ -136,28 +135,6 @@ IntervalSet::Walker::Walker(const IntervalSet& set, TimeNs start)
   } else {
     idx_ = static_cast<size_t>(fi) + 1;
   }
-}
-
-void IntervalSet::SaveState(SnapshotWriter& w) const {
-  w.U64(intervals_.size());
-  for (const Interval& iv : intervals_) {
-    w.I64(iv.begin);
-    w.I64(iv.end);
-  }
-  w.U64(trimmed_intervals_);
-}
-
-void IntervalSet::RestoreState(SnapshotReader& r) {
-  const size_t n = r.Count(2 * sizeof(TimeNs));
-  intervals_.clear();
-  intervals_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const TimeNs begin = r.I64();
-    const TimeNs end = r.I64();
-    intervals_.push_back(Interval{begin, end});
-  }
-  cursor_ = 0;
-  trimmed_intervals_ = r.U64();
 }
 
 }  // namespace psbox

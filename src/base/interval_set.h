@@ -21,9 +21,6 @@
 
 namespace psbox {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 class IntervalSet {
  public:
   struct Interval {
@@ -84,8 +81,17 @@ class IntervalSet {
 
   // Snapshot support: persists/overwrites the retained intervals and the
   // lifetime trim counter. The read cursor restarts at zero.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.Seq(intervals_, 2 * sizeof(TimeNs), [&](Interval& iv) {
+      ar.I64(iv.begin);
+      ar.I64(iv.end);
+    });
+    if constexpr (Ar::kLoading) {
+      cursor_ = 0;
+    }
+    ar.U64(trimmed_intervals_);
+  }
 
  private:
   // Index of the last interval with begin <= |t|, or -1; gallops from the

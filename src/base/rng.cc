@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/base/check.h"
-#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 namespace {
@@ -84,21 +83,5 @@ double Rng::Exponential(double mean) {
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }
-
-void Rng::SaveState(SnapshotWriter& w) const {
-  for (uint64_t word : state_) {
-    w.U64(word);
-  }
-  w.Bool(has_cached_gaussian_);
-  w.F64(cached_gaussian_);
-}
-
-void Rng::RestoreState(SnapshotReader& r) {
-  for (uint64_t& word : state_) {
-    word = r.U64();
-  }
-  has_cached_gaussian_ = r.Bool();
-  cached_gaussian_ = r.F64();
-}
 
 }  // namespace psbox

@@ -12,12 +12,12 @@
 
 namespace psbox {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 class Rng {
  public:
   explicit Rng(uint64_t seed);
+  // Seed 0: a placeholder for containers that restore the state from a
+  // snapshot.
+  Rng() : Rng(0) {}
 
   // Uniform on [0, 2^64).
   uint64_t NextU64();
@@ -40,8 +40,14 @@ class Rng {
 
   // Snapshot support: persists/overwrites the exact generator state,
   // including the cached Box-Muller half-sample.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    for (uint64_t& word : state_) {
+      ar.U64(word);
+    }
+    ar.Bool(has_cached_gaussian_);
+    ar.F64(cached_gaussian_);
+  }
 
  private:
   uint64_t state_[4];

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "src/base/check.h"
-#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
@@ -150,36 +149,6 @@ size_t StepTrace::TrimBefore(TimeNs horizon) {
   cursor_ = 0;
   trimmed_steps_ += drop;
   return drop;
-}
-
-void StepTrace::SaveState(SnapshotWriter& w) const {
-  w.U64(steps_.size());
-  for (const Step& s : steps_) {
-    w.I64(s.time);
-    w.F64(s.value);
-  }
-  for (double c : cum_) {
-    w.F64(c);
-  }
-  w.U64(trimmed_steps_);
-}
-
-void StepTrace::RestoreState(SnapshotReader& r) {
-  const size_t n = r.Count(sizeof(TimeNs) + sizeof(double));
-  steps_.clear();
-  steps_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const TimeNs time = r.I64();
-    const double value = r.F64();
-    steps_.push_back(Step{time, value});
-  }
-  cum_.clear();
-  cum_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    cum_.push_back(r.F64());
-  }
-  cursor_ = 0;
-  trimmed_steps_ = r.U64();
 }
 
 }  // namespace psbox

@@ -30,9 +30,6 @@
 
 namespace psbox {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 class StepTrace {
  public:
   struct Step {
@@ -128,8 +125,21 @@ class StepTrace {
   // Snapshot support: persists/overwrites the retained steps, their
   // cumulative-integral offsets (which carry the trimmed prefix's energy)
   // and the lifetime trim counter. The read cursor restarts at zero.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.Seq(steps_, sizeof(TimeNs) + sizeof(double), [&](Step& s) {
+      ar.I64(s.time);
+      ar.F64(s.value);
+    });
+    if constexpr (Ar::kLoading) {
+      cum_.assign(steps_.size(), 0.0);
+      cursor_ = 0;
+    }
+    for (double& c : cum_) {
+      ar.F64(c);
+    }
+    ar.U64(trimmed_steps_);
+  }
 
  private:
   // Index of the last step with time <= |time|, or -1. Starts at the read

@@ -41,7 +41,7 @@ RootCoordinator::RootCoordinator(FleetScenario scenario, int threads,
                                  RestoreTag)
     : rt_(std::move(scenario)) {
   // Checkpoint restore: sub-fleets and app runtimes are built, but every
-  // spawn is replayed from the checkpoint's logs instead (LoadCheckpoint).
+  // spawn is replayed from the checkpoint's logs by SerializeCheckpoint.
   Init(SplitThreads(rt_.scenario().subfleets, threads), /*spawn=*/false);
 }
 
@@ -391,121 +391,274 @@ FleetStats RootCoordinator::Run() {
   return Aggregate();
 }
 
-bool RootCoordinator::WriteCheckpoint(TimeNs now, std::string* error) {
+template <class Ar>
+bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
+                                          std::string* error) {
   const FleetScenario& scenario = rt_.scenario();
-  SnapshotWriter w;
-  w.Section("fleet");
+  auto& apps = rt_.apps();
+  ar.Section("fleet");
 
   // Compatibility block: enough of the scenario to refuse a restore under a
   // different one (factories cannot be serialised, so the caller re-supplies
-  // the scenario and these fields cross-check it).
-  w.U64(scenario.seed);
-  w.I64(scenario.epoch);
-  w.I64(scenario.horizon);
-  w.U64(scenario.boards.size());
-  for (const FleetBoardSpec& spec : scenario.boards) {
-    w.I64(spec.fail_at);
-  }
-  w.U64(scenario.apps.size());
-  for (const FleetAppSpec& spec : scenario.apps) {
-    w.Str(spec.name);
-    w.I64(spec.board);
-    w.Bool(spec.options.use_psbox);
-  }
-  w.Bool(scenario.migration.enabled);
-  w.F64(scenario.migration.pressure_fraction);
-  w.I64(scenario.migration.max_hops);
-  w.Bool(scenario.crash_state_transfer);
+  // the scenario and these fields cross-check it). Every mismatch is a
+  // different scenario, not a corrupt file — say so.
+  const char* run_mismatch =
+      "checkpoint was written under a different fleet scenario "
+      "(seed/epoch/horizon mismatch)";
+  ar.Expect(scenario.seed, run_mismatch);
+  ar.Expect(scenario.epoch, run_mismatch);
+  ar.Expect(scenario.horizon, run_mismatch);
+  ar.Fixed(scenario.boards, sizeof(int64_t),
+           "checkpoint board count does not match the scenario",
+           [&](const FleetBoardSpec& spec) {
+             ar.Expect(spec.fail_at,
+                       "checkpoint board failure plan does not match the "
+                       "scenario");
+           });
+  ar.Fixed(scenario.apps, 1, "checkpoint app count does not match the scenario",
+           [&](const FleetAppSpec& spec) {
+             const char* app_mismatch =
+                 "checkpoint app list does not match the scenario";
+             ar.Expect(spec.name, app_mismatch);
+             ar.Expect(spec.board, app_mismatch);
+             ar.Expect(spec.options.use_psbox, app_mismatch);
+           });
+  const char* migration_mismatch =
+      "checkpoint migration policy does not match the scenario";
+  ar.Expect(scenario.migration.enabled, migration_mismatch);
+  ar.Expect(scenario.migration.pressure_fraction, migration_mismatch);
+  ar.Expect(scenario.migration.max_hops, migration_mismatch);
+  ar.Expect(scenario.crash_state_transfer, migration_mismatch);
   // Hierarchy/budget block (format v2): the sub-fleet split shapes every
   // load view and therefore every placement — a different split is a
   // different scenario, not a resumable state.
-  w.I64(scenario.subfleets);
-  w.I64(scenario.root_period);
-  w.F64(scenario.fleet_budget);
-  w.F64(scenario.migration.energy_weight);
-  w.F64(scenario.migration.rebalance_ratio);
+  const char* hierarchy_mismatch =
+      "checkpoint was written under a different fleet scenario "
+      "(hierarchy/budget mismatch)";
+  ar.Expect(scenario.subfleets, hierarchy_mismatch);
+  ar.Expect(scenario.root_period, hierarchy_mismatch);
+  ar.Expect(scenario.fleet_budget, hierarchy_mismatch);
+  ar.Expect(scenario.migration.energy_weight, hierarchy_mismatch);
+  ar.Expect(scenario.migration.rebalance_ratio, hierarchy_mismatch);
   // Population block (format v3). The generator carries no runtime state of
   // its own: a restore re-derives every arrival up to each shard's clock by
   // replaying the seeded stream, so the full config is the cursor — it rides
   // in the file and is compared against the re-supplied scenario.
-  scenario.population.SaveState(w);
+  PopulationConfig population = scenario.population;
+  population.Serialize(ar);
+  if constexpr (Ar::kLoading) {
+    if (ar.ok() && !(population == scenario.population)) {
+      ar.Fail(
+          "checkpoint was written under a different fleet scenario "
+          "(population mismatch)");
+    }
+  }
 
-  w.I64(now);  // root boundary the restored run resumes at
+  ar.I64(now);  // root boundary the restored run resumes at
+  if constexpr (Ar::kLoading) {
+    if (ar.ok() && (now < 0 || now > scenario.horizon)) {
+      ar.Fail("checkpoint resume time lies outside the scenario horizon");
+    }
+  }
 
   // Budget ledger: the live allocations are bounded-stale state the
   // sub-fleets keep using until the next root barrier.
-  for (const auto& sf : subfleets_) {
-    w.F64(sf->allocation());
+  for (auto& sf : subfleets_) {
+    Joules allocation = sf->allocation();
+    ar.F64(allocation);
+    if constexpr (Ar::kLoading) {
+      sf->set_allocation(allocation);
+      budget_.allocation[static_cast<size_t>(sf->index())] = allocation;
+    }
   }
 
-  const auto write_migrations =
-      [&w](const std::vector<MigrationRecord>& migrations) {
-        w.U64(migrations.size());
-        for (const MigrationRecord& m : migrations) {
-          w.I64(m.when);
-          w.Str(m.app);
-          w.I64(m.from);
-          w.I64(m.to);
-          w.Bool(m.crash);
-          w.Bool(m.cross_subfleet);
-          w.Bool(m.state_transfer);
-          w.F64(m.consumed_source);
-          w.F64(m.budget_carried);
-          w.U64(m.iterations_done);
-        }
-      };
+  const auto migrations = [&](std::vector<MigrationRecord>& list) {
+    ar.Seq(list, 6 * sizeof(int64_t), [&](MigrationRecord& m) {
+      ar.I64(m.when);
+      ar.Str(m.app);
+      ar.I64(m.from);
+      ar.I64(m.to);
+      ar.Bool(m.crash);
+      ar.Bool(m.cross_subfleet);
+      ar.Bool(m.state_transfer);
+      ar.F64(m.consumed_source);
+      ar.F64(m.budget_carried);
+      ar.U64(m.iterations_done);
+    });
+  };
 
   // Per-sub-fleet spawn logs (replayed verbatim on restore so every shard
   // re-creates its apps/tasks through the same factory calls, in the same
   // order) and local migration histories.
-  for (const auto& sf : subfleets_) {
-    const std::vector<SpawnRecord>& log = sf->spawn_log();
-    w.U64(log.size());
-    for (const SpawnRecord& rec : log) {
-      w.I64(rec.app_index);
-      w.I64(rec.board);
-      w.Str(rec.label);
-      w.U64(rec.iterations);
-      w.I64(rec.when);
-    }
-    write_migrations(sf->migrations());
+  for (auto& sf : subfleets_) {
+    ar.Seq(sf->spawn_log(), 4 * sizeof(int64_t), [&](SpawnRecord& rec) {
+      ar.I64(rec.app_index);
+      ar.I64(rec.board);
+      ar.Str(rec.label);
+      ar.U64(rec.iterations);
+      ar.I64(rec.when);
+      if constexpr (Ar::kLoading) {
+        if (ar.ok() && (rec.app_index < 0 ||
+                        static_cast<size_t>(rec.app_index) >= apps.size() ||
+                        !sf->Owns(rec.board))) {
+          ar.Fail("checkpoint spawn log references an out-of-range app/board");
+        }
+        // Restore replays population arrivals up to each record's time.
+        if (ar.ok() && (rec.when < 0 || rec.when > now)) {
+          ar.Fail("checkpoint spawn record lies past the resume time");
+        }
+      }
+    });
+    migrations(sf->migrations());
   }
-  write_migrations(root_migrations_);
+  migrations(root_migrations_);
 
   // Coordinator-side app runtime state.
-  for (const FleetAppRuntime& app : rt_.apps()) {
-    w.I64(app.board);
-    w.I64(app.hops);
-    w.I64(app.budget_hops);
-    w.I64(app.rebalance_hops);
-    w.Bool(app.draining);
-    w.Bool(app.finished);
-    w.Bool(app.lost);
-    w.F64(app.billed);
-    w.Bool(app.ever_sandboxed);
-    w.F64(app.budget_remaining);
-    w.U64(app.iterations_prev);
-    w.U64(app.remaining);
-    w.F64(app.transferred_base);
-    w.I64(app.cross_target);
-    w.Bool(app.parked);
-    w.Bool(app.evac_pending);
-    w.I64(app.parked_from);
-    w.F64(app.parked_consumed);
-    w.F64(app.parked_raw);
+  for (FleetAppRuntime& app : apps) {
+    ar.I64(app.board);
+    ar.I64(app.hops);
+    ar.I64(app.budget_hops);
+    ar.I64(app.rebalance_hops);
+    ar.Bool(app.draining);
+    ar.Bool(app.finished);
+    ar.Bool(app.lost);
+    ar.F64(app.billed);
+    ar.Bool(app.ever_sandboxed);
+    ar.F64(app.budget_remaining);
+    ar.U64(app.iterations_prev);
+    ar.U64(app.remaining);
+    ar.F64(app.transferred_base);
+    ar.I64(app.cross_target);
+    ar.Bool(app.parked);
+    ar.Bool(app.evac_pending);
+    ar.I64(app.parked_from);
+    ar.F64(app.parked_consumed);
+    ar.F64(app.parked_raw);
   }
-  for (uint64_t iters : rt_.board_iterations()) {
-    w.U64(iters);
+  for (uint64_t& iters : rt_.board_iterations()) {
+    ar.U64(iters);
+  }
+
+  // An app's live handle/stop belong to its most recent spawn — within one
+  // sub-fleet's log that is its last record, and only the log of the
+  // sub-fleet owning the app's current board can hold it (the board is
+  // cross-checked to reject a stale last record in a sub-fleet the app has
+  // since left). Earlier spawns are replayed only to reconstruct each
+  // shard's task population.
+  std::vector<std::vector<int>> last_spawn;
+  if constexpr (Ar::kLoading) {
+    // Rebuild the per-sub-fleet app ownership lists from the restored state:
+    // an app belongs to the sub-fleet of its current board, or — parked with
+    // its hop closed — of the board it last ran on.
+    for (size_t i = 0; i < apps.size() && ar.ok(); ++i) {
+      const int home = apps[i].board >= 0 ? apps[i].board : apps[i].parked_from;
+      if (home < 0 || static_cast<size_t>(home) >= rt_.shards().size()) {
+        ar.Fail("checkpoint app state references an out-of-range board");
+        break;
+      }
+      subfleets_[static_cast<size_t>(SubfleetOf(home))]->AdoptApp(
+          static_cast<int>(i));
+    }
+    last_spawn.resize(subfleets_.size());
+    for (const auto& sf : subfleets_) {
+      std::vector<int>& last = last_spawn[static_cast<size_t>(sf->index())];
+      last.assign(apps.size(), -1);
+      const std::vector<SpawnRecord>& log = sf->spawn_log();
+      for (size_t i = 0; i < log.size(); ++i) {
+        last[static_cast<size_t>(log[i].app_index)] = static_cast<int>(i);
+      }
+    }
   }
 
   // Every shard, whole: device state, kernel, sandboxes, pending events.
-  for (const auto& shard : rt_.shards()) {
-    w.Bool(shard->failed);
-    w.I64(shard->now);
-    if (!SaveBoardShard(*shard->board, *shard->kernel, *shard->manager, &w,
-                        error)) {
+  for (auto& shard : rt_.shards()) {
+    ar.Bool(shard->failed);
+    ar.I64(shard->now);
+    if constexpr (!Ar::kLoading) {
+      if (!SaveBoardShard(*shard->board, *shard->kernel, *shard->manager, &ar,
+                          error)) {
+        return false;
+      }
+    } else {
+      // Restore replays population arrivals up to the shard's clock.
+      if (ar.ok() && (shard->now < 0 || shard->now > now)) {
+        ar.Fail("checkpoint shard clock lies past the resume time");
+      }
+      if (!ar.ok()) {
+        break;
+      }
+      FleetShard* s = shard.get();
+      SubFleetCoordinator& owner =
+          *subfleets_[static_cast<size_t>(SubfleetOf(s->index))];
+      const std::vector<int>& last =
+          last_spawn[static_cast<size_t>(owner.index())];
+      auto replay = [this, s, &owner, &last] {
+        // Reconstruct the shard's app/task population in the exact live
+        // creation order: tenant principals, then the board's spawn records
+        // merged in time order with the regenerated population arrivals
+        // (arrivals at a barrier instant fired before the barrier's spawns
+        // ran, so each record is preceded by every arrival at <= its
+        // instant).
+        if (s->population != nullptr) {
+          s->population->CreateTenants(/*restoring=*/true);
+        }
+        const std::vector<SpawnRecord>& log = owner.spawn_log();
+        auto& all_apps = rt_.apps();
+        for (size_t i = 0; i < log.size(); ++i) {
+          const SpawnRecord& rec = log[i];
+          if (rec.board != s->index) {
+            continue;
+          }
+          if (s->population != nullptr) {
+            s->population->ReplayArrivalsThrough(rec.when);
+          }
+          FleetAppRuntime& app = all_apps[static_cast<size_t>(rec.app_index)];
+          AppOptions opts = app.spec.options;
+          opts.iterations = rec.iterations;
+          auto stop = std::make_shared<bool>(false);
+          opts.stop = stop;
+          AppHandle handle = app.spec.factory(*s->kernel, rec.label, opts);
+          if (last[static_cast<size_t>(rec.app_index)] == static_cast<int>(i) &&
+              rec.board == app.board) {
+            app.stop = std::move(stop);
+            app.handle = handle;
+          }
+        }
+        if (s->population != nullptr) {
+          s->population->ReplayArrivalsThrough(s->now);
+        }
+      };
+      if (!RestoreBoardShard(ar, *s->board, *s->kernel, *s->manager, replay,
+                             error)) {
+        return false;
+      }
+    }
+  }
+
+  if constexpr (Ar::kLoading) {
+    if (!ar.ok()) {
+      *error = ar.error();
       return false;
     }
+    // Draining apps had their cooperative stop flag raised before the
+    // checkpoint; the replayed tasks get fresh flags, so re-raise them.
+    for (FleetAppRuntime& app : apps) {
+      if (app.draining && app.stop != nullptr) {
+        *app.stop = true;
+      }
+    }
+    if (!ar.AtEnd()) {
+      *error = "checkpoint has trailing bytes after the last shard";
+      return false;
+    }
+  }
+  return true;
+}
+
+bool RootCoordinator::WriteCheckpoint(TimeNs now, std::string* error) {
+  SnapshotWriter w;
+  if (!SerializeCheckpoint(w, now, error)) {
+    return false;
   }
 
   // snapshot_corrupt fault: the checkpoint write itself is torn mid-file
@@ -523,269 +676,6 @@ bool RootCoordinator::WriteCheckpoint(TimeNs now, std::string* error) {
   return w.WriteFile(checkpoint_path_, error);
 }
 
-bool RootCoordinator::LoadCheckpoint(SnapshotReader& r, std::string* error) {
-  const FleetScenario& scenario = rt_.scenario();
-  auto& apps = rt_.apps();
-  auto& shards = rt_.shards();
-  auto fail = [&](const std::string& msg) {
-    *error = msg;
-    return false;
-  };
-  if (!r.Section("fleet")) {
-    return fail(r.error());
-  }
-
-  // Compatibility block: every mismatch is a different scenario, not a
-  // corrupt file — say so.
-  const uint64_t seed = r.U64();
-  const TimeNs epoch = r.I64();
-  const TimeNs horizon = r.I64();
-  if (!r.ok()) {
-    return fail(r.error());
-  }
-  if (seed != scenario.seed || epoch != scenario.epoch ||
-      horizon != scenario.horizon) {
-    return fail(
-        "checkpoint was written under a different fleet scenario "
-        "(seed/epoch/horizon mismatch)");
-  }
-  const size_t board_count = r.Count(sizeof(int64_t));
-  if (board_count != scenario.boards.size()) {
-    return fail("checkpoint board count does not match the scenario");
-  }
-  for (size_t i = 0; i < board_count && r.ok(); ++i) {
-    if (r.I64() != scenario.boards[i].fail_at) {
-      return fail("checkpoint board failure plan does not match the scenario");
-    }
-  }
-  const size_t app_count = r.Count(1);
-  if (app_count != scenario.apps.size()) {
-    return fail("checkpoint app count does not match the scenario");
-  }
-  for (size_t i = 0; i < app_count && r.ok(); ++i) {
-    const std::string name = r.Str();
-    const int64_t board = r.I64();
-    const bool use_psbox = r.Bool();
-    const FleetAppSpec& spec = scenario.apps[i];
-    if (name != spec.name || board != spec.board ||
-        use_psbox != spec.options.use_psbox) {
-      return fail("checkpoint app list does not match the scenario");
-    }
-  }
-  const bool mig_enabled = r.Bool();
-  const double pressure = r.F64();
-  const int64_t max_hops = r.I64();
-  const bool state_transfer = r.Bool();
-  if (!r.ok()) {
-    return fail(r.error());
-  }
-  if (mig_enabled != scenario.migration.enabled ||
-      pressure != scenario.migration.pressure_fraction ||
-      max_hops != scenario.migration.max_hops ||
-      state_transfer != scenario.crash_state_transfer) {
-    return fail("checkpoint migration policy does not match the scenario");
-  }
-  const int64_t subfleet_count = r.I64();
-  const int64_t root_period = r.I64();
-  const double fleet_budget = r.F64();
-  const double energy_weight = r.F64();
-  const double rebalance_ratio = r.F64();
-  if (!r.ok()) {
-    return fail(r.error());
-  }
-  if (subfleet_count != scenario.subfleets ||
-      root_period != scenario.root_period ||
-      fleet_budget != scenario.fleet_budget ||
-      energy_weight != scenario.migration.energy_weight ||
-      rebalance_ratio != scenario.migration.rebalance_ratio) {
-    return fail(
-        "checkpoint was written under a different fleet scenario "
-        "(hierarchy/budget mismatch)");
-  }
-  PopulationConfig population;
-  population.RestoreState(r);
-  if (!r.ok()) {
-    return fail(r.error());
-  }
-  if (!(population == scenario.population)) {
-    return fail(
-        "checkpoint was written under a different fleet scenario "
-        "(population mismatch)");
-  }
-
-  resume_t_ = r.I64();
-
-  for (auto& sf : subfleets_) {
-    const Joules allocation = r.F64();
-    sf->set_allocation(allocation);
-    budget_.allocation[static_cast<size_t>(sf->index())] = allocation;
-  }
-
-  const auto read_migrations = [&](std::vector<MigrationRecord>* out) {
-    const size_t count = r.Count(6 * sizeof(int64_t));
-    out->clear();
-    out->reserve(count);
-    for (size_t i = 0; i < count && r.ok(); ++i) {
-      MigrationRecord m;
-      m.when = r.I64();
-      m.app = r.Str();
-      m.from = static_cast<int>(r.I64());
-      m.to = static_cast<int>(r.I64());
-      m.crash = r.Bool();
-      m.cross_subfleet = r.Bool();
-      m.state_transfer = r.Bool();
-      m.consumed_source = r.F64();
-      m.budget_carried = r.F64();
-      m.iterations_done = r.U64();
-      out->push_back(std::move(m));
-    }
-  };
-
-  for (auto& sf : subfleets_) {
-    const size_t spawn_count = r.Count(4 * sizeof(int64_t));
-    std::vector<SpawnRecord>& log = sf->spawn_log();
-    log.clear();
-    log.reserve(spawn_count);
-    for (size_t i = 0; i < spawn_count && r.ok(); ++i) {
-      SpawnRecord rec;
-      rec.app_index = static_cast<int>(r.I64());
-      rec.board = static_cast<int>(r.I64());
-      rec.label = r.Str();
-      rec.iterations = r.U64();
-      rec.when = r.I64();
-      if (rec.app_index < 0 ||
-          static_cast<size_t>(rec.app_index) >= apps.size() ||
-          !sf->Owns(rec.board)) {
-        return fail("checkpoint spawn log references an out-of-range app/board");
-      }
-      log.push_back(std::move(rec));
-    }
-    read_migrations(&sf->migrations());
-  }
-  read_migrations(&root_migrations_);
-
-  for (FleetAppRuntime& app : apps) {
-    app.board = static_cast<int>(r.I64());
-    app.hops = static_cast<int>(r.I64());
-    app.budget_hops = static_cast<int>(r.I64());
-    app.rebalance_hops = static_cast<int>(r.I64());
-    app.draining = r.Bool();
-    app.finished = r.Bool();
-    app.lost = r.Bool();
-    app.billed = r.F64();
-    app.ever_sandboxed = r.Bool();
-    app.budget_remaining = r.F64();
-    app.iterations_prev = r.U64();
-    app.remaining = r.U64();
-    app.transferred_base = r.F64();
-    app.cross_target = static_cast<int>(r.I64());
-    app.parked = r.Bool();
-    app.evac_pending = r.Bool();
-    app.parked_from = static_cast<int>(r.I64());
-    app.parked_consumed = r.F64();
-    app.parked_raw = r.F64();
-  }
-  for (uint64_t& iters : rt_.board_iterations()) {
-    iters = r.U64();
-  }
-  if (!r.ok()) {
-    return fail(r.error());
-  }
-
-  // Rebuild the per-sub-fleet app ownership lists from the restored state:
-  // an app belongs to the sub-fleet of its current board, or — parked with
-  // its hop closed — of the board it last ran on.
-  for (size_t i = 0; i < apps.size(); ++i) {
-    const int home = apps[i].board >= 0 ? apps[i].board : apps[i].parked_from;
-    if (home < 0 || static_cast<size_t>(home) >= shards.size()) {
-      return fail("checkpoint app state references an out-of-range board");
-    }
-    subfleets_[static_cast<size_t>(SubfleetOf(home))]->AdoptApp(
-        static_cast<int>(i));
-  }
-
-  // An app's live handle/stop belong to its most recent spawn — within one
-  // sub-fleet's log that is its last record, and only the log of the
-  // sub-fleet owning the app's current board can hold it (the board is
-  // cross-checked to reject a stale last record in a sub-fleet the app has
-  // since left). Earlier spawns are replayed only to reconstruct each
-  // shard's task population.
-  std::vector<std::vector<int>> last_spawn(subfleets_.size());
-  for (const auto& sf : subfleets_) {
-    std::vector<int>& last = last_spawn[static_cast<size_t>(sf->index())];
-    last.assign(apps.size(), -1);
-    const std::vector<SpawnRecord>& log = sf->spawn_log();
-    for (size_t i = 0; i < log.size(); ++i) {
-      last[static_cast<size_t>(log[i].app_index)] = static_cast<int>(i);
-    }
-  }
-
-  for (auto& shard : shards) {
-    shard->failed = r.Bool();
-    shard->now = r.I64();
-    if (!r.ok()) {
-      return fail(r.error());
-    }
-    FleetShard* s = shard.get();
-    SubFleetCoordinator& owner =
-        *subfleets_[static_cast<size_t>(SubfleetOf(s->index))];
-    const std::vector<int>& last =
-        last_spawn[static_cast<size_t>(owner.index())];
-    auto replay = [this, s, &owner, &last] {
-      // Reconstruct the shard's app/task population in the exact live
-      // creation order: tenant principals, then the board's spawn records
-      // merged in time order with the regenerated population arrivals
-      // (arrivals at a barrier instant fired before the barrier's spawns
-      // ran, so each record is preceded by every arrival at <= its instant).
-      if (s->population != nullptr) {
-        s->population->CreateTenants(/*restoring=*/true);
-      }
-      const std::vector<SpawnRecord>& log = owner.spawn_log();
-      auto& all_apps = rt_.apps();
-      for (size_t i = 0; i < log.size(); ++i) {
-        const SpawnRecord& rec = log[i];
-        if (rec.board != s->index) {
-          continue;
-        }
-        if (s->population != nullptr) {
-          s->population->ReplayArrivalsThrough(rec.when);
-        }
-        FleetAppRuntime& app = all_apps[static_cast<size_t>(rec.app_index)];
-        AppOptions opts = app.spec.options;
-        opts.iterations = rec.iterations;
-        auto stop = std::make_shared<bool>(false);
-        opts.stop = stop;
-        AppHandle handle = app.spec.factory(*s->kernel, rec.label, opts);
-        if (last[static_cast<size_t>(rec.app_index)] == static_cast<int>(i) &&
-            rec.board == app.board) {
-          app.stop = std::move(stop);
-          app.handle = handle;
-        }
-      }
-      if (s->population != nullptr) {
-        s->population->ReplayArrivalsThrough(s->now);
-      }
-    };
-    if (!RestoreBoardShard(r, *s->board, *s->kernel, *s->manager, replay,
-                           error)) {
-      return false;
-    }
-  }
-
-  // Draining apps had their cooperative stop flag raised before the
-  // checkpoint; the replayed tasks get fresh flags, so re-raise them.
-  for (FleetAppRuntime& app : apps) {
-    if (app.draining && app.stop != nullptr) {
-      *app.stop = true;
-    }
-  }
-
-  if (!r.AtEnd()) {
-    return fail("checkpoint has trailing bytes after the last shard");
-  }
-  return true;
-}
-
 std::unique_ptr<RootCoordinator> RootCoordinator::RestoreFromCheckpoint(
     FleetScenario scenario, int threads, const std::string& path,
     std::string* error) {
@@ -796,7 +686,7 @@ std::unique_ptr<RootCoordinator> RootCoordinator::RestoreFromCheckpoint(
   }
   std::unique_ptr<RootCoordinator> coord(
       new RootCoordinator(std::move(scenario), threads, RestoreTag{}));
-  if (!coord->LoadCheckpoint(r, error)) {
+  if (!coord->SerializeCheckpoint(r, coord->resume_t_, error)) {
     return nullptr;
   }
   coord->resumed_ = true;

@@ -128,7 +128,12 @@ class RootCoordinator {
   void ProcessRootBarrier(TimeNs now);
 
   bool WriteCheckpoint(TimeNs now, std::string* error);
-  bool LoadCheckpoint(SnapshotReader& r, std::string* error);
+  // The checkpoint body both directions run (RestoreFromCheckpoint loads
+  // with it). |now| is the root boundary the restored run resumes at.
+  // Returns false with |error| when a shard refuses to save or the reader
+  // fails.
+  template <class Ar>
+  bool SerializeCheckpoint(Ar& ar, TimeNs& now, std::string* error);
   FleetStats Aggregate();
 
   FleetRuntime rt_;

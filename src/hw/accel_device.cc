@@ -191,58 +191,34 @@ Watts AccelDevice::ModelPower() const {
   return config_.idle_power + sum * interference * PowerScale();
 }
 
-void AccelDevice::SaveState(SnapshotWriter& w) const {
-  w.U64(in_flight_.size());
-  for (const Exec& e : in_flight_) {
-    w.U64(e.cmd.id);
-    w.I64(e.cmd.app);
-    w.U32(static_cast<uint32_t>(e.cmd.type));
-    w.I64(e.cmd.nominal_work);
-    w.F64(e.cmd.active_power);
-    w.I64(e.dispatch_time);
-    w.I64(e.start_time);
-    w.F64(e.remaining_work);
-    w.Bool(e.hung);
+template <class Ar>
+void AccelDevice::Serialize(Ar& ar) {
+  ar.Seq(in_flight_, 8, [&](Exec& e) {
+    e.cmd.Serialize(ar);
+    ar.I64(e.dispatch_time);
+    ar.I64(e.start_time);
+    ar.F64(e.remaining_work);
+    ar.Bool(e.hung);
+  });
+  ar.I64(last_progress_time_);
+  ar.U32(opp_index_);
+  if constexpr (Ar::kLoading) {
+    if (ar.ok() && (opp_index_ < 0 || opp_index_ >= num_opps())) {
+      ar.Fail("accel opp index out of range in snapshot");
+    }
   }
-  w.I64(last_progress_time_);
-  w.U32(static_cast<uint32_t>(opp_index_));
-  w.U64(resets_);
-  w.U64(hung_commands_);
+  ar.U64(resets_);
+  ar.U64(hung_commands_);
   // The pending completion interrupt must be re-armed at its exact saved
   // time: recomputing the delay from remaining work would re-apply ceil()
   // rounding and drift off the original timeline.
-  SaveEvent(w, *sim_, completion_event_);
-}
-
-void AccelDevice::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  in_flight_.clear();
-  const size_t n = r.Count(8);
-  for (size_t i = 0; i < n; ++i) {
-    Exec e;
-    e.cmd.id = r.U64();
-    e.cmd.app = static_cast<AppId>(r.I64());
-    e.cmd.type = static_cast<int>(r.U32());
-    e.cmd.nominal_work = r.I64();
-    e.cmd.active_power = r.F64();
-    e.dispatch_time = r.I64();
-    e.start_time = r.I64();
-    e.remaining_work = r.F64();
-    e.hung = r.Bool();
-    in_flight_.push_back(e);
-  }
-  last_progress_time_ = r.I64();
-  opp_index_ = static_cast<int>(r.U32());
-  if (opp_index_ < 0 || opp_index_ >= num_opps()) {
-    r.Fail("accel opp index out of range in snapshot");
-    return;
-  }
-  resets_ = r.U64();
-  hung_commands_ = r.U64();
-  completion_event_ = kInvalidEventId;
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  ar.Event(completion_event_, [this](TimeNs when) {
     completion_event_ = sim_->ScheduleAt(when, [this] { OnCompletionEvent(); });
   });
 }
+
+template void AccelDevice::Serialize(SnapshotWriter&);
+template void AccelDevice::Serialize(SnapshotReader&);
 
 void AccelDevice::UpdateRail() { rail_->SetPower(ModelPower()); }
 

@@ -25,8 +25,6 @@
 
 namespace psbox {
 
-class EventRearmer;
-
 struct AccelCommand {
   uint64_t id = 0;
   AppId app = kNoApp;
@@ -37,6 +35,15 @@ struct AccelCommand {
   DurationNs nominal_work = 0;
   // Additional rail draw while this command executes at the top OPP.
   Watts active_power = 0.0;
+
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.U64(id);
+    ar.I64(app);
+    ar.U32(type);
+    ar.I64(nominal_work);
+    ar.F64(active_power);
+  }
 };
 
 // Completion record delivered to the driver, with the true execution span
@@ -118,9 +125,9 @@ class AccelDevice {
 
   // Snapshot support: in-flight commands with their exact remaining work, the
   // lingering OPP index, reset/hang counters, and the pending completion
-  // interrupt (re-armed at its exact saved time through |rearmer|).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  // interrupt (re-armed at its exact saved time).
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   struct Exec {

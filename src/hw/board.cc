@@ -42,50 +42,33 @@ Board::Board(BoardConfig config)
   meter_->set_fault_injector(fault_injector_.get());
 }
 
-void Board::SaveState(SnapshotWriter& w) const {
-  w.Section("board");
-  rng_.SaveState(w);
-  fault_injector_->SaveState(w);
-  // Rails in construction order, then devices in construction order.
-  cpu_rail_->SaveState(w);
-  gpu_rail_->SaveState(w);
-  dsp_rail_->SaveState(w);
-  wifi_rail_->SaveState(w);
-  display_rail_->SaveState(w);
-  gps_rail_->SaveState(w);
-  storage_rail_->SaveState(w);
-  cpu_->SaveState(w);
-  gpu_->SaveState(w);
-  dsp_->SaveState(w);
-  wifi_->SaveState(w);
-  display_->SaveState(w);
-  gps_->SaveState(w);
-  storage_->SaveState(w);
-  meter_->SaveState(w);
-}
-
-void Board::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  if (!r.Section("board")) {
+template <class Ar>
+void Board::Serialize(Ar& ar) {
+  if (!ar.Section("board")) {
     return;
   }
-  rng_.RestoreState(r);
-  fault_injector_->RestoreState(r);
-  cpu_rail_->RestoreState(r);
-  gpu_rail_->RestoreState(r);
-  dsp_rail_->RestoreState(r);
-  wifi_rail_->RestoreState(r);
-  display_rail_->RestoreState(r);
-  gps_rail_->RestoreState(r);
-  storage_rail_->RestoreState(r);
-  cpu_->RestoreState(r);
-  gpu_->RestoreState(r, rearmer);
-  dsp_->RestoreState(r, rearmer);
-  wifi_->RestoreState(r, rearmer);
-  display_->RestoreState(r);
-  gps_->RestoreState(r, rearmer);
-  storage_->RestoreState(r, rearmer);
-  meter_->RestoreState(r);
+  rng_.Serialize(ar);
+  fault_injector_->Serialize(ar);
+  // Rails in construction order, then devices in construction order.
+  cpu_rail_->Serialize(ar);
+  gpu_rail_->Serialize(ar);
+  dsp_rail_->Serialize(ar);
+  wifi_rail_->Serialize(ar);
+  display_rail_->Serialize(ar);
+  gps_rail_->Serialize(ar);
+  storage_rail_->Serialize(ar);
+  cpu_->Serialize(ar);
+  gpu_->Serialize(ar);
+  dsp_->Serialize(ar);
+  wifi_->Serialize(ar);
+  display_->Serialize(ar);
+  gps_->Serialize(ar);
+  storage_->Serialize(ar);
+  meter_->Serialize(ar);
 }
+
+template void Board::Serialize(SnapshotWriter&);
+template void Board::Serialize(SnapshotReader&);
 
 PowerRail& Board::RailFor(HwComponent hw) {
   switch (hw) {

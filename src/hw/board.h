@@ -70,10 +70,10 @@ class Board {
   // Snapshot support: serialises every rail history, every device, the meter,
   // the board RNG, and the fault-injector streams. The simulator clock and
   // pending events are handled by the snapshot layer (the devices hand their
-  // timers to |rearmer|); configuration is not serialised — restore requires
-  // a Board built from the identical BoardConfig.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  // timers to the reader's rearmer); configuration is not serialised —
+  // restore requires a Board built from the identical BoardConfig.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   BoardConfig config_;

@@ -4,7 +4,6 @@
 
 #include "src/base/check.h"
 #include "src/sim/simulator.h"
-#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
@@ -89,36 +88,6 @@ Watts CpuDevice::ModelPower() const {
   const double share =
       1.0 - config_.share_discount * static_cast<double>(active - 1) / denom;
   return config_.idle_power + config_.uncore_active_power + core_sum * share;
-}
-
-void CpuDevice::SaveState(SnapshotWriter& w) const {
-  w.U64(cores_.size());
-  for (const CoreState& c : cores_) {
-    w.Bool(c.active);
-    w.F64(c.intensity);
-    w.I64(c.app);
-  }
-  w.U32(static_cast<uint32_t>(opp_index_));
-  w.U64(failed_transitions_);
-}
-
-void CpuDevice::RestoreState(SnapshotReader& r) {
-  const size_t n = r.Count(3);
-  if (n != cores_.size()) {
-    r.Fail("cpu core count mismatch between snapshot and config");
-    return;
-  }
-  for (CoreState& c : cores_) {
-    c.active = r.Bool();
-    c.intensity = r.F64();
-    c.app = static_cast<AppId>(r.I64());
-  }
-  opp_index_ = static_cast<int>(r.U32());
-  if (opp_index_ < 0 || opp_index_ >= num_opps()) {
-    r.Fail("cpu opp index out of range in snapshot");
-    return;
-  }
-  failed_transitions_ = r.U64();
 }
 
 void CpuDevice::UpdateRail() { rail_->SetPower(ModelPower()); }

@@ -89,8 +89,22 @@ class CpuDevice {
 
   // Snapshot support: per-core activity, the lingering OPP index, and the
   // failed-transition counter (the OPP table itself is configuration).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.Fixed(cores_, 3, "cpu core count mismatch between snapshot and config",
+             [&](CoreState& c) {
+               ar.Bool(c.active);
+               ar.F64(c.intensity);
+               ar.I64(c.app);
+             });
+    ar.U32(opp_index_);
+    if constexpr (Ar::kLoading) {
+      if (ar.ok() && (opp_index_ < 0 || opp_index_ >= num_opps())) {
+        ar.Fail("cpu opp index out of range in snapshot");
+      }
+    }
+    ar.U64(failed_transitions_);
+  }
 
  private:
   struct CoreState {

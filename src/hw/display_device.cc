@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/check.h"
-#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
@@ -69,41 +68,6 @@ size_t DisplayDevice::TrimHistory(TimeNs horizon) {
     dropped += trace.TrimBefore(horizon);
   }
   return dropped;
-}
-
-void DisplayDevice::SaveState(SnapshotWriter& w) const {
-  w.U64(surfaces_.size());
-  for (const auto& [app, surface] : surfaces_) {
-    w.I64(app);
-    w.F64(surface.area);
-    w.F64(surface.brightness);
-  }
-  w.U64(app_traces_.size());
-  for (const auto& [app, trace] : app_traces_) {
-    w.I64(app);
-    trace.SaveState(w);
-  }
-}
-
-void DisplayDevice::RestoreState(SnapshotReader& r) {
-  surfaces_.clear();
-  const size_t num_surfaces = r.Count(3 * sizeof(double));
-  for (size_t i = 0; i < num_surfaces; ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    Surface s;
-    s.area = r.F64();
-    s.brightness = r.F64();
-    surfaces_[app] = s;
-  }
-  app_traces_.clear();
-  const size_t num_traces = r.Count(sizeof(AppId));
-  for (size_t i = 0; i < num_traces; ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    app_traces_[app].RestoreState(r);
-    if (!r.ok()) {
-      return;
-    }
-  }
 }
 
 void DisplayDevice::Update() {

@@ -53,8 +53,18 @@ class DisplayDevice {
   size_t TrimHistory(TimeNs horizon);
 
   // Snapshot support: composited surfaces and per-app contribution traces.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.Map(surfaces_, 3 * sizeof(double), [&](AppId& app, Surface& surface) {
+      ar.I64(app);
+      ar.F64(surface.area);
+      ar.F64(surface.brightness);
+    });
+    ar.Map(app_traces_, sizeof(AppId), [&](AppId& app, StepTrace& trace) {
+      ar.I64(app);
+      trace.Serialize(ar);
+    });
+  }
 
  private:
   struct Surface {

@@ -48,32 +48,21 @@ void GpsDevice::Release(AppId app) {
   Update();
 }
 
-void GpsDevice::SaveState(SnapshotWriter& w) const {
-  w.U8(static_cast<uint8_t>(state_));
-  w.U64(users_.size());
-  for (const AppId app : users_) {
-    w.I64(app);
-  }
-  SaveEvent(w, *sim_, acquire_event_);
-  operating_trace_.SaveState(w);
-}
-
-void GpsDevice::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  state_ = static_cast<GpsState>(r.U8());
-  users_.clear();
-  const size_t n = r.Count(sizeof(AppId));
-  for (size_t i = 0; i < n; ++i) {
-    users_.insert(static_cast<AppId>(r.I64()));
-  }
-  acquire_event_ = kInvalidEventId;
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+template <class Ar>
+void GpsDevice::Serialize(Ar& ar) {
+  ar.Enum(state_, GpsState::kOn, "gps state");
+  ar.Seq(users_, sizeof(AppId), [&](auto& app) { ar.I64(app); });
+  ar.Event(acquire_event_, [this](TimeNs when) {
     acquire_event_ = sim_->ScheduleAt(when, [this] {
       acquire_event_ = kInvalidEventId;
       OnAcquired();
     });
   });
-  operating_trace_.RestoreState(r);
+  operating_trace_.Serialize(ar);
 }
+
+template void GpsDevice::Serialize(SnapshotWriter&);
+template void GpsDevice::Serialize(SnapshotReader&);
 
 Watts GpsDevice::ModelPower() const {
   switch (state_) {

@@ -20,8 +20,6 @@
 
 namespace psbox {
 
-class EventRearmer;
-
 enum class GpsState : uint8_t { kOff, kAcquiring, kOn };
 
 struct GpsConfig {
@@ -56,9 +54,9 @@ class GpsDevice {
   size_t TrimHistory(TimeNs horizon) { return operating_trace_.TrimBefore(horizon); }
 
   // Snapshot support: power state, reference counts, operating history, and
-  // the in-flight acquisition event (re-armed through |rearmer|).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  // the in-flight acquisition event.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   void Update();

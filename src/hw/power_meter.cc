@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/check.h"
-#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
@@ -34,16 +33,6 @@ std::vector<PowerSample> PowerMeter::SampleRail(const PowerRail& rail, TimeNs t0
 
 Joules PowerMeter::MeasureEnergy(const PowerRail& rail, TimeNs t0, TimeNs t1) const {
   return rail.EnergyOver(t0, t1);
-}
-
-void PowerMeter::SaveState(SnapshotWriter& w) const {
-  rng_.SaveState(w);
-  w.U64(samples_dropped_);
-}
-
-void PowerMeter::RestoreState(SnapshotReader& r) {
-  rng_.RestoreState(r);
-  samples_dropped_ = r.U64();
 }
 
 Joules PowerMeter::EnergyFromSamples(const std::vector<PowerSample>& samples,

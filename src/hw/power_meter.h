@@ -56,8 +56,11 @@ class PowerMeter {
   const PowerMeterConfig& config() const { return config_; }
 
   // Snapshot support: the noise RNG stream position and the dropout counter.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    rng_.Serialize(ar);
+    ar.U64(samples_dropped_);
+  }
 
  private:
   Rng rng_;

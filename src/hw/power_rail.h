@@ -42,8 +42,10 @@ class PowerRail {
 
   // Snapshot support: the rail's only state is its power history (name and
   // idle power are configuration).
-  void SaveState(SnapshotWriter& w) const { trace_.SaveState(w); }
-  void RestoreState(SnapshotReader& r) { trace_.RestoreState(r); }
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    trace_.Serialize(ar);
+  }
 
  private:
   Simulator* sim_;

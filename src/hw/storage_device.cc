@@ -177,58 +177,33 @@ std::vector<StorageDevice::AbortedCommand> StorageDevice::Reset() {
   return aborted;
 }
 
-void StorageDevice::SaveState(SnapshotWriter& w) const {
-  w.U32(static_cast<uint32_t>(power_state_.perf_level));
-  w.I64(power_state_.flush_delay);
-  w.Bool(channel_busy_);
-  w.Bool(hung_);
-  w.U64(current_.id);
-  w.I64(current_.app);
-  w.Bool(current_.is_write);
-  w.U64(current_.bytes);
-  w.I64(current_dispatch_);
-  w.F64(remaining_bytes_);
-  w.I64(last_channel_update_);
-  w.F64(buffer_bytes_);
-  w.Bool(flush_active_);
-  w.I64(last_flush_update_);
-  w.U64(resets_);
-  w.U64(hung_commands_);
-  SaveEvent(w, *sim_, transfer_event_);
-  SaveEvent(w, *sim_, flush_start_event_);
-  SaveEvent(w, *sim_, flush_end_event_);
-}
-
-void StorageDevice::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  power_state_.perf_level = static_cast<int>(r.U32());
-  power_state_.flush_delay = r.I64();
-  channel_busy_ = r.Bool();
-  hung_ = r.Bool();
-  current_.id = r.U64();
-  current_.app = static_cast<AppId>(r.I64());
-  current_.is_write = r.Bool();
-  current_.bytes = r.U64();
-  current_dispatch_ = r.I64();
-  remaining_bytes_ = r.F64();
-  last_channel_update_ = r.I64();
-  buffer_bytes_ = r.F64();
-  flush_active_ = r.Bool();
-  last_flush_update_ = r.I64();
-  resets_ = r.U64();
-  hung_commands_ = r.U64();
-  transfer_event_ = kInvalidEventId;
-  flush_start_event_ = kInvalidEventId;
-  flush_end_event_ = kInvalidEventId;
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+template <class Ar>
+void StorageDevice::Serialize(Ar& ar) {
+  power_state_.Serialize(ar);
+  ar.Bool(channel_busy_);
+  ar.Bool(hung_);
+  current_.Serialize(ar);
+  ar.I64(current_dispatch_);
+  ar.F64(remaining_bytes_);
+  ar.I64(last_channel_update_);
+  ar.F64(buffer_bytes_);
+  ar.Bool(flush_active_);
+  ar.I64(last_flush_update_);
+  ar.U64(resets_);
+  ar.U64(hung_commands_);
+  ar.Event(transfer_event_, [this](TimeNs when) {
     transfer_event_ = sim_->ScheduleAt(when, [this] { OnTransferComplete(); });
   });
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  ar.Event(flush_start_event_, [this](TimeNs when) {
     flush_start_event_ = sim_->ScheduleAt(when, [this] { BeginFlush(); });
   });
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  ar.Event(flush_end_event_, [this](TimeNs when) {
     flush_end_event_ = sim_->ScheduleAt(when, [this] { OnFlushComplete(); });
   });
 }
+
+template void StorageDevice::Serialize(SnapshotWriter&);
+template void StorageDevice::Serialize(SnapshotReader&);
 
 void StorageDevice::SetPowerState(const StoragePowerState& state) {
   if (state.perf_level == power_state_.perf_level &&

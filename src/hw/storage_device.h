@@ -26,13 +26,19 @@
 
 namespace psbox {
 
-class EventRearmer;
-
 struct StorageCommand {
   uint64_t id = 0;
   AppId app = kNoApp;
   bool is_write = false;
   size_t bytes = 0;
+
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.U64(id);
+    ar.I64(app);
+    ar.Bool(is_write);
+    ar.U64(bytes);
+  }
 };
 
 struct StorageCompletion {
@@ -47,6 +53,12 @@ struct StoragePowerState {
   int perf_level = 1;
   // Coalescing window before the write-back buffer starts flushing.
   DurationNs flush_delay = 10 * kMillisecond;
+
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.U32(perf_level);
+    ar.I64(flush_delay);
+  }
 };
 
 struct StorageConfig {
@@ -119,8 +131,8 @@ class StorageDevice {
 
   // Snapshot support: channel transfer, write-back buffer/flush machinery,
   // the virtualisable power state, and all three timers.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   double BusRate(bool is_write) const;  // bytes per nanosecond

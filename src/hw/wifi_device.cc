@@ -8,28 +8,6 @@
 
 namespace psbox {
 
-namespace {
-
-void SaveFrame(SnapshotWriter& w, const WifiFrame& f) {
-  w.U64(f.id);
-  w.I64(f.app);
-  w.U32(static_cast<uint32_t>(f.socket));
-  w.U64(f.bytes);
-  w.Bool(f.is_rx);
-}
-
-WifiFrame LoadFrame(SnapshotReader& r) {
-  WifiFrame f;
-  f.id = r.U64();
-  f.app = static_cast<AppId>(r.I64());
-  f.socket = static_cast<int>(r.U32());
-  f.bytes = r.U64();
-  f.is_rx = r.Bool();
-  return f;
-}
-
-}  // namespace
-
 WifiDevice::WifiDevice(Simulator* sim, PowerRail* rail, WifiConfig config)
     : sim_(sim), rail_(rail), config_(std::move(config)) {
   UpdateRail();
@@ -113,44 +91,34 @@ void WifiDevice::SetPowerState(const WifiPowerState& state) {
   UpdateRail();
 }
 
-void WifiDevice::SaveState(SnapshotWriter& w) const {
-  w.U32(static_cast<uint32_t>(power_state_.tx_power_level));
-  w.I64(power_state_.ps_timeout);
-  w.U64(frames_lost_);
-  w.U64(queue_.size());
-  for (const WifiFrame& f : queue_) {
-    SaveFrame(w, f);
-  }
-  w.Bool(busy_);
-  w.Bool(in_tail_);
-  SaveFrame(w, current_frame_);
-  w.I64(current_start_);
-  SaveEvent(w, *sim_, frame_event_);
-  SaveEvent(w, *sim_, tail_event_);
-}
-
-void WifiDevice::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  power_state_.tx_power_level = static_cast<int>(r.U32());
-  power_state_.ps_timeout = r.I64();
-  frames_lost_ = r.U64();
-  queue_.clear();
-  const size_t n = r.Count(8);
-  for (size_t i = 0; i < n; ++i) {
-    queue_.push_back(LoadFrame(r));
-  }
-  busy_ = r.Bool();
-  in_tail_ = r.Bool();
-  current_frame_ = LoadFrame(r);
-  current_start_ = r.I64();
-  frame_event_ = kInvalidEventId;
-  tail_event_ = kInvalidEventId;
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+template <class Ar>
+void WifiDevice::Serialize(Ar& ar) {
+  // The device writes a frame's socket as u32; NetStack's packets carry it
+  // as i64.
+  auto frame = [&ar](WifiFrame& f) {
+    ar.U64(f.id);
+    ar.I64(f.app);
+    ar.U32(f.socket);
+    ar.U64(f.bytes);
+    ar.Bool(f.is_rx);
+  };
+  power_state_.Serialize(ar);
+  ar.U64(frames_lost_);
+  ar.Seq(queue_, 8, frame);
+  ar.Bool(busy_);
+  ar.Bool(in_tail_);
+  frame(current_frame_);
+  ar.I64(current_start_);
+  ar.Event(frame_event_, [this](TimeNs when) {
     frame_event_ = sim_->ScheduleAt(when, [this] { OnFrameComplete(); });
   });
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  ar.Event(tail_event_, [this](TimeNs when) {
     tail_event_ = sim_->ScheduleAt(when, [this] { OnTailExpire(); });
   });
 }
+
+template void WifiDevice::Serialize(SnapshotWriter&);
+template void WifiDevice::Serialize(SnapshotReader&);
 
 void WifiDevice::UpdateRail() {
   Watts p = config_.idle_power;

@@ -23,8 +23,6 @@
 
 namespace psbox {
 
-class EventRearmer;
-
 struct WifiFrame {
   uint64_t id = 0;
   AppId app = kNoApp;
@@ -49,6 +47,12 @@ struct WifiPowerState {
   int tx_power_level = 1;
   // How long the chip lingers in the tail state after activity.
   DurationNs ps_timeout = 45 * kMillisecond;
+
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.U32(tx_power_level);
+    ar.I64(ps_timeout);
+  }
 };
 
 struct WifiConfig {
@@ -92,8 +96,8 @@ class WifiDevice {
 
   // Snapshot support: queued/in-flight frames, the tail state machine, the
   // virtualisable power state, and the frame/tail timers.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   void StartNextFrame();

@@ -430,202 +430,80 @@ void AccelDriver::FailCommand(const Pending& p) {
   }
 }
 
-void AccelDriver::SaveState(SnapshotWriter& w) const {
-  w.Section("accel_driver");
-  SaveDomainState(w);
-  auto save_cmd = [&w](const AccelCommand& cmd) {
-    w.U64(cmd.id);
-    w.I64(cmd.app);
-    w.U32(static_cast<uint32_t>(cmd.type));
-    w.I64(cmd.nominal_work);
-    w.F64(cmd.active_power);
-  };
-  auto save_pending_fields = [&](const Pending& p) {
-    save_cmd(p.cmd);
-    w.I64(p.task != nullptr ? p.task->id() : 0);
-    w.I64(p.submit_time);
-    w.U32(static_cast<uint32_t>(p.retries));
-  };
-  w.U64(queues_.size());
-  for (const auto& [app, q] : queues_) {
-    w.I64(app);
-    w.U64(q.q.size());
-    for (const Pending& p : q.q) {
-      save_pending_fields(p);
-    }
-    w.F64(q.vruntime);
-    w.Bool(q.sandboxed);
-    w.I64(q.box);
-    w.U32(static_cast<uint32_t>(q.opp_context));
-    w.U64(q.completed);
-    w.I64(q.last_seen);
-  }
-  // In-flight commands in id order; each carries its hang watchdog.
-  std::map<uint64_t, const Pending*> inflight;
-  for (const auto& [id, p] : in_flight_) {
-    inflight[id] = &p;
-  }
-  w.U64(inflight.size());
-  for (const auto& [id, p] : inflight) {
-    save_pending_fields(*p);
-    SaveEvent(w, *sim_, p->watchdog);
-  }
-  w.U64(next_cmd_id_);
-  w.I64(owner_idle_since_);
-  const std::map<int, int> opps(context_opp_.begin(), context_opp_.end());
-  w.U64(opps.size());
-  for (const auto& [ctx, opp] : opps) {
-    w.U32(static_cast<uint32_t>(ctx));
-    w.U32(static_cast<uint32_t>(opp));
-  }
-  w.U32(static_cast<uint32_t>(next_context_));
-  w.U32(static_cast<uint32_t>(current_context_));
-  w.I64(busy_since_);
-  w.I64(last_ctx_mark_);
-  const std::map<int, DurationNs> busy(ctx_busy_.begin(), ctx_busy_.end());
-  w.U64(busy.size());
-  for (const auto& [ctx, ns] : busy) {
-    w.U32(static_cast<uint32_t>(ctx));
-    w.I64(ns);
-  }
-  const std::map<int, DurationNs> wall(ctx_wall_.begin(), ctx_wall_.end());
-  w.U64(wall.size());
-  for (const auto& [ctx, ns] : wall) {
-    w.U32(static_cast<uint32_t>(ctx));
-    w.I64(ns);
-  }
-  w.U64(stats_.submitted);
-  w.U64(stats_.completed);
-  w.I64(stats_.total_dispatch_latency);
-  w.I64(stats_.max_dispatch_latency);
-  w.U64(stats_.watchdog_fires);
-  w.U64(stats_.device_resets);
-  w.U64(stats_.command_retries);
-  w.U64(stats_.commands_failed);
-  SaveEvent(w, *sim_, retry_event_);
-  SaveEvent(w, *sim_, gov_event_);
-  uint64_t pumps = 0;
-  for (const EventId e : pump_events_) {
-    if (sim_->IsPending(e)) {
-      ++pumps;
-    }
-  }
-  w.U64(pumps);
-  for (const EventId e : pump_events_) {
-    if (sim_->IsPending(e)) {
-      SaveEvent(w, *sim_, e);
-    }
-  }
-}
-
-void AccelDriver::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  if (!r.Section("accel_driver")) {
+template <class Ar>
+void AccelDriver::Serialize(Ar& ar) {
+  if (!ar.Section("accel_driver")) {
     return;
   }
-  RestoreDomainState(r, rearmer);
-  auto load_cmd = [&r](AccelCommand& cmd) {
-    cmd.id = r.U64();
-    cmd.app = static_cast<AppId>(r.I64());
-    cmd.type = static_cast<int>(r.U32());
-    cmd.nominal_work = r.I64();
-    cmd.active_power = r.F64();
+  SerializeDomain(ar);
+  // TaskRef writes the task id as u64; this driver's format calls it an i64,
+  // which is the same eight bytes for every valid (positive) id.
+  auto pending = [&](Pending& p) {
+    p.cmd.Serialize(ar);
+    ar.TaskRef(p.task, *kernel_,
+               "accel driver command references unknown task in snapshot");
+    ar.I64(p.submit_time);
+    ar.U32(p.retries);
   };
-  auto load_pending_fields = [&](Pending& p) {
-    load_cmd(p.cmd);
-    const TaskId task_id = static_cast<TaskId>(r.I64());
-    p.task = task_id != 0 ? kernel_->TaskById(task_id) : nullptr;
-    p.submit_time = r.I64();
-    p.retries = static_cast<int>(r.U32());
-    p.watchdog = kInvalidEventId;
-  };
-  queues_.clear();
-  const size_t num_queues = r.Count(8);
-  for (size_t i = 0; i < num_queues; ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    AppQueue& q = queues_[app];
-    const size_t depth = r.Count(8);
-    for (size_t j = 0; j < depth; ++j) {
-      Pending p{};
-      load_pending_fields(p);
-      q.q.push_back(p);
-    }
-    q.vruntime = r.F64();
-    q.sandboxed = r.Bool();
-    q.box = static_cast<PsboxId>(r.I64());
-    q.opp_context = static_cast<int>(r.U32());
-    q.completed = r.U64();
-    q.last_seen = r.I64();
-    if (!r.ok()) {
-      return;
-    }
-  }
-  in_flight_.clear();
-  const size_t num_inflight = r.Count(8);
-  for (size_t i = 0; i < num_inflight; ++i) {
-    Pending p{};
-    load_pending_fields(p);
-    const uint64_t cmd_id = p.cmd.id;
-    in_flight_[cmd_id] = p;
-    LoadEvent(r, rearmer, [this, cmd_id](TimeNs when) {
+  ar.Map(queues_, 8, [&](AppId& app, AppQueue& q) {
+    ar.I64(app);
+    ar.Seq(q.q, 8, pending);
+    ar.F64(q.vruntime);
+    ar.Bool(q.sandboxed);
+    ar.I64(q.box);
+    ar.U32(q.opp_context);
+    ar.U64(q.completed);
+    ar.I64(q.last_seen);
+  });
+  // In-flight commands in id order; each carries its hang watchdog.
+  ar.Map(in_flight_, 8, [&](uint64_t& cmd_id, Pending& p) {
+    pending(p);
+    cmd_id = p.cmd.id;
+    ar.Event(p.watchdog, [this, cmd_id](TimeNs when) {
       in_flight_.at(cmd_id).watchdog =
           sim_->ScheduleAt(when, [this, cmd_id] { OnCommandTimeout(cmd_id); });
     });
-    if (!r.ok()) {
-      return;
-    }
-  }
-  next_cmd_id_ = r.U64();
-  owner_idle_since_ = r.I64();
-  context_opp_.clear();
-  const size_t num_ctx = r.Count(8);
-  for (size_t i = 0; i < num_ctx; ++i) {
-    const int ctx = static_cast<int>(r.U32());
-    context_opp_[ctx] = static_cast<int>(r.U32());
-  }
-  next_context_ = static_cast<int>(r.U32());
-  current_context_ = static_cast<int>(r.U32());
-  busy_since_ = r.I64();
-  last_ctx_mark_ = r.I64();
-  ctx_busy_.clear();
-  const size_t num_busy = r.Count(12);
-  for (size_t i = 0; i < num_busy; ++i) {
-    const int ctx = static_cast<int>(r.U32());
-    ctx_busy_[ctx] = r.I64();
-  }
-  ctx_wall_.clear();
-  const size_t num_wall = r.Count(12);
-  for (size_t i = 0; i < num_wall; ++i) {
-    const int ctx = static_cast<int>(r.U32());
-    ctx_wall_[ctx] = r.I64();
-  }
-  stats_.submitted = r.U64();
-  stats_.completed = r.U64();
-  stats_.total_dispatch_latency = r.I64();
-  stats_.max_dispatch_latency = r.I64();
-  stats_.watchdog_fires = r.U64();
-  stats_.device_resets = r.U64();
-  stats_.command_retries = r.U64();
-  stats_.commands_failed = r.U64();
-  retry_event_ = kInvalidEventId;
-  gov_event_ = kInvalidEventId;
-  pump_events_.clear();
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  });
+  ar.U64(next_cmd_id_);
+  ar.I64(owner_idle_since_);
+  ar.Map(context_opp_, 8, [&](int& ctx, int& opp) {
+    ar.U32(ctx);
+    ar.U32(opp);
+  });
+  ar.U32(next_context_);
+  ar.U32(current_context_);
+  ar.I64(busy_since_);
+  ar.I64(last_ctx_mark_);
+  auto context_time = [&](int& ctx, DurationNs& ns) {
+    ar.U32(ctx);
+    ar.I64(ns);
+  };
+  ar.Map(ctx_busy_, 12, context_time);
+  ar.Map(ctx_wall_, 12, context_time);
+  ar.U64(stats_.submitted);
+  ar.U64(stats_.completed);
+  ar.I64(stats_.total_dispatch_latency);
+  ar.I64(stats_.max_dispatch_latency);
+  ar.U64(stats_.watchdog_fires);
+  ar.U64(stats_.device_resets);
+  ar.U64(stats_.command_retries);
+  ar.U64(stats_.commands_failed);
+  ar.Event(retry_event_, [this](TimeNs when) {
     retry_event_ = sim_->ScheduleAt(when, [this] {
       retry_event_ = kInvalidEventId;
       Pump();
     });
   });
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  ar.Event(gov_event_, [this](TimeNs when) {
     gov_event_ = sim_->ScheduleAt(when, [this] { OnGovernorTick(); });
   });
-  const size_t num_pumps = r.Count(1);
-  for (size_t i = 0; i < num_pumps; ++i) {
-    LoadEvent(r, rearmer, [this](TimeNs when) { SchedulePumpAt(when); });
-    if (!r.ok()) {
-      return;
-    }
-  }
+  ar.PendingEvents(pump_events_, 1, [&](EventId& e) {
+    ar.Event(e, [this](TimeNs when) { SchedulePumpAt(when); });
+  });
 }
+
+template void AccelDriver::Serialize(SnapshotWriter&);
+template void AccelDriver::Serialize(SnapshotReader&);
 
 uint64_t AccelDriver::CompletedFor(AppId app) const {
   auto it = queues_.find(app);

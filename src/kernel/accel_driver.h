@@ -104,8 +104,8 @@ class AccelDriver : public ResourceDomain {
 
   // Snapshot support: queues, in-flight commands with their hang watchdogs,
   // fairness/governor bookkeeping, and all pending driver timers.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   struct Pending {

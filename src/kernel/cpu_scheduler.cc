@@ -1169,177 +1169,68 @@ void CpuScheduler::ScheduleOwnedNotifyAt(TimeNs when, TaskGroup* group) {
        })});
 }
 
-void CpuScheduler::SaveState(SnapshotWriter& w) const {
-  w.Section("scheduler");
-  SaveDomainState(w);
-  w.U64(groups_.size());
-  for (const auto& gp : groups_) {
-    const TaskGroup& g = *gp;
-    w.I64(g.app_);
-    w.I64(g.psbox_);
-    w.Bool(g.balloon_exclusive_);
-    w.Bool(g.coscheduling_);
-    w.Bool(g.owned_notified_);
-    w.I64(g.balloon_started_);
-    w.I64(g.runnable_tasks_);
-    w.U64(g.per_core_.size());
-    for (const TaskGroup::PerCore& pc : g.per_core_) {
-      w.F64(pc.vruntime);
-      w.F64(pc.loan);
-      w.Bool(pc.wants_resched);
+template <class Ar>
+void CpuScheduler::Serialize(Ar& ar) {
+  if (!ar.Section("scheduler")) {
+    return;
+  }
+  SerializeDomain(ar);
+  // A group travels as its index in groups_ (-1 for none): restore recreates
+  // the groups in the same BindBox order.
+  auto group_ref = [&](TaskGroup*& g, const char* unknown) {
+    int64_t index = g != nullptr ? GroupIndex(g) : -1;
+    ar.I64(index);
+    if constexpr (Ar::kLoading) {
+      if (ar.ok() &&
+          (index < -1 || index >= static_cast<int64_t>(groups_.size()))) {
+        ar.Fail(unknown);
+      }
+      g = ar.ok() && index >= 0 ? groups_[static_cast<size_t>(index)].get()
+                                : nullptr;
+    }
+  };
+  // The index of a group a tracked timer acts on.
+  auto group_index = [&](int& index, const char* unknown) {
+    ar.I64(index);
+    if constexpr (Ar::kLoading) {
+      if (ar.ok() &&
+          (index < 0 || static_cast<size_t>(index) >= groups_.size())) {
+        ar.Fail(unknown);
+      }
+    }
+  };
+  auto member = [&](Task*& t) {
+    ar.TaskRef(t, *kernel_, "scheduler group member task missing from snapshot",
+               /*nullable=*/false);
+  };
+  if constexpr (Ar::kLoading) {
+    active_group_by_app_.clear();
+  }
+  ar.Fixed(groups_, 32,
+           "scheduler group count mismatch between snapshot and restored boxes",
+           [&](std::unique_ptr<TaskGroup>& gp) {
+    TaskGroup* g = gp.get();
+    ar.Expect(g->app_, "scheduler group identity mismatch in snapshot");
+    ar.Expect(g->psbox_, "scheduler group identity mismatch in snapshot");
+    ar.Bool(g->balloon_exclusive_);
+    ar.Bool(g->coscheduling_);
+    ar.Bool(g->owned_notified_);
+    ar.I64(g->balloon_started_);
+    ar.I64(g->runnable_tasks_);
+    ar.Fixed(g->per_core_, 17,
+             "scheduler group core count mismatch in snapshot",
+             [&](TaskGroup::PerCore& pc) {
+      ar.F64(pc.vruntime);
+      ar.F64(pc.loan);
+      ar.Bool(pc.wants_resched);
       // `queued` is re-derived when the runqueues are rebuilt.
-      w.U64(pc.runnable.size());
-      for (const Task* t : pc.runnable) {
-        w.U64(static_cast<uint64_t>(t->id()));
+      if constexpr (Ar::kLoading) {
+        pc.queued = false;
       }
-    }
-    w.U64(g.members_.size());
-    for (const Task* t : g.members_) {
-      w.U64(static_cast<uint64_t>(t->id()));
-    }
-    SaveEvent(w, *sim_, g.slice_timer_);
-  }
-  w.I64(active_balloon_ != nullptr ? GroupIndex(active_balloon_) : -1);
-  w.U64(cores_.size());
-  for (size_t ci = 0; ci < cores_.size(); ++ci) {
-    const Core& c = cores_[ci];
-    // Runqueue in order; entities are re-Enqueued on restore after all
-    // vruntimes are back (the comparator reads them live).
-    w.U64(c.rq.size());
-    for (const Entity& e : c.rq) {
-      w.Bool(e.is_group());
-      w.U64(e.is_group() ? static_cast<uint64_t>(GroupIndex(e.group))
-                         : static_cast<uint64_t>(e.task->id()));
-    }
-    w.U64(c.current_task != nullptr ? static_cast<uint64_t>(c.current_task->id())
-                                    : 0);
-    w.I64(c.current_group != nullptr ? GroupIndex(c.current_group) : -1);
-    w.I64(c.balloon != nullptr ? GroupIndex(c.balloon) : -1);
-    w.I64(c.last_update);
-    w.F64(c.min_vruntime);
-    w.I64(c.busy_outside);
-    c.schedule_trace.SaveState(w);
-    SaveEvent(w, *sim_, c.tick_event);
-    SaveEvent(w, *sim_, c.completion_event);
-  }
-  w.U64(stats_.context_switches);
-  w.U64(stats_.shootdown_ipis);
-  w.U64(stats_.wakeups);
-  w.I64(stats_.total_wake_latency);
-  w.U64(stats_.steals);
-  w.I64(util_last_consume_);
-  w.U64(balloon_util_.size());
-  for (const auto& [box, bu] : balloon_util_) {  // std::map: sorted already
-    w.I64(box);
-    w.U64(bu.busy_per_core.size());
-    for (DurationNs busy : bu.busy_per_core) {
-      w.I64(busy);
-    }
-    w.F64(bu.wall);
-  }
-  const std::map<TaskId, TimeNs> wakes(wake_time_.begin(), wake_time_.end());
-  w.U64(wakes.size());
-  for (const auto& [task_id, when] : wakes) {
-    w.U64(static_cast<uint64_t>(task_id));
-    w.I64(when);
-  }
-  uint64_t live = 0;
-  for (const RetryEvent& e : retry_events_) {
-    if (sim_->IsPending(e.event)) {
-      ++live;
-    }
-  }
-  w.U64(live);
-  for (const RetryEvent& e : retry_events_) {
-    if (sim_->IsPending(e.event)) {
-      w.I64(e.core);
-      SaveEvent(w, *sim_, e.event);
-    }
-  }
-  live = 0;
-  for (const IpiEvent& e : ipi_events_) {
-    if (sim_->IsPending(e.event)) {
-      ++live;
-    }
-  }
-  w.U64(live);
-  for (const IpiEvent& e : ipi_events_) {
-    if (sim_->IsPending(e.event)) {
-      w.I64(e.core);
-      w.I64(e.group);
-      SaveEvent(w, *sim_, e.event);
-    }
-  }
-  live = 0;
-  for (const NotifyEvent& e : notify_events_) {
-    if (sim_->IsPending(e.event)) {
-      ++live;
-    }
-  }
-  w.U64(live);
-  for (const NotifyEvent& e : notify_events_) {
-    if (sim_->IsPending(e.event)) {
-      w.I64(e.group);
-      SaveEvent(w, *sim_, e.event);
-    }
-  }
-}
-
-void CpuScheduler::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  if (!r.Section("scheduler")) {
-    return;
-  }
-  RestoreDomainState(r, rearmer);
-  const size_t num_groups = r.Count(32);
-  if (r.ok() && num_groups != groups_.size()) {
-    r.Fail("scheduler group count mismatch between snapshot and restored boxes");
-    return;
-  }
-  active_group_by_app_.clear();
-  for (size_t gi = 0; gi < num_groups && r.ok(); ++gi) {
-    TaskGroup* g = groups_[gi].get();
-    const AppId app = static_cast<AppId>(r.I64());
-    const PsboxId box = static_cast<PsboxId>(r.I64());
-    if (app != g->app_ || box != g->psbox_) {
-      r.Fail("scheduler group identity mismatch in snapshot");
-      return;
-    }
-    g->balloon_exclusive_ = r.Bool();
-    g->coscheduling_ = r.Bool();
-    g->owned_notified_ = r.Bool();
-    g->balloon_started_ = r.I64();
-    g->runnable_tasks_ = static_cast<int>(r.I64());
-    const size_t num_pc = r.Count(17);
-    if (r.ok() && num_pc != g->per_core_.size()) {
-      r.Fail("scheduler group core count mismatch in snapshot");
-      return;
-    }
-    for (size_t ci = 0; ci < num_pc && r.ok(); ++ci) {
-      TaskGroup::PerCore& pc = g->per_core_[ci];
-      pc.vruntime = r.F64();
-      pc.loan = r.F64();
-      pc.wants_resched = r.Bool();
-      pc.queued = false;
-      pc.runnable.clear();
-      const size_t num_run = r.Count(8);
-      for (size_t ti = 0; ti < num_run && r.ok(); ++ti) {
-        pc.runnable.push_back(
-            kernel_->TaskById(static_cast<TaskId>(r.U64())));
-      }
-    }
-    g->members_.clear();
-    const size_t num_members = r.Count(8);
-    for (size_t ti = 0; ti < num_members && r.ok(); ++ti) {
-      Task* t = kernel_->TaskById(static_cast<TaskId>(r.U64()));
-      if (t == nullptr) {
-        r.Fail("scheduler group member task missing from snapshot");
-        return;
-      }
-      t->group = g;
-      g->members_.push_back(t);
-    }
-    g->slice_timer_ = kInvalidEventId;
-    LoadEvent(r, rearmer, [this, g](TimeNs when) {
+      ar.Seq(pc.runnable, 8, member);
+    });
+    ar.Seq(g->members_, 8, member);
+    ar.Event(g->slice_timer_, [this, g](TimeNs when) {
       g->slice_timer_ = sim_->ScheduleAt(when, [this, g] {
         g->slice_timer_ = kInvalidEventId;
         if (g->coscheduling_) {
@@ -1347,70 +1238,70 @@ void CpuScheduler::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
         }
       });
     });
-    if (g->balloon_exclusive_) {
-      active_group_by_app_[g->app_] = g;
-    }
-  }
-  const int64_t balloon_idx = r.I64();
-  active_balloon_ =
-      balloon_idx >= 0 && balloon_idx < static_cast<int64_t>(groups_.size())
-          ? groups_[static_cast<size_t>(balloon_idx)].get()
-          : nullptr;
-  const size_t num_cores_saved = r.Count(64);
-  if (r.ok() && num_cores_saved != cores_.size()) {
-    r.Fail("scheduler core count mismatch between snapshot and config");
-    return;
-  }
-  for (size_t ci = 0; ci < num_cores_saved && r.ok(); ++ci) {
-    const CoreId core = static_cast<CoreId>(ci);
-    Core& c = cores_[ci];
-    c.rq.clear();
-    const size_t num_rq = r.Count(9);
-    for (size_t ei = 0; ei < num_rq && r.ok(); ++ei) {
-      const bool is_group = r.Bool();
-      const uint64_t id = r.U64();
-      if (is_group) {
-        if (id >= groups_.size()) {
-          r.Fail("scheduler runqueue references unknown group");
-          return;
-        }
-        Enqueue(core, Entity{nullptr, groups_[id].get()});
-      } else {
-        Task* t = kernel_->TaskById(static_cast<TaskId>(id));
-        if (t == nullptr) {
-          r.Fail("scheduler runqueue references unknown task");
-          return;
-        }
-        Enqueue(core, Entity{t, nullptr});
+    if constexpr (Ar::kLoading) {
+      for (Task* t : g->members_) {
+        t->group = g;
+      }
+      if (g->balloon_exclusive_) {
+        active_group_by_app_[g->app_] = g;
       }
     }
-    const uint64_t cur_task = r.U64();
-    c.current_task =
-        cur_task != 0 ? kernel_->TaskById(static_cast<TaskId>(cur_task))
-                      : nullptr;
-    const int64_t cur_group = r.I64();
-    c.current_group =
-        cur_group >= 0 && cur_group < static_cast<int64_t>(groups_.size())
-            ? groups_[static_cast<size_t>(cur_group)].get()
-            : nullptr;
-    const int64_t balloon = r.I64();
-    c.balloon = balloon >= 0 && balloon < static_cast<int64_t>(groups_.size())
-                    ? groups_[static_cast<size_t>(balloon)].get()
-                    : nullptr;
-    c.last_update = r.I64();
-    c.min_vruntime = r.F64();
-    c.busy_outside = r.I64();
-    c.schedule_trace.RestoreState(r);
-    c.tick_event = kInvalidEventId;
-    c.completion_event = kInvalidEventId;
-    LoadEvent(r, rearmer, [this, core](TimeNs when) {
+  });
+  group_ref(active_balloon_, "scheduler balloon references unknown group");
+  ar.Fixed(cores_, 64,
+           "scheduler core count mismatch between snapshot and config",
+           [&](Core& c) {
+    const auto core = static_cast<CoreId>(&c - cores_.data());
+    // Runqueue in order. Restore inserts the entities after all vruntimes
+    // are back (the comparator reads them live) and re-marks queued groups.
+    ar.Seq(c.rq, 9, [&](auto& e) {
+      bool is_group = e.is_group();
+      ar.Bool(is_group);
+      if (!is_group) {
+        ar.TaskRef(e.task, *kernel_,
+                   "scheduler runqueue references unknown task",
+                   /*nullable=*/false);
+      } else {
+        auto index = static_cast<uint64_t>(
+            e.group != nullptr ? GroupIndex(e.group) : 0);
+        ar.U64(index);
+        if constexpr (Ar::kLoading) {
+          if (index < groups_.size()) {
+            e.group = groups_[index].get();
+          } else {
+            ar.Fail("scheduler runqueue references unknown group");
+          }
+        }
+      }
+      if constexpr (Ar::kLoading) {
+        if (ar.ok() && c.rq.count(e) > 0) {
+          ar.Fail("scheduler runqueue lists an entity twice");
+        }
+      }
+    });
+    if constexpr (Ar::kLoading) {
+      for (const Entity& e : c.rq) {
+        if (e.is_group()) {
+          e.group->per_core_[static_cast<size_t>(core)].queued = true;
+        }
+      }
+    }
+    ar.TaskRef(c.current_task, *kernel_,
+               "scheduler core runs a task missing from snapshot");
+    group_ref(c.current_group, "scheduler core references unknown group");
+    group_ref(c.balloon, "scheduler core balloon references unknown group");
+    ar.I64(c.last_update);
+    ar.F64(c.min_vruntime);
+    ar.I64(c.busy_outside);
+    c.schedule_trace.Serialize(ar);
+    ar.Event(c.tick_event, [this, core](TimeNs when) {
       cores_[static_cast<size_t>(core)].tick_event =
           sim_->ScheduleAt(when, [this, core] {
             cores_[static_cast<size_t>(core)].tick_event = kInvalidEventId;
             OnTick(core);
           });
     });
-    LoadEvent(r, rearmer, [this, core](TimeNs when) {
+    ar.Event(c.completion_event, [this, core](TimeNs when) {
       cores_[static_cast<size_t>(core)].completion_event =
           sim_->ScheduleAt(when, [this, core] {
             cores_[static_cast<size_t>(core)].completion_event =
@@ -1418,63 +1309,44 @@ void CpuScheduler::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
             OnComputeComplete(core);
           });
     });
-  }
-  stats_ = Stats{};
-  stats_.context_switches = r.U64();
-  stats_.shootdown_ipis = r.U64();
-  stats_.wakeups = r.U64();
-  stats_.total_wake_latency = r.I64();
-  stats_.steals = r.U64();
-  util_last_consume_ = r.I64();
-  balloon_util_.clear();
-  const size_t num_bu = r.Count(24);
-  for (size_t i = 0; i < num_bu && r.ok(); ++i) {
-    const PsboxId box = static_cast<PsboxId>(r.I64());
-    BalloonUtil& bu = balloon_util_[box];
-    const size_t n = r.Count(8);
-    for (size_t j = 0; j < n && r.ok(); ++j) {
-      bu.busy_per_core.push_back(r.I64());
-    }
-    bu.wall = r.F64();
-  }
-  wake_time_.clear();
-  const size_t num_wakes = r.Count(16);
-  for (size_t i = 0; i < num_wakes && r.ok(); ++i) {
-    const TaskId task_id = static_cast<TaskId>(r.U64());
-    wake_time_[task_id] = r.I64();
-  }
-  retry_events_.clear();
-  ipi_events_.clear();
-  notify_events_.clear();
-  const size_t num_retry = r.Count(18);
-  for (size_t i = 0; i < num_retry && r.ok(); ++i) {
-    const CoreId core = static_cast<CoreId>(r.I64());
-    LoadEvent(r, rearmer,
-              [this, core](TimeNs when) { ScheduleIdleRetryAt(when, core); });
-  }
-  const size_t num_ipi = r.Count(26);
-  for (size_t i = 0; i < num_ipi && r.ok(); ++i) {
-    const CoreId core = static_cast<CoreId>(r.I64());
-    const int64_t gidx = r.I64();
-    if (gidx < 0 || gidx >= static_cast<int64_t>(groups_.size())) {
-      r.Fail("scheduler IPI event references unknown group");
-      return;
-    }
-    TaskGroup* g = groups_[static_cast<size_t>(gidx)].get();
-    LoadEvent(r, rearmer,
-              [this, core, g](TimeNs when) { ScheduleIpiAt(when, core, g); });
-  }
-  const size_t num_notify = r.Count(18);
-  for (size_t i = 0; i < num_notify && r.ok(); ++i) {
-    const int64_t gidx = r.I64();
-    if (gidx < 0 || gidx >= static_cast<int64_t>(groups_.size())) {
-      r.Fail("scheduler notify event references unknown group");
-      return;
-    }
-    TaskGroup* g = groups_[static_cast<size_t>(gidx)].get();
-    LoadEvent(r, rearmer,
-              [this, g](TimeNs when) { ScheduleOwnedNotifyAt(when, g); });
-  }
+  });
+  ar.U64(stats_.context_switches);
+  ar.U64(stats_.shootdown_ipis);
+  ar.U64(stats_.wakeups);
+  ar.I64(stats_.total_wake_latency);
+  ar.U64(stats_.steals);
+  ar.I64(util_last_consume_);
+  ar.Map(balloon_util_, 24, [&](PsboxId& box, BalloonUtil& bu) {
+    ar.I64(box);
+    ar.Seq(bu.busy_per_core, 8, [&](DurationNs& busy) { ar.I64(busy); });
+    ar.F64(bu.wall);
+  });
+  ar.Map(wake_time_, 16, [&](TaskId& task_id, TimeNs& when) {
+    ar.U64(task_id);
+    ar.I64(when);
+  });
+  ar.PendingEvents(retry_events_, 18, [&](RetryEvent& e) {
+    ar.I64(e.core);
+    ar.Event(e.event, [this, core = e.core](TimeNs when) {
+      ScheduleIdleRetryAt(when, core);
+    });
+  });
+  ar.PendingEvents(ipi_events_, 26, [&](IpiEvent& e) {
+    ar.I64(e.core);
+    group_index(e.group, "scheduler IPI event references unknown group");
+    ar.Event(e.event, [this, core = e.core, gi = e.group](TimeNs when) {
+      ScheduleIpiAt(when, core, groups_[static_cast<size_t>(gi)].get());
+    });
+  });
+  ar.PendingEvents(notify_events_, 18, [&](NotifyEvent& e) {
+    group_index(e.group, "scheduler notify event references unknown group");
+    ar.Event(e.event, [this, gi = e.group](TimeNs when) {
+      ScheduleOwnedNotifyAt(when, groups_[static_cast<size_t>(gi)].get());
+    });
+  });
 }
+
+template void CpuScheduler::Serialize(SnapshotWriter&);
+template void CpuScheduler::Serialize(SnapshotReader&);
 
 }  // namespace psbox

@@ -182,8 +182,8 @@ class CpuScheduler : public ResourceDomain {
   // windows, and every pending scheduler timer (ticks, completions, IPIs,
   // slice timers, idle retries). Requires the groups to have been recreated
   // (via BindBox) and the tasks restored before the call.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   friend class Kernel;

@@ -80,59 +80,35 @@ int CpufreqGovernor::ContextForBox(PsboxId box) {
   return ctx;
 }
 
-void CpufreqGovernor::SaveState(SnapshotWriter& w) const {
-  w.Section("governor");
-  // unordered_map contents in sorted-key order for a stable byte stream.
-  const std::map<int, int> opps(context_opp_.begin(), context_opp_.end());
-  w.U64(opps.size());
-  for (const auto& [ctx, opp] : opps) {
-    w.U32(static_cast<uint32_t>(ctx));
-    w.U32(static_cast<uint32_t>(opp));
-  }
-  const std::map<PsboxId, int> boxes(context_of_box_.begin(), context_of_box_.end());
-  w.U64(boxes.size());
-  for (const auto& [box, ctx] : boxes) {
-    w.I64(box);
-    w.U32(static_cast<uint32_t>(ctx));
-  }
-  w.U32(static_cast<uint32_t>(next_context_));
-  w.U32(static_cast<uint32_t>(current_context_));
-  w.U64(transition_retries_);
-  SaveEvent(w, *sim_, sample_event_);
-  SaveEvent(w, *sim_, retry_event_);
-}
-
-void CpufreqGovernor::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  if (!r.Section("governor")) {
+template <class Ar>
+void CpufreqGovernor::Serialize(Ar& ar) {
+  if (!ar.Section("governor")) {
     return;
   }
-  context_opp_.clear();
-  const size_t num_ctx = r.Count(8);
-  for (size_t i = 0; i < num_ctx; ++i) {
-    const int ctx = static_cast<int>(r.U32());
-    context_opp_[ctx] = static_cast<int>(r.U32());
-  }
-  context_of_box_.clear();
-  const size_t num_boxes = r.Count(12);
-  for (size_t i = 0; i < num_boxes; ++i) {
-    const PsboxId box = static_cast<PsboxId>(r.I64());
-    context_of_box_[box] = static_cast<int>(r.U32());
-  }
-  next_context_ = static_cast<int>(r.U32());
-  current_context_ = static_cast<int>(r.U32());
-  transition_retries_ = r.U64();
-  sample_event_ = kInvalidEventId;
-  retry_event_ = kInvalidEventId;
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  ar.Map(context_opp_, 8, [&](int& ctx, int& opp) {
+    ar.U32(ctx);
+    ar.U32(opp);
+  });
+  ar.Map(context_of_box_, 12, [&](PsboxId& box, int& ctx) {
+    ar.I64(box);
+    ar.U32(ctx);
+  });
+  ar.U32(next_context_);
+  ar.U32(current_context_);
+  ar.U64(transition_retries_);
+  ar.Event(sample_event_, [this](TimeNs when) {
     sample_event_ = sim_->ScheduleAt(when, [this] { OnSample(); });
   });
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  ar.Event(retry_event_, [this](TimeNs when) {
     retry_event_ = sim_->ScheduleAt(when, [this] {
       retry_event_ = kInvalidEventId;
       sched_->SetOpp(context_opp_[current_context_]);
     });
   });
 }
+
+template void CpufreqGovernor::Serialize(SnapshotWriter&);
+template void CpufreqGovernor::Serialize(SnapshotReader&);
 
 void CpufreqGovernor::SwitchContext(int ctx) {
   PSBOX_CHECK(context_opp_.count(ctx) > 0);

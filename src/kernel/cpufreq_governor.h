@@ -57,9 +57,9 @@ class CpufreqGovernor {
   uint64_t transition_retries() const { return transition_retries_; }
 
   // Snapshot support: context table, box bindings, and the sample/retry
-  // timers (re-armed through |rearmer|).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  // timers.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   void OnSample();

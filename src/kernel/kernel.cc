@@ -112,7 +112,7 @@ Task* Kernel::SpawnTask(AppId app, std::string name, std::unique_ptr<Behavior> b
   app_tasks_[app].push_back(task);
   if (!restoring_) {
     // During snapshot restore the scenario replay only registers the task;
-    // its scheduler state is overwritten wholesale by RestoreState.
+    // its scheduler state is overwritten wholesale by Serialize.
     scheduler_->AddTask(task, core);
   }
   return task;
@@ -272,179 +272,55 @@ void Kernel::DeliverRx(AppId app, size_t bytes) {
 // Checkpoint/restore
 // ---------------------------------------------------------------------------
 
-void Kernel::SaveState(SnapshotWriter& w) const {
-  w.Section("kernel");
-  w.U64(app_names_.size());
-  for (const std::string& name : app_names_) {
-    w.Str(name);
+template <class Ar>
+void Kernel::Serialize(Ar& ar) {
+  if (!ar.Section("kernel")) {
+    return;
   }
-  w.U64(tasks_.size());
-  for (const auto& tp : tasks_) {
-    const Task& t = *tp;
-    w.U64(static_cast<uint64_t>(t.id()));
-    w.I64(t.app());
-    w.U8(static_cast<uint8_t>(t.state()));
-    w.I64(t.remaining_compute());
-    w.F64(t.intensity());
-    w.I64(t.pending_accel_completions);
-    w.I64(t.awaited_accel_completions);
-    w.I64(t.net_inflight);
-    w.Bool(t.waiting_net);
-    w.I64(t.pending_storage_completions);
-    w.I64(t.awaited_storage_completions);
-    w.I64(t.core);
-    w.I64(t.total_cpu_time);
-    w.F64(t.vruntime);
-    w.U8(const_cast<Task&>(t).behavior().SnapshotMarker());
-    const_cast<Task&>(t).behavior().SaveState(w);
-  }
-  w.U64(static_cast<uint64_t>(next_task_id_));
-  {
-    // rx_waiters_ in sorted-app order for a stable byte stream.
-    std::map<AppId, const std::deque<Task*>*> sorted;
-    for (const auto& [app, waiters] : rx_waiters_) {
-      sorted[app] = &waiters;
-    }
-    w.U64(sorted.size());
-    for (const auto& [app, waiters] : sorted) {
-      w.I64(app);
-      w.U64(waiters->size());
-      for (const Task* t : *waiters) {
-        w.U64(static_cast<uint64_t>(t->id()));
-      }
-    }
-  }
-  {
-    const std::map<PsboxId, int> contexts(cpu_context_of_box_.begin(),
-                                          cpu_context_of_box_.end());
-    w.U64(contexts.size());
-    for (const auto& [box, ctx] : contexts) {
-      w.I64(box);
-      w.I64(ctx);
-    }
-  }
-  w.I64(last_trim_horizon_);
-  ledger_.SaveState(w);
-  SaveEvent(w, board_->sim(), trim_event_);
-  uint64_t live_wakes = 0;
-  for (const auto& [task_id, event] : wake_events_) {
-    if (board_->sim().IsPending(event)) {
-      ++live_wakes;
-    }
-  }
-  w.U64(live_wakes);
-  for (const auto& [task_id, event] : wake_events_) {
-    if (board_->sim().IsPending(event)) {
-      w.U64(static_cast<uint64_t>(task_id));
-      SaveEvent(w, board_->sim(), event);
-    }
-  }
-  scheduler_->SaveState(w);
-  governor_->SaveState(w);
-  gpu_driver_->SaveState(w);
-  dsp_driver_->SaveState(w);
-  net_->SaveState(w);
-  storage_driver_->SaveState(w);
-  display_domain_->SaveDomainState(w);
-  gps_domain_->SaveDomainState(w);
+  ar.Fixed(app_names_, 9,
+           "app count mismatch between snapshot and restored scenario",
+           [&](std::string& name) {
+             ar.Expect(name,
+                       "app name mismatch between snapshot and restored "
+                       "scenario");
+           });
+  ar.Fixed(tasks_, 64,
+           "task count mismatch between snapshot and restored scenario",
+           [&](std::unique_ptr<Task>& t) { t->Serialize(ar); });
+  ar.Expect(static_cast<uint64_t>(next_task_id_),
+            "task id sequence mismatch between snapshot and restored scenario");
+  ar.Map(rx_waiters_, 16, [&](AppId& app, std::deque<Task*>& waiters) {
+    ar.I64(app);
+    ar.Seq(waiters, 8, [&](Task*& t) {
+      ar.TaskRef(t, *this, "rx waiter references unknown task in snapshot",
+                 /*nullable=*/false);
+    });
+  });
+  ar.Map(cpu_context_of_box_, 16, [&](PsboxId& box, int& ctx) {
+    ar.I64(box);
+    ar.I64(ctx);
+  });
+  ar.I64(last_trim_horizon_);
+  ledger_.Serialize(ar);
+  ar.Event(trim_event_, [this](TimeNs when) { ArmTelemetryTrimAt(when); });
+  ar.PendingEvents(wake_events_, 18, [&](std::pair<TaskId, EventId>& wake) {
+    Task* t = TaskById(wake.first);
+    ar.TaskRef(t, *this, "wake timer references unknown task in snapshot",
+               /*nullable=*/false);
+    ar.Event(wake.second,
+             [this, t](TimeNs when) { ScheduleTaskWakeAt(t, when); });
+  });
+  scheduler_->Serialize(ar);
+  governor_->Serialize(ar);
+  gpu_driver_->Serialize(ar);
+  dsp_driver_->Serialize(ar);
+  net_->Serialize(ar);
+  storage_driver_->Serialize(ar);
+  display_domain_->SerializeDomain(ar);
+  gps_domain_->SerializeDomain(ar);
 }
 
-void Kernel::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  if (!r.Section("kernel")) {
-    return;
-  }
-  const size_t num_apps = r.Count(9);
-  if (r.ok() && num_apps != app_names_.size()) {
-    r.Fail("app count mismatch between snapshot and restored scenario");
-    return;
-  }
-  for (size_t i = 0; i < num_apps && r.ok(); ++i) {
-    if (r.Str() != app_names_[i]) {
-      r.Fail("app name mismatch between snapshot and restored scenario");
-      return;
-    }
-  }
-  const size_t num_tasks = r.Count(64);
-  if (r.ok() && num_tasks != tasks_.size()) {
-    r.Fail("task count mismatch between snapshot and restored scenario");
-    return;
-  }
-  for (size_t i = 0; i < num_tasks && r.ok(); ++i) {
-    Task& t = *tasks_[i];
-    const uint64_t id = r.U64();
-    const AppId app = static_cast<AppId>(r.I64());
-    if (id != static_cast<uint64_t>(t.id()) || app != t.app()) {
-      r.Fail("task identity mismatch between snapshot and restored scenario");
-      return;
-    }
-    t.set_state(static_cast<TaskState>(r.U8()));
-    t.set_remaining_compute(r.I64());
-    t.set_intensity(r.F64());
-    t.pending_accel_completions = static_cast<int>(r.I64());
-    t.awaited_accel_completions = static_cast<int>(r.I64());
-    t.net_inflight = static_cast<int>(r.I64());
-    t.waiting_net = r.Bool();
-    t.pending_storage_completions = static_cast<int>(r.I64());
-    t.awaited_storage_completions = static_cast<int>(r.I64());
-    t.core = static_cast<CoreId>(r.I64());
-    t.total_cpu_time = r.I64();
-    t.vruntime = r.F64();
-    t.group = nullptr;  // re-linked by the scheduler's group restore
-    if (r.U8() != t.behavior().SnapshotMarker()) {
-      r.Fail("task behavior type mismatch between snapshot and scenario");
-      return;
-    }
-    t.behavior().RestoreState(r);
-  }
-  const uint64_t next_id = r.U64();
-  if (r.ok() && next_id != static_cast<uint64_t>(next_task_id_)) {
-    r.Fail("task id sequence mismatch between snapshot and restored scenario");
-    return;
-  }
-  rx_waiters_.clear();
-  const size_t num_waiter_apps = r.Count(16);
-  for (size_t i = 0; i < num_waiter_apps && r.ok(); ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    std::deque<Task*>& waiters = rx_waiters_[app];
-    const size_t n = r.Count(8);
-    for (size_t j = 0; j < n && r.ok(); ++j) {
-      Task* t = TaskById(static_cast<TaskId>(r.U64()));
-      if (t == nullptr) {
-        r.Fail("rx waiter references unknown task in snapshot");
-        return;
-      }
-      waiters.push_back(t);
-    }
-  }
-  cpu_context_of_box_.clear();
-  const size_t num_ctx = r.Count(16);
-  for (size_t i = 0; i < num_ctx && r.ok(); ++i) {
-    const PsboxId box = static_cast<PsboxId>(r.I64());
-    cpu_context_of_box_[box] = static_cast<int>(r.I64());
-  }
-  last_trim_horizon_ = r.I64();
-  ledger_.RestoreState(r);
-  trim_event_ = kInvalidEventId;
-  LoadEvent(r, rearmer, [this](TimeNs when) { ArmTelemetryTrimAt(when); });
-  wake_events_.clear();
-  const size_t num_wakes = r.Count(18);
-  for (size_t i = 0; i < num_wakes && r.ok(); ++i) {
-    Task* t = TaskById(static_cast<TaskId>(r.U64()));
-    if (t == nullptr) {
-      r.Fail("wake timer references unknown task in snapshot");
-      return;
-    }
-    LoadEvent(r, rearmer,
-              [this, t](TimeNs when) { ScheduleTaskWakeAt(t, when); });
-  }
-  scheduler_->RestoreState(r, rearmer);
-  governor_->RestoreState(r, rearmer);
-  gpu_driver_->RestoreState(r, rearmer);
-  dsp_driver_->RestoreState(r, rearmer);
-  net_->RestoreState(r, rearmer);
-  storage_driver_->RestoreState(r, rearmer);
-  display_domain_->RestoreDomainState(r, rearmer);
-  gps_domain_->RestoreDomainState(r, rearmer);
-}
+template void Kernel::Serialize(SnapshotWriter&);
+template void Kernel::Serialize(SnapshotReader&);
 
 }  // namespace psbox

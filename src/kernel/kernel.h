@@ -145,16 +145,16 @@ class Kernel : public BalloonObserver {
   // --- checkpoint/restore -------------------------------------------------
   // Restore protocol: BeginRestore() puts the kernel in restore mode —
   // SpawnTask then only registers tasks (no scheduling) while the caller
-  // replays the scenario's app/task/box construction; RestoreState()
-  // overwrites all mutable state from the snapshot; EndRestore() leaves
+  // replays the scenario's app/task/box construction; Serialize() with a
+  // reader overwrites all mutable state from the snapshot; EndRestore() leaves
   // restore mode. See src/snapshot/board_snapshot.h for the full sequence.
   void BeginRestore() { restoring_ = true; }
   void EndRestore() { restoring_ = false; }
   bool restoring() const { return restoring_; }
   // Persists apps, tasks (incl. behaviour state), syscall bookkeeping, the
   // usage ledger and every kernel subsystem.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   // Binds |domain| into the registry slot for its component and attaches the

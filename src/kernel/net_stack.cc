@@ -412,196 +412,78 @@ void NetStack::OnDrainTimeout() {
   Pump();
 }
 
-namespace {
-
-void SavePowerState(SnapshotWriter& w, const WifiPowerState& st) {
-  w.U32(static_cast<uint32_t>(st.tx_power_level));
-  w.I64(st.ps_timeout);
-}
-
-WifiPowerState LoadPowerState(SnapshotReader& r) {
-  WifiPowerState st;
-  st.tx_power_level = static_cast<int>(r.U32());
-  st.ps_timeout = r.I64();
-  return st;
-}
-
-}  // namespace
-
-void NetStack::SavePacket(SnapshotWriter& w, const SockPacket& p) const {
-  w.U64(p.frame.id);
-  w.I64(p.frame.app);
-  w.I64(p.frame.socket);
-  w.U64(p.frame.bytes);
-  w.Bool(p.frame.is_rx);
-  w.U64(p.task != nullptr ? static_cast<uint64_t>(p.task->id()) : 0);
-  w.U64(p.resp_bytes);
-  w.I64(p.resp_delay);
-  w.I64(p.resp_count);
-  w.I64(p.enqueue_time);
-  w.U32(static_cast<uint32_t>(p.retries));
-}
-
-NetStack::SockPacket NetStack::LoadPacket(SnapshotReader& r) {
-  SockPacket p{};
-  p.frame.id = r.U64();
-  p.frame.app = static_cast<AppId>(r.I64());
-  p.frame.socket = static_cast<int>(r.I64());
-  p.frame.bytes = r.U64();
-  p.frame.is_rx = r.Bool();
-  const uint64_t task_id = r.U64();
-  p.task =
-      task_id != 0 ? kernel_->TaskById(static_cast<TaskId>(task_id)) : nullptr;
-  p.resp_bytes = r.U64();
-  p.resp_delay = r.I64();
-  p.resp_count = static_cast<int>(r.I64());
-  p.enqueue_time = r.I64();
-  p.retries = static_cast<int>(r.U32());
-  return p;
-}
-
-void NetStack::SaveState(SnapshotWriter& w) const {
-  w.Section("net_stack");
-  SaveDomainState(w);
-  w.U64(socks_.size());
-  for (const auto& [app, s] : socks_) {  // std::map: sorted already
-    w.I64(app);
-    w.U64(s.q.size());
-    for (const SockPacket& p : s.q) {
-      SavePacket(w, p);
-    }
-    w.F64(s.credit_bytes);
-    w.Bool(s.sandboxed);
-    w.I64(s.box);
-    SavePowerState(w, s.vstate);
-    w.U64(s.bytes_delivered);
-    w.I64(s.expected_rx);
-    w.I64(s.last_activity);
-    w.U64(s.errors);
-  }
-  // In-flight TX in frame-id order for a stable byte stream.
-  const std::map<uint64_t, SockPacket> inflight(tx_in_flight_.begin(),
-                                                tx_in_flight_.end());
-  w.U64(inflight.size());
-  for (const auto& [id, p] : inflight) {
-    SavePacket(w, p);
-  }
-  w.U64(next_frame_id_);
-  w.Bool(our_tx_pending_);
-  w.F64(penalty_bytes_);
-  SavePowerState(w, global_state_);
-  w.U64(stats_.tx_frames);
-  w.U64(stats_.rx_frames);
-  w.I64(stats_.total_tx_latency);
-  w.I64(stats_.max_tx_latency);
-  w.U64(stats_.tx_retransmits);
-  w.U64(stats_.tx_failed);
-  w.U64(stats_.socket_errors);
-  SaveEvent(w, *sim_, retry_event_);
-  w.U64(pending_retx_.size());
-  for (const auto& [id, pr] : pending_retx_) {
-    SavePacket(w, pr.pkt);
-    SaveEvent(w, *sim_, pr.event);
-  }
-  uint64_t live_rx = 0;
-  for (const RxInject& inj : rx_events_) {
-    if (sim_->IsPending(inj.event)) {
-      ++live_rx;
-    }
-  }
-  w.U64(live_rx);
-  for (const RxInject& inj : rx_events_) {
-    if (sim_->IsPending(inj.event)) {
-      w.I64(inj.app);
-      w.U64(inj.bytes);
-      SaveEvent(w, *sim_, inj.event);
-    }
-  }
-  uint64_t live_pumps = 0;
-  for (EventId e : pump_events_) {
-    if (sim_->IsPending(e)) {
-      ++live_pumps;
-    }
-  }
-  w.U64(live_pumps);
-  for (EventId e : pump_events_) {
-    if (sim_->IsPending(e)) {
-      SaveEvent(w, *sim_, e);
-    }
-  }
-}
-
-void NetStack::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  if (!r.Section("net_stack")) {
+template <class Ar>
+void NetStack::Serialize(Ar& ar) {
+  if (!ar.Section("net_stack")) {
     return;
   }
-  RestoreDomainState(r, rearmer);
-  socks_.clear();
-  tx_in_flight_.clear();
-  pending_retx_.clear();
-  rx_events_.clear();
-  pump_events_.clear();
-  const size_t num_socks = r.Count(8);
-  for (size_t i = 0; i < num_socks && r.ok(); ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    Socket& s = socks_[app];
-    const size_t depth = r.Count(8);
-    for (size_t j = 0; j < depth && r.ok(); ++j) {
-      s.q.push_back(LoadPacket(r));
-    }
-    s.credit_bytes = r.F64();
-    s.sandboxed = r.Bool();
-    s.box = static_cast<PsboxId>(r.I64());
-    s.vstate = LoadPowerState(r);
-    s.bytes_delivered = r.U64();
-    s.expected_rx = static_cast<int>(r.I64());
-    s.last_activity = r.I64();
-    s.errors = r.U64();
-  }
-  const size_t num_inflight = r.Count(8);
-  for (size_t i = 0; i < num_inflight && r.ok(); ++i) {
-    const SockPacket p = LoadPacket(r);
-    tx_in_flight_[p.frame.id] = p;
-  }
-  next_frame_id_ = r.U64();
-  our_tx_pending_ = r.Bool();
-  penalty_bytes_ = r.F64();
-  global_state_ = LoadPowerState(r);
-  stats_ = Stats{};
-  stats_.tx_frames = r.U64();
-  stats_.rx_frames = r.U64();
-  stats_.total_tx_latency = r.I64();
-  stats_.max_tx_latency = r.I64();
-  stats_.tx_retransmits = r.U64();
-  stats_.tx_failed = r.U64();
-  stats_.socket_errors = r.U64();
-  retry_event_ = kInvalidEventId;
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  SerializeDomain(ar);
+  auto packet = [&](SockPacket& p) {
+    ar.U64(p.frame.id);
+    ar.I64(p.frame.app);
+    ar.I64(p.frame.socket);
+    ar.U64(p.frame.bytes);
+    ar.Bool(p.frame.is_rx);
+    ar.TaskRef(p.task, *kernel_,
+               "net stack packet references unknown task in snapshot");
+    ar.U64(p.resp_bytes);
+    ar.I64(p.resp_delay);
+    ar.I64(p.resp_count);
+    ar.I64(p.enqueue_time);
+    ar.U32(p.retries);
+  };
+  ar.Map(socks_, 8, [&](AppId& app, Socket& s) {
+    ar.I64(app);
+    ar.Seq(s.q, 8, packet);
+    ar.F64(s.credit_bytes);
+    ar.Bool(s.sandboxed);
+    ar.I64(s.box);
+    s.vstate.Serialize(ar);
+    ar.U64(s.bytes_delivered);
+    ar.I64(s.expected_rx);
+    ar.I64(s.last_activity);
+    ar.U64(s.errors);
+  });
+  ar.Map(tx_in_flight_, 8, [&](uint64_t& id, SockPacket& p) {
+    packet(p);
+    id = p.frame.id;
+  });
+  ar.U64(next_frame_id_);
+  ar.Bool(our_tx_pending_);
+  ar.F64(penalty_bytes_);
+  global_state_.Serialize(ar);
+  ar.U64(stats_.tx_frames);
+  ar.U64(stats_.rx_frames);
+  ar.I64(stats_.total_tx_latency);
+  ar.I64(stats_.max_tx_latency);
+  ar.U64(stats_.tx_retransmits);
+  ar.U64(stats_.tx_failed);
+  ar.U64(stats_.socket_errors);
+  ar.Event(retry_event_, [this](TimeNs when) {
     retry_event_ = sim_->ScheduleAt(when, [this] {
       retry_event_ = kInvalidEventId;
       Pump();
     });
   });
-  const size_t num_retx = r.Count(16);
-  for (size_t i = 0; i < num_retx && r.ok(); ++i) {
-    const SockPacket p = LoadPacket(r);
-    const uint64_t id = p.frame.id;
-    pending_retx_[id].pkt = p;
-    LoadEvent(r, rearmer, [this, id](TimeNs when) { ArmRetx(id, when); });
-  }
-  const size_t num_rx = r.Count(16);
-  for (size_t i = 0; i < num_rx && r.ok(); ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    const uint64_t bytes = r.U64();
-    LoadEvent(r, rearmer, [this, app, bytes](TimeNs when) {
+  ar.Map(pending_retx_, 16, [&](uint64_t& id, PendingRetx& pr) {
+    packet(pr.pkt);
+    id = pr.pkt.frame.id;
+    ar.Event(pr.event, [this, id](TimeNs when) { ArmRetx(id, when); });
+  });
+  ar.PendingEvents(rx_events_, 16, [&](RxInject& inj) {
+    ar.I64(inj.app);
+    ar.U64(inj.bytes);
+    ar.Event(inj.event, [this, app = inj.app, bytes = inj.bytes](TimeNs when) {
       ScheduleRxInject(when, app, static_cast<size_t>(bytes));
     });
-  }
-  const size_t num_pumps = r.Count(10);
-  for (size_t i = 0; i < num_pumps && r.ok(); ++i) {
-    LoadEvent(r, rearmer, [this](TimeNs when) { SchedulePumpAt(when); });
-  }
+  });
+  ar.PendingEvents(pump_events_, 10, [&](EventId& e) {
+    ar.Event(e, [this](TimeNs when) { SchedulePumpAt(when); });
+  });
 }
+
+template void NetStack::Serialize(SnapshotWriter&);
+template void NetStack::Serialize(SnapshotReader&);
 
 size_t NetStack::BytesDelivered(AppId app) const {
   auto it = socks_.find(app);

@@ -85,8 +85,8 @@ class NetStack : public ResourceDomain {
 
   // Snapshot support: sockets, in-flight TX, retransmit backlog, expected RX
   // injections, and all pending stack timers.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   struct SockPacket {
@@ -143,8 +143,6 @@ class NetStack : public ResourceDomain {
   void ArmRetx(uint64_t frame_id, TimeNs when);
   // Schedules a channel-model RX injection, tracked for checkpointing.
   void ScheduleRxInject(TimeNs when, AppId app, size_t bytes);
-  void SavePacket(SnapshotWriter& w, const SockPacket& p) const;
-  SockPacket LoadPacket(SnapshotReader& r);
 
   WifiDevice* device_;
   Kernel* kernel_;

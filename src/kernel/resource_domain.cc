@@ -71,63 +71,41 @@ void ResourceDomain::TrimTelemetry(TimeNs horizon) {
   }
 }
 
-void ResourceDomain::SaveDomainState(SnapshotWriter& w) const {
-  w.Section("domain");
-  w.U8(static_cast<uint8_t>(phase_));
-  w.I64(owner_);
-  w.I64(owner_box_);
-  w.I64(balloon_start_);
-  w.I64(drain_enter_);
-  w.Bool(notified_);
-  w.U64(dstats_.balloons);
-  w.I64(dstats_.total_balloon_time);
-  w.U64(dstats_.aborted);
-  w.U64(dstats_.recoveries);
-  w.U64(timeline_.size());
-  for (const BalloonEdge& e : timeline_) {
-    w.I64(e.when);
-    w.U8(static_cast<uint8_t>(e.kind));
-    w.I64(e.app);
-    w.I64(e.box);
+template <class Ar>
+void ResourceDomain::SerializeDomain(Ar& ar) {
+  if (!ar.Section("domain")) {
+    return;
   }
-  w.U64(trimmed_edges_);
+  ar.Enum(phase_, BalloonPhase::kDrainOwner, "balloon phase");
+  ar.I64(owner_);
+  ar.I64(owner_box_);
+  ar.I64(balloon_start_);
+  ar.I64(drain_enter_);
+  ar.Bool(notified_);
+  ar.U64(dstats_.balloons);
+  ar.I64(dstats_.total_balloon_time);
+  ar.U64(dstats_.aborted);
+  ar.U64(dstats_.recoveries);
+  ar.Seq(timeline_, 4, [&](BalloonEdge& e) {
+    ar.I64(e.when);
+    ar.Enum(e.kind, BalloonEdge::Kind::kAbort, "balloon edge kind");
+    ar.I64(e.app);
+    ar.I64(e.box);
+  });
+  ar.U64(trimmed_edges_);
   if (drain_watchdog_ != nullptr) {
-    w.U64(drain_watchdog_->fires());
-    SaveEvent(w, *sim_, drain_watchdog_->event());
+    uint64_t fires = drain_watchdog_->fires();
+    ar.U64(fires);
+    if constexpr (Ar::kLoading) {
+      drain_watchdog_->set_fires(fires);
+    }
+    EventId event = drain_watchdog_->event();
+    ar.Event(event, [this](TimeNs when) { drain_watchdog_->RearmAt(when); });
   }
 }
 
-void ResourceDomain::RestoreDomainState(SnapshotReader& r, EventRearmer& rearmer) {
-  if (!r.Section("domain")) {
-    return;
-  }
-  phase_ = static_cast<BalloonPhase>(r.U8());
-  owner_ = static_cast<AppId>(r.I64());
-  owner_box_ = static_cast<PsboxId>(r.I64());
-  balloon_start_ = r.I64();
-  drain_enter_ = r.I64();
-  notified_ = r.Bool();
-  dstats_.balloons = r.U64();
-  dstats_.total_balloon_time = r.I64();
-  dstats_.aborted = r.U64();
-  dstats_.recoveries = r.U64();
-  timeline_.clear();
-  const size_t n = r.Count(4);
-  for (size_t i = 0; i < n; ++i) {
-    BalloonEdge e;
-    e.when = r.I64();
-    e.kind = static_cast<BalloonEdge::Kind>(r.U8());
-    e.app = static_cast<AppId>(r.I64());
-    e.box = static_cast<PsboxId>(r.I64());
-    timeline_.push_back(e);
-  }
-  trimmed_edges_ = r.U64();
-  if (drain_watchdog_ != nullptr) {
-    drain_watchdog_->set_fires(r.U64());
-    LoadEvent(r, rearmer,
-              [this](TimeNs when) { drain_watchdog_->RearmAt(when); });
-  }
-}
+template void ResourceDomain::SerializeDomain(SnapshotWriter&);
+template void ResourceDomain::SerializeDomain(SnapshotReader&);
 
 void ResourceDomain::NotifyBalloonIn(PsboxId box, TimeNs when) {
   if (observer_ != nullptr) {

@@ -44,10 +44,6 @@
 
 namespace psbox {
 
-class EventRearmer;
-class SnapshotReader;
-class SnapshotWriter;
-
 // One lifecycle edge of a balloon. Every domain keeps the full edge
 // sequence (request → serve → release → finish, or the cancel/abort
 // unwinds) so accounting disputes can be replayed offline from the CSV
@@ -133,9 +129,9 @@ class ResourceDomain {
 
   // Snapshot support for the common lifecycle layer: phase/owner/accounting
   // window, stats, timeline, and the armed drain watchdog. Policies with
-  // extra state serialize it themselves and call these for the shared part.
-  void SaveDomainState(SnapshotWriter& w) const;
-  void RestoreDomainState(SnapshotReader& r, EventRearmer& rearmer);
+  // extra state serialize it themselves and call this for the shared part.
+  template <class Ar>
+  void SerializeDomain(Ar& ar);
 
  protected:
   enum class BalloonPhase { kIdle, kDrainOthers, kServe, kDrainOwner };

@@ -346,157 +346,61 @@ void StorageDriver::FailCommand(const Pending& p) {
   }
 }
 
-namespace {
-
-void SaveStorageCommand(SnapshotWriter& w, const StorageCommand& cmd) {
-  w.U64(cmd.id);
-  w.I64(cmd.app);
-  w.Bool(cmd.is_write);
-  w.U64(cmd.bytes);
-}
-
-StorageCommand LoadStorageCommand(SnapshotReader& r) {
-  StorageCommand cmd;
-  cmd.id = r.U64();
-  cmd.app = static_cast<AppId>(r.I64());
-  cmd.is_write = r.Bool();
-  cmd.bytes = r.U64();
-  return cmd;
-}
-
-}  // namespace
-
-void StorageDriver::SaveState(SnapshotWriter& w) const {
-  w.Section("storage_driver");
-  SaveDomainState(w);
-  w.U64(queues_.size());
-  for (const auto& [app, q] : queues_) {  // std::map: sorted already
-    w.I64(app);
-    w.U64(q.q.size());
-    for (const Pending& p : q.q) {
-      SaveStorageCommand(w, p.cmd);
-      w.U64(p.task != nullptr ? static_cast<uint64_t>(p.task->id()) : 0);
-      w.I64(p.submit_time);
-      w.U32(static_cast<uint32_t>(p.retries));
-    }
-    w.F64(q.vtime);
-    w.Bool(q.sandboxed);
-    w.I64(q.box);
-    w.U32(static_cast<uint32_t>(q.vstate.perf_level));
-    w.I64(q.vstate.flush_delay);
-    w.U64(q.completed);
-    w.I64(q.last_seen);
-  }
-  // In-flight commands in cmd-id order for a stable byte stream.
-  const std::map<uint64_t, Pending> inflight(in_flight_.begin(),
-                                             in_flight_.end());
-  w.U64(inflight.size());
-  for (const auto& [cmd_id, p] : inflight) {
-    SaveStorageCommand(w, p.cmd);
-    w.U64(p.task != nullptr ? static_cast<uint64_t>(p.task->id()) : 0);
-    w.I64(p.submit_time);
-    w.U32(static_cast<uint32_t>(p.retries));
-    SaveEvent(w, *sim_, p.watchdog);
-  }
-  w.U64(next_cmd_id_);
-  w.I64(owner_idle_since_);
-  w.U32(static_cast<uint32_t>(global_state_.perf_level));
-  w.I64(global_state_.flush_delay);
-  w.U64(stats_.submitted);
-  w.U64(stats_.completed);
-  w.I64(stats_.total_dispatch_latency);
-  w.I64(stats_.max_dispatch_latency);
-  w.U64(stats_.watchdog_fires);
-  w.U64(stats_.device_resets);
-  w.U64(stats_.command_retries);
-  w.U64(stats_.commands_failed);
-  SaveEvent(w, *sim_, retry_event_);
-  uint64_t live_pumps = 0;
-  for (EventId e : pump_events_) {
-    if (sim_->IsPending(e)) {
-      ++live_pumps;
-    }
-  }
-  w.U64(live_pumps);
-  for (EventId e : pump_events_) {
-    if (sim_->IsPending(e)) {
-      SaveEvent(w, *sim_, e);
-    }
-  }
-}
-
-void StorageDriver::RestoreState(SnapshotReader& r, EventRearmer& rearmer) {
-  if (!r.Section("storage_driver")) {
+template <class Ar>
+void StorageDriver::Serialize(Ar& ar) {
+  if (!ar.Section("storage_driver")) {
     return;
   }
-  RestoreDomainState(r, rearmer);
-  queues_.clear();
-  in_flight_.clear();
-  const size_t num_apps = r.Count(8);
-  for (size_t i = 0; i < num_apps && r.ok(); ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    AppQueue& q = queues_[app];
-    const size_t depth = r.Count(8);
-    for (size_t j = 0; j < depth && r.ok(); ++j) {
-      Pending p{};
-      p.cmd = LoadStorageCommand(r);
-      const uint64_t task_id = r.U64();
-      p.task = task_id != 0 ? kernel_->TaskById(static_cast<TaskId>(task_id))
-                            : nullptr;
-      p.submit_time = r.I64();
-      p.retries = static_cast<int>(r.U32());
-      q.q.push_back(p);
-    }
-    q.vtime = r.F64();
-    q.sandboxed = r.Bool();
-    q.box = static_cast<PsboxId>(r.I64());
-    q.vstate.perf_level = static_cast<int>(r.U32());
-    q.vstate.flush_delay = r.I64();
-    q.completed = r.U64();
-    q.last_seen = r.I64();
-  }
-  const size_t num_inflight = r.Count(8);
-  for (size_t i = 0; i < num_inflight && r.ok(); ++i) {
-    Pending p{};
-    p.cmd = LoadStorageCommand(r);
-    const uint64_t task_id = r.U64();
-    p.task = task_id != 0 ? kernel_->TaskById(static_cast<TaskId>(task_id))
-                          : nullptr;
-    p.submit_time = r.I64();
-    p.retries = static_cast<int>(r.U32());
-    const uint64_t cmd_id = p.cmd.id;
-    in_flight_[cmd_id] = p;
-    LoadEvent(r, rearmer, [this, cmd_id](TimeNs when) {
+  SerializeDomain(ar);
+  auto pending = [&](Pending& p) {
+    p.cmd.Serialize(ar);
+    ar.TaskRef(p.task, *kernel_,
+               "storage driver command references unknown task in snapshot");
+    ar.I64(p.submit_time);
+    ar.U32(p.retries);
+  };
+  ar.Map(queues_, 8, [&](AppId& app, AppQueue& q) {
+    ar.I64(app);
+    ar.Seq(q.q, 8, pending);
+    ar.F64(q.vtime);
+    ar.Bool(q.sandboxed);
+    ar.I64(q.box);
+    q.vstate.Serialize(ar);
+    ar.U64(q.completed);
+    ar.I64(q.last_seen);
+  });
+  ar.Map(in_flight_, 8, [&](uint64_t& cmd_id, Pending& p) {
+    pending(p);
+    cmd_id = p.cmd.id;
+    ar.Event(p.watchdog, [this, cmd_id](TimeNs when) {
       in_flight_.at(cmd_id).watchdog = sim_->ScheduleAt(
           when, [this, cmd_id] { OnCommandTimeout(cmd_id); });
     });
-  }
-  next_cmd_id_ = r.U64();
-  owner_idle_since_ = r.I64();
-  global_state_.perf_level = static_cast<int>(r.U32());
-  global_state_.flush_delay = r.I64();
-  stats_ = Stats{};
-  stats_.submitted = r.U64();
-  stats_.completed = r.U64();
-  stats_.total_dispatch_latency = r.I64();
-  stats_.max_dispatch_latency = r.I64();
-  stats_.watchdog_fires = r.U64();
-  stats_.device_resets = r.U64();
-  stats_.command_retries = r.U64();
-  stats_.commands_failed = r.U64();
-  retry_event_ = kInvalidEventId;
-  LoadEvent(r, rearmer, [this](TimeNs when) {
+  });
+  ar.U64(next_cmd_id_);
+  ar.I64(owner_idle_since_);
+  global_state_.Serialize(ar);
+  ar.U64(stats_.submitted);
+  ar.U64(stats_.completed);
+  ar.I64(stats_.total_dispatch_latency);
+  ar.I64(stats_.max_dispatch_latency);
+  ar.U64(stats_.watchdog_fires);
+  ar.U64(stats_.device_resets);
+  ar.U64(stats_.command_retries);
+  ar.U64(stats_.commands_failed);
+  ar.Event(retry_event_, [this](TimeNs when) {
     retry_event_ = sim_->ScheduleAt(when, [this] {
       retry_event_ = kInvalidEventId;
       Pump();
     });
   });
-  pump_events_.clear();
-  const size_t num_pumps = r.Count(10);
-  for (size_t i = 0; i < num_pumps && r.ok(); ++i) {
-    LoadEvent(r, rearmer, [this](TimeNs when) { SchedulePumpAt(when); });
-  }
+  ar.PendingEvents(pump_events_, 10, [&](EventId& e) {
+    ar.Event(e, [this](TimeNs when) { SchedulePumpAt(when); });
+  });
 }
+
+template void StorageDriver::Serialize(SnapshotWriter&);
+template void StorageDriver::Serialize(SnapshotReader&);
 
 uint64_t StorageDriver::CompletedFor(AppId app) const {
   auto it = queues_.find(app);

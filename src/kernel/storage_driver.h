@@ -81,8 +81,8 @@ class StorageDriver : public ResourceDomain {
 
   // Snapshot support: queues, the in-flight command with its hang watchdog,
   // power-state virtualisation, and all pending driver timers.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r, EventRearmer& rearmer);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   struct Pending {

@@ -1,5 +1,7 @@
 #include "src/kernel/task.h"
 
+#include "src/snapshot/snapshot_io.h"
+
 namespace psbox {
 
 Action Action::Compute(DurationNs d, double intensity) {
@@ -79,5 +81,34 @@ Action Action::Exit() {
   a.kind = ActionKind::kExit;
   return a;
 }
+
+template <class Ar>
+void Task::Serialize(Ar& ar) {
+  ar.Expect(static_cast<uint64_t>(id_),
+            "task identity mismatch between snapshot and restored scenario");
+  ar.Expect(app_,
+            "task identity mismatch between snapshot and restored scenario");
+  ar.Enum(state_, TaskState::kExited, "task state");
+  ar.I64(remaining_compute_);
+  ar.F64(intensity_);
+  ar.I64(pending_accel_completions);
+  ar.I64(awaited_accel_completions);
+  ar.I64(net_inflight);
+  ar.Bool(waiting_net);
+  ar.I64(pending_storage_completions);
+  ar.I64(awaited_storage_completions);
+  ar.I64(core);
+  ar.I64(total_cpu_time);
+  ar.F64(vruntime);
+  if constexpr (Ar::kLoading) {
+    group = nullptr;  // re-linked by the scheduler's group restore
+  }
+  ar.Expect(behavior_->SnapshotMarker(),
+            "task behavior type mismatch between snapshot and scenario");
+  behavior_->Serialize(ar);
+}
+
+template void Task::Serialize(SnapshotWriter&);
+template void Task::Serialize(SnapshotReader&);
 
 }  // namespace psbox

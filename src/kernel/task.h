@@ -101,10 +101,11 @@ class Behavior {
   // Restore replays the scenario's task factories to rebuild behaviours and
   // then overwrites their mutable state from the snapshot; the marker guards
   // against a snapshot written under a different scenario (the restored
-  // behaviour type must match the saved one). 0 = stateless base.
+  // behaviour type must match the saved one). 0 = stateless base. A
+  // stateful behaviour forwards both overloads to one template body.
   virtual uint8_t SnapshotMarker() const { return 0; }
-  virtual void SaveState(SnapshotWriter& w) const { (void)w; }
-  virtual void RestoreState(SnapshotReader& r) { (void)r; }
+  virtual void Serialize(SnapshotWriter& ar) { (void)ar; }
+  virtual void Serialize(SnapshotReader& ar) { (void)ar; }
 };
 
 enum class TaskState : uint8_t { kRunnable, kRunning, kBlocked, kExited };
@@ -127,6 +128,12 @@ class Task {
   void set_remaining_compute(DurationNs d) { remaining_compute_ = d; }
   double intensity() const { return intensity_; }
   void set_intensity(double i) { intensity_ = i; }
+
+  // Snapshot support: scheduling and syscall state, then the behaviour's.
+  // Restore checks the task's identity and behaviour type against the
+  // replayed scenario.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
   // Accelerator completions delivered but not yet consumed by kWaitAccel.
   int pending_accel_completions = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/check.h"
-#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
@@ -35,40 +34,6 @@ void UsageLedger::Clear() {
   for (auto& v : records_) {
     v.clear();
   }
-}
-
-void UsageLedger::SaveState(SnapshotWriter& w) const {
-  w.Section("ledger");
-  for (const auto& v : records_) {
-    w.U64(v.size());
-    for (const UsageRecord& rec : v) {
-      w.I64(rec.app);
-      w.I64(rec.begin);
-      w.I64(rec.end);
-      w.F64(rec.weight);
-    }
-  }
-  w.U64(trimmed_records_);
-}
-
-void UsageLedger::RestoreState(SnapshotReader& r) {
-  if (!r.Section("ledger")) {
-    return;
-  }
-  for (auto& v : records_) {
-    v.clear();
-    const size_t n = r.Count(32);
-    v.reserve(n);
-    for (size_t i = 0; i < n && r.ok(); ++i) {
-      UsageRecord rec;
-      rec.app = static_cast<AppId>(r.I64());
-      rec.begin = r.I64();
-      rec.end = r.I64();
-      rec.weight = r.F64();
-      v.push_back(rec);
-    }
-  }
-  trimmed_records_ = r.U64();
 }
 
 }  // namespace psbox

@@ -21,9 +21,6 @@
 
 namespace psbox {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 struct UsageRecord {
   AppId app;
   TimeNs begin;
@@ -51,8 +48,21 @@ class UsageLedger {
   void Clear();
 
   // Snapshot support: persists every retained record per component.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    if (!ar.Section("ledger")) {
+      return;
+    }
+    for (auto& v : records_) {
+      ar.Seq(v, 32, [&](UsageRecord& rec) {
+        ar.I64(rec.app);
+        ar.I64(rec.begin);
+        ar.I64(rec.end);
+        ar.F64(rec.weight);
+      });
+    }
+    ar.U64(trimmed_records_);
+  }
 
  private:
   std::array<std::vector<UsageRecord>, kNumHwComponents> records_;

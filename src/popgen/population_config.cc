@@ -185,56 +185,32 @@ bool LoadPopulationConfig(const std::string& path, PopulationConfig* out,
   return ParsePopulationConfig(text, out, error);
 }
 
-void PopulationConfig::SaveState(SnapshotWriter& w) const {
-  w.U64(seed);
-  w.F64(base_rate_hz);
-  w.F64(diurnal_amplitude);
-  w.I64(diurnal_period);
-  w.I64(flash_start);
-  w.I64(flash_duration);
-  w.F64(flash_multiplier);
-  w.F64(adversarial_fraction);
-  w.I64(adversarial_period);
-  w.F64(adversarial_duty);
-  w.F64(pareto_alpha);
-  w.U64(min_iterations);
-  w.U64(max_iterations);
-  w.U64(static_cast<uint64_t>(tenants_per_board));
-  w.F64(tenant_budget);
-  w.F64(child_budget);
-  w.U64(mix.size());
-  for (const auto& m : mix) {
-    w.Str(m.app);
-    w.F64(m.weight);
-  }
+template <class Ar>
+void PopulationConfig::Serialize(Ar& ar) {
+  ar.U64(seed);
+  ar.F64(base_rate_hz);
+  ar.F64(diurnal_amplitude);
+  ar.I64(diurnal_period);
+  ar.I64(flash_start);
+  ar.I64(flash_duration);
+  ar.F64(flash_multiplier);
+  ar.F64(adversarial_fraction);
+  ar.I64(adversarial_period);
+  ar.F64(adversarial_duty);
+  ar.F64(pareto_alpha);
+  ar.U64(min_iterations);
+  ar.U64(max_iterations);
+  ar.U64(tenants_per_board);
+  ar.F64(tenant_budget);
+  ar.F64(child_budget);
+  ar.Seq(mix, 9, [&](PopulationMixEntry& m) {
+    ar.Str(m.app);
+    ar.F64(m.weight);
+  });
 }
 
-void PopulationConfig::RestoreState(SnapshotReader& r) {
-  seed = r.U64();
-  base_rate_hz = r.F64();
-  diurnal_amplitude = r.F64();
-  diurnal_period = r.I64();
-  flash_start = r.I64();
-  flash_duration = r.I64();
-  flash_multiplier = r.F64();
-  adversarial_fraction = r.F64();
-  adversarial_period = r.I64();
-  adversarial_duty = r.F64();
-  pareto_alpha = r.F64();
-  min_iterations = r.U64();
-  max_iterations = r.U64();
-  tenants_per_board = static_cast<int>(r.U64());
-  tenant_budget = r.F64();
-  child_budget = r.F64();
-  mix.clear();
-  const size_t n = r.Count(9);
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    PopulationMixEntry m;
-    m.app = r.Str();
-    m.weight = r.F64();
-    mix.push_back(std::move(m));
-  }
-}
+template void PopulationConfig::Serialize(SnapshotWriter&);
+template void PopulationConfig::Serialize(SnapshotReader&);
 
 bool PopulationConfig::operator==(const PopulationConfig& other) const {
   if (seed != other.seed || base_rate_hz != other.base_rate_hz ||

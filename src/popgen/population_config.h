@@ -21,9 +21,6 @@
 
 namespace psbox {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 // One app-mix row: relative weight of |app| (an AppCatalog name) among
 // arrivals.
 struct PopulationMixEntry {
@@ -72,8 +69,8 @@ struct PopulationConfig {
   // Checkpoint compat block: a restored fleet must regenerate the identical
   // population, so the full config rides in the snapshot and is compared on
   // restore.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar);
   bool operator==(const PopulationConfig& other) const;
 };
 

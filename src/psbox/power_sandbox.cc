@@ -327,106 +327,64 @@ void PowerSandbox::BankDirectEnergy(HwComponent hw, Joules energy, TimeNs new_fr
   direct_from_[i] = new_from;
 }
 
-void PowerSandbox::SaveState(SnapshotWriter& w) const {
-  w.U64(static_cast<uint64_t>(id_));
-  w.I64(app_);
-  w.U64(hw_.size());
-  for (HwComponent hw : hw_) {
-    w.U8(static_cast<uint8_t>(hw));
-  }
-  w.Bool(inside_);
-  w.I64(meter_start_);
-  w.I64(sample_cursor_);
+template <class Ar>
+void PowerSandbox::Serialize(Ar& ar) {
+  const char* identity =
+      "sandbox identity mismatch between snapshot and replayed creation";
+  const char* binding =
+      "sandbox hardware binding mismatch between snapshot and replayed "
+      "creation";
+  ar.Expect(static_cast<uint64_t>(id_), identity);
+  ar.Expect(app_, identity);
+  ar.Fixed(hw_, 1, binding, [&](HwComponent& hw) { ar.Expect(hw, binding); });
+  ar.Bool(inside_);
+  ar.I64(meter_start_);
+  ar.I64(sample_cursor_);
   for (size_t i = 0; i < kNumHwComponents; ++i) {
-    owned_[i].SaveState(w);
-    w.I64(open_since_[i]);
-    w.F64(plain_base_[i]);
-    w.F64(detail_base_[i].measured);
-    w.F64(detail_base_[i].estimated);
-    w.I64(detail_base_[i].measured_time);
-    w.I64(detail_base_[i].estimated_time);
-    w.F64(direct_base_[i]);
-    w.I64(direct_from_[i]);
+    owned_[i].Serialize(ar);
+    ar.I64(open_since_[i]);
+    ar.F64(plain_base_[i]);
+    ar.F64(detail_base_[i].measured);
+    ar.F64(detail_base_[i].estimated);
+    ar.I64(detail_base_[i].measured_time);
+    ar.I64(detail_base_[i].estimated_time);
+    ar.F64(direct_base_[i]);
+    ar.I64(direct_from_[i]);
   }
-  w.U64(samples_lost_);
-  w.F64(transferred_base_);
+  ar.U64(samples_lost_);
+  ar.F64(transferred_base_);
   // v3: hierarchy state. parent_/budget_ double as an identity check against
   // the replayed creation; the rest is mutable ledger state.
-  w.I64(parent_);
-  w.F64(budget_);
-  w.F64(children_budget_);
-  w.Bool(budget_claimed_);
-  for (size_t i = 0; i < kNumHwComponents; ++i) {
-    w.U32(static_cast<uint32_t>(compose_depth_[i]));
+  ar.Expect(parent_,
+            "sandbox parent mismatch between snapshot and replayed creation");
+  ar.F64(budget_);
+  ar.F64(children_budget_);
+  ar.Bool(budget_claimed_);
+  for (int32_t& depth : compose_depth_) {
+    ar.U32(depth);
   }
   // v4: anchors, sparse — one byte on a box with no straddling span.
-  w.U8(static_cast<uint8_t>(anchors_.size()));
-  for (const Anchor& a : anchors_) {
-    w.U8(static_cast<uint8_t>(a.hw));
-    w.I64(a.at);
-    w.F64(a.cum);
+  auto num_anchors = static_cast<uint8_t>(anchors_.size());
+  ar.U8(num_anchors);
+  if constexpr (Ar::kLoading) {
+    anchors_.assign(num_anchors, Anchor{});
+  }
+  for (Anchor& a : anchors_) {
+    ar.Enum(a.hw, HwComponent::kStorage, "sandbox anchor component");
+    ar.I64(a.at);
+    ar.F64(a.cum);
+  }
+  if constexpr (Ar::kLoading) {
+    for (const Anchor& a : anchors_) {
+      if (ar.ok() && (!BoundTo(a.hw) || FindAnchor(a.hw) != &a)) {
+        ar.Fail("sandbox anchor on an unbound or already anchored component");
+      }
+    }
   }
 }
 
-void PowerSandbox::RestoreState(SnapshotReader& r) {
-  if (r.U64() != static_cast<uint64_t>(id_) || static_cast<AppId>(r.I64()) != app_) {
-    r.Fail("sandbox identity mismatch between snapshot and replayed creation");
-    return;
-  }
-  const size_t nhw = r.Count(1);
-  if (r.ok() && nhw != hw_.size()) {
-    r.Fail("sandbox hardware binding mismatch between snapshot and replayed creation");
-    return;
-  }
-  for (size_t i = 0; i < nhw && r.ok(); ++i) {
-    if (static_cast<HwComponent>(r.U8()) != hw_[i]) {
-      r.Fail("sandbox hardware binding mismatch between snapshot and replayed creation");
-      return;
-    }
-  }
-  inside_ = r.Bool();
-  meter_start_ = r.I64();
-  sample_cursor_ = r.I64();
-  for (size_t i = 0; i < kNumHwComponents && r.ok(); ++i) {
-    owned_[i].RestoreState(r);
-    open_since_[i] = r.I64();
-    plain_base_[i] = r.F64();
-    detail_base_[i].measured = r.F64();
-    detail_base_[i].estimated = r.F64();
-    detail_base_[i].measured_time = r.I64();
-    detail_base_[i].estimated_time = r.I64();
-    direct_base_[i] = r.F64();
-    direct_from_[i] = r.I64();
-  }
-  samples_lost_ = r.U64();
-  transferred_base_ = r.F64();
-  if (static_cast<PsboxId>(r.I64()) != parent_) {
-    r.Fail("sandbox parent mismatch between snapshot and replayed creation");
-    return;
-  }
-  budget_ = r.F64();
-  children_budget_ = r.F64();
-  budget_claimed_ = r.Bool();
-  for (size_t i = 0; i < kNumHwComponents && r.ok(); ++i) {
-    compose_depth_[i] = static_cast<int32_t>(r.U32());
-  }
-  anchors_.clear();
-  const size_t num_anchors = r.U8();
-  for (size_t i = 0; i < num_anchors && r.ok(); ++i) {
-    const auto hw = static_cast<HwComponent>(r.U8());
-    const TimeNs at = r.I64();
-    const Joules cum = r.F64();
-    if (!r.ok()) {
-      return;
-    }
-    if (static_cast<size_t>(hw) >= kNumHwComponents || !BoundTo(hw) ||
-        FindAnchor(hw) != nullptr) {
-      r.Fail("sandbox anchor on an unbound or already anchored component");
-      return;
-    }
-    anchors_.push_back({hw, at, cum});
-  }
-}
+template void PowerSandbox::Serialize(SnapshotWriter&);
+template void PowerSandbox::Serialize(SnapshotReader&);
 
 uint64_t PowerSandbox::DropSampleBacklogBefore(TimeNs horizon, DurationNs period) {
   PSBOX_CHECK_GT(period, 0);

@@ -38,9 +38,6 @@
 
 namespace psbox {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 class PowerSandbox {
  public:
   PowerSandbox(PsboxId id, AppId app, std::vector<HwComponent> hw, TimeNs created,
@@ -188,8 +185,8 @@ class PowerSandbox {
   // Snapshot support: verifies identity (id/app/hardware must match the
   // replayed CreateBox) and overwrites all mutable meter state. Anchors are
   // stored sparsely (a count, then one record per anchored component).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   // The start of the ownership span straddling the trim horizon, clamped to

@@ -312,80 +312,79 @@ void PsboxManager::TrimTelemetry(TimeNs horizon) {
   }
 }
 
-void PsboxManager::SaveState(SnapshotWriter& w) const {
-  w.Section("psbox");
-  rng_.SaveState(w);
-  {
-    const std::map<AppId, Joules> staged(staged_transfers_.begin(),
-                                         staged_transfers_.end());
-    w.U64(staged.size());
-    for (const auto& [app, energy] : staged) {
-      w.I64(app);
-      w.F64(energy);
+namespace {
+
+// A sandbox's creation parameters, as CreateBox takes them.
+struct BoxSpec {
+  AppId app = kNoApp;
+  std::vector<HwComponent> hw;
+  PsboxId parent = kNoPsbox;
+  Joules budget = 0.0;
+
+  static BoxSpec Of(const PowerSandbox& box) {
+    return {box.app(), box.hardware(), box.parent(), box.budget()};
+  }
+
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.I64(app);
+    ar.Seq(hw, 1, [&](HwComponent& c) {
+      ar.Enum(c, HwComponent::kStorage, "sandbox hardware component");
+    });
+    ar.I64(parent);
+    ar.F64(budget);
+  }
+};
+
+}  // namespace
+
+template <class Ar>
+void PsboxManager::Serialize(Ar& ar) {
+  if (!ar.Section("psbox")) {
+    return;
+  }
+  rng_.Serialize(ar);
+  ar.Map(staged_transfers_, 12, [&](AppId& app, Joules& energy) {
+    ar.I64(app);
+    ar.F64(energy);
+  });
+  if constexpr (Ar::kLoading) {
+    if (!boxes_.empty()) {
+      ar.Fail("sandbox restore requires a freshly constructed manager");
+      return;
     }
   }
-  w.U64(boxes_.size());
-  for (const auto& bp : boxes_) {
-    w.I64(bp->app());
-    w.U64(bp->hardware().size());
-    for (HwComponent hw : bp->hardware()) {
-      w.U8(static_cast<uint8_t>(hw));
-    }
+  size_t num_boxes = boxes_.size();
+  ar.Count(num_boxes, 16);
+  for (size_t i = 0; i < num_boxes && ar.ok(); ++i) {
     // v3: creation parameters for the hierarchy (needed to rebuild the box
     // before its state record overwrites the mutable ledger).
-    w.I64(bp->parent());
-    w.F64(bp->budget());
-    bp->SaveState(w);
+    BoxSpec spec = Ar::kLoading ? BoxSpec{} : BoxSpec::Of(*boxes_[i]);
+    spec.Serialize(ar);
+    if constexpr (Ar::kLoading) {
+      if (!ar.ok()) {
+        return;
+      }
+      if (spec.hw.empty()) {
+        ar.Fail("sandbox with no bound hardware in snapshot");
+        return;
+      }
+      if (spec.parent >= static_cast<PsboxId>(i)) {
+        ar.Fail("sandbox parent must precede child in snapshot");
+        return;
+      }
+      // claim=false: the parent's children_budget ledger was snapshotted
+      // after the original claims and is restored verbatim below — claiming
+      // again during replay would double-count.
+      CreateBoxInternal(spec.app, spec.hw, spec.parent, spec.budget,
+                        /*claim=*/false);
+    }
+    boxes_[i]->Serialize(ar);
   }
 }
 
-void PsboxManager::RestoreState(SnapshotReader& r) {
-  if (!r.Section("psbox")) {
-    return;
-  }
-  rng_.RestoreState(r);
-  staged_transfers_.clear();
-  const size_t num_staged = r.Count(12);
-  for (size_t i = 0; i < num_staged && r.ok(); ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    staged_transfers_[app] = r.F64();
-  }
-  if (!boxes_.empty()) {
-    r.Fail("sandbox restore requires a freshly constructed manager");
-    return;
-  }
-  const size_t num_boxes = r.Count(16);
-  for (size_t i = 0; i < num_boxes && r.ok(); ++i) {
-    const AppId app = static_cast<AppId>(r.I64());
-    const size_t nhw = r.Count(1);
-    std::vector<HwComponent> hw;
-    hw.reserve(nhw);
-    for (size_t j = 0; j < nhw && r.ok(); ++j) {
-      hw.push_back(static_cast<HwComponent>(r.U8()));
-    }
-    if (!r.ok()) {
-      return;
-    }
-    if (hw.empty()) {
-      r.Fail("sandbox with no bound hardware in snapshot");
-      return;
-    }
-    const PsboxId parent = static_cast<PsboxId>(r.I64());
-    const Joules budget = r.F64();
-    if (parent >= static_cast<PsboxId>(i)) {
-      r.Fail("sandbox parent must precede child in snapshot");
-      return;
-    }
-    if (!r.ok()) {
-      return;
-    }
-    // claim=false: the parent's children_budget ledger was snapshotted after
-    // the original claims and is restored verbatim below — claiming again
-    // during replay would double-count.
-    const int box = CreateBoxInternal(app, hw, parent, budget, /*claim=*/false);
-    boxes_[static_cast<size_t>(box)]->RestoreState(r);
-  }
-}
+template void PsboxManager::Serialize(SnapshotWriter&);
+template void PsboxManager::Serialize(SnapshotReader&);
 
 void PsboxManager::OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) {
   // Compose the edge up the hierarchy: the owner and every ancestor tenant

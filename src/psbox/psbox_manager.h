@@ -84,13 +84,13 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   void StageTransferredEnergy(AppId app, Joules energy);
 
   // --- checkpoint/restore -------------------------------------------------
-  // SaveState persists the sampling RNG, staged transfers and every sandbox
-  // (creation parameters + meter state). RestoreState replays CreateBox for
-  // each saved sandbox — re-running the per-domain BindBox setup — and then
+  // Serialize persists the sampling RNG, staged transfers and every sandbox
+  // (creation parameters + meter state). Restore replays CreateBox for each
+  // saved sandbox — re-running the per-domain BindBox setup — and then
   // overwrites the sandbox state; it requires an empty manager (fresh boards
   // only).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   // Shared creation path. |claim| gates the budget claim against the parent:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/check.h"
-#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 namespace {
@@ -139,45 +138,6 @@ bool FaultInjector::ShouldCorruptSnapshot() {
   }
   ++stats_.snapshots_corrupted;
   return true;
-}
-
-void FaultInjector::SaveState(SnapshotWriter& w) const {
-  w.Section("faults");
-  // std::map iterates in sorted key order, so the stream list is stable.
-  w.U64(streams_.size());
-  for (const auto& [scope, rng] : streams_) {
-    w.Str(scope);
-    rng.SaveState(w);
-  }
-  w.U64(stats_.accel_hangs);
-  w.U64(stats_.accel_latency_spikes);
-  w.U64(stats_.wifi_frames_dropped);
-  w.U64(stats_.freq_transition_fails);
-  w.U64(stats_.storage_hangs);
-  w.U64(stats_.snapshots_corrupted);
-}
-
-void FaultInjector::RestoreState(SnapshotReader& r) {
-  if (!r.Section("faults")) {
-    return;
-  }
-  streams_.clear();
-  const size_t n = r.Count();
-  for (size_t i = 0; i < n; ++i) {
-    const std::string scope = r.Str();
-    Rng rng(0);
-    rng.RestoreState(r);
-    if (!r.ok()) {
-      return;
-    }
-    streams_.emplace(scope, rng);
-  }
-  stats_.accel_hangs = r.U64();
-  stats_.accel_latency_spikes = r.U64();
-  stats_.wifi_frames_dropped = r.U64();
-  stats_.freq_transition_fails = r.U64();
-  stats_.storage_hangs = r.U64();
-  stats_.snapshots_corrupted = r.U64();
 }
 
 bool FaultInjector::LinkUpAt(TimeNs t) const { return !Covers(wifi_link_down_, t); }

@@ -129,8 +129,22 @@ class FaultInjector {
 
   // Snapshot support: persists/overwrites the per-scope RNG stream states
   // and the fault counters (the plan itself is configuration, not state).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    if (!ar.Section("faults")) {
+      return;
+    }
+    ar.Map(streams_, 1, [&](std::string& scope, Rng& rng) {
+      ar.Str(scope);
+      rng.Serialize(ar);
+    });
+    ar.U64(stats_.accel_hangs);
+    ar.U64(stats_.accel_latency_spikes);
+    ar.U64(stats_.wifi_frames_dropped);
+    ar.U64(stats_.freq_transition_fails);
+    ar.U64(stats_.storage_hangs);
+    ar.U64(stats_.snapshots_corrupted);
+  }
 
  private:
   // Independent deterministic stream for |scope|, derived from the plan seed

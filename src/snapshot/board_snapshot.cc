@@ -8,16 +8,39 @@
 
 namespace psbox {
 
+namespace {
+
+// The engine clock a shard resumes from.
+struct ShardClock {
+  TimeNs now = 0;
+  uint64_t total_fired = 0;
+  uint64_t next_seq = 1;
+};
+
+template <class Ar>
+void SerializeShard(Ar& ar, ShardClock& clock, Board& board, Kernel& kernel,
+                    PsboxManager& manager) {
+  if (!ar.Section("shard")) {
+    return;
+  }
+  ar.I64(clock.now);
+  ar.U64(clock.total_fired);
+  ar.U64(clock.next_seq);
+  board.Serialize(ar);
+  manager.Serialize(ar);  // restore replays CreateBox, so groups exist below
+  kernel.Serialize(ar);
+}
+
+}  // namespace
+
 bool SaveBoardShard(Board& board, Kernel& kernel, PsboxManager& manager,
                     SnapshotWriter* w, std::string* error) {
   w->ResetClaimedEvents();
-  w->Section("shard");
-  w->I64(board.sim().Now());
-  w->U64(board.sim().total_fired());
-  w->U64(board.sim().next_seq());
-  board.SaveState(*w);
-  manager.SaveState(*w);
-  kernel.SaveState(*w);
+  ShardClock clock{board.sim().Now(), board.sim().total_fired(),
+                   board.sim().next_seq()};
+  w->set_sim(&board.sim());
+  SerializeShard(*w, clock, board, kernel, manager);
+  w->set_sim(nullptr);
   // Pending-event census: every event the engine still holds must have been
   // claimed by exactly one subsystem serialiser above, or the restored run
   // would silently lose (or invent) work. A mismatch means the shard is not
@@ -44,16 +67,15 @@ bool RestoreBoardShard(SnapshotReader& r, Board& board, Kernel& kernel,
     replay_setup();
   }
   EventRearmer rearmer;
-  TimeNs now = 0;
-  uint64_t total_fired = 0;
-  uint64_t next_seq = 1;
-  if (r.Section("shard")) {
-    now = r.I64();
-    total_fired = r.U64();
-    next_seq = r.U64();
-    board.RestoreState(r, rearmer);
-    manager.RestoreState(r);  // replays CreateBox, so groups exist below
-    kernel.RestoreState(r, rearmer);
+  ShardClock clock;
+  r.set_rearmer(&rearmer);
+  SerializeShard(r, clock, board, kernel, manager);
+  r.set_rearmer(nullptr);
+  if (r.ok() && clock.now < 0) {
+    r.Fail("snapshot shard clock is negative");
+  }
+  if (r.ok() && !rearmer.AllAtOrAfter(clock.now)) {
+    r.Fail("snapshot has a pending event before the shard clock");
   }
   if (!r.ok()) {
     kernel.EndRestore();
@@ -62,13 +84,13 @@ bool RestoreBoardShard(SnapshotReader& r, Board& board, Kernel& kernel,
     }
     return false;
   }
-  board.sim().ResetForRestore(now, total_fired);
+  board.sim().ResetForRestore(clock.now, clock.total_fired);
   // Re-arm pending events under their original seqs, then land the counter
   // on the checkpointed value: the engine's whole sequence space — not just
   // relative order — survives the restore, so later snapshots of a restored
   // world are byte-identical to the uninterrupted run's.
   rearmer.Replay(board.sim());
-  board.sim().SetNextSeqForRestore(next_seq);
+  board.sim().SetNextSeqForRestore(clock.next_seq);
   kernel.EndRestore();
   return true;
 }

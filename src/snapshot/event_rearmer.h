@@ -1,9 +1,10 @@
 // Pending-event reification for snapshot restore.
 //
 // The event engine's closures are opaque, so a snapshot cannot persist them
-// directly. Instead, every subsystem that owns a pending event saves a typed
-// descriptor — its firing time and original insertion sequence number — via
-// SaveEvent(), and on restore registers a re-arm callback via LoadEvent().
+// directly. Instead, every subsystem that owns a pending event serialises a
+// typed descriptor — its firing time and original insertion sequence number
+// — through the archives' Event() op, whose reader side registers a re-arm
+// callback with the EventRearmer the reader carries.
 // After all subsystems have restored their plain state (and the engine has
 // been ResetForRestore'd to an empty queue), EventRearmer::Replay() invokes
 // the re-arm callbacks in ascending original-seq order. Fresh sequence
@@ -25,8 +26,15 @@ namespace psbox {
 
 class EventRearmer {
  public:
-  void Defer(uint64_t seq, std::function<void()> rearm) {
-    items_.push_back(Item{seq, std::move(rearm)});
+  void Defer(uint64_t seq, TimeNs when, std::function<void()> rearm) {
+    items_.push_back(Item{seq, when, std::move(rearm)});
+  }
+
+  // Whether every deferred event fires at or after |now|: the engine cannot
+  // schedule into the past, so restore refuses a snapshot that would.
+  bool AllAtOrAfter(TimeNs now) const {
+    return std::all_of(items_.begin(), items_.end(),
+                       [now](const Item& item) { return item.when >= now; });
   }
 
   // Invokes every deferred re-arm in ascending original-seq order, forcing
@@ -46,43 +54,83 @@ class EventRearmer {
     items_.clear();
   }
 
-  size_t deferred() const { return items_.size(); }
-
  private:
   struct Item {
     uint64_t seq;
+    TimeNs when;
     std::function<void()> fn;
   };
   std::vector<Item> items_;
 };
 
-// Persists a maybe-pending event: a presence flag, then (when, seq). Every
-// present event is claimed toward the writer's pending-event census, which
-// the save orchestrator checks against the engine's live count.
-inline void SaveEvent(SnapshotWriter& w, const Simulator& sim, EventId id) {
-  const bool present = sim.IsPending(id);
-  w.Bool(present);
+// Entry of a tracked-timer list: the event id itself, an entry's |event|
+// field, or the second of a (key, event) pair.
+inline EventId PendingEventOf(EventId e) { return e; }
+template <typename T>
+EventId PendingEventOf(const T& entry) {
+  return entry.event;
+}
+template <typename K>
+EventId PendingEventOf(const std::pair<K, EventId>& entry) {
+  return entry.second;
+}
+
+template <typename F>
+void SnapshotWriter::Event(const uint64_t& id, F&& /*rearm*/) {
+  PSBOX_CHECK(sim_ != nullptr);
+  const bool present = sim_->IsPending(id);
+  Bool(present);
   if (present) {
-    const Simulator::PendingEventInfo info = sim.PendingInfo(id);
-    w.I64(info.when);
-    w.U64(info.seq);
-    w.ClaimEvent();
+    const Simulator::PendingEventInfo info = sim_->PendingInfo(id);
+    I64(info.when);
+    U64(info.seq);
+    ClaimEvent();
   }
 }
 
-// Mirror of SaveEvent: when an event was saved, defers |rearm(when)| under
-// its original sequence number.
-inline void LoadEvent(SnapshotReader& r, EventRearmer& re,
-                      std::function<void(TimeNs)> rearm) {
-  if (!r.Bool()) {
+template <typename F>
+void SnapshotReader::Event(uint64_t& id, F&& rearm) {
+  PSBOX_CHECK(rearmer_ != nullptr);
+  id = kInvalidEventId;
+  if (!Bool()) {
     return;
   }
-  const TimeNs when = r.I64();
-  const uint64_t seq = r.U64();
-  if (!r.ok()) {
+  const TimeNs when = I64();
+  const uint64_t seq = U64();
+  if (!ok_) {
     return;
   }
-  re.Defer(seq, [when, rearm = std::move(rearm)] { rearm(when); });
+  rearmer_->Defer(seq, when,
+                  [when, rearm = std::forward<F>(rearm)]() mutable {
+                    rearm(when);
+                  });
+}
+
+template <typename L, typename F>
+void SnapshotWriter::PendingEvents(L& list, size_t /*min_element_size*/,
+                                   F&& body) {
+  PSBOX_CHECK(sim_ != nullptr);
+  uint64_t live = 0;
+  for (const auto& entry : list) {
+    live += sim_->IsPending(PendingEventOf(entry)) ? 1 : 0;
+  }
+  U64(live);
+  for (auto& entry : list) {
+    if (sim_->IsPending(PendingEventOf(entry))) {
+      body(entry);
+    }
+  }
+}
+
+template <typename L, typename F>
+void SnapshotReader::PendingEvents(L& list, size_t min_element_size,
+                                   F&& body) {
+  list.clear();
+  const size_t n = ReadCount(min_element_size);
+  for (size_t i = 0; i < n && ok_; ++i) {
+    typename L::value_type entry{};
+    body(entry);
+  }
 }
 
 }  // namespace psbox

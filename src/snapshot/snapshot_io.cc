@@ -36,12 +36,13 @@ uint32_t SnapshotCrc32(const uint8_t* data, size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void SnapshotWriter::Section(const char* name) {
+bool SnapshotWriter::Section(const char* name) {
   U8(kSectionSentinel0);
   U8(kSectionSentinel1);
   const size_t n = std::char_traits<char>::length(name);
   U8(static_cast<uint8_t>(n));
   Bytes(name, n);
+  return true;
 }
 
 std::vector<uint8_t> SnapshotWriter::Seal() const {
@@ -180,7 +181,7 @@ std::string SnapshotReader::Str() {
   return s;
 }
 
-size_t SnapshotReader::Count(size_t min_element_size) {
+size_t SnapshotReader::ReadCount(size_t min_element_size) {
   const uint64_t count = U64();
   if (!ok_) {
     return 0;

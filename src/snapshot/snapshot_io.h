@@ -22,16 +22,42 @@
 // discards the half-built objects, so a bad snapshot can never leak partial
 // state into a live board.
 //
+// Both classes are archives with one shared vocabulary, so every class
+// writes its schema once, as a single body both directions run (the archive
+// idiom of boost.serialization and cereal):
+//
+//   template <class Ar>
+//   void Foo::Serialize(Ar& ar) {
+//     ar.Section("foo");
+//     ar.I64(start_);                // the writer appends, the reader assigns
+//     ar.Seq(items_, 12, [&](Item& i) { ar.U32(i.n); ar.F64(i.x); });
+//     if constexpr (Ar::kLoading) {  // load-only re-linking and validation
+//       ...
+//     }
+//   }
+//
+// Field ops take references and name their wire width; the value converts
+// as a static_cast would. The reader's checks live in the ops, so they are
+// made once: counts are clamped against the remaining payload, enums are
+// range-checked, task references resolve or fail, and Expect() compares a
+// value the restoring side already knows.
+//
 // This header is dependency-free (standard library only) so that the lowest
 // layers of the tree (base/, hw/) can serialize themselves without cycles.
+// The pending-event ops (Event, PendingEvents) need the simulator and are
+// defined in src/snapshot/event_rearmer.h.
 
 #ifndef SRC_SNAPSHOT_SNAPSHOT_IO_H_
 #define SRC_SNAPSHOT_SNAPSHOT_IO_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace psbox {
@@ -51,13 +77,46 @@ inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;
 
 uint32_t SnapshotCrc32(const uint8_t* data, size_t n);
 
+class EventRearmer;
+class Simulator;
+
+// Expect()'s wire width follows the C++ type: Bool, Str, F64 for doubles,
+// U8 for enums and 8-bit values, I64 for other signed and U64 for other
+// unsigned integers.
+template <typename Ar, typename T>
+void SnapshotNatural(Ar& ar, T& v) {
+  using U = std::remove_cv_t<T>;
+  if constexpr (std::is_same_v<U, bool>) {
+    ar.Bool(v);
+  } else if constexpr (std::is_same_v<U, std::string>) {
+    ar.Str(v);
+  } else if constexpr (std::is_floating_point_v<U>) {
+    ar.F64(v);
+  } else if constexpr (std::is_enum_v<U> || sizeof(U) == 1) {
+    ar.U8(v);
+  } else if constexpr (std::is_signed_v<U>) {
+    ar.I64(v);
+  } else {
+    ar.U64(v);
+  }
+}
+
 class SnapshotWriter {
  public:
-  void U8(uint8_t v) { buf_.push_back(v); }
+  static constexpr bool kLoading = false;
+
+  // --- field ops ----------------------------------------------------------
+  template <typename T>
+  void U8(const T& v) { buf_.push_back(static_cast<uint8_t>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
-  void U32(uint32_t v) { AppendLe(v); }
-  void U64(uint64_t v) { AppendLe(v); }
-  void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
+  template <typename T>
+  void U32(const T& v) { AppendLe(static_cast<uint32_t>(v)); }
+  template <typename T>
+  void U64(const T& v) { AppendLe(static_cast<uint64_t>(v)); }
+  template <typename T>
+  void I64(const T& v) {
+    AppendLe(static_cast<uint64_t>(static_cast<int64_t>(v)));
+  }
   void F64(double v) {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
@@ -74,7 +133,87 @@ class SnapshotWriter {
 
   // Opens a named section. Purely a parse-time guard: the reader verifies
   // the name in place and poisons itself on mismatch.
-  void Section(const char* name);
+  bool Section(const char* name);
+
+  // An element count (u64).
+  void Count(size_t n, size_t /*min_element_size*/) { U64(n); }
+
+  // An enum as one byte; the reader rejects values past |last|.
+  template <typename E>
+  void Enum(const E& e, E /*last*/, const char* /*what*/) {
+    U8(static_cast<uint8_t>(e));
+  }
+
+  // A value the restoring side already knows (scenario parameters, object
+  // identities); the reader compares and fails with |mismatch|.
+  template <typename T>
+  void Expect(const T& v, const char* /*mismatch*/) {
+    SnapshotNatural(*this, v);
+  }
+
+  // A task pointer as its id (u64, 0 for none); the reader resolves it
+  // through |tasks|.TaskById.
+  template <typename T, typename Tasks>
+  void TaskRef(T* const& t, Tasks& /*tasks*/, const char* /*unknown*/,
+               bool /*nullable*/ = true) {
+    U64(t != nullptr ? static_cast<uint64_t>(t->id()) : 0);
+  }
+
+  // --- container ops ------------------------------------------------------
+  // A count, then |body| on every element.
+  template <typename C, typename F>
+  void Seq(C& c, size_t /*min_element_size*/, F&& body) {
+    Count(c.size(), 0);
+    for (auto& e : c) {
+      body(e);
+    }
+  }
+  // Like Seq, over a container whose size the restoring side fixes; the
+  // reader fails with |mismatch| on another count and fills it in place.
+  template <typename C, typename F>
+  void Fixed(C& c, size_t min_element_size, const char* /*mismatch*/,
+             F&& body) {
+    Seq(c, min_element_size, body);
+  }
+  // A count, then |body(key, value)| per entry in ascending key order, so
+  // identical states always produce identical bytes. |key| is a copy: the
+  // body writes it when the wire carries it.
+  template <typename M, typename F>
+  void Map(M& m, size_t /*min_element_size*/, F&& body) {
+    Count(m.size(), 0);
+    if constexpr (requires { typename M::key_compare; }) {
+      for (auto& [k, v] : m) {
+        auto key = k;
+        body(key, v);
+      }
+    } else {
+      std::vector<typename M::value_type*> sorted;
+      sorted.reserve(m.size());
+      for (auto& kv : m) {
+        sorted.push_back(&kv);
+      }
+      std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
+        return a->first < b->first;
+      });
+      for (auto* kv : sorted) {
+        auto key = kv->first;
+        body(key, kv->second);
+      }
+    }
+  }
+
+  // --- pending events (src/snapshot/event_rearmer.h) ---------------------
+  // A maybe-pending event: a presence flag, then (when, seq). Every present
+  // event is claimed toward the pending-event census. |rearm(when)| is the
+  // reader's re-arm callback; the writer ignores it.
+  template <typename F>
+  void Event(const uint64_t& id, F&& rearm);
+  // A tracked-timer list: the count of still-pending entries, then |body|
+  // on each of them (the body serialises the entry's fields and its Event).
+  template <typename L, typename F>
+  void PendingEvents(L& list, size_t min_element_size, F&& body);
+  // Simulator whose pending events Event() persists; set by SaveBoardShard.
+  void set_sim(const Simulator* sim) { sim_ = sim; }
 
   // Pending-event census: every subsystem that persists one of its pending
   // events claims it here, and the save orchestrator refuses to snapshot
@@ -84,7 +223,8 @@ class SnapshotWriter {
   size_t claimed_events() const { return claimed_events_; }
   void ResetClaimedEvents() { claimed_events_ = 0; }
 
-  const std::vector<uint8_t>& payload() const { return buf_; }
+  // A writer never fails; loops shared with the reader test ok().
+  bool ok() const { return true; }
 
   // Header + payload, ready to hit disk or a wire.
   std::vector<uint8_t> Seal() const;
@@ -103,10 +243,13 @@ class SnapshotWriter {
 
   std::vector<uint8_t> buf_;
   size_t claimed_events_ = 0;
+  const Simulator* sim_ = nullptr;
 };
 
 class SnapshotReader {
  public:
+  static constexpr bool kLoading = true;
+
   // Validates the header of a sealed snapshot and adopts its payload. On
   // failure the reader is poisoned (ok() false, error() descriptive).
   bool Open(const uint8_t* data, size_t n);
@@ -115,6 +258,7 @@ class SnapshotReader {
   }
   bool OpenFile(const std::string& path);
 
+  // --- plain reads --------------------------------------------------------
   uint8_t U8() { return ReadByte(); }
   bool Bool() { return ReadByte() != 0; }
   uint32_t U32() { return ReadLe<uint32_t>(); }
@@ -128,13 +272,119 @@ class SnapshotReader {
   }
   std::string Str();
 
-  // Reads an element count and clamps it against the bytes actually left in
-  // the payload (each element takes >= |min_element_size| bytes), so a
-  // corrupt count cannot trigger a huge allocation.
-  size_t Count(size_t min_element_size = 1);
+  // --- field ops (see SnapshotWriter) -------------------------------------
+  template <typename T>
+  void U8(T& v) { v = static_cast<T>(U8()); }
+  void Bool(bool& v) { v = Bool(); }
+  template <typename T>
+  void U32(T& v) { v = static_cast<T>(U32()); }
+  template <typename T>
+  void U64(T& v) { v = static_cast<T>(U64()); }
+  template <typename T>
+  void I64(T& v) { v = static_cast<T>(I64()); }
+  void F64(double& v) { v = F64(); }
+  void Str(std::string& s) { s = Str(); }
 
   // Verifies the next section marker; poisons the reader on mismatch.
   bool Section(const char* name);
+
+  // Reads an element count and clamps it against the bytes actually left in
+  // the payload (each element takes >= |min_element_size| bytes), so a
+  // corrupt count cannot trigger a huge allocation.
+  void Count(size_t& n, size_t min_element_size) {
+    n = ReadCount(min_element_size);
+  }
+
+  template <typename E>
+  void Enum(E& e, E last, const char* what) {
+    const size_t at = pos_;
+    const uint8_t v = U8();
+    if (ok_ && v > static_cast<uint8_t>(last)) {
+      Fail(std::string("snapshot ") + what + " " + std::to_string(v) +
+           " out of range at offset " + std::to_string(at));
+      return;
+    }
+    e = static_cast<E>(v);
+  }
+
+  template <typename T>
+  void Expect(const T& v, const char* mismatch) {
+    std::remove_cv_t<T> got{};
+    SnapshotNatural(*this, got);
+    if (ok_ && !(got == v)) {
+      Fail(mismatch);
+    }
+  }
+
+  // Id 0 is null unless |nullable| is false; an id that resolves to no task
+  // fails with |unknown|.
+  template <typename T, typename Tasks>
+  void TaskRef(T*& t, Tasks& tasks, const char* unknown, bool nullable = true) {
+    using Id = decltype(t->id());
+    const uint64_t id = U64();
+    t = nullptr;
+    if (!ok_ || (id == 0 && nullable)) {
+      return;
+    }
+    if (id <= static_cast<uint64_t>(std::numeric_limits<Id>::max())) {
+      t = tasks.TaskById(static_cast<Id>(id));
+    }
+    if (t == nullptr) {
+      Fail(unknown);
+    }
+  }
+
+  // --- container ops (see SnapshotWriter) ---------------------------------
+  // Replaces |c| with the read elements; an element whose body failed is
+  // dropped.
+  template <typename C, typename F>
+  void Seq(C& c, size_t min_element_size, F&& body) {
+    const size_t n = ReadCount(min_element_size);
+    c.clear();
+    if constexpr (requires { c.reserve(n); }) {
+      c.reserve(n);
+    }
+    for (size_t i = 0; i < n && ok_; ++i) {
+      typename C::value_type e{};
+      body(e);
+      if (ok_) {
+        c.insert(c.end(), std::move(e));
+      }
+    }
+  }
+  template <typename C, typename F>
+  void Fixed(C& c, size_t min_element_size, const char* mismatch, F&& body) {
+    const size_t n = ReadCount(min_element_size);
+    if (ok_ && n != c.size()) {
+      Fail(mismatch);
+    }
+    for (auto it = c.begin(); it != c.end() && ok_; ++it) {
+      body(*it);
+    }
+  }
+  template <typename M, typename F>
+  void Map(M& m, size_t min_element_size, F&& body) {
+    const size_t n = ReadCount(min_element_size);
+    m.clear();
+    for (size_t i = 0; i < n && ok_; ++i) {
+      typename M::key_type k{};
+      typename M::mapped_type v{};
+      body(k, v);
+      m.insert_or_assign(std::move(k), std::move(v));
+    }
+  }
+
+  // --- pending events (src/snapshot/event_rearmer.h) ---------------------
+  // Resets |id| and, when an event was saved, defers |rearm(when)| under its
+  // original sequence number.
+  template <typename F>
+  void Event(uint64_t& id, F&& rearm);
+  // Clears |list| and runs |body| on a scratch entry per saved one; the
+  // entries come back through their re-arm callbacks.
+  template <typename L, typename F>
+  void PendingEvents(L& list, size_t min_element_size, F&& body);
+  // Collects the re-arm callbacks; set by RestoreBoardShard.
+  void set_rearmer(EventRearmer* rearmer) { rearmer_ = rearmer; }
 
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
@@ -154,11 +404,13 @@ class SnapshotReader {
     }
     return v;
   }
+  size_t ReadCount(size_t min_element_size);
 
   std::vector<uint8_t> payload_;
   size_t pos_ = 0;
   bool ok_ = true;
   std::string error_;
+  EventRearmer* rearmer_ = nullptr;
 };
 
 }  // namespace psbox

@@ -10,42 +10,25 @@ namespace psbox {
 
 namespace {
 
-void SaveAction(SnapshotWriter& w, const Action& a) {
-  w.U8(static_cast<uint8_t>(a.kind));
-  w.I64(a.duration);
-  w.F64(a.intensity);
-  w.U8(static_cast<uint8_t>(a.accel));
-  w.U64(a.cmd.id);
-  w.I64(a.cmd.app);
-  w.I64(a.cmd.type);
-  w.I64(a.cmd.nominal_work);
-  w.F64(a.cmd.active_power);
-  w.U64(a.bytes);
-  w.U64(a.response_bytes);
-  w.I64(a.response_delay);
-  w.I64(a.response_count);
-  w.I64(a.count);
-  w.Bool(a.storage_write);
-}
-
-Action LoadAction(SnapshotReader& r) {
-  Action a;
-  a.kind = static_cast<ActionKind>(r.U8());
-  a.duration = r.I64();
-  a.intensity = r.F64();
-  a.accel = static_cast<HwComponent>(r.U8());
-  a.cmd.id = r.U64();
-  a.cmd.app = static_cast<AppId>(r.I64());
-  a.cmd.type = static_cast<int>(r.I64());
-  a.cmd.nominal_work = r.I64();
-  a.cmd.active_power = r.F64();
-  a.bytes = r.U64();
-  a.response_bytes = r.U64();
-  a.response_delay = r.I64();
-  a.response_count = static_cast<int>(r.I64());
-  a.count = static_cast<int>(r.I64());
-  a.storage_write = r.Bool();
-  return a;
+// An action's accelerator command type travels as i64 here, unlike the
+// devices' and drivers' u32.
+template <class Ar>
+void SerializeAction(Ar& ar, Action& a) {
+  ar.Enum(a.kind, ActionKind::kExit, "action kind");
+  ar.I64(a.duration);
+  ar.F64(a.intensity);
+  ar.Enum(a.accel, HwComponent::kStorage, "action accelerator");
+  ar.U64(a.cmd.id);
+  ar.I64(a.cmd.app);
+  ar.I64(a.cmd.type);
+  ar.I64(a.cmd.nominal_work);
+  ar.F64(a.cmd.active_power);
+  ar.U64(a.bytes);
+  ar.U64(a.response_bytes);
+  ar.I64(a.response_delay);
+  ar.I64(a.response_count);
+  ar.I64(a.count);
+  ar.Bool(a.storage_write);
 }
 
 }  // namespace
@@ -99,42 +82,25 @@ Action LoopBehavior::NextAction(TaskEnv& env) {
   return a;
 }
 
-void LoopBehavior::SaveState(SnapshotWriter& w) const {
+void LoopBehavior::Serialize(SnapshotWriter& ar) { SerializeFields(ar); }
+void LoopBehavior::Serialize(SnapshotReader& ar) { SerializeFields(ar); }
+
+template <class Ar>
+void LoopBehavior::SerializeFields(Ar& ar) {
   // Stats may be shared by several worker tasks; every sharer writes the same
   // values, so the repeated restores are idempotent.
-  w.U64(stats_->iterations);
-  w.I64(stats_->start_time);
-  w.I64(stats_->finish_time);
-  w.F64(stats_->psbox_energy);
-  w.I64(stats_->box);
-  w.Bool(stats_->evicted);
-  w.U64(queue_.size());
-  for (const Action& a : queue_) {
-    SaveAction(w, a);
-  }
-  w.U64(iter_);
-  w.Bool(started_);
-  w.Bool(finished_);
-  rng_.SaveState(w);
+  ar.U64(stats_->iterations);
+  ar.I64(stats_->start_time);
+  ar.I64(stats_->finish_time);
+  ar.F64(stats_->psbox_energy);
+  ar.I64(stats_->box);
+  ar.Bool(stats_->evicted);
+  ar.Seq(queue_, 32, [&](Action& a) { SerializeAction(ar, a); });
+  ar.U64(iter_);
+  ar.Bool(started_);
+  ar.Bool(finished_);
+  rng_.Serialize(ar);
   // stop_ is re-wired by the restoring coordinator, not serialised.
-}
-
-void LoopBehavior::RestoreState(SnapshotReader& r) {
-  stats_->iterations = r.U64();
-  stats_->start_time = r.I64();
-  stats_->finish_time = r.I64();
-  stats_->psbox_energy = r.F64();
-  stats_->box = static_cast<int>(r.I64());
-  stats_->evicted = r.Bool();
-  queue_.clear();
-  const size_t depth = r.Count(32);
-  for (size_t i = 0; i < depth && r.ok(); ++i) {
-    queue_.push_back(LoadAction(r));
-  }
-  iter_ = r.U64();
-  started_ = r.Bool();
-  finished_ = r.Bool();
-  rng_.RestoreState(r);
 }
 
 PsboxWrapBehavior::PsboxWrapBehavior(std::unique_ptr<Behavior> inner,
@@ -165,21 +131,16 @@ Action PsboxWrapBehavior::NextAction(TaskEnv& env) {
   return a;
 }
 
-void PsboxWrapBehavior::SaveState(SnapshotWriter& w) const {
-  w.I64(box_);
-  w.Bool(finished_);
-  w.U8(inner_->SnapshotMarker());
-  inner_->SaveState(w);
-}
+void PsboxWrapBehavior::Serialize(SnapshotWriter& ar) { SerializeFields(ar); }
+void PsboxWrapBehavior::Serialize(SnapshotReader& ar) { SerializeFields(ar); }
 
-void PsboxWrapBehavior::RestoreState(SnapshotReader& r) {
-  box_ = static_cast<int>(r.I64());
-  finished_ = r.Bool();
-  if (r.U8() != inner_->SnapshotMarker()) {
-    r.Fail("wrapped behavior type mismatch between snapshot and scenario");
-    return;
-  }
-  inner_->RestoreState(r);
+template <class Ar>
+void PsboxWrapBehavior::SerializeFields(Ar& ar) {
+  ar.I64(box_);
+  ar.Bool(finished_);
+  ar.Expect(inner_->SnapshotMarker(),
+            "wrapped behavior type mismatch between snapshot and scenario");
+  inner_->Serialize(ar);
 }
 
 DurationNs Jitter(Rng& rng, DurationNs value, double frac) {

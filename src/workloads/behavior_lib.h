@@ -53,10 +53,13 @@ class LoopBehavior : public Behavior {
   const WorkloadStats& stats() const { return *stats_; }
 
   uint8_t SnapshotMarker() const override { return 1; }
-  void SaveState(SnapshotWriter& w) const override;
-  void RestoreState(SnapshotReader& r) override;
+  void Serialize(SnapshotWriter& ar) override;
+  void Serialize(SnapshotReader& ar) override;
 
  private:
+  template <class Ar>
+  void SerializeFields(Ar& ar);
+
   std::shared_ptr<WorkloadStats> stats_;
   StepFn step_;
   uint64_t max_iterations_;
@@ -83,10 +86,13 @@ class PsboxWrapBehavior : public Behavior {
   Action NextAction(TaskEnv& env) override;
 
   uint8_t SnapshotMarker() const override { return 2; }
-  void SaveState(SnapshotWriter& w) const override;
-  void RestoreState(SnapshotReader& r) override;
+  void Serialize(SnapshotWriter& ar) override;
+  void Serialize(SnapshotReader& ar) override;
 
  private:
+  template <class Ar>
+  void SerializeFields(Ar& ar);
+
   std::unique_ptr<Behavior> inner_;
   std::vector<HwComponent> hw_;
   std::shared_ptr<WorkloadStats> stats_;
