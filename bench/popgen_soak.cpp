@@ -17,10 +17,19 @@
 //   * steady-state apps/board — spawned minus completed at the horizon,
 //     averaged over boards (the standing population the boards carry)
 //   * accounting-bound violations — must be 0
+//
+// Then a long-horizon cost check: 8 boards streaming a stationary
+// population (12 arrivals/s/board of 2-40 iteration apps under 2 tenants,
+// 200 ms retention, one thread) run to 8 s and to 64 s, three runs each.
+// The median host CPU time per simulated board-second at 64 s may exceed
+// the 8 s figure by at most 1.3x — finished apps retire, so cost must not
+// grow with every app ever spawned. The ratio goes into the JSON too.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -54,6 +63,50 @@ FleetScenario SoakScenario(int boards, TimeNs horizon, double rate_hz) {
   scenario.population.tenant_budget = 0.8;
   scenario.population.child_budget = 0.05;
   return scenario;
+}
+
+// The long-horizon check's stationary population (no flash crowd).
+FleetScenario ChurnScenario(TimeNs horizon) {
+  FleetScenario scenario;
+  scenario.seed = 0x50AC;
+  scenario.horizon = horizon;
+  scenario.epoch = 10 * kMillisecond;
+  scenario.migration.enabled = false;
+  scenario.boards.resize(8);
+  for (FleetBoardSpec& board : scenario.boards) {
+    board.kernel.telemetry_retention = 200 * kMillisecond;
+  }
+  PopulationConfig& p = scenario.population;
+  p.seed = 0x90D5;
+  p.base_rate_hz = 12.0;
+  p.diurnal_amplitude = 0.5;
+  p.diurnal_period = 400 * kMillisecond;
+  p.adversarial_fraction = 0.05;
+  p.adversarial_period = 500 * kMillisecond;
+  p.adversarial_duty = 0.4;
+  p.min_iterations = 2;
+  p.max_iterations = 40;
+  p.tenants_per_board = 2;
+  p.tenant_budget = 0.8;
+  p.child_budget = 0.05;
+  return scenario;
+}
+
+// Median host CPU seconds per simulated board-second over three runs.
+double CpuPerBoardSecond(TimeNs horizon) {
+  std::vector<double> runs;
+  for (int i = 0; i < 3; ++i) {
+    const FleetScenario scenario = ChurnScenario(horizon);
+    RootCoordinator fleet(scenario, 1);
+    const std::clock_t t0 = std::clock();
+    (void)fleet.Run();
+    const double cpu_s =
+        static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC;
+    runs.push_back(cpu_s / (static_cast<double>(scenario.boards.size()) *
+                            ToSeconds(horizon)));
+  }
+  std::sort(runs.begin(), runs.end());
+  return runs[1];
 }
 
 int ThreadBudget(int boards) {
@@ -159,6 +212,15 @@ int main(int argc, char** argv) {
   std::printf("fingerprints %s across %d vs %d threads\n",
               deterministic ? "IDENTICAL" : "DIFFER", threads_a, threads_b);
 
+  // Long-horizon cost growth (see the header comment).
+  constexpr double kMaxGrowth = 1.3;
+  const double cpu_short = CpuPerBoardSecond(Seconds(8));
+  const double cpu_long = CpuPerBoardSecond(Seconds(64));
+  const double growth = cpu_short > 0.0 ? cpu_long / cpu_short : 0.0;
+  std::printf("\nlong horizon: %.1f us/board-s at 8 s, %.1f us/board-s at "
+              "64 s (median of 3): growth %.2fx (limit %.1fx)\n",
+              cpu_short * 1e6, cpu_long * 1e6, growth, kMaxGrowth);
+
   std::ofstream json(json_path);
   if (!json) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -181,6 +243,11 @@ int main(int argc, char** argv) {
        << ",\n  \"spawn_per_wall_s\": " << FormatDouble(spawn_per_s, 1)
        << ",\n  \"steady_apps_per_board\": " << FormatDouble(apps_per_board, 2)
        << ",\n  \"accounting_violations\": " << (a.violations + b.violations)
+       << ",\n  \"long_horizon_cpu_us_per_board_s_8s\": "
+       << FormatDouble(cpu_short * 1e6, 2)
+       << ",\n  \"long_horizon_cpu_us_per_board_s_64s\": "
+       << FormatDouble(cpu_long * 1e6, 2)
+       << ",\n  \"long_horizon_growth\": " << FormatDouble(growth, 3)
        << "\n}\n";
   std::printf("JSON written to %s\n", json_path.c_str());
 
@@ -190,6 +257,13 @@ int main(int argc, char** argv) {
   }
   if (a.violations + b.violations != 0) {
     std::fprintf(stderr, "popgen_soak: accounting bound violated\n");
+    return 1;
+  }
+  if (growth > kMaxGrowth) {
+    std::fprintf(stderr,
+                 "popgen_soak: cost per board-second grew %.2fx from 8 s to "
+                 "64 s (limit %.1fx)\n",
+                 growth, kMaxGrowth);
     return 1;
   }
   if (a.spawned < 5000 && boards >= 64 && seconds >= 1 && rate_hz >= 100.0) {

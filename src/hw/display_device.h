@@ -35,6 +35,9 @@ class DisplayDevice {
   // |brightness| in [0, 1] mean emitted luminance.
   void SetSurface(AppId app, double area, double brightness);
   void RemoveSurface(AppId app);
+  bool HasSurface(AppId app) const { return surfaces_.count(app) > 0; }
+  // Drops the contribution history of a retired app (its surface is gone).
+  void ForgetApp(AppId app) { app_traces_.erase(app); }
 
   // Instantaneous contribution of |app|'s surface.
   Watts AppPower(AppId app) const;

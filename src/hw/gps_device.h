@@ -41,6 +41,7 @@ class GpsDevice {
   GpsState state() const { return state_; }
   bool Operating() const { return state_ == GpsState::kOn; }
   size_t users() const { return users_.size(); }
+  bool HasUser(AppId app) const { return users_.count(app) > 0; }
 
   Watts ModelPower() const;
   const GpsConfig& config() const { return config_; }

@@ -50,7 +50,6 @@ void AccelDriver::Submit(Task* task, AccelCommand cmd) {
 }
 
 double AccelDriver::MinRecentCompetitorVruntime(AppId owner) const {
-  constexpr DurationNs kRecency = 50 * kMillisecond;
   double best = std::numeric_limits<double>::infinity();
   for (const auto& [app, q] : queues_) {
     if (app == owner) {
@@ -296,6 +295,50 @@ void AccelDriver::ClearSandboxed(AppId app) {
     }
   }
   Pump();
+}
+
+bool AccelDriver::Retirable(AppId app, TimeNs cutoff) const {
+  if (!ResourceDomain::Retirable(app, cutoff)) {
+    return false;
+  }
+  auto it = queues_.find(app);
+  if (it == queues_.end()) {
+    return true;
+  }
+  const AppQueue& q = it->second;
+  if (!q.q.empty() || (q.last_seen >= 0 && cutoff - q.last_seen <= kRecency)) {
+    return false;
+  }
+  for (const auto& [cmd_id, p] : in_flight_) {
+    if (p.cmd.app == app) {
+      return false;
+    }
+  }
+  if (q.opp_context >= 0) {
+    const auto unconsumed = [&](const std::unordered_map<int, DurationNs>& m) {
+      auto t = m.find(q.opp_context);
+      return t != m.end() && t->second != 0;
+    };
+    if (q.opp_context == current_context_ || unconsumed(ctx_wall_) ||
+        unconsumed(ctx_busy_)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void AccelDriver::RetireApp(AppId app) {
+  auto it = queues_.find(app);
+  if (it == queues_.end()) {
+    return;
+  }
+  const int ctx = it->second.opp_context;
+  if (ctx >= 0) {
+    context_opp_.erase(ctx);
+    ctx_busy_.erase(ctx);
+    ctx_wall_.erase(ctx);
+  }
+  queues_.erase(it);
 }
 
 int AccelDriver::CreateOppContext() {

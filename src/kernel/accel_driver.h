@@ -84,6 +84,13 @@ class AccelDriver : public ResourceDomain {
   void SetSandboxed(AppId app, PsboxId box) override;
   void ClearSandboxed(AppId app) override;
 
+  // --- app retirement (ResourceDomain) ---
+  // Retirable once the app's queue is empty with nothing in flight, its
+  // last submit/completion is older than the recency window, and its
+  // frequency context is idle with no governor time left to consume.
+  bool Retirable(AppId app, TimeNs cutoff) const override;
+  void RetireApp(AppId app) override;
+
   // Per-psbox virtualised frequency context management.
   int CreateOppContext();
 
@@ -126,6 +133,9 @@ class AccelDriver : public ResourceDomain {
     uint64_t completed = 0;
     TimeNs last_seen = -1;  // last submit/completion; recency for fairness
   };
+
+  // Apps seen within this window count as competitors of a sandboxed app.
+  static constexpr DurationNs kRecency = 50 * kMillisecond;
 
   AppQueue& QueueFor(AppId app);
   // Dispatch loop; runs after every submit and completion.

@@ -659,6 +659,9 @@ void CpuScheduler::ExitCurrent(CoreId core) {
     }
     t->group = nullptr;
   }
+  if (kernel_ != nullptr) {
+    kernel_->OnTaskExited(t);
+  }
   AfterCurrentLeft(core);
 }
 
@@ -697,17 +700,60 @@ void CpuScheduler::AfterCurrentLeft(CoreId core) {
 // ---------------------------------------------------------------------------
 
 TaskGroup* CpuScheduler::CreateGroup(AppId app, PsboxId psbox) {
-  groups_.push_back(std::make_unique<TaskGroup>(app, psbox, num_cores()));
-  return groups_.back().get();
+  auto& group = groups_[psbox];
+  PSBOX_CHECK(group == nullptr);
+  group = std::make_unique<TaskGroup>(app, psbox, num_cores());
+  return group.get();
 }
 
 void CpuScheduler::BindBox(AppId app, PsboxId box) {
   kernel_->RegisterCpuContext(box);
-  group_by_box_[box] = CreateGroup(app, box);
+  CreateGroup(app, box);
+}
+
+bool CpuScheduler::BoxRetirable(PsboxId box) const {
+  const TaskGroup& g = *groups_.at(box);
+  if (g.balloon_exclusive_ || g.coscheduling_ || active_balloon_ == &g ||
+      g.slice_timer_ != kInvalidEventId || g.runnable_tasks_ != 0 ||
+      !g.members_.empty()) {
+    return false;
+  }
+  for (const TaskGroup::PerCore& pc : g.per_core_) {
+    if (pc.queued || !pc.runnable.empty()) {
+      return false;
+    }
+  }
+  for (const IpiEvent& e : ipi_events_) {
+    if (e.group == box && sim_->IsPending(e.event)) {
+      return false;
+    }
+  }
+  for (const NotifyEvent& e : notify_events_) {
+    if (e.group == box && sim_->IsPending(e.event)) {
+      return false;
+    }
+  }
+  // Balloon time the governor has not consumed yet still reaches its next
+  // sample (ConsumeUtilization's ballooned wall).
+  auto util = balloon_util_.find(box);
+  if (util != balloon_util_.end() &&
+      (util->second.wall != 0.0 ||
+       std::any_of(util->second.busy_per_core.begin(),
+                   util->second.busy_per_core.end(),
+                   [](DurationNs busy) { return busy != 0; }))) {
+    return false;
+  }
+  return kernel_->CpuContextIdle(box);
+}
+
+void CpuScheduler::UnbindBox(PsboxId box) {
+  groups_.erase(box);
+  balloon_util_.erase(box);
+  kernel_->ReleaseCpuContext(box);
 }
 
 void CpuScheduler::SetSandboxed(AppId app, PsboxId box) {
-  EnterGroup(group_by_box_.at(box), kernel_->AppTasks(app));
+  EnterGroup(groups_.at(box).get(), kernel_->AppTasks(app));
 }
 
 void CpuScheduler::ClearSandboxed(AppId app) {
@@ -1001,7 +1047,7 @@ void CpuScheduler::EndBalloon(TaskGroup* group, bool group_blocked) {
   // started another balloon within the delay, a stale IPI would join a core
   // it already holds and a stale notify would double-open the ownership
   // window.
-  const int ended = GroupIndex(group);
+  const PsboxId ended = group->psbox();
   std::erase_if(ipi_events_, [&](const IpiEvent& e) {
     if (!sim_->IsPending(e.event)) {
       return true;
@@ -1128,15 +1174,6 @@ void CpuScheduler::RemoveFromGroupRunnable(Task* task) {
 // Checkpoint/restore
 // ---------------------------------------------------------------------------
 
-int CpuScheduler::GroupIndex(const TaskGroup* group) const {
-  for (size_t i = 0; i < groups_.size(); ++i) {
-    if (groups_[i].get() == group) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 void CpuScheduler::ScheduleIdleRetryAt(TimeNs when, CoreId core) {
   std::erase_if(retry_events_,
                 [this](const RetryEvent& e) { return !sim_->IsPending(e.event); });
@@ -1147,7 +1184,7 @@ void CpuScheduler::ScheduleIdleRetryAt(TimeNs when, CoreId core) {
 void CpuScheduler::ScheduleIpiAt(TimeNs when, CoreId core, TaskGroup* group) {
   std::erase_if(ipi_events_,
                 [this](const IpiEvent& e) { return !sim_->IsPending(e.event); });
-  ipi_events_.push_back({core, GroupIndex(group),
+  ipi_events_.push_back({core, group->psbox(),
                          sim_->ScheduleAt(when, [this, core, group] {
                            if (group->coscheduling_) {
                              JoinBalloon(core, group);
@@ -1160,7 +1197,7 @@ void CpuScheduler::ScheduleOwnedNotifyAt(TimeNs when, TaskGroup* group) {
     return !sim_->IsPending(e.event);
   });
   notify_events_.push_back(
-      {GroupIndex(group), sim_->ScheduleAt(when, [this, group, when] {
+      {group->psbox(), sim_->ScheduleAt(when, [this, group, when] {
          if (group->coscheduling_ && observer_ != nullptr) {
            group->owned_notified_ = true;
            NotifyBalloonIn(group->psbox(), when);
@@ -1175,27 +1212,41 @@ void CpuScheduler::Serialize(Ar& ar) {
     return;
   }
   SerializeDomain(ar);
-  // A group travels as its index in groups_ (-1 for none): restore recreates
-  // the groups in the same BindBox order.
-  auto group_ref = [&](TaskGroup*& g, const char* unknown) {
-    int64_t index = g != nullptr ? GroupIndex(g) : -1;
-    ar.I64(index);
+  // A group travels as its box id (-1 for none): restore recreates the live
+  // boxes' groups (via BindBox) before this runs.
+  auto find_group = [&](PsboxId box, const char* unknown) -> TaskGroup* {
+    auto it = groups_.find(box);
+    if (it != groups_.end()) {
+      return it->second.get();
+    }
     if constexpr (Ar::kLoading) {
-      if (ar.ok() &&
-          (index < -1 || index >= static_cast<int64_t>(groups_.size()))) {
-        ar.Fail(unknown);
-      }
-      g = ar.ok() && index >= 0 ? groups_[static_cast<size_t>(index)].get()
-                                : nullptr;
+      ar.Fail(unknown);
+    }
+    return nullptr;
+  };
+  auto group_ref = [&](TaskGroup*& g, const char* unknown) {
+    PsboxId box = g != nullptr ? g->psbox() : kNoPsbox;
+    ar.I64(box);
+    if constexpr (Ar::kLoading) {
+      g = ar.ok() && box != kNoPsbox ? find_group(box, unknown) : nullptr;
     }
   };
-  // The index of a group a tracked timer acts on.
-  auto group_index = [&](int& index, const char* unknown) {
-    ar.I64(index);
+  // The box of a group a tracked timer acts on.
+  auto group_id = [&](PsboxId& box, const char* unknown) {
+    ar.I64(box);
     if constexpr (Ar::kLoading) {
-      if (ar.ok() &&
-          (index < 0 || static_cast<size_t>(index) >= groups_.size())) {
-        ar.Fail(unknown);
+      if (ar.ok()) {
+        find_group(box, unknown);
+      }
+    }
+  };
+  // A core a tracked timer acts on.
+  auto core_id = [&](CoreId& core, const char* what) {
+    ar.I64(core);
+    if constexpr (Ar::kLoading) {
+      if (ar.ok() && (core < 0 || core >= num_cores())) {
+        ar.Fail(std::string("snapshot ") + what + " core " +
+                std::to_string(core) + " out of range");
       }
     }
   };
@@ -1208,8 +1259,8 @@ void CpuScheduler::Serialize(Ar& ar) {
   }
   ar.Fixed(groups_, 32,
            "scheduler group count mismatch between snapshot and restored boxes",
-           [&](std::unique_ptr<TaskGroup>& gp) {
-    TaskGroup* g = gp.get();
+           [&](auto& entry) {
+    TaskGroup* g = entry.second.get();
     ar.Expect(g->app_, "scheduler group identity mismatch in snapshot");
     ar.Expect(g->psbox_, "scheduler group identity mismatch in snapshot");
     ar.Bool(g->balloon_exclusive_);
@@ -1262,15 +1313,12 @@ void CpuScheduler::Serialize(Ar& ar) {
                    "scheduler runqueue references unknown task",
                    /*nullable=*/false);
       } else {
-        auto index = static_cast<uint64_t>(
-            e.group != nullptr ? GroupIndex(e.group) : 0);
-        ar.U64(index);
+        PsboxId box = Ar::kLoading ? kNoPsbox : e.group->psbox();
+        ar.I64(box);
         if constexpr (Ar::kLoading) {
-          if (index < groups_.size()) {
-            e.group = groups_[index].get();
-          } else {
-            ar.Fail("scheduler runqueue references unknown group");
-          }
+          e.group = ar.ok() ? find_group(
+                                  box, "scheduler runqueue references unknown group")
+                            : nullptr;
         }
       }
       if constexpr (Ar::kLoading) {
@@ -1326,22 +1374,22 @@ void CpuScheduler::Serialize(Ar& ar) {
     ar.I64(when);
   });
   ar.PendingEvents(retry_events_, 18, [&](RetryEvent& e) {
-    ar.I64(e.core);
+    core_id(e.core, "scheduler retry event");
     ar.Event(e.event, [this, core = e.core](TimeNs when) {
       ScheduleIdleRetryAt(when, core);
     });
   });
   ar.PendingEvents(ipi_events_, 26, [&](IpiEvent& e) {
-    ar.I64(e.core);
-    group_index(e.group, "scheduler IPI event references unknown group");
-    ar.Event(e.event, [this, core = e.core, gi = e.group](TimeNs when) {
-      ScheduleIpiAt(when, core, groups_[static_cast<size_t>(gi)].get());
+    core_id(e.core, "scheduler IPI event");
+    group_id(e.group, "scheduler IPI event references unknown group");
+    ar.Event(e.event, [this, core = e.core, box = e.group](TimeNs when) {
+      ScheduleIpiAt(when, core, groups_.at(box).get());
     });
   });
   ar.PendingEvents(notify_events_, 18, [&](NotifyEvent& e) {
-    group_index(e.group, "scheduler notify event references unknown group");
-    ar.Event(e.event, [this, gi = e.group](TimeNs when) {
-      ScheduleOwnedNotifyAt(when, groups_[static_cast<size_t>(gi)].get());
+    group_id(e.group, "scheduler notify event references unknown group");
+    ar.Event(e.event, [this, box = e.group](TimeNs when) {
+      ScheduleOwnedNotifyAt(when, groups_.at(box).get());
     });
   });
 }

@@ -118,6 +118,13 @@ class CpuScheduler : public ResourceDomain {
   // --- psbox task-group extension (ResourceDomain) ----------------------
   // Creates the psbox's task group and CPU frequency context.
   void BindBox(AppId app, PsboxId box) override;
+  // A retiring box's group is idle once disarmed, out of every runqueue and
+  // balloon, named by no pending timer, and its balloon utilisation has
+  // been consumed by the governor; unbinding frees the group and context.
+  bool BoxRetirable(PsboxId box) const override;
+  void UnbindBox(PsboxId box) override;
+  // Drops a retired task's wake-latency stamp.
+  void ForgetTask(TaskId task) { wake_time_.erase(task); }
   // Moves the app's tasks into the box's group and arms the spatial balloon.
   void SetSandboxed(AppId app, PsboxId box) override;
   // Disarms the balloon and moves the tasks back to the normal runqueues.
@@ -126,7 +133,7 @@ class CpuScheduler : public ResourceDomain {
   AppId balloon_owner() const override;
 
   // Lower-level group surface (used by the overrides above; tests drive it
-  // directly when no kernel is attached).
+  // directly when no kernel is attached). Groups are keyed by their box id.
   TaskGroup* CreateGroup(AppId app, PsboxId psbox);
   // Moves all of |app|'s current tasks into |group| and arms the spatial
   // balloon: from now on the group's tasks only run inside coscheduling
@@ -181,7 +188,8 @@ class CpuScheduler : public ResourceDomain {
   // Snapshot support: groups, per-core runqueues and occupancy, utilisation
   // windows, and every pending scheduler timer (ticks, completions, IPIs,
   // slice timers, idle retries). Requires the groups to have been recreated
-  // (via BindBox) and the tasks restored before the call.
+  // (via BindBox) and the tasks restored before the call; a group travels
+  // as its box id.
   template <class Ar>
   void Serialize(Ar& ar);
 
@@ -278,9 +286,6 @@ class CpuScheduler : public ResourceDomain {
   double ClampVruntime(CoreId core, double vr) const;
 
   // --- checkpoint plumbing ---
-  // Index of |group| in groups_ (stable across a save/restore pair because
-  // restore recreates the groups in the same BindBox order).
-  int GroupIndex(const TaskGroup* group) const;
   // Tracked wrappers around the scheduler's loose timers so checkpoints can
   // re-arm them; each prunes already-fired entries before appending.
   void ScheduleIdleRetryAt(TimeNs when, CoreId core);
@@ -291,8 +296,7 @@ class CpuScheduler : public ResourceDomain {
   SchedConfig config_;
   Kernel* kernel_;
   std::vector<Core> cores_;
-  std::vector<std::unique_ptr<TaskGroup>> groups_;
-  std::unordered_map<PsboxId, TaskGroup*> group_by_box_;
+  std::map<PsboxId, std::unique_ptr<TaskGroup>> groups_;
   std::unordered_map<AppId, TaskGroup*> active_group_by_app_;
   // At most one coscheduling period at a time (balloons span all cores).
   TaskGroup* active_balloon_ = nullptr;
@@ -310,12 +314,12 @@ class CpuScheduler : public ResourceDomain {
   std::vector<RetryEvent> retry_events_;
   struct IpiEvent {
     CoreId core;
-    int group;
+    PsboxId group;
     EventId event;
   };
   std::vector<IpiEvent> ipi_events_;
   struct NotifyEvent {
-    int group;
+    PsboxId group;
     EventId event;
   };
   std::vector<NotifyEvent> notify_events_;

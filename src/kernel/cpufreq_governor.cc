@@ -80,6 +80,16 @@ int CpufreqGovernor::ContextForBox(PsboxId box) {
   return ctx;
 }
 
+void CpufreqGovernor::ReleaseBoxContext(PsboxId box) {
+  auto it = context_of_box_.find(box);
+  if (it == context_of_box_.end()) {
+    return;
+  }
+  PSBOX_CHECK_NE(it->second, current_context_);
+  context_opp_.erase(it->second);
+  context_of_box_.erase(it);
+}
+
 template <class Ar>
 void CpufreqGovernor::Serialize(Ar& ar) {
   if (!ar.Section("governor")) {

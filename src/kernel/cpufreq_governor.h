@@ -47,6 +47,8 @@ class CpufreqGovernor {
   // Creates (or returns) the frequency context virtualising power state for
   // |box| (initially at the lowest OPP).
   int ContextForBox(PsboxId box);
+  // Frees a retired box's context; it must not be the current one.
+  void ReleaseBoxContext(PsboxId box);
 
   // Saves the hardware OPP into the current context and applies |ctx|'s.
   void SwitchContext(int ctx);

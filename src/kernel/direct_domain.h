@@ -34,6 +34,13 @@ class DisplayDomain : public ResourceDomain {
   }
   void ClearSandboxed(AppId app) override { (void)app; }
 
+  // A composited surface still draws panel power: only an app whose surface
+  // is gone retires, taking its contribution history with it.
+  bool Retirable(AppId app, TimeNs cutoff) const override {
+    return ResourceDomain::Retirable(app, cutoff) && !display_->HasSurface(app);
+  }
+  void RetireApp(AppId app) override { display_->ForgetApp(app); }
+
   bool direct_metered() const override { return true; }
   Watts DirectPowerAt(AppId app, TimeNs t) const override {
     return display_->AppPowerAt(app, t);
@@ -64,6 +71,11 @@ class GpsDomain : public ResourceDomain {
     (void)box;
   }
   void ClearSandboxed(AppId app) override { (void)app; }
+
+  // A user keeps the receiver powered.
+  bool Retirable(AppId app, TimeNs cutoff) const override {
+    return ResourceDomain::Retirable(app, cutoff) && !gps_->HasUser(app);
+  }
 
   bool direct_metered() const override { return true; }
   Watts DirectPowerAt(AppId app, TimeNs t) const override {

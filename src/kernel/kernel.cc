@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_set>
 
 #include "src/base/check.h"
 #include "src/snapshot/event_rearmer.h"
@@ -86,30 +87,121 @@ TimeNs Kernel::TrimTelemetry(TimeNs desired) {
   }
   ledger_.TrimBefore(horizon);
   last_trim_horizon_ = horizon;
+  RetireFinishedApps(horizon);
   return horizon;
+}
+
+void Kernel::RetireFinishedApps(TimeNs horizon) {
+  if (finished_.empty()) {
+    return;
+  }
+  // Activity at or after the cutoff may still be seen by a later decision.
+  const TimeNs cutoff = std::min(horizon, Now());
+  // A pending wake timer holds its task (the closure wakes it).
+  std::unordered_set<TaskId> waking;
+  for (const auto& [task, event] : wake_events_) {
+    if (board_->sim().IsPending(event)) {
+      waking.insert(task);
+    }
+  }
+  const auto retirable = [&](AppId app) {
+    const AppRecord& rec = App(app);
+    if (rec.live_tasks > 0 || rec.exited_at < 0 || rec.exited_at >= cutoff) {
+      return false;
+    }
+    auto rx = rx_waiters_.find(app);
+    if (rx != rx_waiters_.end() && !rx->second.empty()) {
+      return false;
+    }
+    for (const Task* t : rec.tasks) {
+      if (waking.count(t->id()) > 0) {
+        return false;
+      }
+    }
+    for (const ResourceDomain* d : domains_) {
+      if (!d->Retirable(app, cutoff)) {
+        return false;
+      }
+    }
+    return psbox_service_ == nullptr || psbox_service_->AppRetirable(app);
+  };
+  for (auto it = finished_.begin(); it != finished_.end();) {
+    if (retirable(*it)) {
+      RetireApp(*it);
+      it = finished_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void Kernel::RetireApp(AppId app) {
+  // Sandboxes first: their retirement unbinds per-box domain state (task
+  // groups, frequency contexts) before the domains drop per-app state.
+  if (psbox_service_ != nullptr) {
+    psbox_service_->RetireApp(app);
+  }
+  for (ResourceDomain* d : domains_) {
+    d->RetireApp(app);
+  }
+  const AppRecord& rec = App(app);
+  for (const Task* t : rec.tasks) {
+    scheduler_->ForgetTask(t->id());
+  }
+  std::erase_if(tasks_, [app](const std::unique_ptr<Task>& t) {
+    return t->app() == app;
+  });
+  apps_.erase(apps_.begin() + (&rec - apps_.data()));
+  rx_waiters_.erase(app);
+  ++retired_apps_;
 }
 
 Kernel::~Kernel() = default;
 
 AppId Kernel::CreateApp(std::string name) {
-  app_names_.push_back(std::move(name));
-  const AppId app = static_cast<AppId>(app_names_.size() - 1);
-  app_tasks_[app];  // materialise the (possibly empty) task list
+  const AppId app = next_app_id_++;
+  AppRecord& rec = apps_.emplace_back();
+  rec.id = app;
+  rec.name = std::move(name);
   return app;
 }
 
-const std::string& Kernel::AppName(AppId app) const {
-  PSBOX_CHECK_GE(app, 0);
-  PSBOX_CHECK_LT(static_cast<size_t>(app), app_names_.size());
-  return app_names_[static_cast<size_t>(app)];
+const Kernel::AppRecord* Kernel::FindApp(AppId app) const {
+  auto it = std::lower_bound(
+      apps_.begin(), apps_.end(), app,
+      [](const AppRecord& rec, AppId id) { return rec.id < id; });
+  return it != apps_.end() && it->id == app ? &*it : nullptr;
 }
+
+const Kernel::AppRecord& Kernel::App(AppId app) const {
+  const AppRecord* rec = FindApp(app);
+  if (rec == nullptr) {
+    CheckFail(__FILE__, __LINE__,
+              "app " + std::to_string(app) +
+                  (AppRetired(app) ? " is retired" : " does not exist"));
+  }
+  return *rec;
+}
+
+Task* Kernel::TaskById(TaskId id) {
+  auto it = std::lower_bound(
+      tasks_.begin(), tasks_.end(), id,
+      [](const std::unique_ptr<Task>& t, TaskId v) { return t->id() < v; });
+  return it != tasks_.end() && (*it)->id() == id ? it->get() : nullptr;
+}
+
+const std::string& Kernel::AppName(AppId app) const { return App(app).name; }
 
 Task* Kernel::SpawnTask(AppId app, std::string name, std::unique_ptr<Behavior> behavior,
                         CoreId core) {
+  AppRecord& rec = App(app);
   tasks_.push_back(std::make_unique<Task>(next_task_id_++, app, std::move(name),
                                           std::move(behavior)));
   Task* task = tasks_.back().get();
-  app_tasks_[app].push_back(task);
+  rec.tasks.push_back(task);
+  ++rec.live_tasks;
+  rec.exited_at = -1;
+  finished_.erase(app);
   if (!restoring_) {
     // During snapshot restore the scenario replay only registers the task;
     // its scheduler state is overwritten wholesale by Serialize.
@@ -118,19 +210,28 @@ Task* Kernel::SpawnTask(AppId app, std::string name, std::unique_ptr<Behavior> b
   return task;
 }
 
-const std::vector<Task*>& Kernel::AppTasks(AppId app) const {
-  auto it = app_tasks_.find(app);
-  PSBOX_CHECK(it != app_tasks_.end());
-  return it->second;
-}
+const std::vector<Task*>& Kernel::AppTasks(AppId app) const { return App(app).tasks; }
 
 bool Kernel::AppFinished(AppId app) const {
-  for (const Task* t : AppTasks(app)) {
-    if (t->state() != TaskState::kExited) {
-      return false;
-    }
+  const AppRecord* rec = FindApp(app);
+  if (rec != nullptr) {
+    return rec->live_tasks == 0;
   }
+  PSBOX_CHECK(AppRetired(app));
   return true;
+}
+
+bool Kernel::AppRetired(AppId app) const {
+  return app >= 0 && app < next_app_id_ && FindApp(app) == nullptr;
+}
+
+void Kernel::OnTaskExited(Task* task) {
+  AppRecord& rec = App(task->app());
+  PSBOX_CHECK_GT(rec.live_tasks, 0);
+  if (--rec.live_tasks == 0) {
+    rec.exited_at = Now();
+    finished_.insert(task->app());
+  }
 }
 
 void Kernel::RegisterDomain(ResourceDomain* domain) {
@@ -167,6 +268,17 @@ AccelDriver& Kernel::DriverFor(HwComponent hw) {
 
 void Kernel::RegisterCpuContext(PsboxId box) {
   cpu_context_of_box_[box] = governor_->ContextForBox(box);
+}
+
+bool Kernel::CpuContextIdle(PsboxId box) const {
+  auto it = cpu_context_of_box_.find(box);
+  return it == cpu_context_of_box_.end() ||
+         governor_->current_context() != it->second;
+}
+
+void Kernel::ReleaseCpuContext(PsboxId box) {
+  cpu_context_of_box_.erase(box);
+  governor_->ReleaseBoxContext(box);
 }
 
 void Kernel::OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) {
@@ -277,18 +389,71 @@ void Kernel::Serialize(Ar& ar) {
   if (!ar.Section("kernel")) {
     return;
   }
-  ar.Fixed(app_names_, 9,
-           "app count mismatch between snapshot and restored scenario",
-           [&](std::string& name) {
-             ar.Expect(name,
-                       "app name mismatch between snapshot and restored "
-                       "scenario");
-           });
-  ar.Fixed(tasks_, 64,
-           "task count mismatch between snapshot and restored scenario",
-           [&](std::unique_ptr<Task>& t) { t->Serialize(ar); });
+  ar.Expect(static_cast<uint64_t>(next_app_id_),
+            "app id sequence mismatch between snapshot and restored scenario");
   ar.Expect(static_cast<uint64_t>(next_task_id_),
             "task id sequence mismatch between snapshot and restored scenario");
+  ar.U64(retired_apps_);
+  // The live apps in id order, each with its tasks. The restore replay
+  // recreated every app ever spawned; the load keeps the listed ones and
+  // frees the retired rest.
+  auto app_body = [&](AppRecord& rec) {
+    ar.Expect(rec.name,
+              "app name mismatch between snapshot and restored scenario");
+    ar.I64(rec.exited_at);
+    ar.Fixed(rec.tasks, 64,
+             "task count mismatch between snapshot and restored scenario",
+             [&](Task*& t) {
+      t->Serialize(ar);
+      if constexpr (Ar::kLoading) {
+        if (ar.ok() && (t->core < 0 || t->core >= scheduler_->num_cores())) {
+          ar.Fail("snapshot task " + std::to_string(t->id()) + " core " +
+                  std::to_string(t->core) + " out of range");
+        }
+      }
+    });
+    if constexpr (Ar::kLoading) {
+      rec.live_tasks = static_cast<int>(
+          std::count_if(rec.tasks.begin(), rec.tasks.end(), [](const Task* t) {
+            return t->state() != TaskState::kExited;
+          }));
+      if (!rec.tasks.empty() && rec.live_tasks == 0) {
+        finished_.insert(rec.id);
+      }
+    }
+  };
+  size_t live = apps_.size();
+  ar.Count(live, 25);
+  if constexpr (!Ar::kLoading) {
+    for (AppRecord& rec : apps_) {
+      ar.I64(rec.id);
+      app_body(rec);
+    }
+  } else {
+    finished_.clear();
+    // Both lists ascend, so the replayed apps passed over are retired ones.
+    std::vector<AppRecord> kept;
+    kept.reserve(live);
+    auto next = apps_.begin();
+    for (size_t i = 0; i < live && ar.ok(); ++i) {
+      AppId id = 0;
+      ar.I64(id);
+      while (next != apps_.end() && next->id < id) {
+        ++next;
+      }
+      if (!ar.ok() || next == apps_.end() || next->id != id) {
+        ar.Fail("snapshot lists app " + std::to_string(id) +
+                " that the restored scenario did not create");
+        return;
+      }
+      app_body(*next);
+      kept.push_back(std::move(*next++));
+    }
+    apps_ = std::move(kept);
+    std::erase_if(tasks_, [this](const std::unique_ptr<Task>& t) {
+      return FindApp(t->app()) == nullptr;
+    });
+  }
   ar.Map(rx_waiters_, 16, [&](AppId& app, std::deque<Task*>& waiters) {
     ar.I64(app);
     ar.Seq(waiters, 8, [&](Task*& t) {

@@ -12,8 +12,10 @@
 
 #include <array>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/hw/board.h"
@@ -49,7 +51,9 @@ struct KernelConfig {
   // bounded telemetry working set while psbox_read and whole-history energy
   // queries stay exact; only windowed queries reaching behind the horizon
   // (and undrained sample backlog, dropped with ring-buffer semantics)
-  // lose resolution.
+  // lose resolution. The same trim retires finished apps whose last
+  // activity lies behind the horizon (Kernel::TrimTelemetry), so per-board
+  // state stays bounded by the apps alive now.
   DurationNs telemetry_retention = 0;
   // Trim cadence; 0 = every telemetry_retention / 2.
   DurationNs telemetry_trim_period = 0;
@@ -63,21 +67,23 @@ class Kernel : public BalloonObserver {
   Kernel& operator=(const Kernel&) = delete;
 
   // --- apps & tasks -----------------------------------------------------
+  // App and task ids are monotonic counters (apps from 0, tasks from 1) and
+  // are never reused, not even after the app retires.
   AppId CreateApp(std::string name);
+  // Name and tasks of a live app; abort descriptively for a retired one.
   const std::string& AppName(AppId app) const;
   Task* SpawnTask(AppId app, std::string name, std::unique_ptr<Behavior> behavior,
                   CoreId core = -1);
   const std::vector<Task*>& AppTasks(AppId app) const;
-  // True once every task of |app| has exited.
+  // True once every task of |app| has exited (always true once retired).
   bool AppFinished(AppId app) const;
-  // Task with the given id (ids are dense, starting at 1); nullptr when out
-  // of range. Snapshot restore uses this to resolve saved task references.
-  Task* TaskById(TaskId id) {
-    if (id <= 0 || static_cast<size_t>(id) > tasks_.size()) {
-      return nullptr;
-    }
-    return tasks_[static_cast<size_t>(id) - 1].get();
-  }
+  // True once the retention trim freed |app| (see TrimTelemetry).
+  bool AppRetired(AppId app) const;
+  // Apps retired over the kernel's lifetime.
+  uint64_t retired_apps() const { return retired_apps_; }
+  // Live task with the given id; nullptr for unknown or retired ids.
+  // Snapshot restore uses this to resolve saved task references.
+  Task* TaskById(TaskId id);
 
   // --- subsystem access ---------------------------------------------------
   Board& board() { return *board_; }
@@ -112,8 +118,11 @@ class Kernel : public BalloonObserver {
   // balloon handling (power-state context switches).
   void set_balloon_observer(BalloonObserver* observer) { external_observer_ = observer; }
   // Creates the psbox's CPU frequency context; must be called before the
-  // psbox's first CPU balloon.
+  // psbox's first CPU balloon. Release frees it when the box retires; it
+  // is idle while the governor does not run it.
   void RegisterCpuContext(PsboxId box);
+  bool CpuContextIdle(PsboxId box) const;
+  void ReleaseCpuContext(PsboxId box);
 
   // BalloonObserver (internal dispatch from scheduler/drivers):
   void OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) override;
@@ -129,6 +138,9 @@ class Kernel : public BalloonObserver {
   void DeliverNetDone(Task* task);
   void ExpectRx(Task* task, size_t bytes);
   void DeliverRx(AppId app, size_t bytes);
+  // The scheduler ran |task|'s exit action; the app finishes with its last
+  // task and then awaits retirement.
+  void OnTaskExited(Task* task);
 
   // Runs the simulation until |deadline| (convenience passthrough).
   void RunUntil(TimeNs deadline) { board_->sim().RunUntil(deadline); }
@@ -139,6 +151,14 @@ class Kernel : public BalloonObserver {
   // periodic tick when KernelConfig::telemetry_retention is set; tests and
   // tools may also call it directly. Returns the horizon actually applied
   // (0 = nothing done).
+  //
+  // The trim then retires every finished app that can no longer affect
+  // anything: its tasks have exited (before the horizon), its sandboxes
+  // are left, idle and fully folded, no pending event names it or its
+  // tasks, and every domain reports it retirable at the horizon. Retiring
+  // frees its state in every layer; its sandboxes' final balloon-metered
+  // energy moves into their tenants' closed-children bases. The sweep walks
+  // only the apps awaiting retirement, in ascending id order.
   TimeNs TrimTelemetry(TimeNs desired);
   TimeNs last_trim_horizon() const { return last_trim_horizon_; }
 
@@ -151,8 +171,10 @@ class Kernel : public BalloonObserver {
   void BeginRestore() { restoring_ = true; }
   void EndRestore() { restoring_ = false; }
   bool restoring() const { return restoring_; }
-  // Persists apps, tasks (incl. behaviour state), syscall bookkeeping, the
-  // usage ledger and every kernel subsystem.
+  // Persists the live apps with their tasks (incl. behaviour state),
+  // syscall bookkeeping, the usage ledger and every kernel subsystem. The
+  // load keeps exactly the apps the snapshot lists and frees the retired
+  // ones the replay recreated.
   template <class Ar>
   void Serialize(Ar& ar);
 
@@ -167,6 +189,25 @@ class Kernel : public BalloonObserver {
   // Tracked body of ScheduleTaskWake; prunes fired entries so checkpoints
   // can enumerate the live wake timers.
   void ScheduleTaskWakeAt(Task* task, TimeNs when);
+
+  struct AppRecord {
+    AppId id = kNoApp;
+    std::string name;
+    std::vector<Task*> tasks;
+    int live_tasks = 0;
+    // When the last task exited; -1 while one still runs (or none ever did).
+    TimeNs exited_at = -1;
+  };
+  // The live app |app|; FindApp returns null for a retired or unknown id,
+  // App aborts naming it.
+  const AppRecord* FindApp(AppId app) const;
+  const AppRecord& App(AppId app) const;
+  AppRecord& App(AppId app) {
+    return const_cast<AppRecord&>(std::as_const(*this).App(app));
+  }
+  // Retirement sweep over finished_ (see TrimTelemetry).
+  void RetireFinishedApps(TimeNs horizon);
+  void RetireApp(AppId app);
 
   Board* board_;
   KernelConfig config_;
@@ -183,12 +224,17 @@ class Kernel : public BalloonObserver {
   PsboxService* psbox_service_ = nullptr;
   BalloonObserver* external_observer_ = nullptr;
 
-  std::vector<std::string> app_names_;
+  // Live apps and tasks in ascending id order (ids only grow, so creation
+  // appends and retirement erases in place; lookups binary-search).
+  std::vector<AppRecord> apps_;
   std::vector<std::unique_ptr<Task>> tasks_;
-  std::unordered_map<AppId, std::vector<Task*>> app_tasks_;
+  // Apps whose tasks have all exited, awaiting retirement.
+  std::set<AppId> finished_;
   std::unordered_map<PsboxId, int> cpu_context_of_box_;
   std::unordered_map<AppId, std::deque<Task*>> rx_waiters_;
+  AppId next_app_id_ = 0;
   TaskId next_task_id_ = 1;
+  uint64_t retired_apps_ = 0;
   TimeNs last_trim_horizon_ = 0;
 
   // Checkpoint plumbing: the periodic trim tick, outstanding task-wake

@@ -68,8 +68,38 @@ size_t NetStack::HeadBytes(AppId app) {
   return s.q.empty() ? 0 : s.q.front().frame.bytes;
 }
 
+bool NetStack::Retirable(AppId app, TimeNs cutoff) const {
+  if (!ResourceDomain::Retirable(app, cutoff)) {
+    return false;
+  }
+  auto it = socks_.find(app);
+  if (it == socks_.end()) {
+    return true;
+  }
+  const Socket& s = it->second;
+  if (!s.q.empty() || s.expected_rx != 0 ||
+      (s.last_activity >= 0 && cutoff - s.last_activity <= kRecency)) {
+    return false;
+  }
+  for (const auto& [frame_id, p] : tx_in_flight_) {
+    if (p.frame.app == app) {
+      return false;
+    }
+  }
+  for (const auto& [frame_id, retx] : pending_retx_) {
+    if (retx.pkt.frame.app == app) {
+      return false;
+    }
+  }
+  for (const RxInject& e : rx_events_) {
+    if (e.app == app && sim_->IsPending(e.event)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 double NetStack::MinRecentCompetitorCredit(AppId owner) const {
-  constexpr DurationNs kRecency = 200 * kMillisecond;
   double best = std::numeric_limits<double>::infinity();
   for (const auto& [app, s] : socks_) {
     if (app == owner) {

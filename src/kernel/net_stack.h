@@ -69,6 +69,13 @@ class NetStack : public ResourceDomain {
   void SetSandboxed(AppId app, PsboxId box) override;
   void ClearSandboxed(AppId app) override;
 
+  // --- app retirement (ResourceDomain) ---
+  // Retirable once the app's socket holds no queued, in-flight or
+  // backed-off packet, owes it no response (no RX injection pending), and
+  // its last activity is older than the recency window.
+  bool Retirable(AppId app, TimeNs cutoff) const override;
+  void RetireApp(AppId app) override { socks_.erase(app); }
+
   struct Stats {
     uint64_t tx_frames = 0;
     uint64_t rx_frames = 0;
@@ -112,6 +119,9 @@ class NetStack : public ResourceDomain {
     TimeNs last_activity = -1;
     uint64_t errors = 0;  // socket errors delivered (retransmit gave up)
   };
+
+  // Apps active within this window count as competitors of a sandboxed app.
+  static constexpr DurationNs kRecency = 200 * kMillisecond;
 
   Socket& SockFor(AppId app);
   void Pump();

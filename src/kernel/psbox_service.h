@@ -61,6 +61,18 @@ class PsboxService {
   // the kernel trims the underlying rail and domain traces. Default: nothing
   // to fold.
   virtual void TrimTelemetry(TimeNs horizon) { (void)horizon; }
+
+  // --- app retirement (driven by Kernel::TrimTelemetry) -------------------
+  // Whether every sandbox of the finished |app| is left, idle (no pending
+  // mode switch, no live child) and settled into its energy bases, and every
+  // bound domain holds its per-box state idle. Default: no sandboxes.
+  virtual bool AppRetirable(AppId app) {
+    (void)app;
+    return true;
+  }
+  // Retires every sandbox of |app|: folds its final balloon-metered energy
+  // into its parent's closed-children base and unbinds it from its domains.
+  virtual void RetireApp(AppId app) { (void)app; }
 };
 
 }  // namespace psbox

@@ -115,6 +115,26 @@ class ResourceDomain {
   // Lifecycle edges dropped by TrimTelemetry over the domain's lifetime.
   uint64_t trimmed_edges() const { return trimmed_edges_; }
 
+  // --- app retirement (driven by Kernel::TrimTelemetry) -------------------
+  // Whether the domain holds nothing of the finished |app| that can still
+  // reach a decision: no balloon, no queued or in-flight work, no pending
+  // event, and its last activity older than the domain's recency window at
+  // |cutoff| (so no later scan counts it as a recent competitor). Policies
+  // with per-app state override and call the base.
+  virtual bool Retirable(AppId app, TimeNs cutoff) const {
+    (void)cutoff;
+    return balloon_owner() != app;
+  }
+  // Frees |app|'s per-app state; called once Retirable holds everywhere.
+  virtual void RetireApp(AppId app) { (void)app; }
+  // BindBox's counterpart for a retiring box: whether its per-box state is
+  // idle, and the release of it.
+  virtual bool BoxRetirable(PsboxId box) const {
+    (void)box;
+    return true;
+  }
+  virtual void UnbindBox(PsboxId box) { (void)box; }
+
   // --- §7 entanglement-free (direct-metered) domains ----------------------
   // Display power is separable per app and GPS operating power is safely
   // revealable, so their domains carry no balloon protocol: the psbox

@@ -41,8 +41,27 @@ void StorageDriver::Submit(Task* task, StorageCommand cmd) {
   Pump();
 }
 
+bool StorageDriver::Retirable(AppId app, TimeNs cutoff) const {
+  if (!ResourceDomain::Retirable(app, cutoff)) {
+    return false;
+  }
+  auto it = queues_.find(app);
+  if (it == queues_.end()) {
+    return true;
+  }
+  const AppQueue& q = it->second;
+  if (!q.q.empty() || (q.last_seen >= 0 && cutoff - q.last_seen <= kRecency)) {
+    return false;
+  }
+  for (const auto& [cmd_id, p] : in_flight_) {
+    if (p.cmd.app == app) {
+      return false;
+    }
+  }
+  return true;
+}
+
 double StorageDriver::MinRecentCompetitorVtime(AppId owner) const {
-  constexpr DurationNs kRecency = 50 * kMillisecond;
   double best = std::numeric_limits<double>::infinity();
   for (const auto& [app, q] : queues_) {
     if (app == owner) {

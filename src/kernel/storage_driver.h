@@ -64,6 +64,12 @@ class StorageDriver : public ResourceDomain {
   void SetSandboxed(AppId app, PsboxId box) override;
   void ClearSandboxed(AppId app) override;
 
+  // --- app retirement (ResourceDomain) ---
+  // Retirable once the app's queue is empty with nothing in flight and its
+  // last submit/completion is older than the recency window.
+  bool Retirable(AppId app, TimeNs cutoff) const override;
+  void RetireApp(AppId app) override { queues_.erase(app); }
+
   struct Stats {
     uint64_t submitted = 0;
     uint64_t completed = 0;
@@ -103,6 +109,9 @@ class StorageDriver : public ResourceDomain {
     uint64_t completed = 0;
     TimeNs last_seen = -1;
   };
+
+  // Apps seen within this window count as competitors of a sandboxed app.
+  static constexpr DurationNs kRecency = 50 * kMillisecond;
 
   AppQueue& QueueFor(AppId app);
   void Pump();

@@ -64,6 +64,10 @@ bool BoardPopulation::PopArrivalUpTo(TimeNs until, GeneratedArrival* a) {
 
 void BoardPopulation::ScheduleWindow(TimeNs until) {
   PSBOX_CHECK_GE(until, scheduled_until_);
+  const size_t before = spawned_apps_.size();
+  std::erase_if(spawned_apps_,
+                [this](AppId app) { return kernel_->AppRetired(app); });
+  retired_ += before - spawned_apps_.size();
   GeneratedArrival a;
   while (PopArrivalUpTo(until, &a)) {
     kernel_->sim().ScheduleAt(a.when, [this, a] { SpawnArrival(a); });
@@ -98,7 +102,7 @@ void BoardPopulation::SpawnArrival(const GeneratedArrival& a) {
 }
 
 uint64_t BoardPopulation::CompletedCount() const {
-  uint64_t done = 0;
+  uint64_t done = retired_;
   for (const AppId app : spawned_apps_) {
     if (kernel_->AppFinished(app)) {
       ++done;

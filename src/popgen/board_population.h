@@ -40,6 +40,8 @@ class BoardPopulation {
 
   // Live stepping: schedules every arrival in (scheduled_until, until] as a
   // simulator event. Call from the shard's worker before RunUntil(until).
+  // Also forgets the spawned apps the kernel has retired since the last
+  // window (they stay counted as completed).
   void ScheduleWindow(TimeNs until);
 
   // Restore replay: immediately re-invokes the spawn factory for every
@@ -50,7 +52,8 @@ class BoardPopulation {
 
   // Population stats (fingerprinted per board).
   uint64_t spawned() const { return spawned_; }
-  // Spawned apps that have run to completion, judged by the kernel.
+  // Spawned apps that have run to completion, judged by the kernel; retired
+  // apps count as completed.
   uint64_t CompletedCount() const;
   // Nested accounting audit over this board's tenants (see
   // PsboxManager::AccountingViolations).
@@ -75,7 +78,9 @@ class BoardPopulation {
   GeneratedArrival pending_;
   TimeNs scheduled_until_ = 0;
   std::vector<int> tenant_boxes_;
+  // Spawned apps not yet retired, and how many were forgotten on retirement.
   std::vector<AppId> spawned_apps_;
+  uint64_t retired_ = 0;
   uint64_t spawned_ = 0;
 };
 

@@ -68,6 +68,15 @@ void PowerSandbox::ResetMeter(TimeNs now) {
   anchors_.clear();
 }
 
+bool PowerSandbox::Settled() const {
+  for (size_t i = 0; i < kNumHwComponents; ++i) {
+    if (compose_depth_[i] != 0 || open_since_[i] >= 0 || owned_[i].size() != 0) {
+      return false;
+    }
+  }
+  return anchors_.empty();
+}
+
 bool PowerSandbox::OwnedAt(HwComponent hw, TimeNs t) const {
   const TimeNs since = open_since_[static_cast<size_t>(hw)];
   if (since >= 0 && t >= since) {
@@ -381,6 +390,8 @@ void PowerSandbox::Serialize(Ar& ar) {
       }
     }
   }
+  // v5: the retired children's closed energy.
+  ar.F64(closed_children_energy_);
 }
 
 template void PowerSandbox::Serialize(SnapshotWriter&);

@@ -174,6 +174,15 @@ class PowerSandbox {
   uint64_t DropSampleBacklogBefore(TimeNs horizon, DurationNs period);
   uint64_t samples_lost() const { return samples_lost_; }
 
+  // --- retirement ---------------------------------------------------------
+  // Whether every balloon this box took part in has closed and been folded
+  // into the bases, so its balloon-metered energy is final.
+  bool Settled() const;
+  // Final balloon-metered energy of the retired children, added exactly as
+  // each child retires; the tenant audit starts its child sum from it.
+  Joules closed_children_energy() const { return closed_children_energy_; }
+  void AddClosedChild(Joules energy) { closed_children_energy_ += energy; }
+
   // --- crash evacuation (state transfer) ----------------------------------
   // Energy already billed to this app on a previous board, carried over by a
   // crash evacuation. Reported as part of every meter reading (measured
@@ -248,6 +257,7 @@ class PowerSandbox {
   std::vector<Anchor> anchors_;
   uint64_t samples_lost_ = 0;
   Joules transferred_base_ = 0.0;
+  Joules closed_children_energy_ = 0.0;
 };
 
 }  // namespace psbox

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "src/base/check.h"
 #include "src/snapshot/snapshot_io.h"
@@ -16,61 +18,92 @@ PsboxManager::PsboxManager(Kernel* kernel)
 
 PsboxManager::~PsboxManager() = default;
 
-PowerSandbox& PsboxManager::sandbox(int box) {
-  PSBOX_CHECK_GE(box, 0);
-  PSBOX_CHECK_LT(static_cast<size_t>(box), boxes_.size());
-  return *boxes_[static_cast<size_t>(box)];
+const PsboxManager::BoxEntry* PsboxManager::Find(int box) const {
+  auto it = std::lower_bound(
+      boxes_.begin(), boxes_.end(), box,
+      [](const BoxEntry& e, int id) { return e.id < id; });
+  return it != boxes_.end() && it->id == box ? &*it : nullptr;
 }
 
-const PowerSandbox& PsboxManager::sandbox(int box) const {
-  PSBOX_CHECK_GE(box, 0);
-  PSBOX_CHECK_LT(static_cast<size_t>(box), boxes_.size());
-  return *boxes_[static_cast<size_t>(box)];
+const PsboxManager::BoxEntry& PsboxManager::Entry(int box) const {
+  const BoxEntry* entry = Find(box);
+  if (entry == nullptr) {
+    CheckFail(__FILE__, __LINE__,
+              "psbox " + std::to_string(box) +
+                  (box >= 0 && box < next_box_id_
+                       ? " is retired (its app finished and was freed)"
+                       : " does not exist"));
+  }
+  return *entry;
+}
+
+PsboxManager::BoxEntry& PsboxManager::Entry(int box) {
+  return const_cast<BoxEntry&>(std::as_const(*this).Entry(box));
+}
+
+PowerSandbox& PsboxManager::sandbox(int box) { return *Entry(box).box; }
+
+const PowerSandbox& PsboxManager::sandbox(int box) const { return *Entry(box).box; }
+
+std::vector<int> PsboxManager::BoxIds() const {
+  std::vector<int> ids;
+  ids.reserve(boxes_.size());
+  for (const BoxEntry& entry : boxes_) {
+    ids.push_back(entry.id);
+  }
+  return ids;
 }
 
 int PsboxManager::CreateBox(AppId app, const std::vector<HwComponent>& hw) {
-  return CreateBoxInternal(app, hw, /*parent=*/-1, /*budget=*/0.0, /*claim=*/false);
+  return CreateBoxInternal(next_box_id_, app, hw, /*parent=*/-1, /*budget=*/0.0,
+                           /*claim=*/false);
 }
 
 int PsboxManager::CreateNestedBox(AppId app, const std::vector<HwComponent>& hw,
                                   int parent, Joules budget) {
-  PSBOX_CHECK_GE(parent, 0);
-  PSBOX_CHECK_LT(static_cast<size_t>(parent), boxes_.size());
   PSBOX_CHECK_GE(budget, 0.0);
   // The child's binding must be a subset of the tenant's: every balloon the
   // child is granted composes onto the ancestors, which requires them bound
   // to the same component.
+  const PowerSandbox& tenant = sandbox(parent);
   for (HwComponent component : hw) {
-    PSBOX_CHECK(sandbox(parent).BoundTo(component));
+    PSBOX_CHECK(tenant.BoundTo(component));
   }
-  return CreateBoxInternal(app, hw, static_cast<PsboxId>(parent), budget,
-                           /*claim=*/true);
+  return CreateBoxInternal(next_box_id_, app, hw, static_cast<PsboxId>(parent),
+                           budget, /*claim=*/true);
 }
 
-int PsboxManager::CreateBoxInternal(AppId app, const std::vector<HwComponent>& hw,
+int PsboxManager::CreateBoxInternal(PsboxId id, AppId app,
+                                    const std::vector<HwComponent>& hw,
                                     PsboxId parent, Joules budget, bool claim) {
   PSBOX_CHECK(!hw.empty());
-  const PsboxId id = static_cast<PsboxId>(boxes_.size());
+  PSBOX_CHECK_GE(id, next_box_id_);
+  next_box_id_ = id + 1;
   Joules granted = budget;
   if (claim && parent >= 0) {
     granted = sandbox(parent).ClaimChildBudget(budget);
   }
-  boxes_.push_back(
-      std::make_unique<PowerSandbox>(id, app, hw, kernel_->Now(), parent, granted));
+  auto sb = std::make_unique<PowerSandbox>(id, app, hw, kernel_->Now(), parent,
+                                           granted);
   if (claim && parent >= 0) {
-    boxes_.back()->set_budget_claimed(true);
+    sb->set_budget_claimed(true);
   }
+  // An evacuated app resumes billing from its transferred value.
+  auto staged = staged_transfers_.find(app);
+  if (staged != staged_transfers_.end()) {
+    sb->set_transferred_base(staged->second);
+    staged_transfers_.erase(staged);
+  }
+  if (parent >= 0) {
+    ++Entry(parent).live_children;
+  }
+  boxes_.push_back(BoxEntry{id, std::move(sb)});
+  app_boxes_[app].push_back(id);
   for (HwComponent component : hw) {
     // Each bound resource domain does its one-time per-box setup (the CPU
     // domain creates the task group and DVFS context; direct-metered
     // domains bind nothing).
     kernel_->domain(component).BindBox(app, id);
-  }
-  // An evacuated app resumes billing from its transferred value.
-  auto staged = staged_transfers_.find(app);
-  if (staged != staged_transfers_.end()) {
-    boxes_.back()->set_transferred_base(staged->second);
-    staged_transfers_.erase(staged);
   }
   return id;
 }
@@ -78,18 +111,20 @@ int PsboxManager::CreateBoxInternal(AppId app, const std::vector<HwComponent>& h
 void PsboxManager::StageTransferredEnergy(AppId app, Joules energy) {
   // The app's box may already exist — spawn dispatches the behaviour's box
   // setup before the coordinator gets a chance to stage — in which case the
-  // transfer applies to it directly. Otherwise it parks here until CreateBox.
-  for (auto it = boxes_.rbegin(); it != boxes_.rend(); ++it) {
-    if ((*it)->app() == app) {
-      (*it)->set_transferred_base((*it)->transferred_base() + energy);
-      return;
-    }
+  // transfer applies to its latest box directly. Otherwise it parks here
+  // until CreateBox.
+  auto it = app_boxes_.find(app);
+  if (it != app_boxes_.end()) {
+    PowerSandbox& sb = sandbox(it->second.back());
+    sb.set_transferred_base(sb.transferred_base() + energy);
+    return;
   }
   staged_transfers_[app] += energy;
 }
 
 void PsboxManager::EnterBox(int box) {
-  PowerSandbox& sb = sandbox(box);
+  BoxEntry& entry = Entry(box);
+  PowerSandbox& sb = *entry.box;
   if (sb.inside()) {
     return;
   }
@@ -103,11 +138,14 @@ void PsboxManager::EnterBox(int box) {
   // Defer the kernel mode switch to the next scheduling point: EnterBox is
   // called from task context (the behaviour is mid-dispatch) and the group
   // move preempts the caller.
+  ++entry.pending_switches;
   kernel_->sim().ScheduleAfter(0, [this, box] { ApplyEnter(box); });
 }
 
 void PsboxManager::ApplyEnter(int box) {
-  PowerSandbox& sb = sandbox(box);
+  BoxEntry& entry = Entry(box);
+  --entry.pending_switches;
+  const PowerSandbox& sb = *entry.box;
   if (!sb.inside()) {
     return;  // left again before the switch applied
   }
@@ -117,7 +155,8 @@ void PsboxManager::ApplyEnter(int box) {
 }
 
 void PsboxManager::LeaveBox(int box) {
-  PowerSandbox& sb = sandbox(box);
+  BoxEntry& entry = Entry(box);
+  PowerSandbox& sb = *entry.box;
   if (!sb.inside()) {
     return;
   }
@@ -127,11 +166,14 @@ void PsboxManager::LeaveBox(int box) {
     sb.set_budget_claimed(false);
   }
   sb.set_inside(false);
+  ++entry.pending_switches;
   kernel_->sim().ScheduleAfter(0, [this, box] { ApplyLeave(box); });
 }
 
 void PsboxManager::ApplyLeave(int box) {
-  PowerSandbox& sb = sandbox(box);
+  BoxEntry& entry = Entry(box);
+  --entry.pending_switches;
+  const PowerSandbox& sb = *entry.box;
   if (sb.inside()) {
     return;  // re-entered before the switch applied
   }
@@ -274,12 +316,12 @@ TimeNs PsboxManager::TelemetryFloor(TimeNs desired) {
   TimeNs h = desired;
   while (true) {
     TimeNs next = h;
-    for (const auto& boxp : boxes_) {
-      for (HwComponent hw : boxp->hardware()) {
+    for (const BoxEntry& entry : boxes_) {
+      for (HwComponent hw : entry.box->hardware()) {
         if (kernel_->domain(hw).direct_metered()) {
           continue;  // banked via BankDirectEnergy; no ownership windows
         }
-        next = std::min(next, boxp->RetainFloor(hw, h, &faults));
+        next = std::min(next, entry.box->RetainFloor(hw, h, &faults));
       }
     }
     if (next == h) {
@@ -292,8 +334,8 @@ TimeNs PsboxManager::TelemetryFloor(TimeNs desired) {
 void PsboxManager::TrimTelemetry(TimeNs horizon) {
   Board& board = kernel_->board();
   const DurationNs period = board.config().meter.sample_period;
-  for (const auto& boxp : boxes_) {
-    PowerSandbox& sb = *boxp;
+  for (const BoxEntry& entry : boxes_) {
+    PowerSandbox& sb = *entry.box;
     for (HwComponent hw : sb.hardware()) {
       const ResourceDomain& domain = kernel_->domain(hw);
       if (domain.direct_metered()) {
@@ -310,6 +352,52 @@ void PsboxManager::TrimTelemetry(TimeNs horizon) {
     }
     sb.DropSampleBacklogBefore(horizon, period);
   }
+}
+
+bool PsboxManager::AppRetirable(AppId app) {
+  auto it = app_boxes_.find(app);
+  if (it == app_boxes_.end()) {
+    return true;
+  }
+  for (const PsboxId id : it->second) {
+    const BoxEntry& entry = Entry(id);
+    const PowerSandbox& sb = *entry.box;
+    if (sb.inside() || entry.pending_switches != 0 ||
+        entry.live_children != 0 || !sb.Settled()) {
+      return false;
+    }
+    for (HwComponent hw : sb.hardware()) {
+      if (!kernel_->domain(hw).BoxRetirable(id)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+void PsboxManager::RetireApp(AppId app) {
+  staged_transfers_.erase(app);
+  auto it = app_boxes_.find(app);
+  if (it == app_boxes_.end()) {
+    return;
+  }
+  const TimeNs now = kernel_->Now();
+  for (const PsboxId id : it->second) {
+    BoxEntry& entry = Entry(id);
+    PowerSandbox& sb = *entry.box;
+    if (sb.parent() >= 0) {
+      // Settled, so the energy is final: the tenant audit keeps counting it
+      // through the closed-children base.
+      BoxEntry& parent = Entry(sb.parent());
+      parent.box->AddClosedChild(BalloonMeteredEnergy(sb, now));
+      --parent.live_children;
+    }
+    for (HwComponent hw : sb.hardware()) {
+      kernel_->domain(hw).UnbindBox(id);
+    }
+    boxes_.erase(boxes_.begin() + (&entry - boxes_.data()));
+  }
+  app_boxes_.erase(it);
 }
 
 namespace {
@@ -354,32 +442,46 @@ void PsboxManager::Serialize(Ar& ar) {
       return;
     }
   }
+  // v5: the id counter, then the live boxes in id order, each under its id.
+  PsboxId next_id = next_box_id_;
+  ar.I64(next_id);
   size_t num_boxes = boxes_.size();
-  ar.Count(num_boxes, 16);
+  ar.Count(num_boxes, 24);
   for (size_t i = 0; i < num_boxes && ar.ok(); ++i) {
+    PsboxId id = Ar::kLoading ? kNoPsbox : boxes_[i].id;
+    ar.I64(id);
     // v3: creation parameters for the hierarchy (needed to rebuild the box
     // before its state record overwrites the mutable ledger).
-    BoxSpec spec = Ar::kLoading ? BoxSpec{} : BoxSpec::Of(*boxes_[i]);
+    BoxSpec spec = Ar::kLoading ? BoxSpec{} : BoxSpec::Of(*boxes_[i].box);
     spec.Serialize(ar);
     if constexpr (Ar::kLoading) {
       if (!ar.ok()) {
+        return;
+      }
+      if (id < next_box_id_ || id >= next_id) {
+        ar.Fail("sandbox id " + std::to_string(id) +
+                " out of order or past the id counter in snapshot");
         return;
       }
       if (spec.hw.empty()) {
         ar.Fail("sandbox with no bound hardware in snapshot");
         return;
       }
-      if (spec.parent >= static_cast<PsboxId>(i)) {
-        ar.Fail("sandbox parent must precede child in snapshot");
+      if (spec.parent != kNoPsbox && Find(spec.parent) == nullptr) {
+        ar.Fail("sandbox parent must be a live box preceding its child in "
+                "snapshot");
         return;
       }
       // claim=false: the parent's children_budget ledger was snapshotted
       // after the original claims and is restored verbatim below — claiming
       // again during replay would double-count.
-      CreateBoxInternal(spec.app, spec.hw, spec.parent, spec.budget,
+      CreateBoxInternal(id, spec.app, spec.hw, spec.parent, spec.budget,
                         /*claim=*/false);
     }
-    boxes_[i]->Serialize(ar);
+    boxes_[i].box->Serialize(ar);
+  }
+  if constexpr (Ar::kLoading) {
+    next_box_id_ = next_id;
   }
 }
 
@@ -390,56 +492,54 @@ void PsboxManager::OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) {
   // Compose the edge up the hierarchy: the owner and every ancestor tenant
   // open (or deepen) an ownership interval. CreateNestedBox enforces that a
   // child's binding is a subset of its parent's, so every ancestor is bound.
-  for (PsboxId b = box; b >= 0; b = sandbox(b).parent()) {
-    sandbox(b).OnOwnershipStart(hw, when);
+  for (PsboxId b = box; b >= 0;) {
+    PowerSandbox& sb = sandbox(b);
+    sb.OnOwnershipStart(hw, when);
+    b = sb.parent();
   }
 }
 
 void PsboxManager::OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) {
-  for (PsboxId b = box; b >= 0; b = sandbox(b).parent()) {
-    sandbox(b).OnOwnershipEnd(hw, when);
+  for (PsboxId b = box; b >= 0;) {
+    PowerSandbox& sb = sandbox(b);
+    sb.OnOwnershipEnd(hw, when);
+    b = sb.parent();
   }
+}
+
+Joules PsboxManager::BalloonMeteredEnergy(PowerSandbox& sb, TimeNs now) {
+  // Transferred bases are prior-board history (audited on the board that
+  // served them); the audit covers what composed HERE, on both sides.
+  Joules e = 0.0;
+  for (HwComponent hw : sb.hardware()) {
+    if (!kernel_->domain(hw).direct_metered()) {
+      e += ComponentEnergy(sb, hw, now);
+    }
+  }
+  return e;
 }
 
 size_t PsboxManager::AccountingViolations(double bound) {
   const TimeNs now = kernel_->Now();
-  // Sum each tenant's live children over balloon-metered components (the
-  // direct-metered §7 components never compose — no balloons), then check
-  // the one-sided bound: a tenant's composed meter covers every child
-  // balloon, so children may only exceed it by the protocol slack.
-  std::vector<Joules> child_sum(boxes_.size(), 0.0);
-  std::vector<bool> is_tenant(boxes_.size(), false);
-  for (const auto& bp : boxes_) {
-    PowerSandbox& sb = *bp;
-    if (sb.parent() < 0) {
-      continue;
+  // Sum each tenant's children over balloon-metered components (the
+  // direct-metered §7 components never compose — no balloons), starting
+  // from the energy its retired children closed with, then check the
+  // one-sided bound: a tenant's composed meter covers every child balloon,
+  // so children may only exceed it by the protocol slack.
+  std::map<PsboxId, Joules> child_sum;
+  for (const BoxEntry& entry : boxes_) {
+    if (entry.box->closed_children_energy() > 0.0) {
+      child_sum.emplace(entry.id, entry.box->closed_children_energy());
     }
-    is_tenant[static_cast<size_t>(sb.parent())] = true;
-    // Transferred bases are prior-board history (audited on the board that
-    // served them); this audit covers what composed HERE, on both sides.
-    Joules e = 0.0;
-    for (HwComponent hw : sb.hardware()) {
-      if (kernel_->domain(hw).direct_metered()) {
-        continue;
-      }
-      e += ComponentEnergy(sb, hw, now);
+  }
+  for (const BoxEntry& entry : boxes_) {
+    if (entry.box->parent() >= 0) {
+      child_sum[entry.box->parent()] += BalloonMeteredEnergy(*entry.box, now);
     }
-    child_sum[static_cast<size_t>(sb.parent())] += e;
   }
   size_t violations = 0;
-  for (size_t i = 0; i < boxes_.size(); ++i) {
-    if (!is_tenant[i]) {
-      continue;
-    }
-    PowerSandbox& tenant = *boxes_[i];
-    Joules tenant_total = 0.0;
-    for (HwComponent hw : tenant.hardware()) {
-      if (kernel_->domain(hw).direct_metered()) {
-        continue;
-      }
-      tenant_total += ComponentEnergy(tenant, hw, now);
-    }
-    if (child_sum[i] > tenant_total * (1.0 + bound) + 1e-9) {
+  for (const auto& [tenant, sum] : child_sum) {
+    if (sum > BalloonMeteredEnergy(sandbox(tenant), now) * (1.0 + bound) + 1e-9) {
       ++violations;
     }
   }

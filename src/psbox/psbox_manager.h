@@ -48,6 +48,8 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   // energy bases + anchors + sample-backlog drop.
   TimeNs TelemetryFloor(TimeNs desired) override;
   void TrimTelemetry(TimeNs horizon) override;
+  bool AppRetirable(AppId app) override;
+  void RetireApp(AppId app) override;
 
   // BalloonObserver (forwarded by the kernel after its own context switch).
   // A granted balloon composes up the sandbox hierarchy: the owning box and
@@ -56,10 +58,12 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   void OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) override;
   void OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) override;
 
-  // Hierarchy audit: number of tenant boxes whose live children's summed
+  // Hierarchy audit: number of tenant boxes whose children's summed
   // balloon-metered energy exceeds the tenant's own composed meter by more
   // than |bound| (the paper's ≤10% accounting bound, applied per level).
-  // 0 on a healthy board at every instant.
+  // The sum covers every child the tenant ever had: the live ones read now,
+  // the retired ones through the tenant's closed-children base. 0 on a
+  // healthy board at every instant.
   size_t AccountingViolations(double bound);
 
   // Per-component observed energy (benches/tests need the split).
@@ -73,9 +77,13 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   // meter never glitched). The accounting error bound scales with this.
   double EstimatedEnergyFraction(int box);
 
+  // A live sandbox; aborts descriptively for a retired or unknown id.
   PowerSandbox& sandbox(int box);
   const PowerSandbox& sandbox(int box) const;
+  // Live sandboxes (ids stay a monotonic counter and are never reused).
   size_t box_count() const { return boxes_.size(); }
+  // Ids of the live sandboxes, ascending.
+  std::vector<int> BoxIds() const;
 
   // --- crash evacuation (state transfer) ----------------------------------
   // Banks energy already billed to |app| on a failed board; the app's next
@@ -84,11 +92,11 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   void StageTransferredEnergy(AppId app, Joules energy);
 
   // --- checkpoint/restore -------------------------------------------------
-  // Serialize persists the sampling RNG, staged transfers and every sandbox
-  // (creation parameters + meter state). Restore replays CreateBox for each
-  // saved sandbox — re-running the per-domain BindBox setup — and then
-  // overwrites the sandbox state; it requires an empty manager (fresh boards
-  // only).
+  // Serialize persists the sampling RNG, staged transfers and every live
+  // sandbox (id, creation parameters + meter state). Restore replays
+  // CreateBox for each saved sandbox under its recorded id — re-running the
+  // per-domain BindBox setup — and then overwrites the sandbox state; it
+  // requires an empty manager (fresh boards only).
   template <class Ar>
   void Serialize(Ar& ar);
 
@@ -96,8 +104,12 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   // Shared creation path. |claim| gates the budget claim against the parent:
   // live creation claims; snapshot replay must not (the parent's ledger is
   // restored verbatim from the snapshot after the children are created).
-  int CreateBoxInternal(AppId app, const std::vector<HwComponent>& hw,
-                        PsboxId parent, Joules budget, bool claim);
+  int CreateBoxInternal(PsboxId id, AppId app,
+                        const std::vector<HwComponent>& hw, PsboxId parent,
+                        Joules budget, bool claim);
+  // Balloon-metered energy of |sb| (the direct-metered §7 components never
+  // compose): what the tenant audit sums.
+  Joules BalloonMeteredEnergy(PowerSandbox& sb, TimeNs now);
   void ApplyEnter(int box);
   void ApplyLeave(int box);
   // Per-component observed energy over [meter_start, now); dispatches on the
@@ -108,7 +120,28 @@ class PsboxManager : public PsboxService, public BalloonObserver {
 
   Kernel* kernel_;
   Rng rng_;
-  std::vector<std::unique_ptr<PowerSandbox>> boxes_;
+  // A live sandbox plus what still refers to it: its live children and its
+  // deferred Apply{Enter,Leave} events (neither travels in a snapshot: the
+  // first is rebuilt by the restore replay, the second is zero at a
+  // quiescent cut).
+  struct BoxEntry {
+    PsboxId id = kNoPsbox;
+    std::unique_ptr<PowerSandbox> box;
+    int live_children = 0;
+    int pending_switches = 0;
+  };
+  // The live box |box|; Find returns null for a retired or unknown id,
+  // Entry aborts naming it.
+  const BoxEntry* Find(int box) const;
+  BoxEntry& Entry(int box);
+  const BoxEntry& Entry(int box) const;
+
+  // Live sandboxes in ascending id order (ids only grow, so creation
+  // appends and retirement erases in place; lookups binary-search), and
+  // per app its boxes in creation order.
+  std::vector<BoxEntry> boxes_;
+  std::unordered_map<AppId, std::vector<PsboxId>> app_boxes_;
+  PsboxId next_box_id_ = 0;
   // Evacuated energy waiting for its app's next CreateBox.
   std::unordered_map<AppId, Joules> staged_transfers_;
   // Reusable merge buffer for Sample(): one grid of timestamps, every bound

@@ -70,7 +70,10 @@ namespace psbox {
 // hierarchy state (parent, budget ledger, ownership compose depth).
 // v4: per-sandbox retention anchors (a count, then component, time and
 // cumulative rail integral per anchored component).
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+// v5: live objects only, keyed by id — the kernel's live apps (each with
+// its tasks), the scheduler's groups by box id, the manager's id counter
+// and live boxes under their ids, and each box's closed-children energy.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'B', 'X',
                                            'S', 'N', 'A', 'P'};
 inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;

@@ -168,8 +168,8 @@ std::string TempPath(const std::string& name) {
 bool HasAnchoredOpenBalloon(RootCoordinator& fleet, TimeNs now) {
   for (int b = 0; b < fleet.board_count(); ++b) {
     PsboxManager& manager = fleet.manager(b);
-    for (size_t i = 0; i < manager.box_count(); ++i) {
-      const PowerSandbox& sb = manager.sandbox(static_cast<int>(i));
+    for (const int box : manager.BoxIds()) {
+      const PowerSandbox& sb = manager.sandbox(box);
       for (HwComponent hw : sb.hardware()) {
         // Closed intervals end at or before now, so ownership at now means
         // the balloon is open.
@@ -221,26 +221,29 @@ TEST(FleetCheckpointTest, WarmRestartMatchesUninterruptedRun) {
 // "every 73 epochs" fires at the first boundary at or past epoch 73 —
 // epoch 76, i.e. 760 ms.
 TEST(FleetCheckpointTest, HierarchicalWarmRestartMatchesUninterruptedRun) {
-  FleetScenario scenario = CheckpointScenario(Millis(100));
-  scenario.subfleets = 2;
-  scenario.root_period = 4;
-  scenario.fleet_budget = 8.0;
-  const uint64_t baseline = RootCoordinator(scenario, 2).Run().Fingerprint();
+  for (const DurationNs retention : {DurationNs{0}, Millis(100)}) {
+    SCOPED_TRACE("retention=" + std::to_string(retention));
+    FleetScenario scenario = CheckpointScenario(retention);
+    scenario.subfleets = 2;
+    scenario.root_period = 4;
+    scenario.fleet_budget = 8.0;
+    const uint64_t baseline = RootCoordinator(scenario, 2).Run().Fingerprint();
 
-  const std::string path = TempPath("fleet_hier_restart.snap");
-  RootCoordinator writer(scenario, 2);
-  writer.set_checkpoint(path, 73);
-  EXPECT_EQ(writer.Run().Fingerprint(), baseline)
-      << "checkpointing itself must not perturb the run";
+    const std::string path = TempPath("fleet_hier_restart.snap");
+    RootCoordinator writer(scenario, 2);
+    writer.set_checkpoint(path, 73);
+    EXPECT_EQ(writer.Run().Fingerprint(), baseline)
+        << "checkpointing itself must not perturb the run";
 
-  for (const int threads : {1, 2, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::string error;
-    auto restored =
-        RootCoordinator::RestoreFromCheckpoint(scenario, threads, path, &error);
-    ASSERT_NE(restored, nullptr) << error;
-    EXPECT_EQ(restored->resume_time(), Millis(760));
-    EXPECT_EQ(restored->Run().Fingerprint(), baseline);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      std::string error;
+      auto restored =
+          RootCoordinator::RestoreFromCheckpoint(scenario, threads, path, &error);
+      ASSERT_NE(restored, nullptr) << error;
+      EXPECT_EQ(restored->resume_time(), Millis(760));
+      EXPECT_EQ(restored->Run().Fingerprint(), baseline);
+    }
   }
 }
 
@@ -302,9 +305,14 @@ TEST_F(SnapshotCorruptionTest, ForeignMagicRejected) {
 }
 
 TEST_F(SnapshotCorruptionTest, UnknownVersionRejected) {
-  std::vector<uint8_t> future = bytes_;
-  future[8] += 1;  // format version field
-  ExpectRejected(future, "version");
+  // A future version, and v4: its dense records predate the live-object
+  // layout and must not be misparsed.
+  for (const uint32_t version : {kSnapshotFormatVersion + 1, uint32_t{4}}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    std::vector<uint8_t> bytes = bytes_;
+    bytes[8] = static_cast<uint8_t>(version);  // format version field (LE)
+    ExpectRejected(bytes, "version");
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, DifferentScenarioRejected) {
@@ -391,12 +399,17 @@ FleetScenario GoldenScenario() {
   scenario.population.tenants_per_board = 2;
   scenario.population.tenant_budget = 0.5;
   scenario.population.child_budget = 0.05;
+  // Retention so the golden pins the v5 blocks too: by the cut, finished
+  // population apps have retired and only the live ones travel.
+  for (FleetBoardSpec& board : scenario.boards) {
+    board.kernel.telemetry_retention = Millis(50);
+  }
   return scenario;
 }
 
 std::string GoldenPath() {
   return std::string(PSBOX_SOURCE_DIR) +
-         "/tests/golden/fleet_checkpoint_v4.snap";
+         "/tests/golden/fleet_checkpoint_v5.snap";
 }
 
 TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
@@ -418,6 +431,11 @@ TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
          "changed without a version bump (or the golden scenario drifted): "
       << error;
   EXPECT_EQ(restored->resume_time(), Millis(260));
+  uint64_t retired = 0;
+  for (int b = 0; b < restored->board_count(); ++b) {
+    retired += restored->kernel(b).retired_apps();
+  }
+  EXPECT_GT(retired, 0u) << "the golden cut must cover retired apps";
   // Resuming from the golden must still converge on the uninterrupted run:
   // the golden guards semantic compatibility, not just parseability.
   EXPECT_EQ(restored->Run().Fingerprint(),
@@ -494,13 +512,13 @@ TEST(SnapshotFieldCheckTest, OutOfRangeSandboxHardwareRejected) {
   std::vector<uint8_t> payload = GoldenPayload();
   const size_t psbox = AfterSection(payload, "psbox");
   // Past the marker: the RNG (4 words, a flag, a cached sample: 41 bytes),
-  // the staged-transfer count (none staged here), the box count, then the
-  // first box's app id and hardware count.
+  // the staged-transfer count (none staged here), the box id counter, the
+  // box count, then the first box's id, app id and hardware count.
   const size_t staged = psbox + 41;
   ASSERT_TRUE(std::all_of(payload.begin() + static_cast<ptrdiff_t>(staged),
                           payload.begin() + static_cast<ptrdiff_t>(staged + 8),
                           [](uint8_t b) { return b == 0; }));
-  const size_t first_hw = psbox + 73;
+  const size_t first_hw = psbox + 89;
   ASSERT_LT(payload[first_hw], 7);
   payload[first_hw] = 7;
   std::string error;
@@ -521,6 +539,57 @@ TEST(SnapshotFieldCheckTest, OutOfRangeBalloonPhaseRejected) {
   std::string error;
   EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
   EXPECT_NE(error.find("balloon phase 9 out of range"), std::string::npos)
+      << "error was: " << error;
+}
+
+// Board 0's first task (id 1, calib3d) moved to core 9 of a 2-core board:
+// the restored run would index past the scheduler's cores.
+TEST(SnapshotFieldCheckTest, OutOfRangeTaskCoreRejected) {
+  std::vector<uint8_t> payload = GoldenPayload();
+  const size_t kernel = AfterSection(payload, "kernel");
+  // The app record: id, name (u32 length, bytes), exit time, task count;
+  // then the task: id, app id, state (1 byte), seven fields (57 bytes), core.
+  const std::string name = "calib3d";
+  const auto it = std::search(payload.begin() + static_cast<ptrdiff_t>(kernel),
+                              payload.end(), name.begin(), name.end());
+  ASSERT_TRUE(it != payload.end());
+  const auto at = static_cast<size_t>(it - payload.begin());
+  const auto read_u64 = [&payload](size_t pos) {
+    uint64_t v = 0;
+    for (size_t b = 0; b < 8; ++b) {
+      v |= static_cast<uint64_t>(payload[pos + b]) << (8 * b);
+    }
+    return v;
+  };
+  const size_t name_end = at + payload[at - 4];
+  ASSERT_EQ(read_u64(name_end + 16), 1u) << "first task id";
+  const size_t core = name_end + 16 + 8 + 8 + 1 + 57;
+  ASSERT_LT(read_u64(core), 2u);
+  for (size_t b = 0; b < 8; ++b) {
+    payload[core + b] = b == 0 ? 9 : 0;
+  }
+  std::string error;
+  EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
+  EXPECT_NE(error.find("snapshot task 1 core 9 out of range"), std::string::npos)
+      << "error was: " << error;
+}
+
+// A live app id the restore replay never created: the kernel keeps exactly
+// the listed apps, so it must name the one it cannot find.
+TEST(SnapshotFieldCheckTest, UnknownAppIdRejected) {
+  std::vector<uint8_t> payload = GoldenPayload();
+  // Past the marker: the app and task id counters, the retired count, the
+  // live app count, then the first live app's id.
+  const size_t first_app = AfterSection(payload, "kernel") + 32;
+  const uint64_t unknown = 999999;
+  for (size_t b = 0; b < 8; ++b) {
+    payload[first_app + b] = static_cast<uint8_t>(unknown >> (8 * b));
+  }
+  std::string error;
+  EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
+  EXPECT_NE(error.find("snapshot lists app 999999 that the restored scenario "
+                       "did not create"),
+            std::string::npos)
       << "error was: " << error;
 }
 

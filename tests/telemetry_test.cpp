@@ -7,8 +7,10 @@
 //   * direct-metered (§7 display/GPS) reads are exact up to FP association
 //     (the banked split changes the order of additions);
 //   * the steady-state telemetry working set is bounded by the retention
-//     window, independent of simulated duration;
-//   * fleet fingerprints are invariant under retention and thread count.
+//     window, independent of simulated duration — and so is a churning
+//     population's per-board state, once finished apps retire in the trim;
+//   * fleet fingerprints are invariant under retention (retirement
+//     included) and thread count.
 //
 // The sampling contract (PsboxManager::Sample): one shared timestamp grid
 // per drain — a multi-component box can never return mismatched series or
@@ -21,6 +23,8 @@
 #include <vector>
 
 #include "src/fleet/root_coordinator.h"
+#include "src/snapshot/board_snapshot.h"
+#include "src/snapshot/snapshot_io.h"
 #include "tests/test_util.h"
 
 namespace psbox {
@@ -76,6 +80,35 @@ const RetentionInput kLoneGpuReset{"lone GPU balloon, meter reset mid-run",
                                    &LoneGpuBalloon,
                                    {},
                                    Millis(260)};
+
+// A stationary generated population under two tenants, with the parameters
+// of the benchmark's churn workload: 12 arrivals/s/board of short-lived apps
+// (2-40 iterations), so finished apps keep piling up behind the horizon.
+FleetScenario ChurnScenario(int boards, TimeNs horizon, DurationNs retention) {
+  FleetScenario scenario;
+  scenario.seed = 0xC4u;
+  scenario.horizon = horizon;
+  scenario.epoch = 10 * kMillisecond;
+  scenario.migration.enabled = false;
+  scenario.boards.resize(static_cast<size_t>(boards));
+  for (FleetBoardSpec& board : scenario.boards) {
+    board.kernel.telemetry_retention = retention;
+  }
+  PopulationConfig& p = scenario.population;
+  p.seed = 0xC4C4;
+  p.base_rate_hz = 12.0;
+  p.diurnal_amplitude = 0.5;
+  p.diurnal_period = 400 * kMillisecond;
+  p.adversarial_fraction = 0.05;
+  p.adversarial_period = 500 * kMillisecond;
+  p.adversarial_duty = 0.4;
+  p.min_iterations = 2;
+  p.max_iterations = 40;
+  p.tenants_per_board = 2;
+  p.tenant_budget = 0.8;
+  p.child_budget = 0.05;
+  return scenario;
+}
 
 std::unique_ptr<TestStack> MakeStack(const RetentionInput& input,
                                      KernelConfig kernel = {}) {
@@ -258,6 +291,34 @@ TEST(RetentionTest, SteadyStateWorkingSetIndependentOfDuration) {
     EXPECT_LE(long_run->kernel.ledger().records(input.hw).size(),
               2 * short_run->kernel.ledger().records(input.hw).size() + 8);
   }
+
+  // A churning population: finished apps retire in the trim, so the board's
+  // state (the checkpoint carries every per-app structure of every layer)
+  // follows the apps alive now, not every app ever spawned.
+  SCOPED_TRACE("churning population");
+  struct Cut {
+    size_t bytes = 0;
+    size_t boxes = 0;
+    uint64_t retired = 0;
+  };
+  auto run = [](TimeNs until) {
+    RootCoordinator fleet(ChurnScenario(1, until, Millis(200)), 1);
+    (void)fleet.Run();
+    Kernel& kernel = fleet.kernel(0);
+    SnapshotWriter w;
+    std::string error;
+    EXPECT_TRUE(SaveBoardShard(kernel.board(), kernel, fleet.manager(0), &w,
+                               &error))
+        << error;
+    return Cut{w.Seal().size(), fleet.manager(0).box_count(),
+               kernel.retired_apps()};
+  };
+  const Cut short_cut = run(Seconds(8));
+  const Cut long_cut = run(Seconds(64));
+  EXPECT_GT(long_cut.retired, 500u);
+  EXPECT_LE(static_cast<double>(long_cut.bytes),
+            1.5 * static_cast<double>(short_cut.bytes));
+  EXPECT_LE(long_cut.boxes, 2 * short_cut.boxes + 8);
 }
 
 TEST(RetentionTest, UndrainedSampleBacklogDropsLikeRingBuffer) {
@@ -407,29 +468,55 @@ FleetScenario RetentionScenario(uint64_t seed, DurationNs retention) {
   return scenario;
 }
 
+// The fleet inputs the invariance is checked on: the fixed cast above, and
+// a churning population long enough that hundreds of apps retire.
+struct FleetInput {
+  const char* name;
+  FleetScenario (*scenario)(DurationNs retention);
+};
+const FleetInput kFleetInputs[] = {
+    {"fixed cast",
+     [](DurationNs retention) { return RetentionScenario(0xF1EE7, retention); }},
+    {"churning population",
+     [](DurationNs retention) {
+       return ChurnScenario(4, Seconds(10), retention);
+     }},
+};
+
 uint64_t RunFingerprint(const FleetScenario& scenario, int threads) {
   RootCoordinator fleet(scenario, threads);
   return fleet.Run().Fingerprint();
 }
 
 TEST(FleetRetentionTest, FingerprintInvariantUnderRetentionAndThreads) {
-  const uint64_t unbounded =
-      RunFingerprint(RetentionScenario(0xF1EE7, 0), 2);
-  const FleetScenario bounded = RetentionScenario(0xF1EE7, kRetention);
-  EXPECT_EQ(unbounded, RunFingerprint(bounded, 1));
-  EXPECT_EQ(unbounded, RunFingerprint(bounded, 2));
-  EXPECT_EQ(unbounded, RunFingerprint(bounded, 4));
+  for (const FleetInput& input : kFleetInputs) {
+    SCOPED_TRACE(input.name);
+    const uint64_t unbounded = RunFingerprint(input.scenario(0), 2);
+    const FleetScenario bounded = input.scenario(kRetention);
+    EXPECT_EQ(unbounded, RunFingerprint(bounded, 1));
+    EXPECT_EQ(unbounded, RunFingerprint(bounded, 2));
+    EXPECT_EQ(unbounded, RunFingerprint(bounded, 4));
+  }
 }
 
 TEST(FleetRetentionTest, BoundedShardsActuallyTrim) {
-  // Guard against vacuity: the invariance test must cover real trimming.
-  RootCoordinator fleet(RetentionScenario(0xF1EE7, kRetention), 2);
-  (void)fleet.Run();
-  bool any_trimmed = false;
-  for (int i = 0; i < fleet.board_count(); ++i) {
-    any_trimmed |= fleet.kernel(i).last_trim_horizon() > 0;
+  // Guard against vacuity: the invariance test must cover real trimming,
+  // and on the population input real retirement.
+  for (const FleetInput& input : kFleetInputs) {
+    SCOPED_TRACE(input.name);
+    RootCoordinator fleet(input.scenario(kRetention), 2);
+    (void)fleet.Run();
+    bool any_trimmed = false;
+    uint64_t retired = 0;
+    for (int i = 0; i < fleet.board_count(); ++i) {
+      any_trimmed |= fleet.kernel(i).last_trim_horizon() > 0;
+      retired += fleet.kernel(i).retired_apps();
+    }
+    EXPECT_TRUE(any_trimmed);
+    if (fleet.population(0) != nullptr) {
+      EXPECT_GE(retired, 200u);
+    }
   }
-  EXPECT_TRUE(any_trimmed);
 }
 
 }  // namespace
