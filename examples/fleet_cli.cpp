@@ -16,10 +16,14 @@
 // (in-epoch hand-off), escalating to a cross-sub-fleet evacuation at the
 // next root barrier only when the whole slice is dead.
 //
+// Threads: --threads T runs the whole fleet on exactly T OS threads, the
+// main thread plus T - 1 workers of one pool.
+//
 // Hierarchy: --subfleets K splits the boards into K contiguous sub-fleets,
-// each running its own bounded-lag barrier on its own worker-thread slice;
-// the root synchronises them every --root-period sub-epochs by exchanging
-// compact digests. --fleet-budget J enables the fleet-wide energy ledger:
+// each running its own bounded-lag barrier; the root synchronises them every
+// --root-period sub-epochs by exchanging compact digests. The hierarchy
+// bounds what the root sees, not wall time: every sub-fleet steps on the
+// same T threads. --fleet-budget J enables the fleet-wide energy ledger:
 // the root subdivides J joules across sub-fleets (proportional to alive
 // boards) and rebalances app placement against the per-board energy
 // pressure. The defaults (--subfleets 1 --root-period 1) reproduce the old
@@ -268,7 +272,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "fleet: %d board(s) in %d sub-fleet(s), root period %d, "
-      "%d worker thread(s), %d s simulated\n\n",
+      "%d thread(s), %d s simulated\n\n",
       boards, subfleets, root_period, threads, seconds);
   std::printf("%-6s %-6s %10s %12s %9s %8s %6s %6s\n", "board", "state",
               "ran(ms)", "energy(mJ)", "balloons", "iters", "in", "out");

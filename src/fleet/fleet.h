@@ -4,12 +4,13 @@
 // apps through cross-board migration.
 //
 // The runtime is hierarchical (a fleet of fleets): boards are split into
-// contiguous *sub-fleets*, each running its own bounded-lag barrier on its
-// own worker-thread slice (subfleet_coordinator.h), while a root coordinator
-// synchronises the sub-fleets every `root_period` sub-epochs by exchanging
-// compact SubFleetDigests and driving cross-sub-fleet migration from them
-// (root_coordinator.h). `subfleets = 1, root_period = 1` degenerates to the
-// old flat single-barrier coordinator.
+// contiguous *sub-fleets*, each running its own bounded-lag barrier
+// (subfleet_coordinator.h), while a root coordinator synchronises the
+// sub-fleets every `root_period` sub-epochs by exchanging compact
+// SubFleetDigests and driving cross-sub-fleet migration from them
+// (root_coordinator.h). All of it runs on the root's one pool of exactly
+// `threads` threads. `subfleets = 1, root_period = 1` degenerates to the old
+// flat single-barrier coordinator.
 //
 // Everything here is plain configuration/result data; the coordinators own
 // the runtime objects.
@@ -123,7 +124,7 @@ struct FleetScenario {
   // seeded endless arrival mix (one independent stream per board, derived
   // from population.seed and the board index) under per-board tenant
   // sandboxes, alongside the fixed `apps` cast. Deterministic per seed, so
-  // fingerprints stay bit-identical across worker-thread counts.
+  // fingerprints stay bit-identical across thread counts.
   PopulationConfig population;
 };
 
@@ -253,9 +254,8 @@ struct FleetStats {
   std::vector<MigrationRecord> migrations;
 
   // Order-sensitive FNV-1a hash over every field above. Two runs of the same
-  // scenario produce the same fingerprint regardless of the worker-thread
-  // count or of how those workers are allocated to sub-fleets — the
-  // determinism contract fleet_test pins down.
+  // scenario produce the same fingerprint regardless of the thread count —
+  // the determinism contract fleet_test pins down.
   uint64_t Fingerprint() const;
 };
 

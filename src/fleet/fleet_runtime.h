@@ -9,7 +9,8 @@
 // Ownership discipline (the determinism argument leans on it): between root
 // barriers, every shard and every app belongs to exactly one sub-fleet —
 // SubFleetCoordinators only ever touch their own slice, so concurrent
-// sub-fleet rounds are data-race free by construction. The root touches
+// sub-fleet barriers are data-race free by construction, and a stepping or
+// trim pass touches each shard from one thread only. The root touches
 // anything it likes, but only from its single-threaded barrier.
 
 #ifndef SRC_FLEET_FLEET_RUNTIME_H_

@@ -11,47 +11,57 @@
 namespace psbox {
 namespace {
 
-// Even division of the fleet-wide worker budget: every sub-fleet gets at
-// least one worker; the first |threads % subfleets| slices get the spare.
-std::vector<int> SplitThreads(int subfleets, int threads) {
-  PSBOX_CHECK_GE(threads, 1);
-  std::vector<int> split(static_cast<size_t>(subfleets), 1);
-  const int base = threads / subfleets;
-  const int rem = threads % subfleets;
-  for (int s = 0; s < subfleets; ++s) {
-    split[static_cast<size_t>(s)] = std::max(1, base + (s < rem ? 1 : 0));
+// One board's share of pass 1: arm the window (now, target] of generated
+// arrivals, then run to |target|. RunUntil(target) fires events at <=
+// target, so every arrival drains before the barrier and a checkpoint cut at
+// a root boundary never sees a pending arrival event. A board stops at its
+// failure instant; the barrier that follows marks it failed.
+void StepBoard(FleetShard& s, TimeNs next) {
+  if (s.failed) {
+    return;
   }
-  return split;
+  const TimeNs target = s.fail_at > 0 ? std::min(next, s.fail_at) : next;
+  if (target <= s.now) {
+    return;
+  }
+  if (s.population != nullptr) {
+    s.population->ScheduleWindow(target);
+  }
+  s.kernel->RunUntil(target);
+  s.now = target;
+}
+
+// One board's share of pass 3. Shards with a bounded-retention kernel config
+// are trimmed behind every barrier (their own periodic tick handles the
+// mid-epoch cadence; this pass keeps memory bounded even when epochs outpace
+// the tick). Trimming folds exact energy bases first, so results are
+// unchanged.
+void TrimBoard(FleetShard& s) {
+  const DurationNs retention = s.kernel->config().telemetry_retention;
+  if (!s.failed && retention > 0) {
+    s.kernel->TrimTelemetry(s.now - retention);
+  }
 }
 
 }  // namespace
 
 RootCoordinator::RootCoordinator(FleetScenario scenario, int threads)
-    : rt_(std::move(scenario)) {
-  Init(SplitThreads(rt_.scenario().subfleets, threads), /*spawn=*/true);
-}
-
-RootCoordinator::RootCoordinator(FleetScenario scenario,
-                                 std::vector<int> subfleet_threads)
-    : rt_(std::move(scenario)) {
-  Init(subfleet_threads, /*spawn=*/true);
+    : rt_(std::move(scenario)), pool_(threads) {
+  Init(/*spawn=*/true);
 }
 
 RootCoordinator::RootCoordinator(FleetScenario scenario, int threads,
                                  RestoreTag)
-    : rt_(std::move(scenario)) {
+    : rt_(std::move(scenario)), pool_(threads) {
   // Checkpoint restore: sub-fleets and app runtimes are built, but every
   // spawn is replayed from the checkpoint's logs by SerializeCheckpoint.
-  Init(SplitThreads(rt_.scenario().subfleets, threads), /*spawn=*/false);
+  Init(/*spawn=*/false);
 }
 
 RootCoordinator::~RootCoordinator() = default;
 
-void RootCoordinator::Init(const std::vector<int>& threads_per_subfleet,
-                           bool spawn) {
+void RootCoordinator::Init(bool spawn) {
   const int subfleet_count = rt_.scenario().subfleets;
-  PSBOX_CHECK_EQ(static_cast<int>(threads_per_subfleet.size()),
-                 subfleet_count);
   const int boards = static_cast<int>(rt_.shards().size());
   const int base = boards / subfleet_count;
   const int rem = boards % subfleet_count;
@@ -59,9 +69,8 @@ void RootCoordinator::Init(const std::vector<int>& threads_per_subfleet,
   int first = 0;
   for (int s = 0; s < subfleet_count; ++s) {
     const int count = base + (s < rem ? 1 : 0);
-    PSBOX_CHECK_GE(threads_per_subfleet[static_cast<size_t>(s)], 1);
-    subfleets_.push_back(std::make_unique<SubFleetCoordinator>(
-        &rt_, s, first, count, threads_per_subfleet[static_cast<size_t>(s)]));
+    subfleets_.push_back(
+        std::make_unique<SubFleetCoordinator>(&rt_, s, first, count));
     for (int b = first; b < first + count; ++b) {
       board_to_subfleet_[static_cast<size_t>(b)] = s;
     }
@@ -80,10 +89,6 @@ void RootCoordinator::Init(const std::vector<int>& threads_per_subfleet,
       subfleets_[static_cast<size_t>(s)]->set_allocation(
           budget_.allocation[static_cast<size_t>(s)]);
     }
-  }
-
-  if (subfleet_count > 1) {
-    driver_pool_ = std::make_unique<ThreadPool>(subfleet_count);
   }
 
   if (spawn) {
@@ -115,34 +120,21 @@ void RootCoordinator::MoveApp(int app_index, int from_subfleet,
   subfleets_[static_cast<size_t>(to_subfleet)]->AdoptApp(app_index);
 }
 
-void RootCoordinator::RunRounds(TimeNs from, TimeNs until) {
-  if (subfleets_.size() == 1) {
-    subfleets_[0]->RunRound(from, until);
-    return;
-  }
-  for (auto& sf : subfleets_) {
-    SubFleetCoordinator* p = sf.get();
-    driver_pool_->Submit([p, from, until] { p->RunRound(from, until); });
-  }
-  driver_pool_->WaitIdle();
+void RootCoordinator::StepBoards(TimeNs next) {
+  auto& shards = rt_.shards();
+  pool_.ParallelFor(board_count(), [&shards, next](int b) {
+    StepBoard(*shards[static_cast<size_t>(b)], next);
+  });
 }
 
-void RootCoordinator::BoundaryBarriers(TimeNs now) {
-  if (subfleets_.size() == 1) {
-    subfleets_[0]->ProcessBarrier(now);
-    subfleets_[0]->TrimShards();
-    return;
-  }
-  // Safe to run concurrently: each barrier touches only its own shard slice
-  // and its own app ownership list.
-  for (auto& sf : subfleets_) {
-    SubFleetCoordinator* p = sf.get();
-    driver_pool_->Submit([p, now] {
-      p->ProcessBarrier(now);
-      p->TrimShards();
-    });
-  }
-  driver_pool_->WaitIdle();
+void RootCoordinator::SubFleetBarriers(TimeNs now) {
+  pool_.ParallelFor(subfleet_count(), [this, now](int s) {
+    subfleets_[static_cast<size_t>(s)]->ProcessBarrier(now);
+  });
+  auto& shards = rt_.shards();
+  pool_.ParallelFor(board_count(), [&shards](int b) {
+    TrimBoard(*shards[static_cast<size_t>(b)]);
+  });
 }
 
 void RootCoordinator::ProcessRootBarrier(TimeNs now) {
@@ -342,7 +334,7 @@ FleetStats RootCoordinator::Run() {
     // The checkpoint was cut with every shard advanced to resume_t_ but the
     // boundary barriers not yet processed — re-run them (and the root
     // barrier) on the restored, bit-identical state and continue.
-    BoundaryBarriers(resume_t_);
+    SubFleetBarriers(resume_t_);
     ProcessRootBarrier(resume_t_);
     t = resume_t_;
     epochs_done = static_cast<uint64_t>(resume_t_ / scenario.epoch);
@@ -353,16 +345,20 @@ FleetStats RootCoordinator::Run() {
                 static_cast<uint64_t>(checkpoint_every_)
           : 0;
 
+  TimeNs root_next = t;  // where the current root period ends
   while (t < scenario.horizon) {
-    const TimeNs next = std::min<TimeNs>(t + period, scenario.horizon);
-    RunRounds(t, next);
-    epochs_done +=
-        static_cast<uint64_t>((next - t + scenario.epoch - 1) / scenario.epoch);
-    // Checkpoint cadence: the instant after all rounds joined and before the
-    // boundary barriers is the only globally quiescent point — the barriers'
-    // respawns schedule work that the event census would (correctly) refuse
-    // to serialise.
-    if (checkpoint_every_ > 0 && !checkpoint_path_.empty() &&
+    if (t == root_next) {
+      root_next = std::min<TimeNs>(t + period, scenario.horizon);
+    }
+    const TimeNs next = std::min<TimeNs>(t + scenario.epoch, root_next);
+    StepBoards(next);
+    ++epochs_done;
+    const bool at_root = next == root_next;
+    // Checkpoint cadence: the instant after the boards stopped at a root
+    // boundary and before the boundary barriers is the only globally
+    // quiescent point — the barriers' respawns schedule work that the event
+    // census would (correctly) refuse to serialise.
+    if (at_root && checkpoint_every_ > 0 && !checkpoint_path_.empty() &&
         next < scenario.horizon && epochs_done >= next_checkpoint) {
       std::string error;
       if (!WriteCheckpoint(next, &error)) {
@@ -375,8 +371,10 @@ FleetStats RootCoordinator::Run() {
           (epochs_done / static_cast<uint64_t>(checkpoint_every_) + 1) *
           static_cast<uint64_t>(checkpoint_every_);
     }
-    BoundaryBarriers(next);
-    ProcessRootBarrier(next);
+    SubFleetBarriers(next);
+    if (at_root) {
+      ProcessRootBarrier(next);
+    }
     t = next;
   }
 
@@ -472,12 +470,27 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
     }
   }
 
+  // Restored board indices feed shard, load-view and stats lookups: refuse
+  // any outside [0, boards), or outside {-1} and that range where the field
+  // may name no board.
+  const auto board_in_range = [&](int board, bool none_allowed) {
+    if constexpr (Ar::kLoading) {
+      const bool in_range = (board >= 0 && board < board_count()) ||
+                            (none_allowed && board == -1);
+      if (ar.ok() && !in_range) {
+        ar.Fail("checkpoint app state references an out-of-range board");
+      }
+    }
+  };
+
   const auto migrations = [&](std::vector<MigrationRecord>& list) {
     ar.Seq(list, 6 * sizeof(int64_t), [&](MigrationRecord& m) {
       ar.I64(m.when);
       ar.Str(m.app);
       ar.I64(m.from);
       ar.I64(m.to);
+      board_in_range(m.from, /*none_allowed=*/false);
+      board_in_range(m.to, /*none_allowed=*/false);
       ar.Bool(m.crash);
       ar.Bool(m.cross_subfleet);
       ar.Bool(m.state_transfer);
@@ -534,6 +547,9 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
     ar.I64(app.parked_from);
     ar.F64(app.parked_consumed);
     ar.F64(app.parked_raw);
+    board_in_range(app.board, /*none_allowed=*/true);
+    board_in_range(app.cross_target, /*none_allowed=*/true);
+    board_in_range(app.parked_from, /*none_allowed=*/true);
   }
   for (uint64_t& iters : rt_.board_iterations()) {
     ar.U64(iters);

@@ -1,10 +1,12 @@
 // RootCoordinator: the upper level of the fleet-of-fleets hierarchy.
 //
-// It slices the fleet's boards into contiguous sub-fleets (each with its own
-// worker-thread slice — see SubFleetCoordinator) and advances them in *root
-// periods* of `root_period` sub-epochs. Between root barriers the sub-fleets
-// run concurrently and fully independently; at every root barrier (and only
-// there) the root:
+// It slices the fleet's boards into contiguous sub-fleets (see
+// SubFleetCoordinator) and owns the fleet's one ThreadPool of exactly
+// `threads` threads. Each sub-epoch is three passes on that pool: every live
+// board's window and run, every sub-fleet's barrier, every board's trim.
+// Sub-fleets meet the root only every `root_period` sub-epochs; between root
+// barriers they share nothing, and at every root barrier (and only there)
+// the root:
 //
 //   1. collects one compact SubFleetDigest per sub-fleet — the only
 //      cross-sub-fleet communication channel, so the root's view of remote
@@ -22,9 +24,10 @@
 //
 // Determinism: the root barrier is single-threaded and iterates sub-fleets
 // and apps in fixed index order; between barriers sub-fleets share no
-// mutable state (each owns its shard slice and an explicit app-index list).
+// mutable state (each owns its shard slice and an explicit app-index list),
+// and each pool pass returns only once all its tasks have finished.
 // FleetStats::Fingerprint() is therefore bit-identical for a fixed scenario
-// at any worker-thread count and any assignment of workers to sub-fleets.
+// at any thread count.
 // `subfleets = 1, root_period = 1` reproduces the old flat single-barrier
 // coordinator exactly.
 
@@ -46,14 +49,9 @@ class SnapshotReader;
 
 class RootCoordinator {
  public:
-  // |threads| is the fleet-wide worker budget (>= 1), divided across
-  // sub-fleets as evenly as possible with every sub-fleet getting at least
-  // one worker. The count and the division affect wall-clock time only.
+  // The fleet runs on exactly |threads| (>= 1) threads: the one calling
+  // Run() plus |threads| - 1 workers. The count affects wall-clock time only.
   RootCoordinator(FleetScenario scenario, int threads);
-  // Explicit per-sub-fleet worker allocation (size must equal
-  // scenario.subfleets, every entry >= 1). Results are invariant under the
-  // allocation — fleet_test pins this.
-  RootCoordinator(FleetScenario scenario, std::vector<int> subfleet_threads);
   ~RootCoordinator();
   RootCoordinator(const RootCoordinator&) = delete;
   RootCoordinator& operator=(const RootCoordinator&) = delete;
@@ -110,19 +108,19 @@ class RootCoordinator {
 
   // Slices boards into sub-fleets, seeds the budget ledger, and (unless
   // restoring) performs the initial spawns in app index order.
-  void Init(const std::vector<int>& threads_per_subfleet, bool spawn);
+  void Init(bool spawn);
 
   int SubfleetOf(int board) const {
     return board_to_subfleet_[static_cast<size_t>(board)];
   }
   void MoveApp(int app_index, int from_subfleet, int to_subfleet);
 
-  // Runs every sub-fleet from |from| to |until| (concurrently when there is
-  // more than one), stopping short of the boundary barrier at |until|.
-  void RunRounds(TimeNs from, TimeNs until);
-  // The sub-fleet barriers at a root boundary (concurrent; race-free via the
-  // per-sub-fleet app ownership lists).
-  void BoundaryBarriers(TimeNs now);
+  // Pass 1: every live board arms its population window and runs to |next|
+  // (or to its failure instant, whichever comes first).
+  void StepBoards(TimeNs next);
+  // Passes 2 and 3: every sub-fleet's barrier (race-free via the
+  // per-sub-fleet app ownership lists), then every board's telemetry trim.
+  void SubFleetBarriers(TimeNs now);
   // Digest exchange + cross-sub-fleet migration + budget ledger, single-
   // threaded, in fixed order.
   void ProcessRootBarrier(TimeNs now);
@@ -139,9 +137,7 @@ class RootCoordinator {
   FleetRuntime rt_;
   std::vector<std::unique_ptr<SubFleetCoordinator>> subfleets_;
   std::vector<int> board_to_subfleet_;
-  // Drives concurrent sub-fleet rounds (null when there is one sub-fleet —
-  // the root thread runs the round inline).
-  std::unique_ptr<ThreadPool> driver_pool_;
+  ThreadPool pool_;
   FleetBudget budget_;
   // Cross-sub-fleet hand-offs executed at root barriers; sub-fleets keep
   // their own local lists.

@@ -7,9 +7,8 @@
 namespace psbox {
 
 SubFleetCoordinator::SubFleetCoordinator(FleetRuntime* runtime, int index,
-                                         int first, int count, int threads)
-    : rt_(runtime), index_(index), first_(first), count_(count),
-      pool_(threads) {
+                                         int first, int count)
+    : rt_(runtime), index_(index), first_(first), count_(count) {
   PSBOX_CHECK_GE(first, 0);
   PSBOX_CHECK_GT(count, 0);
   PSBOX_CHECK_LE(static_cast<size_t>(first + count), rt_->shards().size());
@@ -27,51 +26,6 @@ void SubFleetCoordinator::ReleaseApp(int app_index) {
   auto it = std::lower_bound(owned_apps_.begin(), owned_apps_.end(), app_index);
   PSBOX_CHECK(it != owned_apps_.end() && *it == app_index);
   owned_apps_.erase(it);
-}
-
-void SubFleetCoordinator::RunRound(TimeNs from, TimeNs until) {
-  const DurationNs epoch = rt_->scenario().epoch;
-  auto& shards = rt_->shards();
-  TimeNs t = from;
-  while (t < until) {
-    const TimeNs next = std::min(t + epoch, until);
-    // Parallel phase: each alive local shard advances independently to the
-    // next sub-fleet barrier (or to its failure instant, whichever comes
-    // first). Shards share no mutable state, so this cannot perturb any
-    // shard's event order; WaitIdle() publishes all shard writes back to
-    // this sub-fleet's driver thread.
-    for (int b = first_; b < first_ + count_; ++b) {
-      FleetShard* s = shards[static_cast<size_t>(b)].get();
-      if (s->failed) {
-        continue;
-      }
-      const TimeNs target =
-          s->fail_at > 0 ? std::min(next, s->fail_at) : next;
-      if (target <= s->now) {
-        continue;
-      }
-      pool_.Submit([s, target] {
-        if (s->population != nullptr) {
-          // Arm the window (now, target] of generated arrivals before the
-          // shard runs it: RunUntil(target) fires events at <= target, so
-          // every arrival drains before the barrier and a checkpoint cut at
-          // a root boundary never sees a pending arrival event.
-          s->population->ScheduleWindow(target);
-        }
-        s->kernel->RunUntil(target);
-      });
-      s->now = target;
-    }
-    pool_.WaitIdle();
-    // The boundary at |until| belongs to the root: the checkpoint is cut
-    // there (the only globally quiescent instant), then the root runs this
-    // barrier and its own on top.
-    if (next < until) {
-      ProcessBarrier(next);
-      TrimShards();
-    }
-    t = next;
-  }
 }
 
 std::vector<BoardLoad> SubFleetCoordinator::LocalLoads(bool with_energy) const {
@@ -255,22 +209,6 @@ void SubFleetCoordinator::ProcessBarrier(TimeNs now) {
         policy.PickTarget(loads, local(app.board)) >= 0) {
       *app.stop = true;  // LoopBehaviors exit at their next iteration boundary
       app.draining = true;
-    }
-  }
-}
-
-void SubFleetCoordinator::TrimShards() {
-  // Telemetry retention: shards with a bounded-retention kernel config are
-  // trimmed behind the barrier as well (their own periodic tick handles the
-  // mid-epoch cadence; this pass keeps memory bounded even when epochs
-  // outpace the tick, in deterministic board order). Trimming folds exact
-  // energy bases first, so results are unchanged.
-  auto& shards = rt_->shards();
-  for (int b = first_; b < first_ + count_; ++b) {
-    FleetShard& shard = *shards[static_cast<size_t>(b)];
-    const DurationNs retention = shard.kernel->config().telemetry_retention;
-    if (!shard.failed && retention > 0) {
-      shard.kernel->TrimTelemetry(shard.now - retention);
     }
   }
 }

@@ -1,9 +1,10 @@
 // SubFleetCoordinator: the lower level of the fleet-of-fleets hierarchy.
 //
-// Owns a contiguous slice of board shards and a slice of the fleet's worker
-// threads (its own ThreadPool). Between two root barriers it is entirely
-// self-sufficient: it advances its shards in bounded-lag sub-epochs, runs its
-// own single-threaded barrier at every sub-epoch boundary, and performs all
+// Owns a contiguous slice of board shards but no threads: the root steps
+// every sub-fleet's boards together on the fleet's one pool and then runs
+// each sub-fleet's barrier as one task of a pool pass. Between two root
+// barriers a sub-fleet is self-sufficient all the same: it runs its own
+// single-threaded barrier at every sub-epoch boundary and performs all
 // *intra*-sub-fleet migration — budget-pressure drains and, crucially,
 // in-epoch board-failure hand-off: a failed board's residents are evacuated
 // at the sub-fleet barrier that detects the failure, against the sub-fleet's
@@ -11,12 +12,11 @@
 // when every other local board is dead does an evacuation escalate (park) to
 // the root, which resolves it cross-sub-fleet from digests.
 //
-// Determinism: a sub-fleet only ever touches its own shards, the runtime
-// records of apps currently resident on them, and its own logs. Two
+// Determinism: a sub-fleet barrier only ever touches its own shards, the
+// runtime records of apps currently resident on them, and its own logs. Two
 // sub-fleets therefore share no mutable state between root barriers, and
-// concurrent sub-fleet rounds are race-free and order-independent by
-// construction — the fingerprint is invariant under both the worker-thread
-// count of each slice and the assignment of threads to slices.
+// their barriers may run concurrently in any order — the fingerprint is
+// invariant under the fleet's thread count.
 
 #ifndef SRC_FLEET_SUBFLEET_COORDINATOR_H_
 #define SRC_FLEET_SUBFLEET_COORDINATOR_H_
@@ -24,16 +24,13 @@
 #include <vector>
 
 #include "src/fleet/fleet_runtime.h"
-#include "src/fleet/thread_pool.h"
 
 namespace psbox {
 
 class SubFleetCoordinator {
  public:
-  // Owns boards [first, first + count) of |runtime| and spawns |threads|
-  // workers for them. The thread count affects wall-clock time only.
-  SubFleetCoordinator(FleetRuntime* runtime, int index, int first, int count,
-                      int threads);
+  // Owns boards [first, first + count) of |runtime|.
+  SubFleetCoordinator(FleetRuntime* runtime, int index, int first, int count);
   SubFleetCoordinator(const SubFleetCoordinator&) = delete;
   SubFleetCoordinator& operator=(const SubFleetCoordinator&) = delete;
 
@@ -47,19 +44,11 @@ class SubFleetCoordinator {
   Joules allocation() const { return allocation_; }
   void set_allocation(Joules a) { allocation_ = a; }
 
-  // Advances every local shard from |from| to |until| in sub-epoch rounds,
-  // processing the sub-fleet barrier at every boundary *except* |until|
-  // (the root owns that one: checkpoint cut, then ProcessBarrier, then the
-  // root barrier). Safe to run concurrently with other sub-fleets' rounds.
-  void RunRound(TimeNs from, TimeNs until);
-
   // Single-threaded sub-fleet barrier: board failures (in-epoch hand-off),
   // app completions and graceful hand-offs, budget-pressure drain decisions
-  // — all restricted to the local slice, in fixed board/app order.
+  // — all restricted to the local slice, in fixed board/app order. Safe to
+  // run concurrently with other sub-fleets' barriers.
   void ProcessBarrier(TimeNs now);
-
-  // Post-barrier telemetry retention pass (deterministic board order).
-  void TrimShards();
 
   // Compact summary shipped to the root. Call after ProcessBarrier so the
   // alive set and loads reflect this boundary's decisions.
@@ -72,7 +61,7 @@ class SubFleetCoordinator {
 
   // Indices (into FleetRuntime::apps) of the apps this sub-fleet owns,
   // ascending. Barriers iterate this list and nothing else, so concurrent
-  // sub-fleet rounds never touch another sub-fleet's app records — the
+  // sub-fleet barriers never touch another sub-fleet's app records — the
   // race-freedom argument in the header comment. Only the root (single-
   // threaded, at root barriers) moves an app between lists.
   const std::vector<int>& owned_apps() const { return owned_apps_; }
@@ -90,7 +79,6 @@ class SubFleetCoordinator {
   int index_ = 0;
   int first_ = 0;
   int count_ = 0;
-  ThreadPool pool_;
   Joules allocation_ = 0.0;
   std::vector<int> owned_apps_;  // ascending indices into rt_->apps()
   std::vector<MigrationRecord> migrations_;

@@ -2,7 +2,7 @@
 //
 //   determinism — a FleetScenario is a pure function of (seed, board specs,
 //     app placement): the aggregated FleetStats fingerprint is bit-identical
-//     at any worker-thread count, because shards are isolated deterministic
+//     at any thread count, because shards are isolated deterministic
 //     islands and all cross-shard work happens single-threaded at epoch
 //     barriers in fixed board/app order;
 //
@@ -12,6 +12,11 @@
 //     existing virtual-meter accounting bound.
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/fleet/root_coordinator.h"
 
@@ -84,7 +89,7 @@ TEST(FleetDeterminismTest, SeedChangesResults) {
 TEST(FleetDeterminismTest, EventsFiredIdenticalAcrossThreadCounts) {
   // events_fired is observability-only (excluded from the fingerprint), so
   // its determinism is pinned directly: per-board engine event counts must
-  // not depend on the worker-thread count, and a busy board fires a
+  // not depend on the thread count, and a busy board fires a
   // non-trivial number of events.
   const FleetScenario scenario = MixedScenario(0xF1EE7);
   const FleetStats one = RootCoordinator(scenario, 1).Run();
@@ -381,7 +386,7 @@ FleetScenario HierarchicalScenario(uint64_t seed, int subfleets) {
 
 TEST(HierarchicalFleetTest, FingerprintIdenticalAcrossThreadCounts) {
   // The tentpole determinism contract: for each sub-fleet split, the
-  // fingerprint is bit-identical at any worker-thread count. (Different
+  // fingerprint is bit-identical at any thread count. (Different
   // splits are different scenarios and may legitimately differ.)
   for (int subfleets : {2, 3}) {
     const FleetScenario scenario = HierarchicalScenario(0xF1EE7, subfleets);
@@ -393,14 +398,14 @@ TEST(HierarchicalFleetTest, FingerprintIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(HierarchicalFleetTest, FingerprintIdenticalAcrossWorkerAllocations) {
-  // ... and under any explicit assignment of workers to sub-fleets.
+TEST(HierarchicalFleetTest, FingerprintIdenticalAtOddAndExcessThreadCounts) {
+  // ... and at thread counts that do not divide the fleet: 3 threads over
+  // two sub-fleets, and 8 threads for 6 boards, so some threads find no
+  // work in a pass.
   const FleetScenario scenario = HierarchicalScenario(0xF1EE7, 2);
-  const uint64_t even = RootCoordinator(scenario, {2, 2}).Run().Fingerprint();
-  const uint64_t skew = RootCoordinator(scenario, {1, 3}).Run().Fingerprint();
-  const uint64_t flat4 = RunFingerprint(scenario, 4);
-  EXPECT_EQ(even, skew);
-  EXPECT_EQ(even, flat4);
+  const uint64_t one = RunFingerprint(scenario, 1);
+  EXPECT_EQ(one, RunFingerprint(scenario, 3));
+  EXPECT_EQ(one, RunFingerprint(scenario, 8));
 }
 
 TEST(HierarchicalFleetTest, HierarchyActuallyExercised) {
@@ -565,16 +570,30 @@ TEST(HierarchicalFleetTest, DegenerateHierarchyMatchesFlatSemantics) {
   }
 }
 
-// The worker pool actually runs submitted work and WaitIdle() is a barrier.
-TEST(ThreadPoolTest, RunsAllSubmittedWork) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
+// ParallelFor runs every index exactly once, on at most T threads (the
+// caller alone when T = 1), and its return publishes every write the passes
+// made: the plain, unsynchronised stores below are read only after it.
+TEST(ThreadPoolTest, ParallelForRunsEachIndexOnceOnAtMostTThreads) {
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.thread_count(), threads);
+    for (const int n : {0, 1, 5, 200}) {
+      std::vector<int> runs(static_cast<size_t>(n), 0);
+      std::vector<std::thread::id> ran_on(static_cast<size_t>(n));
+      pool.ParallelFor(n, [&runs, &ran_on](int i) {
+        ++runs[static_cast<size_t>(i)];
+        ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+      });
+      const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+      EXPECT_LE(static_cast<int>(distinct.size()), threads) << "n=" << n;
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[static_cast<size_t>(i)], 1) << "index " << i;
+        if (threads == 1) {
+          EXPECT_EQ(ran_on[static_cast<size_t>(i)], std::this_thread::get_id());
+        }
+      }
     }
-    pool.WaitIdle();
-    EXPECT_EQ(count.load(), (round + 1) * 64);
   }
 }
 

@@ -497,13 +497,25 @@ size_t AfterSection(const std::vector<uint8_t>& payload,
   return static_cast<size_t>(it - payload.begin()) + marker.size();
 }
 
-// Restores |sealed| under the golden scenario; on failure |error| says why.
-bool RestoreGoldenBytes(const std::vector<uint8_t>& sealed,
-                        std::string* error) {
+// Restores |sealed| under |scenario|; on failure |error| says why.
+bool RestoreBytes(const FleetScenario& scenario,
+                  const std::vector<uint8_t>& sealed, std::string* error) {
   const std::string path = TempPath("golden_mutated.snap");
   WriteFileBytes(path, sealed);
-  return RootCoordinator::RestoreFromCheckpoint(GoldenScenario(), 1, path,
-                                                error) != nullptr;
+  return RootCoordinator::RestoreFromCheckpoint(scenario, 1, path, error) !=
+         nullptr;
+}
+
+bool RestoreGoldenBytes(const std::vector<uint8_t>& sealed,
+                        std::string* error) {
+  return RestoreBytes(GoldenScenario(), sealed, error);
+}
+
+// Writes |value| little-endian into the 8 bytes at |at|.
+void PutU64(std::vector<uint8_t>& payload, size_t at, uint64_t value) {
+  for (size_t b = 0; b < 8; ++b) {
+    payload[at + b] = static_cast<uint8_t>(value >> (8 * b));
+  }
 }
 
 // A sandbox bound to component 7: the seven-entry domain registry has no
@@ -572,6 +584,80 @@ TEST(SnapshotFieldCheckTest, OutOfRangeTaskCoreRejected) {
   EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
   EXPECT_NE(error.find("snapshot task 1 core 9 out of range"), std::string::npos)
       << "error was: " << error;
+}
+
+// Board indices in the fleet section that the resumed run would index the
+// shard list, the root's load view or the per-board stats with. Before this
+// check each of these restored cleanly and then aborted in Run().
+TEST(SnapshotFieldCheckTest, OutOfRangeFleetBoardRejected) {
+  const char* const kOutOfRange =
+      "checkpoint app state references an out-of-range board";
+  // App 0's hand-off fields: cross_target (-1), parked, evac_pending,
+  // parked_from (-1) — the first such run of bytes in the fleet section.
+  const std::vector<uint8_t> golden = GoldenPayload();
+  std::vector<uint8_t> handoff(8, 0xFF);
+  handoff.insert(handoff.end(), {0, 0});
+  handoff.insert(handoff.end(), 8, 0xFF);
+  const auto fleet = golden.begin() +
+                     static_cast<ptrdiff_t>(AfterSection(golden, "fleet"));
+  const auto it =
+      std::search(fleet, golden.end(), handoff.begin(), handoff.end());
+  ASSERT_TRUE(it != golden.end());
+  const auto at = static_cast<size_t>(it - golden.begin());
+  {
+    SCOPED_TRACE("parked towards cross_target 99");
+    std::vector<uint8_t> payload = golden;
+    PutU64(payload, at, 99);
+    payload[at + 8] = 1;
+    std::string error;
+    EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
+    EXPECT_NE(error.find(kOutOfRange), std::string::npos)
+        << "error was: " << error;
+  }
+  {
+    SCOPED_TRACE("evacuation pending from parked_from 99");
+    std::vector<uint8_t> payload = golden;
+    payload[at + 9] = 1;
+    PutU64(payload, at + 10, 99);
+    std::string error;
+    EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
+    EXPECT_NE(error.find(kOutOfRange), std::string::npos)
+        << "error was: " << error;
+  }
+
+  // The golden cut holds no migration record, so cut one after board 1's
+  // crash at 400 ms, which moves calib3d: (400 ms, "calib3d", from 1, to).
+  const FleetScenario scenario = CheckpointScenario(0);
+  const std::string path = TempPath("fleet_migrated.snap");
+  RootCoordinator writer(scenario, 1);
+  writer.set_checkpoint(path, 50);
+  writer.Run();
+  const std::vector<uint8_t> sealed = ReadFileBytes(path);
+  ASSERT_GT(sealed.size(), kSnapshotHeaderSize);
+  const std::vector<uint8_t> cut(
+      sealed.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize),
+      sealed.end());
+  std::vector<uint8_t> record(8, 0);
+  PutU64(record, 0, static_cast<uint64_t>(Millis(400)));
+  const std::string app = "calib3d";
+  record.insert(record.end(), {static_cast<uint8_t>(app.size()), 0, 0, 0});
+  record.insert(record.end(), app.begin(), app.end());
+  const size_t from_at = record.size();
+  record.resize(from_at + 8, 0);
+  PutU64(record, from_at, 1);
+  const auto rec = std::search(cut.begin(), cut.end(), record.begin(),
+                               record.end());
+  ASSERT_TRUE(rec != cut.end()) << "no crash migration record in the cut";
+  const auto from = static_cast<size_t>(rec - cut.begin()) + from_at;
+  for (const size_t field : {from, from + 8}) {
+    SCOPED_TRACE(field == from ? "migration from 99" : "migration to 99");
+    std::vector<uint8_t> payload = cut;
+    PutU64(payload, field, 99);
+    std::string error;
+    EXPECT_FALSE(RestoreBytes(scenario, Reseal(payload), &error));
+    EXPECT_NE(error.find(kOutOfRange), std::string::npos)
+        << "error was: " << error;
+  }
 }
 
 // A live app id the restore replay never created: the kernel keeps exactly
