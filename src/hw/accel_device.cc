@@ -126,15 +126,12 @@ void AccelDevice::OnCompletionEvent() {
   }
 }
 
-bool AccelDevice::Wedged() const {
-  bool any_hung = false;
+std::vector<uint64_t> AccelDevice::ExecutingIds() const {
+  std::vector<uint64_t> ids;
   for (const Exec& e : in_flight_) {
-    if (!e.hung) {
-      return false;
-    }
-    any_hung = true;
+    ids.push_back(e.cmd.id);
   }
-  return any_hung;
+  return ids;
 }
 
 std::vector<AccelDevice::AbortedCommand> AccelDevice::Reset() {

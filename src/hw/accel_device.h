@@ -78,6 +78,8 @@ class AccelDevice {
   // Whether another command can enter execution right now.
   bool CanDispatch() const { return static_cast<int>(in_flight_.size()) < config_.slots; }
   int in_flight() const { return static_cast<int>(in_flight_.size()); }
+  // No command executing, hung or not: what balloon drains wait for.
+  bool Quiescent() const { return in_flight_.empty(); }
   int slots() const { return config_.slots; }
 
   // Starts executing |cmd|; requires CanDispatch(). The completion interrupt
@@ -103,9 +105,8 @@ class AccelDevice {
   // state at the current operating point. The kernel driver's watchdog path.
   std::vector<AbortedCommand> Reset();
 
-  // True when no live (non-hung) command can ever complete — i.e. the engine
-  // is wedged and only Reset() can recover it.
-  bool Wedged() const;
+  // Ids of the commands in flight, hung ones included.
+  std::vector<uint64_t> ExecutingIds() const;
 
   uint64_t resets() const { return resets_; }
   uint64_t hung_commands() const { return hung_commands_; }

@@ -88,6 +88,9 @@ class StorageDevice {
   StorageDevice(Simulator* sim, PowerRail* rail, StorageConfig config);
 
   bool CanDispatch() const { return !channel_busy_; }
+  // One command channel: at most one command executes at a time.
+  int in_flight() const { return channel_busy_ ? 1 : 0; }
+  int slots() const { return 1; }
   // Starts the bus transfer for |cmd|; requires CanDispatch(). With a fault
   // injector attached, the command may wedge the channel until Reset().
   void Dispatch(const StorageCommand& cmd);
@@ -110,6 +113,11 @@ class StorageDevice {
   std::vector<AbortedCommand> Reset();
   // True when the in-flight command is hung and only Reset() helps.
   bool Wedged() const { return channel_busy_ && hung_; }
+  // Id of the command on the channel, hung or not; none when idle.
+  std::vector<uint64_t> ExecutingIds() const {
+    return channel_busy_ ? std::vector<uint64_t>{current_.id}
+                         : std::vector<uint64_t>{};
+  }
 
   // Channel idle AND write-back buffer fully flushed: no storage energy is
   // attributable to past requests any more (what balloon drains wait for).

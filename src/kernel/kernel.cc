@@ -336,21 +336,11 @@ void Kernel::HandleSubmitStorage(Task* task, const Action& action) {
   storage_driver_->Submit(task, cmd);
 }
 
-void Kernel::DeliverAccelCompletion(Task* task) {
-  if (task->state() == TaskState::kBlocked && task->awaited_accel_completions > 0 &&
-      task->pending_accel_completions >= task->awaited_accel_completions) {
-    task->pending_accel_completions -= task->awaited_accel_completions;
-    task->awaited_accel_completions = 0;
-    scheduler_->WakeTask(task);
-  }
-}
-
-void Kernel::DeliverStorageCompletion(Task* task) {
-  if (task->state() == TaskState::kBlocked &&
-      task->awaited_storage_completions > 0 &&
-      task->pending_storage_completions >= task->awaited_storage_completions) {
-    task->pending_storage_completions -= task->awaited_storage_completions;
-    task->awaited_storage_completions = 0;
+void Kernel::DeliverCompletion(Task* task, int& pending, int& awaited) {
+  ++pending;
+  if (task->state() == TaskState::kBlocked && awaited > 0 && pending >= awaited) {
+    pending -= awaited;
+    awaited = 0;
     scheduler_->WakeTask(task);
   }
 }

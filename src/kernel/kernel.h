@@ -133,8 +133,10 @@ class Kernel : public BalloonObserver {
   void HandleSubmitAccel(Task* task, const Action& action);
   void HandleSend(Task* task, const Action& action);
   void HandleSubmitStorage(Task* task, const Action& action);
-  void DeliverAccelCompletion(Task* task);
-  void DeliverStorageCompletion(Task* task);
+  // One command completion for |task|, counted in |pending| (one of its
+  // per-device counters); wakes the task once it has the |awaited| ones it
+  // blocked for.
+  void DeliverCompletion(Task* task, int& pending, int& awaited);
   void DeliverNetDone(Task* task);
   void ExpectRx(Task* task, size_t bytes);
   void DeliverRx(AppId app, size_t bytes);

@@ -1,7 +1,6 @@
 #include "src/kernel/net_stack.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/base/check.h"
 #include "src/kernel/kernel.h"
@@ -10,16 +9,21 @@
 
 namespace psbox {
 
+// Apps active within this window count as competitors of a sandboxed app.
+constexpr DurationNs kNetRecency = 200 * kMillisecond;
+// How long a held NIC stays idle before the pump retries.
+constexpr DurationNs kNetHold = 2 * kMillisecond;
+
 NetStack::NetStack(Simulator* sim, WifiDevice* device, Kernel* kernel, NetConfig config)
     : ResourceDomain(sim, HwComponent::kWifi, config.drain_timeout),
-      device_(device), kernel_(kernel), config_(config) {
+      device_(device), kernel_(kernel), config_(config),
+      socks_(sim, kNetRecency, static_cast<double>(config.switch_lead_bytes),
+             kNetHold, [this] { Pump(); }) {
   device_->set_on_frame_done([this](const WifiFrameDone& d) { OnFrameDone(d); });
 }
 
-NetStack::Socket& NetStack::SockFor(AppId app) { return socks_[app]; }
-
 void NetStack::Send(Task* task, const Action& action) {
-  Socket& s = SockFor(task->app());
+  Sockets::Lane& s = socks_[task->app()];
   WifiFrame frame;
   frame.id = next_frame_id_++;
   frame.app = task->app();
@@ -42,43 +46,13 @@ void NetStack::InjectRx(AppId app, size_t bytes) {
   device_->SubmitFrame(frame);
 }
 
-AppId NetStack::BestPendingApp(bool exclude_owner) const {
-  AppId best = kNoApp;
-  double best_credit = std::numeric_limits<double>::infinity();
-  for (const auto& [app, s] : socks_) {
-    // Queued TX demands the medium; so does a sandboxed app's outstanding
-    // reception (its balloon must cover the responses, §4.2/§5).
-    const bool wants_nic = !s.q.empty() || (s.sandboxed && s.expected_rx > 0);
-    if (!wants_nic) {
-      continue;
-    }
-    if (exclude_owner && app == balloon_owner()) {
-      continue;
-    }
-    if (s.credit_bytes < best_credit) {
-      best_credit = s.credit_bytes;
-      best = app;
-    }
-  }
-  return best;
-}
-
 size_t NetStack::HeadBytes(AppId app) {
-  const Socket& s = SockFor(app);
+  const Sockets::Lane& s = socks_[app];
   return s.q.empty() ? 0 : s.q.front().frame.bytes;
 }
 
 bool NetStack::Retirable(AppId app, TimeNs cutoff) const {
-  if (!ResourceDomain::Retirable(app, cutoff)) {
-    return false;
-  }
-  auto it = socks_.find(app);
-  if (it == socks_.end()) {
-    return true;
-  }
-  const Socket& s = it->second;
-  if (!s.q.empty() || s.expected_rx != 0 ||
-      (s.last_activity >= 0 && cutoff - s.last_activity <= kRecency)) {
+  if (!ResourceDomain::Retirable(app, cutoff) || !socks_.Quiet(app, cutoff)) {
     return false;
   }
   for (const auto& [frame_id, p] : tx_in_flight_) {
@@ -99,23 +73,8 @@ bool NetStack::Retirable(AppId app, TimeNs cutoff) const {
   return true;
 }
 
-double NetStack::MinRecentCompetitorCredit(AppId owner) const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& [app, s] : socks_) {
-    if (app == owner) {
-      continue;
-    }
-    const bool recent =
-        s.last_activity >= 0 && sim_->Now() - s.last_activity <= kRecency;
-    if (!s.q.empty() || recent) {
-      best = std::min(best, s.credit_bytes);
-    }
-  }
-  return best;
-}
-
 void NetStack::DispatchFrom(AppId app) {
-  Socket& s = SockFor(app);
+  Sockets::Lane& s = socks_[app];
   PSBOX_CHECK(!s.q.empty());
   SockPacket p = s.q.front();
   s.q.pop_front();
@@ -139,47 +98,21 @@ void NetStack::Pump() {
         if (!nic_free) {
           return;
         }
-        AppId best = BestPendingApp(false);
-        if (best == kNoApp) {
-          return;
-        }
-        if (!SockFor(best).sandboxed && SockFor(best).q.empty()) {
-          return;  // nothing dispatchable (awaiting-RX candidates are boxed)
-        }
-        if (SockFor(best).sandboxed) {
-          const double competitor = MinRecentCompetitorCredit(best);
-          if (SockFor(best).credit_bytes >
-              competitor + static_cast<double>(config_.switch_lead_bytes)) {
-            // Still repaying the previous balloon; serve someone else or
-            // hold the NIC idle until the competition catches up.
-            AppId fallback = kNoApp;
-            double fallback_credit = std::numeric_limits<double>::infinity();
-            for (const auto& [app, sock] : socks_) {
-              if (sock.q.empty() || sock.sandboxed) {
-                continue;
-              }
-              if (sock.credit_bytes < fallback_credit) {
-                fallback_credit = sock.credit_bytes;
-                fallback = app;
-              }
-            }
-            if (fallback == kNoApp) {
-              if (retry_event_ == kInvalidEventId) {
-                retry_event_ = sim_->ScheduleAfter(2 * kMillisecond, [this] {
-                  retry_event_ = kInvalidEventId;
-                  Pump();
-                });
-              }
-              return;
-            }
-            best = fallback;
-          } else {
-            BalloonRequest(best, SockFor(best).box);
+        const Sockets::Pick pick = socks_.Next();
+        switch (pick.verdict) {
+          case Sockets::Verdict::kIdle:
+            return;
+          case Sockets::Verdict::kHold:
+            socks_.Hold();
+            return;
+          case Sockets::Verdict::kBalloon:
+            BalloonRequest(pick.app, socks_[pick.app].box);
             penalty_bytes_ = 0.0;
             continue;
-          }
+          case Sockets::Verdict::kDispatch:
+            DispatchFrom(pick.app);
+            return;
         }
-        DispatchFrom(best);
         return;
       }
       case BalloonPhase::kDrainOthers: {
@@ -188,31 +121,26 @@ void NetStack::Pump() {
         }
         // Balloon-in: apply the sandbox's virtualised NIC power state before
         // the observer looks.
-        Socket& s = SockFor(balloon_owner());
-        if (config_.virtualize_power_state) {
-          global_state_ = device_->power_state();
-          device_->SetPowerState(s.vstate);
-        }
+        global_state_ = device_->power_state();
+        device_->SetPowerState(socks_[balloon_owner()].extra.vstate);
         BalloonServe();
         continue;
       }
       case BalloonPhase::kServe: {
-        Socket& s = SockFor(balloon_owner());
-        const AppId contender = BestPendingApp(/*exclude_owner=*/true);
+        Sockets::Lane& s = socks_[balloon_owner()];
+        const AppId contender = socks_.Best(balloon_owner());
         const bool grant_over = sim_->Now() - balloon_start() >= config_.min_grant;
         // The owner's NIC session covers queued TX, in-flight TX, responses
         // the channel still owes it, and its power-save tail afterwards.
-        const bool owner_active =
-            !s.q.empty() || our_tx_pending_ || s.expected_rx > 0;
+        const bool owner_active = !s.q.empty() || our_tx_pending_ || s.owed > 0;
         const TimeNs tail_deadline =
-            s.last_activity >= 0
-                ? s.last_activity + device_->power_state().ps_timeout
-                : sim_->Now();
+            s.last_seen >= 0 ? s.last_seen + device_->power_state().ps_timeout
+                             : sim_->Now();
         const bool in_tail = !owner_active && sim_->Now() < tail_deadline;
         const bool owner_idle = !owner_active && !in_tail;
         const bool lead_exceeded =
             contender != kNoApp &&
-            s.credit_bytes - SockFor(contender).credit_bytes >
+            s.served - socks_[contender].served >
                 static_cast<double>(config_.switch_lead_bytes);
         // Release rules: (a) the owner went fully idle — its power-save tail
         // has expired, so the observation window is complete; or (b) a
@@ -231,10 +159,10 @@ void NetStack::Pump() {
         if (!nic_free || s.q.empty()) {
           if (contender != kNoApp && !grant_over) {
             const TimeNs when = balloon_start() + config_.min_grant;
-            SchedulePumpAt(std::max(when, sim_->Now()));
+            socks_.PumpAt(std::max(when, sim_->Now()));
           } else if (in_tail && contender == kNoApp) {
             // Come back when the tail expires to release the idle balloon.
-            SchedulePumpAt(std::max(tail_deadline, sim_->Now()));
+            socks_.PumpAt(std::max(tail_deadline, sim_->Now()));
           }
           // Lost sharing opportunity: a competitor's head packet could have
           // used this free slot (§4.2); its bytes discount the owner.
@@ -256,17 +184,7 @@ void NetStack::Pump() {
         if (our_tx_pending_) {
           return;
         }
-        Socket& s = SockFor(balloon_owner());
-        // Balloon-out: restore the global power state, charge the lost
-        // opportunities to the sandboxed app.
-        if (config_.virtualize_power_state) {
-          s.vstate = device_->power_state();
-          device_->SetPowerState(global_state_);
-        }
-        if (config_.charge_lost_opportunity) {
-          s.credit_bytes += penalty_bytes_;
-        }
-        penalty_bytes_ = 0.0;
+        SettleOwner();
         BalloonFinish();
         continue;
       }
@@ -279,26 +197,26 @@ void NetStack::OnFrameDone(const WifiFrameDone& done) {
     ledger_->Add(HwComponent::kWifi, done.frame.app, done.start_time, done.end_time);
   }
   if (done.frame.is_rx) {
-    Socket& s = SockFor(done.frame.app);
-    s.bytes_delivered += done.frame.bytes;
-    s.last_activity = done.end_time;
+    Sockets::Lane& s = socks_[done.frame.app];
+    s.extra.bytes_delivered += done.frame.bytes;
+    s.last_seen = done.end_time;
     // Reception is airtime the app consumed; it counts toward its credit so
     // heavy downloaders cannot hide behind tiny TX requests.
-    s.credit_bytes += static_cast<double>(done.frame.bytes);
+    s.served += static_cast<double>(done.frame.bytes);
     // RX landing inside the app's own balloon while others wait is likewise
     // a lost sharing opportunity; the charge is capped by what the displaced
     // competitor could actually have sent.
     if ((balloon_phase() == BalloonPhase::kServe ||
          balloon_phase() == BalloonPhase::kDrainOwner) &&
         done.frame.app == balloon_owner()) {
-      const AppId contender = BestPendingApp(/*exclude_owner=*/true);
+      const AppId contender = socks_.Best(balloon_owner());
       if (contender != kNoApp) {
         penalty_bytes_ += static_cast<double>(
             std::min(done.frame.bytes, HeadBytes(contender)));
       }
     }
-    if (s.expected_rx > 0) {
-      --s.expected_rx;
+    if (s.owed > 0) {
+      --s.owed;
     }
     kernel_->DeliverRx(done.frame.app, done.frame.bytes);
     Pump();
@@ -309,21 +227,21 @@ void NetStack::OnFrameDone(const WifiFrameDone& done) {
   const SockPacket p = it->second;
   tx_in_flight_.erase(it);
   our_tx_pending_ = false;
-  Socket& s = SockFor(done.frame.app);
+  Sockets::Lane& s = socks_[done.frame.app];
   // Airtime was burned whether or not the frame arrived; it always counts
   // toward the sender's credit (lost frames are not free).
-  s.credit_bytes += static_cast<double>(done.frame.bytes);
-  s.last_activity = done.end_time;
+  s.served += static_cast<double>(done.frame.bytes);
+  s.last_seen = done.end_time;
   if (!done.delivered) {
     HandleTxLoss(p);
     Pump();
     return;
   }
-  s.bytes_delivered += done.frame.bytes;
+  s.extra.bytes_delivered += done.frame.bytes;
   if (p.resp_bytes > 0 && p.resp_count > 0) {
     // Channel model: the peer answers with |resp_count| chunks spaced
     // |resp_delay| apart (a streaming download when > 1).
-    s.expected_rx += p.resp_count;
+    s.owed += p.resp_count;
     const size_t resp_bytes = p.resp_bytes;
     const AppId app = done.frame.app;
     for (int i = 0; i < p.resp_count; ++i) {
@@ -363,11 +281,6 @@ void NetStack::HandleTxLoss(SockPacket p) {
   ScheduleRetx(sim_->Now() + backoff, p);
 }
 
-void NetStack::SchedulePumpAt(TimeNs when) {
-  std::erase_if(pump_events_, [this](EventId e) { return !sim_->IsPending(e); });
-  pump_events_.push_back(sim_->ScheduleAt(when, [this] { Pump(); }));
-}
-
 void NetStack::ScheduleRetx(TimeNs when, const SockPacket& p) {
   pending_retx_[p.frame.id].pkt = p;
   ArmRetx(p.frame.id, when);
@@ -379,7 +292,7 @@ void NetStack::ArmRetx(uint64_t frame_id, TimeNs when) {
     PSBOX_CHECK(it != pending_retx_.end());
     const SockPacket pkt = it->second.pkt;
     pending_retx_.erase(it);
-    SockFor(pkt.frame.app).q.push_front(pkt);
+    socks_[pkt.frame.app].q.push_front(pkt);
     Pump();
   });
 }
@@ -396,8 +309,7 @@ void NetStack::ScheduleRxInject(TimeNs when, AppId app, size_t bytes) {
 }
 
 void NetStack::DeliverSocketError(const SockPacket& p) {
-  Socket& s = SockFor(p.frame.app);
-  ++s.errors;
+  ++socks_[p.frame.app].extra.errors;
   ++stats_.socket_errors;
   // The expected responses will never come; retire the task's in-flight unit
   // so the submitter unblocks and can observe the error.
@@ -408,15 +320,14 @@ void NetStack::DeliverSocketError(const SockPacket& p) {
 }
 
 void NetStack::SetSandboxed(AppId app, PsboxId box) {
-  Socket& s = SockFor(app);
+  Sockets::Lane& s = socks_[app];
   s.sandboxed = true;
   s.box = box;
   Pump();
 }
 
 void NetStack::ClearSandboxed(AppId app) {
-  Socket& s = SockFor(app);
-  s.sandboxed = false;
+  socks_[app].sandboxed = false;
   if (balloon_owner() == app) {
     if (balloon_phase() == BalloonPhase::kDrainOthers) {
       BalloonCancel();
@@ -427,17 +338,20 @@ void NetStack::ClearSandboxed(AppId app) {
   Pump();
 }
 
-void NetStack::OnDrainTimeout() {
-  Socket& s = SockFor(balloon_owner());
-  if (balloon_phase() == BalloonPhase::kDrainOwner &&
-      config_.virtualize_power_state) {
-    s.vstate = device_->power_state();
+void NetStack::SettleOwner() {
+  Sockets::Lane& s = socks_[balloon_owner()];
+  if (balloon_phase() == BalloonPhase::kDrainOwner) {
+    s.extra.vstate = device_->power_state();
     device_->SetPowerState(global_state_);
   }
   if (config_.charge_lost_opportunity) {
-    s.credit_bytes += penalty_bytes_;
+    s.served += penalty_bytes_;
   }
   penalty_bytes_ = 0.0;
+}
+
+void NetStack::OnDrainTimeout() {
+  SettleOwner();
   BalloonAbort();
   Pump();
 }
@@ -462,17 +376,12 @@ void NetStack::Serialize(Ar& ar) {
     ar.I64(p.enqueue_time);
     ar.U32(p.retries);
   };
-  ar.Map(socks_, 8, [&](AppId& app, Socket& s) {
-    ar.I64(app);
-    ar.Seq(s.q, 8, packet);
-    ar.F64(s.credit_bytes);
-    ar.Bool(s.sandboxed);
-    ar.I64(s.box);
-    s.vstate.Serialize(ar);
-    ar.U64(s.bytes_delivered);
-    ar.I64(s.expected_rx);
-    ar.I64(s.last_activity);
-    ar.U64(s.errors);
+  socks_.SerializeLanes(ar, packet, [&](Sockets::Lane& s) {
+    s.extra.vstate.Serialize(ar);
+    ar.U64(s.extra.bytes_delivered);
+    ar.I64(s.owed);
+    ar.I64(s.last_seen);
+    ar.U64(s.extra.errors);
   });
   ar.Map(tx_in_flight_, 8, [&](uint64_t& id, SockPacket& p) {
     packet(p);
@@ -489,12 +398,7 @@ void NetStack::Serialize(Ar& ar) {
   ar.U64(stats_.tx_retransmits);
   ar.U64(stats_.tx_failed);
   ar.U64(stats_.socket_errors);
-  ar.Event(retry_event_, [this](TimeNs when) {
-    retry_event_ = sim_->ScheduleAt(when, [this] {
-      retry_event_ = kInvalidEventId;
-      Pump();
-    });
-  });
+  socks_.SerializeHold(ar);
   ar.Map(pending_retx_, 16, [&](uint64_t& id, PendingRetx& pr) {
     packet(pr.pkt);
     id = pr.pkt.frame.id;
@@ -507,22 +411,20 @@ void NetStack::Serialize(Ar& ar) {
       ScheduleRxInject(when, app, static_cast<size_t>(bytes));
     });
   });
-  ar.PendingEvents(pump_events_, 10, [&](EventId& e) {
-    ar.Event(e, [this](TimeNs when) { SchedulePumpAt(when); });
-  });
+  socks_.SerializeWakeups(ar);
 }
 
 template void NetStack::Serialize(SnapshotWriter&);
 template void NetStack::Serialize(SnapshotReader&);
 
 size_t NetStack::BytesDelivered(AppId app) const {
-  auto it = socks_.find(app);
-  return it == socks_.end() ? 0 : it->second.bytes_delivered;
+  const Sockets::Lane* s = socks_.Find(app);
+  return s == nullptr ? 0 : s->extra.bytes_delivered;
 }
 
 uint64_t NetStack::SocketErrors(AppId app) const {
-  auto it = socks_.find(app);
-  return it == socks_.end() ? 0 : it->second.errors;
+  const Sockets::Lane* s = socks_.Find(app);
+  return s == nullptr ? 0 : s->extra.errors;
 }
 
 }  // namespace psbox

@@ -16,13 +16,13 @@
 #ifndef SRC_KERNEL_NET_STACK_H_
 #define SRC_KERNEL_NET_STACK_H_
 
-#include <deque>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/types.h"
 #include "src/hw/wifi_device.h"
+#include "src/kernel/fair_queue.h"
 #include "src/kernel/resource_domain.h"
 #include "src/kernel/task.h"
 #include "src/sim/simulator.h"
@@ -36,9 +36,8 @@ struct NetConfig {
   // The balloon releases the NIC once the owner's byte credit leads the best
   // competitor by this much.
   size_t switch_lead_bytes = 24 * 1024;
-  // Ablation knobs (DESIGN.md §4); both default to the paper's design.
+  // Ablation knob (DESIGN.md §4); defaults to the paper's design.
   bool charge_lost_opportunity = true;
-  bool virtualize_power_state = true;
 
   // --- fault recovery (DESIGN.md "Fault model & recovery semantics") ------
   // A TX frame the channel drops is retransmitted after a capped exponential
@@ -74,7 +73,7 @@ class NetStack : public ResourceDomain {
   // backed-off packet, owes it no response (no RX injection pending), and
   // its last activity is older than the recency window.
   bool Retirable(AppId app, TimeNs cutoff) const override;
-  void RetireApp(AppId app) override { socks_.erase(app); }
+  void RetireApp(AppId app) override { socks_.Erase(app); }
 
   struct Stats {
     uint64_t tx_frames = 0;
@@ -106,47 +105,36 @@ class NetStack : public ResourceDomain {
     int retries = 0;  // transmission attempts already lost
   };
 
-  struct Socket {
-    std::deque<SockPacket> q;
-    double credit_bytes = 0.0;
-    bool sandboxed = false;
-    PsboxId box = kNoPsbox;
+  // A socket is a FairQueue lane: its TX packets, its byte credit (the
+  // fairness key: airtime used, TX and RX), the responses the channel still
+  // owes it (in-flight request/response exchanges; a balloon stays open
+  // while any are outstanding), and its last activity. The NIC adds these.
+  struct SocketState {
     WifiPowerState vstate;  // virtualised NIC power state for the sandbox
     size_t bytes_delivered = 0;
-    // Responses the channel still owes this app (in-flight request/response
-    // exchanges); a balloon stays open while any are outstanding.
-    int expected_rx = 0;
-    TimeNs last_activity = -1;
     uint64_t errors = 0;  // socket errors delivered (retransmit gave up)
   };
+  using Sockets = FairQueue<SockPacket, SocketState>;
 
-  // Apps active within this window count as competitors of a sandboxed app.
-  static constexpr DurationNs kRecency = 200 * kMillisecond;
-
-  Socket& SockFor(AppId app);
   void Pump();
   void OnFrameDone(const WifiFrameDone& done);
-  AppId BestPendingApp(bool exclude_owner) const;
   // Size of |app|'s head TX packet: the airtime it loses while the owner
   // holds the NIC. 0 for a sandboxed contender that only awaits RX — it has
   // no packet to displace.
   size_t HeadBytes(AppId app);
-  // Least byte-credit among recently-active competitors of |owner|;
-  // +infinity when none. Gates balloon (re)entry like the CPU/accelerator
-  // repayment rules.
-  double MinRecentCompetitorCredit(AppId owner) const;
   void DispatchFrom(AppId app);
   // A TX frame was lost on the air: re-enqueue it at the head of its socket
   // after a capped exponential backoff, or give up and deliver a socket
   // error once the retry budget is spent.
   void HandleTxLoss(SockPacket p);
   void DeliverSocketError(const SockPacket& p);
+  // Balloon-out, or its abort: an owner that held the NIC parks its power
+  // state and the global one returns; the owner is charged the lost sharing
+  // opportunities.
+  void SettleOwner();
   // A drain phase exceeded the (optionally) configured bound: unwind the
   // balloon, restoring the global power state and settling the penalty.
   void OnDrainTimeout() override;
-  // Tracks a deferred Pump() wake-up so checkpoints can re-arm it; prunes
-  // already-fired entries.
-  void SchedulePumpAt(TimeNs when);
   // Parks a lost frame for retransmission at |when|, keyed by frame id so
   // checkpoints can persist the packet and re-arm the timer.
   void ScheduleRetx(TimeNs when, const SockPacket& p);
@@ -158,12 +146,11 @@ class NetStack : public ResourceDomain {
   Kernel* kernel_;
   NetConfig config_;
 
-  std::map<AppId, Socket> socks_;
+  Sockets socks_;
   std::unordered_map<uint64_t, SockPacket> tx_in_flight_;
   uint64_t next_frame_id_ = 1;
   bool our_tx_pending_ = false;  // a TX frame of ours occupies the NIC queue
 
-  EventId retry_event_ = kInvalidEventId;
   double penalty_bytes_ = 0.0;  // lost sharing opportunity during the balloon
   WifiPowerState global_state_;
 
@@ -180,8 +167,6 @@ class NetStack : public ResourceDomain {
     uint64_t bytes = 0;
   };
   std::vector<RxInject> rx_events_;
-  // Outstanding deferred-Pump() events (min-grant and tail-expiry wakeups).
-  std::vector<EventId> pump_events_;
 
   Stats stats_;
 };

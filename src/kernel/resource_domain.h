@@ -17,10 +17,13 @@
 //
 // Policies (CpuScheduler, AccelDriver, NetStack, StorageDriver) keep only
 // what is genuinely resource-specific: queueing, fairness credits, device
-// dispatch, power-state virtualisation and recovery actions. The kernel and
-// the psbox manager address every domain uniformly through a registry keyed
-// by HwComponent — adding a sandboxed resource means implementing this
-// interface, not wiring a fourth special case through the stack.
+// dispatch, power-state virtualisation and recovery actions. The temporal
+// ones share their per-app fair queue (fair_queue.h), and the two command
+// drivers their whole dispatch and recovery core (command_driver.h). The
+// kernel and the psbox manager address every domain uniformly through a
+// registry keyed by HwComponent — adding a sandboxed resource means
+// implementing this interface, not wiring a fourth special case through the
+// stack.
 //
 // Two shapes of policy:
 //   * temporal domains (accelerators, NIC, storage) drive the five-phase

@@ -2,9 +2,13 @@
 // same DomainStats with the same invariants, and the kernel registry covers
 // every HwComponent — balloon-carrying policies for CPU/GPU/DSP/WiFi/storage
 // and direct-metered policies for the §7 entanglement-free display and GPS.
+// Also the decision table of the FairQueue the temporal drivers share.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "src/kernel/fair_queue.h"
 #include "src/workloads/table5_apps.h"
 #include "tests/test_util.h"
 
@@ -110,6 +114,145 @@ TEST(DomainRegistryTest, DirectMeteredDomainsCarryNoBalloonProtocol) {
 TEST(DomainRegistryTest, DriverForRejectsNonAccelerators) {
   TestStack s;
   EXPECT_DEATH(s.kernel.DriverFor(HwComponent::kWifi), "not an accelerator");
+}
+
+// --- the shared fair queue ---------------------------------------------------
+
+constexpr DurationNs kWindow = 50 * kMillisecond;
+constexpr double kLead = 1000.0;
+
+struct FairQueueTest : ::testing::Test {
+  using Queue = FairQueue<int, int>;
+  using Verdict = Queue::Verdict;
+
+  FairQueueTest() { sim.RunUntil(Seconds(1)); }
+
+  // A lane with |served| service and |queued| items.
+  Queue::Lane& Put(AppId app, double served, int queued,
+                   bool sandboxed = false) {
+    Queue::Lane& l = queue[app];
+    l.served = served;
+    l.q.assign(static_cast<size_t>(queued), 0);
+    l.sandboxed = sandboxed;
+    return l;
+  }
+
+  Simulator sim;
+  int pumps = 0;
+  Queue queue{&sim, kWindow, kLead, kMillisecond, [this] { ++pumps; }};
+};
+
+TEST_F(FairQueueTest, TiesGoToTheLowestAppId) {
+  Put(7, 5.0, 1);
+  Put(3, 5.0, 1);
+  Put(5, 6.0, 1);
+  EXPECT_EQ(queue.Best(), 3);
+  const Queue::Pick pick = queue.Next();
+  EXPECT_EQ(pick.verdict, Verdict::kDispatch);
+  EXPECT_EQ(pick.app, 3);
+}
+
+TEST_F(FairQueueTest, UnsandboxedHeadDispatches) {
+  Put(1, 0.0, 1);
+  Put(2, 10.0, 1, /*sandboxed=*/true);
+  const Queue::Pick pick = queue.Next();
+  EXPECT_EQ(pick.verdict, Verdict::kDispatch);
+  EXPECT_EQ(pick.app, 1);
+  queue[1].q.clear();
+  EXPECT_EQ(queue.Next().verdict, Verdict::kBalloon);
+  queue[2].q.clear();
+  EXPECT_EQ(queue.Next().verdict, Verdict::kIdle);
+}
+
+TEST_F(FairQueueTest, SandboxedHeadBalloonsUpToTheLead) {
+  // App 1 was served recently and has nothing queued: the competitor.
+  Put(1, 0.0, 0).last_seen = sim.Now();
+  Put(2, kLead, 1, /*sandboxed=*/true);
+  Queue::Pick pick = queue.Next();
+  EXPECT_EQ(pick.verdict, Verdict::kBalloon);
+  EXPECT_EQ(pick.app, 2);
+
+  // One past the lead: still repaying, and nobody else has work.
+  queue[2].served = kLead + 1.0;
+  EXPECT_EQ(queue.Next().verdict, Verdict::kHold);
+
+  // The least-served unsandboxed app with queued work goes instead; a
+  // sandboxed one does not.
+  Put(3, 3000.0, 1, /*sandboxed=*/true);
+  Put(4, 2500.0, 1);
+  Put(5, 2000.0, 1);
+  pick = queue.Next();
+  EXPECT_EQ(pick.verdict, Verdict::kDispatch);
+  EXPECT_EQ(pick.app, 5);
+}
+
+TEST_F(FairQueueTest, CompetitorsAreQueuedOrSeenWithinTheWindow) {
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  Queue::Lane& head = Put(1, kLead + 1.0, 1, /*sandboxed=*/true);
+  Queue::Lane& rival = Put(2, 0.0, 0);
+  EXPECT_EQ(queue.MinRecentCompetitor(1), kNone);  // never seen
+  EXPECT_EQ(queue.Next().verdict, Verdict::kBalloon);
+
+  rival.last_seen = sim.Now() - kWindow;
+  EXPECT_EQ(queue.MinRecentCompetitor(1), 0.0);
+  EXPECT_EQ(queue.Next().verdict, Verdict::kHold);
+
+  rival.last_seen = sim.Now() - kWindow - 1;
+  EXPECT_EQ(queue.MinRecentCompetitor(1), kNone);
+  EXPECT_EQ(queue.Next().verdict, Verdict::kBalloon);
+
+  rival.q.push_back(0);
+  EXPECT_EQ(queue.MinRecentCompetitor(1), 0.0);
+  // The owner never competes with itself.
+  head.last_seen = sim.Now();
+  EXPECT_EQ(queue.MinRecentCompetitor(2), kLead + 1.0);
+}
+
+TEST_F(FairQueueTest, OwedResponsesMakeASandboxedAppWantTheDevice) {
+  Put(1, 0.0, 0).owed = 2;
+  EXPECT_EQ(queue.Best(), kNoApp);  // unsandboxed: reception needs no balloon
+  Put(2, 5.0, 0, /*sandboxed=*/true).owed = 1;
+  EXPECT_EQ(queue.Best(), 2);
+  const Queue::Pick pick = queue.Next();
+  EXPECT_EQ(pick.verdict, Verdict::kBalloon);
+  EXPECT_EQ(pick.app, 2);
+}
+
+TEST_F(FairQueueTest, BestSkipsTheOwner) {
+  Put(1, 0.0, 1, /*sandboxed=*/true);
+  Put(2, 5.0, 1);
+  EXPECT_EQ(queue.Best(1), 2);
+  EXPECT_EQ(queue.Best(2), 1);
+  queue[2].q.clear();
+  EXPECT_EQ(queue.Best(1), kNoApp);
+}
+
+TEST_F(FairQueueTest, QuietOnceNothingIsQueuedOwedOrRecent) {
+  const TimeNs cutoff = sim.Now();
+  EXPECT_TRUE(queue.Quiet(9, cutoff));  // no lane at all
+  Queue::Lane& l = Put(1, 0.0, 1);
+  l.last_seen = cutoff - kWindow - 1;
+  EXPECT_FALSE(queue.Quiet(1, cutoff));  // queued
+  l.q.clear();
+  l.owed = 1;
+  EXPECT_FALSE(queue.Quiet(1, cutoff));  // owed
+  l.owed = 0;
+  EXPECT_TRUE(queue.Quiet(1, cutoff));
+  l.last_seen = cutoff - kWindow;
+  EXPECT_FALSE(queue.Quiet(1, cutoff));  // a competitor until the window ends
+}
+
+TEST_F(FairQueueTest, HoldArmsOneRetry) {
+  queue.Hold();
+  queue.Hold();
+  sim.RunUntil(sim.Now() + kMillisecond - 1);
+  EXPECT_EQ(pumps, 0);
+  sim.RunUntil(sim.Now() + 1);
+  EXPECT_EQ(pumps, 1);
+  queue.Hold();
+  queue.PumpAt(sim.Now());
+  sim.RunUntil(sim.Now() + kMillisecond);
+  EXPECT_EQ(pumps, 3);
 }
 
 }  // namespace

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/sim/fault_injector.h"
 #include "src/sim/watchdog.h"
+#include "src/snapshot/board_snapshot.h"
+#include "src/snapshot/snapshot_io.h"
+#include "src/workloads/table5_apps.h"
 #include "tests/test_util.h"
 
 namespace psbox {
@@ -407,6 +411,80 @@ TEST(FaultRecoveryTest, CombinedFaultsAreDeterministicAndRecoverable) {
   for (size_t i = 0; i < first.values.size(); ++i) {
     EXPECT_EQ(first.values[i], second.values[i]) << "fingerprint slot " << i;
   }
+}
+
+// Pins every driver recovery path to recorded bytes. The fleet fingerprints
+// and the checkpoint golden all run without faults, so they cannot see a
+// change to the GPU, DSP, storage or NIC recovery code; this board runs
+// every such branch, and the shards it saves carry the drivers' queues,
+// in-flight tables, watchdogs and counters. A mismatch means recovery now
+// decides differently.
+TEST(FaultRecoveryTest, RecoveryPathsMatchRecordedShard) {
+  BoardConfig bc;
+  bc.faults.seed = 0xD21E;
+  bc.faults.accel_hang_prob = 0.3;
+  bc.faults.accel_latency_prob = 0.2;
+  bc.faults.storage_hang_prob = 0.3;
+  bc.faults.wifi_tx_loss_prob = 0.3;
+  bc.faults.wifi_link_down = {{Millis(300), Millis(450)}};
+  KernelConfig kc;
+  kc.gpu_driver.drain_timeout = 30 * kMillisecond;
+  kc.gpu_driver.command_timeout_base = 40 * kMillisecond;
+  kc.gpu_driver.max_command_retries = 1;
+  kc.dsp_driver.drain_timeout = 60 * kMillisecond;
+  kc.storage_driver.command_timeout = 50 * kMillisecond;
+  kc.storage_driver.drain_timeout = 30 * kMillisecond;
+  kc.storage_driver.max_command_retries = 1;
+  kc.net.max_tx_retries = 2;
+  TestStack s(bc, kc);
+  // One sandboxed app and one plain co-runner per balloon domain.
+  AppOptions boxed;
+  boxed.use_psbox = true;
+  boxed.deadline = Millis(1500);
+  AppOptions plain;
+  plain.deadline = Millis(1500);
+  SpawnTriangle(s.kernel, "triangle", boxed);
+  SpawnCube(s.kernel, "cube", plain);
+  SpawnSgemm(s.kernel, "sgemm", boxed);
+  SpawnDgemm(s.kernel, "dgemm", plain);
+  SpawnMediaScan(s.kernel, "media-scan", boxed);
+  SpawnPhotoSync(s.kernel, "photo-sync", plain);
+  SpawnScp(s.kernel, "scp", boxed);
+  SpawnWget(s.kernel, "wget", plain);
+
+  struct Cut {
+    TimeNs at;
+    size_t bytes;
+    uint32_t crc;
+  };
+  const Cut kRecorded[] = {{Millis(400), 25997, 0x8559dc2e},
+                           {Millis(1000), 53334, 0x8c296e86},
+                           {Millis(1600), 72960, 0x80266053}};
+  for (const Cut& cut : kRecorded) {
+    SCOPED_TRACE("cut at " + std::to_string(cut.at / kMillisecond) + " ms");
+    s.kernel.RunUntil(cut.at);
+    SnapshotWriter writer;
+    std::string error;
+    ASSERT_TRUE(SaveBoardShard(s.board, s.kernel, s.manager, &writer, &error))
+        << error;
+    const std::vector<uint8_t> sealed = writer.Seal();
+    EXPECT_EQ(sealed.size(), cut.bytes);
+    EXPECT_EQ(SnapshotCrc32(sealed.data() + kSnapshotHeaderSize,
+                            sealed.size() - kSnapshotHeaderSize),
+              cut.crc);
+  }
+
+  // The branches the pin covers. Storage counts a drain timeout that found
+  // the channel healthy as a watchdog fire without a reset.
+  const auto& gpu = s.kernel.gpu_driver();
+  EXPECT_GT(gpu.domain_stats().aborted, 0u);
+  EXPECT_GT(gpu.stats().commands_failed, 0u);
+  const auto& storage = s.kernel.storage_driver();
+  EXPECT_GT(storage.domain_stats().aborted, 0u);
+  EXPECT_GT(storage.stats().commands_failed, 0u);
+  EXPECT_GT(storage.stats().watchdog_fires, storage.stats().device_resets);
+  EXPECT_GT(s.kernel.net().stats().tx_retransmits, 0u);
+  EXPECT_GT(s.kernel.net().stats().socket_errors, 0u);
 }
 
 }  // namespace

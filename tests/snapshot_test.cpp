@@ -679,6 +679,57 @@ TEST(SnapshotFieldCheckTest, UnknownAppIdRejected) {
       << "error was: " << error;
 }
 
+// Accelerator driver state that is well formed field by field but
+// contradicts itself or the restored device. Before the cross-field checks
+// each of these restored cleanly and then aborted in Run().
+TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  // Board 1's driver sections: the GPU's, then the DSP's.
+  const size_t board1 = AfterSection(golden, "shard", AfterSection(golden, "shard"));
+  const size_t dsp = AfterSection(golden, "accel_driver",
+                                  AfterSection(golden, "accel_driver", board1));
+  ASSERT_EQ(dsp, 51637u);
+  const auto read = [&golden](size_t at, size_t width) {
+    uint64_t v = 0;
+    for (size_t b = 0; b < width; ++b) {
+      v |= static_cast<uint64_t>(golden[at + b]) << (8 * b);
+    }
+    return v;
+  };
+  struct Mutation {
+    const char* field;
+    size_t at;       // payload offset, relative to the DSP section
+    size_t width;    // bytes
+    uint64_t was;    // the golden's value, cross-checked before mutating
+    uint64_t value;
+    const char* error;
+  };
+  // Past the lifecycle layer and a six-edge timeline: app 15's lane (two
+  // queued commands) ends with its context, completion count and last-seen
+  // time; the in-flight table's one command starts with its id; the first
+  // entry of the frequency context map is context 0's OPP.
+  const Mutation kMutations[] = {
+      {"context 0's OPP", 638, 4, 0, 9,
+       "DSP driver frequency context 0 OPP index 9 out of range"},
+      {"in-flight command id", 537, 8, 6, 999,
+       "DSP driver's in-flight commands are not the ones executing on the "
+       "device"},
+      {"app 15's lane context", 456, 4, 2, 99,
+       "DSP driver app 15 names unknown frequency context 99"},
+  };
+  for (const Mutation& m : kMutations) {
+    SCOPED_TRACE(m.field);
+    ASSERT_EQ(read(dsp + m.at, m.width), m.was);
+    std::vector<uint8_t> payload = golden;
+    for (size_t b = 0; b < m.width; ++b) {
+      payload[dsp + m.at + b] = static_cast<uint8_t>(m.value >> (8 * b));
+    }
+    std::string error;
+    EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
+    EXPECT_NE(error.find(m.error), std::string::npos) << "error was: " << error;
+  }
+}
+
 // Seeded mutations of the golden payload, each re-sealed so the CRC passes:
 // bit flips, truncations and inflated 8-byte fields (a huge length claim).
 // Every case must either restore or fail with an error; under PSBOX_SANITIZE
