@@ -24,14 +24,22 @@
 // The median host CPU time per simulated board-second at 64 s may exceed
 // the 8 s figure by at most 1.3x — finished apps retire, so cost must not
 // grow with every app ever spawned. The ratio goes into the JSON too.
+//
+// Last, a restore-growth check on the same population: a checkpoint cut at
+// 8 s and one cut at 64 s, each restored five times. The fastest restore of
+// the 64 s cut may take at most 1.5x the fastest of the 8 s cut — restore
+// re-creates the live apps only, so its cost must not grow with the
+// horizon. Both times go into the JSON.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,6 +115,39 @@ double CpuPerBoardSecond(TimeNs horizon) {
   }
   std::sort(runs.begin(), runs.end());
   return runs[1];
+}
+
+// Fastest wall time of five restores of ChurnScenario cut at |cut|; a
+// negative value when the cut cannot be written or restored.
+double MinRestoreSeconds(TimeNs cut) {
+  const FleetScenario scenario = ChurnScenario(cut + 10 * kMillisecond);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "popgen_soak_restore.snap")
+          .string();
+  {
+    RootCoordinator fleet(scenario, 1);
+    fleet.set_checkpoint(path, static_cast<int>(cut / scenario.epoch));
+    (void)fleet.Run();
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 5; ++i) {
+    std::string error;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto restored =
+        RootCoordinator::RestoreFromCheckpoint(scenario, 1, path, &error);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    if (restored == nullptr || restored->resume_time() != cut) {
+      std::fprintf(stderr,
+                   "popgen_soak: restore of the %.0f s cut failed: %s\n",
+                   ToSeconds(cut), error.c_str());
+      best = -1.0;
+      break;
+    }
+    best = std::min(best, took.count());
+  }
+  std::remove(path.c_str());
+  return best;
 }
 
 int ThreadBudget(int boards) {
@@ -221,6 +262,17 @@ int main(int argc, char** argv) {
               "64 s (median of 3): growth %.2fx (limit %.1fx)\n",
               cpu_short * 1e6, cpu_long * 1e6, growth, kMaxGrowth);
 
+  // Restore growth (see the header comment).
+  constexpr double kMaxRestoreGrowth = 1.5;
+  const double restore_short = MinRestoreSeconds(Seconds(8));
+  const double restore_long = MinRestoreSeconds(Seconds(64));
+  const double restore_growth =
+      restore_short > 0.0 ? restore_long / restore_short : 0.0;
+  std::printf("restore: %.2f ms at the 8 s cut, %.2f ms at the 64 s cut "
+              "(min of 5): growth %.2fx (limit %.1fx)\n",
+              restore_short * 1e3, restore_long * 1e3, restore_growth,
+              kMaxRestoreGrowth);
+
   std::ofstream json(json_path);
   if (!json) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -248,6 +300,9 @@ int main(int argc, char** argv) {
        << ",\n  \"long_horizon_cpu_us_per_board_s_64s\": "
        << FormatDouble(cpu_long * 1e6, 2)
        << ",\n  \"long_horizon_growth\": " << FormatDouble(growth, 3)
+       << ",\n  \"restore_ms_8s\": " << FormatDouble(restore_short * 1e3, 3)
+       << ",\n  \"restore_ms_64s\": " << FormatDouble(restore_long * 1e3, 3)
+       << ",\n  \"restore_growth\": " << FormatDouble(restore_growth, 3)
        << "\n}\n";
   std::printf("JSON written to %s\n", json_path.c_str());
 
@@ -264,6 +319,16 @@ int main(int argc, char** argv) {
                  "popgen_soak: cost per board-second grew %.2fx from 8 s to "
                  "64 s (limit %.1fx)\n",
                  growth, kMaxGrowth);
+    return 1;
+  }
+  if (restore_short <= 0.0 || restore_long <= 0.0) {
+    return 1;
+  }
+  if (restore_growth > kMaxRestoreGrowth) {
+    std::fprintf(stderr,
+                 "popgen_soak: restore time grew %.2fx from the 8 s cut to "
+                 "the 64 s cut (limit %.1fx)\n",
+                 restore_growth, kMaxRestoreGrowth);
     return 1;
   }
   if (a.spawned < 5000 && boards >= 64 && seconds >= 1 && rate_hz >= 100.0) {

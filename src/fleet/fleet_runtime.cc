@@ -75,8 +75,7 @@ void FleetRuntime::BuildShards() {
   }
 }
 
-void FleetRuntime::SpawnOn(FleetAppRuntime& app, int board_index,
-                           std::vector<SpawnRecord>* spawn_log) {
+void FleetRuntime::SpawnOn(FleetAppRuntime& app, int board_index) {
   FleetShard& shard = *shards_[static_cast<size_t>(board_index)];
   AppOptions opts = app.spec.options;
   opts.iterations = app.remaining;
@@ -87,9 +86,10 @@ void FleetRuntime::SpawnOn(FleetAppRuntime& app, int board_index,
     // Hop-qualified label so every instance is distinct in per-board output.
     label += "@b" + std::to_string(board_index);
   }
-  spawn_log->push_back({static_cast<int>(&app - apps_.data()), board_index,
-                        label, app.remaining, shard.now});
   app.handle = app.spec.factory(*shard.kernel, label, opts);
+  shard.spawns.push_back({app.handle.app,
+                          static_cast<int>(&app - apps_.data()),
+                          std::move(label), app.remaining});
   app.board = board_index;
   app.draining = false;
   app.parked = false;
@@ -136,8 +136,7 @@ Joules FleetRuntime::CloseHop(FleetAppRuntime& app, Joules* raw_reading) {
 }
 
 bool FleetRuntime::TransferAppState(FleetAppRuntime& app, int source,
-                                    int target, Joules raw_reading,
-                                    std::vector<SpawnRecord>* spawn_log) {
+                                    int target, Joules raw_reading) {
   const bool transferred = [&] {
     if (!scenario_.crash_state_transfer || !app.spec.options.use_psbox) {
       return false;  // no virtual meter, nothing transferable
@@ -167,7 +166,7 @@ bool FleetRuntime::TransferAppState(FleetAppRuntime& app, int source,
     if (!r.ok() || name != app.spec.name) {
       return false;
     }
-    SpawnOn(app, target, spawn_log);
+    SpawnOn(app, target);
     // Billing resumes from the transferred raw value: the target's manager
     // seeds the app's next sandbox with it, and hop accounting subtracts it.
     app.budget_remaining = budget;
@@ -180,7 +179,7 @@ bool FleetRuntime::TransferAppState(FleetAppRuntime& app, int source,
     return true;
   }();
   if (!transferred) {
-    SpawnOn(app, target, spawn_log);  // drain-style carry: billing restarts at 0
+    SpawnOn(app, target);  // drain-style carry: billing restarts at 0
   }
   return transferred;
 }

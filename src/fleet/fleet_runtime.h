@@ -2,9 +2,11 @@
 //
 // It owns the shard islands (Board + Kernel + PsboxManager), the per-app
 // runtime records that follow apps across boards, and the mechanics every
-// migration flavour is built from: spawning an app instance on a board,
-// closing a hop (billing energy + iterations to the board it ran on), and
-// serialising billing state off a dying board (crash state transfer).
+// migration flavour is built from: spawning an app instance on a board
+// (listed in the board's live fleet spawns, the instances a checkpoint
+// records recipes for), closing a hop (billing energy + iterations to the
+// board it ran on), and serialising billing state off a dying board (crash
+// state transfer).
 //
 // Ownership discipline (the determinism argument leans on it): between root
 // barriers, every shard and every app belongs to exactly one sub-fleet —
@@ -27,6 +29,17 @@
 
 namespace psbox {
 
+// A fleet app instance spawned on a board and not yet retired there: what
+// re-creates it on restore (the spec it instantiates, its label and its
+// iteration target). An app's older instances stay listed until the
+// board's kernel retires them.
+struct FleetSpawn {
+  AppId app = kNoApp;
+  int app_index = -1;  // into FleetRuntime::apps
+  std::string label;
+  uint64_t iterations = 0;
+};
+
 // One board island.
 struct FleetShard {
   int index = 0;
@@ -38,6 +51,9 @@ struct FleetShard {
   std::unique_ptr<PsboxManager> manager;
   // Generated background population (null when the scenario disables it).
   std::unique_ptr<BoardPopulation> population;
+  // Live fleet app instances on this board, in spawn (= app id) order;
+  // pruned behind the retention trim.
+  std::vector<FleetSpawn> spawns;
 };
 
 // Runtime state of one FleetAppSpec instance as it moves across boards.
@@ -75,21 +91,6 @@ struct FleetAppRuntime {
   AppHandle handle;
 };
 
-// One factory invocation, recorded so a checkpoint restore can replay the
-// exact app/task construction sequence on every shard.
-struct SpawnRecord {
-  int app_index = -1;
-  int board = -1;
-  std::string label;
-  uint64_t iterations = 0;
-  // Target shard's local clock when the factory ran (the barrier instant; 0
-  // for initial spawns). Restore interleaves the replayed factory calls with
-  // regenerated population arrivals in time order — arrivals at a barrier
-  // instant precede the barrier's spawns, exactly as the live engine fired
-  // them before the barrier code ran.
-  TimeNs when = 0;
-};
-
 class FleetRuntime {
  public:
   FleetRuntime(FleetScenario scenario);
@@ -108,9 +109,8 @@ class FleetRuntime {
   std::vector<uint64_t>& board_iterations() { return board_iterations_; }
 
   // Spawns |app|'s behavior on |board_index| with its remaining iteration
-  // target, appending the factory call to |spawn_log| for checkpoint replay.
-  void SpawnOn(FleetAppRuntime& app, int board_index,
-               std::vector<SpawnRecord>* spawn_log);
+  // target and lists the instance in the board's spawns.
+  void SpawnOn(FleetAppRuntime& app, int board_index);
 
   // Bills the current hop (energy + iterations, attributed to the board it
   // ran on) and returns the energy consumed on it. |raw_reading| (optional)
@@ -123,7 +123,7 @@ class FleetRuntime {
   // (true), or fall back to the drain-style carry on a torn/corrupt blob
   // (false). Either way the app ends up spawned on |target|.
   bool TransferAppState(FleetAppRuntime& app, int source, int target,
-                        Joules raw_reading, std::vector<SpawnRecord>* spawn_log);
+                        Joules raw_reading);
 
   // Cumulative rail energy (all seven rails) board |index| consumed up to
   // its local clock. Prefix-sum lookups: cheap enough for every barrier.

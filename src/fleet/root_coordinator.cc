@@ -31,6 +31,13 @@ void StepBoard(FleetShard& s, TimeNs next) {
   s.now = target;
 }
 
+// Drops the fleet app instances the board's kernel has retired.
+void ForgetRetiredSpawns(FleetShard& s) {
+  std::erase_if(s.spawns, [&s](const FleetSpawn& spawn) {
+    return s.kernel->AppRetired(spawn.app);
+  });
+}
+
 // One board's share of pass 3. Shards with a bounded-retention kernel config
 // are trimmed behind every barrier (their own periodic tick handles the
 // mid-epoch cadence; this pass keeps memory bounded even when epochs outpace
@@ -40,6 +47,190 @@ void TrimBoard(FleetShard& s) {
   const DurationNs retention = s.kernel->config().telemetry_retention;
   if (!s.failed && retention > 0) {
     s.kernel->TrimTelemetry(s.now - retention);
+    ForgetRetiredSpawns(s);
+  }
+}
+
+// How a restore re-creates one live app of a board, under its recorded app
+// id and first task id: a tenant principal, an instance of a fleet app, or
+// a generated arrival.
+struct AppRecipe {
+  enum class Kind : uint8_t { kTenant, kFleetSpawn, kArrival };
+  AppId app = kNoApp;
+  TaskId first_task = 0;
+  Kind kind = Kind::kTenant;
+  int tenant = -1;          // kTenant: the tenant slot
+  FleetSpawn spawn;         // kFleetSpawn (spawn.app is |app|)
+  bool current = false;     // kFleetSpawn: the instance the app's handle names
+  GeneratedArrival arrival; // kArrival (its time is not recorded)
+
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.I64(app);
+    ar.I64(first_task);
+    ar.Enum(kind, Kind::kArrival, "app recipe kind");
+    switch (kind) {
+      case Kind::kTenant:
+        ar.I64(tenant);
+        break;
+      case Kind::kFleetSpawn:
+        ar.I64(spawn.app_index);
+        ar.Str(spawn.label);
+        ar.U64(spawn.iterations);
+        ar.Bool(current);
+        break;
+      case Kind::kArrival:
+        ar.I64(arrival.catalog_index);
+        ar.U64(arrival.seq);
+        ar.U64(arrival.iterations);
+        ar.I64(arrival.tenant);
+        ar.Bool(arrival.adversarial);
+        break;
+    }
+  }
+};
+
+// The recipes of every live app on |s|, in app id order. The population's
+// live list must already be pruned (its Serialize does that on save).
+std::vector<AppRecipe> LiveRecipes(FleetShard& s,
+                                   const std::vector<FleetAppRuntime>& apps) {
+  std::vector<AppRecipe> recipes;
+  if (s.population != nullptr) {
+    for (int i = 0; i < s.population->tenant_count(); ++i) {
+      AppRecipe& r = recipes.emplace_back();
+      r.app = s.population->tenant_app(i);
+      r.kind = AppRecipe::Kind::kTenant;
+      r.tenant = i;
+    }
+    for (const BoardPopulation::LiveArrival& live :
+         s.population->live_arrivals()) {
+      AppRecipe& r = recipes.emplace_back();
+      r.app = live.app;
+      r.kind = AppRecipe::Kind::kArrival;
+      r.arrival = live.arrival;
+    }
+  }
+  ForgetRetiredSpawns(s);
+  for (const FleetSpawn& spawn : s.spawns) {
+    const FleetAppRuntime& app = apps[static_cast<size_t>(spawn.app_index)];
+    AppRecipe& r = recipes.emplace_back();
+    r.app = spawn.app;
+    r.kind = AppRecipe::Kind::kFleetSpawn;
+    r.spawn = spawn;
+    r.current = app.board == s.index && app.handle.app == spawn.app;
+  }
+  for (AppRecipe& r : recipes) {
+    r.first_task = s.kernel->FirstTaskId(r.app);
+  }
+  std::sort(recipes.begin(), recipes.end(),
+            [](const AppRecipe& a, const AppRecipe& b) {
+              return a.app < b.app;
+            });
+  return recipes;
+}
+
+// Restore: re-creates the live apps of |s| from |recipes|, one factory call
+// each under the recorded ids (the kernel is in restore mode), and marks in
+// |has_current| each fleet app whose current instance it re-created. Fails
+// |ar| at the first recipe the save side could not have written.
+void RecreateApps(SnapshotReader& ar, FleetShard& s,
+                  const std::vector<AppRecipe>& recipes,
+                  std::vector<FleetAppRuntime>& apps, int tenants,
+                  std::vector<bool>& has_current) {
+  const std::string board = "checkpoint board " + std::to_string(s.index);
+  // App ids ascend strictly; first task ids ascend too, but a task-less
+  // app (a tenant) shares its first task id with the app after it, and the
+  // kernel refuses a first task id inside the previous app's tasks.
+  AppId prev_app = -1;
+  TaskId prev_task = 1;
+  for (const AppRecipe& r : recipes) {
+    if (r.app <= prev_app || r.first_task < prev_task) {
+      ar.Fail(board + " app recipes do not ascend (app " +
+              std::to_string(r.app) + ", first task " +
+              std::to_string(r.first_task) + ")");
+      return;
+    }
+    prev_app = r.app;
+    prev_task = r.first_task;
+    if (!s.kernel->RestoreIdsAt(r.app, r.first_task)) {
+      ar.Fail(board + " app " + std::to_string(r.app) + " first task " +
+              std::to_string(r.first_task) +
+              " overlaps the tasks re-created before it");
+      return;
+    }
+    const int restored_tenants =
+        s.population != nullptr ? s.population->tenant_count() : 0;
+    switch (r.kind) {
+      case AppRecipe::Kind::kTenant:
+        if (r.tenant < 0 || r.tenant >= tenants) {
+          ar.Fail(board + " tenant " + std::to_string(r.tenant) +
+                  " outside [0, " + std::to_string(tenants) + ")");
+          return;
+        }
+        if (r.tenant != restored_tenants) {
+          ar.Fail(board + " lists tenant " + std::to_string(r.tenant) +
+                  " out of order");
+          return;
+        }
+        s.population->RestoreTenant(r.tenant);
+        break;
+      case AppRecipe::Kind::kArrival: {
+        if (s.population == nullptr) {
+          ar.Fail(board + " lists a generated app but runs no population");
+          return;
+        }
+        const std::string bad = s.population->CheckArrival(r.arrival);
+        if (!bad.empty()) {
+          ar.Fail(bad);
+          return;
+        }
+        if (r.arrival.tenant >= restored_tenants) {
+          ar.Fail(board + " lists a generated app under tenant " +
+                  std::to_string(r.arrival.tenant) + " ahead of that tenant");
+          return;
+        }
+        s.population->RestoreArrival(r.arrival);
+        break;
+      }
+      case AppRecipe::Kind::kFleetSpawn: {
+        const int index = r.spawn.app_index;
+        if (index < 0 || static_cast<size_t>(index) >= apps.size()) {
+          ar.Fail(board + " fleet spawn names app spec " +
+                  std::to_string(index) + " outside the scenario's " +
+                  std::to_string(apps.size()) + " apps");
+          return;
+        }
+        FleetAppRuntime& app = apps[static_cast<size_t>(index)];
+        if (r.current && app.board != s.index) {
+          ar.Fail(board + " holds the current instance of fleet app " +
+                  std::to_string(index) + ", which runs on board " +
+                  std::to_string(app.board));
+          return;
+        }
+        if (r.current && has_current[static_cast<size_t>(index)]) {
+          ar.Fail("checkpoint lists two current instances of fleet app " +
+                  std::to_string(index));
+          return;
+        }
+        AppOptions opts = app.spec.options;
+        opts.iterations = r.spawn.iterations;
+        auto stop = std::make_shared<bool>(false);
+        opts.stop = stop;
+        AppHandle handle = app.spec.factory(*s.kernel, r.spawn.label, opts);
+        s.spawns.push_back(
+            {handle.app, index, r.spawn.label, r.spawn.iterations});
+        if (r.current) {
+          has_current[static_cast<size_t>(index)] = true;
+          app.stop = std::move(stop);
+          app.handle = std::move(handle);
+        }
+        break;
+      }
+    }
+  }
+  if (s.population != nullptr && s.population->tenant_count() != tenants) {
+    ar.Fail(board + " lists " + std::to_string(s.population->tenant_count()) +
+            " of its " + std::to_string(tenants) + " tenants");
   }
 }
 
@@ -53,8 +244,9 @@ RootCoordinator::RootCoordinator(FleetScenario scenario, int threads)
 RootCoordinator::RootCoordinator(FleetScenario scenario, int threads,
                                  RestoreTag)
     : rt_(std::move(scenario)), pool_(threads) {
-  // Checkpoint restore: sub-fleets and app runtimes are built, but every
-  // spawn is replayed from the checkpoint's logs by SerializeCheckpoint.
+  // Checkpoint restore: sub-fleets and app runtimes are built, but nothing
+  // is spawned; SerializeCheckpoint re-creates the live apps from their
+  // recipes.
   Init(/*spawn=*/false);
 }
 
@@ -95,7 +287,7 @@ void RootCoordinator::Init(bool spawn) {
     // Tenant principals first: their apps and sandboxes must precede every
     // other app and box on a board so their ids stay deterministic and the
     // generated arrivals can nest under them from the first epoch. The
-    // restore path recreates them inside the per-shard replay instead.
+    // restore path re-creates them from their recipes instead.
     for (auto& shard : rt_.shards()) {
       if (shard->population != nullptr) {
         shard->population->CreateTenants(/*restoring=*/false);
@@ -106,7 +298,7 @@ void RootCoordinator::Init(bool spawn) {
       SubFleetCoordinator& sf =
           *subfleets_[static_cast<size_t>(SubfleetOf(apps[i].spec.board))];
       sf.AdoptApp(static_cast<int>(i));
-      rt_.SpawnOn(apps[i], apps[i].spec.board, &sf.spawn_log());
+      rt_.SpawnOn(apps[i], apps[i].spec.board);
     }
   }
 }
@@ -174,9 +366,8 @@ void RootCoordinator::ProcessRootBarrier(TimeNs now) {
       continue;
     }
     ++app.hops;
-    const bool transferred = rt_.TransferAppState(
-        app, from, target, app.parked_raw,
-        &subfleets_[static_cast<size_t>(SubfleetOf(target))]->spawn_log());
+    const bool transferred =
+        rt_.TransferAppState(app, from, target, app.parked_raw);
     MigrationRecord rec;
     rec.when = now;
     rec.app = app.spec.name;
@@ -217,9 +408,7 @@ void RootCoordinator::ProcessRootBarrier(TimeNs now) {
     }
     ++app.hops;
     ++app.rebalance_hops;
-    rt_.SpawnOn(
-        app, target,
-        &subfleets_[static_cast<size_t>(SubfleetOf(target))]->spawn_log());
+    rt_.SpawnOn(app, target);
     MigrationRecord rec;
     rec.when = now;
     rec.app = app.spec.name;
@@ -438,10 +627,9 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
   ar.Expect(scenario.fleet_budget, hierarchy_mismatch);
   ar.Expect(scenario.migration.energy_weight, hierarchy_mismatch);
   ar.Expect(scenario.migration.rebalance_ratio, hierarchy_mismatch);
-  // Population block (format v3). The generator carries no runtime state of
-  // its own: a restore re-derives every arrival up to each shard's clock by
-  // replaying the seeded stream, so the full config is the cursor — it rides
-  // in the file and is compared against the re-supplied scenario.
+  // Population block (format v3): the full config rides in the file and is
+  // compared against the re-supplied scenario. Each board's generator
+  // cursor travels with its shard below (v6).
   PopulationConfig population = scenario.population;
   population.Serialize(ar);
   if constexpr (Ar::kLoading) {
@@ -500,28 +688,8 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
     });
   };
 
-  // Per-sub-fleet spawn logs (replayed verbatim on restore so every shard
-  // re-creates its apps/tasks through the same factory calls, in the same
-  // order) and local migration histories.
+  // Per-sub-fleet local migration histories.
   for (auto& sf : subfleets_) {
-    ar.Seq(sf->spawn_log(), 4 * sizeof(int64_t), [&](SpawnRecord& rec) {
-      ar.I64(rec.app_index);
-      ar.I64(rec.board);
-      ar.Str(rec.label);
-      ar.U64(rec.iterations);
-      ar.I64(rec.when);
-      if constexpr (Ar::kLoading) {
-        if (ar.ok() && (rec.app_index < 0 ||
-                        static_cast<size_t>(rec.app_index) >= apps.size() ||
-                        !sf->Owns(rec.board))) {
-          ar.Fail("checkpoint spawn log references an out-of-range app/board");
-        }
-        // Restore replays population arrivals up to each record's time.
-        if (ar.ok() && (rec.when < 0 || rec.when > now)) {
-          ar.Fail("checkpoint spawn record lies past the resume time");
-        }
-      }
-    });
     migrations(sf->migrations());
   }
   migrations(root_migrations_);
@@ -555,13 +723,6 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
     ar.U64(iters);
   }
 
-  // An app's live handle/stop belong to its most recent spawn — within one
-  // sub-fleet's log that is its last record, and only the log of the
-  // sub-fleet owning the app's current board can hold it (the board is
-  // cross-checked to reject a stale last record in a sub-fleet the app has
-  // since left). Earlier spawns are replayed only to reconstruct each
-  // shard's task population.
-  std::vector<std::vector<int>> last_spawn;
   if constexpr (Ar::kLoading) {
     // Rebuild the per-sub-fleet app ownership lists from the restored state:
     // an app belongs to the sub-fleet of its current board, or — parked with
@@ -575,76 +736,44 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
       subfleets_[static_cast<size_t>(SubfleetOf(home))]->AdoptApp(
           static_cast<int>(i));
     }
-    last_spawn.resize(subfleets_.size());
-    for (const auto& sf : subfleets_) {
-      std::vector<int>& last = last_spawn[static_cast<size_t>(sf->index())];
-      last.assign(apps.size(), -1);
-      const std::vector<SpawnRecord>& log = sf->spawn_log();
-      for (size_t i = 0; i < log.size(); ++i) {
-        last[static_cast<size_t>(log[i].app_index)] = static_cast<int>(i);
-      }
-    }
   }
 
-  // Every shard, whole: device state, kernel, sandboxes, pending events.
+  // Every shard, whole: its population cursor, the recipe of every live app
+  // on it, then device state, kernel, sandboxes and pending events. Restore
+  // re-creates exactly the listed apps, one factory call each.
+  const int tenants = scenario.population.enabled()
+                          ? scenario.population.tenants_per_board
+                          : 0;
+  std::vector<bool> has_current(apps.size(), false);
   for (auto& shard : rt_.shards()) {
     ar.Bool(shard->failed);
     ar.I64(shard->now);
-    if constexpr (!Ar::kLoading) {
-      if (!SaveBoardShard(*shard->board, *shard->kernel, *shard->manager, &ar,
-                          error)) {
-        return false;
-      }
-    } else {
-      // Restore replays population arrivals up to the shard's clock.
+    if constexpr (Ar::kLoading) {
       if (ar.ok() && (shard->now < 0 || shard->now > now)) {
         ar.Fail("checkpoint shard clock lies past the resume time");
       }
+    }
+    FleetShard* s = shard.get();
+    if (s->population != nullptr) {
+      s->population->Serialize(ar, s->now);
+    }
+    std::vector<AppRecipe> recipes;
+    if constexpr (!Ar::kLoading) {
+      recipes = LiveRecipes(*s, apps);
+    }
+    ar.Seq(recipes, 25, [&](AppRecipe& r) { r.Serialize(ar); });
+    if constexpr (!Ar::kLoading) {
+      if (!SaveBoardShard(*s->board, *s->kernel, *s->manager, &ar, error)) {
+        return false;
+      }
+    } else {
       if (!ar.ok()) {
         break;
       }
-      FleetShard* s = shard.get();
-      SubFleetCoordinator& owner =
-          *subfleets_[static_cast<size_t>(SubfleetOf(s->index))];
-      const std::vector<int>& last =
-          last_spawn[static_cast<size_t>(owner.index())];
-      auto replay = [this, s, &owner, &last] {
-        // Reconstruct the shard's app/task population in the exact live
-        // creation order: tenant principals, then the board's spawn records
-        // merged in time order with the regenerated population arrivals
-        // (arrivals at a barrier instant fired before the barrier's spawns
-        // ran, so each record is preceded by every arrival at <= its
-        // instant).
-        if (s->population != nullptr) {
-          s->population->CreateTenants(/*restoring=*/true);
-        }
-        const std::vector<SpawnRecord>& log = owner.spawn_log();
-        auto& all_apps = rt_.apps();
-        for (size_t i = 0; i < log.size(); ++i) {
-          const SpawnRecord& rec = log[i];
-          if (rec.board != s->index) {
-            continue;
-          }
-          if (s->population != nullptr) {
-            s->population->ReplayArrivalsThrough(rec.when);
-          }
-          FleetAppRuntime& app = all_apps[static_cast<size_t>(rec.app_index)];
-          AppOptions opts = app.spec.options;
-          opts.iterations = rec.iterations;
-          auto stop = std::make_shared<bool>(false);
-          opts.stop = stop;
-          AppHandle handle = app.spec.factory(*s->kernel, rec.label, opts);
-          if (last[static_cast<size_t>(rec.app_index)] == static_cast<int>(i) &&
-              rec.board == app.board) {
-            app.stop = std::move(stop);
-            app.handle = handle;
-          }
-        }
-        if (s->population != nullptr) {
-          s->population->ReplayArrivalsThrough(s->now);
-        }
+      auto recreate = [&] {
+        RecreateApps(ar, *s, recipes, apps, tenants, has_current);
       };
-      if (!RestoreBoardShard(ar, *s->board, *s->kernel, *s->manager, replay,
+      if (!RestoreBoardShard(ar, *s->board, *s->kernel, *s->manager, recreate,
                              error)) {
         return false;
       }
@@ -652,12 +781,22 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
   }
 
   if constexpr (Ar::kLoading) {
+    // A running app's handle names its current instance, which must be live.
+    for (size_t i = 0; i < apps.size() && ar.ok(); ++i) {
+      const FleetAppRuntime& app = apps[i];
+      if (!app.finished && !app.lost && !app.parked && !app.evac_pending &&
+          app.board >= 0 && !has_current[i]) {
+        ar.Fail("checkpoint fleet app " + std::to_string(i) +
+                " runs on board " + std::to_string(app.board) +
+                " but lists no current instance of it");
+      }
+    }
     if (!ar.ok()) {
       *error = ar.error();
       return false;
     }
     // Draining apps had their cooperative stop flag raised before the
-    // checkpoint; the replayed tasks get fresh flags, so re-raise them.
+    // checkpoint; the re-created tasks get fresh flags, so re-raise them.
     for (FleetAppRuntime& app : apps) {
       if (app.draining && app.stop != nullptr) {
         *app.stop = true;

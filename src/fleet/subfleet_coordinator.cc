@@ -112,7 +112,7 @@ void SubFleetCoordinator::ProcessBarrier(TimeNs now) {
       const int target = first_ + target_local;
       ++app.hops;
       const bool transferred =
-          rt_->TransferAppState(app, b, target, raw, &spawn_log_);
+          rt_->TransferAppState(app, b, target, raw);
       MigrationRecord rec;
       rec.when = now;
       rec.app = app.spec.name;
@@ -170,7 +170,7 @@ void SubFleetCoordinator::ProcessBarrier(TimeNs now) {
     }
     ++app.hops;
     ++app.budget_hops;
-    rt_->SpawnOn(app, first_ + target_local, &spawn_log_);
+    rt_->SpawnOn(app, first_ + target_local);
     MigrationRecord rec;
     rec.when = now;
     rec.app = app.spec.name;

@@ -54,10 +54,9 @@ class SubFleetCoordinator {
   // alive set and loads reflect this boundary's decisions.
   SubFleetDigest BuildDigest() const;
 
-  // Hand-off history and factory-call log (checkpoint replay), local
-  // decisions only; the root keeps its own for cross-sub-fleet moves.
+  // Hand-off history, local decisions only; the root keeps its own for
+  // cross-sub-fleet moves.
   std::vector<MigrationRecord>& migrations() { return migrations_; }
-  std::vector<SpawnRecord>& spawn_log() { return spawn_log_; }
 
   // Indices (into FleetRuntime::apps) of the apps this sub-fleet owns,
   // ascending. Barriers iterate this list and nothing else, so concurrent
@@ -82,7 +81,6 @@ class SubFleetCoordinator {
   Joules allocation_ = 0.0;
   std::vector<int> owned_apps_;  // ascending indices into rt_->apps()
   std::vector<MigrationRecord> migrations_;
-  std::vector<SpawnRecord> spawn_log_;
 };
 
 }  // namespace psbox

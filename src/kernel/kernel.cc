@@ -1,6 +1,7 @@
 #include "src/kernel/kernel.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <unordered_set>
 
@@ -162,8 +163,19 @@ AppId Kernel::CreateApp(std::string name) {
   const AppId app = next_app_id_++;
   AppRecord& rec = apps_.emplace_back();
   rec.id = app;
+  rec.first_task = next_task_id_;
   rec.name = std::move(name);
   return app;
+}
+
+bool Kernel::RestoreIdsAt(AppId app, TaskId first_task) {
+  PSBOX_CHECK(restoring_);
+  if (app < next_app_id_ || first_task < next_task_id_) {
+    return false;
+  }
+  next_app_id_ = app;
+  next_task_id_ = first_task;
+  return true;
 }
 
 const Kernel::AppRecord* Kernel::FindApp(AppId app) const {
@@ -379,14 +391,35 @@ void Kernel::Serialize(Ar& ar) {
   if (!ar.Section("kernel")) {
     return;
   }
-  ar.Expect(static_cast<uint64_t>(next_app_id_),
-            "app id sequence mismatch between snapshot and restored scenario");
-  ar.Expect(static_cast<uint64_t>(next_task_id_),
-            "task id sequence mismatch between snapshot and restored scenario");
+  // The id counters. The restore re-created the live apps under their ids
+  // before this load, so each counter must lie past every id handed out.
+  uint64_t next_app = static_cast<uint64_t>(next_app_id_);
+  uint64_t next_task = static_cast<uint64_t>(next_task_id_);
+  ar.U64(next_app);
+  ar.U64(next_task);
+  if constexpr (Ar::kLoading) {
+    if (ar.ok() && (next_app < static_cast<uint64_t>(next_app_id_) ||
+                    next_app > static_cast<uint64_t>(
+                                   std::numeric_limits<AppId>::max()))) {
+      ar.Fail("snapshot app id counter " + std::to_string(next_app) +
+              " does not lie past the re-created app ids (next " +
+              std::to_string(next_app_id_) + ")");
+    }
+    if (ar.ok() && (next_task < static_cast<uint64_t>(next_task_id_) ||
+                    next_task > static_cast<uint64_t>(
+                                    std::numeric_limits<TaskId>::max()))) {
+      ar.Fail("snapshot task id counter " + std::to_string(next_task) +
+              " does not lie past the re-created task ids (next " +
+              std::to_string(next_task_id_) + ")");
+    }
+    if (!ar.ok()) {
+      return;
+    }
+    next_app_id_ = static_cast<AppId>(next_app);
+    next_task_id_ = static_cast<TaskId>(next_task);
+  }
   ar.U64(retired_apps_);
-  // The live apps in id order, each with its tasks. The restore replay
-  // recreated every app ever spawned; the load keeps the listed ones and
-  // frees the retired rest.
+  // The live apps in id order, each with its tasks.
   auto app_body = [&](AppRecord& rec) {
     ar.Expect(rec.name,
               "app name mismatch between snapshot and restored scenario");
@@ -414,35 +447,41 @@ void Kernel::Serialize(Ar& ar) {
   };
   size_t live = apps_.size();
   ar.Count(live, 25);
-  if constexpr (!Ar::kLoading) {
-    for (AppRecord& rec : apps_) {
-      ar.I64(rec.id);
-      app_body(rec);
-    }
-  } else {
+  if constexpr (Ar::kLoading) {
     finished_.clear();
-    // Both lists ascend, so the replayed apps passed over are retired ones.
-    std::vector<AppRecord> kept;
-    kept.reserve(live);
-    auto next = apps_.begin();
-    for (size_t i = 0; i < live && ar.ok(); ++i) {
-      AppId id = 0;
-      ar.I64(id);
-      while (next != apps_.end() && next->id < id) {
-        ++next;
+  }
+  // The load walks the re-created apps alongside the listed ids: both
+  // ascend, so any difference is an app one side has and the other lacks.
+  for (size_t i = 0; i < live && ar.ok(); ++i) {
+    AppId id = Ar::kLoading ? kNoApp : apps_[i].id;
+    ar.I64(id);
+    if constexpr (Ar::kLoading) {
+      if (!ar.ok()) {
+        return;
       }
-      if (!ar.ok() || next == apps_.end() || next->id != id) {
+      if (FindApp(id) == nullptr) {
         ar.Fail("snapshot lists app " + std::to_string(id) +
                 " that the restored scenario did not create");
         return;
       }
-      app_body(*next);
-      kept.push_back(std::move(*next++));
+      if (i >= apps_.size() || apps_[i].id > id) {
+        ar.Fail("snapshot lists app " + std::to_string(id) + " out of order");
+        return;
+      }
+      if (apps_[i].id < id) {
+        ar.Fail("restore created app " + std::to_string(apps_[i].id) +
+                " that the snapshot does not list");
+        return;
+      }
     }
-    apps_ = std::move(kept);
-    std::erase_if(tasks_, [this](const std::unique_ptr<Task>& t) {
-      return FindApp(t->app()) == nullptr;
-    });
+    app_body(apps_[i]);
+  }
+  if constexpr (Ar::kLoading) {
+    if (ar.ok() && live < apps_.size()) {
+      ar.Fail("restore created app " + std::to_string(apps_[live].id) +
+              " that the snapshot does not list");
+      return;
+    }
   }
   ar.Map(rx_waiters_, 16, [&](AppId& app, std::deque<Task*>& waiters) {
     ar.I64(app);

@@ -167,16 +167,25 @@ class Kernel : public BalloonObserver {
   // --- checkpoint/restore -------------------------------------------------
   // Restore protocol: BeginRestore() puts the kernel in restore mode —
   // SpawnTask then only registers tasks (no scheduling) while the caller
-  // replays the scenario's app/task/box construction; Serialize() with a
-  // reader overwrites all mutable state from the snapshot; EndRestore() leaves
-  // restore mode. See src/snapshot/board_snapshot.h for the full sequence.
+  // re-creates the snapshot's live apps, each under its recorded ids
+  // (RestoreIdsAt); Serialize() with a reader overwrites all mutable state
+  // from the snapshot; EndRestore() leaves restore mode. See
+  // src/snapshot/board_snapshot.h for the full sequence.
   void BeginRestore() { restoring_ = true; }
   void EndRestore() { restoring_ = false; }
   bool restoring() const { return restoring_; }
-  // Persists the live apps with their tasks (incl. behaviour state),
-  // syscall bookkeeping, the usage ledger and every kernel subsystem. The
-  // load keeps exactly the apps the snapshot lists and frees the retired
-  // ones the replay recreated.
+  // Create-under-id (restore mode only): the next CreateApp takes id |app|
+  // and the tasks spawned after it take ids from |first_task| on. False,
+  // changing nothing, when either id lies below one already handed out.
+  bool RestoreIdsAt(AppId app, TaskId first_task);
+  // The id the first task of live app |app| has or would have had: the
+  // task counter when the app was created.
+  TaskId FirstTaskId(AppId app) const { return App(app).first_task; }
+  // Persists the id counters and the live apps with their tasks (incl.
+  // behaviour state), syscall bookkeeping, the usage ledger and every
+  // kernel subsystem. The load fails unless the apps re-created before it
+  // are exactly the ones the snapshot lists, and restores the counters,
+  // which must lie past every re-created id.
   template <class Ar>
   void Serialize(Ar& ar);
 
@@ -194,6 +203,7 @@ class Kernel : public BalloonObserver {
 
   struct AppRecord {
     AppId id = kNoApp;
+    TaskId first_task = 0;  // next_task_id_ at creation
     std::string name;
     std::vector<Task*> tasks;
     int live_tasks = 0;

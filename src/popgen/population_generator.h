@@ -4,8 +4,10 @@
 // against the peak rate: candidate gaps are exponential at the peak, and a
 // candidate at t survives with probability rate(t)/peak — so diurnal waves
 // and flash crowds shape the intensity while every draw still comes from one
-// seeded stream. The sequence is a pure function of (config, stream seed):
-// replaying Next() after a restore regenerates the identical population.
+// seeded stream. The sequence is a pure function of (config, stream seed),
+// and its cursor (the Rng, the clock and the arrival count) is all the state
+// it has: a checkpoint saves the cursor and a restore resumes the stream
+// from it without regenerating a single past arrival.
 
 #ifndef SRC_POPGEN_POPULATION_GENERATOR_H_
 #define SRC_POPGEN_POPULATION_GENERATOR_H_
@@ -39,6 +41,15 @@ class PopulationGenerator {
   double RateAt(TimeNs t) const;
 
   uint64_t generated() const { return seq_; }
+  TimeNs clock() const { return clock_; }
+
+  // Checkpoint support: persists/overwrites the cursor.
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    rng_.Serialize(ar);
+    ar.I64(clock_);
+    ar.U64(seq_);
+  }
 
  private:
   PopulationConfig cfg_;

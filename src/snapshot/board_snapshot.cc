@@ -1,5 +1,9 @@
 #include "src/snapshot/board_snapshot.h"
 
+#include <string>
+#include <vector>
+
+#include "src/base/step_trace.h"
 #include "src/hw/board.h"
 #include "src/kernel/kernel.h"
 #include "src/psbox/psbox_manager.h"
@@ -16,6 +20,39 @@ struct ShardClock {
   uint64_t total_fired = 0;
   uint64_t next_seq = 1;
 };
+
+// A restored step trace must ascend strictly and end at or before the
+// shard clock: the next StepTrace::Set would abort on a step behind it.
+void CheckStepTrace(SnapshotReader& r, const StepTrace& trace, TimeNs now,
+                    const std::string& what) {
+  const std::vector<StepTrace::Step>& steps = trace.steps();
+  for (size_t i = 1; i < steps.size() && r.ok(); ++i) {
+    if (steps[i].time <= steps[i - 1].time) {
+      r.Fail("snapshot " + what + " step trace times do not strictly ascend");
+    }
+  }
+  if (r.ok() && !steps.empty() && steps.back().time > now) {
+    r.Fail("snapshot " + what + " step trace ends at " +
+           std::to_string(steps.back().time) + ", after the shard clock " +
+           std::to_string(now));
+  }
+}
+
+// The shard's step traces: the seven rails, each core's schedule trace and
+// the GPS operating trace.
+void CheckStepTraces(SnapshotReader& r, Board& board, Kernel& kernel,
+                     TimeNs now) {
+  for (size_t c = 0; c < kNumHwComponents; ++c) {
+    const auto hw = static_cast<HwComponent>(c);
+    CheckStepTrace(r, board.RailFor(hw).trace(), now,
+                   std::string(HwComponentName(hw)) + " rail");
+  }
+  for (int core = 0; core < kernel.scheduler().num_cores(); ++core) {
+    CheckStepTrace(r, kernel.scheduler().ScheduleTrace(core), now,
+                   "core " + std::to_string(core) + " schedule");
+  }
+  CheckStepTrace(r, board.gps().operating_trace(), now, "GPS operating");
+}
 
 template <class Ar>
 void SerializeShard(Ar& ar, ShardClock& clock, Board& board, Kernel& kernel,
@@ -76,6 +113,9 @@ bool RestoreBoardShard(SnapshotReader& r, Board& board, Kernel& kernel,
   }
   if (r.ok() && !rearmer.AllAtOrAfter(clock.now)) {
     r.Fail("snapshot has a pending event before the shard clock");
+  }
+  if (r.ok()) {
+    CheckStepTraces(r, board, kernel, clock.now);
   }
   if (!r.ok()) {
     kernel.EndRestore();

@@ -10,12 +10,13 @@
 // to the uninterrupted one.
 //
 // Restore targets FRESHLY constructed objects built from the identical
-// configuration: the caller replays the scenario's app/task construction
-// (under Kernel::BeginRestore, so nothing is scheduled), then
-// RestoreBoardShard overwrites all mutable state, resets the engine clock
-// and replays the pending events. On any failure the reader carries a
-// descriptive error and the half-built objects must be discarded — never
-// swap them into live use.
+// configuration: the caller re-creates the snapshot's live apps and their
+// tasks (under Kernel::BeginRestore, so nothing is scheduled; a fleet does
+// it from the per-app recipes of its checkpoint, each under its recorded
+// ids), then RestoreBoardShard overwrites all mutable state, checks it
+// against the shard clock, resets the engine clock and replays the pending
+// events. On any failure the reader carries a descriptive error and the
+// half-built objects must be discarded — never swap them into live use.
 
 #ifndef SRC_SNAPSHOT_BOARD_SNAPSHOT_H_
 #define SRC_SNAPSHOT_BOARD_SNAPSHOT_H_
@@ -39,11 +40,14 @@ bool SaveBoardShard(Board& board, Kernel& kernel, PsboxManager& manager,
                     SnapshotWriter* w, std::string* error);
 
 // Restores a shard saved by SaveBoardShard into freshly built objects.
-// |replay_setup| runs under restore mode and must recreate the scenario's
-// apps and tasks exactly as the original run did (same creation order, same
-// ids); sandboxes are replayed from the snapshot itself. Returns false with
-// a descriptive |error| on any validation failure, in which case the target
-// objects are in an unspecified state and must be thrown away.
+// |replay_setup| runs under restore mode and must re-create exactly the
+// snapshot's live apps with their tasks, under the same ids (in creation
+// order, or placed with Kernel::RestoreIdsAt); the kernel load fails on any
+// app one side has and the other lacks. Sandboxes are replayed from the
+// snapshot itself. Every restored step trace must ascend strictly and end
+// at or before the shard clock. Returns false with a descriptive |error| on
+// any validation failure, in which case the target objects are in an
+// unspecified state and must be thrown away.
 bool RestoreBoardShard(SnapshotReader& r, Board& board, Kernel& kernel,
                        PsboxManager& manager,
                        const std::function<void()>& replay_setup,

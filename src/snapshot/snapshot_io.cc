@@ -1,6 +1,8 @@
 #include "src/snapshot/snapshot_io.h"
 
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
 
 namespace psbox {
 
@@ -12,26 +14,47 @@ namespace {
 constexpr uint8_t kSectionSentinel0 = 0x5E;
 constexpr uint8_t kSectionSentinel1 = 0xC7;
 
-struct Crc32Table {
-  uint32_t t[256];
-  Crc32Table() {
+// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+// t[0] is the bytewise table, and t[k][i] is the CRC of byte i followed by k
+// zero bytes, so one step folds eight input bytes with eight lookups.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
   }
 };
 
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t SnapshotCrc32(const uint8_t* data, size_t n) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.t;
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table.t[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(data) ^ c;
+    const uint32_t hi = LoadLe32(data + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -91,11 +114,15 @@ bool SnapshotWriter::WriteFile(const std::string& path,
   return true;
 }
 
-bool SnapshotReader::Open(const uint8_t* data, size_t n) {
+void SnapshotReader::Reset() {
   ok_ = true;
   error_.clear();
-  payload_.clear();
+  payload_ = nullptr;
+  size_ = 0;
   pos_ = 0;
+}
+
+bool SnapshotReader::CheckHeader(const uint8_t* data, size_t n) {
   if (n < kSnapshotHeaderSize) {
     Fail("snapshot header truncated: " + std::to_string(n) + " bytes, need " +
          std::to_string(kSnapshotHeaderSize));
@@ -132,37 +159,57 @@ bool SnapshotReader::Open(const uint8_t* data, size_t n) {
     Fail("snapshot payload CRC mismatch (corrupt or torn write)");
     return false;
   }
-  payload_.assign(data + kSnapshotHeaderSize, data + n);
+  return true;
+}
+
+bool SnapshotReader::Open(const uint8_t* data, size_t n) {
+  Reset();
+  bytes_.clear();
+  if (!CheckHeader(data, n)) {
+    return false;
+  }
+  bytes_.assign(data + kSnapshotHeaderSize, data + n);
+  payload_ = bytes_.data();
+  size_ = bytes_.size();
   return true;
 }
 
 bool SnapshotReader::OpenFile(const std::string& path) {
+  Reset();
+  bytes_.clear();
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    ok_ = true;  // Fail() records only the first error
-    error_.clear();
     Fail("snapshot: cannot open " + path);
     return false;
   }
-  std::vector<uint8_t> bytes;
+  // One read of the file's size, then whatever lies past it (a file that
+  // grew, or one whose size the filesystem does not report).
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec) {
+    bytes_.resize(static_cast<size_t>(size));
+    bytes_.resize(std::fread(bytes_.data(), 1, bytes_.size(), f));
+  }
   uint8_t chunk[4096];
   size_t got;
   while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + got);
+    bytes_.insert(bytes_.end(), chunk, chunk + got);
   }
   std::fclose(f);
-  return Open(bytes.data(), bytes.size());
+  if (!CheckHeader(bytes_.data(), bytes_.size())) {
+    bytes_.clear();
+    return false;
+  }
+  payload_ = bytes_.data() + kSnapshotHeaderSize;
+  size_ = bytes_.size() - kSnapshotHeaderSize;
+  return true;
 }
 
-uint8_t SnapshotReader::ReadByte() {
+void SnapshotReader::Exhausted() {
   if (!ok_) {
-    return 0;
+    return;
   }
-  if (pos_ >= payload_.size()) {
-    Fail("snapshot payload exhausted at offset " + std::to_string(pos_));
-    return 0;
-  }
-  return payload_[pos_++];
+  Fail("snapshot payload exhausted at offset " + std::to_string(pos_));
 }
 
 std::string SnapshotReader::Str() {
@@ -175,8 +222,7 @@ std::string SnapshotReader::Str() {
          " exceeds remaining payload at offset " + std::to_string(pos_));
     return {};
   }
-  std::string s(payload_.begin() + static_cast<ptrdiff_t>(pos_),
-                payload_.begin() + static_cast<ptrdiff_t>(pos_ + len));
+  std::string s(reinterpret_cast<const char*>(payload_ + pos_), len);
   pos_ += len;
   return s;
 }

@@ -51,6 +51,7 @@
 #define SRC_SNAPSHOT_SNAPSHOT_IO_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -73,7 +74,11 @@ namespace psbox {
 // v5: live objects only, keyed by id — the kernel's live apps (each with
 // its tasks), the scheduler's groups by box id, the manager's id counter
 // and live boxes under their ids, and each box's closed-children energy.
-inline constexpr uint32_t kSnapshotFormatVersion = 5;
+// v6: live apps by recipe — per board, the population cursor and the recipe
+// (tenant, fleet spawn or generated arrival) of each live app under its app
+// and first task ids; the kernel's id counters are restored, not compared;
+// the per-sub-fleet spawn logs are gone.
+inline constexpr uint32_t kSnapshotFormatVersion = 6;
 inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'B', 'X',
                                            'S', 'N', 'A', 'P'};
 inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;
@@ -239,9 +244,11 @@ class SnapshotWriter {
  private:
   template <typename T>
   void AppendLe(T v) {
+    uint8_t bytes[sizeof(T)];
     for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      bytes[i] = static_cast<uint8_t>(v >> (8 * i));
     }
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
   }
 
   std::vector<uint8_t> buf_;
@@ -253,12 +260,18 @@ class SnapshotReader {
  public:
   static constexpr bool kLoading = true;
 
-  // Validates the header of a sealed snapshot and adopts its payload. On
+  SnapshotReader() = default;
+  // The payload pointer aims into the reader's own bytes.
+  SnapshotReader(const SnapshotReader&) = delete;
+  SnapshotReader& operator=(const SnapshotReader&) = delete;
+
+  // Validates the header of a sealed snapshot and copies its payload. On
   // failure the reader is poisoned (ok() false, error() descriptive).
   bool Open(const uint8_t* data, size_t n);
   bool Open(const std::vector<uint8_t>& sealed) {
     return Open(sealed.data(), sealed.size());
   }
+  // Reads |path| in one go and parses the payload in place.
   bool OpenFile(const std::string& path);
 
   // --- plain reads --------------------------------------------------------
@@ -394,22 +407,50 @@ class SnapshotReader {
   // Semantic failure raised by a caller (e.g. an impossible field value).
   void Fail(const std::string& msg);
 
-  size_t remaining() const { return payload_.size() - pos_; }
-  bool AtEnd() const { return pos_ == payload_.size(); }
+  size_t remaining() const { return size_ - pos_; }
+  bool AtEnd() const { return pos_ == size_; }
 
  private:
-  uint8_t ReadByte();
+  uint8_t ReadByte() {
+    if (ok_ && pos_ < size_) {
+      return payload_[pos_++];
+    }
+    Exhausted();
+    return 0;
+  }
+  // One bounds check and one load; only a read that runs off the end goes
+  // byte by byte, so the error names the offset where the payload ran out.
   template <typename T>
   T ReadLe() {
     T v = 0;
+    if (ok_ && size_ - pos_ >= sizeof(T)) {
+      if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, payload_ + pos_, sizeof(T));
+      } else {
+        for (size_t i = 0; i < sizeof(T); ++i) {
+          v |= static_cast<T>(payload_[pos_ + i]) << (8 * i);
+        }
+      }
+      pos_ += sizeof(T);
+      return v;
+    }
     for (size_t i = 0; i < sizeof(T); ++i) {
       v |= static_cast<T>(ReadByte()) << (8 * i);
     }
     return v;
   }
+  // Poisons the reader at the end of the payload (no-op once poisoned).
+  void Exhausted();
   size_t ReadCount(size_t min_element_size);
+  void Reset();
+  // Validates the header of the sealed snapshot |data|[0, n); on success
+  // the payload is the bytes past the header.
+  bool CheckHeader(const uint8_t* data, size_t n);
 
-  std::vector<uint8_t> payload_;
+  // Owned bytes; the payload is |size_| bytes at |payload_| inside them.
+  std::vector<uint8_t> bytes_;
+  const uint8_t* payload_ = nullptr;
+  size_t size_ = 0;
   size_t pos_ = 0;
   bool ok_ = true;
   std::string error_;

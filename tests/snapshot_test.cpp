@@ -24,12 +24,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/fleet/root_coordinator.h"
+#include "src/popgen/app_catalog.h"
 #include "src/snapshot/board_snapshot.h"
 #include "src/snapshot/snapshot_io.h"
 
@@ -211,10 +213,10 @@ TEST(FleetCheckpointTest, WarmRestartMatchesUninterruptedRun) {
 }
 
 // A hierarchical fleet checkpoint carries strictly more state than a flat
-// one: per-sub-fleet budget allocations, per-sub-fleet spawn logs and
-// migration histories, the root migration list, and any apps parked between
-// sub-fleets at the cut. Warm restart through that format must still
-// reproduce the uninterrupted fingerprint, at any thread count.
+// one: per-sub-fleet budget allocations and migration histories, the root
+// migration list, and any apps parked between sub-fleets at the cut. Warm
+// restart through that format must still reproduce the uninterrupted
+// fingerprint, at any thread count.
 //
 // Checkpoints cut only at root boundaries: with a 10 ms epoch and
 // root_period = 4 the boundaries fall on 40 ms multiples, so a cadence of
@@ -244,6 +246,54 @@ TEST(FleetCheckpointTest, HierarchicalWarmRestartMatchesUninterruptedRun) {
       EXPECT_EQ(restored->resume_time(), Millis(760));
       EXPECT_EQ(restored->Run().Fingerprint(), baseline);
     }
+  }
+}
+
+// Budget drains at 270 ms move calib3d from board 0 to board 1 (and
+// triangle the other way). With retention off the finished older instance
+// stays live on the board it left, so the cut at 500 ms lists it as a
+// non-current fleet spawn beside the app's later ones. Restoring re-creates
+// it, and every restored board re-saves to the bytes the cut holds for it.
+TEST(FleetCheckpointTest, FinishedOlderInstanceRestoresAndResaves) {
+  const FleetScenario scenario = CheckpointScenario(0);
+  const uint64_t baseline = RootCoordinator(scenario, 2).Run().Fingerprint();
+  const std::string path = TempPath("fleet_older_instance.snap");
+  RootCoordinator writer(scenario, 2);
+  writer.set_checkpoint(path, 50);
+  EXPECT_EQ(writer.Run().Fingerprint(), baseline);
+  const std::vector<uint8_t> sealed = ReadFileBytes(path);
+  ASSERT_GT(sealed.size(), kSnapshotHeaderSize);
+  const std::vector<uint8_t> cut(
+      sealed.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize),
+      sealed.end());
+
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::string error;
+    auto restored =
+        RootCoordinator::RestoreFromCheckpoint(scenario, threads, path, &error);
+    ASSERT_NE(restored, nullptr) << error;
+    ASSERT_EQ(restored->resume_time(), Millis(500));
+    // Board 0's first app is calib3d's initial instance: finished, not
+    // retired.
+    Kernel& board0 = restored->kernel(0);
+    ASSERT_FALSE(board0.AppRetired(0));
+    EXPECT_EQ(board0.AppName(0), "calib3d");
+    EXPECT_TRUE(board0.AppFinished(0));
+    for (int b = 0; b < restored->board_count(); ++b) {
+      SCOPED_TRACE("board " + std::to_string(b));
+      Kernel& kernel = restored->kernel(b);
+      SnapshotWriter w;
+      ASSERT_TRUE(SaveBoardShard(kernel.board(), kernel, restored->manager(b),
+                                 &w, &error))
+          << error;
+      const std::vector<uint8_t> shard = w.Seal();
+      const auto body =
+          shard.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize);
+      EXPECT_TRUE(std::search(cut.begin(), cut.end(), body, shard.end()) !=
+                  cut.end());
+    }
+    EXPECT_EQ(restored->Run().Fingerprint(), baseline);
   }
 }
 
@@ -305,9 +355,11 @@ TEST_F(SnapshotCorruptionTest, ForeignMagicRejected) {
 }
 
 TEST_F(SnapshotCorruptionTest, UnknownVersionRejected) {
-  // A future version, and v4: its dense records predate the live-object
-  // layout and must not be misparsed.
-  for (const uint32_t version : {kSnapshotFormatVersion + 1, uint32_t{4}}) {
+  // A future version, v4 (its dense records predate the live-object layout)
+  // and v5 (its spawn logs predate the live-app recipes): none may be
+  // misparsed.
+  for (const uint32_t version :
+       {kSnapshotFormatVersion + 1, uint32_t{4}, uint32_t{5}}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     std::vector<uint8_t> bytes = bytes_;
     bytes[8] = static_cast<uint8_t>(version);  // format version field (LE)
@@ -355,6 +407,47 @@ TEST_F(SnapshotCorruptionTest, TornCheckpointWriteRejectedOnRestore) {
       << "error was: " << error;
 }
 
+// --- CRC -------------------------------------------------------------------
+
+// The slicing-by-8 CRC-32 gives the bytes of the plain bytewise loop: the
+// standard check value, every short length at every alignment, and a long
+// buffer.
+TEST(SnapshotCrcTest, MatchesCheckValueAndBytewiseReference) {
+  const std::string check = "123456789";
+  EXPECT_EQ(SnapshotCrc32(reinterpret_cast<const uint8_t*>(check.data()),
+                          check.size()),
+            0xCBF43926u);
+  const auto bytewise = [](const uint8_t* data, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      c ^= data[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng(0xC3C3);
+  std::vector<uint8_t> buf(64 + 8);
+  for (size_t len = 0; len <= 64; ++len) {
+    for (uint8_t& b : buf) {
+      b = static_cast<uint8_t>(rng.NextU64());
+    }
+    for (size_t offset = 0; offset < 8; ++offset) {
+      SCOPED_TRACE("len=" + std::to_string(len) +
+                   " offset=" + std::to_string(offset));
+      EXPECT_EQ(SnapshotCrc32(buf.data() + offset, len),
+                bytewise(buf.data() + offset, len));
+    }
+  }
+  std::vector<uint8_t> big(1 << 20);
+  for (uint8_t& b : big) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  EXPECT_EQ(SnapshotCrc32(big.data(), big.size()),
+            bytewise(big.data(), big.size()));
+}
+
 // --- golden snapshot -------------------------------------------------------
 
 // Pinned scenario for the committed golden checkpoint. Never change this
@@ -390,9 +483,10 @@ FleetScenario GoldenScenario() {
   scp.options.use_psbox = true;
   scenario.apps.push_back(scp);
 
-  // Generated population so the golden pins the v3 blocks too: the
-  // population compat block, per-record spawn timestamps, and the nested
-  // tenant sandbox state — the checkpoint cuts mid-population.
+  // Generated population so the golden pins the v3 and v6 blocks too: the
+  // population compat block, each board's generator cursor and app
+  // recipes, and the nested tenant sandbox state — the checkpoint cuts
+  // mid-population.
   scenario.population.seed = 0x90D5;
   scenario.population.base_rate_hz = 40.0;
   scenario.population.diurnal_amplitude = 0.5;
@@ -409,7 +503,7 @@ FleetScenario GoldenScenario() {
 
 std::string GoldenPath() {
   return std::string(PSBOX_SOURCE_DIR) +
-         "/tests/golden/fleet_checkpoint_v5.snap";
+         "/tests/golden/fleet_checkpoint_v6.snap";
 }
 
 TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
@@ -423,23 +517,27 @@ TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
     GTEST_SKIP() << "regenerated " << golden;
   }
 
-  std::string error;
-  auto restored =
-      RootCoordinator::RestoreFromCheckpoint(GoldenScenario(), 2, golden, &error);
-  ASSERT_NE(restored, nullptr)
-      << "committed golden snapshot no longer restores — the wire format "
-         "changed without a version bump (or the golden scenario drifted): "
-      << error;
-  EXPECT_EQ(restored->resume_time(), Millis(260));
-  uint64_t retired = 0;
-  for (int b = 0; b < restored->board_count(); ++b) {
-    retired += restored->kernel(b).retired_apps();
+  const uint64_t baseline =
+      RootCoordinator(GoldenScenario(), 2).Run().Fingerprint();
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::string error;
+    auto restored = RootCoordinator::RestoreFromCheckpoint(
+        GoldenScenario(), threads, golden, &error);
+    ASSERT_NE(restored, nullptr)
+        << "committed golden snapshot no longer restores — the wire format "
+           "changed without a version bump (or the golden scenario drifted): "
+        << error;
+    EXPECT_EQ(restored->resume_time(), Millis(260));
+    uint64_t retired = 0;
+    for (int b = 0; b < restored->board_count(); ++b) {
+      retired += restored->kernel(b).retired_apps();
+    }
+    EXPECT_GT(retired, 0u) << "the golden cut must cover retired apps";
+    // Resuming from the golden must still converge on the uninterrupted
+    // run: the golden guards semantic compatibility, not just parseability.
+    EXPECT_EQ(restored->Run().Fingerprint(), baseline);
   }
-  EXPECT_GT(retired, 0u) << "the golden cut must cover retired apps";
-  // Resuming from the golden must still converge on the uninterrupted run:
-  // the golden guards semantic compatibility, not just parseability.
-  EXPECT_EQ(restored->Run().Fingerprint(),
-            RootCoordinator(GoldenScenario(), 2).Run().Fingerprint());
 }
 
 // Re-cutting the golden scenario writes the committed file byte for byte, at
@@ -516,6 +614,90 @@ void PutU64(std::vector<uint8_t>& payload, size_t at, uint64_t value) {
   for (size_t b = 0; b < 8; ++b) {
     payload[at + b] = static_cast<uint8_t>(value >> (8 * b));
   }
+}
+
+// Reads the 8 little-endian bytes at |at|.
+uint64_t GetU64(const std::vector<uint8_t>& payload, size_t at) {
+  uint64_t v = 0;
+  for (size_t b = 0; b < 8; ++b) {
+    v |= static_cast<uint64_t>(payload[at + b]) << (8 * b);
+  }
+  return v;
+}
+
+// Restores the golden payload after |mutate| and expects a refusal whose
+// error contains |expected|.
+void ExpectMutatedGoldenRejected(
+    const std::function<void(std::vector<uint8_t>&)>& mutate,
+    const std::string& expected) {
+  std::vector<uint8_t> payload = GoldenPayload();
+  mutate(payload);
+  std::string error;
+  EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
+  EXPECT_NE(error.find(expected), std::string::npos) << "error was: " << error;
+}
+
+// v6 per-board restore data. Right past a board's "population" marker lies
+// its cursor: the generator's Rng (41 bytes), clock and arrival count; the
+// pending arrival (presence flag, time, seq, catalog index, iterations,
+// adversarial flag, tenant); the window end and the spawned and retired
+// counts. Then the recipe count and the recipes: app id, first task id, a
+// kind byte, and the kind's fields — a tenant slot; a fleet spawn's spec
+// index, label, iterations and current flag; or an arrival's catalog
+// index, seq, iterations, tenant and adversarial flag.
+constexpr size_t kCursorClock = 41;
+constexpr size_t kCursorPendingWhen = 58;
+constexpr size_t kCursorPendingCatalog = 74;
+constexpr size_t kCursorBytes = 123;
+enum RecipeKind : uint8_t { kTenantRecipe, kFleetRecipe, kArrivalRecipe };
+constexpr size_t kArrivalTenant = 24;  // relative to the arrival's fields
+
+struct RecipeBytes {
+  size_t at = 0;      // the recipe's app id
+  RecipeKind kind = kTenantRecipe;
+  size_t fields = 0;  // the kind's first field
+};
+
+size_t CursorOf(const std::vector<uint8_t>& payload, int board) {
+  size_t at = 0;
+  for (int b = 0; b <= board; ++b) {
+    at = AfterSection(payload, "population", at);
+  }
+  return at;
+}
+
+std::vector<RecipeBytes> RecipesOf(const std::vector<uint8_t>& payload,
+                                   int board) {
+  size_t at = CursorOf(payload, board) + kCursorBytes;
+  const uint64_t count = GetU64(payload, at);
+  at += 8;
+  std::vector<RecipeBytes> recipes;
+  for (uint64_t i = 0; i < count; ++i) {
+    RecipeBytes r;
+    r.at = at;
+    r.kind = static_cast<RecipeKind>(payload[at + 16]);
+    r.fields = at + 17;
+    recipes.push_back(r);
+    if (r.kind == kTenantRecipe) {
+      at = r.fields + 8;
+    } else if (r.kind == kArrivalRecipe) {
+      at = r.fields + 33;
+    } else {
+      const size_t label = payload[r.fields + 8] |
+                           static_cast<size_t>(payload[r.fields + 9]) << 8;
+      at = r.fields + 12 + label + 9;
+    }
+  }
+  return recipes;
+}
+
+RecipeBytes FirstOfKind(const std::vector<RecipeBytes>& recipes,
+                        RecipeKind kind) {
+  const auto it = std::find_if(
+      recipes.begin(), recipes.end(),
+      [kind](const RecipeBytes& r) { return r.kind == kind; });
+  EXPECT_TRUE(it != recipes.end()) << "no recipe of kind " << int{kind};
+  return it != recipes.end() ? *it : RecipeBytes{};
 }
 
 // A sandbox bound to component 7: the seven-entry domain registry has no
@@ -679,6 +861,240 @@ TEST(SnapshotFieldCheckTest, UnknownAppIdRejected) {
       << "error was: " << error;
 }
 
+// --- v6 recipe and cursor checks -------------------------------------------
+// Board 0 of the golden lists tenants 0 and 1 (apps 0 and 1), calib3d's
+// current instance (app 2), then nine generated apps (5 to 15, first tasks
+// 4 to 14) under id counters 16 and 15; the shard clock is 260 ms.
+
+// A catalog index outside AppCatalog(): the restore would index past the
+// factory registry, in the recipe pass or at the pending arrival's spawn.
+TEST(SnapshotFieldCheckTest, OutOfRangeCatalogIndexRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  const RecipeBytes arrival = FirstOfKind(RecipesOf(golden, 0), kArrivalRecipe);
+  ASSERT_LT(GetU64(golden, arrival.fields), AppCatalog().size());
+  {
+    SCOPED_TRACE("listed arrival");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, arrival.fields, 999); },
+        "checkpoint board 0 arrival catalog index 999 outside the app catalog");
+  }
+  {
+    SCOPED_TRACE("pending arrival");
+    const size_t pending = CursorOf(golden, 0) + kCursorPendingCatalog;
+    ASSERT_LT(GetU64(golden, pending), AppCatalog().size());
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, pending, ~uint64_t{0}); },
+        "checkpoint board 0 arrival catalog index -1 outside the app catalog");
+  }
+}
+
+// A tenant slot outside [0, tenants_per_board), on a tenant recipe or on a
+// generated app's: tenant boxes are indexed by it.
+TEST(SnapshotFieldCheckTest, OutOfRangeTenantRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  const std::vector<RecipeBytes> recipes = RecipesOf(golden, 0);
+  ASSERT_EQ(recipes[1].kind, kTenantRecipe);
+  ASSERT_EQ(GetU64(golden, recipes[1].fields), 1u);
+  {
+    SCOPED_TRACE("tenant recipe");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, recipes[1].fields, 2); },
+        "checkpoint board 0 tenant 2 outside [0, 2)");
+  }
+  {
+    SCOPED_TRACE("generated app");
+    const RecipeBytes arrival = FirstOfKind(recipes, kArrivalRecipe);
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) {
+          PutU64(p, arrival.fields + kArrivalTenant, 7);
+        },
+        "checkpoint board 0 arrival tenant 7 outside [0, 2)");
+  }
+}
+
+// A fleet spawn of a spec the scenario does not have.
+TEST(SnapshotFieldCheckTest, OutOfRangeAppSpecRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  const RecipeBytes spawn = FirstOfKind(RecipesOf(golden, 0), kFleetRecipe);
+  ASSERT_EQ(GetU64(golden, spawn.fields), 0u);
+  ExpectMutatedGoldenRejected(
+      [&](std::vector<uint8_t>& p) { PutU64(p, spawn.fields, 2); },
+      "checkpoint board 0 fleet spawn names app spec 2 outside the scenario's "
+      "2 apps");
+}
+
+// The current instance of a fleet app on a board the app does not run on:
+// the sub-fleet owning the app would look it up in the wrong kernel. Board
+// 1's scp instance is turned into one of calib3d, which runs on board 0.
+TEST(SnapshotFieldCheckTest, CurrentInstanceOnAnotherBoardRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  const RecipeBytes spawn = FirstOfKind(RecipesOf(golden, 1), kFleetRecipe);
+  ASSERT_EQ(GetU64(golden, spawn.fields), 1u);
+  ExpectMutatedGoldenRejected(
+      [&](std::vector<uint8_t>& p) { PutU64(p, spawn.fields, 0); },
+      "checkpoint board 1 holds the current instance of fleet app 0, which "
+      "runs on board 0");
+}
+
+// Two current instances of one fleet app: only one can own its handle. The
+// golden has one fleet app per board, so this cuts the three-board scenario
+// at 500 ms, where board 0 runs sgemm (spec 5) and, since 270 ms, triangle
+// (spec 1); sgemm's instance is turned into a second one of triangle.
+TEST(SnapshotFieldCheckTest, TwoCurrentInstancesRejected) {
+  const FleetScenario scenario = CheckpointScenario(0);
+  const std::string path = TempPath("fleet_two_current.snap");
+  RootCoordinator writer(scenario, 1);
+  writer.set_checkpoint(path, 50);
+  writer.Run();
+  const std::vector<uint8_t> sealed = ReadFileBytes(path);
+  ASSERT_GT(sealed.size(), kSnapshotHeaderSize);
+  std::vector<uint8_t> payload(
+      sealed.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize),
+      sealed.end());
+  // The fleet spawn's spec index, label and iterations: 5, "sgemm", ...
+  std::vector<uint8_t> spawn(8, 0);
+  spawn[0] = 5;
+  const std::string label = "sgemm";
+  spawn.insert(spawn.end(), {static_cast<uint8_t>(label.size()), 0, 0, 0});
+  spawn.insert(spawn.end(), label.begin(), label.end());
+  const auto it =
+      std::search(payload.begin(), payload.end(), spawn.begin(), spawn.end());
+  ASSERT_TRUE(it != payload.end()) << "no sgemm spawn in the cut";
+  const auto at = static_cast<size_t>(it - payload.begin());
+  ASSERT_EQ(payload[at + spawn.size() + 8], 1) << "sgemm's instance is current";
+  PutU64(payload, at, 1);
+  std::string error;
+  EXPECT_FALSE(RestoreBytes(scenario, Reseal(payload), &error));
+  EXPECT_NE(error.find("checkpoint lists two current instances of fleet app 1"),
+            std::string::npos)
+      << "error was: " << error;
+}
+
+// Recipe ids that do not ascend: the recipe pass hands out ids in order.
+TEST(SnapshotFieldCheckTest, RecipeIdsOutOfOrderRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  const std::vector<RecipeBytes> recipes = RecipesOf(golden, 0);
+  ASSERT_EQ(GetU64(golden, recipes[3].at), 5u);
+  ASSERT_EQ(GetU64(golden, recipes[4].at), 6u);
+  ASSERT_EQ(GetU64(golden, recipes[4].at + 8), 5u);
+  {
+    SCOPED_TRACE("app id repeats");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, recipes[4].at, 5); },
+        "checkpoint board 0 app recipes do not ascend (app 5, first task 5)");
+  }
+  {
+    SCOPED_TRACE("first task id falls");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, recipes[4].at + 8, 3); },
+        "checkpoint board 0 app recipes do not ascend (app 6, first task 3)");
+  }
+}
+
+// A recipe id at or past the kernel's restored id counter: the restored run
+// would hand it out a second time.
+TEST(SnapshotFieldCheckTest, RecipeIdsPastCountersRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  const RecipeBytes last = RecipesOf(golden, 0).back();
+  ASSERT_EQ(GetU64(golden, last.at), 15u);
+  ASSERT_EQ(GetU64(golden, last.at + 8), 14u);
+  {
+    SCOPED_TRACE("app id");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, last.at, 16); },
+        "snapshot app id counter 16 does not lie past the re-created app ids");
+  }
+  {
+    SCOPED_TRACE("first task id");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, last.at + 8, 15); },
+        "snapshot task id counter 15 does not lie past the re-created task "
+        "ids");
+  }
+}
+
+// A population cursor behind the shard clock: the resumed stream would
+// schedule arrivals in the past.
+TEST(SnapshotFieldCheckTest, PopulationCursorBeforeShardClockRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  const size_t cursor = CursorOf(golden, 0);
+  ASSERT_GT(GetU64(golden, cursor + kCursorClock), uint64_t{Millis(260)});
+  {
+    SCOPED_TRACE("generator clock");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, cursor + kCursorClock, 0); },
+        "checkpoint board 0 population clock 0 lies before the shard clock "
+        "260000000");
+  }
+  {
+    SCOPED_TRACE("pending arrival");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) {
+          PutU64(p, cursor + kCursorPendingWhen, 1000);
+        },
+        "checkpoint board 0 pending arrival at 1000 lies before the shard "
+        "clock 260000000");
+  }
+}
+
+// The recipe pass and the kernel section disagree: the kernel load keeps no
+// app the snapshot does not list and invents none it lists.
+TEST(SnapshotFieldCheckTest, RecipesDisagreeWithKernelRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  {
+    SCOPED_TRACE("created but not listed");
+    // Past the kernel marker: the two id counters and the retired count,
+    // then the live app count.
+    const size_t live = AfterSection(golden, "kernel") + 24;
+    ASSERT_EQ(GetU64(golden, live), 12u);
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, live, 11); },
+        "restore created app 15 that the snapshot does not list");
+  }
+  {
+    SCOPED_TRACE("listed but not created");
+    // Generated app 8 re-created as app 9 (apps 9 and 10 retired).
+    const std::vector<RecipeBytes> recipes = RecipesOf(golden, 0);
+    ASSERT_EQ(GetU64(golden, recipes[6].at), 8u);
+    ASSERT_EQ(GetU64(golden, recipes[7].at), 11u);
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, recipes[6].at, 9); },
+        "snapshot lists app 8 that the restored scenario did not create");
+  }
+}
+
+// A restored step trace past the shard clock, or out of order: the next
+// StepTrace::Set on the rail would abort the resumed run.
+TEST(SnapshotFieldCheckTest, StepTracePastShardClockRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  // Board 0's CPU rail trace follows the fault injector's section: an empty
+  // stream map (8 bytes) and six counters (48 bytes), then the step count
+  // and the (time, value) steps.
+  const size_t faults = AfterSection(golden, "faults");
+  ASSERT_EQ(GetU64(golden, faults), 0u);
+  const size_t steps = faults + 56;
+  const uint64_t count = GetU64(golden, steps);
+  ASSERT_GE(count, 2u);
+  const size_t first = steps + 8;
+  const size_t last = first + (count - 1) * 16;
+  ASSERT_LE(GetU64(golden, last), uint64_t{Millis(260)});
+  {
+    SCOPED_TRACE("last step past the clock");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU64(p, last, Millis(261)); },
+        "snapshot CPU rail step trace ends at 261000000, after the shard "
+        "clock 260000000");
+  }
+  {
+    SCOPED_TRACE("repeated step time");
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) {
+          PutU64(p, first + 16, GetU64(golden, first));
+        },
+        "snapshot CPU rail step trace times do not strictly ascend");
+  }
+}
+
 // Accelerator driver state that is well formed field by field but
 // contradicts itself or the restored device. Before the cross-field checks
 // each of these restored cleanly and then aborted in Run().
@@ -688,7 +1104,7 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
   const size_t board1 = AfterSection(golden, "shard", AfterSection(golden, "shard"));
   const size_t dsp = AfterSection(golden, "accel_driver",
                                   AfterSection(golden, "accel_driver", board1));
-  ASSERT_EQ(dsp, 51637u);
+  ASSERT_EQ(dsp, 53063u);
   const auto read = [&golden](size_t at, size_t width) {
     uint64_t v = 0;
     for (size_t b = 0; b < width; ++b) {
@@ -728,6 +1144,106 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
     EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
     EXPECT_NE(error.find(m.error), std::string::npos) << "error was: " << error;
   }
+}
+
+// --- restore by recipe ------------------------------------------------------
+
+// Fleet factory calls made through Counted<> since the last reset.
+int g_factory_calls = 0;
+
+template <AppFactory kFactory>
+AppHandle Counted(Kernel& kernel, const std::string& name, AppOptions opts) {
+  ++g_factory_calls;
+  return kFactory(kernel, name, opts);
+}
+
+// Restore calls a factory once per live app, never once per app ever
+// spawned. The three-board scenario with 50 ms retention and a population:
+// by the cut at 730 ms budget drains and a crash have spawned fleet
+// instances that have since retired, and most generated apps have come and
+// gone. The cast's factories count their calls; each restored board's
+// generated apps must be exactly the ones its recipes list.
+TEST(RestoreByRecipeTest, OneFactoryCallPerLiveApp) {
+  FleetScenario scenario = CheckpointScenario(Millis(50));
+  const std::pair<AppFactory, AppFactory> kCounted[] = {
+      {&SpawnCalib3d, &Counted<&SpawnCalib3d>},
+      {&SpawnTriangle, &Counted<&SpawnTriangle>},
+      {&SpawnBodytrack, &Counted<&SpawnBodytrack>},
+      {&SpawnScp, &Counted<&SpawnScp>},
+      {&SpawnMediaScan, &Counted<&SpawnMediaScan>},
+      {&SpawnSgemm, &Counted<&SpawnSgemm>},
+  };
+  for (FleetAppSpec& spec : scenario.apps) {
+    for (const auto& [plain, counted] : kCounted) {
+      if (spec.factory == plain) {
+        spec.factory = counted;
+      }
+    }
+  }
+  scenario.population.seed = 0x90D5;
+  scenario.population.base_rate_hz = 40.0;
+  scenario.population.diurnal_amplitude = 0.5;
+  scenario.population.tenants_per_board = 2;
+  scenario.population.tenant_budget = 0.5;
+  scenario.population.child_budget = 0.05;
+
+  const TimeNs cut = Millis(730);
+  const FleetStats baseline = RootCoordinator(scenario, 1).Run();
+  // One factory call per initial spawn and per hand-off before the cut.
+  const auto spawns_before_cut = static_cast<int>(
+      scenario.apps.size() +
+      std::count_if(baseline.migrations.begin(), baseline.migrations.end(),
+                    [cut](const MigrationRecord& m) { return m.when < cut; }));
+
+  const std::string path = TempPath("fleet_recipes.snap");
+  RootCoordinator writer(scenario, 1);
+  writer.set_checkpoint(path, 73);
+  writer.Run();
+  const std::vector<uint8_t> sealed = ReadFileBytes(path);
+  ASSERT_GT(sealed.size(), kSnapshotHeaderSize);
+  const std::vector<uint8_t> payload(
+      sealed.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize),
+      sealed.end());
+
+  g_factory_calls = 0;
+  std::string error;
+  auto restored =
+      RootCoordinator::RestoreFromCheckpoint(scenario, 1, path, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  ASSERT_EQ(restored->resume_time(), cut);
+  const int restore_calls = g_factory_calls;
+
+  int fleet_recipes = 0;
+  uint64_t spawned = 0;
+  size_t live = 0;
+  for (int b = 0; b < restored->board_count(); ++b) {
+    SCOPED_TRACE("board " + std::to_string(b));
+    std::vector<AppId> listed;
+    for (const RecipeBytes& r : RecipesOf(payload, b)) {
+      if (r.kind == kFleetRecipe) {
+        ++fleet_recipes;
+      } else if (r.kind == kArrivalRecipe) {
+        listed.push_back(static_cast<AppId>(GetU64(payload, r.at)));
+      }
+    }
+    const BoardPopulation& population = *restored->population(b);
+    std::vector<AppId> held;
+    for (const BoardPopulation::LiveArrival& a : population.live_arrivals()) {
+      held.push_back(a.app);
+    }
+    EXPECT_EQ(held, listed);
+    spawned += population.spawned();
+    live += held.size();
+  }
+  RecordProperty("restore_factory_calls", restore_calls);
+  RecordProperty("fleet_spawns_before_cut", spawns_before_cut);
+  RecordProperty("generated_live", static_cast<int>(live));
+  RecordProperty("generated_spawned", static_cast<int>(spawned));
+  EXPECT_EQ(restore_calls, fleet_recipes);
+  EXPECT_LT(restore_calls, spawns_before_cut)
+      << "the cut must cover a retired fleet instance";
+  EXPECT_LT(live, spawned) << "the cut must cover retired generated apps";
+  EXPECT_EQ(restored->Run().Fingerprint(), baseline.Fingerprint());
 }
 
 // Seeded mutations of the golden payload, each re-sealed so the CRC passes:
