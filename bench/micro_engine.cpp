@@ -1,6 +1,7 @@
-// Event-engine microbench: the rebuilt timing-wheel/slab Simulator vs the
-// pre-rewrite engine, preserved verbatim as NaiveSimulator (binary heap +
-// per-event std::function in a hash map + tombstoned cancels).
+// Event-engine microbench: the Simulator (an indexed binary heap over a slab
+// of inline closure slots) vs the pre-rewrite engine, preserved verbatim as
+// NaiveSimulator (binary heap + per-event std::function in a hash map +
+// tombstoned cancels).
 //
 //   ./micro_engine [--json PATH]
 //   ./micro_engine --gbench [google-benchmark args...]
@@ -11,19 +12,24 @@
 // wall time and speedup to stdout and JSON (default BENCH_engine.json) for
 // CI trend tracking. Cases:
 //   schedule_fire  — bulk one-shot timers: schedule a batch, drain, repeat.
-//                    The slab + wheel vs per-event allocation + heap sift.
+//                    Slab slots vs per-event allocation, both heap-sifted.
 //   cancel_rearm   — the watchdog/completion-timer pattern from the kernel
 //                    drivers: a small population of timers each cancelled and
 //                    re-armed every tick, firing only across occasional long
 //                    gaps. Cancel+ScheduleAfter on BOTH engines (the naive
-//                    engine's only re-arm path) — the headline case.
-//   reschedule     — same workload, but the new engine uses its O(1)
-//                    in-place Reschedule() while the naive engine still pays
+//                    engine's only re-arm path).
+//   reschedule     — same workload, but the Simulator uses its in-place
+//                    Reschedule() while the naive engine still pays
 //                    Cancel+ScheduleAfter; measures what the driver call
 //                    sites actually run today.
 //   mixed_horizon  — randomized schedule/cancel/advance churn with delays
-//                    spanning all queue levels (due list, L0, L1, overflow
-//                    heap), the fleet-like steady state.
+//                    from zero to 60 s.
+//
+// These are dense storms: cancel_rearm and reschedule keep 64 timers
+// pending and re-arm every one of them every tick. A board of a perfbench
+// fleet holds about 16 pending events, so these cases are not the fleet's
+// traffic (perfbench measures that); the Simulator's heap is chosen for the
+// fleet and is not tuned to them (DESIGN.md §10).
 //
 // --gbench runs the original google-benchmark suite (engine plus StepTrace /
 // DTW / whole-kernel cases) for fine-grained per-op numbers.
@@ -167,8 +173,7 @@ RunOutcome RunCancelRearm(Engine& eng) {
   return out;
 }
 
-// Delay mixture spanning every queue level of the wheel engine: the due
-// list (zero), L0 (< 2^16 ns buckets), L1, and the overflow heap.
+// Delay mixture: zero, up to 262 us, up to 40 ms, up to 6 s and up to 60 s.
 DurationNs MixedDelay(Rng& rng) {
   const int64_t pick = rng.UniformInt(0, 99);
   if (pick < 5) {
@@ -266,7 +271,9 @@ int RunComparison(const std::string& json_path) {
   results.push_back(Compare(
       "mixed_horizon", [](auto& eng) { return RunMixedHorizon(eng); }));
 
-  TextTable table({"case", "work", "fired", "naive (ms)", "wheel (ms)", "speedup"});
+  // The JSON keys keep their names (naive_ms, fast_ms) for trend tracking.
+  TextTable table(
+      {"case", "work", "fired", "naive (ms)", "indexed heap (ms)", "speedup"});
   for (const CaseResult& r : results) {
     table.AddRow({r.name, std::to_string(r.work), std::to_string(r.fired),
                   FormatDouble(r.naive_ms, 2), FormatDouble(r.fast_ms, 2),

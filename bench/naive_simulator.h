@@ -1,7 +1,8 @@
-// The pre-timing-wheel event engine, preserved verbatim (renamed) as a
-// differential baseline: bench/micro_engine.cpp measures the rebuilt engine
-// against it, and tests/sim_test.cpp replays randomized event storms through
-// both and requires identical firing sequences. Binary heap ordered by
+// The original event engine, from before the slab-based rewrite, preserved
+// verbatim (renamed) as a differential baseline: bench/micro_engine.cpp
+// measures the Simulator against it, and tests/sim_test.cpp replays
+// randomized event storms through both and requires identical firing
+// sequences. Binary heap ordered by
 // (time, insertion-seq) with per-event std::function closures in a hash map;
 // Cancel leaves a tombstone in the heap and compaction sweeps tombstones once
 // they outnumber live entries.

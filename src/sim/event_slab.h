@@ -5,20 +5,20 @@
 // scheduler tick/completion timers, retransmit backoff):
 //
 //   * small-buffer optimisation — a callable of up to kInlineCapacity bytes
-//     is move-constructed straight into the slot, so the schedule/cancel
-//     cycle performs no heap allocation. Larger captures fall back to a
-//     single owned heap object (counted, so benches can assert the fast
-//     path stays allocation-free).
+//     is constructed straight into the slot, so the schedule/cancel cycle
+//     performs no heap allocation. Larger captures fall back to a single
+//     owned heap object (counted, so benches can assert the fast path stays
+//     allocation-free).
 //   * generation tags — every slot carries a generation counter that is odd
-//     while the slot holds a pending event and bumped on free, so a stale
-//     reference (a cancelled event's queue entry, a retired EventId) can be
-//     recognised in O(1) without tombstone bookkeeping.
-//   * stable addresses — slots live in fixed-size chunks that never move,
-//     so the engine can hold Slot pointers across allocations.
+//     while the slot holds a pending event and bumped when the event fires or
+//     is cancelled, so a stale EventId is recognised in O(1).
+//   * stable addresses — slots live in fixed-size chunks that never move, so
+//     a closure can run in its own slot while the callback schedules more
+//     events into the slab.
 //
 // Cancelling destroys the closure eagerly (captured objects are released
-// immediately, not when the queue drains past the entry) and pushes the slot
-// onto a free list; steady-state re-arm traffic recycles a handful of slots.
+// immediately) and pushes the slot onto a free list; steady-state re-arm
+// traffic recycles a handful of slots.
 
 #ifndef SRC_SIM_EVENT_SLAB_H_
 #define SRC_SIM_EVENT_SLAB_H_
@@ -36,10 +36,8 @@
 
 namespace psbox {
 
-// Type-erased nullary callable with small-buffer optimisation. Unlike
-// std::function it supports explicit relocation between slots (used to move
-// the closure out of the slab before firing, so the callback can re-arm into
-// the very slot it fired from) and exposes whether storage went inline.
+// Type-erased nullary callable with small-buffer optimisation that exposes
+// whether storage went inline.
 class ClosureSlot {
  public:
   static constexpr size_t kInlineCapacity = 48;
@@ -50,8 +48,6 @@ class ClosureSlot {
   ClosureSlot& operator=(const ClosureSlot&) = delete;
 
   // Captures |fn|; returns true when it was stored inline (no allocation).
-  // Inline storage requires a nothrow-move-constructible callable so that
-  // relocation cannot fail mid-move.
   template <typename Fn>
   bool Emplace(Fn&& fn) {
     PSBOX_DCHECK(!engaged());
@@ -59,39 +55,18 @@ class ClosureSlot {
     static_assert(std::is_invocable_r_v<void, D&>,
                   "event closures must be callable as void()");
     if constexpr (sizeof(D) <= kInlineCapacity &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+                  alignof(D) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(buf_)) D(std::forward<Fn>(fn));
       invoke_ = &InvokeInline<D>;
-      relocate_ = &RelocateInline<D>;
       destroy_ = &DestroyInline<D>;
       return true;
     } else {
       D* heap = new D(std::forward<Fn>(fn));
       std::memcpy(buf_, &heap, sizeof(heap));
       invoke_ = &InvokeHeap<D>;
-      relocate_ = nullptr;  // relocation is a pointer copy
       destroy_ = &DestroyHeap<D>;
       return false;
     }
-  }
-
-  // Moves the callable into |dst| (which must be empty); this slot ends up
-  // disengaged and immediately reusable.
-  void RelocateTo(ClosureSlot* dst) {
-    PSBOX_DCHECK(engaged());
-    PSBOX_DCHECK(!dst->engaged());
-    if (relocate_ != nullptr) {
-      relocate_(buf_, dst->buf_);
-    } else {
-      std::memcpy(dst->buf_, buf_, sizeof(void*));
-    }
-    dst->invoke_ = invoke_;
-    dst->relocate_ = relocate_;
-    dst->destroy_ = destroy_;
-    invoke_ = nullptr;
-    relocate_ = nullptr;
-    destroy_ = nullptr;
   }
 
   void Invoke() {
@@ -103,7 +78,6 @@ class ClosureSlot {
     if (engaged()) {
       destroy_(buf_);
       invoke_ = nullptr;
-      relocate_ = nullptr;
       destroy_ = nullptr;
     }
   }
@@ -120,12 +94,6 @@ class ClosureSlot {
     std::launder(reinterpret_cast<D*>(buf))->~D();
   }
   template <typename D>
-  static void RelocateInline(void* src, void* dst) {
-    D* s = std::launder(reinterpret_cast<D*>(src));
-    ::new (dst) D(std::move(*s));
-    s->~D();
-  }
-  template <typename D>
   static void InvokeHeap(void* buf) {
     D* p;
     std::memcpy(&p, buf, sizeof(p));
@@ -140,32 +108,22 @@ class ClosureSlot {
 
   alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
   void (*invoke_)(void*) = nullptr;
-  void (*relocate_)(void*, void*) = nullptr;
   void (*destroy_)(void*) = nullptr;
 };
 
 // Chunked slab of event slots with a free list. Chunks are never moved or
 // released, so slot indices and addresses stay valid for the slab's lifetime;
-// capacity is the high-water mark of concurrently pending events.
+// capacity is the high-water mark of concurrently pending (or firing) events.
 class EventSlab {
  public:
   static constexpr uint32_t kNil = 0xffffffffu;
 
   struct Slot {
     ClosureSlot closure;
-    // Odd while the slot holds a pending event; bumped on both allocate and
-    // free, so any stale (slot, generation) reference compares unequal.
+    // Odd while the slot holds a pending event; bumped on allocate and on
+    // retire, so any stale (slot, generation) reference compares unequal.
     uint32_t generation = 0;
     uint32_t next_free = kNil;
-    // True while the pending entry for this slot is parked in the engine's
-    // far-future overflow heap (the only queue where cancelled residue can
-    // linger long enough to be worth compacting).
-    bool in_overflow = false;
-    // Mirror of the queue entry's ordering key, kept so a pending event's
-    // (time, insertion-seq) position can be read back through its EventId —
-    // the checkpoint path persists this and replays re-arms in seq order.
-    int64_t when = 0;
-    uint64_t seq = 0;
   };
 
   // Allocates a slot and returns its index; the slot's generation is odd.
@@ -185,19 +143,30 @@ class EventSlab {
     Slot& s = (*this)[index];
     ++s.generation;  // even -> odd: pending
     PSBOX_DCHECK((s.generation & 1u) == 1u);
-    s.in_overflow = false;
     return index;
   }
 
-  // Releases a slot (destroying any closure still held) and recycles it.
-  void Free(uint32_t index) {
+  // Ends the slot's pending event (odd -> even) but keeps its closure, so a
+  // firing event can run in place and see itself as no longer pending.
+  void Retire(uint32_t index) {
     Slot& s = (*this)[index];
     PSBOX_DCHECK((s.generation & 1u) == 1u);
+    ++s.generation;
+  }
+
+  // Destroys a retired slot's closure and recycles the slot.
+  void Recycle(uint32_t index) {
+    Slot& s = (*this)[index];
+    PSBOX_DCHECK((s.generation & 1u) == 0u);
     s.closure.Destroy();
-    ++s.generation;  // odd -> even: free
     s.next_free = free_head_;
-    s.in_overflow = false;
     free_head_ = index;
+  }
+
+  // Retires and recycles a pending slot (its closure never runs).
+  void Free(uint32_t index) {
+    Retire(index);
+    Recycle(index);
   }
 
   Slot& operator[](uint32_t index) {

@@ -1,50 +1,61 @@
 #include "src/sim/simulator.h"
 
-#include <algorithm>
-#include <bit>
+#include <limits>
 
 namespace psbox {
 
-int Simulator::FirstBit(const Bitmap& bm) {
-  for (size_t w = 0; w < kBitmapWords; ++w) {
-    if (bm[w] != 0) {
-      return static_cast<int>(w * 64 +
-                              static_cast<size_t>(std::countr_zero(bm[w])));
-    }
+void Simulator::Push(TimeNs when, uint32_t slot) {
+  if (slot >= heap_index_.size()) {
+    heap_index_.resize(slab_.size());
   }
-  return -1;
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Entry{when, next_seq_++, slot});
 }
 
-void Simulator::InsertPending(TimeNs when, uint32_t slot) {
-  EventSlab::Slot& s = slab_[slot];
-  s.in_overflow = false;
-  const Entry e{when, next_seq_++, slot, s.generation};
-  s.when = when;
-  s.seq = e.seq;
-  ++live_;
-  const uint64_t w = static_cast<uint64_t>(when);
-  const uint64_t wt = static_cast<uint64_t>(wheel_time_);
-  if (due_active_ && when < due_end_) {
-    // Lands in the bucket currently being drained: splice into the unread
-    // suffix. Correct because |when| >= now_ >= every already-consumed entry,
-    // and the new entry carries the largest seq, so it can only belong at or
-    // after the read head.
-    auto it = std::upper_bound(due_.begin() + static_cast<ptrdiff_t>(due_pos_),
-                               due_.end(), e, EntryBefore{});
-    due_.insert(it, e);
-  } else if ((w >> kShiftL1) == (wt >> kShiftL1)) {
-    const size_t b = (w >> kShiftL0) & kWheelMask;
-    level0_[b].push_back(e);
-    SetBit(bitmap0_, b);
-  } else if ((w >> kShiftOverflow) == (wt >> kShiftOverflow)) {
-    const size_t b = (w >> kShiftL1) & kWheelMask;
-    level1_[b].push_back(e);
-    SetBit(bitmap1_, b);
+void Simulator::Place(size_t i, const Entry& e) {
+  if (i > 0 && Before(e, heap_[(i - 1) / 2])) {
+    SiftUp(i, e);
   } else {
-    overflow_.push_back(e);
-    std::push_heap(overflow_.begin(), overflow_.end(), EntryLater{});
-    s.in_overflow = true;
-    ++stats_.overflow_inserts;
+    SiftDown(i, e);
+  }
+}
+
+void Simulator::SiftUp(size_t i, const Entry& e) {
+  while (i > 0) {
+    const size_t parent = (i - 1) / 2;
+    if (!Before(e, heap_[parent])) {
+      break;
+    }
+    Put(i, heap_[parent]);
+    i = parent;
+  }
+  Put(i, e);
+}
+
+void Simulator::SiftDown(size_t i, const Entry& e) {
+  const size_t n = heap_.size();
+  for (;;) {
+    size_t child = 2 * i + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Before(heap_[child], e)) {
+      break;
+    }
+    Put(i, heap_[child]);
+    i = child;
+  }
+  Put(i, e);
+}
+
+void Simulator::RemoveAt(size_t i) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) {
+    Place(i, last);
   }
 }
 
@@ -53,16 +64,10 @@ bool Simulator::Cancel(EventId id) {
     return false;
   }
   const uint32_t slot = SlotOf(id);
-  if (slab_[slot].in_overflow) {
-    ++overflow_dead_;
-  }
-  // Freeing destroys the closure (captures released eagerly) and bumps the
-  // slot generation, which turns the queue entry stale wherever it sits —
-  // no tombstone is left behind in the wheel.
+  RemoveAt(heap_index_[slot]);
+  // Freeing destroys the closure, releasing its captures eagerly.
   slab_.Free(slot);
-  --live_;
   ++stats_.cancelled;
-  MaybeCompactOverflow();
   return true;
 }
 
@@ -73,258 +78,57 @@ EventId Simulator::Reschedule(EventId id, TimeNs when) {
   }
   const uint32_t slot = SlotOf(id);
   EventSlab::Slot& s = slab_[slot];
-  if (s.in_overflow) {
-    ++overflow_dead_;
-  }
   // Retire the old handle without freeing the slot: bumping by 2 keeps the
-  // generation odd (still pending) while invalidating the old queue entry.
-  // The closure never moves.
+  // generation odd (still pending). The closure never moves; the entry is
+  // re-keyed where it sits.
   s.generation += 2;
-  --live_;  // InsertPending re-counts it
   ++stats_.rescheduled;
-  InsertPending(when, slot);
-  MaybeCompactOverflow();
+  Place(heap_index_[slot], Entry{when, next_seq_++, slot});
   return MakeEventId(slot, s.generation);
 }
 
-void Simulator::MaybeCompactOverflow() {
-  if (overflow_dead_ <= overflow_.size() / 2) {
-    return;
+size_t Simulator::FireThrough(TimeNs deadline) {
+  size_t fired = 0;
+  while (!heap_.empty() && heap_.front().when <= deadline) {
+    const Entry top = heap_.front();
+    RemoveAt(0);
+    PSBOX_DCHECK(top.when >= now_);
+    now_ = top.when;
+    ++total_fired_;
+    ++fired;
+    // The event stops being pending before its callback runs, but the
+    // closure runs where it is: the slot is off the free list, so schedules
+    // made by the callback land elsewhere, and is recycled afterwards.
+    slab_.Retire(top.slot);
+    slab_[top.slot].closure.Invoke();
+    slab_.Recycle(top.slot);
   }
-  // One O(n) sweep; survivor ordering is untouched ((when, seq) keys don't
-  // change), so determinism is preserved.
-  overflow_.erase(std::remove_if(overflow_.begin(), overflow_.end(),
-                                 [this](const Entry& e) { return !Alive(e); }),
-                  overflow_.end());
-  std::make_heap(overflow_.begin(), overflow_.end(), EntryLater{});
-  stats_.overflow_compacted += overflow_dead_;
-  overflow_dead_ = 0;
-}
-
-void Simulator::AdvanceWheelTime(TimeNs t) {
-  if (t <= wheel_time_) {
-    return;
-  }
-  const uint64_t old_pos = static_cast<uint64_t>(wheel_time_);
-  wheel_time_ = t;
-  const uint64_t new_pos = static_cast<uint64_t>(t);
-  if ((old_pos >> kShiftL1) != (new_pos >> kShiftL1)) {
-    // Entered a new level-0 window: the level-1 bucket covering it may hold
-    // events for this window, which must redistribute into level 0 before
-    // any level-0 scan. Buckets for skipped windows are provably empty —
-    // their whole range precedes the new wheel position, and wheel_time_
-    // never overtakes a pending event.
-    const size_t b = (new_pos >> kShiftL1) & kWheelMask;
-    if (TestBit(bitmap1_, b)) {
-      CascadeBucket(b);
-    }
-  }
-}
-
-void Simulator::ActivateBucket(size_t b) {
-  PSBOX_DCHECK(due_pos_ >= due_.size());
-  const TimeNs start = Level0BucketStart(b);
-  due_.clear();
-  due_pos_ = 0;
-  std::vector<Entry>& bucket = level0_[b];
-  for (const Entry& e : bucket) {
-    if (Alive(e)) {
-      due_.push_back(e);
-    }
-  }
-  bucket.clear();
-  ClearBit(bitmap0_, b);
-  std::sort(due_.begin(), due_.end(), EntryBefore{});
-  due_active_ = true;
-  due_end_ = start + (TimeNs{1} << kShiftL0);
-  if (wheel_time_ < start) {
-    // Same level-0 window as the current position, so no cascade check.
-    wheel_time_ = start;
-  }
-  ++stats_.bucket_activations;
-}
-
-void Simulator::CascadeBucket(size_t b) {
-  // Only called once the wheel clock is inside this bucket's window, so every
-  // live entry maps to a level-0 bucket of the current window.
-  std::vector<Entry>& bucket = level1_[b];
-  for (const Entry& e : bucket) {
-    if (!Alive(e)) {
-      continue;
-    }
-    const size_t b0 = (static_cast<uint64_t>(e.when) >> kShiftL0) & kWheelMask;
-    level0_[b0].push_back(e);
-    SetBit(bitmap0_, b0);
-  }
-  bucket.clear();
-  ClearBit(bitmap1_, b);
-  ++stats_.cascades;
-}
-
-void Simulator::TakeClosure(const Entry& e, ClosureSlot* fn) {
-  EventSlab::Slot& s = slab_[e.slot];
-  PSBOX_DCHECK(s.generation == e.gen);
-  // Move the closure out and free the slot before invoking, so the callback
-  // can re-arm into the very slot it fired from.
-  s.closure.RelocateTo(fn);
-  slab_.Free(e.slot);
-  --live_;
-}
-
-bool Simulator::PopNext(TimeNs deadline, Entry* out, ClosureSlot* fn) {
-  for (;;) {
-    // Drop stale (cancelled/rescheduled) entries at the due read head and at
-    // the overflow top, so the candidate comparison below sees live events.
-    while (due_pos_ < due_.size() && !Alive(due_[due_pos_])) {
-      ++due_pos_;
-    }
-    while (!overflow_.empty() && !Alive(overflow_.front())) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), EntryLater{});
-      overflow_.pop_back();
-      PSBOX_DCHECK(overflow_dead_ > 0);
-      --overflow_dead_;
-    }
-    if (due_pos_ < due_.size()) {
-      // The active bucket holds the earliest wheel events; only the overflow
-      // heap can undercut it (the wheel clock may have caught up with a
-      // once-far-future event). Exact (when, seq) comparison keeps same-time
-      // FIFO across the two structures.
-      const Entry& d = due_[due_pos_];
-      const bool heap_first =
-          !overflow_.empty() && EntryBefore{}(overflow_.front(), d);
-      const Entry& best = heap_first ? overflow_.front() : d;
-      if (deadline >= 0 && best.when > deadline) {
-        return false;
-      }
-      *out = best;
-      if (heap_first) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), EntryLater{});
-        overflow_.pop_back();
-      } else {
-        ++due_pos_;
-      }
-      TakeClosure(*out, fn);
-      return true;
-    }
-    // Due list exhausted: the next wheel work is the first occupied level-0
-    // bucket, else the first occupied level-1 bucket, else only the heap.
-    const int b0 = FirstBit(bitmap0_);
-    if (b0 >= 0) {
-      const TimeNs start = Level0BucketStart(static_cast<size_t>(b0));
-      if (!overflow_.empty() && overflow_.front().when < start) {
-        // Every wheel event is >= start, so the heap top fires first.
-        if (deadline >= 0 && overflow_.front().when > deadline) {
-          return false;
-        }
-        *out = overflow_.front();
-        std::pop_heap(overflow_.begin(), overflow_.end(), EntryLater{});
-        overflow_.pop_back();
-        TakeClosure(*out, fn);
-        return true;
-      }
-      if (deadline >= 0 && start > deadline) {
-        return false;
-      }
-      ActivateBucket(static_cast<size_t>(b0));
-      continue;
-    }
-    const int b1 = FirstBit(bitmap1_);
-    if (b1 >= 0) {
-      const TimeNs start = Level1BucketStart(static_cast<size_t>(b1));
-      if (!overflow_.empty() && overflow_.front().when < start) {
-        if (deadline >= 0 && overflow_.front().when > deadline) {
-          return false;
-        }
-        *out = overflow_.front();
-        std::pop_heap(overflow_.begin(), overflow_.end(), EntryLater{});
-        overflow_.pop_back();
-        TakeClosure(*out, fn);
-        return true;
-      }
-      if (deadline >= 0 && start > deadline) {
-        return false;
-      }
-      // Entering the bucket's window cascades it into level 0.
-      AdvanceWheelTime(start);
-      PSBOX_DCHECK(!TestBit(bitmap1_, static_cast<size_t>(b1)));
-      continue;
-    }
-    if (!overflow_.empty()) {
-      if (deadline >= 0 && overflow_.front().when > deadline) {
-        return false;
-      }
-      *out = overflow_.front();
-      std::pop_heap(overflow_.begin(), overflow_.end(), EntryLater{});
-      overflow_.pop_back();
-      TakeClosure(*out, fn);
-      return true;
-    }
-    return false;
-  }
+  return fired;
 }
 
 size_t Simulator::RunUntil(TimeNs deadline) {
-  size_t fired = 0;
-  Entry ev;
-  ClosureSlot fn;
-  while (PopNext(deadline, &ev, &fn)) {
-    PSBOX_CHECK_GE(ev.when, now_);
-    now_ = ev.when;
-    AdvanceWheelTime(now_);
-    ++total_fired_;
-    ++fired;
-    fn.Invoke();
-    fn.Destroy();
-  }
+  const size_t fired = FireThrough(deadline);
   if (now_ < deadline) {
     now_ = deadline;
-    AdvanceWheelTime(now_);
   }
   return fired;
+}
+
+size_t Simulator::RunToCompletion() {
+  return FireThrough(std::numeric_limits<TimeNs>::max());
 }
 
 void Simulator::ResetForRestore(TimeNs now, uint64_t total_fired) {
   // Free every pending slot (destroying captured state) so the restored
   // subsystems start from an empty queue. Slot generations keep advancing,
   // which is all stale EventIds held by those subsystems need.
-  for (uint32_t i = 0; i < slab_.size(); ++i) {
-    if ((slab_[i].generation & 1u) == 1u) {
-      slab_.Free(i);
-    }
+  for (const Entry& e : heap_) {
+    slab_.Free(e.slot);
   }
-  due_.clear();
-  due_pos_ = 0;
-  due_active_ = false;
-  due_end_ = 0;
-  for (size_t b = 0; b < kWheelSlots; ++b) {
-    level0_[b].clear();
-    level1_[b].clear();
-  }
-  bitmap0_ = Bitmap{};
-  bitmap1_ = Bitmap{};
-  overflow_.clear();
-  overflow_dead_ = 0;
-  live_ = 0;
+  heap_.clear();
   next_seq_ = 1;
   now_ = now;
-  wheel_time_ = now;
   total_fired_ = total_fired;
-}
-
-size_t Simulator::RunToCompletion() {
-  size_t fired = 0;
-  Entry ev;
-  ClosureSlot fn;
-  while (PopNext(/*deadline=*/-1, &ev, &fn)) {
-    PSBOX_CHECK_GE(ev.when, now_);
-    now_ = ev.when;
-    AdvanceWheelTime(now_);
-    ++total_fired_;
-    ++fired;
-    fn.Invoke();
-    fn.Destroy();
-  }
-  return fired;
 }
 
 }  // namespace psbox

@@ -5,37 +5,18 @@
 // the simulator fires them in exact (time, insertion-order) order so that
 // runs are deterministic down to the bit.
 //
-// The queue is a two-level hierarchical timing wheel with a binary heap
-// demoted to an overflow level for far-future events:
-//
-//   level 0   256 buckets x 2^16 ns  — covers ~16.8 ms past the wheel clock
-//   level 1   256 buckets x 2^24 ns  — covers ~4.29 s past the wheel clock
-//   overflow  binary heap            — everything farther out
-//
-// Buckets are indexed by absolute time bits ((when >> shift) & 255), so
-// insertion is O(1) with no per-event comparisons. Short-horizon traffic
-// (scheduler ticks, watchdog pets, retransmit backoff) lands in level 0 and
-// never touches a comparison-based structure; level-1 buckets redistribute
-// into level 0 when the wheel clock enters their 16.8 ms window; overflow
-// events stay in the heap until the wheel drains below them (they are fired
-// straight from the heap, never migrated). When a level-0 bucket becomes the
-// earliest pending work it is sorted once by (time, seq) into a "due list"
-// that subsequent pops consume in order — same-time FIFO holds across all
-// three levels because every candidate comparison is on the exact
-// (time, seq) key.
-//
-// Closures live in an EventSlab (see event_slab.h): small-buffer slots
-// addressed by generation-tagged EventIds. Cancel and IsPending are O(1) —
-// cancelling frees the slot (releasing captures eagerly) and bumps its
-// generation, which invalidates the queue entry in place; no tombstone
-// sweeping is needed outside the overflow heap. Re-arm-heavy paths
-// (cancel + schedule, or the in-place Reschedule) therefore perform no heap
-// allocation and no O(log n) sift in steady state.
+// The queue is an indexed binary min-heap of (time, seq, slot) entries, so
+// its memory follows the events pending now. Closures live in an EventSlab
+// (see event_slab.h): small-buffer slots addressed by generation-tagged
+// EventIds. A flat per-slot array holds each pending event's heap position,
+// which makes Cancel an O(log n) removal that leaves no residue, Reschedule
+// an in-place re-key and sift, and PendingInfo a direct read of the entry.
+// A fired closure runs in its own slot (slab chunks never move), which is
+// recycled once the callback returns.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -57,10 +38,6 @@ class Simulator {
  public:
   // Engine-internals counters, exposed for tests and benches.
   struct EngineStats {
-    uint64_t bucket_activations = 0;  // level-0 buckets sorted into the due list
-    uint64_t cascades = 0;            // level-1 buckets redistributed to level 0
-    uint64_t overflow_inserts = 0;    // events parked in the far-future heap
-    uint64_t overflow_compacted = 0;  // dead entries swept out of that heap
     uint64_t cancelled = 0;
     uint64_t rescheduled = 0;
     uint64_t closure_heap_allocs = 0;  // closures too big for inline slots
@@ -80,7 +57,7 @@ class Simulator {
     if (!slab_[slot].closure.Emplace(std::forward<Fn>(fn))) {
       ++stats_.closure_heap_allocs;
     }
-    InsertPending(when, slot);
+    Push(when, slot);
     return MakeEventId(slot, slab_[slot].generation);
   }
 
@@ -96,9 +73,9 @@ class Simulator {
   bool Cancel(EventId id);
 
   // Moves a pending event to fire at |when| (>= Now()) instead, keeping its
-  // closure in place — the O(1) re-arm path for watchdog pets and timer
-  // extensions. Returns the event's new id (the old one is retired), or
-  // kInvalidEventId if |id| was no longer pending. Consumes one insertion
+  // closure in place — the allocation-free re-arm path for watchdog pets and
+  // timer extensions. Returns the event's new id (the old one is retired),
+  // or kInvalidEventId if |id| was no longer pending. Consumes one insertion
   // sequence number, exactly like Cancel + ScheduleAt, so firing order is
   // identical to the cancel-and-recreate idiom.
   EventId Reschedule(EventId id, TimeNs when);
@@ -128,8 +105,8 @@ class Simulator {
   };
   PendingEventInfo PendingInfo(EventId id) const {
     PSBOX_CHECK(IsPending(id));
-    const EventSlab::Slot& s = slab_[SlotOf(id)];
-    return PendingEventInfo{s.when, s.seq};
+    const Entry& e = heap_[heap_index_[SlotOf(id)]];
+    return PendingEventInfo{e.when, e.seq};
   }
 
   // Snapshot-restore support: discards every pending event and resets the
@@ -150,59 +127,21 @@ class Simulator {
   // land the counter on the checkpointed value.
   void SetNextSeqForRestore(uint64_t seq) { next_seq_ = seq; }
 
-  size_t pending_events() const { return live_; }
-  // Debug aid for census failures: (when, seq) of every live pending event,
-  // in slab order.
-  std::vector<PendingEventInfo> DebugPendingEvents() const {
-    std::vector<PendingEventInfo> out;
-    for (size_t i = 0; i < slab_.size(); ++i) {
-      const EventSlab::Slot& s = slab_[i];
-      if ((s.generation & 1u) == 1u) {
-        out.push_back(PendingEventInfo{s.when, s.seq});
-      }
-    }
-    return out;
-  }
+  size_t pending_events() const { return heap_.size(); }
   uint64_t total_fired() const { return total_fired_; }
   const EngineStats& stats() const { return stats_; }
 
  private:
-  // Wheel geometry. Level 0 buckets span 2^16 ns (65.536 us) and one level-0
-  // window spans 2^24 ns; level 1 buckets span one level-0 window and one
-  // level-1 window spans 2^32 ns (~4.29 s). Absolute bit indexing makes the
-  // level test a shift+compare against wheel_time_.
-  static constexpr int kShiftL0 = 16;
-  static constexpr int kShiftL1 = 24;
-  static constexpr int kShiftOverflow = 32;
-  static constexpr size_t kWheelSlots = 256;
-  static constexpr uint64_t kWheelMask = kWheelSlots - 1;
-  static constexpr size_t kBitmapWords = kWheelSlots / 64;
-
-  // Queue entries are POD ordering records; the closure stays in the slab.
-  // An entry whose generation no longer matches its slot is stale (the event
-  // was cancelled or rescheduled) and is dropped wherever it surfaces.
+  // Heap entries carry the whole ordering key, so sifting never touches the
+  // slab; |slot| leads back to the closure and the heap position.
   struct Entry {
     TimeNs when;
     uint64_t seq;  // tie-break: FIFO among same-time events
     uint32_t slot;
-    uint32_t gen;
   };
-  struct EntryBefore {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) {
-        return a.when < b.when;
-      }
-      return a.seq < b.seq;
-    }
-  };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
 
   static EventId MakeEventId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(slot) + 1) << 32 | gen;
@@ -212,81 +151,32 @@ class Simulator {
   }
   static uint32_t GenOf(EventId id) { return static_cast<uint32_t>(id); }
 
-  bool Alive(const Entry& e) const {
-    return slab_[e.slot].generation == e.gen;
+  // Queues |slot| under the key (when, next_seq_++).
+  void Push(TimeNs when, uint32_t slot);
+  // Puts |e| at heap index |i|, whose previous entry it replaces, and sifts
+  // it up or down to where its key belongs.
+  void Place(size_t i, const Entry& e);
+  void SiftUp(size_t i, const Entry& e);
+  void SiftDown(size_t i, const Entry& e);
+  // Removes the entry at heap index |i|.
+  void RemoveAt(size_t i);
+  // Writes |e| at heap index |i| and records that index for its slot.
+  void Put(size_t i, const Entry& e) {
+    heap_[i] = e;
+    heap_index_[e.slot] = static_cast<uint32_t>(i);
   }
-
-  // Routes a fresh (when, next_seq_) entry for |slot| into the due list,
-  // a wheel bucket, or the overflow heap.
-  void InsertPending(TimeNs when, uint32_t slot);
-  // Pops the next live event into |out| and moves its closure into |fn|
-  // (freeing the slot first, so the callback may re-arm into it); false when
-  // the queue is exhausted or the next live event lies past |deadline|
-  // (no deadline when < 0).
-  bool PopNext(TimeNs deadline, Entry* out, ClosureSlot* fn);
-  // Advances the wheel clock, cascading the level-1 bucket that covers the
-  // new position when a level-0 window boundary is crossed.
-  void AdvanceWheelTime(TimeNs t);
-  // Sorts level-0 bucket |b| into the due list.
-  void ActivateBucket(size_t b);
-  // Redistributes level-1 bucket |b| into level-0 buckets.
-  void CascadeBucket(size_t b);
-  // Frees the popped entry's slot, moving its closure out into |fn|.
-  void TakeClosure(const Entry& e, ClosureSlot* fn);
-  // Sweeps dead entries out of the overflow heap once they exceed half of it.
-  void MaybeCompactOverflow();
-
-  TimeNs Level0BucketStart(size_t b) const {
-    const uint64_t window =
-        static_cast<uint64_t>(wheel_time_) >> kShiftL1 << kShiftL1;
-    return static_cast<TimeNs>(window | (static_cast<uint64_t>(b) << kShiftL0));
-  }
-  TimeNs Level1BucketStart(size_t b) const {
-    const uint64_t window =
-        static_cast<uint64_t>(wheel_time_) >> kShiftOverflow << kShiftOverflow;
-    return static_cast<TimeNs>(window | (static_cast<uint64_t>(b) << kShiftL1));
-  }
-
-  using Bitmap = std::array<uint64_t, kBitmapWords>;
-  static void SetBit(Bitmap& bm, size_t b) { bm[b >> 6] |= uint64_t{1} << (b & 63); }
-  static void ClearBit(Bitmap& bm, size_t b) {
-    bm[b >> 6] &= ~(uint64_t{1} << (b & 63));
-  }
-  static bool TestBit(const Bitmap& bm, size_t b) {
-    return (bm[b >> 6] >> (b & 63)) & 1;
-  }
-  // Lowest set bit, or -1 when empty.
-  static int FirstBit(const Bitmap& bm);
+  // Fires every event at or before |deadline| in (time, seq) order.
+  size_t FireThrough(TimeNs deadline);
 
   TimeNs now_ = 0;
-  // Logical wheel position: always <= the time of every pending event, so
-  // whenever it crosses a window boundary the structures that would alias
-  // across that boundary are provably empty (see AdvanceWheelTime).
-  TimeNs wheel_time_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t total_fired_ = 0;
-  size_t live_ = 0;  // pending (non-cancelled) events
   EngineStats stats_;
 
   EventSlab slab_;
-
-  // Active level-0 bucket, sorted by (when, seq); due_pos_ is the read head.
-  // In-bucket insertions while draining splice into the unread suffix.
-  std::vector<Entry> due_;
-  size_t due_pos_ = 0;
-  bool due_active_ = false;
-  TimeNs due_end_ = 0;  // exclusive end of the active bucket's time range
-
-  std::array<std::vector<Entry>, kWheelSlots> level0_;
-  std::array<std::vector<Entry>, kWheelSlots> level1_;
-  Bitmap bitmap0_{};
-  Bitmap bitmap1_{};
-
-  // Far-future overflow: binary heap ordered by EntryLater. Entries are fired
-  // straight from the heap (never migrated into the wheel); dead entries are
-  // swept in one O(n) pass when they outnumber the live ones.
-  std::vector<Entry> overflow_;
-  uint64_t overflow_dead_ = 0;
+  std::vector<Entry> heap_;
+  // Per slab slot: the heap index of its entry while the slot is pending.
+  std::vector<uint32_t> heap_index_;
 };
 
 }  // namespace psbox

@@ -111,8 +111,9 @@ bool RestoreBoardShard(SnapshotReader& r, Board& board, Kernel& kernel,
   if (r.ok() && clock.now < 0) {
     r.Fail("snapshot shard clock is negative");
   }
-  if (r.ok() && !rearmer.AllAtOrAfter(clock.now)) {
-    r.Fail("snapshot has a pending event before the shard clock");
+  std::string rearm_error;
+  if (r.ok() && !rearmer.Check(clock.now, clock.next_seq, &rearm_error)) {
+    r.Fail(rearm_error);
   }
   if (r.ok()) {
     CheckStepTraces(r, board, kernel, clock.now);

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,20 +31,44 @@ class EventRearmer {
     items_.push_back(Item{seq, when, std::move(rearm)});
   }
 
-  // Whether every deferred event fires at or after |now|: the engine cannot
-  // schedule into the past, so restore refuses a snapshot that would.
-  bool AllAtOrAfter(TimeNs now) const {
-    return std::all_of(items_.begin(), items_.end(),
-                       [now](const Item& item) { return item.when >= now; });
+  // Whether the deferred events can re-arm into an engine whose clock is
+  // |now| and whose next seq is |next_seq|; when not, |error| says why. The
+  // engine cannot schedule into the past, so each must fire at or after
+  // |now|. Their seqs must be distinct and in [1, next_seq), or they and the
+  // engine's later schedules would not form one total (time, seq) order.
+  // Sorts the events into the seq order Replay uses.
+  bool Check(TimeNs now, uint64_t next_seq, std::string* error) {
+    std::sort(items_.begin(), items_.end(),
+              [](const Item& a, const Item& b) { return a.seq < b.seq; });
+    for (size_t i = 0; i < items_.size(); ++i) {
+      const Item& item = items_[i];
+      if (item.when < now) {
+        *error = "snapshot has a pending event before the shard clock";
+      } else if (item.seq == 0) {
+        *error = "snapshot has a pending event with seq 0";
+      } else if (i > 0 && item.seq == items_[i - 1].seq) {
+        *error = "snapshot has two pending events with seq " +
+                 std::to_string(item.seq);
+      } else if (item.seq >= next_seq) {
+        *error = "pending event seq " + std::to_string(item.seq) +
+                 " is not below the shard's next seq " +
+                 std::to_string(next_seq);
+      } else {
+        continue;
+      }
+      return false;
+    }
+    return true;
   }
 
   // Invokes every deferred re-arm in ascending original-seq order, forcing
   // each re-armed event onto its original insertion sequence number so the
   // restored engine's ordering state is bit-identical to the uninterrupted
-  // run's. Call exactly once, after Simulator::ResetForRestore.
+  // run's. Call exactly once, after Check and Simulator::ResetForRestore.
   void Replay(Simulator& sim) {
-    std::sort(items_.begin(), items_.end(),
-              [](const Item& a, const Item& b) { return a.seq < b.seq; });
+    PSBOX_DCHECK(std::is_sorted(
+        items_.begin(), items_.end(),
+        [](const Item& a, const Item& b) { return a.seq < b.seq; }));
     for (Item& item : items_) {
       sim.SetNextSeqForRestore(item.seq);
       item.fn();

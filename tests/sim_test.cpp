@@ -1,17 +1,19 @@
 // Unit tests for the discrete-event simulator.
 //
-// Beyond the basic contract, this suite pins the properties the timing-wheel
-// engine must preserve: exact (time, insertion-seq) FIFO across all queue
-// levels (due list / level-0 / level-1 / overflow heap), O(1) cancel and
-// re-arm safety under slab slot reuse (generation tags), deadline-inclusive
+// Beyond the basic contract, this suite pins the properties the indexed-heap
+// engine must preserve: exact (time, insertion-seq) FIFO whatever the
+// scheduling distance, cancel and re-arm of entries anywhere in the heap,
+// safety under slab slot reuse (generation tags), deadline-inclusive
 // RunUntil semantics, and bit-exact firing-order parity with the previous
 // heap+hash-map engine under randomized event storms.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -149,8 +151,7 @@ TEST(SimulatorDeathTest, RescheduleIntoPastDies) {
 TEST(Simulator, RunUntilDeadlineInclusiveRegression) {
   // Events exactly at the deadline run; events one tick later do not, and a
   // repeated RunUntil at the same deadline fires nothing new. Probed at plain
-  // times and at every wheel-level boundary, where an off-by-one in bucket
-  // activation would surface.
+  // times and at powers of two up to 2^32 ns.
   const TimeNs kDeadlines[] = {100, TimeNs{1} << 16, TimeNs{1} << 24,
                                TimeNs{1} << 32};
   for (const TimeNs deadline : kDeadlines) {
@@ -171,14 +172,12 @@ TEST(Simulator, RunUntilDeadlineInclusiveRegression) {
 }
 
 // ---------------------------------------------------------------------------
-// Ordering across wheel levels.
+// Ordering across scheduling distances.
 
-TEST(Simulator, SameTimeFifoAcrossQueueLevels) {
-  // Four events all fire at T = 6 s, but scheduled from different distances
-  // so they sit in different structures when the tie is broken: A from t=0
-  // (overflow heap), B from t=4.5 s (level 1, cascaded on approach), C from
-  // t=5.99 s (level 0), and D scheduled *during* A's callback at T (active
-  // due list). Insertion order must hold exactly.
+TEST(Simulator, SameTimeFifoAcrossSchedulingDistances) {
+  // Four events all fire at T = 6 s, but scheduled from different distances:
+  // A from t=0, B from t=4.5 s, C from t=5.99 s, and D *during* A's callback
+  // at T. Insertion order must hold exactly.
   constexpr TimeNs kT = 6'000'000'000;
   Simulator sim;
   std::vector<int> order;
@@ -193,14 +192,12 @@ TEST(Simulator, SameTimeFifoAcrossQueueLevels) {
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(sim.Now(), kT);
-  EXPECT_GT(sim.stats().overflow_inserts, 0u);
-  EXPECT_GT(sim.stats().cascades, 0u);
-  EXPECT_GT(sim.stats().bucket_activations, 0u);
 }
 
 TEST(Simulator, WheelBoundaryTimesFireExactly) {
-  // Events straddling every level boundary, scheduled in descending order,
-  // must fire in ascending (time, seq) order at their exact times.
+  // Events straddling 2^16, 2^24 and 2^32 ns (the old timing wheel's level
+  // boundaries), scheduled in descending order, must fire in ascending
+  // (time, seq) order at their exact times.
   std::vector<TimeNs> times;
   for (const TimeNs base :
        {TimeNs{1} << 16, TimeNs{1} << 24, TimeNs{1} << 32}) {
@@ -240,12 +237,11 @@ TEST(Simulator, CancelHeavyReArmLeavesNoResidue) {
   EXPECT_EQ(sim.total_fired(), 1u);
 }
 
-TEST(Simulator, OverflowHeapCompactsWhenCancelsDominate) {
+TEST(Simulator, CancellingMostFarEventsKeepsSurvivorOrder) {
   Simulator sim;
-  // Far-future events (past the level-1 horizon) park in the overflow heap,
-  // the one structure where cancelled entries linger; cancelling most of
-  // them must trigger a sweep while preserving survivor order.
-  constexpr TimeNs kFar = 10'000'000'000;  // 10 s: beyond the 2^32 ns horizon
+  // Cancelling most of a batch of far-future events must leave exactly the
+  // survivors pending, still in (time, seq) order.
+  constexpr TimeNs kFar = 10'000'000'000;  // 10 s
   std::vector<int> order;
   std::vector<EventId> doomed;
   sim.ScheduleAt(kFar + 500, [&] { order.push_back(5); });
@@ -258,7 +254,6 @@ TEST(Simulator, OverflowHeapCompactsWhenCancelsDominate) {
   for (const EventId id : doomed) {
     EXPECT_TRUE(sim.Cancel(id));
   }
-  EXPECT_GT(sim.stats().overflow_compacted, 0u);
   EXPECT_EQ(sim.pending_events(), 4u);
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5}));
@@ -318,7 +313,7 @@ TEST(Simulator, RescheduleMovesEventKeepingClosure) {
 
 TEST(Simulator, RescheduleAcrossQueueLevels) {
   Simulator sim;
-  // Heap -> level 0 and level 0 -> heap moves must both land exactly.
+  // Moves from 10 s to 5 us and from 1 us to 20 s must both land exactly.
   TimeNs near_fired = 0;
   TimeNs far_fired = 0;
   const EventId toward = sim.ScheduleAt(10'000'000'000, [&] {
@@ -330,6 +325,60 @@ TEST(Simulator, RescheduleAcrossQueueLevels) {
   sim.RunToCompletion();
   EXPECT_EQ(near_fired, 5'000);
   EXPECT_EQ(far_fired, 20'000'000'000);
+}
+
+TEST(Simulator, InteriorCancelAndRescheduleKeepKeyOrder) {
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  // 32 events, two per time from 100 to 1600, so the heap is five levels
+  // deep and every time is a tie.
+  for (int i = 0; i < 32; ++i) {
+    ids.push_back(sim.ScheduleAt(100 * (i / 2 + 1),
+                                 [&fired, i] { fired.push_back(i); }));
+  }
+  const Simulator::PendingEventInfo untouched = sim.PendingInfo(ids[17]);
+  // Cancel interior entries, neither the earliest nor the latest.
+  for (const int i : {5, 11, 12, 20, 27}) {
+    EXPECT_TRUE(sim.Cancel(ids[static_cast<size_t>(i)]));
+  }
+  // Re-key events earlier (to the front, into a tie) and later (into a
+  // tie, past everything), each under the next insertion seq.
+  const std::pair<int, TimeNs> moves[] = {
+      {30, 100}, {25, 400}, {2, 1600}, {8, 2000}, {14, 50}, {31, 1500}};
+  for (const auto& [i, when] : moves) {
+    const uint64_t seq = sim.next_seq();
+    EventId& id = ids[static_cast<size_t>(i)];
+    id = sim.Reschedule(id, when);
+    ASSERT_NE(id, kInvalidEventId);
+    const Simulator::PendingEventInfo info = sim.PendingInfo(id);
+    EXPECT_EQ(info.when, when) << "event " << i;
+    EXPECT_EQ(info.seq, seq) << "event " << i;
+  }
+  // Sifting other entries around must not change their keys.
+  EXPECT_EQ(sim.PendingInfo(ids[17]).when, untouched.when);
+  EXPECT_EQ(sim.PendingInfo(ids[17]).seq, untouched.seq);
+  // The firing order is the (time, seq) order of what is still pending.
+  std::vector<std::tuple<TimeNs, uint64_t, int>> keys;
+  for (int i = 0; i < 32; ++i) {
+    if (sim.IsPending(ids[static_cast<size_t>(i)])) {
+      const Simulator::PendingEventInfo info =
+          sim.PendingInfo(ids[static_cast<size_t>(i)]);
+      keys.emplace_back(info.when, info.seq, i);
+    }
+  }
+  ASSERT_EQ(keys.size(), 27u);
+  EXPECT_EQ(sim.pending_events(), 27u);
+  std::sort(keys.begin(), keys.end());
+  std::vector<int> expected;
+  for (const auto& key : keys) {
+    expected.push_back(std::get<2>(key));
+  }
+  EXPECT_EQ(expected.front(), 14);
+  EXPECT_EQ(expected.back(), 8);
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.Now(), 2000);
 }
 
 TEST(Simulator, RescheduleOfDeadEventReturnsInvalid) {
@@ -420,8 +469,8 @@ struct StormDriver {
   }
 };
 
-// Mixed-horizon delay: mostly level-0 traffic, some level-1, a far tail, and
-// exact zero-delay events.
+// Mixed-horizon delay: half up to 262 us, then up to 40 ms, a far tail up to
+// 60 s, and exact zero-delay events.
 DurationNs StormDelay(uint64_t r) {
   const uint64_t m = r % 100;
   const uint64_t v = r / 100;
@@ -429,15 +478,42 @@ DurationNs StormDelay(uint64_t r) {
     return 0;
   }
   if (m < 55) {
-    return static_cast<DurationNs>(v % (4u << 16));  // within ~4 buckets
+    return static_cast<DurationNs>(v % (4u << 16));
   }
   if (m < 85) {
-    return static_cast<DurationNs>(v % 40'000'000);  // tens of ms: level 1
+    return static_cast<DurationNs>(v % 40'000'000);
   }
   if (m < 96) {
     return static_cast<DurationNs>(v % 6'000'000'000);  // up to 6 s
   }
-  return static_cast<DurationNs>(v % 60'000'000'000);  // up to 60 s: overflow
+  return static_cast<DurationNs>(v % 60'000'000'000);  // up to 60 s
+}
+
+DurationNs StormAdvance(uint64_t a, uint64_t b) {
+  const uint64_t m = b % 10;
+  return m < 7   ? static_cast<DurationNs>(a % 20'000'000)
+         : m < 9 ? static_cast<DurationNs>(a % 1'000'000'000)
+                 : static_cast<DurationNs>(a % 10'000'000'000);
+}
+
+// Fleet-shaped delay, as one board of a steady fleet sees its timers: on a
+// 1 ms grid (ticks, watchdogs, balloon edges), so many events share a time,
+// with zero-delay hand-offs and an occasional epoch-length timer.
+DurationNs FleetDelay(uint64_t r) {
+  const uint64_t m = r % 100;
+  const uint64_t v = r / 100;
+  if (m < 10) {
+    return 0;
+  }
+  if (m < 90) {
+    return static_cast<DurationNs>(1 + v % 24) * 1'000'000;
+  }
+  return static_cast<DurationNs>(1 + v % 200) * 1'000'000;
+}
+
+// Advances on the same 1 ms grid, one or two ticks at a time.
+DurationNs FleetAdvance(uint64_t a, uint64_t /*b*/) {
+  return static_cast<DurationNs>(1 + a % 2) * 1'000'000;
 }
 
 struct StormOp {
@@ -446,14 +522,48 @@ struct StormOp {
   uint64_t b;
 };
 
+// One storm input: its op sequence, delay and advance shapes, the longest
+// follow-up chain a schedule starts, and a cap on the tracked events (a
+// schedule at the cap re-arms one instead; 0: none).
+struct Storm {
+  const char* name;
+  std::vector<StormOp> ops;
+  DurationNs (*delay)(uint64_t);
+  DurationNs (*advance)(uint64_t, uint64_t);
+  uint64_t max_chain;
+  size_t max_live;
+};
+
+// |n| ops in the given percentages of schedule, cancel and re-arm; the rest
+// advance the clock.
+std::vector<StormOp> StormOps(uint64_t seed, int n, uint64_t schedule_pct,
+                              uint64_t cancel_pct, uint64_t rearm_pct) {
+  std::mt19937_64 rng(seed);
+  std::vector<StormOp> ops;
+  ops.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const uint64_t k = rng() % 100;
+    const uint32_t kind = k < schedule_pct                           ? 0
+                          : k < schedule_pct + cancel_pct             ? 1
+                          : k < schedule_pct + cancel_pct + rearm_pct ? 2
+                                                                      : 3;
+    ops.push_back({kind, rng(), rng()});
+  }
+  return ops;
+}
+
 template <typename Engine>
-void RunStorm(StormDriver<Engine>& d, const std::vector<StormOp>& ops) {
-  for (const StormOp& op : ops) {
-    switch (op.kind) {
+void RunStorm(StormDriver<Engine>& d, const Storm& storm) {
+  for (const StormOp& op : storm.ops) {
+    uint32_t kind = op.kind;
+    if (kind == 0 && storm.max_live > 0 && d.live.size() >= storm.max_live) {
+      kind = 2;
+    }
+    switch (kind) {
       case 0: {  // schedule
-        const TimeNs when = d.eng.Now() + StormDelay(op.a);
+        const TimeNs when = d.eng.Now() + storm.delay(op.a);
         const int label = d.next_label++;
-        const int chain = static_cast<int>(op.b % 3);
+        const int chain = static_cast<int>(op.b % (storm.max_chain + 1));
         d.live.push_back({d.Schedule(when, label, chain), label, chain});
         break;
       }
@@ -468,16 +578,12 @@ void RunStorm(StormDriver<Engine>& d, const std::vector<StormOp>& ops) {
       case 2: {  // re-arm
         if (!d.live.empty()) {
           const size_t idx = op.a % d.live.size();
-          d.Move(idx, d.eng.Now() + StormDelay(op.b));
+          d.Move(idx, d.eng.Now() + storm.delay(op.b));
         }
         break;
       }
       default: {  // advance
-        const uint64_t m = op.b % 10;
-        const DurationNs adv = m < 7   ? static_cast<DurationNs>(op.a % 20'000'000)
-                               : m < 9 ? static_cast<DurationNs>(op.a % 1'000'000'000)
-                                       : static_cast<DurationNs>(op.a % 10'000'000'000);
-        d.eng.RunUntil(d.eng.Now() + adv);
+        d.eng.RunUntil(d.eng.Now() + storm.advance(op.a, op.b));
         d.Prune();
         break;
       }
@@ -488,24 +594,49 @@ void RunStorm(StormDriver<Engine>& d, const std::vector<StormOp>& ops) {
 }
 
 TEST(Simulator, StormFiringOrderMatchesNaiveEngine) {
+  std::vector<Storm> storms;
   for (const uint64_t seed : {0xC0FFEEu, 0xBADF00Du, 0x5EEDu}) {
-    std::mt19937_64 rng(seed);
-    std::vector<StormOp> ops;
-    ops.reserve(600);
-    for (int i = 0; i < 600; ++i) {
-      const uint64_t k = rng() % 100;
-      // 55% schedule, 15% cancel, 15% re-arm, 15% advance.
-      const uint32_t kind = k < 55 ? 0 : k < 70 ? 1 : k < 85 ? 2 : 3;
-      ops.push_back({kind, rng(), rng()});
-    }
+    // 55% schedule, 15% cancel, 15% re-arm, 15% advance.
+    storms.push_back({"mixed horizon", StormOps(seed, 600, 55, 15, 15),
+                      &StormDelay, &StormAdvance, 2, 0});
+  }
+  // Fleet-shaped: about 16 events pending, same-time ties on the 1 ms grid,
+  // and a cancel (direct or by re-arm) for roughly 40% of fires.
+  storms.push_back({"fleet", StormOps(0xF1EE7u, 20'000, 55, 4, 10),
+                    &FleetDelay, &FleetAdvance, 0, 24});
+  for (const Storm& storm : storms) {
+    SCOPED_TRACE(storm.name);
     StormDriver<Simulator> fast;
     StormDriver<NaiveSimulator> naive;
-    RunStorm(fast, ops);
-    RunStorm(naive, ops);
-    ASSERT_EQ(fast.log, naive.log) << "seed " << seed;
-    EXPECT_EQ(fast.pending_trace, naive.pending_trace) << "seed " << seed;
+    RunStorm(fast, storm);
+    RunStorm(naive, storm);
+    ASSERT_EQ(fast.log, naive.log);
+    EXPECT_EQ(fast.pending_trace, naive.pending_trace);
     EXPECT_EQ(fast.eng.total_fired(), naive.eng.total_fired());
     EXPECT_EQ(fast.eng.Now(), naive.eng.Now());
+    if (storm.max_live == 0) {
+      continue;
+    }
+    // The fleet input must keep the shape it claims.
+    size_t pending_sum = 0;
+    for (const size_t p : fast.pending_trace) {
+      pending_sum += p;
+    }
+    const double mean_pending = static_cast<double>(pending_sum) /
+                                static_cast<double>(fast.pending_trace.size());
+    const Simulator::EngineStats& st = fast.eng.stats();
+    const double cancels_per_fire =
+        static_cast<double>(st.cancelled + st.rescheduled) /
+        static_cast<double>(fast.eng.total_fired());
+    size_t ties = 0;
+    for (size_t i = 1; i < fast.log.size(); ++i) {
+      ties += fast.log[i].second == fast.log[i - 1].second ? 1 : 0;
+    }
+    EXPECT_GT(mean_pending, 12.0);
+    EXPECT_LT(mean_pending, 20.0);
+    EXPECT_GT(cancels_per_fire, 0.3);
+    EXPECT_LT(cancels_per_fire, 0.5);
+    EXPECT_GT(ties, fast.log.size() / 4);
   }
 }
 

@@ -27,12 +27,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/fleet/root_coordinator.h"
 #include "src/popgen/app_catalog.h"
 #include "src/snapshot/board_snapshot.h"
+#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -859,6 +861,105 @@ TEST(SnapshotFieldCheckTest, UnknownAppIdRejected) {
                        "did not create"),
             std::string::npos)
       << "error was: " << error;
+}
+
+// --- pending-event order ---------------------------------------------------
+// Restore re-arms each pending event under its saved seq, and the engine
+// orders events by (time, seq): the saved seqs must be distinct and below
+// the shard's next seq, or they and later schedules would collide.
+
+TEST(EventRearmerTest, ReplaysInOriginalSeqOrder) {
+  Simulator sim;
+  EventRearmer rearmer;
+  std::vector<uint64_t> fired;
+  // Three events at one time and one earlier, deferred out of seq order.
+  for (const auto& [seq, when] : std::vector<std::pair<uint64_t, TimeNs>>{
+           {7, 500}, {3, 500}, {9, 400}, {5, 500}}) {
+    rearmer.Defer(seq, when, [&sim, &fired, seq, when] {
+      sim.ScheduleAt(when, [&fired, seq] { fired.push_back(seq); });
+    });
+  }
+  std::string error;
+  ASSERT_TRUE(rearmer.Check(400, 10, &error)) << error;
+  sim.ResetForRestore(400, 0);
+  rearmer.Replay(sim);
+  sim.SetNextSeqForRestore(10);
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, (std::vector<uint64_t>{9, 3, 5, 7}));
+}
+
+TEST(EventRearmerTest, RejectsSeqsOutsideOneTotalOrder) {
+  struct Case {
+    const char* what;
+    std::vector<std::pair<uint64_t, TimeNs>> events;  // (seq, when)
+    std::string expected;
+  };
+  const Case cases[] = {
+      {"before the clock", {{3, 100}, {4, 99}},
+       "snapshot has a pending event before the shard clock"},
+      {"seq 0", {{4, 200}, {0, 100}}, "snapshot has a pending event with seq 0"},
+      {"duplicate seq", {{4, 100}, {6, 200}, {4, 300}},
+       "snapshot has two pending events with seq 4"},
+      {"seq at next seq", {{4, 100}, {10, 200}},
+       "pending event seq 10 is not below the shard's next seq 10"},
+      {"seq past next seq", {{12, 100}},
+       "pending event seq 12 is not below the shard's next seq 10"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    EventRearmer rearmer;
+    for (const auto& [seq, when] : c.events) {
+      rearmer.Defer(seq, when, [] {});
+    }
+    std::string error;
+    EXPECT_FALSE(rearmer.Check(100, 10, &error));
+    EXPECT_EQ(error, c.expected);
+  }
+}
+
+// Board 0's CPU governor has its sampling timer pending and its retry timer
+// idle in the golden. Restore must refuse a sampling seq of 0 or at the
+// shard's next seq, and a retry timer made pending under the sampling
+// timer's seq.
+TEST(SnapshotFieldCheckTest, PendingEventSeqOutsideTotalOrderRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  // Past the "shard" marker: the shard clock, the fired count, the next seq.
+  const size_t shard = AfterSection(golden, "shard");
+  const uint64_t now = GetU64(golden, shard);
+  const uint64_t next_seq = GetU64(golden, shard + 16);
+  // Past the "governor" marker: the context OPPs (8 bytes each) and box
+  // contexts (12 bytes each), the next and current contexts, the retry
+  // count; then the sampling timer (presence flag, time, seq) and the retry
+  // timer's presence flag.
+  size_t at = AfterSection(golden, "governor", shard);
+  at += 8 + 8 * GetU64(golden, at);
+  at += 8 + 12 * GetU64(golden, at);
+  at += 4 + 4 + 8;
+  ASSERT_EQ(golden[at], 1) << "sampling timer pending";
+  const size_t sample_seq = at + 9;
+  const uint64_t seq = GetU64(golden, sample_seq);
+  ASSERT_GT(seq, 0u);
+  ASSERT_LT(seq, next_seq);
+  const size_t retry = at + 17;
+  ASSERT_EQ(golden[retry], 0) << "retry timer idle";
+
+  ExpectMutatedGoldenRejected(
+      [&](std::vector<uint8_t>& p) { PutU64(p, sample_seq, 0); },
+      "snapshot has a pending event with seq 0");
+  ExpectMutatedGoldenRejected(
+      [&](std::vector<uint8_t>& p) { PutU64(p, sample_seq, next_seq); },
+      "pending event seq " + std::to_string(next_seq) +
+          " is not below the shard's next seq " + std::to_string(next_seq));
+  ExpectMutatedGoldenRejected(
+      [&](std::vector<uint8_t>& p) {
+        std::vector<uint8_t> key(16);
+        PutU64(key, 0, now);
+        PutU64(key, 8, seq);
+        p[retry] = 1;
+        p.insert(p.begin() + static_cast<ptrdiff_t>(retry) + 1, key.begin(),
+                 key.end());
+      },
+      "snapshot has two pending events with seq " + std::to_string(seq));
 }
 
 // --- v6 recipe and cursor checks -------------------------------------------
