@@ -138,8 +138,7 @@ void AblationFairness() {
   std::printf("\n=== Ablation: charging lost sharing opportunities (CPU) ===\n");
   auto run = [&](bool charge) {
     KernelConfig cfg;
-    cfg.sched.bill_balloon_occupancy = charge;
-    cfg.sched.repay_loans = charge;
+    cfg.sched.charge_lost_sharing = charge;
     Stack s({}, cfg);
     std::vector<AppHandle> handles;
     for (int i = 0; i < 3; ++i) {

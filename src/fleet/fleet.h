@@ -109,17 +109,14 @@ struct FleetScenario {
   Joules fleet_budget = 0.0;
   std::vector<FleetBoardSpec> boards;
   std::vector<FleetAppSpec> apps;
+  // Migration policy. A failing board's sandboxed apps are evacuated by
+  // *state transfer*: the dying board serialises the app's billing state
+  // (raw meter reading, residual budget, progress) into a CRC-guarded blob
+  // and the target board resumes billing from the transferred value. A torn
+  // write (snapshot_corrupt fault) makes the blob fail validation, and the
+  // evacuation falls back to the drain-style carry (billing restarts at
+  // zero on the target; the budget ledger stays conserved either way).
   MigrationConfig migration;
-  // Crash-evacuation mode. When true (the default), a failing board's
-  // sandboxed apps are evacuated by *state transfer*: the dying board
-  // serialises the app's billing state (raw meter reading, residual budget,
-  // progress) into a CRC-guarded blob and the target board resumes billing
-  // from the transferred value. A torn write (snapshot_corrupt fault) makes
-  // the blob fail validation, and the evacuation falls back to the legacy
-  // drain-style carry (billing restarts at zero on the target; the budget
-  // ledger stays conserved either way). When false, the legacy carry is
-  // always used.
-  bool crash_state_transfer = true;
   // Generated background population: when enabled, every board streams a
   // seeded endless arrival mix (one independent stream per board, derived
   // from population.seed and the board index) under per-board tenant
@@ -194,8 +191,9 @@ struct MigrationRecord {
   // barrier from digests rather than at a sub-fleet barrier).
   bool cross_subfleet = false;
   // Crash evacuations only: the billing state made it to the target by
-  // snapshot transfer (false = the blob failed validation, or transfer was
-  // disabled, and the hop fell back to the drain-style carry).
+  // snapshot transfer (false = the blob failed validation, or the app had
+  // no virtual meter to transfer, and the hop fell back to the drain-style
+  // carry).
   bool state_transfer = false;
   Joules consumed_source = 0.0;  // billed on the source board this hop
   Joules budget_carried = 0.0;   // remaining budget moved to the target

@@ -138,7 +138,7 @@ Joules FleetRuntime::CloseHop(FleetAppRuntime& app, Joules* raw_reading) {
 bool FleetRuntime::TransferAppState(FleetAppRuntime& app, int source,
                                     int target, Joules raw_reading) {
   const bool transferred = [&] {
-    if (!scenario_.crash_state_transfer || !app.spec.options.use_psbox) {
+    if (!app.spec.options.use_psbox) {
       return false;  // no virtual meter, nothing transferable
     }
     // The dying board serialises the app's billing state; a torn write

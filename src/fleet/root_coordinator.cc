@@ -615,7 +615,6 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
   ar.Expect(scenario.migration.enabled, migration_mismatch);
   ar.Expect(scenario.migration.pressure_fraction, migration_mismatch);
   ar.Expect(scenario.migration.max_hops, migration_mismatch);
-  ar.Expect(scenario.crash_state_transfer, migration_mismatch);
   // Hierarchy/budget block (format v2): the sub-fleet split shapes every
   // load view and therefore every placement — a different split is a
   // different scenario, not a resumable state.

@@ -6,13 +6,12 @@
 // The psbox extension is the five-phase temporal balloon of §4.2
 // "Accelerators"; both live in the shared CommandDriver core. What is
 // accelerator-specific stays here: the driver virtualises the operating
-// frequency per psbox (frequency contexts) and runs an ondemand governor
-// that judges each context by its own demand.
+// frequency per principal — each app's lane and the global context keep
+// their own OPP — and runs an ondemand governor that judges each principal
+// by its own demand.
 
 #ifndef SRC_KERNEL_ACCEL_DRIVER_H_
 #define SRC_KERNEL_ACCEL_DRIVER_H_
-
-#include <unordered_map>
 
 #include "src/base/types.h"
 #include "src/hw/accel_device.h"
@@ -39,34 +38,32 @@ struct AccelDriverConfig : CommandDriverConfig {
   double command_timeout_work_factor = 20.0;
 };
 
-// The frequency context an app's balloons run at: -1 until the app is first
-// sandboxed.
-struct OppContextRef {
-  int id = -1;
+// A principal's virtualised frequency state: the OPP its balloons run at
+// (the lowest until the governor raises it), and the busy and wall time it
+// ran the device since the last governor tick.
+struct AccelPowerState {
+  int opp = 0;
+  DurationNs busy = 0;
+  DurationNs wall = 0;
 
   template <class Ar>
   void Serialize(Ar& ar) {
-    ar.U32(id);
+    ar.U32(opp);
+    ar.I64(busy);
+    ar.I64(wall);
   }
 };
 
 class AccelDriver
-    : public CommandDriver<AccelDevice, AccelCommand, OppContextRef> {
+    : public CommandDriver<AccelDevice, AccelCommand, AccelPowerState> {
  public:
   AccelDriver(Simulator* sim, AccelDevice* device, HwComponent kind, Kernel* kernel,
               AccelDriverConfig config = {});
 
-  // Gives the app a frequency context on first use.
-  void SetSandboxed(AppId app, PsboxId box) override;
-
   // --- app retirement (ResourceDomain) ---
-  // Retirable as a command-driver app whose frequency context is idle with
-  // no governor time left to consume.
+  // Retirable as a command-driver app that does not run the device's
+  // operating point and has no governor time left to consume.
   bool Retirable(AppId app, TimeNs cutoff) const override;
-  void RetireApp(AppId app) override;
-
-  // Per-psbox virtualised frequency context management.
-  int CreateOppContext();
 
   const AccelDriverConfig& config() const { return config_; }
 
@@ -76,12 +73,10 @@ class AccelDriver
   void Serialize(Ar& ar);
 
  private:
-  // Balloon-in restores the sandbox's virtualised operating frequency;
-  // balloon-out returns to the global context 0.
-  void EnterBalloon(Lane& owner) override {
-    SwitchOppContext(owner.extra.vstate.id);
-  }
-  void LeaveBalloon(Lane& /*owner*/) override { SwitchOppContext(0); }
+  // Balloon-in runs the owner's virtualised operating frequency; balloon-out
+  // returns to the global one.
+  void EnterBalloon(Lane& /*owner*/) override { SwitchTo(balloon_owner()); }
+  void LeaveBalloon(Lane& /*owner*/) override { SwitchTo(kNoApp); }
   void Deliver(Task* task) override;
   DurationNs CommandTimeout(const AccelCommand& cmd) const override;
   // A drain that timed out with anything still executing was stuck behind
@@ -89,24 +84,22 @@ class AccelDriver
   bool DrainStuck() const override { return device_->in_flight() > 0; }
   void TrackBusy() override;
 
-  void SwitchOppContext(int ctx);
+  // The state of |app| (kNoApp: the global principal).
+  AccelPowerState& StateOf(AppId app) {
+    return app == kNoApp ? global_state_ : queue_[app].extra.vstate;
+  }
+  // Saves the device OPP into the running principal and applies |app|'s.
+  void SwitchTo(AppId app);
+  // Charges the time since the last mark to the running principal.
+  void MarkRunningTime();
   void OnGovernorTick();
 
   AccelDriverConfig config_;
   EventId gov_event_ = kInvalidEventId;
-
-  // Frequency virtualisation contexts; context 0 is global.
-  std::unordered_map<int, int> context_opp_;
-  int next_context_ = 1;
-  int current_context_ = 0;
-
-  // Governor busy tracking, attributed per frequency context so a sandbox's
-  // virtual frequency is driven by its own demand only.
-  void MarkContextTime();
+  AccelPowerState global_state_;
+  AppId running_ = kNoApp;  // whose operating point the device runs
   TimeNs busy_since_ = -1;
-  TimeNs last_ctx_mark_ = 0;
-  std::unordered_map<int, DurationNs> ctx_busy_;
-  std::unordered_map<int, DurationNs> ctx_wall_;
+  TimeNs last_mark_ = 0;
 };
 
 }  // namespace psbox

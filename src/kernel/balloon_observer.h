@@ -1,10 +1,10 @@
 // Kernel → psbox notification hook.
 //
-// The kernel extensions (CPU scheduler, accelerator drivers, packet
-// scheduler) report resource-balloon boundaries through this interface. The
-// psbox library implements it to (a) accumulate the ownership intervals its
-// virtual power meters read from and (b) swap virtualised power states at
-// exactly the balloon edges (§4.1).
+// The kernel extensions (CPU scheduler, accelerator and storage drivers,
+// packet scheduler) report resource-balloon boundaries through this
+// interface, each after swapping its own virtualised power state (§4.1). The
+// psbox library implements it to accumulate the ownership intervals its
+// virtual power meters read from.
 
 #ifndef SRC_KERNEL_BALLOON_OBSERVER_H_
 #define SRC_KERNEL_BALLOON_OBSERVER_H_

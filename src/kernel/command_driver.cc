@@ -316,7 +316,7 @@ void CommandDriver<Device, Command, VState>::FailCommand(const Pending& p) {
   }
 }
 
-template class CommandDriver<AccelDevice, AccelCommand, OppContextRef>;
+template class CommandDriver<AccelDevice, AccelCommand, AccelPowerState>;
 template class CommandDriver<StorageDevice, StorageCommand, StoragePowerState>;
 
 }  // namespace psbox

@@ -95,7 +95,7 @@ void CpuScheduler::AccountCore(CoreId core) {
   const double fdelta = static_cast<double>(delta);
   if (c.balloon != nullptr) {
     // Utilization attribution for the governor: balloon time belongs to the
-    // sandbox's frequency context.
+    // sandbox's operating point.
     BalloonUtil& bu = balloon_util_[c.balloon->psbox()];
     if (bu.busy_per_core.empty()) {
       bu.busy_per_core.assign(static_cast<size_t>(num_cores()), 0);
@@ -114,7 +114,7 @@ void CpuScheduler::AccountCore(CoreId core) {
     // per-core competitions see the group's true consumption, mirroring the
     // accelerator drivers billing the whole device for a balloon.
     auto& pc = c.balloon->per_core_[static_cast<size_t>(core)];
-    if (config_.bill_balloon_occupancy) {
+    if (config_.charge_lost_sharing) {
       pc.vruntime += fdelta * num_cores();
     } else if (c.current_task != nullptr) {
       pc.vruntime += fdelta;
@@ -707,7 +707,7 @@ TaskGroup* CpuScheduler::CreateGroup(AppId app, PsboxId psbox) {
 }
 
 void CpuScheduler::BindBox(AppId app, PsboxId box) {
-  kernel_->RegisterCpuContext(box);
+  kernel_->governor().BindBox(box);
   CreateGroup(app, box);
 }
 
@@ -743,13 +743,13 @@ bool CpuScheduler::BoxRetirable(PsboxId box) const {
                    [](DurationNs busy) { return busy != 0; }))) {
     return false;
   }
-  return kernel_->CpuContextIdle(box);
+  return kernel_->governor().running() != box;
 }
 
 void CpuScheduler::UnbindBox(PsboxId box) {
   groups_.erase(box);
   balloon_util_.erase(box);
-  kernel_->ReleaseCpuContext(box);
+  kernel_->governor().UnbindBox(box);
 }
 
 void CpuScheduler::SetSandboxed(AppId app, PsboxId box) {
@@ -1026,7 +1026,7 @@ void CpuScheduler::EndBalloon(TaskGroup* group, bool group_blocked) {
   const double share = total_loan / static_cast<double>(num_cores());
   for (CoreId c = 0; c < num_cores(); ++c) {
     auto& pc = group->per_core_[static_cast<size_t>(c)];
-    if (config_.repay_loans) {
+    if (config_.charge_lost_sharing) {
       pc.vruntime += share;
     }
     pc.loan = 0.0;
@@ -1068,7 +1068,8 @@ void CpuScheduler::EndBalloon(TaskGroup* group, bool group_blocked) {
     sim_->Cancel(e.event);
     return true;
   });
-  if (group->owned_notified_ && observer_ != nullptr) {
+  if (group->owned_notified_ && kernel_ != nullptr) {
+    SwitchPowerState(kNoPsbox);
     NotifyBalloonOut(group->psbox(), sim_->Now());
     group->owned_notified_ = false;
   }
@@ -1108,6 +1109,12 @@ void CpuScheduler::EndBalloon(TaskGroup* group, bool group_blocked) {
 // ---------------------------------------------------------------------------
 // DVFS coupling & introspection
 // ---------------------------------------------------------------------------
+
+void CpuScheduler::SwitchPowerState(PsboxId box) {
+  if (kernel_->config().virtualize_cpu_freq) {
+    kernel_->governor().Switch(box);
+  }
+}
 
 bool CpuScheduler::SetOpp(int opp_index) {
   if (opp_index == cpu_->opp_index()) {
@@ -1198,8 +1205,9 @@ void CpuScheduler::ScheduleOwnedNotifyAt(TimeNs when, TaskGroup* group) {
   });
   notify_events_.push_back(
       {group->psbox(), sim_->ScheduleAt(when, [this, group, when] {
-         if (group->coscheduling_ && observer_ != nullptr) {
+         if (group->coscheduling_ && kernel_ != nullptr) {
            group->owned_notified_ = true;
+           SwitchPowerState(group->psbox());
            NotifyBalloonIn(group->psbox(), when);
            RecordEdge(BalloonEdge::Kind::kServe, group->app(), group->psbox());
          }

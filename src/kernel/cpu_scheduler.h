@@ -53,12 +53,12 @@ struct SchedConfig {
   DurationNs max_balloon_slice = 6 * kMillisecond;
   // Implicit CPU cost of each non-blocking kernel call (submit/send).
   DurationNs syscall_overhead = 3 * kMicrosecond;
-  // Ablation knobs (DESIGN.md §4). Both default to the paper's design.
-  // When false, dummy-idle cycles inside balloons are not billed to the
-  // sandboxed group (naive coscheduling).
-  bool bill_balloon_occupancy = true;
-  // When false, accumulated scheduling loans are forgiven at balloon end.
-  bool repay_loans = true;
+  // Ablation knob (DESIGN.md §4), on in the paper's design: a balloon bills
+  // its group the whole cluster occupancy, dummy-idle cycles included, and
+  // the group repays its scheduling loans at balloon end. Off, the balloon
+  // is naive coscheduling: only the cycles its tasks ran are billed and the
+  // loans are forgiven.
+  bool charge_lost_sharing = true;
 };
 
 class CpuScheduler;
@@ -116,11 +116,12 @@ class CpuScheduler : public ResourceDomain {
   void Resched(CoreId core);
 
   // --- psbox task-group extension (ResourceDomain) ----------------------
-  // Creates the psbox's task group and CPU frequency context.
+  // Creates the psbox's task group and its governor operating point.
   void BindBox(AppId app, PsboxId box) override;
   // A retiring box's group is idle once disarmed, out of every runqueue and
   // balloon, named by no pending timer, and its balloon utilisation has
-  // been consumed by the governor; unbinding frees the group and context.
+  // been consumed by the governor, which no longer runs the box's operating
+  // point; unbinding frees the group and the operating point.
   bool BoxRetirable(PsboxId box) const override;
   void UnbindBox(PsboxId box) override;
   // Drops a retired task's wake-latency stamp.
@@ -150,7 +151,7 @@ class CpuScheduler : public ResourceDomain {
   // hardware transition failed (frequency-transition fault): the cluster
   // keeps running at the old OPP and the governor is expected to retry.
   bool SetOpp(int opp_index);
-  // Utilization split by power-state context since the previous call (the
+  // Utilization split by principal since the previous call (the
   // ondemand governor's input); resets the measurement window.
   //   global  — busiest core's busy fraction of the *non-ballooned* time;
   //   per_box — busiest core's busy fraction of each psbox's balloon time
@@ -260,6 +261,11 @@ class CpuScheduler : public ResourceDomain {
   void StartBalloon(CoreId initiator, TaskGroup* group);
   void JoinBalloon(CoreId core, TaskGroup* group);
   void EndBalloon(TaskGroup* group, bool group_blocked);
+  // Power-state virtualisation (§4.1) at the ownership edges: the governor
+  // runs |box|'s operating point from balloon-in, the global one
+  // (kNoPsbox) from balloon-out, before the observer hears the edge. Off
+  // under KernelConfig::virtualize_cpu_freq = false.
+  void SwitchPowerState(PsboxId box);
   void CheckBalloonEnd(TaskGroup* group);
   // Spreads the group's runnable tasks across balloon cores; idle dummies on
   // the rest.

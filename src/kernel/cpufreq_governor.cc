@@ -1,7 +1,7 @@
 #include "src/kernel/cpufreq_governor.h"
 
 #include <algorithm>
-#include <map>
+#include <string>
 
 #include "src/base/check.h"
 #include "src/snapshot/event_rearmer.h"
@@ -9,46 +9,43 @@
 
 namespace psbox {
 
-CpufreqGovernor::CpufreqGovernor(Simulator* sim, CpuScheduler* sched, CpuDevice* cpu,
-                                 GovernorConfig config)
-    : sim_(sim), sched_(sched), cpu_(cpu), config_(config) {
-  context_opp_[kGlobalContext] = 0;
-}
-
-void CpufreqGovernor::Start() {
-  sample_event_ = sim_->ScheduleAfter(config_.sample_period, [this] { OnSample(); });
-}
-
-int CpufreqGovernor::NextOpp(int opp, double util) const {
-  if (util > config_.up_threshold) {
-    return cpu_->num_opps() - 1;  // ondemand: jump to max under load
+int OndemandNextOpp(int opp, double util, double up, double down, int num_opps) {
+  if (util > up) {
+    return num_opps - 1;  // ondemand: jump to max under load
   }
-  if (util < config_.down_threshold) {
+  if (util < down) {
     return std::max(0, opp - 1);  // decay one step at a time (lingering state)
   }
   return opp;
 }
 
+CpufreqGovernor::CpufreqGovernor(Simulator* sim, CpuScheduler* sched, CpuDevice* cpu,
+                                 GovernorConfig config)
+    : sim_(sim), sched_(sched), cpu_(cpu), config_(config) {}
+
+void CpufreqGovernor::Start() {
+  sample_event_ = sim_->ScheduleAfter(config_.sample_period, [this] { OnSample(); });
+}
+
 void CpufreqGovernor::OnSample() {
   sample_event_ = kInvalidEventId;
   const CpuScheduler::UtilizationSample sample = sched_->ConsumeUtilization();
-  // The currently-applied context's stored OPP follows the hardware.
-  context_opp_[current_context_] = cpu_->opp_index();
-
-  // Global context: driven by the utilisation outside any balloon.
-  context_opp_[kGlobalContext] =
-      NextOpp(context_opp_[kGlobalContext], sample.global);
-
-  // Each sandbox context: driven by the utilisation inside its balloons.
+  const auto next = [&](int opp, double util) {
+    return OndemandNextOpp(opp, util, config_.up_threshold,
+                           config_.down_threshold, cpu_->num_opps());
+  };
+  // The running principal's stored OPP follows the hardware.
+  OppOf(running_) = cpu_->opp_index();
+  // The global context: driven by the utilisation outside any balloon.
+  global_opp_ = next(global_opp_, sample.global);
+  // Each box: driven by the utilisation inside its balloons.
   for (const auto& [box, util] : sample.per_box) {
-    auto it = context_of_box_.find(box);
-    if (it == context_of_box_.end()) {
-      continue;
+    auto it = box_opp_.find(box);
+    if (it != box_opp_.end()) {
+      it->second = next(it->second, util);
     }
-    context_opp_[it->second] = NextOpp(context_opp_[it->second], util);
   }
-
-  ApplyOpp(context_opp_[current_context_]);
+  ApplyOpp(OppOf(running_));
   sample_event_ = sim_->ScheduleAfter(config_.sample_period, [this] { OnSample(); });
 }
 
@@ -60,34 +57,39 @@ void CpufreqGovernor::ApplyOpp(int opp) {
   // once shortly; the next sample re-reads the hardware and self-heals even
   // if the retry fails too.
   ++transition_retries_;
-  if (retry_event_ != kInvalidEventId) {
-    return;
+  if (retry_event_ == kInvalidEventId) {
+    ArmRetryAt(sim_->Now() + config_.transition_retry_delay);
   }
-  retry_event_ = sim_->ScheduleAfter(config_.transition_retry_delay, [this] {
+}
+
+void CpufreqGovernor::ArmRetryAt(TimeNs when) {
+  retry_event_ = sim_->ScheduleAt(when, [this] {
     retry_event_ = kInvalidEventId;
-    sched_->SetOpp(context_opp_[current_context_]);
+    sched_->SetOpp(OppOf(running_));
   });
 }
 
-int CpufreqGovernor::ContextForBox(PsboxId box) {
-  auto it = context_of_box_.find(box);
-  if (it != context_of_box_.end()) {
-    return it->second;
-  }
-  const int ctx = next_context_++;
-  context_opp_[ctx] = 0;
-  context_of_box_[box] = ctx;
-  return ctx;
+void CpufreqGovernor::BindBox(PsboxId box) { box_opp_.emplace(box, 0); }
+
+void CpufreqGovernor::UnbindBox(PsboxId box) {
+  PSBOX_CHECK_NE(box, running_);
+  box_opp_.erase(box);
 }
 
-void CpufreqGovernor::ReleaseBoxContext(PsboxId box) {
-  auto it = context_of_box_.find(box);
-  if (it == context_of_box_.end()) {
+void CpufreqGovernor::Switch(PsboxId box) {
+  if (box == running_ || (box != kNoPsbox && box_opp_.count(box) == 0)) {
     return;
   }
-  PSBOX_CHECK_NE(it->second, current_context_);
-  context_opp_.erase(it->second);
-  context_of_box_.erase(it);
+  OppOf(running_) = cpu_->opp_index();
+  running_ = box;
+  // A failed transition at a balloon edge retries immediately: the switch
+  // must not leak the previous occupant's OPP into the sandbox for a whole
+  // sample period.
+  const int opp = OppOf(box);
+  if (!sched_->SetOpp(opp)) {
+    ++transition_retries_;
+    sched_->SetOpp(opp);
+  }
 }
 
 template <class Ar>
@@ -95,45 +97,40 @@ void CpufreqGovernor::Serialize(Ar& ar) {
   if (!ar.Section("governor")) {
     return;
   }
-  ar.Map(context_opp_, 8, [&](int& ctx, int& opp) {
-    ar.U32(ctx);
-    ar.U32(opp);
+  const char* boxes =
+      "CPU governor boxes do not match the scheduler's groups in snapshot";
+  ar.U32(global_opp_);
+  ar.Fixed(box_opp_, 12, boxes, [&](auto& entry) {
+    ar.Expect(entry.first, boxes);
+    ar.U32(entry.second);
   });
-  ar.Map(context_of_box_, 12, [&](PsboxId& box, int& ctx) {
-    ar.I64(box);
-    ar.U32(ctx);
-  });
-  ar.U32(next_context_);
-  ar.U32(current_context_);
+  ar.I64(running_);
   ar.U64(transition_retries_);
+  if constexpr (Ar::kLoading) {
+    // Every OPP a balloon edge or a sample would apply must be one the
+    // cluster has, and the running principal must have one.
+    const auto check_opp = [&](int opp, const std::string& whose) {
+      if (ar.ok() && (opp < 0 || opp >= cpu_->num_opps())) {
+        ar.Fail("CPU governor " + whose + " OPP index " + std::to_string(opp) +
+                " out of range in snapshot");
+      }
+    };
+    check_opp(global_opp_, "global");
+    for (const auto& [box, opp] : box_opp_) {
+      check_opp(opp, "box " + std::to_string(box));
+    }
+    if (ar.ok() && running_ != kNoPsbox && box_opp_.count(running_) == 0) {
+      ar.Fail("CPU governor runs box " + std::to_string(running_) +
+              ", which has no OPP, in snapshot");
+    }
+  }
   ar.Event(sample_event_, [this](TimeNs when) {
     sample_event_ = sim_->ScheduleAt(when, [this] { OnSample(); });
   });
-  ar.Event(retry_event_, [this](TimeNs when) {
-    retry_event_ = sim_->ScheduleAt(when, [this] {
-      retry_event_ = kInvalidEventId;
-      sched_->SetOpp(context_opp_[current_context_]);
-    });
-  });
+  ar.Event(retry_event_, [this](TimeNs when) { ArmRetryAt(when); });
 }
 
 template void CpufreqGovernor::Serialize(SnapshotWriter&);
 template void CpufreqGovernor::Serialize(SnapshotReader&);
-
-void CpufreqGovernor::SwitchContext(int ctx) {
-  PSBOX_CHECK(context_opp_.count(ctx) > 0);
-  if (ctx == current_context_) {
-    return;
-  }
-  context_opp_[current_context_] = cpu_->opp_index();
-  current_context_ = ctx;
-  // A failed transition at a balloon edge retries immediately: the context
-  // switch must not leak the previous occupant's OPP into the sandbox for a
-  // whole sample period.
-  if (!sched_->SetOpp(context_opp_[ctx])) {
-    ++transition_retries_;
-    sched_->SetOpp(context_opp_[ctx]);
-  }
-}
 
 }  // namespace psbox

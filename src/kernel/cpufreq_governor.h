@@ -1,23 +1,24 @@
-// Ondemand-style cpufreq governor with per-psbox power-state contexts.
+// Ondemand-style cpufreq governor with per-psbox operating points.
 //
 // Baseline behaviour follows Linux ondemand: sample utilisation on a fixed
 // period, jump to the top OPP under load, step down gradually when idle.
 // The gradual decay is what leaves *lingering power state* behind a busy
 // workload (Fig 3c).
 //
-// psbox extension (§4.1 power state virtualisation): the governor keeps one
-// frequency context per psbox plus the global context. At a CPU balloon edge
-// the kernel switches contexts — the hardware OPP is saved into the outgoing
-// context and restored from the incoming one, so a sandboxed app neither
+// psbox extension (§4.1 power state virtualisation): the governor keeps the
+// operating point of every principal — the global (unsandboxed) context and
+// each psbox — and which of them runs the hardware. At a CPU balloon edge
+// the scheduler calls Switch: the hardware OPP is saved into the principal
+// leaving and the entering one's is applied, so a sandboxed app neither
 // observes other apps' DVFS residue nor leaves its own behind. Each
-// context's OPP is driven by the utilisation measured while that context
-// owned the hardware (inside the sandbox's balloons for psbox contexts,
-// outside any balloon for the global one).
+// principal's OPP is driven by the utilisation measured while it owned the
+// hardware (inside the sandbox's balloons for a psbox, outside any balloon
+// for the global context).
 
 #ifndef SRC_KERNEL_CPUFREQ_GOVERNOR_H_
 #define SRC_KERNEL_CPUFREQ_GOVERNOR_H_
 
-#include <unordered_map>
+#include <map>
 
 #include "src/kernel/cpu_scheduler.h"
 
@@ -33,50 +34,58 @@ struct GovernorConfig {
   DurationNs transition_retry_delay = 5 * kMillisecond;
 };
 
+// The ondemand rule every governor applies to a principal once per period:
+// above |up| utilisation jump to the top OPP, below |down| step down one OPP
+// (the gradual decay is the lingering power state), in between hold.
+int OndemandNextOpp(int opp, double util, double up, double down, int num_opps);
+
 class CpufreqGovernor {
  public:
-  // Context 0 is the global (unsandboxed) context.
-  static constexpr int kGlobalContext = 0;
-
   CpufreqGovernor(Simulator* sim, CpuScheduler* sched, CpuDevice* cpu,
                   GovernorConfig config);
 
   // Arms the periodic sampling; call once after construction.
   void Start();
 
-  // Creates (or returns) the frequency context virtualising power state for
-  // |box| (initially at the lowest OPP).
-  int ContextForBox(PsboxId box);
-  // Frees a retired box's context; it must not be the current one.
-  void ReleaseBoxContext(PsboxId box);
+  // Gives |box| an operating point, initially the lowest OPP.
+  void BindBox(PsboxId box);
+  // Frees a retired box's operating point; the box must not be running.
+  void UnbindBox(PsboxId box);
+  // The principal whose operating point the hardware runs (kNoPsbox: the
+  // global context).
+  PsboxId running() const { return running_; }
 
-  // Saves the hardware OPP into the current context and applies |ctx|'s.
-  void SwitchContext(int ctx);
-  int current_context() const { return current_context_; }
+  // Saves the hardware OPP into the running principal and applies |box|'s
+  // (kNoPsbox: the global context's). A box with no operating point is
+  // skipped.
+  void Switch(PsboxId box);
 
   const GovernorConfig& config() const { return config_; }
   // Frequency transitions that failed at the hardware and were retried.
   uint64_t transition_retries() const { return transition_retries_; }
 
-  // Snapshot support: context table, box bindings, and the sample/retry
-  // timers.
+  // Snapshot support: every principal's OPP, the running one, and the
+  // sample/retry timers. Requires the live boxes to have been bound again
+  // (CpuScheduler::BindBox) before the call.
   template <class Ar>
   void Serialize(Ar& ar);
 
  private:
   void OnSample();
-  int NextOpp(int opp, double util) const;
+  int& OppOf(PsboxId box) {
+    return box == kNoPsbox ? global_opp_ : box_opp_.at(box);
+  }
   // Applies |opp|; on hardware failure schedules a one-shot retry.
   void ApplyOpp(int opp);
+  void ArmRetryAt(TimeNs when);
 
   Simulator* sim_;
   CpuScheduler* sched_;
   CpuDevice* cpu_;
   GovernorConfig config_;
-  std::unordered_map<int, int> context_opp_;
-  std::unordered_map<PsboxId, int> context_of_box_;
-  int next_context_ = 1;
-  int current_context_ = kGlobalContext;
+  int global_opp_ = 0;
+  std::map<PsboxId, int> box_opp_;
+  PsboxId running_ = kNoPsbox;
   uint64_t transition_retries_ = 0;
   EventId sample_event_ = kInvalidEventId;
   EventId retry_event_ = kInvalidEventId;

@@ -79,6 +79,7 @@ class FairQueue {
     return it == lanes_.end() ? nullptr : &it->second;
   }
   void Erase(AppId app) { lanes_.erase(app); }
+  std::map<AppId, Lane>& lanes() { return lanes_; }
   const std::map<AppId, Lane>& lanes() const { return lanes_; }
 
   // The least-served app other than |skip| that wants the device; kNoApp

@@ -49,11 +49,8 @@ Kernel::Kernel(Board* board, KernelConfig config)
 }
 
 void Kernel::ArmTelemetryTrim() {
-  const DurationNs period =
-      config_.telemetry_trim_period > 0
-          ? config_.telemetry_trim_period
-          : std::max<DurationNs>(1, config_.telemetry_retention / 2);
-  ArmTelemetryTrimAt(board_->sim().Now() + period);
+  ArmTelemetryTrimAt(board_->sim().Now() +
+                     std::max<DurationNs>(1, config_.telemetry_retention / 2));
 }
 
 void Kernel::ArmTelemetryTrimAt(TimeNs when) {
@@ -138,7 +135,8 @@ void Kernel::RetireFinishedApps(TimeNs horizon) {
 
 void Kernel::RetireApp(AppId app) {
   // Sandboxes first: their retirement unbinds per-box domain state (task
-  // groups, frequency contexts) before the domains drop per-app state.
+  // groups, governor operating points) before the domains drop per-app
+  // state.
   if (psbox_service_ != nullptr) {
     psbox_service_->RetireApp(app);
   }
@@ -254,8 +252,13 @@ void Kernel::RegisterDomain(ResourceDomain* domain) {
                   domain->name());
   }
   domains_[slot] = domain;
-  domain->set_balloon_observer(this);
   domain->set_ledger(&ledger_);
+}
+
+void Kernel::set_balloon_observer(BalloonObserver* observer) {
+  for (ResourceDomain* d : domains_) {
+    d->set_balloon_observer(observer);
+  }
 }
 
 ResourceDomain& Kernel::domain(HwComponent hw) {
@@ -276,45 +279,6 @@ AccelDriver& Kernel::DriverFor(HwComponent hw) {
                   "balloon surface)");
   }
   return static_cast<AccelDriver&>(domain(hw));
-}
-
-void Kernel::RegisterCpuContext(PsboxId box) {
-  cpu_context_of_box_[box] = governor_->ContextForBox(box);
-}
-
-bool Kernel::CpuContextIdle(PsboxId box) const {
-  auto it = cpu_context_of_box_.find(box);
-  return it == cpu_context_of_box_.end() ||
-         governor_->current_context() != it->second;
-}
-
-void Kernel::ReleaseCpuContext(PsboxId box) {
-  cpu_context_of_box_.erase(box);
-  governor_->ReleaseBoxContext(box);
-}
-
-void Kernel::OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) {
-  if (hw == HwComponent::kCpu && config_.virtualize_cpu_freq) {
-    // Power state virtualisation for the CPU: restore the sandbox's DVFS
-    // context at the balloon edge. (Accelerator/NIC state is swapped inside
-    // their drivers.)
-    auto it = cpu_context_of_box_.find(box);
-    if (it != cpu_context_of_box_.end()) {
-      governor_->SwitchContext(it->second);
-    }
-  }
-  if (external_observer_ != nullptr) {
-    external_observer_->OnBalloonIn(box, hw, when);
-  }
-}
-
-void Kernel::OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) {
-  if (hw == HwComponent::kCpu && config_.virtualize_cpu_freq) {
-    governor_->SwitchContext(CpufreqGovernor::kGlobalContext);
-  }
-  if (external_observer_ != nullptr) {
-    external_observer_->OnBalloonOut(box, hw, when);
-  }
 }
 
 void Kernel::ScheduleTaskWake(Task* task, DurationNs delay) {
@@ -489,10 +453,6 @@ void Kernel::Serialize(Ar& ar) {
       ar.TaskRef(t, *this, "rx waiter references unknown task in snapshot",
                  /*nullable=*/false);
     });
-  });
-  ar.Map(cpu_context_of_box_, 16, [&](PsboxId& box, int& ctx) {
-    ar.I64(box);
-    ar.I64(ctx);
   });
   ar.I64(last_trim_horizon_);
   ledger_.Serialize(ar);

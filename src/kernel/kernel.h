@@ -40,8 +40,9 @@ struct KernelConfig {
   AccelDriverConfig dsp_driver;
   NetConfig net;
   StorageDriverConfig storage_driver;
-  // Ablation: when false, CPU balloons do not switch DVFS contexts (the
-  // sandbox sees whatever operating point the system happens to be in).
+  // Ablation: when false, CPU balloons do not switch the governor's
+  // operating point (the sandbox sees whatever operating point the system
+  // happens to be in).
   bool virtualize_cpu_freq = true;
   // Telemetry retention (0 = keep everything, the default). When set, the
   // kernel periodically trims power telemetry — rail traces, sandbox
@@ -53,16 +54,15 @@ struct KernelConfig {
   // (and undrained sample backlog, dropped with ring-buffer semantics)
   // lose resolution. The same trim retires finished apps whose last
   // activity lies behind the horizon (Kernel::TrimTelemetry), so per-board
-  // state stays bounded by the apps alive now.
+  // state stays bounded by the apps alive now. The trim runs every
+  // telemetry_retention / 2.
   DurationNs telemetry_retention = 0;
-  // Trim cadence; 0 = every telemetry_retention / 2.
-  DurationNs telemetry_trim_period = 0;
 };
 
-class Kernel : public BalloonObserver {
+class Kernel {
  public:
   explicit Kernel(Board* board, KernelConfig config = {});
-  ~Kernel() override;
+  ~Kernel();
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
@@ -114,19 +114,10 @@ class Kernel : public BalloonObserver {
   // --- psbox integration ----------------------------------------------
   void set_psbox_service(PsboxService* service) { psbox_service_ = service; }
   PsboxService* psbox_service() { return psbox_service_; }
-  // External observer (the psbox manager) notified after the kernel's own
-  // balloon handling (power-state context switches).
-  void set_balloon_observer(BalloonObserver* observer) { external_observer_ = observer; }
-  // Creates the psbox's CPU frequency context; must be called before the
-  // psbox's first CPU balloon. Release frees it when the box retires; it
-  // is idle while the governor does not run it.
-  void RegisterCpuContext(PsboxId box);
-  bool CpuContextIdle(PsboxId box) const;
-  void ReleaseCpuContext(PsboxId box);
-
-  // BalloonObserver (internal dispatch from scheduler/drivers):
-  void OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) override;
-  void OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) override;
+  // Hands |observer| (the psbox manager) to every registered domain, which
+  // notifies it at each ownership edge after swapping its own virtualised
+  // power state.
+  void set_balloon_observer(BalloonObserver* observer);
 
   // --- syscall & interrupt plumbing (used by the scheduler/drivers) ----
   void ScheduleTaskWake(Task* task, DurationNs delay);
@@ -191,8 +182,7 @@ class Kernel : public BalloonObserver {
 
  private:
   // Binds |domain| into the registry slot for its component and attaches the
-  // kernel-side observer and the usage ledger — the one place balloon
-  // plumbing happens.
+  // usage ledger.
   void RegisterDomain(ResourceDomain* domain);
   // Self-rescheduling periodic trim tick (armed when retention is on).
   void ArmTelemetryTrim();
@@ -234,7 +224,6 @@ class Kernel : public BalloonObserver {
   std::unique_ptr<GpsDomain> gps_domain_;
   std::array<ResourceDomain*, kNumHwComponents> domains_{};
   PsboxService* psbox_service_ = nullptr;
-  BalloonObserver* external_observer_ = nullptr;
 
   // Live apps and tasks in ascending id order (ids only grow, so creation
   // appends and retirement erases in place; lookups binary-search).
@@ -242,7 +231,6 @@ class Kernel : public BalloonObserver {
   std::vector<std::unique_ptr<Task>> tasks_;
   // Apps whose tasks have all exited, awaiting retirement.
   std::set<AppId> finished_;
-  std::unordered_map<PsboxId, int> cpu_context_of_box_;
   std::unordered_map<AppId, std::deque<Task*>> rx_waiters_;
   AppId next_app_id_ = 0;
   TaskId next_task_id_ = 1;

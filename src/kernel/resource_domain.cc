@@ -28,16 +28,7 @@ const char* BalloonEdgeKindName(BalloonEdge::Kind kind) {
 
 ResourceDomain::ResourceDomain(Simulator* sim, HwComponent kind,
                                DurationNs drain_timeout)
-    : sim_(sim), kind_(kind) {
-  if (drain_timeout > 0) {
-    drain_watchdog_ = std::make_unique<Watchdog>(sim_, drain_timeout, [this] {
-      if (phase_ == BalloonPhase::kDrainOthers ||
-          phase_ == BalloonPhase::kDrainOwner) {
-        OnDrainTimeout();
-      }
-    });
-  }
-}
+    : sim_(sim), kind_(kind), drain_timeout_(drain_timeout) {}
 
 ResourceDomain::~ResourceDomain() = default;
 
@@ -93,19 +84,33 @@ void ResourceDomain::SerializeDomain(Ar& ar) {
     ar.I64(e.box);
   });
   ar.U64(trimmed_edges_);
-  if (drain_watchdog_ != nullptr) {
-    uint64_t fires = drain_watchdog_->fires();
-    ar.U64(fires);
-    if constexpr (Ar::kLoading) {
-      drain_watchdog_->set_fires(fires);
-    }
-    EventId event = drain_watchdog_->event();
-    ar.Event(event, [this](TimeNs when) { drain_watchdog_->RearmAt(when); });
+  if (drain_timeout_ > 0) {
+    ar.Event(drain_event_, [this](TimeNs when) { ArmDrainWatchdogAt(when); });
   }
 }
 
 template void ResourceDomain::SerializeDomain(SnapshotWriter&);
 template void ResourceDomain::SerializeDomain(SnapshotReader&);
+
+void ResourceDomain::ArmDrainWatchdogAt(TimeNs when) {
+  if (drain_event_ != kInvalidEventId) {
+    // Only the deadline moves; the expiry closure stays where it is.
+    drain_event_ = sim_->Reschedule(drain_event_, when);
+    return;
+  }
+  drain_event_ = sim_->ScheduleAt(when, [this] {
+    drain_event_ = kInvalidEventId;
+    if (phase_ == BalloonPhase::kDrainOthers ||
+        phase_ == BalloonPhase::kDrainOwner) {
+      OnDrainTimeout();
+    }
+  });
+}
+
+void ResourceDomain::DisarmDrainWatchdog() {
+  sim_->Cancel(drain_event_);
+  drain_event_ = kInvalidEventId;
+}
 
 void ResourceDomain::NotifyBalloonIn(PsboxId box, TimeNs when) {
   if (observer_ != nullptr) {
@@ -127,8 +132,8 @@ void ResourceDomain::BalloonRequest(AppId app, PsboxId box) {
   phase_ = BalloonPhase::kDrainOthers;
   balloon_start_ = sim_->Now();
   drain_enter_ = sim_->Now();
-  if (drain_watchdog_ != nullptr) {
-    drain_watchdog_->Arm();
+  if (drain_timeout_ > 0) {
+    ArmDrainWatchdogAt(sim_->Now() + drain_timeout_);
   }
   RecordBalloonStart();
   RecordEdge(BalloonEdge::Kind::kRequest, owner_, owner_box_);
@@ -136,9 +141,7 @@ void ResourceDomain::BalloonRequest(AppId app, PsboxId box) {
 
 void ResourceDomain::BalloonServe() {
   PSBOX_CHECK(phase_ == BalloonPhase::kDrainOthers);
-  if (drain_watchdog_ != nullptr) {
-    drain_watchdog_->Disarm();
-  }
+  DisarmDrainWatchdog();
   notified_ = true;
   NotifyBalloonIn(owner_box_, sim_->Now());
   RecordEdge(BalloonEdge::Kind::kServe, owner_, owner_box_);
@@ -150,16 +153,14 @@ void ResourceDomain::BalloonRelease() {
   phase_ = BalloonPhase::kDrainOwner;
   RecordEdge(BalloonEdge::Kind::kRelease, owner_, owner_box_);
   drain_enter_ = sim_->Now();
-  if (drain_watchdog_ != nullptr) {
-    drain_watchdog_->Arm();
+  if (drain_timeout_ > 0) {
+    ArmDrainWatchdogAt(sim_->Now() + drain_timeout_);
   }
 }
 
 DurationNs ResourceDomain::BalloonFinish() {
   PSBOX_CHECK(phase_ == BalloonPhase::kDrainOwner);
-  if (drain_watchdog_ != nullptr) {
-    drain_watchdog_->Disarm();
-  }
+  DisarmDrainWatchdog();
   const DurationNs held = sim_->Now() - balloon_start_;
   RecordBalloonTime(held);
   RecordEdge(BalloonEdge::Kind::kFinish, owner_, owner_box_);
@@ -176,9 +177,7 @@ DurationNs ResourceDomain::BalloonFinish() {
 
 void ResourceDomain::BalloonCancel() {
   PSBOX_CHECK(phase_ == BalloonPhase::kDrainOthers);
-  if (drain_watchdog_ != nullptr) {
-    drain_watchdog_->Disarm();
-  }
+  DisarmDrainWatchdog();
   RecordEdge(BalloonEdge::Kind::kCancel, owner_, owner_box_);
   notified_ = false;
   owner_ = kNoApp;
@@ -190,9 +189,7 @@ void ResourceDomain::BalloonCancel() {
 DurationNs ResourceDomain::BalloonAbort() {
   PSBOX_CHECK(phase_ == BalloonPhase::kDrainOthers ||
               phase_ == BalloonPhase::kDrainOwner);
-  if (drain_watchdog_ != nullptr) {
-    drain_watchdog_->Disarm();
-  }
+  DisarmDrainWatchdog();
   // A balloon that never reached ownership bills nothing; one aborted in its
   // owner drain bills only the service actually rendered — the stuck drain
   // is the hardware's fault, not the sandbox's.

@@ -36,14 +36,12 @@
 #define SRC_KERNEL_RESOURCE_DOMAIN_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/base/types.h"
 #include "src/kernel/balloon_observer.h"
 #include "src/kernel/usage_ledger.h"
 #include "src/sim/simulator.h"
-#include "src/sim/watchdog.h"
 
 namespace psbox {
 
@@ -89,8 +87,8 @@ class ResourceDomain {
   const char* name() const { return HwComponentName(kind_); }
 
   // --- registry surface (driven by Kernel / PsboxManager) -----------------
-  // One-time per-psbox setup at psbox_create (task group / context
-  // creation); default is nothing.
+  // One-time per-psbox setup at psbox_create (the CPU's task group and
+  // operating point); default is nothing.
   virtual void BindBox(AppId app, PsboxId box) {
     (void)app;
     (void)box;
@@ -210,6 +208,10 @@ class ResourceDomain {
   UsageLedger* ledger_ = nullptr;
 
  private:
+  // The drain watchdog: one event, pending while a drain phase is armed.
+  void ArmDrainWatchdogAt(TimeNs when);
+  void DisarmDrainWatchdog();
+
   HwComponent kind_;
   BalloonPhase phase_ = BalloonPhase::kIdle;
   AppId owner_ = kNoApp;
@@ -217,8 +219,9 @@ class ResourceDomain {
   TimeNs balloon_start_ = 0;
   TimeNs drain_enter_ = -1;
   bool notified_ = false;
-  // Guards the drain phases; null when drain_timeout == 0.
-  std::unique_ptr<Watchdog> drain_watchdog_;
+  // Guards the drain phases; 0 disables the watchdog.
+  DurationNs drain_timeout_;
+  EventId drain_event_ = kInvalidEventId;
   DomainStats dstats_;
   std::vector<BalloonEdge> timeline_;
   uint64_t trimmed_edges_ = 0;

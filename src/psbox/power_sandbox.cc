@@ -60,7 +60,6 @@ void PowerSandbox::ResetMeter(TimeNs now) {
   // Everything banked from trimmed history predates the new meter epoch; the
   // untrimmed computation would clamp those spans away, so the bases restart
   // at zero with it.
-  plain_base_.fill(0.0);
   detail_base_.fill(EnergyDetail{});
   direct_base_.fill(0.0);
   direct_from_.fill(now);
@@ -113,38 +112,6 @@ TimeNs PowerSandbox::StraddleStart(HwComponent hw, TimeNs t) const {
   }
   const TimeNs since = open_since_[i];
   return since >= 0 && since < t ? std::max(since, meter_start_) : t;
-}
-
-Joules PowerSandbox::ObservedEnergy(const PowerRail& rail, HwComponent hw,
-                                    TimeNs now) const {
-  PSBOX_CHECK(BoundTo(hw));
-  const TimeNs t0 = meter_start_;
-  // Accumulated energy is the energy metered for the psbox's resource
-  // balloons: rail energy inside the owned intervals. Outside of them the
-  // hardware belongs to others and contributes nothing to the app's account
-  // (the sample stream shows idle power there, but idle time is not billed —
-  // this is what keeps the observation consistent when co-running stretches
-  // the app's wall time, Fig 6). Trimmed-away intervals were folded into the
-  // base by TrimOwned with the identical per-interval sums, so the running
-  // total is bit-identical with and without retention.
-  Joules energy = plain_base_[static_cast<size_t>(hw)];
-  if (now <= t0) {
-    return energy;
-  }
-  const Anchor* anchor = FindAnchor(hw);
-  const auto& intervals = owned_[static_cast<size_t>(hw)].intervals();
-  for (const auto& iv : intervals) {
-    const TimeNs b = std::max(iv.begin, t0);
-    const TimeNs e = std::min(iv.end, now);
-    if (e > b) {
-      energy += SpanEnergy(rail, anchor, b, e);
-    }
-  }
-  const TimeNs since = open_since_[static_cast<size_t>(hw)];
-  if (since >= 0 && since < now) {
-    energy += SpanEnergy(rail, anchor, std::max(since, t0), now);
-  }
-  return energy;
 }
 
 void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* faults,
@@ -308,9 +275,6 @@ void PowerSandbox::TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& ra
       break;
     }
     const TimeNs b = std::max(iv.begin, meter_start_);
-    if (iv.end > b) {
-      plain_base_[i] += SpanEnergy(rail, anchor, b, iv.end);
-    }
     AccumulateSpan(rail, faults, anchor, b, iv.end, &detail_base_[i]);
     anchor_folded |= anchor != nullptr && b == anchor->at;
   }
@@ -352,9 +316,7 @@ void PowerSandbox::Serialize(Ar& ar) {
   for (size_t i = 0; i < kNumHwComponents; ++i) {
     owned_[i].Serialize(ar);
     ar.I64(open_since_[i]);
-    ar.F64(plain_base_[i]);
     ar.F64(detail_base_[i].measured);
-    ar.F64(detail_base_[i].estimated);
     ar.I64(detail_base_[i].measured_time);
     ar.I64(detail_base_[i].estimated_time);
     ar.F64(direct_base_[i]);

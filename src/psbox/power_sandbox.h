@@ -84,15 +84,13 @@ class PowerSandbox {
   void OnOwnershipEnd(HwComponent hw, TimeNs when);
 
   // Energy observed by the virtual power meter for |hw| over
-  // [meter_start, now): rail energy inside owned intervals + idle power
-  // elsewhere.
-  Joules ObservedEnergy(const PowerRail& rail, HwComponent hw, TimeNs now) const;
-
-  // Virtual-meter energy split into DAQ-measured and model-estimated parts.
-  // Owned spans falling inside meter-dropout fault windows cannot be
-  // measured; they are estimated as the average power measured elsewhere in
-  // the window (the rail's idle draw when the whole window was dark), so the
-  // reported energy degrades gracefully instead of silently under-counting.
+  // [meter_start, now): the rail energy inside owned intervals (outside
+  // them the hardware belongs to others and bills nothing), split into
+  // DAQ-measured and model-estimated parts. Owned spans falling inside
+  // meter-dropout fault windows cannot be measured; they are estimated as
+  // the average power measured elsewhere in the window (the rail's idle
+  // draw when the whole window was dark), so the reported energy degrades
+  // gracefully instead of silently under-counting.
   struct EnergyDetail {
     Joules measured = 0.0;
     Joules estimated = 0.0;
@@ -147,7 +145,7 @@ class PowerSandbox {
                      const FaultInjector* faults) const;
 
   // Folds every owned interval of |hw| ending at or before |horizon| into
-  // the plain/detail energy bases (exactly the spans the untrimmed query
+  // the energy base (exactly the spans the untrimmed query
   // would integrate, in the same order), drops those intervals, and anchors
   // the span left straddling |horizon| while |rail| still resolves its start.
   void TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& rail,
@@ -244,11 +242,10 @@ class PowerSandbox {
   // descendant balloons composed onto it. The owned interval spans the
   // outermost 0->1 .. 1->0 pair.
   std::array<int32_t, kNumHwComponents> compose_depth_{};
-  // Retention bases: energy of trimmed ownership history. plain_base_ backs
-  // ObservedEnergy; detail_base_ backs ObservedEnergyDetail (its .estimated
-  // is always 0 — estimation is derived from the aggregated measured average
-  // at query time, so trimming never changes the reported split).
-  std::array<Joules, kNumHwComponents> plain_base_{};
+  // Retention bases: the measured energy and measured/estimated durations
+  // of trimmed ownership history. Their .estimated stays 0 (and off the
+  // wire): estimation is derived from the aggregated measured average at
+  // query time, so trimming never changes the reported split.
   std::array<EnergyDetail, kNumHwComponents> detail_base_{};
   std::array<Joules, kNumHwComponents> direct_base_{};
   std::array<TimeNs, kNumHwComponents> direct_from_;

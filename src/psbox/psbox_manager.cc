@@ -101,8 +101,8 @@ int PsboxManager::CreateBoxInternal(PsboxId id, AppId app,
   app_boxes_[app].push_back(id);
   for (HwComponent component : hw) {
     // Each bound resource domain does its one-time per-box setup (the CPU
-    // domain creates the task group and DVFS context; direct-metered
-    // domains bind nothing).
+    // domain creates the task group and the governor's operating point;
+    // direct-metered domains bind nothing).
     kernel_->domain(component).BindBox(app, id);
   }
   return id;

@@ -1,10 +1,10 @@
 // PsboxManager: the psbox OS principal's control plane.
 //
 // Implements the kernel's PsboxService (the psbox_* syscall surface of
-// Listing 1) and receives balloon-edge notifications as the kernel's
-// external BalloonObserver. It owns every PowerSandbox, arms/disarms the
-// kernel extensions when apps enter/leave, and serves virtual-power-meter
-// reads.
+// Listing 1) and receives balloon-edge notifications as the BalloonObserver
+// of every resource domain (Kernel::set_balloon_observer). It owns every
+// PowerSandbox, arms/disarms the kernel extensions when apps enter/leave,
+// and serves virtual-power-meter reads.
 
 #ifndef SRC_PSBOX_PSBOX_MANAGER_H_
 #define SRC_PSBOX_PSBOX_MANAGER_H_
@@ -51,7 +51,8 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   bool AppRetirable(AppId app) override;
   void RetireApp(AppId app) override;
 
-  // BalloonObserver (forwarded by the kernel after its own context switch).
+  // BalloonObserver (called by the domain after it swapped its virtualised
+  // power state).
   // A granted balloon composes up the sandbox hierarchy: the owning box and
   // every ancestor record the edge, so a child's served energy bills its own
   // virtual meter and the enclosing tenant's.

@@ -182,7 +182,9 @@ class EventSlab {
   size_t size() const { return size_; }
 
  private:
-  static constexpr size_t kChunkShift = 8;
+  // 32 slots (2.5 KB) per chunk: a board of the benchmark fleets peaks at
+  // about 26-42 pending events, so one or two chunks hold them.
+  static constexpr size_t kChunkShift = 5;
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;

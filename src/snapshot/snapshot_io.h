@@ -78,7 +78,13 @@ namespace psbox {
 // (tenant, fleet spawn or generated arrival) of each live app under its app
 // and first task ids; the kernel's id counters are restored, not compared;
 // the per-sub-fleet spawn logs are gone.
-inline constexpr uint32_t kSnapshotFormatVersion = 6;
+// v7: each domain keeps its principals' power state — the CPU governor's
+// global and per-box OPPs with the running box, each accelerator lane's OPP
+// and governor busy/wall time beside a global one; the frequency-context
+// tables, the kernel's box-to-context map, the drain watchdogs' fire
+// counts, the sandboxes' plain energy bases and estimated-energy bases, and
+// the crash-state-transfer byte of the compat block are gone.
+inline constexpr uint32_t kSnapshotFormatVersion = 7;
 inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'B', 'X',
                                            'S', 'N', 'A', 'P'};
 inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;

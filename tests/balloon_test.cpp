@@ -81,8 +81,7 @@ TEST(BalloonTest, BillingDisadvantagesSandboxedApp) {
 
 TEST(BalloonTest, NoBillingAblationShiftsCostToOthers) {
   KernelConfig cfg;
-  cfg.sched.bill_balloon_occupancy = false;
-  cfg.sched.repay_loans = false;
+  cfg.sched.charge_lost_sharing = false;
   TestStack s({}, cfg);
   const AppId app = s.kernel.CreateApp("sand");
   Task* sandboxed = s.kernel.SpawnTask(app, "t", std::make_unique<BusyBehavior>());

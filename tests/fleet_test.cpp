@@ -232,7 +232,8 @@ TEST(FleetMigrationTest, BoardFailureEvacuatesApps) {
 
 // Crash-evacuation billing comparison: the same fixed-iteration app run (a)
 // on one board that never fails, (b) across a crash with state-transfer
-// evacuation, (c) across the same crash with the legacy drain-style carry.
+// evacuation, (c) across the same crash with the drain-style carry, forced
+// by tearing every evacuation blob the dying board writes.
 // Both evacuation modes must bill within the established 10% accounting
 // bound of the single-board run — state transfer changes how the billing
 // state travels, never how much energy is billed.
@@ -260,7 +261,7 @@ TEST(FleetMigrationTest, CrashEvacuationBillingMatchesSingleBoard) {
   crashed.boards[0].fail_at = Millis(300);
 
   FleetScenario legacy = crashed;
-  legacy.crash_state_transfer = false;
+  legacy.boards[0].board.faults.snapshot_corrupt_prob = 1.0;
 
   const FleetStats single_stats = RootCoordinator(single, 1).Run();
   const FleetStats xfer_stats = RootCoordinator(crashed, 2).Run();
@@ -326,13 +327,12 @@ TEST(FleetMigrationTest, CorruptedTransferFallsBackToDrainCarry) {
   app.migratable = true;
   scenario.apps.push_back(app);
 
-  ASSERT_TRUE(scenario.crash_state_transfer);  // transfer attempted...
   const FleetStats stats = RootCoordinator(scenario, 2).Run();
 
   ASSERT_EQ(stats.migrations.size(), 1u);
   const MigrationRecord& m = stats.migrations[0];
   EXPECT_TRUE(m.crash);
-  EXPECT_FALSE(m.state_transfer);  // ...but the torn blob forced the fallback
+  EXPECT_FALSE(m.state_transfer);  // the torn blob forced the fallback
   EXPECT_NEAR(m.consumed_source + m.budget_carried, kBudget, 1e-9);
   EXPECT_TRUE(stats.apps[0].finished);
   EXPECT_EQ(stats.apps[0].iterations, 120u);

@@ -1,4 +1,4 @@
-// Tests for the cpufreq governor and its per-psbox power-state contexts.
+// Tests for the cpufreq governor and its per-psbox operating points.
 
 #include <gtest/gtest.h>
 
@@ -56,32 +56,65 @@ TEST(GovernorTest, MidUtilizationHoldsOpp) {
   EXPECT_EQ(s.board.cpu().opp_index(), held);
 }
 
-TEST(GovernorTest, SwitchContextSavesAndRestores) {
+TEST(GovernorTest, SwitchSavesAndRestores) {
   TestStack s;
   CpufreqGovernor& gov = s.kernel.governor();
-  const int ctx = gov.ContextForBox(0);
+  gov.BindBox(0);
   // Drive the global context to max.
   s.SpawnBusy("busy");
   s.kernel.RunUntil(Millis(60));
   const int global_opp = s.board.cpu().opp_index();
   ASSERT_EQ(global_opp, s.board.cpu().num_opps() - 1);
-  // Switching to the fresh context applies its (lowest) OPP...
-  gov.SwitchContext(ctx);
+  // Switching to the fresh box applies its (lowest) OPP...
+  gov.Switch(0);
+  EXPECT_EQ(gov.running(), 0);
   EXPECT_EQ(s.board.cpu().opp_index(), 0);
   // ...and switching back restores the global one.
-  gov.SwitchContext(CpufreqGovernor::kGlobalContext);
+  gov.Switch(kNoPsbox);
+  EXPECT_EQ(gov.running(), kNoPsbox);
   EXPECT_EQ(s.board.cpu().opp_index(), global_opp);
 }
 
-TEST(GovernorTest, ContextForBoxIsStable) {
+TEST(GovernorTest, SwitchSkipsBoxWithoutOpp) {
   TestStack s;
   CpufreqGovernor& gov = s.kernel.governor();
-  EXPECT_EQ(gov.ContextForBox(7), gov.ContextForBox(7));
-  EXPECT_NE(gov.ContextForBox(7), gov.ContextForBox(8));
+  s.SpawnBusy("busy");
+  s.kernel.RunUntil(Millis(60));
+  const int global_opp = s.board.cpu().opp_index();
+  gov.Switch(7);  // never bound
+  EXPECT_EQ(gov.running(), kNoPsbox);
+  EXPECT_EQ(s.board.cpu().opp_index(), global_opp);
+}
+
+TEST(GovernorTest, WithoutVirtualisationBalloonKeepsCoRunnerOpp) {
+  // Ablation (KernelConfig::virtualize_cpu_freq = false): balloon edges do
+  // not switch operating points, so the sandbox runs at the top OPP the
+  // busy co-runner drove the cluster to instead of its own fresh, lowest
+  // one.
+  KernelConfig cfg;
+  cfg.virtualize_cpu_freq = false;
+  TestStack s({}, cfg);
+  s.SpawnBusy("co-runner");
+  s.kernel.RunUntil(Millis(60));
+  const int top = s.board.cpu().num_opps() - 1;
+  ASSERT_EQ(s.board.cpu().opp_index(), top);
+  const AppId app = s.kernel.CreateApp("sandboxed");
+  s.kernel.SpawnTask(app, "t", std::make_unique<BusyBehavior>());
+  const int box = s.manager.CreateBox(app, {HwComponent::kCpu});
+  s.manager.EnterBox(box);
+  int owned_instants = 0;
+  for (TimeNs t = Millis(60); t < Millis(200); t += 100 * kMicrosecond) {
+    s.kernel.RunUntil(t);
+    if (s.manager.sandbox(box).OwnedAt(HwComponent::kCpu, t)) {
+      EXPECT_EQ(s.board.cpu().opp_index(), top) << "at " << t << " ns";
+      ++owned_instants;
+    }
+  }
+  EXPECT_GT(owned_instants, 0);
 }
 
 TEST(GovernorTest, SandboxContextRampsFromItsOwnDemand) {
-  // A sandboxed app's balloons start at the context's low OPP and ramp as
+  // A sandboxed app's balloons start at its box's lowest OPP and ramp as
   // the governor judges the utilisation *inside its balloons*.
   TestStack s;
   const AppId app = s.kernel.CreateApp("a");
@@ -90,7 +123,7 @@ TEST(GovernorTest, SandboxContextRampsFromItsOwnDemand) {
   s.manager.EnterBox(box);
   s.kernel.RunUntil(Millis(5));
   ASSERT_TRUE(s.kernel.scheduler().InBalloon(0));
-  EXPECT_EQ(s.board.cpu().opp_index(), 0);  // fresh context
+  EXPECT_EQ(s.board.cpu().opp_index(), 0);  // fresh box
   s.kernel.RunUntil(Millis(200));
   ASSERT_TRUE(s.kernel.scheduler().InBalloon(0));
   EXPECT_EQ(s.board.cpu().opp_index(), s.board.cpu().num_opps() - 1);

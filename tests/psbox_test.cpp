@@ -33,7 +33,10 @@ TEST(PowerSandboxTest, ObservedEnergyIsBalloonEnergyOnly) {
   sb.OnOwnershipStart(HwComponent::kCpu, Millis(100));
   sb.OnOwnershipEnd(HwComponent::kCpu, Millis(200));
   // 100 ms of 2 W owned; the rest contributes nothing.
-  EXPECT_NEAR(sb.ObservedEnergy(rail, HwComponent::kCpu, Millis(500)), 0.2, 1e-9);
+  EXPECT_NEAR(
+      sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(500), nullptr)
+          .measured,
+      0.2, 1e-9);
 }
 
 TEST(PowerSandboxTest, OpenBalloonCountsUpToNow) {
@@ -42,7 +45,10 @@ TEST(PowerSandboxTest, OpenBalloonCountsUpToNow) {
   rail.SetPower(1.0);
   PowerSandbox sb(0, 1, {HwComponent::kCpu}, 0);
   sb.OnOwnershipStart(HwComponent::kCpu, Millis(100));
-  EXPECT_NEAR(sb.ObservedEnergy(rail, HwComponent::kCpu, Millis(300)), 0.2, 1e-9);
+  EXPECT_NEAR(
+      sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(300), nullptr)
+          .measured,
+      0.2, 1e-9);
 }
 
 TEST(PowerSandboxTest, MeterResetRestartsAccumulation) {
@@ -52,7 +58,10 @@ TEST(PowerSandboxTest, MeterResetRestartsAccumulation) {
   PowerSandbox sb(0, 1, {HwComponent::kCpu}, 0);
   sb.OnOwnershipStart(HwComponent::kCpu, 0);
   sb.ResetMeter(Millis(100));
-  EXPECT_NEAR(sb.ObservedEnergy(rail, HwComponent::kCpu, Millis(150)), 0.05, 1e-9);
+  EXPECT_NEAR(
+      sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(150), nullptr)
+          .measured,
+      0.05, 1e-9);
 }
 
 TEST(PowerSandboxTest, SamplesShowIdleOutsideOwnership) {

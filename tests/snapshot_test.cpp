@@ -357,11 +357,11 @@ TEST_F(SnapshotCorruptionTest, ForeignMagicRejected) {
 }
 
 TEST_F(SnapshotCorruptionTest, UnknownVersionRejected) {
-  // A future version, v4 (its dense records predate the live-object layout)
-  // and v5 (its spawn logs predate the live-app recipes): none may be
-  // misparsed.
-  for (const uint32_t version :
-       {kSnapshotFormatVersion + 1, uint32_t{4}, uint32_t{5}}) {
+  // A future version, v4 (its dense records predate the live-object layout),
+  // v5 (its spawn logs predate the live-app recipes) and v6 (its frequency
+  // context tables predate the per-principal OPPs): none may be misparsed.
+  for (const uint32_t version : {kSnapshotFormatVersion + 1, uint32_t{4},
+                                 uint32_t{5}, uint32_t{6}}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     std::vector<uint8_t> bytes = bytes_;
     bytes[8] = static_cast<uint8_t>(version);  // format version field (LE)
@@ -505,7 +505,7 @@ FleetScenario GoldenScenario() {
 
 std::string GoldenPath() {
   return std::string(PSBOX_SOURCE_DIR) +
-         "/tests/golden/fleet_checkpoint_v6.snap";
+         "/tests/golden/fleet_checkpoint_v7.snap";
 }
 
 TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
@@ -618,8 +618,14 @@ void PutU64(std::vector<uint8_t>& payload, size_t at, uint64_t value) {
   }
 }
 
-// Reads the 8 little-endian bytes at |at|.
+// Reads the 8 little-endian bytes at |at|; past the payload's end it fails
+// the test and reads 0, so a layout drift cannot index out of bounds.
 uint64_t GetU64(const std::vector<uint8_t>& payload, size_t at) {
+  if (at > payload.size() || payload.size() - at < 8) {
+    ADD_FAILURE() << "8-byte read at offset " << at << " past the "
+                  << payload.size() << "-byte payload";
+    return 0;
+  }
   uint64_t v = 0;
   for (size_t b = 0; b < 8; ++b) {
     v |= static_cast<uint64_t>(payload[at + b]) << (8 * b);
@@ -917,6 +923,37 @@ TEST(EventRearmerTest, RejectsSeqsOutsideOneTotalOrder) {
   }
 }
 
+// v7 CPU governor layout, past a board's "governor" marker: the global OPP
+// (4 bytes), the box count and each box's id (8 bytes) and OPP (4), the
+// running box (8), the retry count (8), then the sampling timer (presence
+// flag, time, seq) and the retry timer's presence flag.
+struct GovernorBytes {
+  size_t global_opp = 0;
+  std::vector<size_t> boxes;  // each box's id; its OPP follows
+  size_t running = 0;
+  size_t sample_timer = 0;    // presence flag; time and seq follow
+  size_t retry_timer = 0;     // presence flag
+};
+
+GovernorBytes GovernorOf(const std::vector<uint8_t>& payload, int board) {
+  size_t at = 0;
+  for (int b = 0; b <= board; ++b) {
+    at = AfterSection(payload, "shard", at);
+  }
+  GovernorBytes g;
+  g.global_opp = AfterSection(payload, "governor", at);
+  at = g.global_opp + 4;
+  const uint64_t boxes = GetU64(payload, at);
+  for (at += 8; g.boxes.size() < boxes && at < payload.size(); at += 12) {
+    g.boxes.push_back(at);
+  }
+  g.running = at;
+  g.sample_timer = at + 16;
+  g.retry_timer = at + 33;
+  EXPECT_LT(g.retry_timer, payload.size()) << "governor past the payload";
+  return g;
+}
+
 // Board 0's CPU governor has its sampling timer pending and its retry timer
 // idle in the golden. Restore must refuse a sampling seq of 0 or at the
 // shard's next seq, and a retry timer made pending under the sampling
@@ -927,20 +964,15 @@ TEST(SnapshotFieldCheckTest, PendingEventSeqOutsideTotalOrderRejected) {
   const size_t shard = AfterSection(golden, "shard");
   const uint64_t now = GetU64(golden, shard);
   const uint64_t next_seq = GetU64(golden, shard + 16);
-  // Past the "governor" marker: the context OPPs (8 bytes each) and box
-  // contexts (12 bytes each), the next and current contexts, the retry
-  // count; then the sampling timer (presence flag, time, seq) and the retry
-  // timer's presence flag.
-  size_t at = AfterSection(golden, "governor", shard);
-  at += 8 + 8 * GetU64(golden, at);
-  at += 8 + 12 * GetU64(golden, at);
-  at += 4 + 4 + 8;
-  ASSERT_EQ(golden[at], 1) << "sampling timer pending";
-  const size_t sample_seq = at + 9;
+  // Board 0's governor timers.
+  const GovernorBytes gov = GovernorOf(golden, 0);
+  ASSERT_LT(gov.retry_timer, golden.size());
+  ASSERT_EQ(golden[gov.sample_timer], 1) << "sampling timer pending";
+  const size_t sample_seq = gov.sample_timer + 9;
   const uint64_t seq = GetU64(golden, sample_seq);
   ASSERT_GT(seq, 0u);
   ASSERT_LT(seq, next_seq);
-  const size_t retry = at + 17;
+  const size_t retry = gov.retry_timer;
   ASSERT_EQ(golden[retry], 0) << "retry timer idle";
 
   ExpectMutatedGoldenRejected(
@@ -1205,7 +1237,8 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
   const size_t board1 = AfterSection(golden, "shard", AfterSection(golden, "shard"));
   const size_t dsp = AfterSection(golden, "accel_driver",
                                   AfterSection(golden, "accel_driver", board1));
-  ASSERT_EQ(dsp, 53063u);
+  ASSERT_EQ(dsp, 49570u);
+  ASSERT_LT(dsp + 694, golden.size());
   const auto read = [&golden](size_t at, size_t width) {
     uint64_t v = 0;
     for (size_t b = 0; b < width; ++b) {
@@ -1222,17 +1255,21 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
     const char* error;
   };
   // Past the lifecycle layer and a six-edge timeline: app 15's lane (two
-  // queued commands) ends with its context, completion count and last-seen
-  // time; the in-flight table's one command starts with its id; the first
-  // entry of the frequency context map is context 0's OPP.
+  // queued commands) ends with its power state (OPP, busy and wall time),
+  // completion count and last-seen time; app 16's lane follows; the
+  // in-flight table's one command starts with its id; past the command id
+  // counter and the owner's idle stamp, the global power state, then the
+  // running app (16, whose balloon holds the DSP).
   const Mutation kMutations[] = {
-      {"context 0's OPP", 638, 4, 0, 9,
-       "DSP driver frequency context 0 OPP index 9 out of range"},
-      {"in-flight command id", 537, 8, 6, 999,
+      {"global OPP", 666, 4, 0, 9,
+       "DSP driver global OPP index 9 out of range"},
+      {"in-flight command id", 577, 8, 6, 999,
        "DSP driver's in-flight commands are not the ones executing on the "
        "device"},
-      {"app 15's lane context", 456, 4, 2, 99,
-       "DSP driver app 15 names unknown frequency context 99"},
+      {"app 15's lane OPP", 464, 4, 3, 9,
+       "DSP driver app 15 OPP index 9 out of range"},
+      {"running app", 686, 8, 16, 99,
+       "DSP driver runs app 99, which has no OPP"},
   };
   for (const Mutation& m : kMutations) {
     SCOPED_TRACE(m.field);
@@ -1245,6 +1282,71 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
     EXPECT_FALSE(RestoreGoldenBytes(Reseal(payload), &error));
     EXPECT_NE(error.find(m.error), std::string::npos) << "error was: " << error;
   }
+}
+
+// Writes |value| little-endian into the 4 bytes at |at|.
+void PutU32(std::vector<uint8_t>& payload, size_t at, uint32_t value) {
+  for (size_t b = 0; b < 4; ++b) {
+    payload[at + b] = static_cast<uint8_t>(value >> (8 * b));
+  }
+}
+
+uint32_t GetU32(const std::vector<uint8_t>& payload, size_t at) {
+  return static_cast<uint32_t>(GetU64(payload, at));
+}
+
+// Every kind of restored operating point a balloon edge or a governor tick
+// would apply: each must be one the device has. Before v7 a CPU box's OPP
+// of 9 restored cleanly and then aborted in Run().
+TEST(SnapshotFieldCheckTest, OutOfRangeOppRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  // Board 0's governor binds boxes 0, 1, 2 and 14; box 2 runs at OPP 4.
+  const GovernorBytes gov = GovernorOf(golden, 0);
+  ASSERT_EQ(gov.boxes.size(), 4u);
+  const size_t box2 = gov.boxes[2];
+  ASSERT_EQ(GetU64(golden, box2), 2u);
+  // Board 0's GPU section: past its lifecycle layer, app 6's lane (two
+  // queued commands) leads with its OPP at 645; past the other four lanes
+  // and the empty in-flight table lies the global power state.
+  const size_t gpu =
+      AfterSection(golden, "accel_driver", AfterSection(golden, "shard"));
+  ASSERT_EQ(GetU64(golden, gpu + 500), 6u);
+  struct Mutation {
+    const char* field;
+    size_t at;
+    uint32_t was;  // the golden's value, cross-checked before mutating
+    const char* error;
+  };
+  const Mutation kMutations[] = {
+      {"CPU box", box2 + 8, 4, "CPU governor box 2 OPP index 9 out of range"},
+      {"CPU global", gov.global_opp, 3,
+       "CPU governor global OPP index 9 out of range"},
+      {"GPU lane", gpu + 645, 2, "GPU driver app 6 OPP index 9 out of range"},
+      {"GPU global", gpu + 1037, 0,
+       "GPU driver global OPP index 9 out of range"},
+  };
+  for (const Mutation& m : kMutations) {
+    SCOPED_TRACE(m.field);
+    ASSERT_EQ(GetU32(golden, m.at), m.was);
+    ExpectMutatedGoldenRejected(
+        [&](std::vector<uint8_t>& p) { PutU32(p, m.at, 9); }, m.error);
+  }
+}
+
+// A CPU governor that runs a box it has no OPP for, or binds other boxes
+// than the scheduler's groups.
+TEST(SnapshotFieldCheckTest, InconsistentCpuGovernorRejected) {
+  const std::vector<uint8_t> golden = GoldenPayload();
+  const GovernorBytes gov = GovernorOf(golden, 0);
+  ASSERT_EQ(gov.boxes.size(), 4u);
+  ASSERT_EQ(GetU64(golden, gov.running), ~uint64_t{0}) << "global running";
+  ExpectMutatedGoldenRejected(
+      [&](std::vector<uint8_t>& p) { PutU64(p, gov.running, 99); },
+      "CPU governor runs box 99, which has no OPP");
+  ASSERT_EQ(GetU64(golden, gov.boxes[3]), 14u);
+  ExpectMutatedGoldenRejected(
+      [&](std::vector<uint8_t>& p) { PutU64(p, gov.boxes[3], 15); },
+      "CPU governor boxes do not match the scheduler's groups");
 }
 
 // --- restore by recipe ------------------------------------------------------
