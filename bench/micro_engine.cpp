@@ -32,7 +32,8 @@
 // fleet and is not tuned to them (DESIGN.md §10).
 //
 // --gbench runs the original google-benchmark suite (engine plus StepTrace /
-// DTW / whole-kernel cases) for fine-grained per-op numbers.
+// DTW / whole-kernel cases, and the snapshot CRC-32 per kernel) for
+// fine-grained per-op numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -50,6 +51,7 @@
 #include "src/analysis/dtw.h"
 #include "src/base/rng.h"
 #include "src/sim/simulator.h"
+#include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 namespace {
@@ -303,7 +305,8 @@ int RunComparison(const std::string& json_path) {
 
 // ---------------------------------------------------------------------------
 // google-benchmark suite (--gbench): per-op engine numbers plus the original
-// substrate cases (StepTrace, DTW, whole-kernel simulated seconds).
+// substrate cases (StepTrace, DTW, whole-kernel simulated seconds) and the
+// snapshot codec's CRC-32 kernels.
 
 void BM_EventQueueScheduleFire(benchmark::State& state) {
   for (auto _ : state) {
@@ -419,6 +422,32 @@ void BM_SplitterSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SplitterSweep);
+
+// The checkpoint codec's CRC-32, one row per kernel: 64 KiB is about one
+// board's shard, 8 MiB about a 128-board checkpoint.
+void BM_SnapshotCrc32(benchmark::State& state,
+                      uint32_t (*crc)(const uint8_t*, size_t)) {
+  if (crc == &SnapshotCrc32Folded && !SnapshotCrc32FoldedSupported()) {
+    state.SkipWithError("this CPU has no PCLMULQDQ");
+    return;
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+  Rng rng(13);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK_CAPTURE(BM_SnapshotCrc32, portable, &SnapshotCrc32Portable)
+    ->Arg(64 << 10)
+    ->Arg(8 << 20);
+BENCHMARK_CAPTURE(BM_SnapshotCrc32, folded, &SnapshotCrc32Folded)
+    ->Arg(64 << 10)
+    ->Arg(8 << 20);
 
 }  // namespace
 }  // namespace psbox

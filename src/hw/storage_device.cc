@@ -1,6 +1,8 @@
 #include "src/hw/storage_device.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "src/base/check.h"
 #include "src/snapshot/event_rearmer.h"
@@ -194,12 +196,36 @@ void StorageDevice::Serialize(Ar& ar) {
   ar.Event(transfer_event_, [this](TimeNs when) {
     transfer_event_ = sim_->ScheduleAt(when, [this] { OnTransferComplete(); });
   });
-  ar.Event(flush_start_event_, [this](TimeNs when) {
-    flush_start_event_ = sim_->ScheduleAt(when, [this] { BeginFlush(); });
-  });
+  const bool flush_start_pending =
+      ar.Event(flush_start_event_, [this](TimeNs when) {
+        flush_start_event_ = sim_->ScheduleAt(when, [this] { BeginFlush(); });
+      });
   ar.Event(flush_end_event_, [this](TimeNs when) {
     flush_end_event_ = sim_->ScheduleAt(when, [this] { OnFlushComplete(); });
   });
+  if constexpr (Ar::kLoading) {
+    // Byte counts the resumed run divides and subtracts: a negative or
+    // non-finite one, or a flush due to start on an empty buffer, would
+    // abort BeginFlush or time a transfer or flush from garbage.
+    const auto valid = [](double bytes) {
+      return std::isfinite(bytes) && bytes >= 0.0;
+    };
+    if (!ar.ok()) {
+      return;
+    }
+    if (!valid(buffer_bytes_)) {
+      ar.Fail("storage device write-back buffer of " +
+              std::to_string(buffer_bytes_) +
+              " bytes is negative or not finite");
+    } else if (!valid(remaining_bytes_)) {
+      ar.Fail("storage device transfer remaining " +
+              std::to_string(remaining_bytes_) +
+              " bytes is negative or not finite");
+    } else if (flush_start_pending && buffer_bytes_ == 0.0) {
+      ar.Fail("storage device flush start is pending on an empty write-back "
+              "buffer");
+    }
+  }
 }
 
 template void StorageDevice::Serialize(SnapshotWriter&);

@@ -93,11 +93,10 @@ template void ResourceDomain::SerializeDomain(SnapshotWriter&);
 template void ResourceDomain::SerializeDomain(SnapshotReader&);
 
 void ResourceDomain::ArmDrainWatchdogAt(TimeNs when) {
-  if (drain_event_ != kInvalidEventId) {
-    // Only the deadline moves; the expiry closure stays where it is.
-    drain_event_ = sim_->Reschedule(drain_event_, when);
-    return;
-  }
+  // Every arm follows a disarm or an expiry (BalloonRequest from kIdle,
+  // BalloonRelease from kServe), and restore re-arms after the archive's
+  // Event op has cleared the id.
+  PSBOX_CHECK(drain_event_ == kInvalidEventId);
   drain_event_ = sim_->ScheduleAt(when, [this] {
     drain_event_ = kInvalidEventId;
     if (phase_ == BalloonPhase::kDrainOthers ||

@@ -208,7 +208,8 @@ class ResourceDomain {
   UsageLedger* ledger_ = nullptr;
 
  private:
-  // The drain watchdog: one event, pending while a drain phase is armed.
+  // The drain watchdog: one event, pending while a drain phase is armed, and
+  // armed only from disarmed.
   void ArmDrainWatchdogAt(TimeNs when);
   void DisarmDrainWatchdog();
 

@@ -101,7 +101,7 @@ EventId PendingEventOf(const std::pair<K, EventId>& entry) {
 }
 
 template <typename F>
-void SnapshotWriter::Event(const uint64_t& id, F&& /*rearm*/) {
+bool SnapshotWriter::Event(const uint64_t& id, F&& /*rearm*/) {
   PSBOX_CHECK(sim_ != nullptr);
   const bool present = sim_->IsPending(id);
   Bool(present);
@@ -111,24 +111,26 @@ void SnapshotWriter::Event(const uint64_t& id, F&& /*rearm*/) {
     U64(info.seq);
     ClaimEvent();
   }
+  return present;
 }
 
 template <typename F>
-void SnapshotReader::Event(uint64_t& id, F&& rearm) {
+bool SnapshotReader::Event(uint64_t& id, F&& rearm) {
   PSBOX_CHECK(rearmer_ != nullptr);
   id = kInvalidEventId;
   if (!Bool()) {
-    return;
+    return false;
   }
   const TimeNs when = I64();
   const uint64_t seq = U64();
   if (!ok_) {
-    return;
+    return false;
   }
   rearmer_->Defer(seq, when,
                   [when, rearm = std::forward<F>(rearm)]() mutable {
                     rearm(when);
                   });
+  return true;
 }
 
 template <typename L, typename F>

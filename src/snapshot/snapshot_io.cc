@@ -4,6 +4,10 @@
 #include <filesystem>
 #include <system_error>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 namespace psbox {
 
 namespace {
@@ -40,12 +44,11 @@ uint32_t LoadLe32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-}  // namespace
-
-uint32_t SnapshotCrc32(const uint8_t* data, size_t n) {
+// Continues the CRC register |c| (the running value before the final
+// inversion) over |data|[0, n), eight bytes per table step.
+uint32_t TableCrc32(uint32_t c, const uint8_t* data, size_t n) {
   static const Crc32Tables tables;
   const auto& t = tables.t;
-  uint32_t c = 0xFFFFFFFFu;
   for (; n >= 8; data += 8, n -= 8) {
     const uint32_t lo = LoadLe32(data) ^ c;
     const uint32_t hi = LoadLe32(data + 4);
@@ -56,7 +59,103 @@ uint32_t SnapshotCrc32(const uint8_t* data, size_t n) {
   for (; n > 0; ++data, --n) {
     c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+}  // namespace
+
+uint32_t SnapshotCrc32Portable(const uint8_t* data, size_t n) {
+  return TableCrc32(0xFFFFFFFFu, data, n) ^ 0xFFFFFFFFu;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+namespace {
+
+// Continues the CRC register |c| over |p|[0, n), n >= 64 and a multiple of
+// 16, by carry-less-multiply folding (Gopal et al., "Fast CRC Computation
+// for Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009; the
+// kernel of Chromium zlib's crc32_simd.c). Four 128-bit lanes each fold 64
+// bytes ahead per step; the lanes then fold into one, which takes the rest
+// 16 bytes per step, and the 128-bit remainder is folded to 64 bits and
+// Barrett-reduced to 32. The constants are the white paper's for the
+// bit-reflected polynomial: k1..k5 are powers of x modulo P(x) (k1/k2 fold
+// by 512 bits, k3/k4 by 128, k5 by 64), then P(x) itself and the Barrett
+// quotient mu = x^64 / P(x). Only this function is compiled for PCLMULQDQ;
+// SnapshotCrc32 calls it only on a CPU that has the instruction.
+__attribute__((target("pclmul"))) uint32_t FoldCrc32(uint32_t c,
+                                                     const uint8_t* p,
+                                                     size_t n) {
+  const __m128i k1k2 = _mm_set_epi64x(0x01C6E41596, 0x0154442BD4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00CCAA009E, 0x01751997D0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163CD6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x01F7011641, 0x01DB710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  const auto load = [](const uint8_t* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+
+  // (x ^ y on __m128i is GCC's and Clang's vector xor.)
+  __m128i x0 = load(p) ^ _mm_cvtsi32_si128(static_cast<int>(c));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x0 = _mm_clmulepi64_si128(x0, k1k2, 0x00) ^
+         _mm_clmulepi64_si128(x0, k1k2, 0x11) ^ load(p);
+    x1 = _mm_clmulepi64_si128(x1, k1k2, 0x00) ^
+         _mm_clmulepi64_si128(x1, k1k2, 0x11) ^ load(p + 16);
+    x2 = _mm_clmulepi64_si128(x2, k1k2, 0x00) ^
+         _mm_clmulepi64_si128(x2, k1k2, 0x11) ^ load(p + 32);
+    x3 = _mm_clmulepi64_si128(x3, k1k2, 0x00) ^
+         _mm_clmulepi64_si128(x3, k1k2, 0x11) ^ load(p + 48);
+  }
+  for (const __m128i next : {x1, x2, x3}) {
+    x0 = _mm_clmulepi64_si128(x0, k3k4, 0x00) ^
+         _mm_clmulepi64_si128(x0, k3k4, 0x11) ^ next;
+  }
+  for (; n >= 16; p += 16, n -= 16) {
+    x0 = _mm_clmulepi64_si128(x0, k3k4, 0x00) ^
+         _mm_clmulepi64_si128(x0, k3k4, 0x11) ^ load(p);
+  }
+  // 128 bits to 64, then to 32 bits above 32 zero bits.
+  x0 = _mm_srli_si128(x0, 8) ^ _mm_clmulepi64_si128(x0, k3k4, 0x10);
+  x0 = _mm_srli_si128(x0, 4) ^
+       _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00);
+  // Barrett reduction: q = floor(x * mu), then x ^= q * P.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly_mu, 0x00);
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x0 ^ q, 4)));
+}
+
+}  // namespace
+
+bool SnapshotCrc32FoldedSupported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul");
+}
+
+uint32_t SnapshotCrc32Folded(const uint8_t* data, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  if (n >= 64) {
+    const size_t folded = n & ~size_t{15};
+    c = FoldCrc32(c, data, folded);
+    data += folded;
+    n -= folded;
+  }
+  return TableCrc32(c, data, n) ^ 0xFFFFFFFFu;
+}
+#else
+bool SnapshotCrc32FoldedSupported() { return false; }
+
+uint32_t SnapshotCrc32Folded(const uint8_t* data, size_t n) {
+  return SnapshotCrc32Portable(data, n);
+}
+#endif
+
+uint32_t SnapshotCrc32(const uint8_t* data, size_t n) {
+  static const bool folded = SnapshotCrc32FoldedSupported();
+  return folded ? SnapshotCrc32Folded(data, n)
+                : SnapshotCrc32Portable(data, n);
 }
 
 bool SnapshotWriter::Section(const char* name) {
@@ -69,17 +168,19 @@ bool SnapshotWriter::Section(const char* name) {
 }
 
 std::vector<uint8_t> SnapshotWriter::Seal() const {
-  std::vector<uint8_t> out;
-  out.reserve(kSnapshotHeaderSize + buf_.size());
-  out.insert(out.end(), kSnapshotMagic, kSnapshotMagic + sizeof(kSnapshotMagic));
-  auto le = [&out](uint64_t v, size_t bytes) {
+  uint8_t header[kSnapshotHeaderSize];
+  std::memcpy(header, kSnapshotMagic, sizeof(kSnapshotMagic));
+  const auto put_le = [&header](size_t at, uint64_t v, size_t bytes) {
     for (size_t i = 0; i < bytes; ++i) {
-      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      header[at + i] = static_cast<uint8_t>(v >> (8 * i));
     }
   };
-  le(kSnapshotFormatVersion, 4);
-  le(buf_.size(), 8);
-  le(SnapshotCrc32(buf_.data(), buf_.size()), 4);
+  put_le(8, kSnapshotFormatVersion, 4);
+  put_le(12, buf_.size(), 8);
+  put_le(20, SnapshotCrc32(buf_.data(), buf_.size()), 4);
+  std::vector<uint8_t> out;
+  out.reserve(kSnapshotHeaderSize + buf_.size());
+  out.assign(header, header + kSnapshotHeaderSize);
   out.insert(out.end(), buf_.begin(), buf_.end());
   return out;
 }

@@ -89,7 +89,22 @@ inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'B', 'X',
                                            'S', 'N', 'A', 'P'};
 inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;
 
+// CRC-32 of |data|[0, n) over the reflected polynomial 0xEDB88320 (zlib's
+// and Ethernet's). The kernel is chosen once per process: on an x86-64 CPU
+// with PCLMULQDQ, carry-less-multiply folding, which runs at memory speed
+// (about 18 GB/s from cache on a 4-core Xeon); elsewhere the portable
+// slicing-by-8 table (1.5-1.9 GB/s there). Both give the same value for
+// every input; the folded kernel hands inputs under 64 bytes and its last
+// under-16-byte tail to the table.
 uint32_t SnapshotCrc32(const uint8_t* data, size_t n);
+// The two kernels SnapshotCrc32 chooses between, for tests and benches that
+// check or time each one. SnapshotCrc32Folded may run only where
+// SnapshotCrc32FoldedSupported() is true (on an x86-64 CPU without
+// PCLMULQDQ it faults); builds for other architectures report false and
+// make it the table.
+uint32_t SnapshotCrc32Portable(const uint8_t* data, size_t n);
+uint32_t SnapshotCrc32Folded(const uint8_t* data, size_t n);
+bool SnapshotCrc32FoldedSupported();
 
 class EventRearmer;
 class Simulator;
@@ -219,9 +234,10 @@ class SnapshotWriter {
   // --- pending events (src/snapshot/event_rearmer.h) ---------------------
   // A maybe-pending event: a presence flag, then (when, seq). Every present
   // event is claimed toward the pending-event census. |rearm(when)| is the
-  // reader's re-arm callback; the writer ignores it.
+  // reader's re-arm callback; the writer ignores it. Returns whether the
+  // event is pending.
   template <typename F>
-  void Event(const uint64_t& id, F&& rearm);
+  bool Event(const uint64_t& id, F&& rearm);
   // A tracked-timer list: the count of still-pending entries, then |body|
   // on each of them (the body serialises the entry's fields and its Event).
   template <typename L, typename F>
@@ -398,9 +414,10 @@ class SnapshotReader {
 
   // --- pending events (src/snapshot/event_rearmer.h) ---------------------
   // Resets |id| and, when an event was saved, defers |rearm(when)| under its
-  // original sequence number.
+  // original sequence number. Returns whether one was saved, so that a load
+  // can check the state the pending event will find.
   template <typename F>
-  void Event(uint64_t& id, F&& rearm);
+  bool Event(uint64_t& id, F&& rearm);
   // Clears |list| and runs |body| on a scratch entry per saved one; the
   // entries come back through their re-arm callbacks.
   template <typename L, typename F>

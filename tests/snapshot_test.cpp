@@ -21,10 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -411,13 +413,15 @@ TEST_F(SnapshotCorruptionTest, TornCheckpointWriteRejectedOnRestore) {
 
 // --- CRC -------------------------------------------------------------------
 
-// The slicing-by-8 CRC-32 gives the bytes of the plain bytewise loop: the
-// standard check value, every short length at every alignment, and a long
-// buffer.
-TEST(SnapshotCrcTest, MatchesCheckValueAndBytewiseReference) {
+using CrcKernel = uint32_t (*)(const uint8_t*, size_t);
+
+// |crc| gives the value of the plain bytewise loop: the standard check
+// value, every length 0-320 at 16 alignments (every entry to the folded
+// kernel's 64-byte blocks, 16-byte steps and table tail), and a long buffer
+// whose length leaves a tail.
+void ExpectMatchesBytewise(CrcKernel crc) {
   const std::string check = "123456789";
-  EXPECT_EQ(SnapshotCrc32(reinterpret_cast<const uint8_t*>(check.data()),
-                          check.size()),
+  EXPECT_EQ(crc(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
             0xCBF43926u);
   const auto bytewise = [](const uint8_t* data, size_t n) {
     uint32_t c = 0xFFFFFFFFu;
@@ -430,24 +434,41 @@ TEST(SnapshotCrcTest, MatchesCheckValueAndBytewiseReference) {
     return c ^ 0xFFFFFFFFu;
   };
   Rng rng(0xC3C3);
-  std::vector<uint8_t> buf(64 + 8);
-  for (size_t len = 0; len <= 64; ++len) {
+  std::vector<uint8_t> buf(320 + 16);
+  for (size_t len = 0; len <= 320; ++len) {
     for (uint8_t& b : buf) {
       b = static_cast<uint8_t>(rng.NextU64());
     }
-    for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t offset = 0; offset < 16; ++offset) {
       SCOPED_TRACE("len=" + std::to_string(len) +
                    " offset=" + std::to_string(offset));
-      EXPECT_EQ(SnapshotCrc32(buf.data() + offset, len),
+      EXPECT_EQ(crc(buf.data() + offset, len),
                 bytewise(buf.data() + offset, len));
     }
   }
-  std::vector<uint8_t> big(1 << 20);
+  std::vector<uint8_t> big((1 << 20) + 13);
   for (uint8_t& b : big) {
     b = static_cast<uint8_t>(rng.NextU64());
   }
-  EXPECT_EQ(SnapshotCrc32(big.data(), big.size()),
-            bytewise(big.data(), big.size()));
+  EXPECT_EQ(crc(big.data(), big.size()), bytewise(big.data(), big.size()));
+}
+
+// The kernel SnapshotCrc32 picks for this CPU.
+TEST(SnapshotCrcTest, MatchesCheckValueAndBytewiseReference) {
+  ExpectMatchesBytewise(&SnapshotCrc32);
+}
+
+// The slicing-by-8 table, the whole path on CPUs without PCLMULQDQ, stays
+// checked on one that has it.
+TEST(SnapshotCrcTest, PortableKernelMatchesBytewiseReference) {
+  ExpectMatchesBytewise(&SnapshotCrc32Portable);
+}
+
+TEST(SnapshotCrcTest, FoldedKernelMatchesBytewiseReference) {
+  if (!SnapshotCrc32FoldedSupported()) {
+    GTEST_SKIP() << "this CPU has no PCLMULQDQ";
+  }
+  ExpectMatchesBytewise(&SnapshotCrc32Folded);
 }
 
 // --- golden snapshot -------------------------------------------------------
@@ -1347,6 +1368,97 @@ TEST(SnapshotFieldCheckTest, InconsistentCpuGovernorRejected) {
   ExpectMutatedGoldenRejected(
       [&](std::vector<uint8_t>& p) { PutU64(p, gov.boxes[3], 15); },
       "CPU governor boxes do not match the scheduler's groups");
+}
+
+// A board shard cut while the storage write-back buffer waits to flush,
+// with the storage device's byte counts rewritten. Before these checks a
+// negative buffer restored cleanly and then aborted in BeginFlush once the
+// run resumed.
+TEST(SnapshotFieldCheckTest, ImpossibleStorageWriteBackRejected) {
+  const auto spawn = [](World& w) {
+    AppOptions opts;
+    opts.deadline = Millis(800);
+    SpawnPhotoSync(*w.kernel, "photosync", opts);
+  };
+  World original = MakeWorld();
+  spawn(original);
+  // At 12 ms the first photo's two halves sit in the buffer, waiting out
+  // the coalescing delay before the flush starts.
+  original.kernel->RunUntil(Millis(12));
+  const StorageDevice& storage = original.board->storage();
+  ASSERT_FALSE(storage.channel_busy());
+  ASSERT_FALSE(storage.flushing());
+  ASSERT_FALSE(storage.Quiescent()) << "no flush start pending";
+  ASSERT_GT(storage.buffered_bytes(), 0u);
+  const std::vector<uint8_t> sealed = SaveShard(original);
+  const std::vector<uint8_t> shard(
+      sealed.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize),
+      sealed.end());
+  // The storage device is the board's last device; the power meter (a
+  // 41-byte Rng and a drop count) and then the sandbox manager's section
+  // follow it. Its fields: the power state (12 bytes), the busy and hung
+  // flags, the current command (25 bytes), its dispatch time, the remaining
+  // bytes at 47, the channel's update time, the buffered bytes at 63, the
+  // flush flag and update time, two counters, then three events of which
+  // only the flush start (a flag, its time and seq: 17 bytes) is pending.
+  const size_t psbox_marker = AfterSection(shard, "psbox") - (3 + 5);
+  const size_t at = psbox_marker - 49 - (1 + 17 + 1) - 96;
+  const size_t remaining = at + 47;
+  const size_t buffer = at + 63;
+  ASSERT_EQ(GetU64(shard, at + 4),
+            static_cast<uint64_t>(storage.power_state().flush_delay));
+  ASSERT_EQ(std::bit_cast<double>(GetU64(shard, buffer)),
+            static_cast<double>(storage.buffered_bytes()));
+  ASSERT_EQ(shard[at + 97], 1) << "flush start pending";
+
+  const auto restore = [&spawn](const std::vector<uint8_t>& payload,
+                                std::string* error) {
+    World restored = MakeWorld();
+    SnapshotReader r;
+    if (!r.Open(Reseal(payload))) {
+      *error = r.error();
+      return false;
+    }
+    return RestoreBoardShard(r, *restored.board, *restored.kernel,
+                             *restored.manager, [&] { spawn(restored); },
+                             error);
+  };
+  std::string error;
+  ASSERT_TRUE(restore(shard, &error)) << "unmutated: " << error;
+
+  struct Mutation {
+    const char* field;
+    size_t at;
+    double value;
+    const char* error;
+  };
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const Mutation kMutations[] = {
+      {"negative buffer", buffer, -1.0,
+       "storage device write-back buffer of -1.000000 bytes is negative or "
+       "not finite"},
+      {"NaN buffer", buffer, kNan,
+       "storage device write-back buffer of nan bytes is negative or not "
+       "finite"},
+      {"negative remaining bytes", remaining, -5.0,
+       "storage device transfer remaining -5.000000 bytes is negative or not "
+       "finite"},
+      {"infinite remaining bytes", remaining, kInf,
+       "storage device transfer remaining inf bytes is negative or not "
+       "finite"},
+      {"empty buffer", buffer, 0.0,
+       "storage device flush start is pending on an empty write-back "
+       "buffer"},
+  };
+  for (const Mutation& m : kMutations) {
+    SCOPED_TRACE(m.field);
+    std::vector<uint8_t> payload = shard;
+    PutU64(payload, m.at, std::bit_cast<uint64_t>(m.value));
+    error.clear();
+    EXPECT_FALSE(restore(payload, &error));
+    EXPECT_NE(error.find(m.error), std::string::npos) << "error was: " << error;
+  }
 }
 
 // --- restore by recipe ------------------------------------------------------
