@@ -27,6 +27,7 @@
 #include "src/attack/side_channel_attacker.h"
 #include "src/popgen/app_catalog.h"
 #include "src/popgen/population_generator.h"
+#include "src/sim/callback_target.h"
 
 namespace psbox {
 namespace {
@@ -55,11 +56,12 @@ std::pair<std::vector<double>, std::vector<double>> ProbeTraces(int site, int re
   BoardConfig cfg;
   cfg.seed = 0xa77ac + static_cast<uint64_t>(site * 100 + rep);
   Stack s(cfg);
+  CallbackTarget callbacks(&s.kernel.sim());
   // The attacker cannot know exactly when the page load begins; the victim
   // starts at an unknown offset within the observation window.
   Rng delay_rng(cfg.seed ^ 0xde1a);
   const DurationNs victim_delay = delay_rng.UniformInt(0, 5) * kMillisecond;
-  s.kernel.sim().ScheduleAfter(victim_delay, [&s, site] {
+  callbacks.After(victim_delay, [&s, site] {
     AppOptions victim_opts;
     SpawnWebsiteVisit(s.kernel, "victim", site, victim_opts);
   });
@@ -92,6 +94,7 @@ std::pair<std::vector<double>, std::vector<double>> ProbeTracesInPopulation(
   BoardConfig cfg;
   cfg.seed = 0xbade + static_cast<uint64_t>(site * 100 + rep);
   Stack s(cfg);
+  CallbackTarget callbacks(&s.kernel.sim());
   if (rate_hz > 0.0) {
     PopulationConfig pop;
     pop.seed = cfg.seed ^ 0x9e3779b97f4a7c15ull;
@@ -106,14 +109,14 @@ std::pair<std::vector<double>, std::vector<double>> ProbeTracesInPopulation(
       AppOptions opts;
       opts.iterations = a.iterations;
       const PopAppFactory factory = entry.factory;
-      s.kernel.sim().ScheduleAt(a.when, [&s, factory, label, opts] {
+      callbacks.At(a.when, [&s, factory, label, opts] {
         factory(s.kernel, label, opts);
       });
     }
   }
   Rng delay_rng(cfg.seed ^ 0xde1a);
   const DurationNs victim_delay = delay_rng.UniformInt(0, 5) * kMillisecond;
-  s.kernel.sim().ScheduleAfter(victim_delay, [&s, site] {
+  callbacks.After(victim_delay, [&s, site] {
     AppOptions victim_opts;
     SpawnWebsiteVisit(s.kernel, "victim", site, victim_opts);
   });

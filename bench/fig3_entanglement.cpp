@@ -15,6 +15,7 @@
 
 #include "bench/bench_common.h"
 #include "src/analysis/trace_util.h"
+#include "src/sim/callback_target.h"
 
 namespace psbox {
 namespace {
@@ -65,9 +66,10 @@ void PanelB() {
   AccelCommand c1{1, 0, /*type=*/1, 8 * kMillisecond, 0.8};
   AccelCommand c2{2, 1, /*type=*/2, 5 * kMillisecond, 0.6};
   AccelCommand c3{3, 1, /*type=*/2, 5 * kMillisecond, 0.6};
-  board.sim().ScheduleAt(Millis(1), [&] { gpu.Dispatch(c1); });
-  board.sim().ScheduleAt(Millis(4), [&] { gpu.Dispatch(c2); });  // overlaps c1
-  board.sim().ScheduleAt(Millis(16), [&] { gpu.Dispatch(c3); }); // runs alone
+  CallbackTarget callbacks(&board.sim());
+  callbacks.At(Millis(1), [&] { gpu.Dispatch(c1); });
+  callbacks.At(Millis(4), [&] { gpu.Dispatch(c2); });  // overlaps c1
+  callbacks.At(Millis(16), [&] { gpu.Dispatch(c3); }); // runs alone
   board.sim().RunUntil(Millis(30));
 
   TextTable table({"command", "span (CPU-visible)", "apparent energy", "note"});

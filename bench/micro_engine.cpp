@@ -1,5 +1,5 @@
-// Event-engine microbench: the Simulator (an indexed binary heap over a slab
-// of inline closure slots) vs the pre-rewrite engine, preserved verbatim as
+// Event-engine microbench: the Simulator (an indexed binary heap over a slot
+// array of event records) vs the pre-rewrite engine, preserved verbatim as
 // NaiveSimulator (binary heap + per-event std::function in a hash map +
 // tombstoned cancels).
 //
@@ -12,16 +12,16 @@
 // wall time and speedup to stdout and JSON (default BENCH_engine.json) for
 // CI trend tracking. Cases:
 //   schedule_fire  — bulk one-shot timers: schedule a batch, drain, repeat.
-//                    Slab slots vs per-event allocation, both heap-sifted.
+//                    Record slots vs per-event allocation, both heap-sifted.
 //   cancel_rearm   — the watchdog/completion-timer pattern from the kernel
 //                    drivers: a small population of timers each cancelled and
 //                    re-armed every tick, firing only across occasional long
-//                    gaps. Cancel+ScheduleAfter on BOTH engines (the naive
+//                    gaps. Cancel+schedule on BOTH engines (the naive
 //                    engine's only re-arm path).
 //   reschedule     — same workload, but the Simulator uses its in-place
 //                    Reschedule() while the naive engine still pays
-//                    Cancel+ScheduleAfter; measures what the driver call
-//                    sites actually run today.
+//                    Cancel+schedule; measures what the driver call sites
+//                    actually run today.
 //   mixed_horizon  — randomized schedule/cancel/advance churn with delays
 //                    from zero to 60 s.
 //
@@ -88,31 +88,77 @@ struct RunOutcome {
   uint64_t fired = 0;
   uint64_t work = 0;
   TimeNs end = 0;
+  uint64_t total_fired = 0;  // the engine's own counters at the end
+  size_t pending = 0;
+
+  void Fired(TimeNs now, uint64_t label) {
+    order_hash = Mix(Mix(order_hash, static_cast<uint64_t>(now)), label);
+    ++fired;
+  }
+  template <class Engine>
+  void Finish(Engine& e) {
+    end = e.eng.Now();
+    total_fired = e.eng.total_fired();
+    pending = e.eng.pending_events();
+  }
+};
+
+// The engines under test behind the surface the workloads drive: At(when,
+// label) schedules an event that runs |fire(now, label)|. The naive engine
+// wraps a closure per event, as the old engine always did; the Simulator
+// fires a record of its one bench target, as the models do.
+template <class Fire>
+class NaiveEngine {
+ public:
+  explicit NaiveEngine(Fire fire) : fire_(std::move(fire)) {}
+  EventId At(TimeNs when, uint64_t label) {
+    return eng.ScheduleAt(when, [this, label] { fire_(eng.Now(), label); });
+  }
+  NaiveSimulator eng;
+
+ private:
+  Fire fire_;
+};
+
+template <class Fire>
+class RecordEngine final : public EventTarget {
+ public:
+  explicit RecordEngine(Fire fire)
+      : fire_(std::move(fire)), target_(eng.AddTarget(this, {"bench"})) {}
+  EventId At(TimeNs when, uint64_t label) {
+    return eng.ScheduleAt(when, target_, 0, label);
+  }
+  void OnEvent(uint8_t /*kind*/, uint64_t label, uint64_t /*b*/) override {
+    fire_(eng.Now(), label);
+  }
+  Simulator eng;
+
+ private:
+  Fire fire_;
+  TargetId target_;
 };
 
 // Bulk one-shot timers: schedule a batch with scattered sub-4ms delays,
 // drain to completion, repeat. No cancels — this isolates the allocation and
 // queue-insert/pop cost per event.
-template <typename Engine>
-RunOutcome RunScheduleFire(Engine& eng) {
+template <template <class> class Engine>
+RunOutcome RunScheduleFire() {
   constexpr int kRounds = 25;
   constexpr int kBatch = 10'000;
   RunOutcome out;
+  auto fire = [&out](TimeNs now, uint64_t label) { out.Fired(now, label); };
+  Engine<decltype(fire)> e(fire);
   Rng rng(0x5c4ed);
   uint32_t label = 0;
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kBatch; ++i) {
       const DurationNs delay = rng.UniformInt(0, 4 * kMillisecond);
-      const uint32_t l = label++;
-      eng.ScheduleAfter(delay, [&out, &eng, l] {
-        out.order_hash = Mix(Mix(out.order_hash, static_cast<uint64_t>(eng.Now())), l);
-        ++out.fired;
-      });
+      e.At(e.eng.Now() + delay, label++);
     }
-    eng.RunToCompletion();
+    e.eng.RunToCompletion();
   }
   out.work = static_cast<uint64_t>(kRounds) * kBatch;
-  out.end = eng.Now();
+  out.Finish(e);
   return out;
 }
 
@@ -120,58 +166,47 @@ RunOutcome RunScheduleFire(Engine& eng) {
 // cancelled and re-armed every 10 us tick (activity keeps resetting the
 // deadline), with an occasional long quiet gap that lets the whole
 // population expire and re-arm from scratch. kUseReschedule switches the
-// re-arm from Cancel+ScheduleAfter to the new engine's in-place Reschedule
-// (engines without one, i.e. the naive baseline, always take the
-// cancel+schedule path — that is all they have).
-template <bool kUseReschedule, typename Engine>
-RunOutcome RunCancelRearm(Engine& eng) {
+// re-arm from Cancel+At to the Simulator's in-place Reschedule (the naive
+// baseline has none and always takes the cancel+schedule path — that is all
+// it has).
+template <bool kUseReschedule, template <class> class Engine>
+RunOutcome RunCancelRearm() {
   constexpr int kTimers = 64;
   constexpr int kSteps = 20'000;
   constexpr DurationNs kTick = 10 * kMicrosecond;
   constexpr DurationNs kTimeout = kMillisecond;
   RunOutcome out;
-
-  struct Driver {
-    RunOutcome* out;
-    Engine* eng;
-    std::array<EventId, kTimers> ids;
-  } d{&out, &eng, {}};
-  d.ids.fill(kInvalidEventId);
-
-  auto expire_cb = [&d](int t) {
-    return [dp = &d, t] {
-      dp->out->order_hash = Mix(Mix(dp->out->order_hash,
-                                    static_cast<uint64_t>(dp->eng->Now())),
-                                static_cast<uint64_t>(t));
-      ++dp->out->fired;
-      dp->ids[static_cast<size_t>(t)] = kInvalidEventId;
-    };
+  std::array<EventId, kTimers> ids;
+  ids.fill(kInvalidEventId);
+  auto fire = [&out, &ids](TimeNs now, uint64_t t) {
+    out.Fired(now, t);
+    ids[static_cast<size_t>(t)] = kInvalidEventId;
   };
-
+  Engine<decltype(fire)> e(fire);
   for (int step = 0; step < kSteps; ++step) {
     for (int t = 0; t < kTimers; ++t) {
-      EventId& id = d.ids[static_cast<size_t>(t)];
-      const TimeNs deadline = eng.Now() + kTimeout;
+      EventId& id = ids[static_cast<size_t>(t)];
+      const TimeNs deadline = e.eng.Now() + kTimeout;
       if constexpr (kUseReschedule &&
-                    requires { eng.Reschedule(EventId{}, TimeNs{}); }) {
+                    requires { e.eng.Reschedule(EventId{}, TimeNs{}); }) {
         if (id != kInvalidEventId) {
-          id = eng.Reschedule(id, deadline);
+          id = e.eng.Reschedule(id, deadline);
           ++out.work;
           continue;
         }
       } else {
-        eng.Cancel(id);  // no-op for expired timers
+        e.eng.Cancel(id);  // no-op for expired timers
       }
-      id = eng.ScheduleAt(deadline, expire_cb(t));
+      id = e.At(deadline, static_cast<uint64_t>(t));
       ++out.work;
     }
     // Every ~1k ticks the workload goes quiet past the timeout: the whole
     // timer population fires, exercising the expiry + fresh-arm path.
     const DurationNs advance = (step % 1024 == 1023) ? 2 * kMillisecond : kTick;
-    eng.RunUntil(eng.Now() + advance);
+    e.eng.RunUntil(e.eng.Now() + advance);
   }
-  eng.RunToCompletion();
-  out.end = eng.Now();
+  e.eng.RunToCompletion();
+  out.Finish(e);
   return out;
 }
 
@@ -196,10 +231,12 @@ DurationNs MixedDelay(Rng& rng) {
 // Randomized churn: 60% schedule at a mixed-horizon delay, 15% cancel a
 // random live id (stale ids exercise the generation guard), 25% advance the
 // clock. Same Rng seed on both engines -> identical op sequences.
-template <typename Engine>
-RunOutcome RunMixedHorizon(Engine& eng) {
+template <template <class> class Engine>
+RunOutcome RunMixedHorizon() {
   constexpr int kOps = 120'000;
   RunOutcome out;
+  auto fire = [&out](TimeNs now, uint64_t label) { out.Fired(now, label); };
+  Engine<decltype(fire)> e(fire);
   Rng rng(0xab1e5);
   std::vector<EventId> live;
   live.reserve(1024);
@@ -208,41 +245,34 @@ RunOutcome RunMixedHorizon(Engine& eng) {
     const int64_t pick = rng.UniformInt(0, 99);
     if (pick < 60) {
       const DurationNs delay = MixedDelay(rng);
-      const uint32_t l = label++;
-      live.push_back(eng.ScheduleAfter(delay, [&out, &eng, l] {
-        out.order_hash =
-            Mix(Mix(out.order_hash, static_cast<uint64_t>(eng.Now())), l);
-        ++out.fired;
-      }));
+      live.push_back(e.At(e.eng.Now() + delay, label++));
       ++out.work;
     } else if (pick < 75) {
       if (!live.empty()) {
         const auto idx = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-        eng.Cancel(live[idx]);  // may be stale (already fired): must no-op
+        e.eng.Cancel(live[idx]);  // may be stale (already fired): must no-op
         live[idx] = live.back();
         live.pop_back();
         ++out.work;
       }
     } else {
-      eng.RunUntil(eng.Now() + rng.UniformInt(0, 20 * kMillisecond));
+      e.eng.RunUntil(e.eng.Now() + rng.UniformInt(0, 20 * kMillisecond));
     }
   }
-  eng.RunToCompletion();
-  out.end = eng.Now();
+  e.eng.RunToCompletion();
+  out.Finish(e);
   return out;
 }
 
-// Runs |workload| through both engines, checks the outcomes are identical,
-// and returns the timed comparison.
-template <typename Workload>
-CaseResult Compare(const std::string& name, Workload&& workload) {
+// Runs a workload on the naive engine, then on the Simulator, checks the
+// outcomes are identical, and returns the timed comparison.
+CaseResult Compare(const std::string& name, RunOutcome (*naive)(),
+                   RunOutcome (*fast)()) {
   const auto t0 = std::chrono::steady_clock::now();
-  NaiveSimulator naive;
-  const RunOutcome base = workload(naive);
+  const RunOutcome base = naive();
   const auto t1 = std::chrono::steady_clock::now();
-  Simulator fast;
-  const RunOutcome got = workload(fast);
+  const RunOutcome got = fast();
   const auto t2 = std::chrono::steady_clock::now();
 
   // The engines must have done byte-for-byte the same thing, in the same
@@ -250,8 +280,8 @@ CaseResult Compare(const std::string& name, Workload&& workload) {
   PSBOX_CHECK_EQ(got.order_hash, base.order_hash);
   PSBOX_CHECK_EQ(got.fired, base.fired);
   PSBOX_CHECK_EQ(got.end, base.end);
-  PSBOX_CHECK_EQ(naive.total_fired(), fast.total_fired());
-  PSBOX_CHECK_EQ(naive.pending_events(), fast.pending_events());
+  PSBOX_CHECK_EQ(got.total_fired, base.total_fired);
+  PSBOX_CHECK_EQ(got.pending, base.pending);
 
   CaseResult r;
   r.name = name;
@@ -264,14 +294,15 @@ CaseResult Compare(const std::string& name, Workload&& workload) {
 
 int RunComparison(const std::string& json_path) {
   std::vector<CaseResult> results;
-  results.push_back(Compare(
-      "schedule_fire", [](auto& eng) { return RunScheduleFire(eng); }));
-  results.push_back(Compare(
-      "cancel_rearm", [](auto& eng) { return RunCancelRearm<false>(eng); }));
-  results.push_back(Compare(
-      "reschedule", [](auto& eng) { return RunCancelRearm<true>(eng); }));
-  results.push_back(Compare(
-      "mixed_horizon", [](auto& eng) { return RunMixedHorizon(eng); }));
+  results.push_back(Compare("schedule_fire", &RunScheduleFire<NaiveEngine>,
+                            &RunScheduleFire<RecordEngine>));
+  results.push_back(Compare("cancel_rearm",
+                            &RunCancelRearm<false, NaiveEngine>,
+                            &RunCancelRearm<false, RecordEngine>));
+  results.push_back(Compare("reschedule", &RunCancelRearm<true, NaiveEngine>,
+                            &RunCancelRearm<true, RecordEngine>));
+  results.push_back(Compare("mixed_horizon", &RunMixedHorizon<NaiveEngine>,
+                            &RunMixedHorizon<RecordEngine>));
 
   // The JSON keys keep their names (naive_ms, fast_ms) for trend tracking.
   TextTable table(
@@ -308,15 +339,25 @@ int RunComparison(const std::string& json_path) {
 // substrate cases (StepTrace, DTW, whole-kernel simulated seconds) and the
 // snapshot codec's CRC-32 kernels.
 
+// A target that counts the records it fires.
+struct CountingTarget final : EventTarget {
+  explicit CountingTarget(Simulator& sim) : id(sim.AddTarget(this, {"count"})) {}
+  void OnEvent(uint8_t /*kind*/, uint64_t /*a*/, uint64_t /*b*/) override {
+    ++fired;
+  }
+  TargetId id;
+  int fired = 0;
+};
+
 void BM_EventQueueScheduleFire(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;
-    int sink = 0;
+    CountingTarget sink(sim);
     for (int i = 0; i < 1000; ++i) {
-      sim.ScheduleAt(i * 100, [&sink] { ++sink; });
+      sim.ScheduleAt(i * 100, sink.id, 0);
     }
     sim.RunToCompletion();
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(sink.fired);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
@@ -324,25 +365,25 @@ BENCHMARK(BM_EventQueueScheduleFire);
 
 void BM_EventQueueCancelRearm(benchmark::State& state) {
   Simulator sim;
-  int sink = 0;
-  EventId id = sim.ScheduleAfter(kMillisecond, [&sink] { ++sink; });
+  CountingTarget sink(sim);
+  EventId id = sim.ScheduleAfter(kMillisecond, sink.id, 0);
   for (auto _ : state) {
     sim.Cancel(id);
-    id = sim.ScheduleAfter(kMillisecond, [&sink] { ++sink; });
+    id = sim.ScheduleAfter(kMillisecond, sink.id, 0);
   }
-  benchmark::DoNotOptimize(sink);
+  benchmark::DoNotOptimize(sink.fired);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueCancelRearm);
 
 void BM_EventQueueReschedule(benchmark::State& state) {
   Simulator sim;
-  int sink = 0;
-  EventId id = sim.ScheduleAfter(kMillisecond, [&sink] { ++sink; });
+  CountingTarget sink(sim);
+  EventId id = sim.ScheduleAfter(kMillisecond, sink.id, 0);
   for (auto _ : state) {
     id = sim.Reschedule(id, sim.Now() + kMillisecond);
   }
-  benchmark::DoNotOptimize(sink);
+  benchmark::DoNotOptimize(sink.fired);
   benchmark::DoNotOptimize(id);
   state.SetItemsProcessed(state.iterations());
 }

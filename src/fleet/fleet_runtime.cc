@@ -87,6 +87,7 @@ void FleetRuntime::SpawnOn(FleetAppRuntime& app, int board_index) {
     label += "@b" + std::to_string(board_index);
   }
   app.handle = app.spec.factory(*shard.kernel, label, opts);
+  shard.ForgetRetiredSpawns();
   shard.spawns.push_back({app.handle.app,
                           static_cast<int>(&app - apps_.data()),
                           std::move(label), app.remaining});

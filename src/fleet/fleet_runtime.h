@@ -11,8 +11,8 @@
 // Ownership discipline (the determinism argument leans on it): between root
 // barriers, every shard and every app belongs to exactly one sub-fleet —
 // SubFleetCoordinators only ever touch their own slice, so concurrent
-// sub-fleet barriers are data-race free by construction, and a stepping or
-// trim pass touches each shard from one thread only. The root touches
+// sub-fleet barriers are data-race free by construction, and a stepping
+// pass touches each shard from one thread only. The root touches
 // anything it likes, but only from its single-threaded barrier.
 
 #ifndef SRC_FLEET_FLEET_RUNTIME_H_
@@ -52,8 +52,15 @@ struct FleetShard {
   // Generated background population (null when the scenario disables it).
   std::unique_ptr<BoardPopulation> population;
   // Live fleet app instances on this board, in spawn (= app id) order;
-  // pruned behind the retention trim.
+  // the kernel's retired ones are pruned at the next spawn or checkpoint.
   std::vector<FleetSpawn> spawns;
+
+  // Drops the instances the board's kernel has retired.
+  void ForgetRetiredSpawns() {
+    std::erase_if(spawns, [this](const FleetSpawn& spawn) {
+      return kernel->AppRetired(spawn.app);
+    });
+  }
 };
 
 // Runtime state of one FleetAppSpec instance as it moves across boards.

@@ -31,26 +31,6 @@ void StepBoard(FleetShard& s, TimeNs next) {
   s.now = target;
 }
 
-// Drops the fleet app instances the board's kernel has retired.
-void ForgetRetiredSpawns(FleetShard& s) {
-  std::erase_if(s.spawns, [&s](const FleetSpawn& spawn) {
-    return s.kernel->AppRetired(spawn.app);
-  });
-}
-
-// One board's share of pass 3. Shards with a bounded-retention kernel config
-// are trimmed behind every barrier (their own periodic tick handles the
-// mid-epoch cadence; this pass keeps memory bounded even when epochs outpace
-// the tick). Trimming folds exact energy bases first, so results are
-// unchanged.
-void TrimBoard(FleetShard& s) {
-  const DurationNs retention = s.kernel->config().telemetry_retention;
-  if (!s.failed && retention > 0) {
-    s.kernel->TrimTelemetry(s.now - retention);
-    ForgetRetiredSpawns(s);
-  }
-}
-
 // How a restore re-creates one live app of a board, under its recorded app
 // id and first task id: a tenant principal, an instance of a fleet app, or
 // a generated arrival.
@@ -110,7 +90,7 @@ std::vector<AppRecipe> LiveRecipes(FleetShard& s,
       r.arrival = live.arrival;
     }
   }
-  ForgetRetiredSpawns(s);
+  s.ForgetRetiredSpawns();
   for (const FleetSpawn& spawn : s.spawns) {
     const FleetAppRuntime& app = apps[static_cast<size_t>(spawn.app_index)];
     AppRecipe& r = recipes.emplace_back();
@@ -322,10 +302,6 @@ void RootCoordinator::StepBoards(TimeNs next) {
 void RootCoordinator::SubFleetBarriers(TimeNs now) {
   pool_.ParallelFor(subfleet_count(), [this, now](int s) {
     subfleets_[static_cast<size_t>(s)]->ProcessBarrier(now);
-  });
-  auto& shards = rt_.shards();
-  pool_.ParallelFor(board_count(), [&shards](int b) {
-    TrimBoard(*shards[static_cast<size_t>(b)]);
   });
 }
 
@@ -544,14 +520,15 @@ FleetStats RootCoordinator::Run() {
     ++epochs_done;
     const bool at_root = next == root_next;
     // Checkpoint cadence: the instant after the boards stopped at a root
-    // boundary and before the boundary barriers is the only globally
-    // quiescent point — the barriers' respawns schedule work that the event
-    // census would (correctly) refuse to serialise.
+    // boundary and before the boundary barriers, which a restored run
+    // re-runs on the restored state (every board's pending events travel as
+    // its engine's records).
     if (at_root && checkpoint_every_ > 0 && !checkpoint_path_.empty() &&
         next < scenario.horizon && epochs_done >= next_checkpoint) {
       std::string error;
       if (!WriteCheckpoint(next, &error)) {
-        // Census refusal: a serialiser lost a timer. Say which one.
+        // A board has a record pending that a snapshot cannot carry. Say
+        // which target.
         std::fprintf(stderr, "[psbox] checkpoint write failed: %s\n",
                      error.c_str());
         PSBOX_CHECK(false);
@@ -774,6 +751,11 @@ bool RootCoordinator::SerializeCheckpoint(Ar& ar, TimeNs& now,
       };
       if (!RestoreBoardShard(ar, *s->board, *s->kernel, *s->manager, recreate,
                              error)) {
+        // Name the board, unless the recipe pass already did.
+        const std::string board = "checkpoint board " + std::to_string(s->index);
+        if (error->rfind(board, 0) != 0) {
+          *error = board + ": " + *error;
+        }
         return false;
       }
     }

@@ -2,8 +2,10 @@
 //
 // It slices the fleet's boards into contiguous sub-fleets (see
 // SubFleetCoordinator) and owns the fleet's one ThreadPool of exactly
-// `threads` threads. Each sub-epoch is three passes on that pool: every live
-// board's window and run, every sub-fleet's barrier, every board's trim.
+// `threads` threads. Each sub-epoch is two passes on that pool: every live
+// board's window and run (a board with telemetry retention trims itself on
+// its kernel's own periodic event inside the run), then every sub-fleet's
+// barrier.
 // Sub-fleets meet the root only every `root_period` sub-epochs; between root
 // barriers they share nothing, and at every root barrier (and only there)
 // the root:
@@ -118,8 +120,8 @@ class RootCoordinator {
   // Pass 1: every live board arms its population window and runs to |next|
   // (or to its failure instant, whichever comes first).
   void StepBoards(TimeNs next);
-  // Passes 2 and 3: every sub-fleet's barrier (race-free via the
-  // per-sub-fleet app ownership lists), then every board's telemetry trim.
+  // Pass 2: every sub-fleet's barrier (race-free via the per-sub-fleet app
+  // ownership lists).
   void SubFleetBarriers(TimeNs now);
   // Digest exchange + cross-sub-fleet migration + budget ledger, single-
   // threaded, in fixed order.

@@ -4,13 +4,15 @@
 #include <cmath>
 
 #include "src/base/check.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
 AccelDevice::AccelDevice(Simulator* sim, PowerRail* rail, AccelConfig config)
-    : sim_(sim), rail_(rail), config_(std::move(config)),
+    : sim_(sim),
+      target_(sim->AddTarget(this, {config.name + " device", 1, 1})),
+      rail_(rail),
+      config_(std::move(config)),
       opp_index_(static_cast<int>(config_.opps.size()) - 1) {
   PSBOX_CHECK_GT(config_.slots, 0);
   PSBOX_CHECK(!config_.opps.empty());
@@ -79,8 +81,8 @@ void AccelDevice::RescheduleCompletion() {
     return;
   }
   const auto delay = static_cast<DurationNs>(std::ceil(min_remaining / rate));
-  completion_event_ = sim_->ScheduleAfter(std::max<DurationNs>(delay, 0),
-                                          [this] { OnCompletionEvent(); });
+  completion_event_ =
+      sim_->ScheduleAfter(std::max<DurationNs>(delay, 0), target_, 0);
 }
 
 void AccelDevice::Dispatch(const AccelCommand& cmd) {
@@ -102,7 +104,7 @@ void AccelDevice::Dispatch(const AccelCommand& cmd) {
   UpdateRail();
 }
 
-void AccelDevice::OnCompletionEvent() {
+void AccelDevice::OnEvent(uint8_t /*kind*/, uint64_t /*a*/, uint64_t /*b*/) {
   completion_event_ = kInvalidEventId;
   AdvanceProgress();
   // Collect all commands that finished at this instant (remaining ~ 0).
@@ -199,19 +201,14 @@ void AccelDevice::Serialize(Ar& ar) {
   });
   ar.I64(last_progress_time_);
   ar.U32(opp_index_);
+  ar.U64(resets_);
+  ar.U64(hung_commands_);
   if constexpr (Ar::kLoading) {
     if (ar.ok() && (opp_index_ < 0 || opp_index_ >= num_opps())) {
       ar.Fail("accel opp index out of range in snapshot");
     }
+    completion_event_ = sim_->FindPending(target_, 0, 0);
   }
-  ar.U64(resets_);
-  ar.U64(hung_commands_);
-  // The pending completion interrupt must be re-armed at its exact saved
-  // time: recomputing the delay from remaining work would re-apply ceil()
-  // rounding and drift off the original timeline.
-  ar.Event(completion_event_, [this](TimeNs when) {
-    completion_event_ = sim_->ScheduleAt(when, [this] { OnCompletionEvent(); });
-  });
 }
 
 template void AccelDevice::Serialize(SnapshotWriter&);

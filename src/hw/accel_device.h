@@ -69,7 +69,7 @@ struct AccelConfig {
   double power_interference = 0.10;
 };
 
-class AccelDevice {
+class AccelDevice : public EventTarget {
  public:
   using CompletionCallback = std::function<void(const AccelCompletion&)>;
 
@@ -125,10 +125,13 @@ class AccelDevice {
   PowerRail* rail() { return rail_; }
 
   // Snapshot support: in-flight commands with their exact remaining work, the
-  // lingering OPP index, reset/hang counters, and the pending completion
-  // interrupt (re-armed at its exact saved time).
+  // lingering OPP index and reset/hang counters. The pending completion
+  // interrupt is the engine's record; the load takes its handle back.
   template <class Ar>
   void Serialize(Ar& ar);
+
+  // The completion interrupt.
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
 
  private:
   struct Exec {
@@ -151,9 +154,9 @@ class AccelDevice {
   // (Re)schedules the next completion event.
   void RescheduleCompletion();
   void UpdateRail();
-  void OnCompletionEvent();
 
   Simulator* sim_;
+  TargetId target_;
   PowerRail* rail_;
   AccelConfig config_;
   CompletionCallback on_complete_;

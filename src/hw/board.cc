@@ -1,7 +1,6 @@
 #include "src/hw/board.h"
 
 #include "src/base/check.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -28,8 +27,9 @@ Board::Board(BoardConfig config)
   display_ = std::make_unique<DisplayDevice>(&sim_, display_rail_.get(),
                                              config_.display);
   gps_ = std::make_unique<GpsDevice>(&sim_, gps_rail_.get(), config_.gps);
-  // Rails and the storage device schedule no events and fork no RNG, so
-  // adding them here leaves meter seeding and event IDs untouched.
+  // Built after the other devices and forking no RNG, the storage device
+  // leaves meter seeding and the other devices' event target indices
+  // untouched.
   storage_ = std::make_unique<StorageDevice>(&sim_, storage_rail_.get(),
                                              config_.storage);
   meter_ = std::make_unique<PowerMeter>(rng_.Fork(), config_.meter);

@@ -69,9 +69,9 @@ class Board {
 
   // Snapshot support: serialises every rail history, every device, the meter,
   // the board RNG, and the fault-injector streams. The simulator clock and
-  // pending events are handled by the snapshot layer (the devices hand their
-  // timers to the reader's rearmer); configuration is not serialised —
-  // restore requires a Board built from the identical BoardConfig.
+  // pending events are the engine's own section (the devices take their
+  // timer handles back from it); configuration is not serialised — restore
+  // requires a Board built from the identical BoardConfig.
   template <class Ar>
   void Serialize(Ar& ar);
 

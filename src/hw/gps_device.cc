@@ -1,13 +1,15 @@
 #include "src/hw/gps_device.h"
 
 #include "src/base/check.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
 GpsDevice::GpsDevice(Simulator* sim, PowerRail* rail, GpsConfig config)
-    : sim_(sim), rail_(rail), config_(config) {
+    : sim_(sim),
+      target_(sim->AddTarget(this, {"gps device", 1, 1})),
+      rail_(rail),
+      config_(config) {
   operating_trace_.Set(0, 0.0);
   Update();
 }
@@ -17,15 +19,13 @@ void GpsDevice::Request(AppId app) {
   users_.insert(app);
   if (was_empty && state_ == GpsState::kOff) {
     state_ = GpsState::kAcquiring;
-    acquire_event_ = sim_->ScheduleAfter(config_.cold_start, [this] {
-      acquire_event_ = kInvalidEventId;
-      OnAcquired();
-    });
+    acquire_event_ = sim_->ScheduleAfter(config_.cold_start, target_, 0);
     Update();
   }
 }
 
-void GpsDevice::OnAcquired() {
+void GpsDevice::OnEvent(uint8_t /*kind*/, uint64_t /*a*/, uint64_t /*b*/) {
+  acquire_event_ = kInvalidEventId;
   if (users_.empty()) {
     return;  // released during acquisition; Release already powered off
   }
@@ -52,13 +52,10 @@ template <class Ar>
 void GpsDevice::Serialize(Ar& ar) {
   ar.Enum(state_, GpsState::kOn, "gps state");
   ar.Seq(users_, sizeof(AppId), [&](auto& app) { ar.I64(app); });
-  ar.Event(acquire_event_, [this](TimeNs when) {
-    acquire_event_ = sim_->ScheduleAt(when, [this] {
-      acquire_event_ = kInvalidEventId;
-      OnAcquired();
-    });
-  });
   operating_trace_.Serialize(ar);
+  if constexpr (Ar::kLoading) {
+    acquire_event_ = sim_->FindPending(target_, 0, 0);
+  }
 }
 
 template void GpsDevice::Serialize(SnapshotWriter&);

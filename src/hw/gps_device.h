@@ -29,7 +29,7 @@ struct GpsConfig {
   DurationNs cold_start = 2 * kSecond;
 };
 
-class GpsDevice {
+class GpsDevice : public EventTarget {
  public:
   GpsDevice(Simulator* sim, PowerRail* rail, GpsConfig config);
 
@@ -54,16 +54,19 @@ class GpsDevice {
   // or after the horizon stay exact. Returns steps dropped.
   size_t TrimHistory(TimeNs horizon) { return operating_trace_.TrimBefore(horizon); }
 
-  // Snapshot support: power state, reference counts, operating history, and
-  // the in-flight acquisition event.
+  // Snapshot support: power state, reference counts and operating history;
+  // the load takes the in-flight acquisition's handle back from the engine.
   template <class Ar>
   void Serialize(Ar& ar);
 
+  // The acquisition finishing.
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+
  private:
   void Update();
-  void OnAcquired();
 
   Simulator* sim_;
+  TargetId target_;
   PowerRail* rail_;
   GpsConfig config_;
   GpsState state_ = GpsState::kOff;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/base/check.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -16,7 +15,26 @@ double BytesPerNs(double mbps) { return mbps * 1e6 / 1e9; }
 }  // namespace
 
 StorageDevice::StorageDevice(Simulator* sim, PowerRail* rail, StorageConfig config)
-    : sim_(sim), rail_(rail), config_(config) {}
+    : sim_(sim),
+      target_(sim->AddTarget(this, {"storage device", kEventKinds,
+                                    1 << kTransferDone | 1 << kFlushStart |
+                                        1 << kFlushEnd})),
+      rail_(rail),
+      config_(config) {}
+
+void StorageDevice::OnEvent(uint8_t kind, uint64_t /*a*/, uint64_t /*b*/) {
+  switch (kind) {
+    case kTransferDone:
+      OnTransferComplete();
+      break;
+    case kFlushStart:
+      BeginFlush();
+      break;
+    default:
+      OnFlushComplete();
+      break;
+  }
+}
 
 double StorageDevice::BusRate(bool is_write) const {
   const bool high = power_state_.perf_level > 0;
@@ -67,8 +85,7 @@ void StorageDevice::Dispatch(const StorageCommand& cmd) {
     const DurationNs duration =
         config_.per_command_overhead +
         static_cast<DurationNs>(remaining_bytes_ / BusRate(cmd.is_write));
-    transfer_event_ =
-        sim_->ScheduleAfter(duration, [this] { OnTransferComplete(); });
+    transfer_event_ = sim_->ScheduleAfter(duration, target_, kTransferDone);
   }
   UpdateRail();
 }
@@ -89,7 +106,7 @@ void StorageDevice::OnTransferComplete() {
       }
       flush_end_event_ = sim_->ScheduleAfter(
           static_cast<DurationNs>(buffer_bytes_ / BytesPerNs(config_.flush_mbps)),
-          [this] { OnFlushComplete(); });
+          target_, kFlushEnd);
     } else {
       buffer_bytes_ += static_cast<double>(cmd.bytes);
       ArmFlushStart();
@@ -111,7 +128,7 @@ void StorageDevice::ArmFlushStart() {
     sim_->Cancel(flush_start_event_);
   }
   flush_start_event_ =
-      sim_->ScheduleAfter(power_state_.flush_delay, [this] { BeginFlush(); });
+      sim_->ScheduleAfter(power_state_.flush_delay, target_, kFlushStart);
 }
 
 void StorageDevice::BeginFlush() {
@@ -122,7 +139,7 @@ void StorageDevice::BeginFlush() {
   last_flush_update_ = sim_->Now();
   flush_end_event_ = sim_->ScheduleAfter(
       static_cast<DurationNs>(buffer_bytes_ / BytesPerNs(config_.flush_mbps)),
-      [this] { OnFlushComplete(); });
+      target_, kFlushEnd);
   UpdateRail();
 }
 
@@ -193,17 +210,10 @@ void StorageDevice::Serialize(Ar& ar) {
   ar.I64(last_flush_update_);
   ar.U64(resets_);
   ar.U64(hung_commands_);
-  ar.Event(transfer_event_, [this](TimeNs when) {
-    transfer_event_ = sim_->ScheduleAt(when, [this] { OnTransferComplete(); });
-  });
-  const bool flush_start_pending =
-      ar.Event(flush_start_event_, [this](TimeNs when) {
-        flush_start_event_ = sim_->ScheduleAt(when, [this] { BeginFlush(); });
-      });
-  ar.Event(flush_end_event_, [this](TimeNs when) {
-    flush_end_event_ = sim_->ScheduleAt(when, [this] { OnFlushComplete(); });
-  });
   if constexpr (Ar::kLoading) {
+    transfer_event_ = sim_->FindPending(target_, kTransferDone, 0);
+    flush_start_event_ = sim_->FindPending(target_, kFlushStart, 0);
+    flush_end_event_ = sim_->FindPending(target_, kFlushEnd, 0);
     // Byte counts the resumed run divides and subtracts: a negative or
     // non-finite one, or a flush due to start on an empty buffer, would
     // abort BeginFlush or time a transfer or flush from garbage.
@@ -221,7 +231,7 @@ void StorageDevice::Serialize(Ar& ar) {
       ar.Fail("storage device transfer remaining " +
               std::to_string(remaining_bytes_) +
               " bytes is negative or not finite");
-    } else if (flush_start_pending && buffer_bytes_ == 0.0) {
+    } else if (flush_start_event_ != kInvalidEventId && buffer_bytes_ == 0.0) {
       ar.Fail("storage device flush start is pending on an empty write-back "
               "buffer");
     }
@@ -255,7 +265,7 @@ void StorageDevice::SetPowerState(const StoragePowerState& state) {
     transfer_event_ = sim_->ScheduleAfter(
         lead + static_cast<DurationNs>(remaining_bytes_ /
                                        BusRate(current_.is_write)),
-        [this] { OnTransferComplete(); });
+        target_, kTransferDone);
   } else {
     power_state_ = state;
   }

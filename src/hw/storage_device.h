@@ -81,7 +81,7 @@ struct StorageConfig {
   DurationNs per_command_overhead = 60 * kMicrosecond;
 };
 
-class StorageDevice {
+class StorageDevice : public EventTarget {
  public:
   using CompletionCallback = std::function<void(const StorageCompletion&)>;
 
@@ -137,10 +137,15 @@ class StorageDevice {
   const StorageConfig& config() const { return config_; }
   PowerRail* rail() { return rail_; }
 
-  // Snapshot support: channel transfer, write-back buffer/flush machinery,
-  // the virtualisable power state, and all three timers.
+  // Snapshot support: channel transfer, write-back buffer/flush machinery
+  // and the virtualisable power state; the load takes the three timers'
+  // handles back from the engine.
   template <class Ar>
   void Serialize(Ar& ar);
+
+  // The transfer, flush-start and flush-end timers.
+  enum EventKind : uint8_t { kTransferDone, kFlushStart, kFlushEnd, kEventKinds };
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
 
  private:
   double BusRate(bool is_write) const;  // bytes per nanosecond
@@ -155,6 +160,7 @@ class StorageDevice {
   void NotifyIfQuiescent();
 
   Simulator* sim_;
+  TargetId target_;
   PowerRail* rail_;
   StorageConfig config_;
   StoragePowerState power_state_;

@@ -3,13 +3,16 @@
 #include <cmath>
 
 #include "src/base/check.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
 WifiDevice::WifiDevice(Simulator* sim, PowerRail* rail, WifiConfig config)
-    : sim_(sim), rail_(rail), config_(std::move(config)) {
+    : sim_(sim),
+      target_(sim->AddTarget(
+          this, {"wifi device", kEventKinds, 1 << kFrameDone | 1 << kTailExpire})),
+      rail_(rail),
+      config_(std::move(config)) {
   UpdateRail();
 }
 
@@ -43,8 +46,16 @@ void WifiDevice::StartNextFrame() {
   queue_.pop_front();
   current_start_ = sim_->Now();
   frame_event_ = sim_->ScheduleAfter(FrameAirtime(current_frame_.bytes),
-                                     [this] { OnFrameComplete(); });
+                                     target_, kFrameDone);
   UpdateRail();
+}
+
+void WifiDevice::OnEvent(uint8_t kind, uint64_t /*a*/, uint64_t /*b*/) {
+  if (kind == kFrameDone) {
+    OnFrameComplete();
+  } else {
+    OnTailExpire();
+  }
 }
 
 void WifiDevice::OnFrameComplete() {
@@ -65,7 +76,7 @@ void WifiDevice::OnFrameComplete() {
   } else {
     // Lingering power state: stay awake in the tail until the PS timer fires.
     in_tail_ = true;
-    tail_event_ = sim_->ScheduleAfter(power_state_.ps_timeout, [this] { OnTailExpire(); });
+    tail_event_ = sim_->ScheduleAfter(power_state_.ps_timeout, target_, kTailExpire);
     UpdateRail();
   }
   if (on_frame_done_) {
@@ -86,7 +97,7 @@ void WifiDevice::SetPowerState(const WifiPowerState& state) {
     if (tail_event_ != kInvalidEventId) {
       sim_->Cancel(tail_event_);
     }
-    tail_event_ = sim_->ScheduleAfter(power_state_.ps_timeout, [this] { OnTailExpire(); });
+    tail_event_ = sim_->ScheduleAfter(power_state_.ps_timeout, target_, kTailExpire);
   }
   UpdateRail();
 }
@@ -109,12 +120,10 @@ void WifiDevice::Serialize(Ar& ar) {
   ar.Bool(in_tail_);
   frame(current_frame_);
   ar.I64(current_start_);
-  ar.Event(frame_event_, [this](TimeNs when) {
-    frame_event_ = sim_->ScheduleAt(when, [this] { OnFrameComplete(); });
-  });
-  ar.Event(tail_event_, [this](TimeNs when) {
-    tail_event_ = sim_->ScheduleAt(when, [this] { OnTailExpire(); });
-  });
+  if constexpr (Ar::kLoading) {
+    frame_event_ = sim_->FindPending(target_, kFrameDone, 0);
+    tail_event_ = sim_->FindPending(target_, kTailExpire, 0);
+  }
 }
 
 template void WifiDevice::Serialize(SnapshotWriter&);

@@ -66,7 +66,7 @@ struct WifiConfig {
   DurationNs per_frame_overhead = 180 * kMicrosecond;  // contention + preamble + ACK
 };
 
-class WifiDevice {
+class WifiDevice : public EventTarget {
  public:
   using FrameCallback = std::function<void(const WifiFrameDone&)>;
 
@@ -94,10 +94,15 @@ class WifiDevice {
   const WifiConfig& config() const { return config_; }
   PowerRail* rail() { return rail_; }
 
-  // Snapshot support: queued/in-flight frames, the tail state machine, the
-  // virtualisable power state, and the frame/tail timers.
+  // Snapshot support: queued/in-flight frames, the tail state machine and
+  // the virtualisable power state; the load takes the frame and tail
+  // timers' handles back from the engine.
   template <class Ar>
   void Serialize(Ar& ar);
+
+  // The frame-complete and tail-expiry timers.
+  enum EventKind : uint8_t { kFrameDone, kTailExpire, kEventKinds };
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
 
  private:
   void StartNextFrame();
@@ -106,6 +111,7 @@ class WifiDevice {
   void UpdateRail();
 
   Simulator* sim_;
+  TargetId target_;
   PowerRail* rail_;
   WifiConfig config_;
   WifiPowerState power_state_;

@@ -4,17 +4,26 @@
 
 #include "src/kernel/cpufreq_governor.h"
 #include "src/kernel/kernel.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
 AccelDriver::AccelDriver(Simulator* sim, AccelDevice* device, HwComponent kind,
                          Kernel* kernel, AccelDriverConfig config)
-    : CommandDriver(sim, kind, device, kernel, config), config_(config) {
+    : CommandDriver(sim, kind, device, kernel, config, kAccelEventKinds,
+                    1u << kGovernorTick),
+      config_(config) {
   global_state_.opp = device_->opp_index();
   last_mark_ = sim_->Now();
-  gov_event_ = sim_->ScheduleAfter(config_.governor_period, [this] { OnGovernorTick(); });
+  sim_->ScheduleAfter(config_.governor_period, target_, kGovernorTick);
+}
+
+void AccelDriver::OnEvent(uint8_t kind, uint64_t a, uint64_t b) {
+  if (kind == kGovernorTick) {
+    OnGovernorTick();
+  } else {
+    CommandDriver::OnEvent(kind, a, b);
+  }
 }
 
 void AccelDriver::MarkRunningTime() {
@@ -89,7 +98,7 @@ void AccelDriver::OnGovernorTick() {
   for (auto& [app, l] : queue_.lanes()) {
     judge(app, l.extra.vstate);
   }
-  gov_event_ = sim_->ScheduleAfter(config_.governor_period, [this] { OnGovernorTick(); });
+  sim_->ScheduleAfter(config_.governor_period, target_, kGovernorTick);
 }
 
 template <class Ar>
@@ -121,11 +130,7 @@ void AccelDriver::Serialize(Ar& ar) {
       }
     }
   };
-  SerializeCommands(ar, "accel_driver", state, [&] {
-    ar.Event(gov_event_, [this](TimeNs when) {
-      gov_event_ = sim_->ScheduleAt(when, [this] { OnGovernorTick(); });
-    });
-  });
+  SerializeCommands(ar, "accel_driver", state);
 }
 
 template void AccelDriver::Serialize(SnapshotWriter&);

@@ -67,10 +67,13 @@ class AccelDriver
 
   const AccelDriverConfig& config() const { return config_; }
 
-  // Snapshot support: queues, in-flight commands with their hang watchdogs,
-  // fairness/governor bookkeeping, and all pending driver timers.
+  // Snapshot support: queues, in-flight commands and fairness/governor
+  // bookkeeping (the driver's timers are the engine's records).
   template <class Ar>
   void Serialize(Ar& ar);
+
+  // The governor tick, then the command driver's kinds.
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
 
  private:
   // Balloon-in runs the owner's virtualised operating frequency; balloon-out
@@ -94,8 +97,9 @@ class AccelDriver
   void MarkRunningTime();
   void OnGovernorTick();
 
+  enum : uint8_t { kGovernorTick = kCommandEventKinds, kAccelEventKinds };
+
   AccelDriverConfig config_;
-  EventId gov_event_ = kInvalidEventId;
   AccelPowerState global_state_;
   AppId running_ = kNoApp;  // whose operating point the device runs
   TimeNs busy_since_ = -1;

@@ -14,11 +14,13 @@ constexpr DurationNs kCommandHold = 1 * kMillisecond;
 template <class Device, class Command, class VState>
 CommandDriver<Device, Command, VState>::CommandDriver(
     Simulator* sim, HwComponent kind, Device* device, Kernel* kernel,
-    const CommandDriverConfig& config)
-    : ResourceDomain(sim, kind, config.drain_timeout),
+    const CommandDriverConfig& config, uint8_t event_kinds, uint64_t handles)
+    : ResourceDomain(sim, kind, config.drain_timeout, event_kinds,
+                     handles | 1u << kCommandTimeout),
       device_(device),
       kernel_(kernel),
-      queue_(sim, kCommandRecency, static_cast<double>(config.switch_lead),
+      queue_(sim, std::string(HwComponentName(kind)) + " queue",
+             kCommandRecency, static_cast<double>(config.switch_lead),
              kCommandHold, [this] { Pump(); }),
       limits_(config) {
   device_->set_on_complete([this](const auto& c) {
@@ -154,8 +156,10 @@ void CommandDriver<Device, Command, VState>::DispatchFrom(AppId app) {
   stats_.total_dispatch_latency += lat;
   stats_.max_dispatch_latency = std::max(stats_.max_dispatch_latency, lat);
   device_->Dispatch(p.cmd);
-  in_flight_[p.cmd.id] = p;
-  ArmWatchdogAt(p.cmd.id, sim_->Now() + CommandTimeout(p.cmd));
+  // The watchdog's handle rides in the in-flight record.
+  Pending& held = in_flight_[p.cmd.id] = p;
+  held.watchdog = sim_->ScheduleAfter(CommandTimeout(p.cmd), target_,
+                                      kCommandTimeout, p.cmd.id);
   TrackBusy();
 }
 
@@ -230,13 +234,24 @@ uint64_t CommandDriver<Device, Command, VState>::CompletedFor(AppId app) const {
 }
 
 template <class Device, class Command, class VState>
-void CommandDriver<Device, Command, VState>::ArmWatchdogAt(uint64_t cmd_id,
-                                                           TimeNs when) {
-  // Raw slab event instead of a heap-allocated Watchdog object: the handle
-  // rides in the in-flight record and the whole arm/complete cycle stays
-  // allocation-free.
-  in_flight_.at(cmd_id).watchdog =
-      sim_->ScheduleAt(when, [this, cmd_id] { OnCommandTimeout(cmd_id); });
+void CommandDriver<Device, Command, VState>::OnEvent(uint8_t kind, uint64_t a,
+                                                     uint64_t b) {
+  if (kind == kCommandTimeout) {
+    OnCommandTimeout(a);
+  } else {
+    ResourceDomain::OnEvent(kind, a, b);
+  }
+}
+
+template <class Device, class Command, class VState>
+std::string CommandDriver<Device, Command, VState>::CheckEvent(
+    uint8_t kind, uint64_t a, uint64_t b) const {
+  if (kind != kCommandTimeout) {
+    return ResourceDomain::CheckEvent(kind, a, b);
+  }
+  return in_flight_.count(a) == 0
+             ? "names command " + std::to_string(a) + ", which is not in flight"
+             : std::string();
 }
 
 template <class Device, class Command, class VState>

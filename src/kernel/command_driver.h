@@ -106,19 +106,28 @@ class CommandDriver : public ResourceDomain {
   using Queue = FairQueue<Pending, LaneState>;
   using Lane = typename Queue::Lane;
 
+  // Event kinds past the domain's; a driver numbers its own from
+  // kCommandEventKinds and passes their count and handles on.
+  enum : uint8_t { kCommandTimeout = kDomainEventKinds, kCommandEventKinds };
+
   CommandDriver(Simulator* sim, HwComponent kind, Device* device,
-                Kernel* kernel, const CommandDriverConfig& config);
+                Kernel* kernel, const CommandDriverConfig& config,
+                uint8_t event_kinds = kCommandEventKinds,
+                uint64_t handles = 0);
 
   // Dispatch loop; runs after every submit, completion and wake-up.
   void Pump();
 
+  // The command watchdogs (a: the command id).
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+  std::string CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const override;
+
   // The driver's snapshot section |section|: the common lifecycle layer, the
-  // queues and in-flight commands with their watchdogs, then |state| for the
-  // driver's own fields, the counters and hold timer, then |timers| for the
-  // driver's own timers, then the pump wake-ups.
-  template <class Ar, class StateFn, class TimersFn>
-  void SerializeCommands(Ar& ar, const char* section, StateFn&& state,
-                         TimersFn&& timers);
+  // queues and in-flight commands (each taking its watchdog's handle back
+  // from the engine), then |state| for the driver's own fields, then the
+  // counters.
+  template <class Ar, class StateFn>
+  void SerializeCommands(Ar& ar, const char* section, StateFn&& state);
 
   // --- driver hooks ---
   // Balloon-in: applies |owner|'s virtualised power state before the
@@ -150,7 +159,6 @@ class CommandDriver : public ResourceDomain {
   void OnComplete(const Command& cmd, TimeNs dispatch_time, TimeNs end_time);
 
   // --- fault recovery ---
-  void ArmWatchdogAt(uint64_t cmd_id, TimeNs when);
   // A dispatched command exceeded its completion bound: reset the device and
   // requeue the aborted commands (the hung one with a retry strike).
   void OnCommandTimeout(uint64_t cmd_id);
@@ -172,9 +180,9 @@ class CommandDriver : public ResourceDomain {
 };
 
 template <class Device, class Command, class VState>
-template <class Ar, class StateFn, class TimersFn>
+template <class Ar, class StateFn>
 void CommandDriver<Device, Command, VState>::SerializeCommands(
-    Ar& ar, const char* section, StateFn&& state, TimersFn&& timers) {
+    Ar& ar, const char* section, StateFn&& state) {
   if (!ar.Section(section)) {
     return;
   }
@@ -193,12 +201,13 @@ void CommandDriver<Device, Command, VState>::SerializeCommands(
     ar.U64(l.extra.completed);
     ar.I64(l.last_seen);
   });
-  // In-flight commands in id order; each carries its hang watchdog.
+  // In-flight commands in id order; each has its hang watchdog pending.
   ar.Map(in_flight_, 8, [&](uint64_t& cmd_id, Pending& p) {
     pending(p);
     cmd_id = p.cmd.id;
-    ar.Event(p.watchdog,
-             [this, cmd_id](TimeNs when) { ArmWatchdogAt(cmd_id, when); });
+    if constexpr (Ar::kLoading) {
+      p.watchdog = sim_->FindPending(target_, kCommandTimeout, cmd_id);
+    }
   });
   if constexpr (Ar::kLoading) {
     // The device was restored first. A command it executes that the driver
@@ -228,9 +237,6 @@ void CommandDriver<Device, Command, VState>::SerializeCommands(
   ar.U64(stats_.device_resets);
   ar.U64(stats_.command_retries);
   ar.U64(stats_.commands_failed);
-  queue_.SerializeHold(ar);
-  timers();
-  queue_.SerializeWakeups(ar);
 }
 
 }  // namespace psbox

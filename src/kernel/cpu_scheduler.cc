@@ -6,7 +6,6 @@
 
 #include "src/base/check.h"
 #include "src/kernel/kernel.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -26,7 +25,9 @@ bool CpuScheduler::Core::QueuedLess::operator()(const Entity& a, const Entity& b
 
 CpuScheduler::CpuScheduler(Simulator* sim, CpuDevice* cpu, SchedConfig config,
                            Kernel* kernel)
-    : ResourceDomain(sim, HwComponent::kCpu, /*drain_timeout=*/0),
+    : ResourceDomain(sim, HwComponent::kCpu, /*drain_timeout=*/0,
+                     kSchedulerEventKinds,
+                     1u << kTick | 1u << kCompletion | 1u << kSliceEnd),
       cpu_(cpu), config_(config), kernel_(kernel) {
   const int n = cpu_->num_cores();
   cores_.reserve(static_cast<size_t>(n));
@@ -237,7 +238,7 @@ void CpuScheduler::WakeTask(Task* task) {
 }
 
 void CpuScheduler::Resched(CoreId core) {
-  sim_->ScheduleAfter(0, [this, core] { ReEvaluate(core); });
+  sim_->ScheduleAfter(0, target_, kReEvaluate, static_cast<uint64_t>(core));
 }
 
 void CpuScheduler::ReEvaluate(CoreId core) {
@@ -381,7 +382,8 @@ void CpuScheduler::Schedule(CoreId core) {
     if (!c.rq.empty()) {
       // An ineligible group is waiting (repaying loans or blocked behind
       // another balloon); retry once the competition may have caught up.
-      ScheduleIdleRetryAt(sim_->Now() + config_.tick_period, core);
+      sim_->ScheduleAfter(config_.tick_period, target_, kReEvaluate,
+                          static_cast<uint64_t>(core));
     }
     return;
   }
@@ -440,10 +442,8 @@ void CpuScheduler::ArmTick(CoreId core) {
   if (c.tick_event != kInvalidEventId) {
     return;
   }
-  c.tick_event = sim_->ScheduleAfter(config_.tick_period, [this, core] {
-    cores_[static_cast<size_t>(core)].tick_event = kInvalidEventId;
-    OnTick(core);
-  });
+  c.tick_event = sim_->ScheduleAfter(config_.tick_period, target_, kTick,
+                                     static_cast<uint64_t>(core));
 }
 
 void CpuScheduler::DisarmTick(CoreId core) {
@@ -462,16 +462,14 @@ void CpuScheduler::ArmCompletion(CoreId core) {
   const auto delay = static_cast<DurationNs>(std::ceil(remaining / speed));
   const TimeNs when = sim_->Now() + std::max<DurationNs>(delay, 0);
   if (c.completion_event != kInvalidEventId) {
-    // Frequency change or preemption churn: the completion closure is
+    // Frequency change or preemption churn: the completion record is
     // unchanged, only its deadline moves — take the in-place re-arm path.
     c.completion_event = sim_->Reschedule(c.completion_event, when);
     PSBOX_DCHECK(c.completion_event != kInvalidEventId);
     return;
   }
-  c.completion_event = sim_->ScheduleAt(when, [this, core] {
-    cores_[static_cast<size_t>(core)].completion_event = kInvalidEventId;
-    OnComputeComplete(core);
-  });
+  c.completion_event = sim_->ScheduleAt(when, target_, kCompletion,
+                                        static_cast<uint64_t>(core));
 }
 
 void CpuScheduler::DisarmCompletion(CoreId core) {
@@ -723,15 +721,10 @@ bool CpuScheduler::BoxRetirable(PsboxId box) const {
       return false;
     }
   }
-  for (const IpiEvent& e : ipi_events_) {
-    if (e.group == box && sim_->IsPending(e.event)) {
-      return false;
-    }
-  }
-  for (const NotifyEvent& e : notify_events_) {
-    if (e.group == box && sim_->IsPending(e.event)) {
-      return false;
-    }
+  const auto id = static_cast<uint64_t>(box);
+  if (sim_->FindPending(target_, kIpi, id) != kInvalidEventId ||
+      sim_->FindPending(target_, kOwnedNotify, id) != kInvalidEventId) {
+    return false;
   }
   // Balloon time the governor has not consumed yet still reaches its next
   // sample (ConsumeUtilization's ballooned wall).
@@ -926,27 +919,23 @@ void CpuScheduler::StartBalloon(CoreId initiator, TaskGroup* group) {
   // Arm the shootdown IPIs, the owned-notify, and the slice timer BEFORE
   // joining the initiator: switching the group in can end the balloon
   // synchronously (its only runnable task exits on the switched-in slice),
-  // and EndBalloon can only cancel timers it already knows about. Arming
-  // after the join would leave timers of an already-ended balloon pending —
-  // untracked by any serialiser and orphaned once the group's next balloon
-  // overwrites slice_timer_.
+  // and EndBalloon cancels the timers it finds pending. Arming after the
+  // join would leave timers of an already-ended balloon pending, the slice
+  // timer's orphaned once the group's next balloon overwrites slice_timer_.
   // Task shootdown: IPIs to all other cores (§4.2 step 2).
-  const TimeNs owned_from =
-      num_cores() > 1 ? sim_->Now() + config_.ipi_delay : sim_->Now();
+  const auto box = static_cast<uint64_t>(group->psbox());
   for (CoreId j = 0; j < num_cores(); ++j) {
     if (j == initiator) {
       continue;
     }
     ++stats_.shootdown_ipis;
-    ScheduleIpiAt(sim_->Now() + config_.ipi_delay, j, group);
+    sim_->ScheduleAfter(config_.ipi_delay, target_, kIpi, box,
+                        static_cast<uint64_t>(j));
   }
-  ScheduleOwnedNotifyAt(owned_from, group);
-  group->slice_timer_ = sim_->ScheduleAfter(config_.max_balloon_slice, [this, group] {
-    group->slice_timer_ = kInvalidEventId;
-    if (group->coscheduling_) {
-      EndBalloon(group, /*group_blocked=*/false);
-    }
-  });
+  sim_->ScheduleAfter(num_cores() > 1 ? config_.ipi_delay : 0, target_,
+                      kOwnedNotify, box);
+  group->slice_timer_ =
+      sim_->ScheduleAfter(config_.max_balloon_slice, target_, kSliceEnd, box);
   JoinBalloon(initiator, group);
 }
 
@@ -1047,27 +1036,9 @@ void CpuScheduler::EndBalloon(TaskGroup* group, bool group_blocked) {
   // started another balloon within the delay, a stale IPI would join a core
   // it already holds and a stale notify would double-open the ownership
   // window.
-  const PsboxId ended = group->psbox();
-  std::erase_if(ipi_events_, [&](const IpiEvent& e) {
-    if (!sim_->IsPending(e.event)) {
-      return true;
-    }
-    if (e.group != ended) {
-      return false;
-    }
-    sim_->Cancel(e.event);
-    return true;
-  });
-  std::erase_if(notify_events_, [&](const NotifyEvent& e) {
-    if (!sim_->IsPending(e.event)) {
-      return true;
-    }
-    if (e.group != ended) {
-      return false;
-    }
-    sim_->Cancel(e.event);
-    return true;
-  });
+  const auto ended = static_cast<uint64_t>(group->psbox());
+  sim_->CancelPending(target_, kIpi, ended);
+  sim_->CancelPending(target_, kOwnedNotify, ended);
   if (group->owned_notified_ && kernel_ != nullptr) {
     SwitchPowerState(kNoPsbox);
     NotifyBalloonOut(group->psbox(), sim_->Now());
@@ -1178,40 +1149,78 @@ void CpuScheduler::RemoveFromGroupRunnable(Task* task) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/restore
+// Timers and checkpoint/restore
 // ---------------------------------------------------------------------------
 
-void CpuScheduler::ScheduleIdleRetryAt(TimeNs when, CoreId core) {
-  std::erase_if(retry_events_,
-                [this](const RetryEvent& e) { return !sim_->IsPending(e.event); });
-  retry_events_.push_back(
-      {core, sim_->ScheduleAt(when, [this, core] { ReEvaluate(core); })});
+void CpuScheduler::OnEvent(uint8_t kind, uint64_t a, uint64_t b) {
+  const auto core = static_cast<CoreId>(a);
+  switch (kind) {
+    case kReEvaluate:
+      ReEvaluate(core);
+      return;
+    case kTick:
+      cores_[static_cast<size_t>(core)].tick_event = kInvalidEventId;
+      OnTick(core);
+      return;
+    case kCompletion:
+      cores_[static_cast<size_t>(core)].completion_event = kInvalidEventId;
+      OnComputeComplete(core);
+      return;
+    case kSliceEnd: {
+      TaskGroup& g = *groups_.at(static_cast<PsboxId>(a));
+      g.slice_timer_ = kInvalidEventId;
+      if (g.coscheduling_) {
+        EndBalloon(&g, /*group_blocked=*/false);
+      }
+      return;
+    }
+    case kIpi: {
+      TaskGroup& g = *groups_.at(static_cast<PsboxId>(a));
+      if (g.coscheduling_) {
+        JoinBalloon(static_cast<CoreId>(b), &g);
+      }
+      return;
+    }
+    case kOwnedNotify: {
+      TaskGroup& g = *groups_.at(static_cast<PsboxId>(a));
+      if (g.coscheduling_ && kernel_ != nullptr) {
+        g.owned_notified_ = true;
+        SwitchPowerState(g.psbox());
+        NotifyBalloonIn(g.psbox(), sim_->Now());
+        RecordEdge(BalloonEdge::Kind::kServe, g.app(), g.psbox());
+      }
+      return;
+    }
+    default:
+      ResourceDomain::OnEvent(kind, a, b);
+  }
 }
 
-void CpuScheduler::ScheduleIpiAt(TimeNs when, CoreId core, TaskGroup* group) {
-  std::erase_if(ipi_events_,
-                [this](const IpiEvent& e) { return !sim_->IsPending(e.event); });
-  ipi_events_.push_back({core, group->psbox(),
-                         sim_->ScheduleAt(when, [this, core, group] {
-                           if (group->coscheduling_) {
-                             JoinBalloon(core, group);
-                           }
-                         })});
-}
-
-void CpuScheduler::ScheduleOwnedNotifyAt(TimeNs when, TaskGroup* group) {
-  std::erase_if(notify_events_, [this](const NotifyEvent& e) {
-    return !sim_->IsPending(e.event);
-  });
-  notify_events_.push_back(
-      {group->psbox(), sim_->ScheduleAt(when, [this, group, when] {
-         if (group->coscheduling_ && kernel_ != nullptr) {
-           group->owned_notified_ = true;
-           SwitchPowerState(group->psbox());
-           NotifyBalloonIn(group->psbox(), when);
-           RecordEdge(BalloonEdge::Kind::kServe, group->app(), group->psbox());
-         }
-       })});
+std::string CpuScheduler::CheckEvent(uint8_t kind, uint64_t a,
+                                     uint64_t b) const {
+  const auto cores = static_cast<uint64_t>(num_cores());
+  const auto core_bad = [cores](uint64_t core) {
+    return core >= cores ? "names core " + std::to_string(core) + " of " +
+                               std::to_string(cores)
+                         : std::string();
+  };
+  switch (kind) {
+    case kReEvaluate:
+    case kTick:
+    case kCompletion:
+      return core_bad(a);
+    case kSliceEnd:
+    case kIpi:
+    case kOwnedNotify:
+      if (a != static_cast<uint64_t>(static_cast<PsboxId>(a)) ||
+          groups_.count(static_cast<PsboxId>(a)) == 0) {
+        return "names box " + std::to_string(a) +
+               ", which has no scheduler group";
+      }
+      return kind == kIpi ? core_bad(b) : std::string();
+    default:
+      return ResourceDomain::CheckEvent(kind, a, b);
+  }
 }
 
 template <class Ar>
@@ -1237,25 +1246,6 @@ void CpuScheduler::Serialize(Ar& ar) {
     ar.I64(box);
     if constexpr (Ar::kLoading) {
       g = ar.ok() && box != kNoPsbox ? find_group(box, unknown) : nullptr;
-    }
-  };
-  // The box of a group a tracked timer acts on.
-  auto group_id = [&](PsboxId& box, const char* unknown) {
-    ar.I64(box);
-    if constexpr (Ar::kLoading) {
-      if (ar.ok()) {
-        find_group(box, unknown);
-      }
-    }
-  };
-  // A core a tracked timer acts on.
-  auto core_id = [&](CoreId& core, const char* what) {
-    ar.I64(core);
-    if constexpr (Ar::kLoading) {
-      if (ar.ok() && (core < 0 || core >= num_cores())) {
-        ar.Fail(std::string("snapshot ") + what + " core " +
-                std::to_string(core) + " out of range");
-      }
     }
   };
   auto member = [&](Task*& t) {
@@ -1289,15 +1279,9 @@ void CpuScheduler::Serialize(Ar& ar) {
       ar.Seq(pc.runnable, 8, member);
     });
     ar.Seq(g->members_, 8, member);
-    ar.Event(g->slice_timer_, [this, g](TimeNs when) {
-      g->slice_timer_ = sim_->ScheduleAt(when, [this, g] {
-        g->slice_timer_ = kInvalidEventId;
-        if (g->coscheduling_) {
-          EndBalloon(g, /*group_blocked=*/false);
-        }
-      });
-    });
     if constexpr (Ar::kLoading) {
+      g->slice_timer_ = sim_->FindPending(target_, kSliceEnd,
+                                          static_cast<uint64_t>(g->psbox_));
       for (Task* t : g->members_) {
         t->group = g;
       }
@@ -1350,21 +1334,11 @@ void CpuScheduler::Serialize(Ar& ar) {
     ar.F64(c.min_vruntime);
     ar.I64(c.busy_outside);
     c.schedule_trace.Serialize(ar);
-    ar.Event(c.tick_event, [this, core](TimeNs when) {
-      cores_[static_cast<size_t>(core)].tick_event =
-          sim_->ScheduleAt(when, [this, core] {
-            cores_[static_cast<size_t>(core)].tick_event = kInvalidEventId;
-            OnTick(core);
-          });
-    });
-    ar.Event(c.completion_event, [this, core](TimeNs when) {
-      cores_[static_cast<size_t>(core)].completion_event =
-          sim_->ScheduleAt(when, [this, core] {
-            cores_[static_cast<size_t>(core)].completion_event =
-                kInvalidEventId;
-            OnComputeComplete(core);
-          });
-    });
+    if constexpr (Ar::kLoading) {
+      const auto id = static_cast<uint64_t>(core);
+      c.tick_event = sim_->FindPending(target_, kTick, id);
+      c.completion_event = sim_->FindPending(target_, kCompletion, id);
+    }
   });
   ar.U64(stats_.context_switches);
   ar.U64(stats_.shootdown_ipis);
@@ -1380,25 +1354,6 @@ void CpuScheduler::Serialize(Ar& ar) {
   ar.Map(wake_time_, 16, [&](TaskId& task_id, TimeNs& when) {
     ar.U64(task_id);
     ar.I64(when);
-  });
-  ar.PendingEvents(retry_events_, 18, [&](RetryEvent& e) {
-    core_id(e.core, "scheduler retry event");
-    ar.Event(e.event, [this, core = e.core](TimeNs when) {
-      ScheduleIdleRetryAt(when, core);
-    });
-  });
-  ar.PendingEvents(ipi_events_, 26, [&](IpiEvent& e) {
-    core_id(e.core, "scheduler IPI event");
-    group_id(e.group, "scheduler IPI event references unknown group");
-    ar.Event(e.event, [this, core = e.core, box = e.group](TimeNs when) {
-      ScheduleIpiAt(when, core, groups_.at(box).get());
-    });
-  });
-  ar.PendingEvents(notify_events_, 18, [&](NotifyEvent& e) {
-    group_id(e.group, "scheduler notify event references unknown group");
-    ar.Event(e.event, [this, box = e.group](TimeNs when) {
-      ScheduleOwnedNotifyAt(when, groups_.at(box).get());
-    });
   });
 }
 

@@ -186,15 +186,31 @@ class CpuScheduler : public ResourceDomain {
   // Telemetry retention: also trims the per-core schedule traces.
   void TrimTelemetry(TimeNs horizon) override;
 
-  // Snapshot support: groups, per-core runqueues and occupancy, utilisation
-  // windows, and every pending scheduler timer (ticks, completions, IPIs,
-  // slice timers, idle retries). Requires the groups to have been recreated
-  // (via BindBox) and the tasks restored before the call; a group travels
-  // as its box id.
+  // Snapshot support: groups, per-core runqueues and occupancy and
+  // utilisation windows; the load takes the tick, completion and slice
+  // timers' handles back from the engine. Requires the groups to have been
+  // recreated (via BindBox) and the tasks restored before the call; a group
+  // travels as its box id.
   template <class Ar>
   void Serialize(Ar& ar);
 
+  // The scheduler's timers (see EventKind), then the domain's kinds.
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+  std::string CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const override;
+
  private:
+  // Event kinds past the domain's. a names a core, or a box for the group
+  // timers; an IPI's b is the core it joins.
+  enum EventKind : uint8_t {
+    kReEvaluate = kDomainEventKinds,  // a rescheduling point or idle retry
+    kTick,
+    kCompletion,
+    kSliceEnd,     // the balloon slice cap
+    kIpi,          // a task-shootdown IPI reaching core b
+    kOwnedNotify,  // every core owned: the balloon-in edge
+    kSchedulerEventKinds
+  };
+
   friend class Kernel;
 
   // An entry in a core runqueue: either a plain task or a group entity.
@@ -291,13 +307,6 @@ class CpuScheduler : public ResourceDomain {
   void RemoveFromGroupRunnable(Task* task);
   double ClampVruntime(CoreId core, double vr) const;
 
-  // --- checkpoint plumbing ---
-  // Tracked wrappers around the scheduler's loose timers so checkpoints can
-  // re-arm them; each prunes already-fired entries before appending.
-  void ScheduleIdleRetryAt(TimeNs when, CoreId core);
-  void ScheduleIpiAt(TimeNs when, CoreId core, TaskGroup* group);
-  void ScheduleOwnedNotifyAt(TimeNs when, TaskGroup* group);
-
   CpuDevice* cpu_;
   SchedConfig config_;
   Kernel* kernel_;
@@ -311,24 +320,6 @@ class CpuScheduler : public ResourceDomain {
   std::map<PsboxId, BalloonUtil> balloon_util_;
   // Wake timestamps for latency accounting.
   std::unordered_map<TaskId, TimeNs> wake_time_;
-
-  // Tracked loose timers (see the Schedule*At wrappers above).
-  struct RetryEvent {
-    CoreId core;
-    EventId event;
-  };
-  std::vector<RetryEvent> retry_events_;
-  struct IpiEvent {
-    CoreId core;
-    PsboxId group;
-    EventId event;
-  };
-  std::vector<IpiEvent> ipi_events_;
-  struct NotifyEvent {
-    PsboxId group;
-    EventId event;
-  };
-  std::vector<NotifyEvent> notify_events_;
 };
 
 }  // namespace psbox

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/base/check.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -21,14 +20,27 @@ int OndemandNextOpp(int opp, double util, double up, double down, int num_opps) 
 
 CpufreqGovernor::CpufreqGovernor(Simulator* sim, CpuScheduler* sched, CpuDevice* cpu,
                                  GovernorConfig config)
-    : sim_(sim), sched_(sched), cpu_(cpu), config_(config) {}
+    : sim_(sim),
+      target_(sim->AddTarget(this, {"cpu governor", kEventKinds,
+                                    1 << kSample | 1 << kRetry})),
+      sched_(sched),
+      cpu_(cpu),
+      config_(config) {}
 
 void CpufreqGovernor::Start() {
-  sample_event_ = sim_->ScheduleAfter(config_.sample_period, [this] { OnSample(); });
+  sim_->ScheduleAfter(config_.sample_period, target_, kSample);
+}
+
+void CpufreqGovernor::OnEvent(uint8_t kind, uint64_t /*a*/, uint64_t /*b*/) {
+  if (kind == kSample) {
+    OnSample();
+  } else {
+    retry_event_ = kInvalidEventId;
+    sched_->SetOpp(OppOf(running_));
+  }
 }
 
 void CpufreqGovernor::OnSample() {
-  sample_event_ = kInvalidEventId;
   const CpuScheduler::UtilizationSample sample = sched_->ConsumeUtilization();
   const auto next = [&](int opp, double util) {
     return OndemandNextOpp(opp, util, config_.up_threshold,
@@ -46,7 +58,7 @@ void CpufreqGovernor::OnSample() {
     }
   }
   ApplyOpp(OppOf(running_));
-  sample_event_ = sim_->ScheduleAfter(config_.sample_period, [this] { OnSample(); });
+  sim_->ScheduleAfter(config_.sample_period, target_, kSample);
 }
 
 void CpufreqGovernor::ApplyOpp(int opp) {
@@ -58,15 +70,9 @@ void CpufreqGovernor::ApplyOpp(int opp) {
   // if the retry fails too.
   ++transition_retries_;
   if (retry_event_ == kInvalidEventId) {
-    ArmRetryAt(sim_->Now() + config_.transition_retry_delay);
+    retry_event_ =
+        sim_->ScheduleAfter(config_.transition_retry_delay, target_, kRetry);
   }
-}
-
-void CpufreqGovernor::ArmRetryAt(TimeNs when) {
-  retry_event_ = sim_->ScheduleAt(when, [this] {
-    retry_event_ = kInvalidEventId;
-    sched_->SetOpp(OppOf(running_));
-  });
 }
 
 void CpufreqGovernor::BindBox(PsboxId box) { box_opp_.emplace(box, 0); }
@@ -123,11 +129,8 @@ void CpufreqGovernor::Serialize(Ar& ar) {
       ar.Fail("CPU governor runs box " + std::to_string(running_) +
               ", which has no OPP, in snapshot");
     }
+    retry_event_ = sim_->FindPending(target_, kRetry, 0);
   }
-  ar.Event(sample_event_, [this](TimeNs when) {
-    sample_event_ = sim_->ScheduleAt(when, [this] { OnSample(); });
-  });
-  ar.Event(retry_event_, [this](TimeNs when) { ArmRetryAt(when); });
 }
 
 template void CpufreqGovernor::Serialize(SnapshotWriter&);

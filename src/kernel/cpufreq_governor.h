@@ -39,7 +39,7 @@ struct GovernorConfig {
 // (the gradual decay is the lingering power state), in between hold.
 int OndemandNextOpp(int opp, double util, double up, double down, int num_opps);
 
-class CpufreqGovernor {
+class CpufreqGovernor : public EventTarget {
  public:
   CpufreqGovernor(Simulator* sim, CpuScheduler* sched, CpuDevice* cpu,
                   GovernorConfig config);
@@ -64,22 +64,27 @@ class CpufreqGovernor {
   // Frequency transitions that failed at the hardware and were retried.
   uint64_t transition_retries() const { return transition_retries_; }
 
-  // Snapshot support: every principal's OPP, the running one, and the
-  // sample/retry timers. Requires the live boxes to have been bound again
-  // (CpuScheduler::BindBox) before the call.
+  // Snapshot support: every principal's OPP and the running one; the load
+  // takes the retry timer's handle back from the engine. Requires the live
+  // boxes to have been bound again (CpuScheduler::BindBox) before the call.
   template <class Ar>
   void Serialize(Ar& ar);
 
+  // The sampling tick and the transition retry.
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+
  private:
+  enum EventKind : uint8_t { kSample, kRetry, kEventKinds };
+
   void OnSample();
   int& OppOf(PsboxId box) {
     return box == kNoPsbox ? global_opp_ : box_opp_.at(box);
   }
   // Applies |opp|; on hardware failure schedules a one-shot retry.
   void ApplyOpp(int opp);
-  void ArmRetryAt(TimeNs when);
 
   Simulator* sim_;
+  TargetId target_;
   CpuScheduler* sched_;
   CpuDevice* cpu_;
   GovernorConfig config_;
@@ -87,7 +92,6 @@ class CpufreqGovernor {
   std::map<PsboxId, int> box_opp_;
   PsboxId running_ = kNoPsbox;
   uint64_t transition_retries_ = 0;
-  EventId sample_event_ = kInvalidEventId;
   EventId retry_event_ = kInvalidEventId;
 };
 

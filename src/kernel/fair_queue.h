@@ -16,6 +16,9 @@
 // Retirement bounds the lanes by live apps, and a pick scans 1-12 of them
 // in the benchmark fleets, so every pick is a plain scan of the id-ordered
 // map.
+//
+// The queue is its own event target: the hold retry and the driver's
+// deferred pump wake-ups are its records.
 
 #ifndef SRC_KERNEL_FAIR_QUEUE_H_
 #define SRC_KERNEL_FAIR_QUEUE_H_
@@ -25,8 +28,8 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "src/base/types.h"
 #include "src/sim/simulator.h"
@@ -34,7 +37,7 @@
 namespace psbox {
 
 template <class Item, class Extra>
-class FairQueue {
+class FairQueue : public EventTarget {
  public:
   struct Lane {
     std::deque<Item> q;
@@ -61,17 +64,20 @@ class FairQueue {
     AppId app = kNoApp;
   };
 
-  // |window|: how recently a competitor must have been seen to count
-  // (inclusive); |lead|: how far a sandboxed app may lead it; |hold|: the
-  // retry delay of a held device; |pump|: the driver's dispatch loop, which
-  // the hold and wake-up timers run.
-  FairQueue(Simulator* sim, DurationNs window, double lead, DurationNs hold,
-            std::function<void()> pump)
-      : sim_(sim), window_(window), lead_(lead), hold_(hold),
+  // |name| names the queue's event target; |window|: how recently a
+  // competitor must have been seen to count (inclusive); |lead|: how far a
+  // sandboxed app may lead it; |hold|: the retry delay of a held device;
+  // |pump|: the driver's dispatch loop, which the hold and wake-up timers
+  // run.
+  FairQueue(Simulator* sim, std::string name, DurationNs window, double lead,
+            DurationNs hold, std::function<void()> pump)
+      : sim_(sim),
+        target_(sim->AddTarget(this, {std::move(name), kEventKinds,
+                                      1 << kHoldRetry})),
+        window_(window),
+        lead_(lead),
+        hold_(hold),
         pump_(std::move(pump)) {}
-  // The timers capture this queue's address.
-  FairQueue(const FairQueue&) = delete;
-  FairQueue& operator=(const FairQueue&) = delete;
 
   Lane& operator[](AppId app) { return lanes_[app]; }
   const Lane* Find(AppId app) const {
@@ -133,21 +139,23 @@ class FairQueue {
   // unless a retry is already armed.
   void Hold() {
     if (hold_event_ == kInvalidEventId) {
-      ArmHoldAt(sim_->Now() + hold_);
+      hold_event_ = sim_->ScheduleAfter(hold_, target_, kHoldRetry);
     }
   }
 
-  // Runs the pump at |when|, tracked so checkpoints can re-arm it.
-  void PumpAt(TimeNs when) {
-    // Prune fired entries so the list stays small and checkpoints only see
-    // genuinely pending wake-ups.
-    std::erase_if(pump_events_,
-                  [this](EventId e) { return !sim_->IsPending(e); });
-    pump_events_.push_back(sim_->ScheduleAt(when, [this] { pump_(); }));
+  // Runs the pump at |when| (a min-grant, idle-release or tail expiry).
+  void PumpAt(TimeNs when) { sim_->ScheduleAt(when, target_, kPump); }
+
+  void OnEvent(uint8_t kind, uint64_t /*a*/, uint64_t /*b*/) override {
+    if (kind == kHoldRetry) {
+      hold_event_ = kInvalidEventId;
+    }
+    pump_();
   }
 
   // Every lane in id order: the app id, the items, the fairness state, then
-  // |tail| writes the driver's fields.
+  // |tail| writes the driver's fields. The load takes the hold retry's
+  // handle back from the engine.
   template <class Ar, class ItemFn, class TailFn>
   void SerializeLanes(Ar& ar, ItemFn&& item, TailFn&& tail) {
     ar.Map(lanes_, 8, [&](AppId& app, Lane& l) {
@@ -158,16 +166,9 @@ class FairQueue {
       ar.I64(l.box);
       tail(l);
     });
-  }
-  template <class Ar>
-  void SerializeHold(Ar& ar) {
-    ar.Event(hold_event_, [this](TimeNs when) { ArmHoldAt(when); });
-  }
-  template <class Ar>
-  void SerializeWakeups(Ar& ar) {
-    ar.PendingEvents(pump_events_, 10, [&](EventId& e) {
-      ar.Event(e, [this](TimeNs when) { PumpAt(when); });
-    });
+    if constexpr (Ar::kLoading) {
+      hold_event_ = sim_->FindPending(target_, kHoldRetry, 0);
+    }
   }
 
  private:
@@ -191,23 +192,16 @@ class FairQueue {
     }
     return best;
   }
-  void ArmHoldAt(TimeNs when) {
-    hold_event_ = sim_->ScheduleAt(when, [this] {
-      hold_event_ = kInvalidEventId;
-      pump_();
-    });
-  }
+  enum EventKind : uint8_t { kHoldRetry, kPump, kEventKinds };
 
   Simulator* sim_;
+  TargetId target_;
   DurationNs window_;
   double lead_;
   DurationNs hold_;
   std::function<void()> pump_;
   std::map<AppId, Lane> lanes_;
   EventId hold_event_ = kInvalidEventId;
-  // Outstanding deferred pump wake-ups (min-grant, idle-release and tail
-  // expiry).
-  std::vector<EventId> pump_events_;
 };
 
 }  // namespace psbox

@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <unordered_set>
 
 #include "src/base/check.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
 Kernel::Kernel(Board* board, KernelConfig config)
-    : board_(board), config_(config) {
+    : board_(board),
+      target_(board->sim().AddTarget(this, {"kernel", kEventKinds, 1 << kTrim})),
+      config_(config) {
   scheduler_ = std::make_unique<CpuScheduler>(&board_->sim(), &board_->cpu(),
                                               config_.sched, this);
   governor_ = std::make_unique<CpufreqGovernor>(&board_->sim(), scheduler_.get(),
@@ -49,16 +49,32 @@ Kernel::Kernel(Board* board, KernelConfig config)
 }
 
 void Kernel::ArmTelemetryTrim() {
-  ArmTelemetryTrimAt(board_->sim().Now() +
-                     std::max<DurationNs>(1, config_.telemetry_retention / 2));
+  board_->sim().ScheduleAfter(
+      std::max<DurationNs>(1, config_.telemetry_retention / 2), target_, kTrim);
 }
 
-void Kernel::ArmTelemetryTrimAt(TimeNs when) {
-  trim_event_ = board_->sim().ScheduleAt(when, [this] {
-    trim_event_ = kInvalidEventId;
+void Kernel::OnEvent(uint8_t kind, uint64_t a, uint64_t /*b*/) {
+  if (kind == kTrim) {
     TrimTelemetry(Now() - config_.telemetry_retention);
     ArmTelemetryTrim();
-  });
+    return;
+  }
+  Task* task = TaskById(static_cast<TaskId>(a));
+  PSBOX_CHECK(task != nullptr);
+  if (task->state() == TaskState::kBlocked) {
+    scheduler_->WakeTask(task);
+  }
+}
+
+std::string Kernel::CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const {
+  if (kind != kWake) {
+    return EventTarget::CheckEvent(kind, a, b);
+  }
+  if (a != static_cast<uint64_t>(static_cast<TaskId>(a)) ||
+      TaskById(static_cast<TaskId>(a)) == nullptr) {
+    return "names task " + std::to_string(a) + ", which does not exist";
+  }
+  return {};
 }
 
 TimeNs Kernel::TrimTelemetry(TimeNs desired) {
@@ -95,13 +111,6 @@ void Kernel::RetireFinishedApps(TimeNs horizon) {
   }
   // Activity at or after the cutoff may still be seen by a later decision.
   const TimeNs cutoff = std::min(horizon, Now());
-  // A pending wake timer holds its task (the closure wakes it).
-  std::unordered_set<TaskId> waking;
-  for (const auto& [task, event] : wake_events_) {
-    if (board_->sim().IsPending(event)) {
-      waking.insert(task);
-    }
-  }
   const auto retirable = [&](AppId app) {
     const AppRecord& rec = App(app);
     if (rec.live_tasks > 0 || rec.exited_at < 0 || rec.exited_at >= cutoff) {
@@ -111,8 +120,11 @@ void Kernel::RetireFinishedApps(TimeNs horizon) {
     if (rx != rx_waiters_.end() && !rx->second.empty()) {
       return false;
     }
+    // A pending wake timer names its task.
     for (const Task* t : rec.tasks) {
-      if (waking.count(t->id()) > 0) {
+      if (board_->sim().FindPending(target_, kWake,
+                                    static_cast<uint64_t>(t->id())) !=
+          kInvalidEventId) {
         return false;
       }
     }
@@ -193,7 +205,7 @@ const Kernel::AppRecord& Kernel::App(AppId app) const {
   return *rec;
 }
 
-Task* Kernel::TaskById(TaskId id) {
+Task* Kernel::TaskById(TaskId id) const {
   auto it = std::lower_bound(
       tasks_.begin(), tasks_.end(), id,
       [](const std::unique_ptr<Task>& t, TaskId v) { return t->id() < v; });
@@ -282,19 +294,8 @@ AccelDriver& Kernel::DriverFor(HwComponent hw) {
 }
 
 void Kernel::ScheduleTaskWake(Task* task, DurationNs delay) {
-  ScheduleTaskWakeAt(task, board_->sim().Now() + delay);
-}
-
-void Kernel::ScheduleTaskWakeAt(Task* task, TimeNs when) {
-  std::erase_if(wake_events_, [this](const std::pair<TaskId, EventId>& we) {
-    return !board_->sim().IsPending(we.second);
-  });
-  wake_events_.emplace_back(
-      task->id(), board_->sim().ScheduleAt(when, [this, task] {
-        if (task->state() == TaskState::kBlocked) {
-          scheduler_->WakeTask(task);
-        }
-      }));
+  board_->sim().ScheduleAfter(delay, target_, kWake,
+                              static_cast<uint64_t>(task->id()));
 }
 
 void Kernel::HandleSubmitAccel(Task* task, const Action& action) {
@@ -456,14 +457,6 @@ void Kernel::Serialize(Ar& ar) {
   });
   ar.I64(last_trim_horizon_);
   ledger_.Serialize(ar);
-  ar.Event(trim_event_, [this](TimeNs when) { ArmTelemetryTrimAt(when); });
-  ar.PendingEvents(wake_events_, 18, [&](std::pair<TaskId, EventId>& wake) {
-    Task* t = TaskById(wake.first);
-    ar.TaskRef(t, *this, "wake timer references unknown task in snapshot",
-               /*nullable=*/false);
-    ar.Event(wake.second,
-             [this, t](TimeNs when) { ScheduleTaskWakeAt(t, when); });
-  });
   scheduler_->Serialize(ar);
   governor_->Serialize(ar);
   gpu_driver_->Serialize(ar);

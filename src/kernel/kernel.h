@@ -59,7 +59,7 @@ struct KernelConfig {
   DurationNs telemetry_retention = 0;
 };
 
-class Kernel {
+class Kernel : public EventTarget {
  public:
   explicit Kernel(Board* board, KernelConfig config = {});
   ~Kernel();
@@ -83,7 +83,7 @@ class Kernel {
   uint64_t retired_apps() const { return retired_apps_; }
   // Live task with the given id; nullptr for unknown or retired ids.
   // Snapshot restore uses this to resolve saved task references.
-  Task* TaskById(TaskId id);
+  Task* TaskById(TaskId id) const;
 
   // --- subsystem access ---------------------------------------------------
   Board& board() { return *board_; }
@@ -180,16 +180,18 @@ class Kernel {
   template <class Ar>
   void Serialize(Ar& ar);
 
+  // The periodic trim and task wake timers (a: the task id).
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+  std::string CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const override;
+
  private:
+  enum EventKind : uint8_t { kTrim, kWake, kEventKinds };
+
   // Binds |domain| into the registry slot for its component and attaches the
   // usage ledger.
   void RegisterDomain(ResourceDomain* domain);
   // Self-rescheduling periodic trim tick (armed when retention is on).
   void ArmTelemetryTrim();
-  void ArmTelemetryTrimAt(TimeNs when);
-  // Tracked body of ScheduleTaskWake; prunes fired entries so checkpoints
-  // can enumerate the live wake timers.
-  void ScheduleTaskWakeAt(Task* task, TimeNs when);
 
   struct AppRecord {
     AppId id = kNoApp;
@@ -212,6 +214,7 @@ class Kernel {
   void RetireApp(AppId app);
 
   Board* board_;
+  TargetId target_;
   KernelConfig config_;
   UsageLedger ledger_;
   std::unique_ptr<CpuScheduler> scheduler_;
@@ -237,10 +240,6 @@ class Kernel {
   uint64_t retired_apps_ = 0;
   TimeNs last_trim_horizon_ = 0;
 
-  // Checkpoint plumbing: the periodic trim tick, outstanding task-wake
-  // timers (fired entries pruned lazily), and the restore-mode flag.
-  EventId trim_event_ = kInvalidEventId;
-  std::vector<std::pair<TaskId, EventId>> wake_events_;
   bool restoring_ = false;
 };
 

@@ -4,7 +4,6 @@
 
 #include "src/base/check.h"
 #include "src/kernel/kernel.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -15,10 +14,12 @@ constexpr DurationNs kNetRecency = 200 * kMillisecond;
 constexpr DurationNs kNetHold = 2 * kMillisecond;
 
 NetStack::NetStack(Simulator* sim, WifiDevice* device, Kernel* kernel, NetConfig config)
-    : ResourceDomain(sim, HwComponent::kWifi, config.drain_timeout),
+    : ResourceDomain(sim, HwComponent::kWifi, config.drain_timeout,
+                     kNetEventKinds, 1u << kRetransmit),
       device_(device), kernel_(kernel), config_(config),
-      socks_(sim, kNetRecency, static_cast<double>(config.switch_lead_bytes),
-             kNetHold, [this] { Pump(); }) {
+      socks_(sim, "wifi queue", kNetRecency,
+             static_cast<double>(config.switch_lead_bytes), kNetHold,
+             [this] { Pump(); }) {
   device_->set_on_frame_done([this](const WifiFrameDone& d) { OnFrameDone(d); });
 }
 
@@ -60,17 +61,13 @@ bool NetStack::Retirable(AppId app, TimeNs cutoff) const {
       return false;
     }
   }
-  for (const auto& [frame_id, retx] : pending_retx_) {
-    if (retx.pkt.frame.app == app) {
+  for (const auto& [frame_id, p] : pending_retx_) {
+    if (p.frame.app == app) {
       return false;
     }
   }
-  for (const RxInject& e : rx_events_) {
-    if (e.app == app && sim_->IsPending(e.event)) {
-      return false;
-    }
-  }
-  return true;
+  return sim_->FindPending(target_, kRxInject, static_cast<uint64_t>(app)) ==
+         kInvalidEventId;
 }
 
 void NetStack::DispatchFrom(AppId app) {
@@ -245,9 +242,9 @@ void NetStack::OnFrameDone(const WifiFrameDone& done) {
     const size_t resp_bytes = p.resp_bytes;
     const AppId app = done.frame.app;
     for (int i = 0; i < p.resp_count; ++i) {
-      ScheduleRxInject(
-          sim_->Now() + std::max<DurationNs>(p.resp_delay, 0) * (i + 1), app,
-          resp_bytes);
+      sim_->ScheduleAfter(std::max<DurationNs>(p.resp_delay, 0) * (i + 1),
+                          target_, kRxInject, static_cast<uint64_t>(app),
+                          resp_bytes);
       kernel_->ExpectRx(p.task, resp_bytes);
     }
     // The task's in-flight unit is retired when the last chunk lands.
@@ -278,34 +275,44 @@ void NetStack::HandleTxLoss(SockPacket p) {
   }
   backoff = std::min(backoff, config_.retransmit_backoff_cap);
   ++stats_.tx_retransmits;
-  ScheduleRetx(sim_->Now() + backoff, p);
+  pending_retx_[p.frame.id] = p;
+  sim_->ScheduleAfter(backoff, target_, kRetransmit, p.frame.id);
 }
 
-void NetStack::ScheduleRetx(TimeNs when, const SockPacket& p) {
-  pending_retx_[p.frame.id].pkt = p;
-  ArmRetx(p.frame.id, when);
+void NetStack::OnEvent(uint8_t kind, uint64_t a, uint64_t b) {
+  switch (kind) {
+    case kRetransmit: {
+      auto it = pending_retx_.find(a);
+      PSBOX_CHECK(it != pending_retx_.end());
+      const SockPacket p = it->second;
+      pending_retx_.erase(it);
+      socks_[p.frame.app].q.push_front(p);
+      Pump();
+      return;
+    }
+    case kRxInject:
+      InjectRx(static_cast<AppId>(a), static_cast<size_t>(b));
+      return;
+    default:
+      ResourceDomain::OnEvent(kind, a, b);
+  }
 }
 
-void NetStack::ArmRetx(uint64_t frame_id, TimeNs when) {
-  pending_retx_.at(frame_id).event = sim_->ScheduleAt(when, [this, frame_id] {
-    auto it = pending_retx_.find(frame_id);
-    PSBOX_CHECK(it != pending_retx_.end());
-    const SockPacket pkt = it->second.pkt;
-    pending_retx_.erase(it);
-    socks_[pkt.frame.app].q.push_front(pkt);
-    Pump();
-  });
-}
-
-void NetStack::ScheduleRxInject(TimeNs when, AppId app, size_t bytes) {
-  std::erase_if(rx_events_,
-                [this](const RxInject& e) { return !sim_->IsPending(e.event); });
-  RxInject inj;
-  inj.app = app;
-  inj.bytes = bytes;
-  inj.event =
-      sim_->ScheduleAt(when, [this, app, bytes] { InjectRx(app, bytes); });
-  rx_events_.push_back(inj);
+std::string NetStack::CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const {
+  switch (kind) {
+    case kRetransmit:
+      return pending_retx_.count(a) == 0
+                 ? "names frame " + std::to_string(a) +
+                       ", which awaits no retransmit"
+                 : std::string();
+    case kRxInject:
+      return a != static_cast<uint64_t>(static_cast<AppId>(a)) ||
+                     socks_.Find(static_cast<AppId>(a)) == nullptr
+                 ? "names app " + std::to_string(a) + ", which has no socket"
+                 : std::string();
+    default:
+      return ResourceDomain::CheckEvent(kind, a, b);
+  }
 }
 
 void NetStack::DeliverSocketError(const SockPacket& p) {
@@ -398,20 +405,10 @@ void NetStack::Serialize(Ar& ar) {
   ar.U64(stats_.tx_retransmits);
   ar.U64(stats_.tx_failed);
   ar.U64(stats_.socket_errors);
-  socks_.SerializeHold(ar);
-  ar.Map(pending_retx_, 16, [&](uint64_t& id, PendingRetx& pr) {
-    packet(pr.pkt);
-    id = pr.pkt.frame.id;
-    ar.Event(pr.event, [this, id](TimeNs when) { ArmRetx(id, when); });
+  ar.Map(pending_retx_, 16, [&](uint64_t& id, SockPacket& p) {
+    packet(p);
+    id = p.frame.id;
   });
-  ar.PendingEvents(rx_events_, 16, [&](RxInject& inj) {
-    ar.I64(inj.app);
-    ar.U64(inj.bytes);
-    ar.Event(inj.event, [this, app = inj.app, bytes = inj.bytes](TimeNs when) {
-      ScheduleRxInject(when, app, static_cast<size_t>(bytes));
-    });
-  });
-  socks_.SerializeWakeups(ar);
 }
 
 template void NetStack::Serialize(SnapshotWriter&);

@@ -17,6 +17,7 @@
 #define SRC_KERNEL_NET_STACK_H_
 
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -89,10 +90,15 @@ class NetStack : public ResourceDomain {
   size_t BytesDelivered(AppId app) const;
   uint64_t SocketErrors(AppId app) const;
 
-  // Snapshot support: sockets, in-flight TX, retransmit backlog, expected RX
-  // injections, and all pending stack timers.
+  // Snapshot support: sockets, in-flight TX and the retransmit backlog (the
+  // retransmit and RX-injection timers are the engine's records).
   template <class Ar>
   void Serialize(Ar& ar);
+
+  // Retransmits (a: the frame id) and channel-model RX injections (a: the
+  // app, b: the bytes), then the domain's kinds.
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+  std::string CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const override;
 
  private:
   struct SockPacket {
@@ -135,12 +141,7 @@ class NetStack : public ResourceDomain {
   // A drain phase exceeded the (optionally) configured bound: unwind the
   // balloon, restoring the global power state and settling the penalty.
   void OnDrainTimeout() override;
-  // Parks a lost frame for retransmission at |when|, keyed by frame id so
-  // checkpoints can persist the packet and re-arm the timer.
-  void ScheduleRetx(TimeNs when, const SockPacket& p);
-  void ArmRetx(uint64_t frame_id, TimeNs when);
-  // Schedules a channel-model RX injection, tracked for checkpointing.
-  void ScheduleRxInject(TimeNs when, AppId app, size_t bytes);
+  enum : uint8_t { kRetransmit = kDomainEventKinds, kRxInject, kNetEventKinds };
 
   WifiDevice* device_;
   Kernel* kernel_;
@@ -154,19 +155,9 @@ class NetStack : public ResourceDomain {
   double penalty_bytes_ = 0.0;  // lost sharing opportunity during the balloon
   WifiPowerState global_state_;
 
-  // A lost TX frame sitting out its retransmit backoff, keyed by frame id.
-  struct PendingRetx {
-    SockPacket pkt;
-    EventId event = kInvalidEventId;
-  };
-  std::map<uint64_t, PendingRetx> pending_retx_;
-  // Channel-model RX injections still due (request/response exchanges).
-  struct RxInject {
-    EventId event = kInvalidEventId;
-    AppId app = kNoApp;
-    uint64_t bytes = 0;
-  };
-  std::vector<RxInject> rx_events_;
+  // Lost TX frames sitting out their retransmit backoff, keyed by frame id;
+  // each has its kRetransmit record pending.
+  std::map<uint64_t, SockPacket> pending_retx_;
 
   Stats stats_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/check.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -27,8 +26,14 @@ const char* BalloonEdgeKindName(BalloonEdge::Kind kind) {
 }
 
 ResourceDomain::ResourceDomain(Simulator* sim, HwComponent kind,
-                               DurationNs drain_timeout)
-    : sim_(sim), kind_(kind), drain_timeout_(drain_timeout) {}
+                               DurationNs drain_timeout, uint8_t event_kinds,
+                               uint64_t handles)
+    : sim_(sim),
+      target_(sim->AddTarget(
+          this, {std::string(HwComponentName(kind)) + " domain", event_kinds,
+                 handles | 1u << kDrainTimeout})),
+      kind_(kind),
+      drain_timeout_(drain_timeout) {}
 
 ResourceDomain::~ResourceDomain() = default;
 
@@ -84,26 +89,28 @@ void ResourceDomain::SerializeDomain(Ar& ar) {
     ar.I64(e.box);
   });
   ar.U64(trimmed_edges_);
-  if (drain_timeout_ > 0) {
-    ar.Event(drain_event_, [this](TimeNs when) { ArmDrainWatchdogAt(when); });
+  if constexpr (Ar::kLoading) {
+    drain_event_ = sim_->FindPending(target_, kDrainTimeout, 0);
   }
 }
 
 template void ResourceDomain::SerializeDomain(SnapshotWriter&);
 template void ResourceDomain::SerializeDomain(SnapshotReader&);
 
-void ResourceDomain::ArmDrainWatchdogAt(TimeNs when) {
+void ResourceDomain::OnEvent(uint8_t kind, uint64_t /*a*/, uint64_t /*b*/) {
+  PSBOX_CHECK_EQ(kind, kDrainTimeout);
+  drain_event_ = kInvalidEventId;
+  if (phase_ == BalloonPhase::kDrainOthers ||
+      phase_ == BalloonPhase::kDrainOwner) {
+    OnDrainTimeout();
+  }
+}
+
+void ResourceDomain::ArmDrainWatchdog() {
   // Every arm follows a disarm or an expiry (BalloonRequest from kIdle,
-  // BalloonRelease from kServe), and restore re-arms after the archive's
-  // Event op has cleared the id.
+  // BalloonRelease from kServe).
   PSBOX_CHECK(drain_event_ == kInvalidEventId);
-  drain_event_ = sim_->ScheduleAt(when, [this] {
-    drain_event_ = kInvalidEventId;
-    if (phase_ == BalloonPhase::kDrainOthers ||
-        phase_ == BalloonPhase::kDrainOwner) {
-      OnDrainTimeout();
-    }
-  });
+  drain_event_ = sim_->ScheduleAfter(drain_timeout_, target_, kDrainTimeout);
 }
 
 void ResourceDomain::DisarmDrainWatchdog() {
@@ -132,7 +139,7 @@ void ResourceDomain::BalloonRequest(AppId app, PsboxId box) {
   balloon_start_ = sim_->Now();
   drain_enter_ = sim_->Now();
   if (drain_timeout_ > 0) {
-    ArmDrainWatchdogAt(sim_->Now() + drain_timeout_);
+    ArmDrainWatchdog();
   }
   RecordBalloonStart();
   RecordEdge(BalloonEdge::Kind::kRequest, owner_, owner_box_);
@@ -153,7 +160,7 @@ void ResourceDomain::BalloonRelease() {
   RecordEdge(BalloonEdge::Kind::kRelease, owner_, owner_box_);
   drain_enter_ = sim_->Now();
   if (drain_timeout_ > 0) {
-    ArmDrainWatchdogAt(sim_->Now() + drain_timeout_);
+    ArmDrainWatchdog();
   }
 }
 

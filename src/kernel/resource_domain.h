@@ -74,11 +74,15 @@ struct DomainStats {
   uint64_t recoveries = 0;
 };
 
-class ResourceDomain {
+class ResourceDomain : public EventTarget {
  public:
   // |drain_timeout| == 0 disables the drain watchdog (the domain's drain
   // phases are then unbounded, e.g. the NIC whose frames always complete).
-  ResourceDomain(Simulator* sim, HwComponent kind, DurationNs drain_timeout);
+  // The domain registers as its board's event target for its own kinds and
+  // a policy's: |event_kinds| counts both, and |handles| marks the policy's
+  // kinds it keeps a handle to (Simulator::TargetInfo).
+  ResourceDomain(Simulator* sim, HwComponent kind, DurationNs drain_timeout,
+                 uint8_t event_kinds = kDomainEventKinds, uint64_t handles = 0);
   virtual ~ResourceDomain();
   ResourceDomain(const ResourceDomain&) = delete;
   ResourceDomain& operator=(const ResourceDomain&) = delete;
@@ -149,12 +153,19 @@ class ResourceDomain {
   virtual Joules DirectEnergyOver(AppId app, TimeNs t0, TimeNs t1) const;
 
   // Snapshot support for the common lifecycle layer: phase/owner/accounting
-  // window, stats, timeline, and the armed drain watchdog. Policies with
-  // extra state serialize it themselves and call this for the shared part.
+  // window, stats and timeline; the load takes the drain watchdog's handle
+  // back from the engine. Policies with extra state serialize it themselves
+  // and call this for the shared part.
   template <class Ar>
   void SerializeDomain(Ar& ar);
 
+  // The drain watchdog. Policies number their own kinds from
+  // kDomainEventKinds, run them in an override and pass the rest here.
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+
  protected:
+  enum : uint8_t { kDrainTimeout, kDomainEventKinds };
+
   enum class BalloonPhase { kIdle, kDrainOthers, kServe, kDrainOwner };
 
   // --- primitives (used by every domain, incl. the spatial CPU one) -------
@@ -204,13 +215,14 @@ class ResourceDomain {
   virtual void OnDrainTimeout() {}
 
   Simulator* sim_;
+  TargetId target_;  // this domain's records in |sim_|
   BalloonObserver* observer_ = nullptr;
   UsageLedger* ledger_ = nullptr;
 
  private:
   // The drain watchdog: one event, pending while a drain phase is armed, and
   // armed only from disarmed.
-  void ArmDrainWatchdogAt(TimeNs when);
+  void ArmDrainWatchdog();
   void DisarmDrainWatchdog();
 
   HwComponent kind_;

@@ -1,7 +1,6 @@
 #include "src/kernel/storage_driver.h"
 
 #include "src/kernel/kernel.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -33,8 +32,8 @@ void StorageDriver::Deliver(Task* task) {
 
 template <class Ar>
 void StorageDriver::Serialize(Ar& ar) {
-  SerializeCommands(
-      ar, "storage_driver", [&] { global_state_.Serialize(ar); }, [] {});
+  SerializeCommands(ar, "storage_driver",
+                    [&] { global_state_.Serialize(ar); });
 }
 
 template void StorageDriver::Serialize(SnapshotWriter&);

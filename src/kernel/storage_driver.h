@@ -39,8 +39,8 @@ class StorageDriver
 
   const StorageDriverConfig& config() const { return config_; }
 
-  // Snapshot support: queues, the in-flight command with its hang watchdog,
-  // power-state virtualisation, and all pending driver timers.
+  // Snapshot support: queues, the in-flight command and power-state
+  // virtualisation (the driver's timers are the engine's records).
   template <class Ar>
   void Serialize(Ar& ar);
 

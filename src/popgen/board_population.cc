@@ -25,9 +25,12 @@ const std::vector<HwComponent>& TenantComponents() {
 BoardPopulation::BoardPopulation(const PopulationConfig& cfg,
                                  uint64_t stream_seed, int board_index,
                                  Kernel* kernel, PsboxManager* manager)
-    : cfg_(cfg), board_(board_index), kernel_(kernel), manager_(manager),
+    : cfg_(cfg),
+      board_(board_index),
+      kernel_(kernel),
+      target_(kernel->sim().AddTarget(this, {"population"})),
+      manager_(manager),
       gen_(cfg, stream_seed) {
-  PSBOX_CHECK(kernel_ != nullptr);
   PSBOX_CHECK(manager_ != nullptr);
 }
 
@@ -85,12 +88,31 @@ void BoardPopulation::ScheduleWindow(TimeNs until) {
   ForgetRetired();
   GeneratedArrival a;
   while (PopArrivalUpTo(until, &a)) {
-    kernel_->sim().ScheduleAt(a.when, [this, a] {
-      SpawnArrival(a);
-      ++spawned_;
-    });
+    kernel_->sim().ScheduleAt(a.when, target_, 0, a.seq);
+    window_.push_back(a);
   }
   scheduled_until_ = until;
+}
+
+void BoardPopulation::OnEvent(uint8_t /*kind*/, uint64_t a, uint64_t /*b*/) {
+  const auto it =
+      std::find_if(window_.begin(), window_.end(),
+                   [a](const GeneratedArrival& w) { return w.seq == a; });
+  PSBOX_CHECK(it != window_.end());
+  const GeneratedArrival arrival = *it;
+  window_.erase(it);
+  SpawnArrival(arrival);
+  ++spawned_;
+}
+
+std::string BoardPopulation::CheckEvent(uint8_t /*kind*/, uint64_t a,
+                                        uint64_t /*b*/) const {
+  if (std::none_of(window_.begin(), window_.end(),
+                   [a](const GeneratedArrival& w) { return w.seq == a; })) {
+    return "names arrival " + std::to_string(a) +
+           ", which is not in the population's window";
+  }
+  return {};
 }
 
 void BoardPopulation::RestoreArrival(const GeneratedArrival& a) {

@@ -2,10 +2,11 @@
 // kernel through the event engine.
 //
 // Live stepping is window-based: before a shard runs an epoch to T1, the
-// coordinator calls ScheduleWindow(T1), which turns every generated arrival
-// in (scheduled_until, T1] into a simulator event; RunUntil(T1) fires events
-// at <= T1, so the window fully drains before the barrier — a checkpoint cut
-// at a barrier never sees a pending arrival event.
+// coordinator calls ScheduleWindow(T1), which moves every generated arrival
+// in (scheduled_until, T1] into the window and schedules a record naming
+// each by its seq; RunUntil(T1) fires events at <= T1, so the window fully
+// drains before the barrier — a checkpoint cut at a barrier never sees a
+// pending arrival.
 //
 // Checkpoints hold what is alive, never the history: the board's cursor (the
 // generator's, the lookahead arrival held back for the next window, and the
@@ -30,7 +31,7 @@
 
 namespace psbox {
 
-class BoardPopulation {
+class BoardPopulation : public EventTarget {
  public:
   // A live generated app and the arrival that spawned it.
   struct LiveArrival {
@@ -54,6 +55,10 @@ class BoardPopulation {
   // Also forgets the spawned apps the kernel has retired since the last
   // window (they stay counted as completed).
   void ScheduleWindow(TimeNs until);
+
+  // An arrival of the window spawning (a: its seq).
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+  std::string CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const override;
 
   // Population stats (fingerprinted per board).
   uint64_t spawned() const { return spawned_; }
@@ -104,11 +109,15 @@ class BoardPopulation {
   PopulationConfig cfg_;
   int board_;
   Kernel* kernel_;
+  TargetId target_;
   PsboxManager* manager_;
   PopulationGenerator gen_;
   bool has_pending_ = false;
   GeneratedArrival pending_;
   TimeNs scheduled_until_ = 0;
+  // Scheduled arrivals that have not spawned yet, in schedule order; empty
+  // after every RunUntil to the window end.
+  std::vector<GeneratedArrival> window_;
   struct Tenant {
     AppId app = kNoApp;
     int box = -1;

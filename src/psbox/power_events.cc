@@ -8,10 +8,16 @@ namespace psbox {
 
 PowerEventMonitor::PowerEventMonitor(Kernel* kernel, PsboxManager* manager, int box,
                                      DurationNs eval_period)
-    : kernel_(kernel), manager_(manager), box_(box), eval_period_(eval_period),
+    : kernel_(kernel),
+      // Its listeners are callbacks a snapshot cannot hold.
+      target_(kernel->sim().AddTarget(this,
+                                      {"power event monitor", 1, 0, false})),
+      manager_(manager),
+      box_(box),
+      eval_period_(eval_period),
       cursor_(kernel->Now()) {
   PSBOX_CHECK_GT(eval_period_, 0);
-  kernel_->sim().ScheduleAfter(eval_period_, [this] { OnEvaluate(); });
+  kernel_->sim().ScheduleAfter(eval_period_, target_, 0);
 }
 
 int PowerEventMonitor::Register(const PowerEventSpec& spec, Callback callback) {
@@ -31,7 +37,8 @@ void PowerEventMonitor::Unregister(int id) {
 
 void PowerEventMonitor::Stop() { stopped_ = true; }
 
-void PowerEventMonitor::OnEvaluate() {
+void PowerEventMonitor::OnEvent(uint8_t /*kind*/, uint64_t /*a*/,
+                                uint64_t /*b*/) {
   if (stopped_) {
     return;
   }
@@ -66,7 +73,7 @@ void PowerEventMonitor::OnEvaluate() {
   for (Listener& listener : listeners_) {
     Feed(listener, samples, window_mean, now);
   }
-  kernel_->sim().ScheduleAfter(eval_period_, [this] { OnEvaluate(); });
+  kernel_->sim().ScheduleAfter(eval_period_, target_, 0);
 }
 
 void PowerEventMonitor::Feed(Listener& listener,

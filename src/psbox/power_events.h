@@ -45,7 +45,7 @@ struct PowerEvent {
   double value;
 };
 
-class PowerEventMonitor {
+class PowerEventMonitor : public EventTarget {
  public:
   using Callback = std::function<void(const PowerEvent&)>;
 
@@ -66,6 +66,9 @@ class PowerEventMonitor {
   uint64_t events_fired() const { return events_fired_; }
   uint64_t samples_processed() const { return samples_processed_; }
 
+  // The periodic evaluation.
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+
  private:
   struct Listener {
     int id;
@@ -82,11 +85,11 @@ class PowerEventMonitor {
     int rises = 0;
   };
 
-  void OnEvaluate();
   void Feed(Listener& listener, const std::vector<PowerSample>& samples,
             double window_mean, TimeNs window_end);
 
   Kernel* kernel_;
+  TargetId target_;
   PsboxManager* manager_;
   int box_;
   DurationNs eval_period_;

@@ -11,7 +11,9 @@
 namespace psbox {
 
 PsboxManager::PsboxManager(Kernel* kernel)
-    : kernel_(kernel), rng_(kernel->board().rng().Fork()) {
+    : kernel_(kernel),
+      target_(kernel->sim().AddTarget(this, {"psbox manager", kEventKinds})),
+      rng_(kernel->board().rng().Fork()) {
   kernel_->set_psbox_service(this);
   kernel_->set_balloon_observer(this);
 }
@@ -123,8 +125,7 @@ void PsboxManager::StageTransferredEnergy(AppId app, Joules energy) {
 }
 
 void PsboxManager::EnterBox(int box) {
-  BoxEntry& entry = Entry(box);
-  PowerSandbox& sb = *entry.box;
+  PowerSandbox& sb = *Entry(box).box;
   if (sb.inside()) {
     return;
   }
@@ -138,14 +139,29 @@ void PsboxManager::EnterBox(int box) {
   // Defer the kernel mode switch to the next scheduling point: EnterBox is
   // called from task context (the behaviour is mid-dispatch) and the group
   // move preempts the caller.
-  ++entry.pending_switches;
-  kernel_->sim().ScheduleAfter(0, [this, box] { ApplyEnter(box); });
+  kernel_->sim().ScheduleAfter(0, target_, kApplyEnter,
+                               static_cast<uint64_t>(box));
+}
+
+void PsboxManager::OnEvent(uint8_t kind, uint64_t a, uint64_t /*b*/) {
+  if (kind == kApplyEnter) {
+    ApplyEnter(static_cast<int>(a));
+  } else {
+    ApplyLeave(static_cast<int>(a));
+  }
+}
+
+std::string PsboxManager::CheckEvent(uint8_t /*kind*/, uint64_t a,
+                                     uint64_t /*b*/) const {
+  if (a != static_cast<uint64_t>(static_cast<PsboxId>(a)) ||
+      Find(static_cast<PsboxId>(a)) == nullptr) {
+    return "names box " + std::to_string(a) + ", which does not exist";
+  }
+  return {};
 }
 
 void PsboxManager::ApplyEnter(int box) {
-  BoxEntry& entry = Entry(box);
-  --entry.pending_switches;
-  const PowerSandbox& sb = *entry.box;
+  const PowerSandbox& sb = *Entry(box).box;
   if (!sb.inside()) {
     return;  // left again before the switch applied
   }
@@ -155,8 +171,7 @@ void PsboxManager::ApplyEnter(int box) {
 }
 
 void PsboxManager::LeaveBox(int box) {
-  BoxEntry& entry = Entry(box);
-  PowerSandbox& sb = *entry.box;
+  PowerSandbox& sb = *Entry(box).box;
   if (!sb.inside()) {
     return;
   }
@@ -166,14 +181,12 @@ void PsboxManager::LeaveBox(int box) {
     sb.set_budget_claimed(false);
   }
   sb.set_inside(false);
-  ++entry.pending_switches;
-  kernel_->sim().ScheduleAfter(0, [this, box] { ApplyLeave(box); });
+  kernel_->sim().ScheduleAfter(0, target_, kApplyLeave,
+                               static_cast<uint64_t>(box));
 }
 
 void PsboxManager::ApplyLeave(int box) {
-  BoxEntry& entry = Entry(box);
-  --entry.pending_switches;
-  const PowerSandbox& sb = *entry.box;
+  const PowerSandbox& sb = *Entry(box).box;
   if (sb.inside()) {
     return;  // re-entered before the switch applied
   }
@@ -362,8 +375,13 @@ bool PsboxManager::AppRetirable(AppId app) {
   for (const PsboxId id : it->second) {
     const BoxEntry& entry = Entry(id);
     const PowerSandbox& sb = *entry.box;
-    if (sb.inside() || entry.pending_switches != 0 ||
-        entry.live_children != 0 || !sb.Settled()) {
+    // A deferred mode switch still names the box.
+    const auto box = static_cast<uint64_t>(id);
+    if (sb.inside() || entry.live_children != 0 || !sb.Settled() ||
+        kernel_->sim().FindPending(target_, kApplyEnter, box) !=
+            kInvalidEventId ||
+        kernel_->sim().FindPending(target_, kApplyLeave, box) !=
+            kInvalidEventId) {
       return false;
     }
     for (HwComponent hw : sb.hardware()) {

@@ -21,7 +21,9 @@
 
 namespace psbox {
 
-class PsboxManager : public PsboxService, public BalloonObserver {
+class PsboxManager : public PsboxService,
+                     public BalloonObserver,
+                     public EventTarget {
  public:
   explicit PsboxManager(Kernel* kernel);
   ~PsboxManager() override;
@@ -58,6 +60,11 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   // virtual meter and the enclosing tenant's.
   void OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) override;
   void OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) override;
+
+  // EventTarget: the deferred kernel mode switches of EnterBox and LeaveBox
+  // (a: the box).
+  void OnEvent(uint8_t kind, uint64_t a, uint64_t b) override;
+  std::string CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const override;
 
   // Hierarchy audit: number of tenant boxes whose children's summed
   // balloon-metered energy exceeds the tenant's own composed meter by more
@@ -119,17 +126,17 @@ class PsboxManager : public PsboxService, public BalloonObserver {
   PowerSandbox::EnergyDetail ComponentEnergyDetail(PowerSandbox& sb,
                                                    HwComponent hw, TimeNs now);
 
+  enum EventKind : uint8_t { kApplyEnter, kApplyLeave, kEventKinds };
+
   Kernel* kernel_;
+  TargetId target_;
   Rng rng_;
-  // A live sandbox plus what still refers to it: its live children and its
-  // deferred Apply{Enter,Leave} events (neither travels in a snapshot: the
-  // first is rebuilt by the restore replay, the second is zero at a
-  // quiescent cut).
+  // A live sandbox plus its live children (rebuilt by the restore replay,
+  // not saved).
   struct BoxEntry {
     PsboxId id = kNoPsbox;
     std::unique_ptr<PowerSandbox> box;
     int live_children = 0;
-    int pending_switches = 0;
   };
   // The live box |box|; Find returns null for a retired or unknown id,
   // Entry aborts naming it.

@@ -7,19 +7,11 @@
 #include "src/hw/board.h"
 #include "src/kernel/kernel.h"
 #include "src/psbox/psbox_manager.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
 
 namespace {
-
-// The engine clock a shard resumes from.
-struct ShardClock {
-  TimeNs now = 0;
-  uint64_t total_fired = 0;
-  uint64_t next_seq = 1;
-};
 
 // A restored step trace must ascend strictly and end at or before the
 // shard clock: the next StepTrace::Set would abort on a step behind it.
@@ -54,15 +46,15 @@ void CheckStepTraces(SnapshotReader& r, Board& board, Kernel& kernel,
   CheckStepTrace(r, board.gps().operating_trace(), now, "GPS operating");
 }
 
+// The engine goes first: the objects after it take their timer handles
+// back from its restored records.
 template <class Ar>
-void SerializeShard(Ar& ar, ShardClock& clock, Board& board, Kernel& kernel,
+void SerializeShard(Ar& ar, Board& board, Kernel& kernel,
                     PsboxManager& manager) {
   if (!ar.Section("shard")) {
     return;
   }
-  ar.I64(clock.now);
-  ar.U64(clock.total_fired);
-  ar.U64(clock.next_seq);
+  board.sim().Serialize(ar);
   board.Serialize(ar);
   manager.Serialize(ar);  // restore replays CreateBox, so groups exist below
   kernel.Serialize(ar);
@@ -72,26 +64,15 @@ void SerializeShard(Ar& ar, ShardClock& clock, Board& board, Kernel& kernel,
 
 bool SaveBoardShard(Board& board, Kernel& kernel, PsboxManager& manager,
                     SnapshotWriter* w, std::string* error) {
-  w->ResetClaimedEvents();
-  ShardClock clock{board.sim().Now(), board.sim().total_fired(),
-                   board.sim().next_seq()};
-  w->set_sim(&board.sim());
-  SerializeShard(*w, clock, board, kernel, manager);
-  w->set_sim(nullptr);
-  // Pending-event census: every event the engine still holds must have been
-  // claimed by exactly one subsystem serialiser above, or the restored run
-  // would silently lose (or invent) work. A mismatch means the shard is not
-  // at a quiescent point, or a subsystem grew an untracked timer.
-  if (w->claimed_events() != board.sim().pending_events()) {
+  const std::string target = board.sim().UncheckpointablePending();
+  if (!target.empty()) {
     if (error != nullptr) {
-      *error = "snapshot refused: " +
-               std::to_string(board.sim().pending_events()) +
-               " events pending but " + std::to_string(w->claimed_events()) +
-               " claimed by serialisers (shard not quiescent or a timer is "
-               "untracked)";
+      *error = "snapshot refused: an event of target '" + target +
+               "' is pending, and a snapshot cannot carry it";
     }
     return false;
   }
+  SerializeShard(*w, board, kernel, manager);
   return true;
 }
 
@@ -103,36 +84,23 @@ bool RestoreBoardShard(SnapshotReader& r, Board& board, Kernel& kernel,
   if (replay_setup) {
     replay_setup();
   }
-  EventRearmer rearmer;
-  ShardClock clock;
-  r.set_rearmer(&rearmer);
-  SerializeShard(r, clock, board, kernel, manager);
-  r.set_rearmer(nullptr);
-  if (r.ok() && clock.now < 0) {
-    r.Fail("snapshot shard clock is negative");
-  }
-  std::string rearm_error;
-  if (r.ok() && !rearmer.Check(clock.now, clock.next_seq, &rearm_error)) {
-    r.Fail(rearm_error);
+  SerializeShard(r, board, kernel, manager);
+  if (r.ok()) {
+    const std::string bad = board.sim().CheckEventArgs();
+    if (!bad.empty()) {
+      r.Fail(bad);
+    }
   }
   if (r.ok()) {
-    CheckStepTraces(r, board, kernel, clock.now);
+    CheckStepTraces(r, board, kernel, board.sim().Now());
   }
+  kernel.EndRestore();
   if (!r.ok()) {
-    kernel.EndRestore();
     if (error != nullptr) {
       *error = r.error();
     }
     return false;
   }
-  board.sim().ResetForRestore(clock.now, clock.total_fired);
-  // Re-arm pending events under their original seqs, then land the counter
-  // on the checkpointed value: the engine's whole sequence space — not just
-  // relative order — survives the restore, so later snapshots of a restored
-  // world are byte-identical to the uninterrupted run's.
-  rearmer.Replay(board.sim());
-  board.sim().SetNextSeqForRestore(clock.next_seq);
-  kernel.EndRestore();
   return true;
 }
 

@@ -1,22 +1,24 @@
 // Whole-shard checkpoint orchestration.
 //
-// A board shard — the Board devices and rails, the Kernel and all its
-// subsystems, and the PsboxManager — serialises into one snapshot stream at
-// a quiescent point (between RunUntil calls, when no 0-delay work is in
-// flight). The event engine's closures are opaque, so pending events travel
-// as typed (when, seq) descriptors that each owning subsystem re-arms
-// through its normal scheduling path on restore; EventRearmer replays the
-// re-arms in original insertion order, making the restored run bit-identical
-// to the uninterrupted one.
+// A board shard — the event engine, the Board devices and rails, the Kernel
+// and all its subsystems, and the PsboxManager — serialises into one
+// snapshot stream between RunUntil calls. Pending events are records the
+// engine understands (a target, a kind and two arguments), so the engine's
+// section carries them whole with their (time, seq); its load puts them
+// back under their original seqs, and every object that keeps a handle to
+// one of its timers takes the handle back from the restored record, making
+// the restored run bit-identical to the uninterrupted one.
 //
 // Restore targets FRESHLY constructed objects built from the identical
-// configuration: the caller re-creates the snapshot's live apps and their
-// tasks (under Kernel::BeginRestore, so nothing is scheduled; a fleet does
-// it from the per-app recipes of its checkpoint, each under its recorded
-// ids), then RestoreBoardShard overwrites all mutable state, checks it
-// against the shard clock, resets the engine clock and replays the pending
-// events. On any failure the reader carries a descriptive error and the
-// half-built objects must be discarded — never swap them into live use.
+// configuration, which registers the same event targets under the same
+// indices: the caller re-creates the snapshot's live apps and their tasks
+// (under Kernel::BeginRestore, so nothing is scheduled; a fleet does it from
+// the per-app recipes of its checkpoint, each under its recorded ids), then
+// RestoreBoardShard replaces the engine's clock and records, overwrites all
+// mutable state and checks it against the shard clock and the records'
+// arguments against what was restored. On any failure the reader carries a
+// descriptive error and the half-built objects must be discarded — never
+// swap them into live use.
 
 #ifndef SRC_SNAPSHOT_BOARD_SNAPSHOT_H_
 #define SRC_SNAPSHOT_BOARD_SNAPSHOT_H_
@@ -32,10 +34,11 @@ class PsboxManager;
 class SnapshotReader;
 class SnapshotWriter;
 
-// Serialises the shard (sim clock, board, psbox manager, kernel) into |w|.
-// Must be called at a quiescent point; refuses (returns false with a
-// descriptive |error|) when some pending event went unclaimed by the
-// subsystem serialisers — snapshotting then would silently drop work.
+// Serialises the shard (engine, board, psbox manager, kernel) into |w|
+// between RunUntil calls. Refuses (returns false with a descriptive
+// |error|, writing nothing) while a record that a snapshot cannot carry is
+// pending (an ad-hoc callback of CallbackTarget, a PowerEventMonitor's
+// evaluation), naming its target.
 bool SaveBoardShard(Board& board, Kernel& kernel, PsboxManager& manager,
                     SnapshotWriter* w, std::string* error);
 

@@ -167,8 +167,7 @@ bool SnapshotWriter::Section(const char* name) {
   return true;
 }
 
-std::vector<uint8_t> SnapshotWriter::Seal() const {
-  uint8_t header[kSnapshotHeaderSize];
+void SnapshotWriter::Header(uint8_t (&header)[kSnapshotHeaderSize]) const {
   std::memcpy(header, kSnapshotMagic, sizeof(kSnapshotMagic));
   const auto put_le = [&header](size_t at, uint64_t v, size_t bytes) {
     for (size_t i = 0; i < bytes; ++i) {
@@ -178,6 +177,11 @@ std::vector<uint8_t> SnapshotWriter::Seal() const {
   put_le(8, kSnapshotFormatVersion, 4);
   put_le(12, buf_.size(), 8);
   put_le(20, SnapshotCrc32(buf_.data(), buf_.size()), 4);
+}
+
+std::vector<uint8_t> SnapshotWriter::Seal() const {
+  uint8_t header[kSnapshotHeaderSize];
+  Header(header);
   std::vector<uint8_t> out;
   out.reserve(kSnapshotHeaderSize + buf_.size());
   out.assign(header, header + kSnapshotHeaderSize);
@@ -187,7 +191,8 @@ std::vector<uint8_t> SnapshotWriter::Seal() const {
 
 bool SnapshotWriter::WriteFile(const std::string& path,
                                std::string* error) const {
-  const std::vector<uint8_t> sealed = Seal();
+  uint8_t header[kSnapshotHeaderSize];
+  Header(header);
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -196,9 +201,11 @@ bool SnapshotWriter::WriteFile(const std::string& path,
     }
     return false;
   }
-  const size_t written = std::fwrite(sealed.data(), 1, sealed.size(), f);
+  const bool written =
+      std::fwrite(header, 1, sizeof(header), f) == sizeof(header) &&
+      std::fwrite(buf_.data(), 1, buf_.size(), f) == buf_.size();
   const bool flushed = std::fclose(f) == 0;
-  if (written != sealed.size() || !flushed) {
+  if (!written || !flushed) {
     std::remove(tmp.c_str());
     if (error != nullptr) {
       *error = "snapshot: short write to " + tmp;

@@ -43,9 +43,9 @@
 // value the restoring side already knows.
 //
 // This header is dependency-free (standard library only) so that the lowest
-// layers of the tree (base/, hw/) can serialize themselves without cycles.
-// The pending-event ops (Event, PendingEvents) need the simulator and are
-// defined in src/snapshot/event_rearmer.h.
+// layers of the tree (base/, sim/, hw/) can serialize themselves without
+// cycles. Pending events are not a field op: the engine writes its own
+// records (Simulator::Serialize).
 
 #ifndef SRC_SNAPSHOT_SNAPSHOT_IO_H_
 #define SRC_SNAPSHOT_SNAPSHOT_IO_H_
@@ -84,7 +84,11 @@ namespace psbox {
 // tables, the kernel's box-to-context map, the drain watchdogs' fire
 // counts, the sandboxes' plain energy bases and estimated-energy bases, and
 // the crash-state-transfer byte of the compat block are gone.
-inline constexpr uint32_t kSnapshotFormatVersion = 7;
+// v8: events as data — each shard opens with the engine's section (clock,
+// fired count, next seq, then every pending record: target, kind, two
+// arguments, time and seq); the per-subsystem event presence flags, times,
+// seqs and the six pending-event lists are gone.
+inline constexpr uint32_t kSnapshotFormatVersion = 8;
 inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'B', 'X',
                                            'S', 'N', 'A', 'P'};
 inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;
@@ -105,9 +109,6 @@ uint32_t SnapshotCrc32(const uint8_t* data, size_t n);
 uint32_t SnapshotCrc32Portable(const uint8_t* data, size_t n);
 uint32_t SnapshotCrc32Folded(const uint8_t* data, size_t n);
 bool SnapshotCrc32FoldedSupported();
-
-class EventRearmer;
-class Simulator;
 
 // Expect()'s wire width follows the C++ type: Bool, Str, F64 for doubles,
 // U8 for enums and 8-bit values, I64 for other signed and U64 for other
@@ -231,39 +232,21 @@ class SnapshotWriter {
     }
   }
 
-  // --- pending events (src/snapshot/event_rearmer.h) ---------------------
-  // A maybe-pending event: a presence flag, then (when, seq). Every present
-  // event is claimed toward the pending-event census. |rearm(when)| is the
-  // reader's re-arm callback; the writer ignores it. Returns whether the
-  // event is pending.
-  template <typename F>
-  bool Event(const uint64_t& id, F&& rearm);
-  // A tracked-timer list: the count of still-pending entries, then |body|
-  // on each of them (the body serialises the entry's fields and its Event).
-  template <typename L, typename F>
-  void PendingEvents(L& list, size_t min_element_size, F&& body);
-  // Simulator whose pending events Event() persists; set by SaveBoardShard.
-  void set_sim(const Simulator* sim) { sim_ = sim; }
-
-  // Pending-event census: every subsystem that persists one of its pending
-  // events claims it here, and the save orchestrator refuses to snapshot
-  // when the claimed count disagrees with the engine's live count — an
-  // untracked event would otherwise silently vanish across a restore.
-  void ClaimEvent() { ++claimed_events_; }
-  size_t claimed_events() const { return claimed_events_; }
-  void ResetClaimedEvents() { claimed_events_ = 0; }
-
   // A writer never fails; loops shared with the reader test ok().
   bool ok() const { return true; }
 
   // Header + payload, ready to hit disk or a wire.
   std::vector<uint8_t> Seal() const;
 
-  // Seals and writes to |path| (via a rename from a temp file, so a crashed
-  // writer cannot leave a half-written snapshot under the final name).
+  // Writes the header and then the payload to |path|, without a sealed copy
+  // (via a rename from a temp file, so a crashed writer cannot leave a
+  // half-written snapshot under the final name).
   bool WriteFile(const std::string& path, std::string* error) const;
 
  private:
+  // The fixed header of the current payload.
+  void Header(uint8_t (&header)[kSnapshotHeaderSize]) const;
+
   template <typename T>
   void AppendLe(T v) {
     uint8_t bytes[sizeof(T)];
@@ -274,8 +257,6 @@ class SnapshotWriter {
   }
 
   std::vector<uint8_t> buf_;
-  size_t claimed_events_ = 0;
-  const Simulator* sim_ = nullptr;
 };
 
 class SnapshotReader {
@@ -412,19 +393,6 @@ class SnapshotReader {
     }
   }
 
-  // --- pending events (src/snapshot/event_rearmer.h) ---------------------
-  // Resets |id| and, when an event was saved, defers |rearm(when)| under its
-  // original sequence number. Returns whether one was saved, so that a load
-  // can check the state the pending event will find.
-  template <typename F>
-  bool Event(uint64_t& id, F&& rearm);
-  // Clears |list| and runs |body| on a scratch entry per saved one; the
-  // entries come back through their re-arm callbacks.
-  template <typename L, typename F>
-  void PendingEvents(L& list, size_t min_element_size, F&& body);
-  // Collects the re-arm callbacks; set by RestoreBoardShard.
-  void set_rearmer(EventRearmer* rearmer) { rearmer_ = rearmer; }
-
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
   // Semantic failure raised by a caller (e.g. an impossible field value).
@@ -477,7 +445,6 @@ class SnapshotReader {
   size_t pos_ = 0;
   bool ok_ = true;
   std::string error_;
-  EventRearmer* rearmer_ = nullptr;
 };
 
 }  // namespace psbox

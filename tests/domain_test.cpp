@@ -139,7 +139,7 @@ struct FairQueueTest : ::testing::Test {
 
   Simulator sim;
   int pumps = 0;
-  Queue queue{&sim, kWindow, kLead, kMillisecond, [this] { ++pumps; }};
+  Queue queue{&sim, "queue", kWindow, kLead, kMillisecond, [this] { ++pumps; }};
 };
 
 TEST_F(FairQueueTest, TiesGoToTheLowestAppId) {

@@ -421,9 +421,9 @@ TEST(FaultRecoveryTest, RecoveryPathsMatchRecordedShard) {
     size_t bytes;
     uint32_t crc;
   };
-  const Cut kRecorded[] = {{Millis(400), 25433, 0x040841a0},
-                           {Millis(1000), 52770, 0x21d04096},
-                           {Millis(1600), 72396, 0xab8f0950}};
+  const Cut kRecorded[] = {{Millis(400), 25581, 0x9730f93f},
+                           {Millis(1000), 52938, 0xf44c9c16},
+                           {Millis(1600), 72441, 0x15ef242d}};
   for (const Cut& cut : kRecorded) {
     SCOPED_TRACE("cut at " + std::to_string(cut.at / kMillisecond) + " ms");
     s.kernel.RunUntil(cut.at);

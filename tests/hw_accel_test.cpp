@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/hw/accel_device.h"
+#include "src/sim/callback_target.h"
 
 namespace psbox {
 namespace {
@@ -122,7 +123,8 @@ TEST_F(AccelDeviceTest, ActiveAppsDeduplicates) {
 }
 
 TEST_F(AccelDeviceTest, CompletionCarriesDispatchTimes) {
-  sim_.ScheduleAt(Millis(3), [this] { gpu_.Dispatch(MakeCmd(1, 0, 2 * kMillisecond, 0.5)); });
+  CallbackTarget callbacks(&sim_);
+  callbacks.At(Millis(3), [this] { gpu_.Dispatch(MakeCmd(1, 0, 2 * kMillisecond, 0.5)); });
   sim_.RunUntil(Seconds(1));
   ASSERT_EQ(done_.size(), 1u);
   EXPECT_EQ(done_[0].dispatch_time, Millis(3));

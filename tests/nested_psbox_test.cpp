@@ -33,6 +33,7 @@ TEST(NestedPsboxTest, BudgetSubdivisionLedger) {
   const int box_b =
       s.manager.CreateNestedBox(b, {HwComponent::kCpu}, tenant, 0.4);
   EXPECT_DOUBLE_EQ(s.manager.sandbox(box_a).budget(), 0.4);
+  EXPECT_DOUBLE_EQ(s.manager.sandbox(box_b).budget(), 0.4);
   EXPECT_DOUBLE_EQ(s.manager.sandbox(tenant).children_budget(), 0.8);
 
   // The third claim exceeds what remains: graceful clamp, never refusal.
@@ -54,6 +55,8 @@ TEST(NestedPsboxTest, BudgetSubdivisionLedger) {
   EXPECT_TRUE(s.manager.sandbox(box_a).budget_claimed());
   EXPECT_NEAR(s.manager.sandbox(box_a).budget(), 0.4, 1e-12);
   EXPECT_NEAR(s.manager.sandbox(tenant).children_budget(), 1.0, 1e-12);
+  // box_a's round trip left its sibling's slice alone.
+  EXPECT_DOUBLE_EQ(s.manager.sandbox(box_b).budget(), 0.4);
 }
 
 TEST(NestedPsboxTest, UnbudgetedTenantGrantsUnconstrained) {

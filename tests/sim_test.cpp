@@ -3,9 +3,10 @@
 // Beyond the basic contract, this suite pins the properties the indexed-heap
 // engine must preserve: exact (time, insertion-seq) FIFO whatever the
 // scheduling distance, cancel and re-arm of entries anywhere in the heap,
-// safety under slab slot reuse (generation tags), deadline-inclusive
-// RunUntil semantics, and bit-exact firing-order parity with the previous
-// heap+hash-map engine under randomized event storms.
+// safety under slot reuse (generation tags), deadline-inclusive RunUntil
+// semantics, and bit-exact firing-order parity with the previous
+// heap+hash-map engine under randomized event storms. The unit tests
+// schedule through CallbackTarget; the storms fire records directly.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +15,12 @@
 #include <cstdint>
 #include <random>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bench/naive_simulator.h"
+#include "src/sim/callback_target.h"
 #include "src/sim/simulator.h"
 
 namespace psbox {
@@ -25,10 +28,11 @@ namespace {
 
 TEST(Simulator, FiresInTimeOrder) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   std::vector<int> order;
-  sim.ScheduleAt(300, [&] { order.push_back(3); });
-  sim.ScheduleAt(100, [&] { order.push_back(1); });
-  sim.ScheduleAt(200, [&] { order.push_back(2); });
+  cb.At(300, [&] { order.push_back(3); });
+  cb.At(100, [&] { order.push_back(1); });
+  cb.At(200, [&] { order.push_back(2); });
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.Now(), 300);
@@ -36,19 +40,21 @@ TEST(Simulator, FiresInTimeOrder) {
 
 TEST(Simulator, SameTimeIsFifo) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   std::vector<int> order;
-  sim.ScheduleAt(100, [&] { order.push_back(1); });
-  sim.ScheduleAt(100, [&] { order.push_back(2); });
-  sim.ScheduleAt(100, [&] { order.push_back(3); });
+  cb.At(100, [&] { order.push_back(1); });
+  cb.At(100, [&] { order.push_back(2); });
+  cb.At(100, [&] { order.push_back(3); });
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   int fired = 0;
-  sim.ScheduleAt(100, [&] { ++fired; });
-  sim.ScheduleAt(200, [&] { ++fired; });
+  cb.At(100, [&] { ++fired; });
+  cb.At(200, [&] { ++fired; });
   sim.RunUntil(150);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.Now(), 150);
@@ -58,16 +64,18 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
 
 TEST(Simulator, EventAtDeadlineRuns) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   bool fired = false;
-  sim.ScheduleAt(100, [&] { fired = true; });
+  cb.At(100, [&] { fired = true; });
   sim.RunUntil(100);
   EXPECT_TRUE(fired);
 }
 
 TEST(Simulator, CancelPreventsFiring) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   bool fired = false;
-  const EventId id = sim.ScheduleAt(100, [&] { fired = true; });
+  const EventId id = cb.At(100, [&] { fired = true; });
   EXPECT_TRUE(sim.Cancel(id));
   sim.RunToCompletion();
   EXPECT_FALSE(fired);
@@ -75,26 +83,29 @@ TEST(Simulator, CancelPreventsFiring) {
 
 TEST(Simulator, DoubleCancelIsNoop) {
   Simulator sim;
-  const EventId id = sim.ScheduleAt(100, [] {});
+  CallbackTarget cb(&sim);
+  const EventId id = cb.At(100, [] {});
   EXPECT_TRUE(sim.Cancel(id));
   EXPECT_FALSE(sim.Cancel(id));
 }
 
 TEST(Simulator, CancelInvalidIdIsNoop) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   EXPECT_FALSE(sim.Cancel(kInvalidEventId));
   EXPECT_FALSE(sim.Cancel(9999));
 }
 
 TEST(Simulator, EventsCanScheduleEvents) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   int chain = 0;
   std::function<void()> step = [&] {
     if (++chain < 5) {
-      sim.ScheduleAfter(10, step);
+      cb.After(10, step);
     }
   };
-  sim.ScheduleAt(0, step);
+  cb.At(0, step);
   sim.RunToCompletion();
   EXPECT_EQ(chain, 5);
   EXPECT_EQ(sim.Now(), 40);
@@ -102,9 +113,10 @@ TEST(Simulator, EventsCanScheduleEvents) {
 
 TEST(Simulator, ScheduleAfterUsesNow) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   TimeNs seen = -1;
-  sim.ScheduleAt(100, [&] {
-    sim.ScheduleAfter(50, [&] { seen = sim.Now(); });
+  cb.At(100, [&] {
+    cb.After(50, [&] { seen = sim.Now(); });
   });
   sim.RunToCompletion();
   EXPECT_EQ(seen, 150);
@@ -112,14 +124,16 @@ TEST(Simulator, ScheduleAfterUsesNow) {
 
 TEST(Simulator, RunUntilAdvancesClockWithoutEvents) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   sim.RunUntil(1000);
   EXPECT_EQ(sim.Now(), 1000);
 }
 
 TEST(Simulator, PendingCount) {
   Simulator sim;
-  sim.ScheduleAt(10, [] {});
-  const EventId id = sim.ScheduleAt(20, [] {});
+  CallbackTarget cb(&sim);
+  cb.At(10, [] {});
+  const EventId id = cb.At(20, [] {});
   EXPECT_EQ(sim.pending_events(), 2u);
   sim.Cancel(id);
   sim.RunToCompletion();
@@ -132,19 +146,22 @@ TEST(Simulator, PendingCount) {
 
 TEST(SimulatorDeathTest, ScheduleInPastDies) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   sim.RunUntil(100);
-  EXPECT_DEATH(sim.ScheduleAt(50, [] {}), "when >= now_");
+  EXPECT_DEATH(cb.At(50, [] {}), "when >= now_");
 }
 
 TEST(SimulatorDeathTest, ScheduleAfterNegativeDelayDies) {
   Simulator sim;
-  EXPECT_DEATH(sim.ScheduleAfter(-1, [] {}), "delay >= 0");
+  CallbackTarget cb(&sim);
+  EXPECT_DEATH(cb.After(-1, [] {}), "delay >= 0");
 }
 
 TEST(SimulatorDeathTest, RescheduleIntoPastDies) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   sim.RunUntil(100);
-  const EventId id = sim.ScheduleAt(200, [] {});
+  const EventId id = cb.At(200, [] {});
   EXPECT_DEATH(sim.Reschedule(id, 50), "when >= now_");
 }
 
@@ -156,11 +173,12 @@ TEST(Simulator, RunUntilDeadlineInclusiveRegression) {
                                TimeNs{1} << 32};
   for (const TimeNs deadline : kDeadlines) {
     Simulator sim;
+    CallbackTarget cb(&sim);
     int at_deadline = 0;
     int after_deadline = 0;
-    sim.ScheduleAt(deadline - 1, [] {});
-    sim.ScheduleAt(deadline, [&] { ++at_deadline; });
-    sim.ScheduleAt(deadline + 1, [&] { ++after_deadline; });
+    cb.At(deadline - 1, [] {});
+    cb.At(deadline, [&] { ++at_deadline; });
+    cb.At(deadline + 1, [&] { ++after_deadline; });
     EXPECT_EQ(sim.RunUntil(deadline), 2u);
     EXPECT_EQ(at_deadline, 1);
     EXPECT_EQ(after_deadline, 0);
@@ -180,15 +198,16 @@ TEST(Simulator, SameTimeFifoAcrossSchedulingDistances) {
   // at T. Insertion order must hold exactly.
   constexpr TimeNs kT = 6'000'000'000;
   Simulator sim;
+  CallbackTarget cb(&sim);
   std::vector<int> order;
-  sim.ScheduleAt(kT, [&] {
+  cb.At(kT, [&] {
     order.push_back(1);
-    sim.ScheduleAt(kT, [&] { order.push_back(4); });
+    cb.At(kT, [&] { order.push_back(4); });
   });
   sim.RunUntil(4'500'000'000);
-  sim.ScheduleAt(kT, [&] { order.push_back(2); });
+  cb.At(kT, [&] { order.push_back(2); });
   sim.RunUntil(5'990'000'000);
-  sim.ScheduleAt(kT, [&] { order.push_back(3); });
+  cb.At(kT, [&] { order.push_back(3); });
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(sim.Now(), kT);
@@ -206,10 +225,11 @@ TEST(Simulator, WheelBoundaryTimesFireExactly) {
     times.push_back(base + 1);
   }
   Simulator sim;
+  CallbackTarget cb(&sim);
   std::vector<TimeNs> fired;
   for (auto it = times.rbegin(); it != times.rend(); ++it) {
     const TimeNs t = *it;
-    sim.ScheduleAt(t, [&fired, &sim] { fired.push_back(sim.Now()); });
+    cb.At(t, [&fired, &sim] { fired.push_back(sim.Now()); });
   }
   sim.RunToCompletion();
   EXPECT_EQ(fired, times);
@@ -220,14 +240,15 @@ TEST(Simulator, WheelBoundaryTimesFireExactly) {
 
 TEST(Simulator, CancelHeavyReArmLeavesNoResidue) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   // One far-future survivor, then a burst of cancelled timers (the re-armed
   // watchdog pattern). Cancelled events free their slot immediately, so the
-  // slab working set stays at the concurrent high-water mark instead of
+  // slot working set stays at the concurrent high-water mark instead of
   // accumulating per-cancel residue.
   bool survivor_fired = false;
-  sim.ScheduleAt(1'000'000, [&] { survivor_fired = true; });
+  cb.At(1'000'000, [&] { survivor_fired = true; });
   for (int i = 0; i < 1000; ++i) {
-    const EventId id = sim.ScheduleAt(100 + i, [] {});
+    const EventId id = cb.At(100 + i, [] {});
     EXPECT_TRUE(sim.Cancel(id));
   }
   EXPECT_EQ(sim.pending_events(), 1u);
@@ -239,18 +260,19 @@ TEST(Simulator, CancelHeavyReArmLeavesNoResidue) {
 
 TEST(Simulator, CancellingMostFarEventsKeepsSurvivorOrder) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   // Cancelling most of a batch of far-future events must leave exactly the
   // survivors pending, still in (time, seq) order.
   constexpr TimeNs kFar = 10'000'000'000;  // 10 s
   std::vector<int> order;
   std::vector<EventId> doomed;
-  sim.ScheduleAt(kFar + 500, [&] { order.push_back(5); });
-  sim.ScheduleAt(kFar + 100, [&] { order.push_back(1); });
-  sim.ScheduleAt(kFar + 100, [&] { order.push_back(2); });  // same-time FIFO
+  cb.At(kFar + 500, [&] { order.push_back(5); });
+  cb.At(kFar + 100, [&] { order.push_back(1); });
+  cb.At(kFar + 100, [&] { order.push_back(2); });  // same-time FIFO
   for (int i = 0; i < 100; ++i) {
-    doomed.push_back(sim.ScheduleAt(kFar + 200 + i, [] {}));
+    doomed.push_back(cb.At(kFar + 200 + i, [] {}));
   }
-  sim.ScheduleAt(kFar + 300, [&] { order.push_back(3); });
+  cb.At(kFar + 300, [&] { order.push_back(3); });
   for (const EventId id : doomed) {
     EXPECT_TRUE(sim.Cancel(id));
   }
@@ -261,13 +283,14 @@ TEST(Simulator, CancellingMostFarEventsKeepsSurvivorOrder) {
 
 TEST(Simulator, GenerationGuardsRetiredIdsUnderSlabReuse) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   bool first_fired = false;
   bool second_fired = false;
-  const EventId id1 = sim.ScheduleAt(100, [&] { first_fired = true; });
+  const EventId id1 = cb.At(100, [&] { first_fired = true; });
   EXPECT_TRUE(sim.Cancel(id1));
   // The freed slot is recycled immediately; the retired handle must not
   // alias the new occupant.
-  const EventId id2 = sim.ScheduleAt(200, [&] { second_fired = true; });
+  const EventId id2 = cb.At(200, [&] { second_fired = true; });
   EXPECT_NE(id1, id2);
   EXPECT_FALSE(sim.IsPending(id1));
   EXPECT_TRUE(sim.IsPending(id2));
@@ -281,13 +304,14 @@ TEST(Simulator, GenerationGuardsRetiredIdsUnderSlabReuse) {
 
 TEST(Simulator, ReArmLoopReusesOneSlot) {
   Simulator sim;
-  // Cancel+schedule a timer thousands of times: the slab high-water mark
+  CallbackTarget cb(&sim);
+  // Cancel+schedule a timer thousands of times: the slot high-water mark
   // must stay at one slot and nothing but the last arming fires.
   int fires = 0;
-  EventId id = sim.ScheduleAt(1000, [&] { ++fires; });
+  EventId id = cb.At(1000, [&] { ++fires; });
   for (int i = 1; i <= 5000; ++i) {
     EXPECT_TRUE(sim.Cancel(id));
-    id = sim.ScheduleAt(1000 + i, [&] { ++fires; });
+    id = cb.At(1000 + i, [&] { ++fires; });
     EXPECT_EQ(sim.pending_events(), 1u);
   }
   sim.RunToCompletion();
@@ -297,8 +321,9 @@ TEST(Simulator, ReArmLoopReusesOneSlot) {
 
 TEST(Simulator, RescheduleMovesEventKeepingClosure) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   std::vector<TimeNs> fired_at;
-  const EventId id = sim.ScheduleAfter(1'000'000, [&] {
+  const EventId id = cb.After(1'000'000, [&] {
     fired_at.push_back(sim.Now());
   });
   const EventId id2 = sim.Reschedule(id, 2'000'000);
@@ -313,13 +338,14 @@ TEST(Simulator, RescheduleMovesEventKeepingClosure) {
 
 TEST(Simulator, RescheduleAcrossQueueLevels) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   // Moves from 10 s to 5 us and from 1 us to 20 s must both land exactly.
   TimeNs near_fired = 0;
   TimeNs far_fired = 0;
-  const EventId toward = sim.ScheduleAt(10'000'000'000, [&] {
+  const EventId toward = cb.At(10'000'000'000, [&] {
     near_fired = sim.Now();
   });
-  const EventId away = sim.ScheduleAt(1'000, [&] { far_fired = sim.Now(); });
+  const EventId away = cb.At(1'000, [&] { far_fired = sim.Now(); });
   EXPECT_NE(sim.Reschedule(toward, 5'000), kInvalidEventId);
   EXPECT_NE(sim.Reschedule(away, 20'000'000'000), kInvalidEventId);
   sim.RunToCompletion();
@@ -329,15 +355,18 @@ TEST(Simulator, RescheduleAcrossQueueLevels) {
 
 TEST(Simulator, InteriorCancelAndRescheduleKeepKeyOrder) {
   Simulator sim;
+  CallbackTarget cb(&sim);
   std::vector<int> fired;
   std::vector<EventId> ids;
+  // Each event's key: its time and the seq it was (re)scheduled under.
+  std::vector<std::pair<TimeNs, uint64_t>> keys;
   // 32 events, two per time from 100 to 1600, so the heap is five levels
   // deep and every time is a tie.
   for (int i = 0; i < 32; ++i) {
-    ids.push_back(sim.ScheduleAt(100 * (i / 2 + 1),
-                                 [&fired, i] { fired.push_back(i); }));
+    const TimeNs when = 100 * (i / 2 + 1);
+    keys.emplace_back(when, sim.next_seq());
+    ids.push_back(cb.At(when, [&fired, i] { fired.push_back(i); }));
   }
-  const Simulator::PendingEventInfo untouched = sim.PendingInfo(ids[17]);
   // Cancel interior entries, neither the earliest nor the latest.
   for (const int i : {5, 11, 12, 20, 27}) {
     EXPECT_TRUE(sim.Cancel(ids[static_cast<size_t>(i)]));
@@ -351,27 +380,23 @@ TEST(Simulator, InteriorCancelAndRescheduleKeepKeyOrder) {
     EventId& id = ids[static_cast<size_t>(i)];
     id = sim.Reschedule(id, when);
     ASSERT_NE(id, kInvalidEventId);
-    const Simulator::PendingEventInfo info = sim.PendingInfo(id);
-    EXPECT_EQ(info.when, when) << "event " << i;
-    EXPECT_EQ(info.seq, seq) << "event " << i;
+    EXPECT_EQ(sim.next_seq(), seq + 1) << "event " << i;
+    keys[static_cast<size_t>(i)] = {when, seq};
   }
-  // Sifting other entries around must not change their keys.
-  EXPECT_EQ(sim.PendingInfo(ids[17]).when, untouched.when);
-  EXPECT_EQ(sim.PendingInfo(ids[17]).seq, untouched.seq);
-  // The firing order is the (time, seq) order of what is still pending.
-  std::vector<std::tuple<TimeNs, uint64_t, int>> keys;
+  // The firing order is the (time, seq) order of what is still pending:
+  // sifting entries around moved no other key.
+  std::vector<std::tuple<TimeNs, uint64_t, int>> pending;
   for (int i = 0; i < 32; ++i) {
     if (sim.IsPending(ids[static_cast<size_t>(i)])) {
-      const Simulator::PendingEventInfo info =
-          sim.PendingInfo(ids[static_cast<size_t>(i)]);
-      keys.emplace_back(info.when, info.seq, i);
+      const auto& [when, seq] = keys[static_cast<size_t>(i)];
+      pending.emplace_back(when, seq, i);
     }
   }
-  ASSERT_EQ(keys.size(), 27u);
+  ASSERT_EQ(pending.size(), 27u);
   EXPECT_EQ(sim.pending_events(), 27u);
-  std::sort(keys.begin(), keys.end());
+  std::sort(pending.begin(), pending.end());
   std::vector<int> expected;
-  for (const auto& key : keys) {
+  for (const auto& key : pending) {
     expected.push_back(std::get<2>(key));
   }
   EXPECT_EQ(expected.front(), 14);
@@ -381,28 +406,54 @@ TEST(Simulator, InteriorCancelAndRescheduleKeepKeyOrder) {
   EXPECT_EQ(sim.Now(), 2000);
 }
 
+// CallbackTarget reclaims the table entries of cancelled callbacks as its
+// table grows; a rescheduled callback keeps its entry and fires once, where
+// it was moved to.
+TEST(Simulator, CallbackTargetReclaimsCancelledEntries) {
+  Simulator sim;
+  CallbackTarget cb(&sim);
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(cb.At(100 + i, [&fired, i] { fired.push_back(i); }));
+  }
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_TRUE(sim.Cancel(ids[static_cast<size_t>(i)]));
+  }
+  for (int i = 30; i < 35; ++i) {
+    EXPECT_NE(sim.Reschedule(ids[static_cast<size_t>(i)], 1000 + i),
+              kInvalidEventId);
+  }
+  // Past the 40 stored entries the next schedules sweep the cancelled ones
+  // and reuse their entries.
+  for (int i = 40; i < 80; ++i) {
+    cb.At(500 + i, [&fired, i] { fired.push_back(i); });
+  }
+  EXPECT_EQ(sim.pending_events(), 50u);
+  sim.RunToCompletion();
+  std::vector<int> expected;
+  for (int i = 35; i < 40; ++i) {
+    expected.push_back(i);
+  }
+  for (int i = 40; i < 80; ++i) {
+    expected.push_back(i);
+  }
+  for (int i = 30; i < 35; ++i) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(fired, expected);
+}
+
 TEST(Simulator, RescheduleOfDeadEventReturnsInvalid) {
   Simulator sim;
-  const EventId cancelled = sim.ScheduleAt(100, [] {});
+  CallbackTarget cb(&sim);
+  const EventId cancelled = cb.At(100, [] {});
   sim.Cancel(cancelled);
   EXPECT_EQ(sim.Reschedule(cancelled, 200), kInvalidEventId);
-  const EventId fired = sim.ScheduleAt(100, [] {});
+  const EventId fired = cb.At(100, [] {});
   sim.RunUntil(100);
   EXPECT_EQ(sim.Reschedule(fired, 200), kInvalidEventId);
   EXPECT_EQ(sim.Reschedule(kInvalidEventId, 200), kInvalidEventId);
-}
-
-TEST(Simulator, LargeClosureFallsBackToHeapAllocation) {
-  Simulator sim;
-  std::array<char, 128> big{};
-  big[0] = 42;
-  char seen = 0;
-  sim.ScheduleAt(10, [big, &seen] { seen = big[0]; });
-  EXPECT_EQ(sim.stats().closure_heap_allocs, 1u);
-  sim.ScheduleAt(20, [&seen] { ++seen; });  // small capture: stays inline
-  EXPECT_EQ(sim.stats().closure_heap_allocs, 1u);
-  sim.RunToCompletion();
-  EXPECT_EQ(seen, 43);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,9 +461,12 @@ TEST(Simulator, LargeClosureFallsBackToHeapAllocation) {
 // exactly the firing order of the previous heap+hash-map engine (preserved in
 // bench/naive_simulator.h).
 
+// The Simulator fires the driver's records (a: the label, b: the chain); the
+// naive engine its closures.
 template <typename Engine>
-struct StormDriver {
+struct StormDriver final : EventTarget {
   Engine eng;
+  TargetId target = 0;
   std::vector<std::pair<int, TimeNs>> log;
   std::vector<size_t> pending_trace;
   struct Tracked {
@@ -423,19 +477,36 @@ struct StormDriver {
   std::vector<Tracked> live;
   int next_label = 0;
 
+  StormDriver() {
+    if constexpr (std::is_same_v<Engine, Simulator>) {
+      target = eng.AddTarget(this, {"storm"});
+    }
+  }
+
   EventId Schedule(TimeNs when, int label, int chain) {
-    return eng.ScheduleAt(when, [this, label, chain] {
-      log.emplace_back(label, eng.Now());
-      if (chain > 0) {
-        // Deterministic follow-up derived from the label only.
-        Schedule(eng.Now() + 1 + (label % 7) * 1'000, label + 100'000,
-                 chain - 1);
-      }
-    });
+    if constexpr (std::is_same_v<Engine, Simulator>) {
+      return eng.ScheduleAt(when, target, 0, static_cast<uint64_t>(label),
+                            static_cast<uint64_t>(chain));
+    } else {
+      return eng.ScheduleAt(when, [this, label, chain] { Fire(label, chain); });
+    }
+  }
+
+  void OnEvent(uint8_t /*kind*/, uint64_t a, uint64_t b) override {
+    Fire(static_cast<int>(a), static_cast<int>(b));
+  }
+
+  void Fire(int label, int chain) {
+    log.emplace_back(label, eng.Now());
+    if (chain > 0) {
+      // Deterministic follow-up derived from the label only.
+      Schedule(eng.Now() + 1 + (label % 7) * 1'000, label + 100'000,
+               chain - 1);
+    }
   }
 
   // Moves tracked event |idx| to |when|, via Reschedule when the engine has
-  // it and cancel+recreate (an identical closure) otherwise — the two idioms
+  // it and cancel+recreate (an identical event) otherwise — the two idioms
   // the engine contract requires to be order-equivalent.
   void Move(size_t idx, TimeNs when) {
     Tracked& t = live[idx];

@@ -35,8 +35,9 @@
 #include "src/base/rng.h"
 #include "src/fleet/root_coordinator.h"
 #include "src/popgen/app_catalog.h"
+#include "src/psbox/power_events.h"
+#include "src/sim/callback_target.h"
 #include "src/snapshot/board_snapshot.h"
-#include "src/snapshot/event_rearmer.h"
 #include "src/snapshot/snapshot_io.h"
 
 namespace psbox {
@@ -360,10 +361,12 @@ TEST_F(SnapshotCorruptionTest, ForeignMagicRejected) {
 
 TEST_F(SnapshotCorruptionTest, UnknownVersionRejected) {
   // A future version, v4 (its dense records predate the live-object layout),
-  // v5 (its spawn logs predate the live-app recipes) and v6 (its frequency
-  // context tables predate the per-principal OPPs): none may be misparsed.
+  // v5 (its spawn logs predate the live-app recipes), v6 (its frequency
+  // context tables predate the per-principal OPPs) and v7 (its event
+  // descriptors and pending-event lists predate the engine's section): none
+  // may be misparsed.
   for (const uint32_t version : {kSnapshotFormatVersion + 1, uint32_t{4},
-                                 uint32_t{5}, uint32_t{6}}) {
+                                 uint32_t{5}, uint32_t{6}, uint32_t{7}}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     std::vector<uint8_t> bytes = bytes_;
     bytes[8] = static_cast<uint8_t>(version);  // format version field (LE)
@@ -526,7 +529,7 @@ FleetScenario GoldenScenario() {
 
 std::string GoldenPath() {
   return std::string(PSBOX_SOURCE_DIR) +
-         "/tests/golden/fleet_checkpoint_v7.snap";
+         "/tests/golden/fleet_checkpoint_v8.snap";
 }
 
 TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
@@ -652,6 +655,17 @@ uint64_t GetU64(const std::vector<uint8_t>& payload, size_t at) {
     v |= static_cast<uint64_t>(payload[at + b]) << (8 * b);
   }
   return v;
+}
+
+// Writes |value| little-endian into the 4 bytes at |at|.
+void PutU32(std::vector<uint8_t>& payload, size_t at, uint32_t value) {
+  for (size_t b = 0; b < 4; ++b) {
+    payload[at + b] = static_cast<uint8_t>(value >> (8 * b));
+  }
+}
+
+uint32_t GetU32(const std::vector<uint8_t>& payload, size_t at) {
+  return static_cast<uint32_t>(GetU64(payload, at));
 }
 
 // Restores the golden payload after |mutate| and expects a refusal whose
@@ -890,32 +904,102 @@ TEST(SnapshotFieldCheckTest, UnknownAppIdRejected) {
       << "error was: " << error;
 }
 
-// --- pending-event order ---------------------------------------------------
-// Restore re-arms each pending event under its saved seq, and the engine
-// orders events by (time, seq): the saved seqs must be distinct and below
-// the shard's next seq, or they and later schedules would collide.
+// --- the engine's section ---------------------------------------------------
+// The engine writes its pending records itself and its load puts them back
+// under their saved seqs. The engine orders events by (time, seq), so the
+// saved seqs must be distinct and below the shard's next seq, or they and
+// later schedules would collide; each record must name a registered target,
+// one of its kinds and, once every section has loaded, what exists.
 
-TEST(EventRearmerTest, ReplaysInOriginalSeqOrder) {
-  Simulator sim;
-  EventRearmer rearmer;
-  std::vector<uint64_t> fired;
-  // Three events at one time and one earlier, deferred out of seq order.
-  for (const auto& [seq, when] : std::vector<std::pair<uint64_t, TimeNs>>{
-           {7, 500}, {3, 500}, {9, 400}, {5, 500}}) {
-    rearmer.Defer(seq, when, [&sim, &fired, seq, when] {
-      sim.ScheduleAt(when, [&fired, seq] { fired.push_back(seq); });
-    });
+// One pending record as the engine's section carries it.
+struct RecordBytes {
+  uint32_t target = 0;
+  uint8_t kind = 0;
+  uint64_t a = 0;
+  uint64_t b = 0;
+  TimeNs when = 0;
+  uint64_t seq = 0;
+};
+
+// A sealed engine section: clock |now|, no events fired, next seq
+// |next_seq|, then |records| in the given order.
+std::vector<uint8_t> EngineSection(TimeNs now, uint64_t next_seq,
+                                   const std::vector<RecordBytes>& records) {
+  SnapshotWriter w;
+  w.Section("engine");
+  w.I64(now);
+  w.U64(0);
+  w.U64(next_seq);
+  w.U64(records.size());
+  for (const RecordBytes& r : records) {
+    w.U32(r.target);
+    w.U8(r.kind);
+    w.U64(r.a);
+    w.U64(r.b);
+    w.I64(r.when);
+    w.U64(r.seq);
   }
-  std::string error;
-  ASSERT_TRUE(rearmer.Check(400, 10, &error)) << error;
-  sim.ResetForRestore(400, 0);
-  rearmer.Replay(sim);
-  sim.SetNextSeqForRestore(10);
-  sim.RunToCompletion();
-  EXPECT_EQ(fired, (std::vector<uint64_t>{9, 3, 5, 7}));
+  return w.Seal();
 }
 
-TEST(EventRearmerTest, RejectsSeqsOutsideOneTotalOrder) {
+// Logs the first argument of each record it fires; two kinds, and an
+// argument of 13 names nothing.
+struct LogTarget final : EventTarget {
+  explicit LogTarget(Simulator& sim, uint64_t handles = 0)
+      : id(sim.AddTarget(this, {"log", 2, handles})) {}
+  void OnEvent(uint8_t /*kind*/, uint64_t a, uint64_t /*b*/) override {
+    fired.push_back(a);
+  }
+  std::string CheckEvent(uint8_t /*kind*/, uint64_t a,
+                         uint64_t /*b*/) const override {
+    return a == 13 ? "names nothing" : "";
+  }
+  TargetId id;
+  std::vector<uint64_t> fired;
+};
+
+// Loads the engine section |sealed| into |sim|; on failure |error| says why.
+bool LoadEngine(Simulator& sim, const std::vector<uint8_t>& sealed,
+                std::string* error) {
+  SnapshotReader r;
+  if (r.Open(sealed)) {
+    sim.Serialize(r);
+  }
+  *error = r.error();
+  return r.ok();
+}
+
+TEST(EngineSnapshotTest, RestoresInOriginalSeqOrder) {
+  Simulator sim;
+  LogTarget log(sim);
+  // What a freshly built board schedules; the load replaces it.
+  sim.ScheduleAt(50, log.id, 0, 99);
+  // Three events at one time and one earlier, listed out of seq order.
+  std::vector<RecordBytes> records;
+  for (const auto& [seq, when] : std::vector<std::pair<uint64_t, TimeNs>>{
+           {7, 500}, {3, 500}, {9, 400}, {5, 500}}) {
+    records.push_back({log.id, 0, seq, 0, when, seq});
+  }
+  std::string error;
+  ASSERT_TRUE(LoadEngine(sim, EngineSection(400, 10, records), &error))
+      << error;
+  EXPECT_EQ(sim.Now(), 400);
+  EXPECT_EQ(sim.next_seq(), 10u);
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(sim.CheckEventArgs(), "");
+  // Saving again writes the records in seq order.
+  std::sort(records.begin(), records.end(),
+            [](const RecordBytes& x, const RecordBytes& y) {
+              return x.seq < y.seq;
+            });
+  SnapshotWriter resaved;
+  sim.Serialize(resaved);
+  EXPECT_EQ(resaved.Seal(), EngineSection(400, 10, records));
+  sim.RunToCompletion();
+  EXPECT_EQ(log.fired, (std::vector<uint64_t>{9, 3, 5, 7}));
+}
+
+TEST(EngineSnapshotTest, RejectsSeqsOutsideOneTotalOrder) {
   struct Case {
     const char* what;
     std::vector<std::pair<uint64_t, TimeNs>> events;  // (seq, when)
@@ -923,37 +1007,230 @@ TEST(EventRearmerTest, RejectsSeqsOutsideOneTotalOrder) {
   };
   const Case cases[] = {
       {"before the clock", {{3, 100}, {4, 99}},
-       "snapshot has a pending event before the shard clock"},
-      {"seq 0", {{4, 200}, {0, 100}}, "snapshot has a pending event with seq 0"},
+       "snapshot has a pending event of target 'log' kind 0 before the "
+       "shard clock"},
+      {"seq 0", {{4, 200}, {0, 100}},
+       "snapshot has a pending event of target 'log' kind 0 with seq 0"},
       {"duplicate seq", {{4, 100}, {6, 200}, {4, 300}},
        "snapshot has two pending events with seq 4"},
       {"seq at next seq", {{4, 100}, {10, 200}},
-       "pending event seq 10 is not below the shard's next seq 10"},
+       "pending event of target 'log' kind 0 has seq 10, not below the "
+       "shard's next seq 10"},
       {"seq past next seq", {{12, 100}},
-       "pending event seq 12 is not below the shard's next seq 10"},
+       "pending event of target 'log' kind 0 has seq 12, not below the "
+       "shard's next seq 10"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
-    EventRearmer rearmer;
+    Simulator sim;
+    LogTarget log(sim);
+    std::vector<RecordBytes> records;
     for (const auto& [seq, when] : c.events) {
-      rearmer.Defer(seq, when, [] {});
+      records.push_back({log.id, 0, 1, 0, when, seq});
     }
     std::string error;
-    EXPECT_FALSE(rearmer.Check(100, 10, &error));
+    EXPECT_FALSE(LoadEngine(sim, EngineSection(100, 10, records), &error));
     EXPECT_EQ(error, c.expected);
   }
 }
 
-// v7 CPU governor layout, past a board's "governor" marker: the global OPP
+TEST(EngineSnapshotTest, UnregisteredTargetRejected) {
+  Simulator sim;
+  LogTarget log(sim);
+  std::string error;
+  EXPECT_FALSE(LoadEngine(sim, EngineSection(0, 10, {{1, 0, 0, 0, 5, 3}}),
+                          &error));
+  EXPECT_EQ(error,
+            "snapshot has a pending event (seq 3) for target 1, but the board "
+            "registers only 1");
+}
+
+// A target registered as not checkpointable never has a record saved.
+TEST(EngineSnapshotTest, UncheckpointableTargetRejected) {
+  Simulator sim;
+  CallbackTarget callbacks(&sim);
+  std::string error;
+  EXPECT_FALSE(LoadEngine(sim, EngineSection(0, 10, {{0, 0, 0, 0, 5, 3}}),
+                          &error));
+  EXPECT_EQ(error,
+            "snapshot has a pending event (seq 3) of target 'callback' kind "
+            "0, which a snapshot cannot carry");
+}
+
+TEST(EngineSnapshotTest, KindPastTargetCountRejected) {
+  Simulator sim;
+  LogTarget log(sim);
+  std::string error;
+  EXPECT_FALSE(LoadEngine(
+      sim, EngineSection(0, 10, {{log.id, 2, 0, 0, 5, 3}}), &error));
+  EXPECT_EQ(error,
+            "snapshot has a pending event (seq 3) of target 'log' kind 2, "
+            "past the target's 2 kinds");
+}
+
+// Kind 1 is a handle kind: its target keeps one handle per first argument,
+// so a second record for the same argument would fire it twice. Kind 0
+// records may repeat.
+TEST(EngineSnapshotTest, TwoRecordsBehindOneHandleRejected) {
+  Simulator sim;
+  LogTarget log(sim, /*handles=*/1u << 1);
+  std::string error;
+  EXPECT_TRUE(LoadEngine(
+      sim, EngineSection(0, 10, {{log.id, 0, 4, 0, 5, 3}, {log.id, 0, 4, 0, 6, 4}}),
+      &error))
+      << error;
+  EXPECT_TRUE(LoadEngine(
+      sim, EngineSection(0, 10, {{log.id, 1, 4, 0, 5, 3}, {log.id, 1, 5, 0, 6, 4}}),
+      &error))
+      << error;
+  EXPECT_FALSE(LoadEngine(
+      sim, EngineSection(0, 10, {{log.id, 1, 4, 0, 5, 3}, {log.id, 1, 4, 0, 6, 4}}),
+      &error));
+  EXPECT_EQ(error,
+            "snapshot has two pending events of target 'log' kind 1 for "
+            "argument 4");
+}
+
+// The engine loads before the sections whose state a record's arguments
+// name, so their check runs once the shard is whole.
+TEST(EngineSnapshotTest, ArgumentsCheckedAfterLoad) {
+  Simulator sim;
+  LogTarget log(sim);
+  std::string error;
+  ASSERT_TRUE(LoadEngine(
+      sim, EngineSection(0, 10, {{log.id, 0, 4, 0, 5, 3}, {log.id, 1, 13, 0, 6, 4}}),
+      &error))
+      << error;
+  EXPECT_EQ(sim.CheckEventArgs(),
+            "snapshot pending event of target 'log' kind 1: names nothing");
+}
+
+// A board shard's records whose first argument names nothing (a core, task,
+// box, app, frame or command that does not exist) are refused, and so are
+// those of kinds that take no argument, whose arguments must be 0.
+TEST(EngineSnapshotTest, RecordArgumentsNameWhatExists) {
+  World original = MakeWorld();
+  SpawnApps(original);
+  original.kernel->RunUntil(Millis(200));
+  const std::vector<uint8_t> sealed = SaveShard(original);
+  const std::vector<uint8_t> shard(
+      sealed.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize),
+      sealed.end());
+  // Past the "engine" marker: the clock, the fired count, the next seq and
+  // the record count, then 37 bytes per record with its first argument at
+  // byte 5.
+  const size_t engine = AfterSection(shard, "engine");
+  const uint64_t count = GetU64(shard, engine + 24);
+  ASSERT_GT(count, 3u);
+  std::vector<std::string> refusals;
+  for (uint64_t i = 0; i < count; ++i) {
+    std::vector<uint8_t> payload = shard;
+    PutU64(payload, engine + 32 + 37 * i + 5, uint64_t{1} << 40);
+    World restored = MakeWorld();
+    SnapshotReader r;
+    ASSERT_TRUE(r.Open(Reseal(payload))) << r.error();
+    std::string error;
+    if (!RestoreBoardShard(r, *restored.board, *restored.kernel,
+                           *restored.manager,
+                           [&restored] { SpawnApps(restored); }, &error)) {
+      EXPECT_NE(error.find(": names "), std::string::npos) << error;
+      refusals.push_back(error);
+    }
+  }
+  EXPECT_EQ(refusals.size(), count);
+  // The cut has a core timer pending, which names its core, and a device
+  // timer, which takes no argument.
+  EXPECT_TRUE(std::any_of(refusals.begin(), refusals.end(),
+                          [](const std::string& e) {
+                            return e.find("names 1099511627776 and 0, but "
+                                          "takes no arguments") !=
+                                   std::string::npos;
+                          }));
+  EXPECT_TRUE(std::any_of(refusals.begin(), refusals.end(),
+                          [](const std::string& e) {
+                            return e.find("names core 1099511627776 of 2") !=
+                                   std::string::npos;
+                          }));
+}
+
+// A pending ad-hoc callback holds a closure no snapshot can carry, and a
+// power event monitor's evaluation feeds listeners that are callbacks.
+TEST(EngineSnapshotTest, SaveRefusedWhileCallbackPending) {
+  World w = MakeWorld();
+  SpawnApps(w);
+  CallbackTarget callbacks(&w.board->sim());
+  callbacks.At(Millis(250), [] {});
+  w.kernel->RunUntil(Millis(200));
+  SnapshotWriter writer;
+  std::string error;
+  EXPECT_FALSE(
+      SaveBoardShard(*w.board, *w.kernel, *w.manager, &writer, &error));
+  EXPECT_EQ(error,
+            "snapshot refused: an event of target 'callback' is pending, and "
+            "a snapshot cannot carry it");
+  w.kernel->RunUntil(Millis(300));
+  EXPECT_TRUE(SaveBoardShard(*w.board, *w.kernel, *w.manager, &writer, &error))
+      << error;
+
+  PowerEventMonitor monitor(
+      w.kernel.get(), w.manager.get(),
+      w.manager->CreateBox(w.kernel->CreateApp("watched"), {HwComponent::kCpu}));
+  EXPECT_FALSE(
+      SaveBoardShard(*w.board, *w.kernel, *w.manager, &writer, &error));
+  EXPECT_EQ(error,
+            "snapshot refused: an event of target 'power event monitor' is "
+            "pending, and a snapshot cannot carry it");
+  monitor.Stop();  // its next evaluation schedules no other
+  w.kernel->RunUntil(Millis(400));
+  EXPECT_TRUE(SaveBoardShard(*w.board, *w.kernel, *w.manager, &writer, &error))
+      << error;
+}
+
+// One seeded bit flipped in each byte of a board shard's engine section, the
+// payload resealed: every case restores or fails with an error (never a
+// crash or, under PSBOX_SANITIZE, a sanitizer report).
+TEST(EngineSnapshotTest, EngineSectionBitFlipsRestoreOrFail) {
+  World original = MakeWorld();
+  SpawnApps(original);
+  original.kernel->RunUntil(Millis(200));
+  const std::vector<uint8_t> sealed = SaveShard(original);
+  const std::vector<uint8_t> shard(
+      sealed.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize),
+      sealed.end());
+  // From the "engine" marker to the "board" marker.
+  const size_t begin = AfterSection(shard, "engine") - (3 + 6);
+  const size_t end = AfterSection(shard, "board") - (3 + 5);
+  ASSERT_LT(begin, end);
+  Rng rng(0xF11B);
+  int restored_count = 0;
+  for (size_t at = begin; at < end; ++at) {
+    std::vector<uint8_t> payload = shard;
+    payload[at] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+    World restored = MakeWorld();
+    SnapshotReader r;
+    ASSERT_TRUE(r.Open(Reseal(payload))) << r.error();
+    std::string error;
+    if (RestoreBoardShard(r, *restored.board, *restored.kernel,
+                          *restored.manager,
+                          [&restored] { SpawnApps(restored); }, &error)) {
+      ++restored_count;
+    } else {
+      EXPECT_FALSE(error.empty()) << "byte " << at;
+    }
+  }
+  // Flips in the fired count and in record times that stay at or after the
+  // clock still restore; the rest are refused.
+  EXPECT_GT(restored_count, 0);
+  EXPECT_LT(restored_count, static_cast<int>(end - begin));
+}
+
+// v8 CPU governor layout, past a board's "governor" marker: the global OPP
 // (4 bytes), the box count and each box's id (8 bytes) and OPP (4), the
-// running box (8), the retry count (8), then the sampling timer (presence
-// flag, time, seq) and the retry timer's presence flag.
+// running box (8) and the retry count (8). Its timers are the engine's.
 struct GovernorBytes {
   size_t global_opp = 0;
   std::vector<size_t> boxes;  // each box's id; its OPP follows
   size_t running = 0;
-  size_t sample_timer = 0;    // presence flag; time and seq follow
-  size_t retry_timer = 0;     // presence flag
 };
 
 GovernorBytes GovernorOf(const std::vector<uint8_t>& payload, int board) {
@@ -969,50 +1246,74 @@ GovernorBytes GovernorOf(const std::vector<uint8_t>& payload, int board) {
     g.boxes.push_back(at);
   }
   g.running = at;
-  g.sample_timer = at + 16;
-  g.retry_timer = at + 33;
-  EXPECT_LT(g.retry_timer, payload.size()) << "governor past the payload";
+  EXPECT_LT(g.running + 16, payload.size()) << "governor past the payload";
   return g;
 }
 
-// Board 0's CPU governor has its sampling timer pending and its retry timer
-// idle in the golden. Restore must refuse a sampling seq of 0 or at the
-// shard's next seq, and a retry timer made pending under the sampling
-// timer's seq.
+// A board's engine section, past its "engine" marker: the shard clock, the
+// fired count, the next seq, the record count, then each record's target
+// (4 bytes), kind (1), two arguments (8 each), time (8) and seq (8).
+struct EngineBytes {
+  size_t clock = 0;
+  uint64_t next_seq = 0;
+  std::vector<size_t> records;  // each record's target
+};
+
+EngineBytes EngineOf(const std::vector<uint8_t>& payload, int board) {
+  size_t at = 0;
+  for (int b = 0; b <= board; ++b) {
+    at = AfterSection(payload, "shard", at);
+  }
+  EngineBytes e;
+  e.clock = AfterSection(payload, "engine", at);
+  e.next_seq = GetU64(payload, e.clock + 16);
+  const uint64_t count = GetU64(payload, e.clock + 24);
+  for (at = e.clock + 32; e.records.size() < count && at < payload.size();
+       at += 37) {
+    e.records.push_back(at);
+  }
+  return e;
+}
+
+// Board 0's CPU governor has its sampling tick pending in the golden: a
+// record of target 7 (the board's five devices, the kernel and the CPU
+// domain register first), kind 0. Restore must refuse its seq set to 0 or
+// to the shard's next seq, and another record given the same seq.
 TEST(SnapshotFieldCheckTest, PendingEventSeqOutsideTotalOrderRejected) {
   const std::vector<uint8_t> golden = GoldenPayload();
-  // Past the "shard" marker: the shard clock, the fired count, the next seq.
-  const size_t shard = AfterSection(golden, "shard");
-  const uint64_t now = GetU64(golden, shard);
-  const uint64_t next_seq = GetU64(golden, shard + 16);
-  // Board 0's governor timers.
-  const GovernorBytes gov = GovernorOf(golden, 0);
-  ASSERT_LT(gov.retry_timer, golden.size());
-  ASSERT_EQ(golden[gov.sample_timer], 1) << "sampling timer pending";
-  const size_t sample_seq = gov.sample_timer + 9;
+  const EngineBytes engine = EngineOf(golden, 0);
+  ASSERT_GE(engine.records.size(), 2u);
+  const auto sample = std::find_if(
+      engine.records.begin(), engine.records.end(), [&](size_t at) {
+        return GetU32(golden, at) == 7 && golden[at + 4] == 0;
+      });
+  ASSERT_TRUE(sample != engine.records.end()) << "sampling tick pending";
+  const size_t sample_seq = *sample + 29;
   const uint64_t seq = GetU64(golden, sample_seq);
   ASSERT_GT(seq, 0u);
-  ASSERT_LT(seq, next_seq);
-  const size_t retry = gov.retry_timer;
-  ASSERT_EQ(golden[retry], 0) << "retry timer idle";
+  ASSERT_LT(seq, engine.next_seq);
+  const size_t other_seq =
+      (sample == engine.records.begin() ? engine.records[1]
+                                        : engine.records[0]) +
+      29;
+  const std::string governor = "target 'cpu governor' kind 0";
 
   ExpectMutatedGoldenRejected(
       [&](std::vector<uint8_t>& p) { PutU64(p, sample_seq, 0); },
-      "snapshot has a pending event with seq 0");
+      "snapshot has a pending event of " + governor + " with seq 0");
   ExpectMutatedGoldenRejected(
-      [&](std::vector<uint8_t>& p) { PutU64(p, sample_seq, next_seq); },
-      "pending event seq " + std::to_string(next_seq) +
-          " is not below the shard's next seq " + std::to_string(next_seq));
+      [&](std::vector<uint8_t>& p) { PutU64(p, sample_seq, engine.next_seq); },
+      "pending event of " + governor + " has seq " +
+          std::to_string(engine.next_seq) +
+          ", not below the shard's next seq " +
+          std::to_string(engine.next_seq));
   ExpectMutatedGoldenRejected(
-      [&](std::vector<uint8_t>& p) {
-        std::vector<uint8_t> key(16);
-        PutU64(key, 0, now);
-        PutU64(key, 8, seq);
-        p[retry] = 1;
-        p.insert(p.begin() + static_cast<ptrdiff_t>(retry) + 1, key.begin(),
-                 key.end());
-      },
+      [&](std::vector<uint8_t>& p) { PutU64(p, other_seq, seq); },
       "snapshot has two pending events with seq " + std::to_string(seq));
+  // The fleet names the board.
+  ExpectMutatedGoldenRejected(
+      [&](std::vector<uint8_t>& p) { PutU64(p, sample_seq, 0); },
+      "checkpoint board 0: snapshot has a pending event of");
 }
 
 // --- v6 recipe and cursor checks -------------------------------------------
@@ -1258,8 +1559,8 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
   const size_t board1 = AfterSection(golden, "shard", AfterSection(golden, "shard"));
   const size_t dsp = AfterSection(golden, "accel_driver",
                                   AfterSection(golden, "accel_driver", board1));
-  ASSERT_EQ(dsp, 49570u);
-  ASSERT_LT(dsp + 694, golden.size());
+  ASSERT_EQ(dsp, 50064u);
+  ASSERT_LT(dsp + 676, golden.size());
   const auto read = [&golden](size_t at, size_t width) {
     uint64_t v = 0;
     for (size_t b = 0; b < width; ++b) {
@@ -1282,14 +1583,14 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
   // counter and the owner's idle stamp, the global power state, then the
   // running app (16, whose balloon holds the DSP).
   const Mutation kMutations[] = {
-      {"global OPP", 666, 4, 0, 9,
+      {"global OPP", 648, 4, 0, 9,
        "DSP driver global OPP index 9 out of range"},
-      {"in-flight command id", 577, 8, 6, 999,
+      {"in-flight command id", 576, 8, 6, 999,
        "DSP driver's in-flight commands are not the ones executing on the "
        "device"},
-      {"app 15's lane OPP", 464, 4, 3, 9,
+      {"app 15's lane OPP", 463, 4, 3, 9,
        "DSP driver app 15 OPP index 9 out of range"},
-      {"running app", 686, 8, 16, 99,
+      {"running app", 668, 8, 16, 99,
        "DSP driver runs app 99, which has no OPP"},
   };
   for (const Mutation& m : kMutations) {
@@ -1305,17 +1606,6 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
   }
 }
 
-// Writes |value| little-endian into the 4 bytes at |at|.
-void PutU32(std::vector<uint8_t>& payload, size_t at, uint32_t value) {
-  for (size_t b = 0; b < 4; ++b) {
-    payload[at + b] = static_cast<uint8_t>(value >> (8 * b));
-  }
-}
-
-uint32_t GetU32(const std::vector<uint8_t>& payload, size_t at) {
-  return static_cast<uint32_t>(GetU64(payload, at));
-}
-
 // Every kind of restored operating point a balloon edge or a governor tick
 // would apply: each must be one the device has. Before v7 a CPU box's OPP
 // of 9 restored cleanly and then aborted in Run().
@@ -1327,11 +1617,11 @@ TEST(SnapshotFieldCheckTest, OutOfRangeOppRejected) {
   const size_t box2 = gov.boxes[2];
   ASSERT_EQ(GetU64(golden, box2), 2u);
   // Board 0's GPU section: past its lifecycle layer, app 6's lane (two
-  // queued commands) leads with its OPP at 645; past the other four lanes
+  // queued commands) leads with its OPP at 644; past the other four lanes
   // and the empty in-flight table lies the global power state.
   const size_t gpu =
       AfterSection(golden, "accel_driver", AfterSection(golden, "shard"));
-  ASSERT_EQ(GetU64(golden, gpu + 500), 6u);
+  ASSERT_EQ(GetU64(golden, gpu + 499), 6u);
   struct Mutation {
     const char* field;
     size_t at;
@@ -1342,8 +1632,8 @@ TEST(SnapshotFieldCheckTest, OutOfRangeOppRejected) {
       {"CPU box", box2 + 8, 4, "CPU governor box 2 OPP index 9 out of range"},
       {"CPU global", gov.global_opp, 3,
        "CPU governor global OPP index 9 out of range"},
-      {"GPU lane", gpu + 645, 2, "GPU driver app 6 OPP index 9 out of range"},
-      {"GPU global", gpu + 1037, 0,
+      {"GPU lane", gpu + 644, 2, "GPU driver app 6 OPP index 9 out of range"},
+      {"GPU global", gpu + 1036, 0,
        "GPU driver global OPP index 9 out of range"},
   };
   for (const Mutation& m : kMutations) {
@@ -1399,17 +1689,16 @@ TEST(SnapshotFieldCheckTest, ImpossibleStorageWriteBackRejected) {
   // follow it. Its fields: the power state (12 bytes), the busy and hung
   // flags, the current command (25 bytes), its dispatch time, the remaining
   // bytes at 47, the channel's update time, the buffered bytes at 63, the
-  // flush flag and update time, two counters, then three events of which
-  // only the flush start (a flag, its time and seq: 17 bytes) is pending.
+  // flush flag and update time and two counters (96 bytes). The pending
+  // flush start is the engine's record.
   const size_t psbox_marker = AfterSection(shard, "psbox") - (3 + 5);
-  const size_t at = psbox_marker - 49 - (1 + 17 + 1) - 96;
+  const size_t at = psbox_marker - 49 - 96;
   const size_t remaining = at + 47;
   const size_t buffer = at + 63;
   ASSERT_EQ(GetU64(shard, at + 4),
             static_cast<uint64_t>(storage.power_state().flush_delay));
   ASSERT_EQ(std::bit_cast<double>(GetU64(shard, buffer)),
             static_cast<double>(storage.buffered_bytes()));
-  ASSERT_EQ(shard[at + 97], 1) << "flush start pending";
 
   const auto restore = [&spawn](const std::vector<uint8_t>& payload,
                                 std::string* error) {
