@@ -78,8 +78,8 @@ std::pair<std::vector<double>, std::vector<double>> ProbeTraces(int site, int re
   auto rail_trace = DownsampleSamples(rail_samples, 0, kObservation, kTraceBins);
 
   Rng sample_rng(cfg.seed ^ 0x5a5a);
-  auto boxed_samples = s.manager.sandbox(box).ObservedSamples(
-      s.board.gpu_rail(), HwComponent::kGpu, 0, kObservation,
+  auto boxed_samples = s.manager.ObservedSamples(
+      box, HwComponent::kGpu, 0, kObservation,
       s.board.config().meter.sample_period, s.board.config().meter.noise_stddev,
       &sample_rng);
   auto boxed_trace = DownsampleSamples(boxed_samples, 0, kObservation, kTraceBins);
@@ -131,8 +131,8 @@ std::pair<std::vector<double>, std::vector<double>> ProbeTracesInPopulation(
   auto rail_trace = DownsampleSamples(rail_samples, 0, kObservation, kTraceBins);
 
   Rng sample_rng(cfg.seed ^ 0x5a5a);
-  auto boxed_samples = s.manager.sandbox(box).ObservedSamples(
-      s.board.gpu_rail(), HwComponent::kGpu, 0, kObservation,
+  auto boxed_samples = s.manager.ObservedSamples(
+      box, HwComponent::kGpu, 0, kObservation,
       s.board.config().meter.sample_period, s.board.config().meter.noise_stddev,
       &sample_rng);
   auto boxed_trace = DownsampleSamples(boxed_samples, 0, kObservation, kTraceBins);

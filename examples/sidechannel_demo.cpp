@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   const auto open_view = DownsampleSamples(rail_samples, 0, Millis(400), kBins);
 
   Rng rng(123);
-  auto boxed_samples = manager.sandbox(box).ObservedSamples(
-      board.gpu_rail(), HwComponent::kGpu, 0, Millis(400),
+  auto boxed_samples = manager.ObservedSamples(
+      box, HwComponent::kGpu, 0, Millis(400),
       board.config().meter.sample_period, board.config().meter.noise_stddev, &rng);
   const auto boxed_view = DownsampleSamples(boxed_samples, 0, Millis(400), kBins);
 

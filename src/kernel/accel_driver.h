@@ -38,6 +38,15 @@ struct AccelDriverConfig : CommandDriverConfig {
   double command_timeout_work_factor = 20.0;
 };
 
+// The DSP serves long-running kernels: its balloons get a 40 ms grant and a
+// 20 ms switch lead (why the paper reports ~100 ms DSP dispatch latencies).
+inline AccelDriverConfig MakeDspDriverConfig() {
+  AccelDriverConfig config;
+  config.min_grant = 40 * kMillisecond;
+  config.switch_lead = 20 * kMillisecond;
+  return config;
+}
+
 // A principal's virtualised frequency state: the OPP its balloons run at
 // (the lowest until the governor raises it), and the busy and wall time it
 // ran the device since the last governor tick.

@@ -1,10 +1,12 @@
 // Kernel → psbox notification hook.
 //
 // The kernel extensions (CPU scheduler, accelerator and storage drivers,
-// packet scheduler) report resource-balloon boundaries through this
-// interface, each after swapping its own virtualised power state (§4.1). The
-// psbox library implements it to accumulate the ownership intervals its
-// virtual power meters read from.
+// packet scheduler) each keep the one record of who owns their component
+// since when (ResourceDomain::owner_box and served_since). When a served
+// balloon ends, the domain hands the closed ownership span to this
+// interface, after swapping its own virtualised power state back (§4.1).
+// The psbox library implements it to keep the closed intervals its virtual
+// power meters read from; a span still open is read from the domain.
 
 #ifndef SRC_KERNEL_BALLOON_OBSERVER_H_
 #define SRC_KERNEL_BALLOON_OBSERVER_H_
@@ -18,11 +20,10 @@ class BalloonObserver {
  public:
   virtual ~BalloonObserver() = default;
 
-  // The balloon for |psbox| now exclusively owns |hw| (all members joined).
-  virtual void OnBalloonIn(PsboxId psbox, HwComponent hw, TimeNs when) = 0;
-
-  // The balloon released |hw|.
-  virtual void OnBalloonOut(PsboxId psbox, HwComponent hw, TimeNs when) = 0;
+  // The balloon for |psbox| released |hw|, which it had exclusively owned
+  // (all members joined) over [since, until).
+  virtual void OnBalloonOut(PsboxId psbox, HwComponent hw, TimeNs since,
+                            TimeNs until) = 0;
 };
 
 }  // namespace psbox

@@ -307,7 +307,7 @@ void CommandDriver<Device, Command, VState>::OnDrainTimeout() {
     LeaveBalloon(owner);
   }
   // Bills only the service actually rendered — nothing for a kDrainOthers
-  // abort, where ownership never began and no balloon-in was signalled.
+  // abort, where ownership never began and no span was opened.
   const DurationNs served = BalloonAbort();
   if (owned) {
     owner.served += static_cast<double>(served) * device_->slots();

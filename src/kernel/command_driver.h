@@ -130,11 +130,11 @@ class CommandDriver : public ResourceDomain {
   void SerializeCommands(Ar& ar, const char* section, StateFn&& state);
 
   // --- driver hooks ---
-  // Balloon-in: applies |owner|'s virtualised power state before the
-  // observer looks.
+  // Balloon-in: applies |owner|'s virtualised power state before the domain
+  // serves the balloon.
   virtual void EnterBalloon(Lane& owner) = 0;
   // Balloon-out (or its abort): parks |owner|'s power state and restores
-  // the global one before the observer looks.
+  // the global one before the domain closes the span.
   virtual void LeaveBalloon(Lane& owner) = 0;
   // Hands a completion, or the failure completion of a dropped command, to
   // the submitting task (which may wake and submit again synchronously).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "src/base/check.h"
 #include "src/kernel/kernel.h"
@@ -185,7 +186,11 @@ void CpuScheduler::AddTask(Task* task, CoreId core) {
   }
   task->core = core;
   task->set_state(TaskState::kRunnable);
-  TaskGroup* group = task->group != nullptr ? task->group : ActiveGroup(task->app());
+  TaskGroup* group = task->group;
+  if (group == nullptr) {
+    auto armed = active_group_by_app_.find(task->app());
+    group = armed != active_group_by_app_.end() ? armed->second : nullptr;
+  }
   if (group != nullptr) {
     task->group = group;
     if (std::find(group->members_.begin(), group->members_.end(), task) ==
@@ -215,7 +220,7 @@ void CpuScheduler::WakeTask(Task* task) {
     auto& pc = group->per_core_[static_cast<size_t>(core)];
     pc.runnable.push_back(task);
     ++group->runnable_tasks_;
-    if (group->coscheduling_) {
+    if (Coscheduling(*group)) {
       // If this core is the group's dummy-idle slot, fill it immediately.
       if (c.balloon == group && c.current_task == nullptr) {
         AccountCore(core);
@@ -235,10 +240,6 @@ void CpuScheduler::WakeTask(Task* task) {
 
   Enqueue(core, Entity{task, nullptr});
   ReEvaluate(core);
-}
-
-void CpuScheduler::Resched(CoreId core) {
-  sim_->ScheduleAfter(0, target_, kReEvaluate, static_cast<uint64_t>(core));
 }
 
 void CpuScheduler::ReEvaluate(CoreId core) {
@@ -301,7 +302,7 @@ double CpuScheduler::GlobalCompetitorVruntime(const TaskGroup* group) const {
 }
 
 bool CpuScheduler::BalloonEligible(CoreId core, TaskGroup* group) const {
-  if (active_balloon_ != nullptr) {
+  if (balloon_phase() != BalloonPhase::kIdle) {
     return false;  // balloons are whole-cluster; two cannot coexist
   }
   const double competitor = GlobalCompetitorVruntime(group);
@@ -657,9 +658,7 @@ void CpuScheduler::ExitCurrent(CoreId core) {
     }
     t->group = nullptr;
   }
-  if (kernel_ != nullptr) {
-    kernel_->OnTaskExited(t);
-  }
+  kernel_->OnTaskExited(t);
   AfterCurrentLeft(core);
 }
 
@@ -697,21 +696,16 @@ void CpuScheduler::AfterCurrentLeft(CoreId core) {
 // psbox groups & coscheduling
 // ---------------------------------------------------------------------------
 
-TaskGroup* CpuScheduler::CreateGroup(AppId app, PsboxId psbox) {
-  auto& group = groups_[psbox];
-  PSBOX_CHECK(group == nullptr);
-  group = std::make_unique<TaskGroup>(app, psbox, num_cores());
-  return group.get();
-}
-
 void CpuScheduler::BindBox(AppId app, PsboxId box) {
   kernel_->governor().BindBox(box);
-  CreateGroup(app, box);
+  auto& group = groups_[box];
+  PSBOX_CHECK(group == nullptr);
+  group = std::make_unique<TaskGroup>(app, box, num_cores());
 }
 
 bool CpuScheduler::BoxRetirable(PsboxId box) const {
   const TaskGroup& g = *groups_.at(box);
-  if (g.balloon_exclusive_ || g.coscheduling_ || active_balloon_ == &g ||
+  if (g.balloon_exclusive_ || Coscheduling(g) ||
       g.slice_timer_ != kInvalidEventId || g.runnable_tasks_ != 0 ||
       !g.members_.empty()) {
     return false;
@@ -745,22 +739,6 @@ void CpuScheduler::UnbindBox(PsboxId box) {
   kernel_->governor().UnbindBox(box);
 }
 
-void CpuScheduler::SetSandboxed(AppId app, PsboxId box) {
-  EnterGroup(groups_.at(box).get(), kernel_->AppTasks(app));
-}
-
-void CpuScheduler::ClearSandboxed(AppId app) {
-  // The group may already be disarmed if the app never ran sandboxed.
-  TaskGroup* group = ActiveGroup(app);
-  if (group != nullptr) {
-    LeaveGroup(group);
-  }
-}
-
-AppId CpuScheduler::balloon_owner() const {
-  return active_balloon_ != nullptr ? active_balloon_->app() : kNoApp;
-}
-
 void CpuScheduler::TrimTelemetry(TimeNs horizon) {
   for (Core& core : cores_) {
     core.schedule_trace.TrimBefore(horizon);
@@ -768,12 +746,8 @@ void CpuScheduler::TrimTelemetry(TimeNs horizon) {
   ResourceDomain::TrimTelemetry(horizon);
 }
 
-TaskGroup* CpuScheduler::ActiveGroup(AppId app) const {
-  auto it = active_group_by_app_.find(app);
-  return it == active_group_by_app_.end() ? nullptr : it->second;
-}
-
-void CpuScheduler::EnterGroup(TaskGroup* group, const std::vector<Task*>& tasks) {
+void CpuScheduler::SetSandboxed(AppId app, PsboxId box) {
+  TaskGroup* group = groups_.at(box).get();
   if (group->balloon_exclusive_) {
     return;  // rapid enter/leave/enter collapsed into one armed period
   }
@@ -785,7 +759,7 @@ void CpuScheduler::EnterGroup(TaskGroup* group, const std::vector<Task*>& tasks)
     pc.loan = 0.0;
     pc.wants_resched = false;
   }
-  for (Task* t : tasks) {
+  for (Task* t : kernel_->AppTasks(app)) {
     if (t->state() == TaskState::kExited) {
       continue;
     }
@@ -830,15 +804,17 @@ void CpuScheduler::EnterGroup(TaskGroup* group, const std::vector<Task*>& tasks)
   }
 }
 
-void CpuScheduler::LeaveGroup(TaskGroup* group) {
-  if (!group->balloon_exclusive_) {
+void CpuScheduler::ClearSandboxed(AppId app) {
+  auto armed = active_group_by_app_.find(app);
+  if (armed == active_group_by_app_.end()) {
     return;  // never armed (or already left)
   }
+  TaskGroup* group = armed->second;
   // Disarm first so the EndBalloon -> Schedule path cannot restart a
   // coscheduling period for this group.
   group->balloon_exclusive_ = false;
-  active_group_by_app_.erase(group->app());
-  if (group->coscheduling_) {
+  active_group_by_app_.erase(armed);
+  if (Coscheduling(*group)) {
     EndBalloon(group, /*group_blocked=*/false);
   }
   // Remove the group entities from all runqueues and release the tasks back
@@ -898,14 +874,7 @@ void CpuScheduler::SpreadGroupTasks(TaskGroup* group) {
 
 void CpuScheduler::StartBalloon(CoreId initiator, TaskGroup* group) {
   PSBOX_CHECK(group->balloon_exclusive_);
-  PSBOX_CHECK(!group->coscheduling_);
-  PSBOX_CHECK(active_balloon_ == nullptr);
-  active_balloon_ = group;
-  group->coscheduling_ = true;
-  group->owned_notified_ = false;
-  group->balloon_started_ = sim_->Now();
-  RecordBalloonStart();
-  RecordEdge(BalloonEdge::Kind::kRequest, group->app(), group->psbox());
+  BalloonRequest(group->app(), group->psbox());
   // Remove the group's entities from every runqueue: while coscheduled the
   // group is "on cpu" everywhere.
   for (CoreId c = 0; c < num_cores(); ++c) {
@@ -972,7 +941,7 @@ void CpuScheduler::JoinBalloon(CoreId core, TaskGroup* group) {
 }
 
 void CpuScheduler::CheckBalloonEnd(TaskGroup* group) {
-  if (!group->coscheduling_) {
+  if (!Coscheduling(*group)) {
     return;
   }
   // End when the group has lost the best credit on every coscheduled core
@@ -994,7 +963,7 @@ void CpuScheduler::CheckBalloonEnd(TaskGroup* group) {
 }
 
 void CpuScheduler::EndBalloon(TaskGroup* group, bool group_blocked) {
-  PSBOX_CHECK(group->coscheduling_);
+  PSBOX_CHECK(Coscheduling(*group));
   // Account every coscheduled core before touching vruntimes.
   std::vector<CoreId> members;
   for (CoreId c = 0; c < num_cores(); ++c) {
@@ -1021,12 +990,6 @@ void CpuScheduler::EndBalloon(TaskGroup* group, bool group_blocked) {
     pc.loan = 0.0;
     pc.wants_resched = false;
   }
-  group->coscheduling_ = false;
-  PSBOX_CHECK(active_balloon_ == group);
-  active_balloon_ = nullptr;
-  RecordBalloonTime(sim_->Now() - group->balloon_started_);
-  // Spatial balloons end in one step — no separate release/drain edge.
-  RecordEdge(BalloonEdge::Kind::kFinish, group->app(), group->psbox());
   if (group->slice_timer_ != kInvalidEventId) {
     sim_->Cancel(group->slice_timer_);
     group->slice_timer_ = kInvalidEventId;
@@ -1039,11 +1002,11 @@ void CpuScheduler::EndBalloon(TaskGroup* group, bool group_blocked) {
   const auto ended = static_cast<uint64_t>(group->psbox());
   sim_->CancelPending(target_, kIpi, ended);
   sim_->CancelPending(target_, kOwnedNotify, ended);
-  if (group->owned_notified_ && kernel_ != nullptr) {
+  if (balloon_phase() == BalloonPhase::kServe) {
     SwitchPowerState(kNoPsbox);
-    NotifyBalloonOut(group->psbox(), sim_->Now());
-    group->owned_notified_ = false;
   }
+  // Spatial balloons end in one step: no separate release/drain edge.
+  BalloonEnd();
   // Tear down per-core occupancy; running group tasks go back to runnable.
   for (CoreId c : members) {
     Core& core = cores_[static_cast<size_t>(c)];
@@ -1139,15 +1102,6 @@ CpuScheduler::UtilizationSample CpuScheduler::ConsumeUtilization() {
   return sample;
 }
 
-void CpuScheduler::RemoveFromGroupRunnable(Task* task) {
-  TaskGroup* g = task->group;
-  PSBOX_CHECK(g != nullptr);
-  auto& pc = g->per_core_[static_cast<size_t>(task->core)];
-  auto it = std::find(pc.runnable.begin(), pc.runnable.end(), task);
-  PSBOX_CHECK(it != pc.runnable.end());
-  pc.runnable.erase(it);
-}
-
 // ---------------------------------------------------------------------------
 // Timers and checkpoint/restore
 // ---------------------------------------------------------------------------
@@ -1169,25 +1123,23 @@ void CpuScheduler::OnEvent(uint8_t kind, uint64_t a, uint64_t b) {
     case kSliceEnd: {
       TaskGroup& g = *groups_.at(static_cast<PsboxId>(a));
       g.slice_timer_ = kInvalidEventId;
-      if (g.coscheduling_) {
+      if (Coscheduling(g)) {
         EndBalloon(&g, /*group_blocked=*/false);
       }
       return;
     }
     case kIpi: {
       TaskGroup& g = *groups_.at(static_cast<PsboxId>(a));
-      if (g.coscheduling_) {
+      if (Coscheduling(g)) {
         JoinBalloon(static_cast<CoreId>(b), &g);
       }
       return;
     }
     case kOwnedNotify: {
       TaskGroup& g = *groups_.at(static_cast<PsboxId>(a));
-      if (g.coscheduling_ && kernel_ != nullptr) {
-        g.owned_notified_ = true;
+      if (Coscheduling(g) && balloon_phase() == BalloonPhase::kDrainOthers) {
         SwitchPowerState(g.psbox());
-        NotifyBalloonIn(g.psbox(), sim_->Now());
-        RecordEdge(BalloonEdge::Kind::kServe, g.app(), g.psbox());
+        BalloonServe();
       }
       return;
     }
@@ -1262,9 +1214,6 @@ void CpuScheduler::Serialize(Ar& ar) {
     ar.Expect(g->app_, "scheduler group identity mismatch in snapshot");
     ar.Expect(g->psbox_, "scheduler group identity mismatch in snapshot");
     ar.Bool(g->balloon_exclusive_);
-    ar.Bool(g->coscheduling_);
-    ar.Bool(g->owned_notified_);
-    ar.I64(g->balloon_started_);
     ar.I64(g->runnable_tasks_);
     ar.Fixed(g->per_core_, 17,
              "scheduler group core count mismatch in snapshot",
@@ -1290,7 +1239,6 @@ void CpuScheduler::Serialize(Ar& ar) {
       }
     }
   });
-  group_ref(active_balloon_, "scheduler balloon references unknown group");
   ar.Fixed(cores_, 64,
            "scheduler core count mismatch between snapshot and config",
            [&](Core& c) {
@@ -1340,6 +1288,32 @@ void CpuScheduler::Serialize(Ar& ar) {
       c.completion_event = sim_->FindPending(target_, kCompletion, id);
     }
   });
+  if constexpr (Ar::kLoading) {
+    // The domain's balloon is the one record of the coscheduling period: it
+    // must name an armed group of its owner app, and every core in a
+    // balloon must hold that group.
+    const std::string domain = std::string(name()) + " domain";
+    auto it = groups_.find(owner_box());
+    const TaskGroup* owner = it != groups_.end() ? it->second.get() : nullptr;
+    if (ar.ok() && balloon_owner() != kNoApp &&
+        (owner == nullptr || owner->app() != balloon_owner() ||
+         !owner->balloon_exclusive_)) {
+      ar.Fail(domain + "'s balloon names box " + std::to_string(owner_box()) +
+              ", which has no armed group of its owner app " +
+              std::to_string(balloon_owner()));
+    } else if (ar.ok() && balloon_phase() == BalloonPhase::kDrainOwner) {
+      ar.Fail(domain + "'s balloon is in an owner drain, which coscheduling "
+              "has not");
+    }
+    for (const Core& c : cores_) {
+      if (ar.ok() && c.balloon != nullptr && c.balloon != owner) {
+        ar.Fail(domain + ": core " + std::to_string(&c - cores_.data()) +
+                " holds the balloon of box " +
+                std::to_string(c.balloon->psbox()) +
+                ", which is not the domain's balloon");
+      }
+    }
+  }
   ar.U64(stats_.context_switches);
   ar.U64(stats_.shootdown_ipis);
   ar.U64(stats_.wakeups);

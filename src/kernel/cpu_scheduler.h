@@ -11,7 +11,10 @@
 //  * when a group entity with an active *spatial balloon* is picked on one
 //    core, the scheduler coschedules the group on ALL cores via task
 //    shootdown (modelled IPIs with a configurable delay). Cores with no
-//    runnable group task run a dummy task that forces them idle;
+//    runnable group task run a dummy task that forces them idle. The
+//    coscheduling period is the domain's balloon (ResourceDomain): its
+//    start is the request, the owned-notify once every core is reached the
+//    serve, and its end one BalloonEnd step, since it has no owner drain;
 //  * every cycle of the coscheduling period — dummy-idle cycles included —
 //    is billed to the group (charging the lost sharing opportunity);
 //  * a *scheduling loan* is taken per core when the group is force-picked
@@ -90,17 +93,12 @@ class TaskGroup {
   std::vector<PerCore> per_core_;
   std::vector<Task*> members_;
   bool balloon_exclusive_ = false;
-  bool coscheduling_ = false;
-  bool owned_notified_ = false;
-  TimeNs balloon_started_ = 0;
   EventId slice_timer_ = kInvalidEventId;
   int runnable_tasks_ = 0;
 };
 
-// The spatial CPU domain: unlike the temporal domains it has its own
-// coscheduling lifecycle (balloons start whenever the group entity is
-// picked), so it drives the ResourceDomain primitives directly instead of
-// the five-phase machine.
+// The spatial CPU domain: a balloon starts whenever the group entity is
+// picked, and runs the domain's lifecycle like every other domain.
 class CpuScheduler : public ResourceDomain {
  public:
   CpuScheduler(Simulator* sim, CpuDevice* cpu, SchedConfig config, Kernel* kernel);
@@ -112,8 +110,6 @@ class CpuScheduler : public ResourceDomain {
   void AddTask(Task* task, CoreId core = -1);
   // Wakes a blocked task (timer/IRQ path).
   void WakeTask(Task* task);
-  // Asks the scheduler to re-evaluate |core| at the next opportunity.
-  void Resched(CoreId core);
 
   // --- psbox task-group extension (ResourceDomain) ----------------------
   // Creates the psbox's task group and its governor operating point.
@@ -126,24 +122,11 @@ class CpuScheduler : public ResourceDomain {
   void UnbindBox(PsboxId box) override;
   // Drops a retired task's wake-latency stamp.
   void ForgetTask(TaskId task) { wake_time_.erase(task); }
-  // Moves the app's tasks into the box's group and arms the spatial balloon.
+  // Moves the app's tasks into the box's group and arms the spatial balloon:
+  // from now on they run only inside coscheduling periods.
   void SetSandboxed(AppId app, PsboxId box) override;
   // Disarms the balloon and moves the tasks back to the normal runqueues.
   void ClearSandboxed(AppId app) override;
-  // App of the in-progress coscheduling period (kNoApp when none).
-  AppId balloon_owner() const override;
-
-  // Lower-level group surface (used by the overrides above; tests drive it
-  // directly when no kernel is attached). Groups are keyed by their box id.
-  TaskGroup* CreateGroup(AppId app, PsboxId psbox);
-  // Moves all of |app|'s current tasks into |group| and arms the spatial
-  // balloon: from now on the group's tasks only run inside coscheduling
-  // periods. |tasks| is the app's task list (the kernel's registry).
-  void EnterGroup(TaskGroup* group, const std::vector<Task*>& tasks);
-  // Disarms the balloon and moves the tasks back to the normal runqueues.
-  void LeaveGroup(TaskGroup* group);
-  // Group an app's tasks currently belong to (nullptr when unsandboxed).
-  TaskGroup* ActiveGroup(AppId app) const;
 
   // --- DVFS coupling ----------------------------------------------------
   // Changes the cluster OPP; accounts for all in-progress compute first so
@@ -173,7 +156,6 @@ class CpuScheduler : public ResourceDomain {
   };
   const Stats& stats() const { return stats_; }
   int num_cores() const { return static_cast<int>(cores_.size()); }
-  Task* CurrentTask(CoreId core) const { return cores_[static_cast<size_t>(core)].current_task; }
   bool InBalloon(CoreId core) const { return cores_[static_cast<size_t>(core)].balloon != nullptr; }
   const SchedConfig& config() const { return config_; }
 
@@ -190,7 +172,8 @@ class CpuScheduler : public ResourceDomain {
   // utilisation windows; the load takes the tick, completion and slice
   // timers' handles back from the engine. Requires the groups to have been
   // recreated (via BindBox) and the tasks restored before the call; a group
-  // travels as its box id.
+  // travels as its box id. The load refuses a domain balloon with no armed
+  // group of its owner app or in an owner drain, and a core holding another.
   template <class Ar>
   void Serialize(Ar& ar);
 
@@ -274,13 +257,19 @@ class CpuScheduler : public ResourceDomain {
   void ProcessActions(CoreId core);
 
   // --- coscheduling internals ---
+  // Whether |group| holds the domain's balloon: the coscheduling period in
+  // progress (balloons span all cores, so there is at most one).
+  bool Coscheduling(const TaskGroup& group) const {
+    return balloon_phase() != BalloonPhase::kIdle &&
+           owner_box() == group.psbox();
+  }
   void StartBalloon(CoreId initiator, TaskGroup* group);
   void JoinBalloon(CoreId core, TaskGroup* group);
   void EndBalloon(TaskGroup* group, bool group_blocked);
   // Power-state virtualisation (§4.1) at the ownership edges: the governor
   // runs |box|'s operating point from balloon-in, the global one
-  // (kNoPsbox) from balloon-out, before the observer hears the edge. Off
-  // under KernelConfig::virtualize_cpu_freq = false.
+  // (kNoPsbox) from balloon-out, before the domain's serve or end step.
+  // Off under KernelConfig::virtualize_cpu_freq = false.
   void SwitchPowerState(PsboxId box);
   void CheckBalloonEnd(TaskGroup* group);
   // Spreads the group's runnable tasks across balloon cores; idle dummies on
@@ -303,8 +292,6 @@ class CpuScheduler : public ResourceDomain {
   // (the sandboxed app waits for the others to catch up).
   double GlobalCompetitorVruntime(const TaskGroup* group) const;
   bool BalloonEligible(CoreId core, TaskGroup* group) const;
-  // Removes |task| from its group's runnable list (it must be queued there).
-  void RemoveFromGroupRunnable(Task* task);
   double ClampVruntime(CoreId core, double vr) const;
 
   CpuDevice* cpu_;
@@ -312,9 +299,8 @@ class CpuScheduler : public ResourceDomain {
   Kernel* kernel_;
   std::vector<Core> cores_;
   std::map<PsboxId, std::unique_ptr<TaskGroup>> groups_;
+  // The armed group of each sandboxed app.
   std::unordered_map<AppId, TaskGroup*> active_group_by_app_;
-  // At most one coscheduling period at a time (balloons span all cores).
-  TaskGroup* active_balloon_ = nullptr;
   Stats stats_;
   TimeNs util_last_consume_ = 0;
   std::map<PsboxId, BalloonUtil> balloon_util_;

@@ -17,18 +17,12 @@ Kernel::Kernel(Board* board, KernelConfig config)
                                               config_.sched, this);
   governor_ = std::make_unique<CpufreqGovernor>(&board_->sim(), scheduler_.get(),
                                                 &board_->cpu(), config_.governor);
-  AccelDriverConfig gpu_cfg = config_.gpu_driver;
-  AccelDriverConfig dsp_cfg = config_.dsp_driver;
-  // The DSP serves long-running kernels; give balloons a longer grant (this
-  // is why the paper reports ~100 ms DSP dispatch latencies vs 1.8 ms GPU).
-  if (dsp_cfg.min_grant == AccelDriverConfig{}.min_grant) {
-    dsp_cfg.min_grant = 40 * kMillisecond;
-    dsp_cfg.switch_lead = 20 * kMillisecond;
-  }
-  gpu_driver_ = std::make_unique<AccelDriver>(&board_->sim(), &board_->gpu(),
-                                              HwComponent::kGpu, this, gpu_cfg);
-  dsp_driver_ = std::make_unique<AccelDriver>(&board_->sim(), &board_->dsp(),
-                                              HwComponent::kDsp, this, dsp_cfg);
+  gpu_driver_ = std::make_unique<AccelDriver>(
+      &board_->sim(), &board_->gpu(), HwComponent::kGpu, this,
+      config_.gpu_driver);
+  dsp_driver_ = std::make_unique<AccelDriver>(
+      &board_->sim(), &board_->dsp(), HwComponent::kDsp, this,
+      config_.dsp_driver);
   net_ = std::make_unique<NetStack>(&board_->sim(), &board_->wifi(), this, config_.net);
   storage_driver_ = std::make_unique<StorageDriver>(
       &board_->sim(), &board_->storage(), this, config_.storage_driver);

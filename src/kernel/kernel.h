@@ -37,7 +37,7 @@ struct KernelConfig {
   SchedConfig sched;
   GovernorConfig governor;
   AccelDriverConfig gpu_driver;
-  AccelDriverConfig dsp_driver;
+  AccelDriverConfig dsp_driver = MakeDspDriverConfig();
   NetConfig net;
   StorageDriverConfig storage_driver;
   // Ablation: when false, CPU balloons do not switch the governor's
@@ -115,8 +115,8 @@ class Kernel : public EventTarget {
   void set_psbox_service(PsboxService* service) { psbox_service_ = service; }
   PsboxService* psbox_service() { return psbox_service_; }
   // Hands |observer| (the psbox manager) to every registered domain, which
-  // notifies it at each ownership edge after swapping its own virtualised
-  // power state.
+  // hands it each ended balloon's ownership span after swapping its own
+  // virtualised power state back.
   void set_balloon_observer(BalloonObserver* observer);
 
   // --- syscall & interrupt plumbing (used by the scheduler/drivers) ----

@@ -14,7 +14,7 @@ constexpr DurationNs kNetRecency = 200 * kMillisecond;
 constexpr DurationNs kNetHold = 2 * kMillisecond;
 
 NetStack::NetStack(Simulator* sim, WifiDevice* device, Kernel* kernel, NetConfig config)
-    : ResourceDomain(sim, HwComponent::kWifi, config.drain_timeout,
+    : ResourceDomain(sim, HwComponent::kWifi, /*drain_timeout=*/0,
                      kNetEventKinds, 1u << kRetransmit),
       device_(device), kernel_(kernel), config_(config),
       socks_(sim, "wifi queue", kNetRecency,
@@ -117,7 +117,7 @@ void NetStack::Pump() {
           return;
         }
         // Balloon-in: apply the sandbox's virtualised NIC power state before
-        // the observer looks.
+        // the domain serves the balloon.
         global_state_ = device_->power_state();
         device_->SetPowerState(socks_[balloon_owner()].extra.vstate);
         BalloonServe();
@@ -181,7 +181,15 @@ void NetStack::Pump() {
         if (our_tx_pending_) {
           return;
         }
-        SettleOwner();
+        // Balloon-out: the owner parks its power state, the global one
+        // returns, and the owner is charged the lost sharing opportunities.
+        Sockets::Lane& s = socks_[balloon_owner()];
+        s.extra.vstate = device_->power_state();
+        device_->SetPowerState(global_state_);
+        if (config_.charge_lost_opportunity) {
+          s.served += penalty_bytes_;
+        }
+        penalty_bytes_ = 0.0;
         BalloonFinish();
         continue;
       }
@@ -342,24 +350,6 @@ void NetStack::ClearSandboxed(AppId app) {
       BalloonRelease();
     }
   }
-  Pump();
-}
-
-void NetStack::SettleOwner() {
-  Sockets::Lane& s = socks_[balloon_owner()];
-  if (balloon_phase() == BalloonPhase::kDrainOwner) {
-    s.extra.vstate = device_->power_state();
-    device_->SetPowerState(global_state_);
-  }
-  if (config_.charge_lost_opportunity) {
-    s.served += penalty_bytes_;
-  }
-  penalty_bytes_ = 0.0;
-}
-
-void NetStack::OnDrainTimeout() {
-  SettleOwner();
-  BalloonAbort();
   Pump();
 }
 

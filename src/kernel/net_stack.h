@@ -12,6 +12,8 @@
 // Packet *reception* cannot be deferred (the WiLink8 MAC limitation, §5):
 // RX frames reach the NIC regardless of balloon ownership, which is the
 // paper's acknowledged leak in the Fig 6 WiFi row.
+// The drains need no watchdog: on this NIC model every frame completes, so a
+// wedged drain cannot occur.
 
 #ifndef SRC_KERNEL_NET_STACK_H_
 #define SRC_KERNEL_NET_STACK_H_
@@ -47,9 +49,6 @@ struct NetConfig {
   int max_tx_retries = 5;
   DurationNs retransmit_backoff_base = 1 * kMillisecond;
   DurationNs retransmit_backoff_cap = 32 * kMillisecond;
-  // Drain-phase watchdog bound; 0 (the default) leaves the drains unbounded —
-  // on this NIC model every frame completes, so a wedged drain cannot occur.
-  DurationNs drain_timeout = 0;
 };
 
 class NetStack : public ResourceDomain {
@@ -134,13 +133,6 @@ class NetStack : public ResourceDomain {
   // error once the retry budget is spent.
   void HandleTxLoss(SockPacket p);
   void DeliverSocketError(const SockPacket& p);
-  // Balloon-out, or its abort: an owner that held the NIC parks its power
-  // state and the global one returns; the owner is charged the lost sharing
-  // opportunities.
-  void SettleOwner();
-  // A drain phase exceeded the (optionally) configured bound: unwind the
-  // balloon, restoring the global power state and settling the penalty.
-  void OnDrainTimeout() override;
   enum : uint8_t { kRetransmit = kDomainEventKinds, kRxInject, kNetEventKinds };
 
   WifiDevice* device_;

@@ -1,6 +1,7 @@
 #include "src/kernel/resource_domain.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/base/check.h"
 #include "src/snapshot/snapshot_io.h"
@@ -52,8 +53,8 @@ Joules ResourceDomain::DirectEnergyOver(AppId app, TimeNs t0, TimeNs t1) const {
             std::string(name()) + " is balloon-metered, not direct-metered");
 }
 
-void ResourceDomain::RecordEdge(BalloonEdge::Kind kind, AppId app, PsboxId box) {
-  timeline_.push_back({sim_->Now(), kind, app, box});
+void ResourceDomain::RecordEdge(BalloonEdge::Kind kind) {
+  timeline_.push_back({sim_->Now(), kind, owner_, owner_box_});
 }
 
 void ResourceDomain::TrimTelemetry(TimeNs horizon) {
@@ -77,7 +78,7 @@ void ResourceDomain::SerializeDomain(Ar& ar) {
   ar.I64(owner_box_);
   ar.I64(balloon_start_);
   ar.I64(drain_enter_);
-  ar.Bool(notified_);
+  ar.I64(served_since_);
   ar.U64(dstats_.balloons);
   ar.I64(dstats_.total_balloon_time);
   ar.U64(dstats_.aborted);
@@ -91,6 +92,27 @@ void ResourceDomain::SerializeDomain(Ar& ar) {
   ar.U64(trimmed_edges_);
   if constexpr (Ar::kLoading) {
     drain_event_ = sim_->FindPending(target_, kDrainTimeout, 0);
+    const std::string domain = std::string(name()) + " domain";
+    const bool served = phase_ == BalloonPhase::kServe ||
+                        phase_ == BalloonPhase::kDrainOwner;
+    // Fail keeps the first error, so a failed load may run these too.
+    if (phase_ == BalloonPhase::kIdle
+            ? owner_ != kNoApp || owner_box_ != kNoPsbox
+            : owner_ == kNoApp) {
+      ar.Fail(domain + (owner_ == kNoApp ? " has a balloon with no owner app"
+                                         : " names an owner with no balloon"));
+    } else if (served != (served_since_ >= 0)) {
+      ar.Fail(domain + (served ? " serves a balloon with no serve instant"
+                               : " has a serve instant with no served "
+                                 "balloon"));
+    } else if (served_since_ > sim_->Now()) {
+      ar.Fail(domain + "'s serve instant " + std::to_string(served_since_) +
+              " lies past the shard clock " + std::to_string(sim_->Now()));
+    } else if (served && served_since_ < balloon_start_) {
+      ar.Fail(domain + "'s serve instant " + std::to_string(served_since_) +
+              " precedes the balloon request at " +
+              std::to_string(balloon_start_));
+    }
   }
 }
 
@@ -118,16 +140,17 @@ void ResourceDomain::DisarmDrainWatchdog() {
   drain_event_ = kInvalidEventId;
 }
 
-void ResourceDomain::NotifyBalloonIn(PsboxId box, TimeNs when) {
-  if (observer_ != nullptr) {
-    observer_->OnBalloonIn(box, kind_, when);
+void ResourceDomain::CloseBalloon(BalloonEdge::Kind kind) {
+  RecordEdge(kind);
+  const TimeNs since = served_since_;
+  served_since_ = -1;
+  if (since >= 0 && observer_ != nullptr) {
+    observer_->OnBalloonOut(owner_box_, kind_, since, sim_->Now());
   }
-}
-
-void ResourceDomain::NotifyBalloonOut(PsboxId box, TimeNs when) {
-  if (observer_ != nullptr) {
-    observer_->OnBalloonOut(box, kind_, when);
-  }
+  owner_ = kNoApp;
+  owner_box_ = kNoPsbox;
+  drain_enter_ = -1;
+  phase_ = BalloonPhase::kIdle;
 }
 
 void ResourceDomain::BalloonRequest(AppId app, PsboxId box) {
@@ -141,23 +164,22 @@ void ResourceDomain::BalloonRequest(AppId app, PsboxId box) {
   if (drain_timeout_ > 0) {
     ArmDrainWatchdog();
   }
-  RecordBalloonStart();
-  RecordEdge(BalloonEdge::Kind::kRequest, owner_, owner_box_);
+  ++dstats_.balloons;
+  RecordEdge(BalloonEdge::Kind::kRequest);
 }
 
 void ResourceDomain::BalloonServe() {
   PSBOX_CHECK(phase_ == BalloonPhase::kDrainOthers);
   DisarmDrainWatchdog();
-  notified_ = true;
-  NotifyBalloonIn(owner_box_, sim_->Now());
-  RecordEdge(BalloonEdge::Kind::kServe, owner_, owner_box_);
+  served_since_ = sim_->Now();
+  RecordEdge(BalloonEdge::Kind::kServe);
   phase_ = BalloonPhase::kServe;
 }
 
 void ResourceDomain::BalloonRelease() {
   PSBOX_CHECK(phase_ == BalloonPhase::kServe);
   phase_ = BalloonPhase::kDrainOwner;
-  RecordEdge(BalloonEdge::Kind::kRelease, owner_, owner_box_);
+  RecordEdge(BalloonEdge::Kind::kRelease);
   drain_enter_ = sim_->Now();
   if (drain_timeout_ > 0) {
     ArmDrainWatchdog();
@@ -166,30 +188,22 @@ void ResourceDomain::BalloonRelease() {
 
 DurationNs ResourceDomain::BalloonFinish() {
   PSBOX_CHECK(phase_ == BalloonPhase::kDrainOwner);
+  return BalloonEnd();
+}
+
+DurationNs ResourceDomain::BalloonEnd() {
+  PSBOX_CHECK(phase_ != BalloonPhase::kIdle);
   DisarmDrainWatchdog();
   const DurationNs held = sim_->Now() - balloon_start_;
-  RecordBalloonTime(held);
-  RecordEdge(BalloonEdge::Kind::kFinish, owner_, owner_box_);
-  if (notified_) {
-    NotifyBalloonOut(owner_box_, sim_->Now());
-  }
-  notified_ = false;
-  owner_ = kNoApp;
-  owner_box_ = kNoPsbox;
-  drain_enter_ = -1;
-  phase_ = BalloonPhase::kIdle;
+  dstats_.total_balloon_time += held;
+  CloseBalloon(BalloonEdge::Kind::kFinish);
   return held;
 }
 
 void ResourceDomain::BalloonCancel() {
   PSBOX_CHECK(phase_ == BalloonPhase::kDrainOthers);
   DisarmDrainWatchdog();
-  RecordEdge(BalloonEdge::Kind::kCancel, owner_, owner_box_);
-  notified_ = false;
-  owner_ = kNoApp;
-  owner_box_ = kNoPsbox;
-  drain_enter_ = -1;
-  phase_ = BalloonPhase::kIdle;
+  CloseBalloon(BalloonEdge::Kind::kCancel);
 }
 
 DurationNs ResourceDomain::BalloonAbort() {
@@ -197,21 +211,13 @@ DurationNs ResourceDomain::BalloonAbort() {
               phase_ == BalloonPhase::kDrainOwner);
   DisarmDrainWatchdog();
   // A balloon that never reached ownership bills nothing; one aborted in its
-  // owner drain bills only the service actually rendered — the stuck drain
-  // is the hardware's fault, not the sandbox's.
+  // owner drain bills only the window rendered before that drain began — the
+  // stuck drain is the hardware's fault, not the sandbox's.
   const DurationNs served =
-      phase_ == BalloonPhase::kDrainOwner ? BalloonServed() : 0;
-  RecordBalloonTime(served);
-  RecordAbort();
-  RecordEdge(BalloonEdge::Kind::kAbort, owner_, owner_box_);
-  if (notified_) {
-    NotifyBalloonOut(owner_box_, sim_->Now());
-  }
-  notified_ = false;
-  owner_ = kNoApp;
-  owner_box_ = kNoPsbox;
-  drain_enter_ = -1;
-  phase_ = BalloonPhase::kIdle;
+      phase_ == BalloonPhase::kDrainOwner ? drain_enter_ - balloon_start_ : 0;
+  dstats_.total_balloon_time += served;
+  ++dstats_.aborted;
+  CloseBalloon(BalloonEdge::Kind::kAbort);
   return served;
 }
 

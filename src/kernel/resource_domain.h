@@ -6,13 +6,16 @@
 // drivers, credit-based balloons in the network stack. ResourceDomain hoists
 // everything those implementations share out of the policies:
 //
-//   * the balloon lifecycle state machine
+//   * the balloon lifecycle state machine, which every policy drives (the
+//     CPU's coscheduling period has no owner drain and ends in one step)
 //       request (drain others) -> serve -> release (drain owner) -> finish
-//                    \-> cancel                    \-> abort (watchdog)
-//   * the per-box accounting window (balloon_start .. finish/abort) and the
-//     unified DomainStats every domain reports;
-//   * BalloonObserver dispatch at the ownership edges (balloon-in/out), which
-//     is what feeds the psbox virtual power meters;
+//                    \-> cancel  \-> end      \-> abort (watchdog)
+//   * the one record of who owns the component since when: the balloon's
+//     owner app and box, and the instant it was served. The psbox manager
+//     reads a still-open ownership span from here, and the domain hands it
+//     the closed span when the balloon ends (BalloonObserver);
+//   * the per-box accounting window (balloon_start .. finish/abort), the
+//     unified DomainStats every domain reports and the edge timeline;
 //   * drain-watchdog arming, so a wedged drain phase always unwinds.
 //
 // Policies (CpuScheduler, AccelDriver, NetStack, StorageDriver) keep only
@@ -24,13 +27,6 @@
 // registry keyed by HwComponent — adding a sandboxed resource means
 // implementing this interface, not wiring a fourth special case through the
 // stack.
-//
-// Two shapes of policy:
-//   * temporal domains (accelerators, NIC, storage) drive the five-phase
-//     machine directly via BalloonRequest/Serve/Release/Finish/Cancel/Abort;
-//   * the spatial CPU domain has its own coscheduling lifecycle and uses the
-//     primitives (Notify*/Record*) so its accounting and observer dispatch
-//     still flow through the common layer.
 
 #ifndef SRC_KERNEL_RESOURCE_DOMAIN_H_
 #define SRC_KERNEL_RESOURCE_DOMAIN_H_
@@ -105,8 +101,13 @@ class ResourceDomain : public EventTarget {
   void set_ledger(UsageLedger* ledger) { ledger_ = ledger; }
 
   const DomainStats& domain_stats() const { return dstats_; }
-  // Current balloon owner (kNoApp when none).
-  virtual AppId balloon_owner() const { return owner_; }
+  // Current balloon owner (kNoApp when none) and the box it was granted to.
+  AppId balloon_owner() const { return owner_; }
+  PsboxId owner_box() const { return owner_box_; }
+  // The instant the current balloon was served (ownership began), -1 while
+  // none is: with owner_box() the one record of who owns the component
+  // since when. An open ownership span is [served_since, now).
+  TimeNs served_since() const { return served_since_; }
 
   // Full lifecycle-edge sequence since construction, in time order (the
   // domain-level trace the CSV export streams out). Under telemetry
@@ -153,9 +154,10 @@ class ResourceDomain : public EventTarget {
   virtual Joules DirectEnergyOver(AppId app, TimeNs t0, TimeNs t1) const;
 
   // Snapshot support for the common lifecycle layer: phase/owner/accounting
-  // window, stats and timeline; the load takes the drain watchdog's handle
-  // back from the engine. Policies with extra state serialize it themselves
-  // and call this for the shared part.
+  // window, serve instant, stats and timeline; the load takes the drain
+  // watchdog's handle back from the engine and refuses a balloon record that
+  // contradicts itself or the shard clock. Policies with extra state
+  // serialize it themselves and call this for the shared part.
   template <class Ar>
   void SerializeDomain(Ar& ar);
 
@@ -168,45 +170,36 @@ class ResourceDomain : public EventTarget {
 
   enum class BalloonPhase { kIdle, kDrainOthers, kServe, kDrainOwner };
 
-  // --- primitives (used by every domain, incl. the spatial CPU one) -------
-  void NotifyBalloonIn(PsboxId box, TimeNs when);
-  void NotifyBalloonOut(PsboxId box, TimeNs when);
-  // Appends a lifecycle edge to the timeline. The five-phase methods record
-  // their own edges; the spatial CPU domain calls this at its coscheduling
-  // start/owned/end points.
-  void RecordEdge(BalloonEdge::Kind kind, AppId app, PsboxId box);
-  void RecordBalloonStart() { ++dstats_.balloons; }
-  void RecordBalloonTime(DurationNs held) { dstats_.total_balloon_time += held; }
-  void RecordAbort() { ++dstats_.aborted; }
   void RecordRecovery() { ++dstats_.recoveries; }
 
-  // --- the temporal five-phase lifecycle ----------------------------------
+  // --- the balloon lifecycle ----------------------------------------------
   BalloonPhase balloon_phase() const { return phase_; }
   TimeNs balloon_start() const { return balloon_start_; }
-  PsboxId owner_box() const { return owner_box_; }
-  // Ownership window rendered before the current drain-owner phase began
-  // (what an aborted balloon is billed for).
-  DurationNs BalloonServed() const { return drain_enter_ - balloon_start_; }
 
   // kIdle -> kDrainOthers: counts the balloon, opens the accounting window,
   // arms the drain watchdog.
   void BalloonRequest(AppId app, PsboxId box);
-  // kDrainOthers -> kServe: disarms the watchdog and signals balloon-in.
-  // The policy swaps its virtualised power state *before* calling this, so
-  // the observer sees the sandbox's own operating point from the first
-  // owned instant.
+  // kDrainOthers -> kServe: disarms the watchdog and records the serve
+  // instant, which opens the ownership span. The policy swaps its
+  // virtualised power state *before* calling this, so the meter sees the
+  // sandbox's own operating point from the first owned instant.
   void BalloonServe();
   // kServe -> kDrainOwner: arms the drain watchdog.
   void BalloonRelease();
-  // kDrainOwner -> kIdle: bills the full window, signals balloon-out.
-  // Returns the held duration (the policy's fairness charge).
+  // kDrainOwner -> kIdle: BalloonEnd for the temporal domains.
   DurationNs BalloonFinish();
+  // Any phase -> kIdle in one step (the CPU's coscheduling period has no
+  // owner drain): bills the full window, records finish and, if the balloon
+  // was served, hands the observer the closed ownership span. Returns the
+  // held duration (the policy's fairness charge). Policies swap their power
+  // state back before this and the other unwinds.
+  DurationNs BalloonEnd();
   // kDrainOthers -> kIdle without billing or an abort count: the sandbox
   // left before ownership ever began.
   void BalloonCancel();
   // Either drain phase -> kIdle on watchdog expiry: bills only the service
-  // rendered (zero when ownership never began), counts the abort and signals
-  // balloon-out if ownership had been announced. Returns the billed span.
+  // rendered (zero when ownership never began), counts the abort and closes
+  // the span if the balloon was served. Returns the billed span.
   DurationNs BalloonAbort();
 
   // Policy hook run when the drain watchdog expires while a drain phase is
@@ -224,6 +217,11 @@ class ResourceDomain : public EventTarget {
   // armed only from disarmed.
   void ArmDrainWatchdog();
   void DisarmDrainWatchdog();
+  // Appends a lifecycle edge for the current balloon to the timeline.
+  void RecordEdge(BalloonEdge::Kind kind);
+  // The common tail of every unwind to kIdle: records |kind|, hands the
+  // observer the closed span if the balloon was served and clears the owner.
+  void CloseBalloon(BalloonEdge::Kind kind);
 
   HwComponent kind_;
   BalloonPhase phase_ = BalloonPhase::kIdle;
@@ -231,7 +229,7 @@ class ResourceDomain : public EventTarget {
   PsboxId owner_box_ = kNoPsbox;
   TimeNs balloon_start_ = 0;
   TimeNs drain_enter_ = -1;
-  bool notified_ = false;
+  TimeNs served_since_ = -1;
   // Guards the drain phases; 0 disables the watchdog.
   DurationNs drain_timeout_;
   EventId drain_event_ = kInvalidEventId;

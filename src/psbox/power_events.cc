@@ -44,14 +44,13 @@ void PowerEventMonitor::OnEvent(uint8_t /*kind*/, uint64_t /*a*/,
   }
   const TimeNs now = kernel_->Now();
   const PowerMeterConfig& meter = kernel_->board().config().meter;
-  PowerSandbox& sb = manager_->sandbox(box_);
   // Pull the new samples since the last evaluation from the virtual power
   // meter (the monitor evaluates on the OS/sensor-hub side, so it reads the
-  // sandbox's meter directly rather than through psbox_sample()).
+  // sandbox's meter through the manager rather than through psbox_sample()).
   std::vector<PowerSample> samples;
-  for (HwComponent hw : sb.hardware()) {
-    auto part = sb.ObservedSamples(kernel_->board().RailFor(hw), hw, cursor_, now,
-                                   meter.sample_period, 0.0, nullptr);
+  for (HwComponent hw : manager_->sandbox(box_).hardware()) {
+    auto part = manager_->ObservedSamples(box_, hw, cursor_, now,
+                                          meter.sample_period, 0.0, nullptr);
     if (samples.empty()) {
       samples = std::move(part);
     } else {

@@ -11,7 +11,6 @@ PowerSandbox::PowerSandbox(PsboxId id, AppId app, std::vector<HwComponent> hw,
                            TimeNs created, PsboxId parent, Joules budget)
     : id_(id), app_(app), hw_(std::move(hw)), meter_start_(created),
       sample_cursor_(created), parent_(parent), budget_(budget) {
-  open_since_.fill(-1);
   direct_from_.fill(created);
 }
 
@@ -35,26 +34,6 @@ void PowerSandbox::ReleaseChildBudget(Joules granted) {
   }
 }
 
-void PowerSandbox::OnOwnershipStart(HwComponent hw, TimeNs when) {
-  const size_t i = static_cast<size_t>(hw);
-  auto& since = open_since_[i];
-  if (compose_depth_[i]++ == 0) {
-    PSBOX_CHECK_EQ(since, -1);
-    since = when;
-  }
-}
-
-void PowerSandbox::OnOwnershipEnd(HwComponent hw, TimeNs when) {
-  const size_t i = static_cast<size_t>(hw);
-  auto& since = open_since_[i];
-  PSBOX_CHECK_GT(compose_depth_[i], 0);
-  PSBOX_CHECK_GE(since, 0);
-  if (--compose_depth_[i] == 0) {
-    owned_[i].Add(since, when);
-    since = -1;
-  }
-}
-
 void PowerSandbox::ResetMeter(TimeNs now) {
   meter_start_ = now;
   // Everything banked from trimmed history predates the new meter epoch; the
@@ -68,20 +47,12 @@ void PowerSandbox::ResetMeter(TimeNs now) {
 }
 
 bool PowerSandbox::Settled() const {
-  for (size_t i = 0; i < kNumHwComponents; ++i) {
-    if (compose_depth_[i] != 0 || open_since_[i] >= 0 || owned_[i].size() != 0) {
+  for (const IntervalSet& owned : owned_) {
+    if (owned.size() != 0) {
       return false;
     }
   }
   return anchors_.empty();
-}
-
-bool PowerSandbox::OwnedAt(HwComponent hw, TimeNs t) const {
-  const TimeNs since = open_since_[static_cast<size_t>(hw)];
-  if (since >= 0 && t >= since) {
-    return true;
-  }
-  return owned_[static_cast<size_t>(hw)].Contains(t);
 }
 
 const PowerSandbox::Anchor* PowerSandbox::FindAnchor(HwComponent hw) const {
@@ -101,7 +72,8 @@ Joules PowerSandbox::SpanEnergy(const PowerRail& rail, const Anchor* anchor,
   return rail.EnergyOver(b, e);
 }
 
-TimeNs PowerSandbox::StraddleStart(HwComponent hw, TimeNs t) const {
+TimeNs PowerSandbox::StraddleStart(HwComponent hw, TimeNs t,
+                                   TimeNs open_since) const {
   const size_t i = static_cast<size_t>(hw);
   for (const auto& iv : owned_[i].intervals()) {
     if (iv.end <= t) {
@@ -110,8 +82,8 @@ TimeNs PowerSandbox::StraddleStart(HwComponent hw, TimeNs t) const {
     // The first interval reaching past |t|; any open balloon starts after it.
     return iv.begin < t ? std::max(iv.begin, meter_start_) : t;
   }
-  const TimeNs since = open_since_[i];
-  return since >= 0 && since < t ? std::max(since, meter_start_) : t;
+  return open_since >= 0 && open_since < t ? std::max(open_since, meter_start_)
+                                            : t;
 }
 
 void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* faults,
@@ -152,7 +124,7 @@ void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* fa
 
 PowerSandbox::EnergyDetail PowerSandbox::ObservedEnergyDetail(
     const PowerRail& rail, HwComponent hw, TimeNs now,
-    const FaultInjector* faults) const {
+    const FaultInjector* faults, TimeNs open_since) const {
   PSBOX_CHECK(BoundTo(hw));
   // The base carries the measured energy and measured/estimated durations of
   // trimmed intervals; the estimate itself is always derived below from the
@@ -167,9 +139,8 @@ PowerSandbox::EnergyDetail PowerSandbox::ObservedEnergyDetail(
     AccumulateSpan(rail, faults, anchor, std::max(iv.begin, t0),
                    std::min(iv.end, now), &d);
   }
-  const TimeNs since = open_since_[static_cast<size_t>(hw)];
-  if (since >= 0 && since < now) {
-    AccumulateSpan(rail, faults, anchor, std::max(since, t0), now, &d);
+  if (open_since >= 0 && open_since < now) {
+    AccumulateSpan(rail, faults, anchor, std::max(open_since, t0), now, &d);
   }
   if (d.estimated_time > 0) {
     // Model-based estimation for the unmeasurable spans: the average power
@@ -183,24 +154,10 @@ PowerSandbox::EnergyDetail PowerSandbox::ObservedEnergyDetail(
   return d;
 }
 
-std::vector<PowerSample> PowerSandbox::ObservedSamples(
-    const PowerRail& rail, HwComponent hw, TimeNs t0, TimeNs t1, DurationNs period,
-    Watts noise_stddev, Rng* rng, const FaultInjector* faults) const {
-  std::vector<PowerSample> out;
-  if (t1 <= t0) {
-    return out;
-  }
-  out.reserve(static_cast<size_t>((t1 - t0 + period - 1) / period));
-  for (TimeNs t = t0; t < t1; t += period) {
-    out.push_back({t, 0.0, false});
-  }
-  AccumulateObservedSamples(rail, hw, noise_stddev, rng, faults, &out);
-  return out;
-}
-
 void PowerSandbox::AccumulateObservedSamples(const PowerRail& rail, HwComponent hw,
                                              Watts noise_stddev, Rng* rng,
                                              const FaultInjector* faults,
+                                             TimeNs open_since,
                                              std::vector<PowerSample>* buf) const {
   PSBOX_CHECK(BoundTo(hw));
   if (buf->empty()) {
@@ -217,7 +174,6 @@ void PowerSandbox::AccumulateObservedSamples(const PowerRail& rail, HwComponent 
   const std::vector<FaultWindow>* dropouts =
       faults != nullptr ? &faults->meter_dropouts() : nullptr;
   size_t drop_idx = 0;
-  const TimeNs since = open_since_[i];
   const Watts idle = rail.idle_power();
   for (PowerSample& s : *buf) {
     const TimeNs t = s.timestamp;
@@ -235,21 +191,23 @@ void PowerSandbox::AccumulateObservedSamples(const PowerRail& rail, HwComponent 
         continue;
       }
     }
-    // OwnedAt(hw, t) with the open-balloon check hoisted out of the loop.
-    const Watts truth =
-        (since >= 0 && t >= since) || owned.Contains(t) ? power.ValueAt(t) : idle;
+    // Owned at |t|: inside the open span or a closed one.
+    const bool in_span =
+        (open_since >= 0 && t >= open_since) || owned.Contains(t);
+    const Watts truth = in_span ? power.ValueAt(t) : idle;
     s.watts += std::max(
         0.0, truth + (rng != nullptr ? rng->Gaussian(0.0, noise_stddev) : 0.0));
   }
 }
 
 TimeNs PowerSandbox::RetainFloor(HwComponent hw, TimeNs desired,
-                                 const FaultInjector* faults) const {
+                                 const FaultInjector* faults,
+                                 TimeNs open_since) const {
   // The straddling span's start is anchored by TrimOwned, so only the edges
   // of a dropout window inside [start, desired) still need the rail: the
   // first such edge pins the floor. A dropout inside the span but past the
   // horizon splits it at instants the rail keeps anyway.
-  const TimeNs start = StraddleStart(hw, desired);
+  const TimeNs start = StraddleStart(hw, desired, open_since);
   if (start >= desired || faults == nullptr) {
     return desired;
   }
@@ -263,7 +221,7 @@ TimeNs PowerSandbox::RetainFloor(HwComponent hw, TimeNs desired,
 }
 
 void PowerSandbox::TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& rail,
-                             const FaultInjector* faults) {
+                             const FaultInjector* faults, TimeNs open_since) {
   const size_t i = static_cast<size_t>(hw);
   const Anchor* anchor = FindAnchor(hw);
   // Fold exactly the spans the untrimmed queries would integrate for the
@@ -288,7 +246,7 @@ void PowerSandbox::TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& ra
   // span already anchored straddled an earlier horizon and is still the
   // first retained one, so it is this straddler; any other began after the
   // previous horizon, which the rail keeps.
-  const TimeNs start = StraddleStart(hw, horizon);
+  const TimeNs start = StraddleStart(hw, horizon, open_since);
   if (start < horizon && anchor == nullptr) {
     anchors_.push_back({hw, start, rail.trace().CumulativeAt(start)});
   }
@@ -315,7 +273,6 @@ void PowerSandbox::Serialize(Ar& ar) {
   ar.I64(sample_cursor_);
   for (size_t i = 0; i < kNumHwComponents; ++i) {
     owned_[i].Serialize(ar);
-    ar.I64(open_since_[i]);
     ar.F64(detail_base_[i].measured);
     ar.I64(detail_base_[i].measured_time);
     ar.I64(detail_base_[i].estimated_time);
@@ -331,9 +288,6 @@ void PowerSandbox::Serialize(Ar& ar) {
   ar.F64(budget_);
   ar.F64(children_budget_);
   ar.Bool(budget_claimed_);
-  for (int32_t& depth : compose_depth_) {
-    ar.U32(depth);
-  }
   // v4: anchors, sparse — one byte on a box with no straddling span.
   auto num_anchors = static_cast<uint8_t>(anchors_.size());
   ar.U8(num_anchors);

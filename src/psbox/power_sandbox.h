@@ -2,8 +2,10 @@
 //
 // A psbox encloses one app and is bound to a set of hardware components
 // (§3). Whenever the kernel grants the psbox a resource balloon on a bound
-// component, the ownership interval is recorded here; the virtual power
-// meter then exposes:
+// component, the ownership interval is recorded here once the balloon ends;
+// a balloon still open is recorded only by its domain, and the psbox
+// manager passes its start to every query below as |open_since|
+// (kNoOpenSpan when none). The virtual power meter then exposes:
 //   * inside an owned interval  — the component's true rail power (the app
 //     plus its vertical environment; power states already virtualised by
 //     the kernel, so no residue from other apps);
@@ -37,6 +39,9 @@
 #include "src/sim/fault_injector.h"
 
 namespace psbox {
+
+// The |open_since| of a box with no ownership span open on a component.
+inline constexpr TimeNs kNoOpenSpan = -1;
 
 class PowerSandbox {
  public:
@@ -74,18 +79,18 @@ class PowerSandbox {
   bool budget_claimed() const { return budget_claimed_; }
   void set_budget_claimed(bool claimed) { budget_claimed_ = claimed; }
 
-  // Kernel balloon-edge notifications (via the manager, which walks the
-  // ancestor chain). Ownership composes through the hierarchy as a nesting
-  // counter per component: the interval opens on the 0->1 transition and
-  // closes on 1->0, so a box's own balloon and a descendant's back-to-back
-  // balloons merge into one composed interval instead of tripping the
-  // single-owner invariant.
-  void OnOwnershipStart(HwComponent hw, TimeNs when);
-  void OnOwnershipEnd(HwComponent hw, TimeNs when);
+  // Appends the closed ownership span [begin, end) of |hw|: a balloon of
+  // this box, or of a descendant composed onto it (the manager walks the
+  // ancestor chain). A domain grants one balloon at a time, so spans never
+  // overlap; back-to-back ones merge.
+  void AddOwned(HwComponent hw, TimeNs begin, TimeNs end) {
+    owned_[static_cast<size_t>(hw)].Add(begin, end);
+  }
 
   // Energy observed by the virtual power meter for |hw| over
-  // [meter_start, now): the rail energy inside owned intervals (outside
-  // them the hardware belongs to others and bills nothing), split into
+  // [meter_start, now): the rail energy inside owned spans, closed or open
+  // since |open_since| (outside them the hardware belongs to others and
+  // bills nothing), split into
   // DAQ-measured and model-estimated parts. Owned spans falling inside
   // meter-dropout fault windows cannot be measured; they are estimated as
   // the average power measured elsewhere in the window (the rail's idle
@@ -99,24 +104,19 @@ class PowerSandbox {
     Joules total() const { return measured + estimated; }
   };
   EnergyDetail ObservedEnergyDetail(const PowerRail& rail, HwComponent hw,
-                                    TimeNs now, const FaultInjector* faults) const;
+                                    TimeNs now, const FaultInjector* faults,
+                                    TimeNs open_since) const;
 
-  // Timestamped virtual-meter samples for |hw| over [t0, t1). Samples inside
-  // a meter-dropout window are substituted with the rail's idle draw and
-  // tagged estimated.
-  std::vector<PowerSample> ObservedSamples(const PowerRail& rail, HwComponent hw,
-                                           TimeNs t0, TimeNs t1,
-                                           DurationNs period, Watts noise_stddev,
-                                           Rng* rng,
-                                           const FaultInjector* faults = nullptr) const;
-
-  // Single-pass merge primitive behind PsboxManager::Sample: adds this
-  // component's virtual-meter reading onto |buf| (whose timestamps are
-  // prefilled), OR-ing the estimated tag. Consumes one Gaussian draw per
-  // non-dropped sample, in buffer order, exactly like ObservedSamples.
+  // Virtual-meter samples of |hw|: adds the reading at each of |buf|'s
+  // prefilled timestamps onto it (the true rail power inside owned spans,
+  // idle power outside them), OR-ing the estimated tag. Samples inside a
+  // meter-dropout window are substituted with the rail's idle draw and
+  // tagged estimated; every other one consumes one Gaussian draw of |rng|
+  // when given, in buffer order.
   void AccumulateObservedSamples(const PowerRail& rail, HwComponent hw,
                                  Watts noise_stddev, Rng* rng,
                                  const FaultInjector* faults,
+                                 TimeNs open_since,
                                  std::vector<PowerSample>* buf) const;
 
   TimeNs meter_start() const { return meter_start_; }
@@ -125,13 +125,10 @@ class PowerSandbox {
   TimeNs sample_cursor() const { return sample_cursor_; }
   void set_sample_cursor(TimeNs t) { sample_cursor_ = t; }
 
+  // The closed ownership spans of |hw| not yet folded by a trim.
   const IntervalSet& owned(HwComponent hw) const {
     return owned_[static_cast<size_t>(hw)];
   }
-
-  // Whether the sandbox owned |hw| at instant |t| (closed intervals plus a
-  // still-open balloon).
-  bool OwnedAt(HwComponent hw, TimeNs t) const;
 
   // --- retention (driven by PsboxManager::TrimTelemetry) ------------------
 
@@ -142,14 +139,14 @@ class PowerSandbox {
   // window's edges and those need the rail. Trimmed intervals never pin —
   // their energy moves into the bases.
   TimeNs RetainFloor(HwComponent hw, TimeNs desired,
-                     const FaultInjector* faults) const;
+                     const FaultInjector* faults, TimeNs open_since) const;
 
   // Folds every owned interval of |hw| ending at or before |horizon| into
   // the energy base (exactly the spans the untrimmed query
   // would integrate, in the same order), drops those intervals, and anchors
   // the span left straddling |horizon| while |rail| still resolves its start.
   void TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& rail,
-                 const FaultInjector* faults);
+                 const FaultInjector* faults, TimeNs open_since);
 
   // Whether |hw|'s straddling span is anchored (the rail may no longer hold
   // its start).
@@ -173,8 +170,9 @@ class PowerSandbox {
   uint64_t samples_lost() const { return samples_lost_; }
 
   // --- retirement ---------------------------------------------------------
-  // Whether every balloon this box took part in has closed and been folded
-  // into the bases, so its balloon-metered energy is final.
+  // Whether every closed span has been folded into the bases (no interval,
+  // no anchor). With no span open either (the manager asks the domains),
+  // the box's balloon-metered energy is final.
   bool Settled() const;
   // Final balloon-metered energy of the retired children, added exactly as
   // each child retires; the tenant audit starts its child sum from it.
@@ -190,8 +188,9 @@ class PowerSandbox {
   void set_transferred_base(Joules j) { transferred_base_ = j; }
 
   // Snapshot support: verifies identity (id/app/hardware must match the
-  // replayed CreateBox) and overwrites all mutable meter state. Anchors are
-  // stored sparsely (a count, then one record per anchored component).
+  // replayed CreateBox) and overwrites all mutable meter state: closed
+  // history, bases and anchors, stored sparsely (a count, then one record
+  // per anchored component). No open span travels: its domain carries it.
   template <class Ar>
   void Serialize(Ar& ar);
 
@@ -213,8 +212,9 @@ class PowerSandbox {
                            TimeNs b, TimeNs e);
 
   // Clamped start of the span of |hw| that begins before |t| and ends after
-  // it (a closed interval, or the open balloon); |t| when none does.
-  TimeNs StraddleStart(HwComponent hw, TimeNs t) const;
+  // it (a closed interval, or the one open since |open_since|); |t| when
+  // none does.
+  TimeNs StraddleStart(HwComponent hw, TimeNs t, TimeNs open_since) const;
 
   // Splits [b, e) at the meter-dropout windows, integrating measured pieces
   // off the rail and accumulating dropped pieces as estimation time.
@@ -229,7 +229,6 @@ class PowerSandbox {
   TimeNs meter_start_;
   TimeNs sample_cursor_;
   std::array<IntervalSet, kNumHwComponents> owned_;
-  std::array<TimeNs, kNumHwComponents> open_since_;  // filled with -1 in ctor
   // Hierarchy: enclosing tenant box (-1 = top-level), the budget slice this
   // box claimed from it, the slices live children currently hold of ours,
   // and whether our own claim against the parent is outstanding (released
@@ -238,10 +237,6 @@ class PowerSandbox {
   Joules budget_ = 0.0;
   Joules children_budget_ = 0.0;
   bool budget_claimed_ = false;
-  // Per-component balloon nesting depth: this box's own balloon plus any
-  // descendant balloons composed onto it. The owned interval spans the
-  // outermost 0->1 .. 1->0 pair.
-  std::array<int32_t, kNumHwComponents> compose_depth_{};
   // Retention bases: the measured energy and measured/estimated durations
   // of trimmed ownership history. Their .estimated stays 0 (and off the
   // wire): estimation is derived from the aggregated measured average at

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -218,7 +219,48 @@ PowerSandbox::EnergyDetail PsboxManager::ComponentEnergyDetail(PowerSandbox& sb,
   // DAQ-metered rails degrade to model-based estimation inside
   // meter-dropout fault windows.
   return sb.ObservedEnergyDetail(board.RailFor(hw), hw, now,
-                                 &board.fault_injector());
+                                 &board.fault_injector(), OpenSince(sb, hw));
+}
+
+TimeNs PsboxManager::OpenSince(const PowerSandbox& sb, HwComponent hw) const {
+  const ResourceDomain& domain = kernel_->domain(hw);
+  if (domain.served_since() < 0) {
+    return kNoOpenSpan;
+  }
+  // The balloon is open on its owner box and every ancestor. A parent's id
+  // is below its child's, so the walk up stops once it passes |sb|.
+  for (PsboxId b = domain.owner_box(); b >= sb.id();
+       b = Entry(b).box->parent()) {
+    if (b == sb.id()) {
+      return domain.served_since();
+    }
+  }
+  return kNoOpenSpan;
+}
+
+TimeNs PsboxManager::OpenSince(int box, HwComponent hw) const {
+  return OpenSince(sandbox(box), hw);
+}
+
+bool PsboxManager::OwnedAt(int box, HwComponent hw, TimeNs t) const {
+  const PowerSandbox& sb = sandbox(box);
+  const TimeNs since = OpenSince(sb, hw);
+  return (since >= 0 && t >= since) || sb.owned(hw).Contains(t);
+}
+
+std::vector<PowerSample> PsboxManager::ObservedSamples(
+    int box, HwComponent hw, TimeNs t0, TimeNs t1, DurationNs period,
+    Watts noise_stddev, Rng* rng) const {
+  std::vector<PowerSample> out;
+  for (TimeNs t = t0; t < t1; t += period) {
+    out.push_back({t, 0.0, false});
+  }
+  const PowerSandbox& sb = sandbox(box);
+  Board& board = kernel_->board();
+  sb.AccumulateObservedSamples(board.RailFor(hw), hw, noise_stddev, rng,
+                               &board.fault_injector(), OpenSince(sb, hw),
+                               &out);
+  return out;
 }
 
 Joules PsboxManager::ReadEnergy(int box) {
@@ -305,7 +347,7 @@ size_t PsboxManager::Sample(int box, std::vector<PowerSample>* buf,
       sb.AccumulateObservedSamples(kernel_->board().RailFor(hw), hw,
                                    meter.noise_stddev, &rng_,
                                    &kernel_->board().fault_injector(),
-                                   &sample_scratch_);
+                                   OpenSince(sb, hw), &sample_scratch_);
     }
   }
   sb.set_sample_cursor(t0 + static_cast<DurationNs>(n) * period);
@@ -334,7 +376,8 @@ TimeNs PsboxManager::TelemetryFloor(TimeNs desired) {
         if (kernel_->domain(hw).direct_metered()) {
           continue;  // banked via BankDirectEnergy; no ownership windows
         }
-        next = std::min(next, entry.box->RetainFloor(hw, h, &faults));
+        next = std::min(next, entry.box->RetainFloor(
+                                  hw, h, &faults, OpenSince(*entry.box, hw)));
       }
     }
     if (next == h) {
@@ -360,7 +403,8 @@ void PsboxManager::TrimTelemetry(TimeNs horizon) {
               horizon);
         }
       } else {
-        sb.TrimOwned(hw, horizon, board.RailFor(hw), &board.fault_injector());
+        sb.TrimOwned(hw, horizon, board.RailFor(hw), &board.fault_injector(),
+                     OpenSince(sb, hw));
       }
     }
     sb.DropSampleBacklogBefore(horizon, period);
@@ -385,7 +429,7 @@ bool PsboxManager::AppRetirable(AppId app) {
       return false;
     }
     for (HwComponent hw : sb.hardware()) {
-      if (!kernel_->domain(hw).BoxRetirable(id)) {
+      if (OpenSince(sb, hw) >= 0 || !kernel_->domain(hw).BoxRetirable(id)) {
         return false;
       }
     }
@@ -485,6 +529,11 @@ void PsboxManager::Serialize(Ar& ar) {
         ar.Fail("sandbox with no bound hardware in snapshot");
         return;
       }
+      // The CPU would bind a second task group under the box's id.
+      if (std::set(spec.hw.begin(), spec.hw.end()).size() != spec.hw.size()) {
+        ar.Fail("sandbox binds a hardware component twice in snapshot");
+        return;
+      }
       if (spec.parent != kNoPsbox && Find(spec.parent) == nullptr) {
         ar.Fail("sandbox parent must be a live box preceding its child in "
                 "snapshot");
@@ -506,23 +555,42 @@ void PsboxManager::Serialize(Ar& ar) {
 template void PsboxManager::Serialize(SnapshotWriter&);
 template void PsboxManager::Serialize(SnapshotReader&);
 
-void PsboxManager::OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) {
-  // Compose the edge up the hierarchy: the owner and every ancestor tenant
-  // open (or deepen) an ownership interval. CreateNestedBox enforces that a
-  // child's binding is a subset of its parent's, so every ancestor is bound.
+void PsboxManager::OnBalloonOut(PsboxId box, HwComponent hw, TimeNs since,
+                                TimeNs until) {
+  // Compose the span up the hierarchy: the owner and every ancestor tenant
+  // append it. CreateNestedBox enforces that a child's binding is a subset
+  // of its parent's, so every ancestor is bound.
   for (PsboxId b = box; b >= 0;) {
     PowerSandbox& sb = sandbox(b);
-    sb.OnOwnershipStart(hw, when);
+    sb.AddOwned(hw, since, until);
     b = sb.parent();
   }
 }
 
-void PsboxManager::OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) {
-  for (PsboxId b = box; b >= 0;) {
-    PowerSandbox& sb = sandbox(b);
-    sb.OnOwnershipEnd(hw, when);
-    b = sb.parent();
+std::string PsboxManager::CheckBalloonOwners() const {
+  for (size_t c = 0; c < kNumHwComponents; ++c) {
+    const auto hw = static_cast<HwComponent>(c);
+    const ResourceDomain& domain = kernel_->domain(hw);
+    if (domain.balloon_owner() == kNoApp) {
+      continue;
+    }
+    const std::string what = std::string(domain.name()) +
+                             " domain's balloon names box " +
+                             std::to_string(domain.owner_box());
+    const BoxEntry* entry = Find(domain.owner_box());
+    if (entry == nullptr) {
+      return what + ", which does not exist";
+    }
+    if (!entry->box->BoundTo(hw)) {
+      return what + ", which is not bound to the " + domain.name();
+    }
+    if (entry->box->app() != domain.balloon_owner()) {
+      return what + ", which belongs to app " +
+             std::to_string(entry->box->app()) + ", not the owner app " +
+             std::to_string(domain.balloon_owner());
+    }
   }
+  return {};
 }
 
 Joules PsboxManager::BalloonMeteredEnergy(PowerSandbox& sb, TimeNs now) {

@@ -1,10 +1,12 @@
 // PsboxManager: the psbox OS principal's control plane.
 //
 // Implements the kernel's PsboxService (the psbox_* syscall surface of
-// Listing 1) and receives balloon-edge notifications as the BalloonObserver
-// of every resource domain (Kernel::set_balloon_observer). It owns every
-// PowerSandbox, arms/disarms the kernel extensions when apps enter/leave,
-// and serves virtual-power-meter reads.
+// Listing 1) and receives each ended balloon's ownership span as the
+// BalloonObserver of every resource domain (Kernel::set_balloon_observer).
+// It owns every PowerSandbox, arms/disarms the kernel extensions when apps
+// enter/leave, and serves virtual-power-meter reads. A box keeps only its
+// closed spans; a span still open is read from the domain that granted it
+// (OpenSince), so who owns a component since when is recorded once.
 
 #ifndef SRC_PSBOX_PSBOX_MANAGER_H_
 #define SRC_PSBOX_PSBOX_MANAGER_H_
@@ -54,12 +56,24 @@ class PsboxManager : public PsboxService,
   void RetireApp(AppId app) override;
 
   // BalloonObserver (called by the domain after it swapped its virtualised
-  // power state).
-  // A granted balloon composes up the sandbox hierarchy: the owning box and
-  // every ancestor record the edge, so a child's served energy bills its own
-  // virtual meter and the enclosing tenant's.
-  void OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) override;
-  void OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) override;
+  // power state back). A granted balloon composes up the sandbox hierarchy:
+  // the owning box and every ancestor append the span, so a child's served
+  // energy bills its own virtual meter and the enclosing tenant's.
+  void OnBalloonOut(PsboxId box, HwComponent hw, TimeNs since,
+                    TimeNs until) override;
+
+  // The start of |box|'s ownership span on |hw| that is still open now:
+  // the domain's serve instant while its balloon is served and granted to
+  // |box| or a descendant, kNoOpenSpan otherwise.
+  TimeNs OpenSince(int box, HwComponent hw) const;
+  // Whether |box| owned |hw| at instant |t| (a closed span or the open one).
+  bool OwnedAt(int box, HwComponent hw, TimeNs t) const;
+  // |box|'s virtual-meter samples of |hw| over [t0, t1), one per |period|,
+  // noise from |rng| when given (PowerSandbox::AccumulateObservedSamples on
+  // the board's rail and meter dropouts, with the open span).
+  std::vector<PowerSample> ObservedSamples(int box, HwComponent hw, TimeNs t0,
+                                           TimeNs t1, DurationNs period,
+                                           Watts noise_stddev, Rng* rng) const;
 
   // EventTarget: the deferred kernel mode switches of EnterBox and LeaveBox
   // (a: the box).
@@ -107,6 +121,10 @@ class PsboxManager : public PsboxService,
   // requires an empty manager (fresh boards only).
   template <class Ar>
   void Serialize(Ar& ar);
+  // Restore's check once the kernel has loaded too: every domain balloon
+  // must name a live box of its owner app bound to the domain's component.
+  // Returns the error naming the domain, or an empty string.
+  std::string CheckBalloonOwners() const;
 
  private:
   // Shared creation path. |claim| gates the budget claim against the parent:
@@ -120,6 +138,7 @@ class PsboxManager : public PsboxService,
   Joules BalloonMeteredEnergy(PowerSandbox& sb, TimeNs now);
   void ApplyEnter(int box);
   void ApplyLeave(int box);
+  TimeNs OpenSince(const PowerSandbox& sb, HwComponent hw) const;
   // Per-component observed energy over [meter_start, now); dispatches on the
   // component kind (balloon-metered vs. entanglement-free §7 hardware).
   Joules ComponentEnergy(PowerSandbox& sb, HwComponent hw, TimeNs now);

@@ -92,6 +92,12 @@ bool RestoreBoardShard(SnapshotReader& r, Board& board, Kernel& kernel,
     }
   }
   if (r.ok()) {
+    const std::string bad = manager.CheckBalloonOwners();
+    if (!bad.empty()) {
+      r.Fail(bad);
+    }
+  }
+  if (r.ok()) {
     CheckStepTraces(r, board, kernel, board.sim().Now());
   }
   kernel.EndRestore();

@@ -15,10 +15,11 @@
 // (under Kernel::BeginRestore, so nothing is scheduled; a fleet does it from
 // the per-app recipes of its checkpoint, each under its recorded ids), then
 // RestoreBoardShard replaces the engine's clock and records, overwrites all
-// mutable state and checks it against the shard clock and the records'
-// arguments against what was restored. On any failure the reader carries a
-// descriptive error and the half-built objects must be discarded — never
-// swap them into live use.
+// mutable state and checks it against the shard clock, the records'
+// arguments against what was restored, and each domain's balloon against
+// the sandboxes (PsboxManager::CheckBalloonOwners). On any failure the
+// reader carries a descriptive error and the half-built objects must be
+// discarded — never swap them into live use.
 
 #ifndef SRC_SNAPSHOT_BOARD_SNAPSHOT_H_
 #define SRC_SNAPSHOT_BOARD_SNAPSHOT_H_
@@ -48,9 +49,10 @@ bool SaveBoardShard(Board& board, Kernel& kernel, PsboxManager& manager,
 // order, or placed with Kernel::RestoreIdsAt); the kernel load fails on any
 // app one side has and the other lacks. Sandboxes are replayed from the
 // snapshot itself. Every restored step trace must ascend strictly and end
-// at or before the shard clock. Returns false with a descriptive |error| on
-// any validation failure, in which case the target objects are in an
-// unspecified state and must be thrown away.
+// at or before the shard clock, and every domain balloon must name a live
+// box of its owner app bound to the domain's component. Returns false with
+// a descriptive |error| on any validation failure, in which case the target
+// objects are in an unspecified state and must be thrown away.
 bool RestoreBoardShard(SnapshotReader& r, Board& board, Kernel& kernel,
                        PsboxManager& manager,
                        const std::function<void()>& replay_setup,

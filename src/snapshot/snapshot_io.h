@@ -88,7 +88,11 @@ namespace psbox {
 // fired count, next seq, then every pending record: target, kind, two
 // arguments, time and seq); the per-subsystem event presence flags, times,
 // seqs and the six pending-event lists are gone.
-inline constexpr uint32_t kSnapshotFormatVersion = 8;
+// v9: ownership recorded once — each domain carries its balloon's serve
+// instant in place of a flag; each sandbox's seven open spans and seven
+// nesting depths, each CPU group's coscheduling flag, notify flag and
+// balloon start, and the scheduler's balloon reference are gone.
+inline constexpr uint32_t kSnapshotFormatVersion = 9;
 inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'B', 'X',
                                            'S', 'N', 'A', 'P'};
 inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;

@@ -8,24 +8,6 @@
 namespace psbox {
 namespace {
 
-// Observer capturing balloon edges.
-class EdgeRecorder : public BalloonObserver {
- public:
-  struct Edge {
-    PsboxId box;
-    HwComponent hw;
-    TimeNs when;
-    bool in;
-  };
-  void OnBalloonIn(PsboxId box, HwComponent hw, TimeNs when) override {
-    edges.push_back({box, hw, when, true});
-  }
-  void OnBalloonOut(PsboxId box, HwComponent hw, TimeNs when) override {
-    edges.push_back({box, hw, when, false});
-  }
-  std::vector<Edge> edges;
-};
-
 // Enters an app into a CPU psbox via the manager (from outside task context).
 int Sandbox(TestStack& s, AppId app) {
   const int box = s.manager.CreateBox(app, {HwComponent::kCpu});

@@ -38,10 +38,9 @@ TEST(EdgeTest, TwoGpuSandboxesAlternate) {
   // Both make progress and their ownership never overlaps.
   EXPECT_GT(s.kernel.gpu_driver().CompletedFor(a.app), 20u);
   EXPECT_GT(s.kernel.gpu_driver().CompletedFor(b.app), 20u);
-  const auto& ia = s.manager.sandbox(box_a);
-  const auto& ib = s.manager.sandbox(box_b);
   for (TimeNs t = 0; t < Seconds(2); t += 250 * kMicrosecond) {
-    EXPECT_FALSE(ia.OwnedAt(HwComponent::kGpu, t) && ib.OwnedAt(HwComponent::kGpu, t))
+    EXPECT_FALSE(s.manager.OwnedAt(box_a, HwComponent::kGpu, t) &&
+                 s.manager.OwnedAt(box_b, HwComponent::kGpu, t))
         << "overlap at " << t;
   }
 }
@@ -157,10 +156,9 @@ TEST(EdgeTest, EnterBoxWhileAnotherBalloonDraining) {
   EXPECT_GT(s.kernel.dsp_driver().CompletedFor(b.app), 3u);
   EXPECT_GT(s.kernel.dsp_driver().CompletedFor(other.app), 3u);
   // Balloon ownership stays mutually exclusive throughout.
-  const auto& ia = s.manager.sandbox(box_a);
-  const auto& ib = s.manager.sandbox(box_b);
   for (TimeNs t = 0; t < Seconds(2); t += 500 * kMicrosecond) {
-    EXPECT_FALSE(ia.OwnedAt(HwComponent::kDsp, t) && ib.OwnedAt(HwComponent::kDsp, t))
+    EXPECT_FALSE(s.manager.OwnedAt(box_a, HwComponent::kDsp, t) &&
+                 s.manager.OwnedAt(box_b, HwComponent::kDsp, t))
         << "overlap at " << t;
   }
 }
@@ -183,7 +181,7 @@ TEST(EdgeTest, LeaveBoxMidServe) {
   s.kernel.RunUntil(Seconds(1));
   EXPECT_EQ(s.kernel.gpu_driver().balloon_owner(), kNoApp);
   // Ownership closed (no dangling open interval) and both apps kept going.
-  EXPECT_FALSE(s.manager.sandbox(box).OwnedAt(HwComponent::kGpu, s.kernel.Now()));
+  EXPECT_FALSE(s.manager.OwnedAt(box, HwComponent::kGpu, s.kernel.Now()));
   for (const auto& iv : s.manager.sandbox(box).owned(HwComponent::kGpu).intervals()) {
     EXPECT_LT(iv.begin, iv.end);
   }

@@ -248,7 +248,8 @@ TEST(FaultRecoveryTest, MeterDropoutDegradesToEstimation) {
   const Joules truth =
       s.manager.sandbox(box)
           .ObservedEnergyDetail(s.board.cpu_rail(), HwComponent::kCpu,
-                                s.kernel.Now(), nullptr)
+                                s.kernel.Now(), nullptr,
+                                s.manager.OpenSince(box, HwComponent::kCpu))
           .measured;
   ASSERT_GT(truth, 0.0);
   EXPECT_NEAR(d.total(), truth, 0.2 * truth);
@@ -325,7 +326,8 @@ RunFingerprint RunCombinedFaultScenario() {
   const Joules truth =
       s.manager.sandbox(box)
           .ObservedEnergyDetail(s.board.gpu_rail(), HwComponent::kGpu,
-                                s.kernel.Now(), nullptr)
+                                s.kernel.Now(), nullptr,
+                                s.manager.OpenSince(box, HwComponent::kGpu))
           .measured;
   EXPECT_GT(truth, 0.0);
   EXPECT_NEAR(reported, truth, 0.25 * truth + 1e-3);
@@ -421,9 +423,9 @@ TEST(FaultRecoveryTest, RecoveryPathsMatchRecordedShard) {
     size_t bytes;
     uint32_t crc;
   };
-  const Cut kRecorded[] = {{Millis(400), 25581, 0x9730f93f},
-                           {Millis(1000), 52938, 0xf44c9c16},
-                           {Millis(1600), 72441, 0x15ef242d}};
+  const Cut kRecorded[] = {{Millis(400), 25286, 0x3e6ea85b},
+                           {Millis(1000), 52643, 0xe5b4f7e1},
+                           {Millis(1600), 72146, 0xa7dfb44d}};
   for (const Cut& cut : kRecorded) {
     SCOPED_TRACE("cut at " + std::to_string(cut.at / kMillisecond) + " ms");
     s.kernel.RunUntil(cut.at);

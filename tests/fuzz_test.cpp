@@ -77,14 +77,15 @@ TEST_P(FuzzSweep, RandomScenarioUpholdsInvariants) {
   }
   for (size_t i = 0; i < s.manager.box_count(); ++i) {
     for (size_t j = i + 1; j < s.manager.box_count(); ++j) {
-      const PowerSandbox& a = s.manager.sandbox(static_cast<int>(i));
-      const PowerSandbox& b = s.manager.sandbox(static_cast<int>(j));
-      for (HwComponent hw : a.hardware()) {
-        if (!b.BoundTo(hw)) {
+      const auto a = static_cast<int>(i);
+      const auto b = static_cast<int>(j);
+      for (HwComponent hw : s.manager.sandbox(a).hardware()) {
+        if (!s.manager.sandbox(b).BoundTo(hw)) {
           continue;
         }
         for (TimeNs t = 0; t < Seconds(1); t += Millis(7)) {
-          EXPECT_FALSE(a.OwnedAt(hw, t) && b.OwnedAt(hw, t))
+          EXPECT_FALSE(s.manager.OwnedAt(a, hw, t) &&
+                       s.manager.OwnedAt(b, hw, t))
               << "seed " << seed << " hw " << HwComponentName(hw) << " t " << t;
         }
       }

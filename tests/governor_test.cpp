@@ -105,7 +105,7 @@ TEST(GovernorTest, WithoutVirtualisationBalloonKeepsCoRunnerOpp) {
   int owned_instants = 0;
   for (TimeNs t = Millis(60); t < Millis(200); t += 100 * kMicrosecond) {
     s.kernel.RunUntil(t);
-    if (s.manager.sandbox(box).OwnedAt(HwComponent::kCpu, t)) {
+    if (s.manager.OwnedAt(box, HwComponent::kCpu, t)) {
       EXPECT_EQ(s.board.cpu().opp_index(), top) << "at " << t << " ns";
       ++owned_instants;
     }

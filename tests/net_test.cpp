@@ -130,8 +130,8 @@ TEST(NetTest, ReceptionCannotBeDeferred) {
   }
   for (const UsageRecord& r : s.kernel.ledger().records(HwComponent::kWifi)) {
     if (r.app == stranger &&
-        s.manager.sandbox(box).OwnedAt(HwComponent::kWifi,
-                                       r.begin + (r.end - r.begin) / 2)) {
+        s.manager.OwnedAt(box, HwComponent::kWifi,
+                          r.begin + (r.end - r.begin) / 2)) {
       saw_rx_in_balloon = true;
     }
   }
@@ -170,11 +170,10 @@ TEST(NetTest, PowerStateVirtualisedPerBox) {
   // During the sandbox's balloon the NIC transmits at the sandbox's state
   // (default: high power level). The balloon may still be open; probe via
   // OwnedAt.
-  const auto& sb = s.manager.sandbox(box);
   bool saw_high_tx = false;
   bool saw_owned = false;
   for (TimeNs t = 0; t < Millis(100); t += 100 * kMicrosecond) {
-    if (!sb.OwnedAt(HwComponent::kWifi, t)) {
+    if (!s.manager.OwnedAt(box, HwComponent::kWifi, t)) {
       continue;
     }
     saw_owned = true;

@@ -17,10 +17,8 @@ TEST(PowerSandboxTest, BoundComponents) {
 
 TEST(PowerSandboxTest, OwnershipIntervalsAccumulate) {
   PowerSandbox sb(0, 1, {HwComponent::kCpu}, 0);
-  sb.OnOwnershipStart(HwComponent::kCpu, 100);
-  sb.OnOwnershipEnd(HwComponent::kCpu, 200);
-  sb.OnOwnershipStart(HwComponent::kCpu, 300);
-  sb.OnOwnershipEnd(HwComponent::kCpu, 350);
+  sb.AddOwned(HwComponent::kCpu, 100, 200);
+  sb.AddOwned(HwComponent::kCpu, 300, 350);
   EXPECT_EQ(sb.owned(HwComponent::kCpu).TotalCovered(), 150);
 }
 
@@ -30,13 +28,12 @@ TEST(PowerSandboxTest, ObservedEnergyIsBalloonEnergyOnly) {
   PowerSandbox sb(0, 1, {HwComponent::kCpu}, 0);
   // Rail at 2 W from t=0.
   rail.SetPower(2.0);
-  sb.OnOwnershipStart(HwComponent::kCpu, Millis(100));
-  sb.OnOwnershipEnd(HwComponent::kCpu, Millis(200));
+  sb.AddOwned(HwComponent::kCpu, Millis(100), Millis(200));
   // 100 ms of 2 W owned; the rest contributes nothing.
-  EXPECT_NEAR(
-      sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(500), nullptr)
-          .measured,
-      0.2, 1e-9);
+  EXPECT_NEAR(sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(500),
+                                      nullptr, kNoOpenSpan)
+                  .measured,
+              0.2, 1e-9);
 }
 
 TEST(PowerSandboxTest, OpenBalloonCountsUpToNow) {
@@ -44,11 +41,11 @@ TEST(PowerSandboxTest, OpenBalloonCountsUpToNow) {
   PowerRail rail(&sim, "cpu", 0.3);
   rail.SetPower(1.0);
   PowerSandbox sb(0, 1, {HwComponent::kCpu}, 0);
-  sb.OnOwnershipStart(HwComponent::kCpu, Millis(100));
-  EXPECT_NEAR(
-      sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(300), nullptr)
-          .measured,
-      0.2, 1e-9);
+  // The balloon's domain served it at 100 ms and it is still open.
+  EXPECT_NEAR(sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(300),
+                                      nullptr, /*open_since=*/Millis(100))
+                  .measured,
+              0.2, 1e-9);
 }
 
 TEST(PowerSandboxTest, MeterResetRestartsAccumulation) {
@@ -56,12 +53,12 @@ TEST(PowerSandboxTest, MeterResetRestartsAccumulation) {
   PowerRail rail(&sim, "cpu", 0.3);
   rail.SetPower(1.0);
   PowerSandbox sb(0, 1, {HwComponent::kCpu}, 0);
-  sb.OnOwnershipStart(HwComponent::kCpu, 0);
   sb.ResetMeter(Millis(100));
-  EXPECT_NEAR(
-      sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(150), nullptr)
-          .measured,
-      0.05, 1e-9);
+  // A span open since 0 counts only from the reset.
+  EXPECT_NEAR(sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(150),
+                                      nullptr, /*open_since=*/0)
+                  .measured,
+              0.05, 1e-9);
 }
 
 TEST(PowerSandboxTest, SamplesShowIdleOutsideOwnership) {
@@ -69,10 +66,13 @@ TEST(PowerSandboxTest, SamplesShowIdleOutsideOwnership) {
   PowerRail rail(&sim, "gpu", 0.12);
   rail.SetPower(1.5);  // device busy with someone else's work
   PowerSandbox sb(0, 1, {HwComponent::kGpu}, 0);
-  sb.OnOwnershipStart(HwComponent::kGpu, Millis(10));
-  sb.OnOwnershipEnd(HwComponent::kGpu, Millis(20));
-  auto samples = sb.ObservedSamples(rail, HwComponent::kGpu, 0, Millis(30),
-                                    kMillisecond, 0.0, nullptr);
+  sb.AddOwned(HwComponent::kGpu, Millis(10), Millis(20));
+  std::vector<PowerSample> samples;
+  for (TimeNs t = 0; t < Millis(30); t += kMillisecond) {
+    samples.push_back({t, 0.0, false});
+  }
+  sb.AccumulateObservedSamples(rail, HwComponent::kGpu, 0.0, nullptr, nullptr,
+                               kNoOpenSpan, &samples);
   ASSERT_EQ(samples.size(), 30u);
   for (const PowerSample& s : samples) {
     if (s.timestamp >= Millis(10) && s.timestamp < Millis(20)) {

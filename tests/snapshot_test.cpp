@@ -180,7 +180,7 @@ bool HasAnchoredOpenBalloon(RootCoordinator& fleet, TimeNs now) {
       for (HwComponent hw : sb.hardware()) {
         // Closed intervals end at or before now, so ownership at now means
         // the balloon is open.
-        if (sb.anchored(hw) && sb.OwnedAt(hw, now)) {
+        if (sb.anchored(hw) && manager.OwnedAt(box, hw, now)) {
           return true;
         }
       }
@@ -362,11 +362,13 @@ TEST_F(SnapshotCorruptionTest, ForeignMagicRejected) {
 TEST_F(SnapshotCorruptionTest, UnknownVersionRejected) {
   // A future version, v4 (its dense records predate the live-object layout),
   // v5 (its spawn logs predate the live-app recipes), v6 (its frequency
-  // context tables predate the per-principal OPPs) and v7 (its event
-  // descriptors and pending-event lists predate the engine's section): none
-  // may be misparsed.
-  for (const uint32_t version : {kSnapshotFormatVersion + 1, uint32_t{4},
-                                 uint32_t{5}, uint32_t{6}, uint32_t{7}}) {
+  // context tables predate the per-principal OPPs), v7 (its event
+  // descriptors and pending-event lists predate the engine's section) and
+  // v8 (its sandboxes carry open spans and nesting depths): none may be
+  // misparsed.
+  for (const uint32_t version :
+       {kSnapshotFormatVersion + 1, uint32_t{4}, uint32_t{5}, uint32_t{6},
+        uint32_t{7}, uint32_t{8}}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     std::vector<uint8_t> bytes = bytes_;
     bytes[8] = static_cast<uint8_t>(version);  // format version field (LE)
@@ -529,7 +531,7 @@ FleetScenario GoldenScenario() {
 
 std::string GoldenPath() {
   return std::string(PSBOX_SOURCE_DIR) +
-         "/tests/golden/fleet_checkpoint_v8.snap";
+         "/tests/golden/fleet_checkpoint_v9.snap";
 }
 
 TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
@@ -1559,8 +1561,8 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
   const size_t board1 = AfterSection(golden, "shard", AfterSection(golden, "shard"));
   const size_t dsp = AfterSection(golden, "accel_driver",
                                   AfterSection(golden, "accel_driver", board1));
-  ASSERT_EQ(dsp, 50064u);
-  ASSERT_LT(dsp + 676, golden.size());
+  ASSERT_EQ(dsp, 47783u);
+  ASSERT_LT(dsp + 683, golden.size());
   const auto read = [&golden](size_t at, size_t width) {
     uint64_t v = 0;
     for (size_t b = 0; b < width; ++b) {
@@ -1583,14 +1585,14 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
   // counter and the owner's idle stamp, the global power state, then the
   // running app (16, whose balloon holds the DSP).
   const Mutation kMutations[] = {
-      {"global OPP", 648, 4, 0, 9,
+      {"global OPP", 655, 4, 0, 9,
        "DSP driver global OPP index 9 out of range"},
-      {"in-flight command id", 576, 8, 6, 999,
+      {"in-flight command id", 583, 8, 6, 999,
        "DSP driver's in-flight commands are not the ones executing on the "
        "device"},
-      {"app 15's lane OPP", 463, 4, 3, 9,
+      {"app 15's lane OPP", 470, 4, 3, 9,
        "DSP driver app 15 OPP index 9 out of range"},
-      {"running app", 668, 8, 16, 99,
+      {"running app", 675, 8, 16, 99,
        "DSP driver runs app 99, which has no OPP"},
   };
   for (const Mutation& m : kMutations) {
@@ -1617,11 +1619,11 @@ TEST(SnapshotFieldCheckTest, OutOfRangeOppRejected) {
   const size_t box2 = gov.boxes[2];
   ASSERT_EQ(GetU64(golden, box2), 2u);
   // Board 0's GPU section: past its lifecycle layer, app 6's lane (two
-  // queued commands) leads with its OPP at 644; past the other four lanes
+  // queued commands) leads with its OPP at 651; past the other four lanes
   // and the empty in-flight table lies the global power state.
   const size_t gpu =
       AfterSection(golden, "accel_driver", AfterSection(golden, "shard"));
-  ASSERT_EQ(GetU64(golden, gpu + 499), 6u);
+  ASSERT_EQ(GetU64(golden, gpu + 506), 6u);
   struct Mutation {
     const char* field;
     size_t at;
@@ -1632,8 +1634,8 @@ TEST(SnapshotFieldCheckTest, OutOfRangeOppRejected) {
       {"CPU box", box2 + 8, 4, "CPU governor box 2 OPP index 9 out of range"},
       {"CPU global", gov.global_opp, 3,
        "CPU governor global OPP index 9 out of range"},
-      {"GPU lane", gpu + 644, 2, "GPU driver app 6 OPP index 9 out of range"},
-      {"GPU global", gpu + 1036, 0,
+      {"GPU lane", gpu + 651, 2, "GPU driver app 6 OPP index 9 out of range"},
+      {"GPU global", gpu + 1043, 0,
        "GPU driver global OPP index 9 out of range"},
   };
   for (const Mutation& m : kMutations) {
@@ -1747,6 +1749,277 @@ TEST(SnapshotFieldCheckTest, ImpossibleStorageWriteBackRejected) {
     error.clear();
     EXPECT_FALSE(restore(payload, &error));
     EXPECT_NE(error.find(m.error), std::string::npos) << "error was: " << error;
+  }
+}
+
+// --- v9: ownership recorded once --------------------------------------------
+
+// A tenant box (box 0, bound to the CPU and the DSP) holding three sandboxed
+// children, calib3d and bodytrack on the CPU and sgemm on the DSP, beside a
+// plain DSP co-runner. The children's boxes are created by their behaviours
+// as they first run; a restore re-creates the apps and the manager the
+// boxes, so only the original creates the tenant box.
+void SpawnTenantApps(World& w, bool create_tenant_box) {
+  const AppId tenant = w.kernel->CreateApp("tenant");
+  if (create_tenant_box) {
+    w.manager->CreateBox(tenant, {HwComponent::kCpu, HwComponent::kDsp});
+  }
+  AppOptions child;
+  child.use_psbox = true;
+  child.psbox_parent = 0;
+  child.psbox_budget = 0.2;
+  child.deadline = Millis(800);
+  SpawnCalib3d(*w.kernel, "calib3d", child);
+  SpawnBodytrack(*w.kernel, "bodytrack", child);
+  SpawnSgemm(*w.kernel, "sgemm", child);
+  AppOptions plain;
+  plain.deadline = Millis(800);
+  SpawnDgemm(*w.kernel, "dgemm", plain);
+}
+
+// Whether |domain|'s balloon is served to a child of the tenant box 0.
+bool ServedToChild(const ResourceDomain& domain) {
+  return domain.served_since() >= 0 && domain.owner_box() > 0;
+}
+
+// Runs the tenant world to the first millisecond at which a child holds a
+// served balloon on both the CPU and the DSP, and saves the shard there
+// (header stripped).
+std::vector<uint8_t> CutTenantWorld(World& w) {
+  SpawnTenantApps(w, /*create_tenant_box=*/true);
+  while (w.kernel->Now() < Seconds(1) &&
+         !(ServedToChild(w.kernel->domain(HwComponent::kCpu)) &&
+           ServedToChild(w.kernel->domain(HwComponent::kDsp)))) {
+    w.kernel->RunUntil(w.kernel->Now() + kMillisecond);
+  }
+  EXPECT_LT(w.kernel->Now(), Seconds(1)) << "no cut with both balloons open";
+  const std::vector<uint8_t> sealed = SaveShard(w);
+  return std::vector<uint8_t>(
+      sealed.begin() + static_cast<ptrdiff_t>(kSnapshotHeaderSize),
+      sealed.end());
+}
+
+// Restores a tenant-world shard into |restored|.
+bool RestoreTenantWorld(const std::vector<uint8_t>& payload, World& restored,
+                        std::string* error) {
+  SnapshotReader r;
+  if (!r.Open(Reseal(payload))) {
+    *error = r.error();
+    return false;
+  }
+  return RestoreBoardShard(
+      r, *restored.board, *restored.kernel, *restored.manager,
+      [&restored] { SpawnTenantApps(restored, /*create_tenant_box=*/false); },
+      error);
+}
+
+// Bit patterns of every live box's reading: the tenant's composed meter and
+// each child's.
+std::vector<uint64_t> BoxReadings(World& w) {
+  std::vector<uint64_t> bits;
+  for (const int box : w.manager->BoxIds()) {
+    bits.push_back(std::bit_cast<uint64_t>(w.manager->ReadEnergy(box)));
+  }
+  return bits;
+}
+
+// The cut falls inside a child's open balloon, which since v9 only its
+// domain records: the restored tenant and children must read the
+// uninterrupted run's bits at the cut and after it.
+TEST(BoardSnapshotTest, CutInsideNestedChildBalloonRestoresReadings) {
+  World original = MakeWorld();
+  const std::vector<uint8_t> cut = CutTenantWorld(original);
+  const TimeNs at = original.kernel->Now();
+  ASSERT_EQ(original.manager->box_count(), 4u);
+  // The open span counts on the child that owns it and on the tenant.
+  const ResourceDomain& cpu = original.kernel->domain(HwComponent::kCpu);
+  const PsboxId owner = cpu.owner_box();
+  ASSERT_EQ(original.manager->sandbox(owner).parent(), 0);
+  EXPECT_EQ(original.manager->OpenSince(owner, HwComponent::kCpu),
+            cpu.served_since());
+  EXPECT_EQ(original.manager->OpenSince(0, HwComponent::kCpu),
+            cpu.served_since());
+
+  World restored = MakeWorld();
+  std::string error;
+  ASSERT_TRUE(RestoreTenantWorld(cut, restored, &error)) << error;
+  EXPECT_EQ(BoxReadings(restored), BoxReadings(original));
+  EXPECT_EQ(restored.manager->OpenSince(owner, HwComponent::kCpu),
+            cpu.served_since());
+
+  original.kernel->RunUntil(at + Millis(150));
+  restored.kernel->RunUntil(at + Millis(150));
+  EXPECT_EQ(BoxReadings(restored), BoxReadings(original));
+  EXPECT_EQ(SaveShard(restored), SaveShard(original));
+}
+
+// Offset of a domain's lifecycle fields in a shard: the "domain" section
+// past the first |policy| marker at or after |from| (the CPU's follows the
+// "scheduler" marker, the DSP's the second "accel_driver" one). Past the
+// marker: the phase byte, the owner app, the owner box, the request time,
+// the drain start and the serve instant.
+struct DomainBytes {
+  size_t phase, owner, box, start, drain, served;
+};
+DomainBytes DomainOf(const std::vector<uint8_t>& shard, const char* policy,
+                     size_t from = 0) {
+  const size_t at =
+      AfterSection(shard, "domain", AfterSection(shard, policy, from));
+  return {at, at + 1, at + 9, at + 17, at + 25, at + 33};
+}
+
+DomainBytes DspDomainOf(const std::vector<uint8_t>& shard) {
+  return DomainOf(shard, "accel_driver", AfterSection(shard, "accel_driver"));
+}
+
+// Restores the tenant-world cut after |mutate| and expects a refusal whose
+// error contains |expected|.
+void ExpectTenantCutRejected(
+    const std::vector<uint8_t>& cut,
+    const std::function<void(std::vector<uint8_t>&)>& mutate,
+    const std::string& expected) {
+  std::vector<uint8_t> payload = cut;
+  mutate(payload);
+  World restored = MakeWorld();
+  std::string error;
+  EXPECT_FALSE(RestoreTenantWorld(payload, restored, &error));
+  EXPECT_NE(error.find(expected), std::string::npos) << "error was: " << error;
+}
+
+class OwnershipRecordTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    World original = MakeWorld();
+    cut_ = CutTenantWorld(original);
+    now_ = original.kernel->Now();
+    const ResourceDomain& dsp = original.kernel->domain(HwComponent::kDsp);
+    dsp_box_ = dsp.owner_box();
+    dsp_app_ = dsp.balloon_owner();
+    cpu_box_ = original.kernel->domain(HwComponent::kCpu).owner_box();
+    World restored = MakeWorld();
+    std::string error;
+    ASSERT_TRUE(RestoreTenantWorld(cut_, restored, &error))
+        << "unmutated: " << error;
+    const DomainBytes d = DspDomainOf(cut_);
+    ASSERT_EQ(GetU64(cut_, d.box), static_cast<uint64_t>(dsp_box_));
+    ASSERT_EQ(GetU64(cut_, d.served),
+              static_cast<uint64_t>(dsp.served_since()));
+  }
+
+  std::vector<uint8_t> cut_;
+  TimeNs now_ = 0;
+  PsboxId dsp_box_ = kNoPsbox;
+  AppId dsp_app_ = kNoApp;
+  PsboxId cpu_box_ = kNoPsbox;
+};
+
+// A served balloon whose box the manager does not have: before v9 the
+// balloon-out named it and aborted the resumed run.
+TEST_F(OwnershipRecordTest, BalloonOfUnknownBoxRejected) {
+  ExpectTenantCutRejected(
+      cut_, [](std::vector<uint8_t>& p) { PutU64(p, DspDomainOf(p).box, 99); },
+      "DSP domain's balloon names box 99, which does not exist");
+}
+
+// A served DSP balloon naming calib3d's box, which is bound to the CPU only.
+TEST_F(OwnershipRecordTest, BalloonOfUnboundBoxRejected) {
+  ASSERT_NE(cpu_box_, dsp_box_);
+  ExpectTenantCutRejected(
+      cut_,
+      [this](std::vector<uint8_t>& p) {
+        PutU64(p, DspDomainOf(p).box, static_cast<uint64_t>(cpu_box_));
+      },
+      "DSP domain's balloon names box " + std::to_string(cpu_box_) +
+          ", which is not bound to the DSP");
+}
+
+// A served DSP balloon naming the tenant's box: bound to the DSP, but the
+// tenant app's, not the owner's.
+TEST_F(OwnershipRecordTest, BalloonOfAnotherAppsBoxRejected) {
+  ExpectTenantCutRejected(
+      cut_, [](std::vector<uint8_t>& p) { PutU64(p, DspDomainOf(p).box, 0); },
+      "DSP domain's balloon names box 0, which belongs to app 0, not the "
+      "owner app " + std::to_string(dsp_app_));
+}
+
+TEST_F(OwnershipRecordTest, ServeInstantPastShardClockRejected) {
+  const TimeNs past = now_ + 1;
+  ExpectTenantCutRejected(
+      cut_,
+      [past](std::vector<uint8_t>& p) {
+        PutU64(p, DspDomainOf(p).served, static_cast<uint64_t>(past));
+      },
+      "DSP domain's serve instant " + std::to_string(past) +
+          " lies past the shard clock " + std::to_string(now_));
+}
+
+TEST_F(OwnershipRecordTest, ServeInstantBeforeRequestRejected) {
+  const DomainBytes d = DspDomainOf(cut_);
+  const auto early = static_cast<TimeNs>(GetU64(cut_, d.start)) - 1;
+  ExpectTenantCutRejected(
+      cut_,
+      [early](std::vector<uint8_t>& p) {
+        PutU64(p, DspDomainOf(p).served, static_cast<uint64_t>(early));
+      },
+      "DSP domain's serve instant " + std::to_string(early) +
+          " precedes the balloon request");
+}
+
+// The CPU domain idle while a core still holds the coscheduling period: the
+// v8 class where the scheduler's balloon reference and a core disagreed.
+TEST_F(OwnershipRecordTest, CoreBalloonNotTheDomainsRejected) {
+  ExpectTenantCutRejected(
+      cut_,
+      [](std::vector<uint8_t>& p) {
+        const DomainBytes d = DomainOf(p, "scheduler");
+        p[d.phase] = 0;
+        PutU64(p, d.owner, ~uint64_t{0});
+        PutU64(p, d.box, ~uint64_t{0});
+        PutU64(p, d.served, ~uint64_t{0});
+      },
+      "holds the balloon of box " + std::to_string(cpu_box_) +
+          ", which is not the domain's balloon");
+}
+
+// The rest of what v9 refuses: a CPU balloon with no armed group of its
+// owner app or in an owner drain, and lifecycle fields that contradict each
+// other.
+TEST_F(OwnershipRecordTest, InconsistentBalloonRecordRejected) {
+  struct Mutation {
+    const char* field;
+    const char* policy;
+    size_t DomainBytes::*at;
+    size_t width;
+    uint64_t value;
+    std::string error;
+  };
+  const Mutation kMutations[] = {
+      {"CPU owner app", "scheduler", &DomainBytes::owner, 8, 99,
+       "CPU domain's balloon names box " + std::to_string(cpu_box_) +
+           ", which has no armed group of its owner app 99"},
+      {"CPU phase", "scheduler", &DomainBytes::phase, 1, 3,
+       "CPU domain's balloon is in an owner drain"},
+      {"DSP phase idle", nullptr, &DomainBytes::phase, 1, 0,
+       "DSP domain names an owner with no balloon"},
+      {"DSP owner app", nullptr, &DomainBytes::owner, 8, ~uint64_t{0},
+       "DSP domain has a balloon with no owner app"},
+      {"DSP serve instant", nullptr, &DomainBytes::served, 8, ~uint64_t{0},
+       "DSP domain serves a balloon with no serve instant"},
+      {"DSP phase drain-others", nullptr, &DomainBytes::phase, 1, 1,
+       "DSP domain has a serve instant with no served balloon"},
+  };
+  for (const Mutation& m : kMutations) {
+    SCOPED_TRACE(m.field);
+    ExpectTenantCutRejected(
+        cut_,
+        [&m](std::vector<uint8_t>& p) {
+          const DomainBytes d =
+              m.policy != nullptr ? DomainOf(p, m.policy) : DspDomainOf(p);
+          for (size_t b = 0; b < m.width; ++b) {
+            p[d.*m.at + b] = static_cast<uint8_t>(m.value >> (8 * b));
+          }
+        },
+        m.error);
   }
 }
 

@@ -166,9 +166,9 @@ TEST(RetentionTest, EnergyAndSamplesBitIdenticalWithRetention) {
     if (input.hw == HwComponent::kGpu) {
       // The balloon never closed; its start was anchored before the rail
       // dropped it.
-      const PowerSandbox& sb = trimmed->manager.sandbox(box);
-      EXPECT_TRUE(sb.OwnedAt(input.hw, trimmed->kernel.Now()));
-      EXPECT_TRUE(sb.anchored(input.hw));
+      EXPECT_TRUE(trimmed->manager.OwnedAt(box, input.hw,
+                                           trimmed->kernel.Now()));
+      EXPECT_TRUE(trimmed->manager.sandbox(box).anchored(input.hw));
     }
     if (!input.dropouts.empty()) {
       // Only the dropout still pins the horizon, at the window's start.
