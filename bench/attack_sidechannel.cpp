@@ -79,7 +79,7 @@ std::pair<std::vector<double>, std::vector<double>> ProbeTraces(int site, int re
 
   Rng sample_rng(cfg.seed ^ 0x5a5a);
   auto boxed_samples = s.manager.ObservedSamples(
-      box, HwComponent::kGpu, 0, kObservation,
+      box, 0, kObservation,
       s.board.config().meter.sample_period, s.board.config().meter.noise_stddev,
       &sample_rng);
   auto boxed_trace = DownsampleSamples(boxed_samples, 0, kObservation, kTraceBins);
@@ -132,7 +132,7 @@ std::pair<std::vector<double>, std::vector<double>> ProbeTracesInPopulation(
 
   Rng sample_rng(cfg.seed ^ 0x5a5a);
   auto boxed_samples = s.manager.ObservedSamples(
-      box, HwComponent::kGpu, 0, kObservation,
+      box, 0, kObservation,
       s.board.config().meter.sample_period, s.board.config().meter.noise_stddev,
       &sample_rng);
   auto boxed_trace = DownsampleSamples(boxed_samples, 0, kObservation, kTraceBins);

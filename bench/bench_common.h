@@ -42,8 +42,13 @@ inline TimeNs RunUntilAppDone(Stack& s, AppId app, TimeNs limit) {
 using AppFactory = std::function<AppHandle(Kernel&, AppOptions)>;
 
 inline std::string Mj(Joules j) { return FormatDouble(j * 1e3, 1) + " mJ"; }
+// Appends rather than prepends: GCC 12 misreads the insert-at-front of
+// `"+" + std::string` as an overlapping copy (-Wrestrict).
 inline std::string Pct(double p) {
-  return (p >= 0 ? "+" : "") + FormatDouble(p, 1) + "%";
+  std::string out = p >= 0 ? "+" : "";
+  out += FormatDouble(p, 1);
+  out += "%";
+  return out;
 }
 
 }  // namespace psbox

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
   Rng rng(123);
   auto boxed_samples = manager.ObservedSamples(
-      box, HwComponent::kGpu, 0, Millis(400),
+      box, 0, Millis(400),
       board.config().meter.sample_period, board.config().meter.noise_stddev, &rng);
   const auto boxed_view = DownsampleSamples(boxed_samples, 0, Millis(400), kBins);
 

@@ -7,6 +7,16 @@
 
 namespace psbox {
 
+namespace {
+
+// The integral at |time| given |cum| at |prev|, which holds until |time|:
+// the one expression Set and a restore both compute it with.
+double CumulativeAfter(double cum, const StepTrace::Step& prev, TimeNs time) {
+  return cum + prev.value * ToSeconds(time - prev.time);
+}
+
+}  // namespace
+
 void StepTrace::Set(TimeNs time, double value) {
   if (!steps_.empty()) {
     PSBOX_CHECK_GE(time, steps_.back().time);
@@ -20,13 +30,18 @@ void StepTrace::Set(TimeNs time, double value) {
       return;  // No change; keep the trace compact.
     }
   }
-  double cum = 0.0;
-  if (!steps_.empty()) {
-    const Step& prev = steps_.back();
-    cum = cum_.back() + prev.value * ToSeconds(time - prev.time);
-  }
+  const double cum =
+      steps_.empty() ? 0.0 : CumulativeAfter(cum_.back(), steps_.back(), time);
   steps_.push_back({time, value});
   cum_.push_back(cum);
+}
+
+void StepTrace::RebuildCumulative(double first) {
+  cum_.assign(steps_.size(), first);
+  for (size_t i = 1; i < steps_.size(); ++i) {
+    cum_[i] = CumulativeAfter(cum_[i - 1], steps_[i - 1], steps_[i].time);
+  }
+  cursor_ = 0;
 }
 
 ptrdiff_t StepTrace::FindIndex(TimeNs time) const {

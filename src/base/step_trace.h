@@ -122,21 +122,23 @@ class StepTrace {
     trimmed_steps_ = 0;
   }
 
-  // Snapshot support: persists/overwrites the retained steps, their
-  // cumulative-integral offsets (which carry the trimmed prefix's energy)
-  // and the lifetime trim counter. The read cursor restarts at zero.
+  // Snapshot support: persists/overwrites the retained steps, the
+  // cumulative integral at the first one (which carries the trimmed
+  // prefix's energy) and the lifetime trim counter. The load derives the
+  // rest of the integral from the steps exactly as Set did; the read cursor
+  // restarts at zero.
   template <class Ar>
   void Serialize(Ar& ar) {
     ar.Seq(steps_, sizeof(TimeNs) + sizeof(double), [&](Step& s) {
       ar.I64(s.time);
       ar.F64(s.value);
     });
-    if constexpr (Ar::kLoading) {
-      cum_.assign(steps_.size(), 0.0);
-      cursor_ = 0;
+    double first = cum_.empty() ? 0.0 : cum_.front();
+    if (!steps_.empty()) {
+      ar.F64(first);
     }
-    for (double& c : cum_) {
-      ar.F64(c);
+    if constexpr (Ar::kLoading) {
+      RebuildCumulative(first);
     }
     ar.U64(trimmed_steps_);
   }
@@ -146,6 +148,9 @@ class StepTrace {
   // cursor and gallops, then remembers the hit — amortized O(1) for monotone
   // query sweeps, O(log n) worst case.
   ptrdiff_t FindIndex(TimeNs time) const;
+
+  // Refills cum_ from |first| at the first step on, as Set built it.
+  void RebuildCumulative(double first);
 
   std::vector<Step> steps_;
   // cum_[i] = integral of the original trace over (-inf, steps_[i].time).

@@ -5,6 +5,8 @@
 
 namespace psbox {
 
+BoardConfig::BoardConfig() = default;
+
 Board::Board(BoardConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
   // The injector seeds its own per-scope streams from the plan seed, so

@@ -23,6 +23,11 @@
 namespace psbox {
 
 struct BoardConfig {
+  // Out of line: inlined into every caller's temporary, the members'
+  // construction gave GCC 12 exception-cleanup paths that it misread as
+  // destroying an uninitialized CPU OPP table (-Wmaybe-uninitialized).
+  BoardConfig();
+
   uint64_t seed = 0x5eed;
   CpuConfig cpu;
   AccelConfig gpu = MakeGpuConfig();

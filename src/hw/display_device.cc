@@ -37,20 +37,9 @@ Watts DisplayDevice::AppPower(AppId app) const {
   return config_.full_panel_power * it->second.area * it->second.brightness;
 }
 
-Watts DisplayDevice::AppPowerAt(AppId app, TimeNs t) const {
+const StepTrace& DisplayDevice::AppTrace(AppId app) const {
   auto it = app_traces_.find(app);
-  if (it == app_traces_.end()) {
-    return 0.0;
-  }
-  return it->second.ValueAt(t);
-}
-
-Joules DisplayDevice::AppEnergy(AppId app, TimeNs t0, TimeNs t1) const {
-  auto it = app_traces_.find(app);
-  if (it == app_traces_.end()) {
-    return 0.0;
-  }
-  return it->second.IntegralOver(t0, t1);
+  return it == app_traces_.end() ? no_surface_ : it->second;
 }
 
 Watts DisplayDevice::ModelPower() const {

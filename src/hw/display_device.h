@@ -41,17 +41,15 @@ class DisplayDevice {
 
   // Instantaneous contribution of |app|'s surface.
   Watts AppPower(AppId app) const;
-  // Historical contribution of |app|'s surface at time |t|.
-  Watts AppPowerAt(AppId app, TimeNs t) const;
-  // Exact energy of |app|'s own pixels over [t0, t1) — directly attributable
-  // per §7, no accounting heuristics needed.
-  Joules AppEnergy(AppId app, TimeNs t0, TimeNs t1) const;
+  // History of |app|'s surface contribution (empty for an app that never
+  // composited one): its own pixels' power, directly attributable per §7.
+  const StepTrace& AppTrace(AppId app) const;
 
   Watts ModelPower() const;
   const DisplayConfig& config() const { return config_; }
 
   // Drops per-app contribution history behind |horizon| (telemetry
-  // retention); AppPowerAt/AppEnergy stay exact for t >= horizon. Returns
+  // retention); AppTrace reads stay exact for t >= horizon. Returns
   // steps dropped across all surfaces.
   size_t TrimHistory(TimeNs horizon);
 
@@ -83,6 +81,7 @@ class DisplayDevice {
   std::map<AppId, Surface> surfaces_;
   // Per-app contribution traces (the per-pixel separability of OLED).
   std::map<AppId, StepTrace> app_traces_;
+  const StepTrace no_surface_;
 };
 
 }  // namespace psbox

@@ -10,7 +10,7 @@ GpsDevice::GpsDevice(Simulator* sim, PowerRail* rail, GpsConfig config)
       target_(sim->AddTarget(this, {"gps device", 1, 1})),
       rail_(rail),
       config_(config) {
-  operating_trace_.Set(0, 0.0);
+  revealed_trace_.Set(0, config_.off_power);
   Update();
 }
 
@@ -30,7 +30,7 @@ void GpsDevice::OnEvent(uint8_t /*kind*/, uint64_t /*a*/, uint64_t /*b*/) {
     return;  // released during acquisition; Release already powered off
   }
   state_ = GpsState::kOn;
-  operating_trace_.Set(sim_->Now(), 1.0);
+  revealed_trace_.Set(sim_->Now(), config_.on_power);
   Update();
 }
 
@@ -44,7 +44,7 @@ void GpsDevice::Release(AppId app) {
     acquire_event_ = kInvalidEventId;
   }
   state_ = GpsState::kOff;
-  operating_trace_.Set(sim_->Now(), 0.0);
+  revealed_trace_.Set(sim_->Now(), config_.off_power);
   Update();
 }
 
@@ -52,7 +52,7 @@ template <class Ar>
 void GpsDevice::Serialize(Ar& ar) {
   ar.Enum(state_, GpsState::kOn, "gps state");
   ar.Seq(users_, sizeof(AppId), [&](auto& app) { ar.I64(app); });
-  operating_trace_.Serialize(ar);
+  revealed_trace_.Serialize(ar);
   if constexpr (Ar::kLoading) {
     acquire_event_ = sim_->FindPending(target_, 0, 0);
   }

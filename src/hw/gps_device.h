@@ -46,15 +46,15 @@ class GpsDevice : public EventTarget {
   Watts ModelPower() const;
   const GpsConfig& config() const { return config_; }
 
-  // The intervals during which the device was operating — what a psbox's
-  // virtual meter may reveal (off/acquiring periods read as idle).
-  const StepTrace& operating_trace() const { return operating_trace_; }
+  // The power a psbox's virtual meter may reveal: the on power while the
+  // device operates, the off power otherwise (acquisition stays hidden).
+  const StepTrace& revealed_trace() const { return revealed_trace_; }
 
-  // Drops operating history behind |horizon| (telemetry retention); reads at
+  // Drops revealed history behind |horizon| (telemetry retention); reads at
   // or after the horizon stay exact. Returns steps dropped.
-  size_t TrimHistory(TimeNs horizon) { return operating_trace_.TrimBefore(horizon); }
+  size_t TrimHistory(TimeNs horizon) { return revealed_trace_.TrimBefore(horizon); }
 
-  // Snapshot support: power state, reference counts and operating history;
+  // Snapshot support: power state, reference counts and revealed history;
   // the load takes the in-flight acquisition's handle back from the engine.
   template <class Ar>
   void Serialize(Ar& ar);
@@ -72,7 +72,7 @@ class GpsDevice : public EventTarget {
   GpsState state_ = GpsState::kOff;
   std::set<AppId> users_;
   EventId acquire_event_ = kInvalidEventId;
-  StepTrace operating_trace_;  // 1.0 while kOn, else 0.0
+  StepTrace revealed_trace_;
 };
 
 }  // namespace psbox

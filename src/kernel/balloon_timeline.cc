@@ -24,7 +24,7 @@ int ExportBalloonTimelines(Kernel& kernel, const std::string& dir,
     const HwComponent hw = static_cast<HwComponent>(i);
     const ResourceDomain& domain = kernel.domain(hw);
     if (domain.timeline().empty()) {
-      continue;  // never ballooned (idle or direct-metered domain)
+      continue;  // never ballooned (idle, or the display or GPS)
     }
     std::ofstream out(dir + "/" + prefix + "balloons_" +
                       HwComponentName(hw) + ".csv");

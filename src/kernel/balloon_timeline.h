@@ -24,7 +24,7 @@ class Kernel;
 void WriteBalloonTimelineCsv(const ResourceDomain& domain, std::ostream& out);
 
 // Writes <prefix>balloons_<domain>.csv under |dir| for every registered
-// domain that recorded at least one edge (direct-metered domains never do).
+// domain that recorded at least one edge (the display and GPS never do).
 // Returns the number of files written. |prefix| is typically empty or a
 // board tag like "board0_" so fleet shards do not collide.
 int ExportBalloonTimelines(Kernel& kernel, const std::string& dir,

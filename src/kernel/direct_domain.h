@@ -5,11 +5,11 @@
 // and GPS operating power may be safely revealed to every sandbox (only the
 // off/acquiring states are hidden behind idle power, closing the usage side
 // channel of §4.1). These domains therefore implement the registry surface
-// with pass-through accounting — SetSandboxed/ClearSandboxed arm nothing,
-// the balloon counters stay at zero forever, and the psbox virtual meter
-// reads app power through the direct_metered() surface instead of ownership
-// windows. With them registered the domain registry covers every
-// HwComponent and the psbox manager needs no per-component special cases.
+// with pass-through accounting — SetSandboxed/ClearSandboxed arm nothing and
+// the balloon counters stay at zero forever — and hand the psbox virtual
+// meter the trace a sandbox owns outright (AppPowerTrace). With them
+// registered the domain registry covers every HwComponent and the psbox
+// manager needs no per-component special cases.
 
 #ifndef SRC_KERNEL_DIRECT_DOMAIN_H_
 #define SRC_KERNEL_DIRECT_DOMAIN_H_
@@ -21,7 +21,7 @@
 namespace psbox {
 
 // OLED display: per-app surface power is separable, so the sandbox reads
-// exactly its own pixels' energy — no DAQ rail, no balloons.
+// exactly its own pixels' trace — no DAQ rail, no balloons.
 class DisplayDomain : public ResourceDomain {
  public:
   DisplayDomain(Simulator* sim, DisplayDevice* display)
@@ -41,12 +41,8 @@ class DisplayDomain : public ResourceDomain {
   }
   void RetireApp(AppId app) override { display_->ForgetApp(app); }
 
-  bool direct_metered() const override { return true; }
-  Watts DirectPowerAt(AppId app, TimeNs t) const override {
-    return display_->AppPowerAt(app, t);
-  }
-  Joules DirectEnergyOver(AppId app, TimeNs t0, TimeNs t1) const override {
-    return display_->AppEnergy(app, t0, t1);
+  const StepTrace* AppPowerTrace(AppId app) const override {
+    return &display_->AppTrace(app);
   }
 
   void TrimTelemetry(TimeNs horizon) override {
@@ -59,7 +55,7 @@ class DisplayDomain : public ResourceDomain {
 };
 
 // GPS receiver: while the device operates its power may be revealed to every
-// psbox; off/acquiring periods read as idle power so no sandbox can infer
+// psbox; off/acquiring periods read as off power so no sandbox can infer
 // other apps' (past) GPS usage. The reading is app-independent by design.
 class GpsDomain : public ResourceDomain {
  public:
@@ -77,18 +73,9 @@ class GpsDomain : public ResourceDomain {
     return ResourceDomain::Retirable(app, cutoff) && !gps_->HasUser(app);
   }
 
-  bool direct_metered() const override { return true; }
-  Watts DirectPowerAt(AppId app, TimeNs t) const override {
+  const StepTrace* AppPowerTrace(AppId app) const override {
     (void)app;
-    return gps_->operating_trace().ValueAt(t) > 0.5 ? gps_->config().on_power
-                                                    : gps_->config().off_power;
-  }
-  Joules DirectEnergyOver(AppId app, TimeNs t0, TimeNs t1) const override {
-    (void)app;
-    const double operating_s = gps_->operating_trace().IntegralOver(t0, t1);
-    const double window_s = ToSeconds(t1 - t0);
-    return gps_->config().on_power * operating_s +
-           gps_->config().off_power * (window_s - operating_s);
+    return &gps_->revealed_trace();
   }
 
   void TrimTelemetry(TimeNs horizon) override {

@@ -71,19 +71,13 @@ std::string Kernel::CheckEvent(uint8_t kind, uint64_t a, uint64_t b) const {
   return {};
 }
 
-TimeNs Kernel::TrimTelemetry(TimeNs desired) {
-  // Clamp the horizon to what the sandboxes can still resolve exactly. The
-  // domains need no floor: they keep balloon times, not telemetry, and the
-  // energy of an open balloon is the psbox span's to keep.
-  TimeNs horizon = desired;
-  if (psbox_service_ != nullptr) {
-    horizon = psbox_service_->TelemetryFloor(horizon);
-  }
+TimeNs Kernel::TrimTelemetry(TimeNs horizon) {
   if (horizon <= 0) {
     return 0;
   }
   // Sandboxes fold their trimmed ownership history into energy bases first —
-  // the folding integrates the rails, so it must see them untrimmed.
+  // the folding integrates the rails and the domains' traces, so it must see
+  // them untrimmed.
   if (psbox_service_ != nullptr) {
     psbox_service_->TrimTelemetry(horizon);
   }

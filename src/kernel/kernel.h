@@ -102,7 +102,7 @@ class Kernel : public EventTarget {
   // --- resource-domain registry -------------------------------------------
   // Every HwComponent registers a ResourceDomain here at kernel
   // construction — balloon-carrying policies for CPU/GPU/DSP/WiFi/storage,
-  // thin direct-metered policies for the §7 entanglement-free display and
+  // thin pass-through policies for the §7 entanglement-free display and
   // GPS — and the psbox manager addresses them uniformly by component.
   // Aborts with a descriptive message when |hw| has no domain (a wiring bug).
   ResourceDomain& domain(HwComponent hw);
@@ -139,11 +139,11 @@ class Kernel : public EventTarget {
   void RunUntil(TimeNs deadline) { board_->sim().RunUntil(deadline); }
 
   // --- telemetry retention ------------------------------------------------
-  // Trims power telemetry behind |desired|, clamped by the sandboxes'
-  // retain floor (meter-dropout windows inside straddling spans). Runs on a
-  // periodic tick when KernelConfig::telemetry_retention is set; tests and
-  // tools may also call it directly. Returns the horizon actually applied
-  // (0 = nothing done).
+  // Trims power telemetry behind |horizon|, after the sandboxes fold what
+  // lies behind it (reads stay exact at any horizon, so nothing clamps it).
+  // Runs on a periodic tick at Now() - KernelConfig::telemetry_retention when
+  // that is set; tests and tools may also call it directly. Returns the
+  // horizon applied (0 = nothing done).
   //
   // The trim then retires every finished app that can no longer affect
   // anything: its tasks have exited (before the horizon), its sandboxes
@@ -152,7 +152,7 @@ class Kernel : public EventTarget {
   // frees its state in every layer; its sandboxes' final balloon-metered
   // energy moves into their tenants' closed-children bases. The sweep walks
   // only the apps awaiting retirement, in ascending id order.
-  TimeNs TrimTelemetry(TimeNs desired);
+  TimeNs TrimTelemetry(TimeNs horizon);
   TimeNs last_trim_horizon() const { return last_trim_horizon_; }
 
   // --- checkpoint/restore -------------------------------------------------

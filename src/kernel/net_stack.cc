@@ -79,7 +79,6 @@ void NetStack::DispatchFrom(AppId app) {
   stats_.total_tx_latency += lat;
   stats_.max_tx_latency = std::max(stats_.max_tx_latency, lat);
   ++stats_.tx_frames;
-  our_tx_pending_ = true;
   tx_in_flight_[p.frame.id] = p;
   device_->SubmitFrame(p.frame);
 }
@@ -88,7 +87,7 @@ void NetStack::Pump() {
   while (true) {
     // Only one TX of ours on the NIC at a time; the medium may also be busy
     // with RX, which we cannot pre-empt.
-    const bool nic_free = !our_tx_pending_ && !device_->busy() &&
+    const bool nic_free = tx_in_flight_.empty() && !device_->busy() &&
                           device_->queued_frames() == 0;
     switch (balloon_phase()) {
       case BalloonPhase::kIdle: {
@@ -129,7 +128,8 @@ void NetStack::Pump() {
         const bool grant_over = sim_->Now() - balloon_start() >= config_.min_grant;
         // The owner's NIC session covers queued TX, in-flight TX, responses
         // the channel still owes it, and its power-save tail afterwards.
-        const bool owner_active = !s.q.empty() || our_tx_pending_ || s.owed > 0;
+        const bool owner_active =
+            !s.q.empty() || !tx_in_flight_.empty() || s.owed > 0;
         const TimeNs tail_deadline =
             s.last_seen >= 0 ? s.last_seen + device_->power_state().ps_timeout
                              : sim_->Now();
@@ -146,7 +146,7 @@ void NetStack::Pump() {
         // owner awaiting responses or sitting in its tail is never cut:
         // those are its own reception and lingering power state (§4.1), and
         // competitors are compensated through penalty_bytes_.
-        const bool owner_transmitting = !s.q.empty() || our_tx_pending_;
+        const bool owner_transmitting = !s.q.empty() || !tx_in_flight_.empty();
         if (owner_idle ||
             (contender != kNoApp && grant_over && lead_exceeded &&
              owner_transmitting)) {
@@ -178,7 +178,7 @@ void NetStack::Pump() {
         return;
       }
       case BalloonPhase::kDrainOwner: {
-        if (our_tx_pending_) {
+        if (!tx_in_flight_.empty()) {
           return;
         }
         // Balloon-out: the owner parks its power state, the global one
@@ -231,7 +231,6 @@ void NetStack::OnFrameDone(const WifiFrameDone& done) {
   PSBOX_CHECK(it != tx_in_flight_.end());
   const SockPacket p = it->second;
   tx_in_flight_.erase(it);
-  our_tx_pending_ = false;
   Sockets::Lane& s = socks_[done.frame.app];
   // Airtime was burned whether or not the frame arrived; it always counts
   // toward the sender's credit (lost frames are not free).
@@ -385,7 +384,6 @@ void NetStack::Serialize(Ar& ar) {
     id = p.frame.id;
   });
   ar.U64(next_frame_id_);
-  ar.Bool(our_tx_pending_);
   ar.F64(penalty_bytes_);
   global_state_.Serialize(ar);
   ar.U64(stats_.tx_frames);

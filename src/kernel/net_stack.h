@@ -140,9 +140,10 @@ class NetStack : public ResourceDomain {
   NetConfig config_;
 
   Sockets socks_;
+  // Our TX frames on the NIC, keyed by frame id: at most one at a time, so
+  // a non-empty table means the NIC queue is occupied by us.
   std::unordered_map<uint64_t, SockPacket> tx_in_flight_;
   uint64_t next_frame_id_ = 1;
-  bool our_tx_pending_ = false;  // a TX frame of ours occupies the NIC queue
 
   double penalty_bytes_ = 0.0;  // lost sharing opportunity during the balloon
   WifiPowerState global_state_;

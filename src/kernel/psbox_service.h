@@ -49,17 +49,12 @@ class PsboxService {
   virtual bool InBox(int box) const = 0;
 
   // --- telemetry retention (driven by Kernel::TrimTelemetry) --------------
-  // Lowest trim horizon the sandboxes can tolerate, given the kernel's
-  // |desired| one: whatever of the rails their accounting still has to
-  // resolve exactly. Lowering the horizon for one constraint can expose an
-  // earlier one, so implementations iterate to a fixpoint. Default: no
-  // sandboxes, no floor.
-  virtual TimeNs TelemetryFloor(TimeNs desired) { return desired; }
-  // Folds sandbox ownership/energy history older than |horizon| into exact
-  // per-box base accumulators (anchoring what straddles it) and drops
-  // undrained sample backlog behind it (ring-buffer semantics). Runs before
-  // the kernel trims the underlying rail and domain traces. Default: nothing
-  // to fold.
+  // Folds every piece of sandbox ownership history that ends by |horizon|
+  // into exact per-box base accumulators, anchoring where the rest of the
+  // span straddling it begins, and drops undrained sample backlog behind it
+  // (ring-buffer semantics). Any horizon is exact, so the sandboxes never
+  // hold the trim back. Runs before the kernel trims the underlying rail and
+  // domain traces. Default: nothing to fold.
   virtual void TrimTelemetry(TimeNs horizon) { (void)horizon; }
 
   // --- app retirement (driven by Kernel::TrimTelemetry) -------------------

@@ -38,21 +38,6 @@ ResourceDomain::ResourceDomain(Simulator* sim, HwComponent kind,
 
 ResourceDomain::~ResourceDomain() = default;
 
-Watts ResourceDomain::DirectPowerAt(AppId app, TimeNs t) const {
-  (void)app;
-  (void)t;
-  CheckFail(__FILE__, __LINE__,
-            std::string(name()) + " is balloon-metered, not direct-metered");
-}
-
-Joules ResourceDomain::DirectEnergyOver(AppId app, TimeNs t0, TimeNs t1) const {
-  (void)app;
-  (void)t0;
-  (void)t1;
-  CheckFail(__FILE__, __LINE__,
-            std::string(name()) + " is balloon-metered, not direct-metered");
-}
-
 void ResourceDomain::RecordEdge(BalloonEdge::Kind kind) {
   timeline_.push_back({sim_->Now(), kind, owner_, owner_box_});
 }

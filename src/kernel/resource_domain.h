@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/step_trace.h"
 #include "src/base/types.h"
 #include "src/kernel/balloon_observer.h"
 #include "src/kernel/usage_ledger.h"
@@ -141,17 +142,16 @@ class ResourceDomain : public EventTarget {
   }
   virtual void UnbindBox(PsboxId box) { (void)box; }
 
-  // --- §7 entanglement-free (direct-metered) domains ----------------------
-  // Display power is separable per app and GPS operating power is safely
-  // revealable, so their domains carry no balloon protocol: the psbox
-  // virtual meter reads app-attributable power directly instead of gating
-  // on ownership windows. Domains with balloons return false and must not
-  // be asked for direct readings.
-  virtual bool direct_metered() const { return false; }
-  // App-attributable power at instant |t|; aborts unless direct_metered().
-  virtual Watts DirectPowerAt(AppId app, TimeNs t) const;
-  // App-attributable energy over [t0, t1); aborts unless direct_metered().
-  virtual Joules DirectEnergyOver(AppId app, TimeNs t0, TimeNs t1) const;
+  // --- the virtual meter's trace -----------------------------------------
+  // The power trace a sandbox of |app| owns outright, or null. The §7
+  // entanglement-free domains keep one (display power is separable per app,
+  // GPS operating power is safely revealable) and carry no balloon protocol;
+  // on every other domain the meter reads the board's rail inside the
+  // balloon spans.
+  virtual const StepTrace* AppPowerTrace(AppId app) const {
+    (void)app;
+    return nullptr;
+  }
 
   // Snapshot support for the common lifecycle layer: phase/owner/accounting
   // window, serve instant, stats and timeline; the load takes the drain

@@ -47,18 +47,8 @@ void PowerEventMonitor::OnEvent(uint8_t /*kind*/, uint64_t /*a*/,
   // Pull the new samples since the last evaluation from the virtual power
   // meter (the monitor evaluates on the OS/sensor-hub side, so it reads the
   // sandbox's meter through the manager rather than through psbox_sample()).
-  std::vector<PowerSample> samples;
-  for (HwComponent hw : manager_->sandbox(box_).hardware()) {
-    auto part = manager_->ObservedSamples(box_, hw, cursor_, now,
-                                          meter.sample_period, 0.0, nullptr);
-    if (samples.empty()) {
-      samples = std::move(part);
-    } else {
-      for (size_t i = 0; i < samples.size() && i < part.size(); ++i) {
-        samples[i].watts += part[i].watts;
-      }
-    }
-  }
+  const std::vector<PowerSample> samples = manager_->ObservedSamples(
+      box_, cursor_, now, meter.sample_period, 0.0, nullptr);
   cursor_ = now;
   samples_processed_ += samples.size();
 

@@ -1,6 +1,7 @@
 #include "src/psbox/power_sandbox.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/base/check.h"
 #include "src/snapshot/snapshot_io.h"
@@ -10,9 +11,7 @@ namespace psbox {
 PowerSandbox::PowerSandbox(PsboxId id, AppId app, std::vector<HwComponent> hw,
                            TimeNs created, PsboxId parent, Joules budget)
     : id_(id), app_(app), hw_(std::move(hw)), meter_start_(created),
-      sample_cursor_(created), parent_(parent), budget_(budget) {
-  direct_from_.fill(created);
-}
+      sample_cursor_(created), parent_(parent), budget_(budget) {}
 
 bool PowerSandbox::BoundTo(HwComponent hw) const {
   return std::find(hw_.begin(), hw_.end(), hw) != hw_.end();
@@ -40,19 +39,8 @@ void PowerSandbox::ResetMeter(TimeNs now) {
   // untrimmed computation would clamp those spans away, so the bases restart
   // at zero with it.
   detail_base_.fill(EnergyDetail{});
-  direct_base_.fill(0.0);
-  direct_from_.fill(now);
   // Spans now clamp to |now|, which the rail still holds.
   anchors_.clear();
-}
-
-bool PowerSandbox::Settled() const {
-  for (const IntervalSet& owned : owned_) {
-    if (owned.size() != 0) {
-      return false;
-    }
-  }
-  return anchors_.empty();
 }
 
 const PowerSandbox::Anchor* PowerSandbox::FindAnchor(HwComponent hw) const {
@@ -64,39 +52,31 @@ const PowerSandbox::Anchor* PowerSandbox::FindAnchor(HwComponent hw) const {
   return nullptr;
 }
 
-Joules PowerSandbox::SpanEnergy(const PowerRail& rail, const Anchor* anchor,
-                                TimeNs b, TimeNs e) {
-  if (anchor != nullptr && b == anchor->at) {
-    return rail.trace().CumulativeAt(e) - anchor->cum;
-  }
-  return rail.EnergyOver(b, e);
+TimeNs PowerSandbox::ReadStart(const Anchor* anchor, TimeNs begin) const {
+  // Every span but the anchored straddler begins after the anchor.
+  const TimeNs b = std::max(begin, meter_start_);
+  return anchor != nullptr && b <= anchor->at ? anchor->at : b;
 }
 
-TimeNs PowerSandbox::StraddleStart(HwComponent hw, TimeNs t,
-                                   TimeNs open_since) const {
-  const size_t i = static_cast<size_t>(hw);
-  for (const auto& iv : owned_[i].intervals()) {
-    if (iv.end <= t) {
-      continue;  // folded by a trim at |t|
-    }
-    // The first interval reaching past |t|; any open balloon starts after it.
-    return iv.begin < t ? std::max(iv.begin, meter_start_) : t;
-  }
-  return open_since >= 0 && open_since < t ? std::max(open_since, meter_start_)
-                                            : t;
-}
-
-void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* faults,
-                                  const Anchor* anchor, TimeNs b, TimeNs e,
-                                  EnergyDetail* d) const {
+TimeNs PowerSandbox::AccumulateSpan(const MeterSource& src, const Anchor* anchor,
+                                    TimeNs b, TimeNs e, TimeNs limit,
+                                    EnergyDetail* d) {
   if (e <= b) {
-    return;
+    return e;
   }
+  // A measured piece integrates the trace, from the anchor's cumulative
+  // integral when it begins there.
+  const auto measure = [&](TimeNs from, TimeNs to) {
+    d->measured += anchor != nullptr && from == anchor->at
+                       ? src.trace->CumulativeAt(to) - anchor->cum
+                       : src.trace->IntegralOver(from, to);
+    d->measured_time += to - from;
+  };
   // Subtract the dropout windows from the owned span: measured pieces
-  // integrate the rail, dropped pieces only accumulate time for estimation.
+  // integrate the trace, dropped pieces only accumulate time for estimation.
   TimeNs cursor = b;
-  if (faults != nullptr) {
-    for (const FaultWindow& w : faults->meter_dropouts()) {
+  if (src.faults != nullptr) {
+    for (const FaultWindow& w : src.faults->meter_dropouts()) {
       if (w.end <= cursor) {
         continue;
       }
@@ -106,75 +86,78 @@ void PowerSandbox::AccumulateSpan(const PowerRail& rail, const FaultInjector* fa
       const TimeNs db = std::max(cursor, w.begin);
       const TimeNs de = std::min(e, w.end);
       if (db > cursor) {
-        d->measured += SpanEnergy(rail, anchor, cursor, db);
-        d->measured_time += db - cursor;
+        if (db > limit) {
+          return cursor;
+        }
+        measure(cursor, db);
+      }
+      if (de > limit) {
+        return db;
       }
       d->estimated_time += de - db;
       cursor = de;
       if (cursor >= e) {
-        break;
+        return e;
       }
     }
   }
-  if (cursor < e) {
-    d->measured += SpanEnergy(rail, anchor, cursor, e);
-    d->measured_time += e - cursor;
+  if (e > limit) {
+    return cursor;
   }
+  measure(cursor, e);
+  return e;
 }
 
 PowerSandbox::EnergyDetail PowerSandbox::ObservedEnergyDetail(
-    const PowerRail& rail, HwComponent hw, TimeNs now,
-    const FaultInjector* faults, TimeNs open_since) const {
+    HwComponent hw, const MeterSource& src, TimeNs now) const {
   PSBOX_CHECK(BoundTo(hw));
   // The base carries the measured energy and measured/estimated durations of
-  // trimmed intervals; the estimate itself is always derived below from the
+  // folded pieces; the estimate itself is always derived below from the
   // aggregated totals, exactly as the untrimmed computation would.
   EnergyDetail d = detail_base_[static_cast<size_t>(hw)];
-  const TimeNs t0 = meter_start_;
-  if (now <= t0) {
+  if (now <= meter_start_) {
     return d;
   }
   const Anchor* anchor = FindAnchor(hw);
   for (const auto& iv : owned_[static_cast<size_t>(hw)].intervals()) {
-    AccumulateSpan(rail, faults, anchor, std::max(iv.begin, t0),
-                   std::min(iv.end, now), &d);
+    const TimeNs e = std::min(iv.end, now);
+    AccumulateSpan(src, anchor, ReadStart(anchor, iv.begin), e, e, &d);
   }
-  if (open_since >= 0 && open_since < now) {
-    AccumulateSpan(rail, faults, anchor, std::max(open_since, t0), now, &d);
+  if (src.open_since >= 0 && src.open_since < now) {
+    AccumulateSpan(src, anchor, ReadStart(anchor, src.open_since), now, now,
+                   &d);
   }
   if (d.estimated_time > 0) {
     // Model-based estimation for the unmeasurable spans: the average power
     // the DAQ did measure for this sandbox on this rail, falling back to the
-    // rail's idle draw when the entire window was dark.
+    // idle draw when the entire window was dark.
     const Watts est_power = d.measured_time > 0
                                 ? d.measured / ToSeconds(d.measured_time)
-                                : rail.idle_power();
+                                : src.idle;
     d.estimated = est_power * ToSeconds(d.estimated_time);
   }
   return d;
 }
 
-void PowerSandbox::AccumulateObservedSamples(const PowerRail& rail, HwComponent hw,
+void PowerSandbox::AccumulateObservedSamples(HwComponent hw,
+                                             const MeterSource& src,
                                              Watts noise_stddev, Rng* rng,
-                                             const FaultInjector* faults,
-                                             TimeNs open_since,
                                              std::vector<PowerSample>* buf) const {
   PSBOX_CHECK(BoundTo(hw));
   if (buf->empty()) {
     return;
   }
   // Sample grids are monotone, so hoist the per-probe segment searches into
-  // forward-walking cursors (the Resample pattern): one walker over the rail
+  // forward-walking cursors (the Resample pattern): one walker over the
   // trace, one over the closed ownership intervals, and an index over the
   // sorted dropout windows. Each grid point then costs a comparison per
   // structure instead of a galloping lookup.
   const size_t i = static_cast<size_t>(hw);
-  StepTrace::Walker power(rail.trace(), buf->front().timestamp);
+  StepTrace::Walker power(*src.trace, buf->front().timestamp);
   IntervalSet::Walker owned(owned_[i], buf->front().timestamp);
   const std::vector<FaultWindow>* dropouts =
-      faults != nullptr ? &faults->meter_dropouts() : nullptr;
+      src.faults != nullptr ? &src.faults->meter_dropouts() : nullptr;
   size_t drop_idx = 0;
-  const Watts idle = rail.idle_power();
   for (PowerSample& s : *buf) {
     const TimeNs t = s.timestamp;
     if (dropouts != nullptr) {
@@ -186,76 +169,59 @@ void PowerSandbox::AccumulateObservedSamples(const PowerRail& rail, HwComponent 
         // for unowned instants, the degraded fallback inside a balloon). No
         // noise and no Gaussian draw: synthesised values are not
         // measurements.
-        s.watts += idle;
+        s.watts += src.idle;
         s.estimated = true;
         continue;
       }
     }
     // Owned at |t|: inside the open span or a closed one.
     const bool in_span =
-        (open_since >= 0 && t >= open_since) || owned.Contains(t);
-    const Watts truth = in_span ? power.ValueAt(t) : idle;
+        (src.open_since >= 0 && t >= src.open_since) || owned.Contains(t);
+    const Watts truth = in_span ? power.ValueAt(t) : src.idle;
     s.watts += std::max(
         0.0, truth + (rng != nullptr ? rng->Gaussian(0.0, noise_stddev) : 0.0));
   }
 }
 
-TimeNs PowerSandbox::RetainFloor(HwComponent hw, TimeNs desired,
-                                 const FaultInjector* faults,
-                                 TimeNs open_since) const {
-  // The straddling span's start is anchored by TrimOwned, so only the edges
-  // of a dropout window inside [start, desired) still need the rail: the
-  // first such edge pins the floor. A dropout inside the span but past the
-  // horizon splits it at instants the rail keeps anyway.
-  const TimeNs start = StraddleStart(hw, desired, open_since);
-  if (start >= desired || faults == nullptr) {
-    return desired;
-  }
-  for (const FaultWindow& w : faults->meter_dropouts()) {
-    if (w.end <= start) {
-      continue;
-    }
-    return w.begin < desired ? std::max(w.begin, start) : desired;
-  }
-  return desired;
-}
-
-void PowerSandbox::TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& rail,
-                             const FaultInjector* faults, TimeNs open_since) {
+void PowerSandbox::TrimOwned(HwComponent hw, const MeterSource& src,
+                             TimeNs horizon) {
   const size_t i = static_cast<size_t>(hw);
   const Anchor* anchor = FindAnchor(hw);
-  // Fold exactly the spans the untrimmed queries would integrate for the
-  // intervals about to drop, in the same order — the running sums (and hence
-  // every later psbox_read) stay bit-identical to the untrimmed run.
-  bool anchor_folded = false;
+  // Fold exactly the pieces the untrimmed queries would integrate, in the
+  // same order: the spans ending by the horizon whole, then the leading
+  // pieces of the one straddling it — so the running sums (and hence every
+  // later psbox_read) stay bit-identical to the untrimmed run.
+  bool straddles = false;
+  TimeNs rest = horizon;
   for (const auto& iv : owned_[i].intervals()) {
-    if (iv.end > horizon) {
+    const TimeNs b = ReadStart(anchor, iv.begin);
+    if (b >= horizon) {
       break;
     }
-    const TimeNs b = std::max(iv.begin, meter_start_);
-    AccumulateSpan(rail, faults, anchor, b, iv.end, &detail_base_[i]);
-    anchor_folded |= anchor != nullptr && b == anchor->at;
+    rest = AccumulateSpan(src, anchor, b, iv.end, horizon, &detail_base_[i]);
+    straddles = iv.end > horizon;
+  }
+  if (src.open_since >= 0 && ReadStart(anchor, src.open_since) < horizon) {
+    rest = AccumulateSpan(src, anchor, ReadStart(anchor, src.open_since),
+                          std::numeric_limits<TimeNs>::max(), horizon,
+                          &detail_base_[i]);
+    straddles = true;
   }
   owned_[i].TrimBefore(horizon);
-  if (anchor_folded) {
-    anchors_.erase(anchors_.begin() + (anchor - anchors_.data()));
-    anchor = nullptr;
+  // Every later query reads the straddler from |rest|; record the trace's
+  // cumulative integral there while the trace still holds it. An anchor
+  // that moved lands on a piece edge past the previous horizon, which the
+  // trace keeps.
+  if (!straddles) {
+    if (anchor != nullptr) {
+      anchors_.erase(anchors_.begin() + (anchor - anchors_.data()));
+    }
+  } else if (anchor == nullptr) {
+    anchors_.push_back({hw, rest, src.trace->CumulativeAt(rest)});
+  } else if (anchor->at != rest) {
+    anchors_[static_cast<size_t>(anchor - anchors_.data())] = {
+        hw, rest, src.trace->CumulativeAt(rest)};
   }
-  // The span left straddling the horizon is integrated from its start by
-  // every later query; record that start while the rail still holds it. A
-  // span already anchored straddled an earlier horizon and is still the
-  // first retained one, so it is this straddler; any other began after the
-  // previous horizon, which the rail keeps.
-  const TimeNs start = StraddleStart(hw, horizon, open_since);
-  if (start < horizon && anchor == nullptr) {
-    anchors_.push_back({hw, start, rail.trace().CumulativeAt(start)});
-  }
-}
-
-void PowerSandbox::BankDirectEnergy(HwComponent hw, Joules energy, TimeNs new_from) {
-  const size_t i = static_cast<size_t>(hw);
-  direct_base_[i] += energy;
-  direct_from_[i] = new_from;
 }
 
 template <class Ar>
@@ -276,8 +242,6 @@ void PowerSandbox::Serialize(Ar& ar) {
     ar.F64(detail_base_[i].measured);
     ar.I64(detail_base_[i].measured_time);
     ar.I64(detail_base_[i].estimated_time);
-    ar.F64(direct_base_[i]);
-    ar.I64(direct_from_[i]);
   }
   ar.U64(samples_lost_);
   ar.F64(transferred_base_);

@@ -1,28 +1,28 @@
 // PowerSandbox: one psbox instance and its virtual power meter.
 //
 // A psbox encloses one app and is bound to a set of hardware components
-// (§3). Whenever the kernel grants the psbox a resource balloon on a bound
-// component, the ownership interval is recorded here once the balloon ends;
-// a balloon still open is recorded only by its domain, and the psbox
-// manager passes its start to every query below as |open_since|
-// (kNoOpenSpan when none). The virtual power meter then exposes:
-//   * inside an owned interval  — the component's true rail power (the app
-//     plus its vertical environment; power states already virtualised by
-//     the kernel, so no residue from other apps);
-//   * outside owned intervals   — the component's idle power (the only
-//     possible contribution of concurrent apps, §3; also what off/suspended
-//     periods are reported as, closing that side channel, §4.1).
+// (§3). The virtual power meter reads, on each bound component, one power
+// trace over what the box owns (PsboxManager picks the MeterSource):
+//   * a balloon-metered component — the board's rail inside the ownership
+//     spans the kernel granted the box (the app plus its vertical
+//     environment; power states already virtualised by the kernel), and the
+//     rail's idle power outside them (the only possible contribution of
+//     concurrent apps, §3; also what off/suspended periods are reported as,
+//     closing that side channel, §4.1). A span is recorded here once its
+//     balloon ends; a balloon still open is recorded only by its domain;
+//   * an entanglement-free component (§7) — the domain's trace of the app's
+//     own power, owned from time 0.
 //
-// Retention: on long runs the ownership history and the rail traces behind
-// it are trimmed to a bounded horizon (Kernel::TrimTelemetry). Before an
-// owned interval is dropped, its exact energy contribution — measured and
-// dropout-estimated spans separately — is folded into per-component base
-// accumulators, so psbox_read stays exact (and bit-identical to the
-// untrimmed computation) while memory stays bounded. The one span per
-// component that straddles the horizon (a long balloon, possibly still open)
-// is anchored instead of kept resolvable: its start's cumulative rail
-// integral is recorded before the rail drops it, so the span never holds the
-// horizon back.
+// Retention: on long runs the ownership history and the traces behind it
+// are trimmed to a bounded horizon (Kernel::TrimTelemetry). A read is a left
+// fold over pieces — the owned spans in order, each split at the
+// meter-dropout windows into measured and estimated pieces — so a trim folds
+// every piece that ends by the horizon into per-component bases, in the same
+// order, and psbox_read stays bit-identical to the untrimmed computation
+// while memory stays bounded. The one span per component that straddles the
+// horizon (a long balloon, possibly still open) keeps its unfolded rest:
+// where the rest begins and the trace's cumulative integral there are
+// anchored before the trace drops them, so nothing holds the horizon back.
 
 #ifndef SRC_PSBOX_POWER_SANDBOX_H_
 #define SRC_PSBOX_POWER_SANDBOX_H_
@@ -42,6 +42,26 @@ namespace psbox {
 
 // The |open_since| of a box with no ownership span open on a component.
 inline constexpr TimeNs kNoOpenSpan = -1;
+
+// What a box's virtual meter reads on one component: |trace| while the box
+// owns it (inside its closed spans and the one open since |open_since|),
+// |idle| outside them, darkened by |faults|' meter-dropout windows.
+struct MeterSource {
+  const StepTrace* trace = nullptr;
+  Watts idle = 0.0;
+  TimeNs open_since = kNoOpenSpan;
+  const FaultInjector* faults = nullptr;
+  // Whether the component's ownership spans compose onto the tenants'
+  // meters: true for balloon-metered rails, false for a trace of the app's
+  // own power.
+  bool composes = true;
+
+  // The rail |rail| inside the balloon spans.
+  static MeterSource OfRail(const PowerRail& rail, TimeNs open_since,
+                            const FaultInjector* faults) {
+    return {&rail.trace(), rail.idle_power(), open_since, faults, true};
+  }
+};
 
 class PowerSandbox {
  public:
@@ -88,14 +108,13 @@ class PowerSandbox {
   }
 
   // Energy observed by the virtual power meter for |hw| over
-  // [meter_start, now): the rail energy inside owned spans, closed or open
-  // since |open_since| (outside them the hardware belongs to others and
-  // bills nothing), split into
-  // DAQ-measured and model-estimated parts. Owned spans falling inside
+  // [meter_start, now): |src|'s trace integrated inside the owned spans
+  // (outside them the hardware belongs to others and bills nothing), split
+  // into DAQ-measured and model-estimated parts. Owned spans falling inside
   // meter-dropout fault windows cannot be measured; they are estimated as
-  // the average power measured elsewhere in the window (the rail's idle
-  // draw when the whole window was dark), so the reported energy degrades
-  // gracefully instead of silently under-counting.
+  // the average power measured elsewhere in the window (the idle draw when
+  // the whole window was dark), so the reported energy degrades gracefully
+  // instead of silently under-counting.
   struct EnergyDetail {
     Joules measured = 0.0;
     Joules estimated = 0.0;
@@ -103,20 +122,17 @@ class PowerSandbox {
     DurationNs estimated_time = 0;
     Joules total() const { return measured + estimated; }
   };
-  EnergyDetail ObservedEnergyDetail(const PowerRail& rail, HwComponent hw,
-                                    TimeNs now, const FaultInjector* faults,
-                                    TimeNs open_since) const;
+  EnergyDetail ObservedEnergyDetail(HwComponent hw, const MeterSource& src,
+                                    TimeNs now) const;
 
   // Virtual-meter samples of |hw|: adds the reading at each of |buf|'s
-  // prefilled timestamps onto it (the true rail power inside owned spans,
-  // idle power outside them), OR-ing the estimated tag. Samples inside a
-  // meter-dropout window are substituted with the rail's idle draw and
-  // tagged estimated; every other one consumes one Gaussian draw of |rng|
-  // when given, in buffer order.
-  void AccumulateObservedSamples(const PowerRail& rail, HwComponent hw,
+  // prefilled timestamps onto it (the trace inside owned spans, idle power
+  // outside them), OR-ing the estimated tag. Samples inside a meter-dropout
+  // window are substituted with the idle draw and tagged estimated; every
+  // other one consumes one Gaussian draw of |rng| when given, in buffer
+  // order.
+  void AccumulateObservedSamples(HwComponent hw, const MeterSource& src,
                                  Watts noise_stddev, Rng* rng,
-                                 const FaultInjector* faults,
-                                 TimeNs open_since,
                                  std::vector<PowerSample>* buf) const;
 
   TimeNs meter_start() const { return meter_start_; }
@@ -132,35 +148,16 @@ class PowerSandbox {
 
   // --- retention (driven by PsboxManager::TrimTelemetry) ------------------
 
-  // Earliest rail instant this sandbox still needs to resolve queries
-  // exactly, given a desired horizon. The span straddling |desired| is
-  // anchored, so its start never pins the floor; only a meter-dropout window
-  // inside it does, because the estimated pieces split the span at the
-  // window's edges and those need the rail. Trimmed intervals never pin —
-  // their energy moves into the bases.
-  TimeNs RetainFloor(HwComponent hw, TimeNs desired,
-                     const FaultInjector* faults, TimeNs open_since) const;
+  // Folds every piece of |hw|'s owned spans that ends by |horizon| into the
+  // energy base (exactly the pieces the untrimmed query would integrate, in
+  // the same order), drops the spans folded whole, and anchors where the
+  // unfolded rest of the span straddling |horizon| begins while |src|'s
+  // trace still resolves it.
+  void TrimOwned(HwComponent hw, const MeterSource& src, TimeNs horizon);
 
-  // Folds every owned interval of |hw| ending at or before |horizon| into
-  // the energy base (exactly the spans the untrimmed query
-  // would integrate, in the same order), drops those intervals, and anchors
-  // the span left straddling |horizon| while |rail| still resolves its start.
-  void TrimOwned(HwComponent hw, TimeNs horizon, const PowerRail& rail,
-                 const FaultInjector* faults, TimeNs open_since);
-
-  // Whether |hw|'s straddling span is anchored (the rail may no longer hold
-  // its start).
+  // Whether |hw|'s straddling span is anchored (the trace may no longer hold
+  // its folded pieces).
   bool anchored(HwComponent hw) const { return FindAnchor(hw) != nullptr; }
-
-  // Direct-metered components: banks [direct_from, horizon) energy (computed
-  // by the caller from the domain) and advances the integration start.
-  TimeNs direct_from(HwComponent hw) const {
-    return direct_from_[static_cast<size_t>(hw)];
-  }
-  Joules direct_energy_base(HwComponent hw) const {
-    return direct_base_[static_cast<size_t>(hw)];
-  }
-  void BankDirectEnergy(HwComponent hw, Joules energy, TimeNs new_from);
 
   // Advances the sample cursor to the first grid point at or past |horizon|
   // (keeping the grid phase), dropping the backlog a lagging reader never
@@ -170,10 +167,12 @@ class PowerSandbox {
   uint64_t samples_lost() const { return samples_lost_; }
 
   // --- retirement ---------------------------------------------------------
-  // Whether every closed span has been folded into the bases (no interval,
-  // no anchor). With no span open either (the manager asks the domains),
-  // the box's balloon-metered energy is final.
-  bool Settled() const;
+  // Whether every closed span of |hw| has been folded into the base (no
+  // interval, no anchor). With no span open either (the manager asks the
+  // domain), the box's energy on a balloon-metered |hw| is final.
+  bool Settled(HwComponent hw) const {
+    return owned(hw).empty() && !anchored(hw);
+  }
   // Final balloon-metered energy of the retired children, added exactly as
   // each child retires; the tenant audit starts its child sum from it.
   Joules closed_children_energy() const { return closed_children_energy_; }
@@ -195,10 +194,11 @@ class PowerSandbox {
   void Serialize(Ar& ar);
 
  private:
-  // The start of the ownership span straddling the trim horizon, clamped to
-  // meter_start, with the rail's CumulativeAt there. IntegralOver is the
-  // difference of two CumulativeAt values, so subtracting |cum| integrates
-  // the span bit-identically once the rail has dropped |at|.
+  // Where the unfolded rest of the span straddling the last trim horizon
+  // begins (its start, clamped to meter_start, or a dropout edge after it),
+  // with the trace's CumulativeAt there. IntegralOver is the difference of
+  // two CumulativeAt values, so subtracting |cum| integrates the rest's
+  // first piece bit-identically once the trace has dropped |at|.
   struct Anchor {
     HwComponent hw;
     TimeNs at;
@@ -206,21 +206,18 @@ class PowerSandbox {
   };
   const Anchor* FindAnchor(HwComponent hw) const;
 
-  // rail.EnergyOver(b, e) for e > b, reading the start from |anchor| when
-  // the window begins at it.
-  static Joules SpanEnergy(const PowerRail& rail, const Anchor* anchor,
-                           TimeNs b, TimeNs e);
-
-  // Clamped start of the span of |hw| that begins before |t| and ends after
-  // it (a closed interval, or the one open since |open_since|); |t| when
-  // none does.
-  TimeNs StraddleStart(HwComponent hw, TimeNs t, TimeNs open_since) const;
+  // Where a read of the span beginning at |begin| starts: at |anchor| when
+  // the span holds it (its pieces before it are folded), else at |begin|
+  // clamped to meter_start.
+  TimeNs ReadStart(const Anchor* anchor, TimeNs begin) const;
 
   // Splits [b, e) at the meter-dropout windows, integrating measured pieces
-  // off the rail and accumulating dropped pieces as estimation time.
-  void AccumulateSpan(const PowerRail& rail, const FaultInjector* faults,
-                      const Anchor* anchor, TimeNs b, TimeNs e,
-                      EnergyDetail* d) const;
+  // off the trace and accumulating dropped pieces as estimation time, in
+  // order, up to the first piece that ends after |limit|. Returns where
+  // the pieces left unaccumulated begin (|e| when none is).
+  static TimeNs AccumulateSpan(const MeterSource& src, const Anchor* anchor,
+                               TimeNs b, TimeNs e, TimeNs limit,
+                               EnergyDetail* d);
 
   PsboxId id_;
   AppId app_;
@@ -242,8 +239,6 @@ class PowerSandbox {
   // wire): estimation is derived from the aggregated measured average at
   // query time, so trimming never changes the reported split.
   std::array<EnergyDetail, kNumHwComponents> detail_base_{};
-  std::array<Joules, kNumHwComponents> direct_base_{};
-  std::array<TimeNs, kNumHwComponents> direct_from_;
   // At most one per component, and none on most boxes: only a span alive
   // across a trim needs one.
   std::vector<Anchor> anchors_;

@@ -105,7 +105,7 @@ int PsboxManager::CreateBoxInternal(PsboxId id, AppId app,
   for (HwComponent component : hw) {
     // Each bound resource domain does its one-time per-box setup (the CPU
     // domain creates the task group and the governor's operating point;
-    // direct-metered domains bind nothing).
+    // the display and GPS bind nothing).
     kernel_->domain(component).BindBox(app, id);
   }
   return id;
@@ -196,30 +196,16 @@ void PsboxManager::ApplyLeave(int box) {
   }
 }
 
-Joules PsboxManager::ComponentEnergy(PowerSandbox& sb, HwComponent hw, TimeNs now) {
-  return ComponentEnergyDetail(sb, hw, now).total();
-}
-
-PowerSandbox::EnergyDetail PsboxManager::ComponentEnergyDetail(PowerSandbox& sb,
-                                                               HwComponent hw,
-                                                               TimeNs now) {
-  Board& board = kernel_->board();
-  const ResourceDomain& domain = kernel_->domain(hw);
-  if (domain.direct_metered()) {
-    // §7 entanglement-free hardware: the domain attributes energy directly
-    // (exact per-app surface energy for the display; safely-revealable
-    // operating power for GPS) — no balloons, no DAQ rail, no estimation.
-    // Energy behind the retention horizon sits in the box's banked base.
-    PowerSandbox::EnergyDetail d;
-    d.measured = sb.direct_energy_base(hw) +
-                 domain.DirectEnergyOver(sb.app(), sb.direct_from(hw), now);
-    d.measured_time = now - sb.meter_start();
-    return d;
+MeterSource PsboxManager::Source(const PowerSandbox& sb, HwComponent hw) const {
+  // §7 entanglement-free hardware: the domain traces the app's own power
+  // (its pixels on the display, the safely revealed operating power of the
+  // GPS), which the box owns at all times and no DAQ dropout darkens.
+  if (const StepTrace* own = kernel_->domain(hw).AppPowerTrace(sb.app())) {
+    return {own, 0.0, /*open_since=*/0, nullptr, /*composes=*/false};
   }
-  // DAQ-metered rails degrade to model-based estimation inside
-  // meter-dropout fault windows.
-  return sb.ObservedEnergyDetail(board.RailFor(hw), hw, now,
-                                 &board.fault_injector(), OpenSince(sb, hw));
+  Board& board = kernel_->board();
+  return MeterSource::OfRail(board.RailFor(hw), OpenSince(sb, hw),
+                             &board.fault_injector());
 }
 
 TimeNs PsboxManager::OpenSince(const PowerSandbox& sb, HwComponent hw) const {
@@ -249,25 +235,35 @@ bool PsboxManager::OwnedAt(int box, HwComponent hw, TimeNs t) const {
 }
 
 std::vector<PowerSample> PsboxManager::ObservedSamples(
-    int box, HwComponent hw, TimeNs t0, TimeNs t1, DurationNs period,
-    Watts noise_stddev, Rng* rng) const {
+    int box, TimeNs t0, TimeNs t1, DurationNs period, Watts noise_stddev,
+    Rng* rng) const {
   std::vector<PowerSample> out;
   for (TimeNs t = t0; t < t1; t += period) {
     out.push_back({t, 0.0, false});
   }
-  const PowerSandbox& sb = sandbox(box);
-  Board& board = kernel_->board();
-  sb.AccumulateObservedSamples(board.RailFor(hw), hw, noise_stddev, rng,
-                               &board.fault_injector(), OpenSince(sb, hw),
-                               &out);
+  AccumulateSamples(sandbox(box), noise_stddev, rng, &out);
   return out;
+}
+
+void PsboxManager::AccumulateSamples(const PowerSandbox& sb, Watts noise_stddev,
+                                     Rng* rng,
+                                     std::vector<PowerSample>* grid) const {
+  // A multi-rail virtual meter: every bound component accumulates onto the
+  // shared grid, component-major so the Gaussian noise draw order is stable.
+  for (HwComponent hw : sb.hardware()) {
+    sb.AccumulateObservedSamples(hw, Source(sb, hw), noise_stddev, rng, grid);
+  }
+}
+
+Joules PsboxManager::ComponentEnergy(const PowerSandbox& sb, HwComponent hw) const {
+  return sb.ObservedEnergyDetail(hw, Source(sb, hw), kernel_->Now()).total();
 }
 
 Joules PsboxManager::ReadEnergy(int box) {
   PowerSandbox& sb = sandbox(box);
   Joules total = sb.transferred_base();
   for (HwComponent hw : sb.hardware()) {
-    total += ComponentEnergy(sb, hw, kernel_->Now());
+    total += ComponentEnergy(sb, hw);
   }
   return total;
 }
@@ -275,7 +271,7 @@ Joules PsboxManager::ReadEnergy(int box) {
 Joules PsboxManager::ReadEnergyFor(int box, HwComponent hw) {
   PowerSandbox& sb = sandbox(box);
   PSBOX_CHECK(sb.BoundTo(hw));
-  return ComponentEnergy(sb, hw, kernel_->Now());
+  return ComponentEnergy(sb, hw);
 }
 
 PowerSandbox::EnergyDetail PsboxManager::ReadEnergyDetail(int box) {
@@ -285,7 +281,7 @@ PowerSandbox::EnergyDetail PsboxManager::ReadEnergyDetail(int box) {
   total.measured = sb.transferred_base();
   for (HwComponent hw : sb.hardware()) {
     const PowerSandbox::EnergyDetail d =
-        ComponentEnergyDetail(sb, hw, kernel_->Now());
+        sb.ObservedEnergyDetail(hw, Source(sb, hw), kernel_->Now());
     total.measured += d.measured;
     total.estimated += d.estimated;
     total.measured_time += d.measured_time;
@@ -331,25 +327,7 @@ size_t PsboxManager::Sample(int box, std::vector<PowerSample>* buf,
   for (size_t i = 0; i < n; ++i) {
     sample_scratch_.push_back({t0 + static_cast<DurationNs>(i) * period, 0.0, false});
   }
-  // Aggregate across bound components by accumulating each one onto the
-  // shared grid (a multi-rail virtual meter), component-major so the
-  // Gaussian noise draw order is stable.
-  for (HwComponent hw : sb.hardware()) {
-    const ResourceDomain& domain = kernel_->domain(hw);
-    if (domain.direct_metered()) {
-      // Entanglement-free hardware (§7): sample the directly-attributable
-      // series instead of balloon-gated rail power.
-      for (PowerSample& s : sample_scratch_) {
-        const Watts truth = domain.DirectPowerAt(sb.app(), s.timestamp);
-        s.watts += std::max(0.0, truth + rng_.Gaussian(0.0, meter.noise_stddev));
-      }
-    } else {
-      sb.AccumulateObservedSamples(kernel_->board().RailFor(hw), hw,
-                                   meter.noise_stddev, &rng_,
-                                   &kernel_->board().fault_injector(),
-                                   OpenSince(sb, hw), &sample_scratch_);
-    }
-  }
+  AccumulateSamples(sb, meter.noise_stddev, &rng_, &sample_scratch_);
   sb.set_sample_cursor(t0 + static_cast<DurationNs>(n) * period);
   buf->insert(buf->end(), sample_scratch_.begin(), sample_scratch_.end());
   return n;
@@ -357,55 +335,12 @@ size_t PsboxManager::Sample(int box, std::vector<PowerSample>* buf,
 
 bool PsboxManager::InBox(int box) const { return sandbox(box).inside(); }
 
-TimeNs PsboxManager::TelemetryFloor(TimeNs desired) {
-  // Straddling spans are anchored, so only meter-dropout windows inside them
-  // hold the rails back; without dropouts every floor is |desired|.
-  const FaultInjector& faults = kernel_->board().fault_injector();
-  if (faults.meter_dropouts().empty()) {
-    return desired;
-  }
-  // Lowering the horizon for one constraint can expose an earlier straddling
-  // interval on another box or component, so iterate the per-box floors to a
-  // fixpoint (each strict drop lands on a dropout edge or a span start —
-  // terminates).
-  TimeNs h = desired;
-  while (true) {
-    TimeNs next = h;
-    for (const BoxEntry& entry : boxes_) {
-      for (HwComponent hw : entry.box->hardware()) {
-        if (kernel_->domain(hw).direct_metered()) {
-          continue;  // banked via BankDirectEnergy; no ownership windows
-        }
-        next = std::min(next, entry.box->RetainFloor(
-                                  hw, h, &faults, OpenSince(*entry.box, hw)));
-      }
-    }
-    if (next == h) {
-      return h;
-    }
-    h = next;
-  }
-}
-
 void PsboxManager::TrimTelemetry(TimeNs horizon) {
-  Board& board = kernel_->board();
-  const DurationNs period = board.config().meter.sample_period;
+  const DurationNs period = kernel_->board().config().meter.sample_period;
   for (const BoxEntry& entry : boxes_) {
     PowerSandbox& sb = *entry.box;
     for (HwComponent hw : sb.hardware()) {
-      const ResourceDomain& domain = kernel_->domain(hw);
-      if (domain.direct_metered()) {
-        // Bank the directly-attributed energy behind the horizon and advance
-        // the integration start, so the domain's trace can be trimmed.
-        if (horizon > sb.direct_from(hw)) {
-          sb.BankDirectEnergy(
-              hw, domain.DirectEnergyOver(sb.app(), sb.direct_from(hw), horizon),
-              horizon);
-        }
-      } else {
-        sb.TrimOwned(hw, horizon, board.RailFor(hw), &board.fault_injector(),
-                     OpenSince(sb, hw));
-      }
+      sb.TrimOwned(hw, Source(sb, hw), horizon);
     }
     sb.DropSampleBacklogBefore(horizon, period);
   }
@@ -421,15 +356,19 @@ bool PsboxManager::AppRetirable(AppId app) {
     const PowerSandbox& sb = *entry.box;
     // A deferred mode switch still names the box.
     const auto box = static_cast<uint64_t>(id);
-    if (sb.inside() || entry.live_children != 0 || !sb.Settled() ||
+    if (sb.inside() || entry.live_children != 0 ||
         kernel_->sim().FindPending(target_, kApplyEnter, box) !=
             kInvalidEventId ||
         kernel_->sim().FindPending(target_, kApplyLeave, box) !=
             kInvalidEventId) {
       return false;
     }
+    // A component that composes is final once no span is open or unfolded;
+    // a box's own trace (§7) is read to the end and never holds it back.
     for (HwComponent hw : sb.hardware()) {
-      if (OpenSince(sb, hw) >= 0 || !kernel_->domain(hw).BoxRetirable(id)) {
+      const MeterSource src = Source(sb, hw);
+      if ((src.composes && (src.open_since >= 0 || !sb.Settled(hw))) ||
+          !kernel_->domain(hw).BoxRetirable(id)) {
         return false;
       }
     }
@@ -443,7 +382,6 @@ void PsboxManager::RetireApp(AppId app) {
   if (it == app_boxes_.end()) {
     return;
   }
-  const TimeNs now = kernel_->Now();
   for (const PsboxId id : it->second) {
     BoxEntry& entry = Entry(id);
     PowerSandbox& sb = *entry.box;
@@ -451,7 +389,7 @@ void PsboxManager::RetireApp(AppId app) {
       // Settled, so the energy is final: the tenant audit keeps counting it
       // through the closed-children base.
       BoxEntry& parent = Entry(sb.parent());
-      parent.box->AddClosedChild(BalloonMeteredEnergy(sb, now));
+      parent.box->AddClosedChild(BalloonMeteredEnergy(sb));
       --parent.live_children;
     }
     for (HwComponent hw : sb.hardware()) {
@@ -593,22 +531,22 @@ std::string PsboxManager::CheckBalloonOwners() const {
   return {};
 }
 
-Joules PsboxManager::BalloonMeteredEnergy(PowerSandbox& sb, TimeNs now) {
+Joules PsboxManager::BalloonMeteredEnergy(const PowerSandbox& sb) const {
   // Transferred bases are prior-board history (audited on the board that
   // served them); the audit covers what composed HERE, on both sides.
   Joules e = 0.0;
   for (HwComponent hw : sb.hardware()) {
-    if (!kernel_->domain(hw).direct_metered()) {
-      e += ComponentEnergy(sb, hw, now);
+    const MeterSource src = Source(sb, hw);
+    if (src.composes) {
+      e += sb.ObservedEnergyDetail(hw, src, kernel_->Now()).total();
     }
   }
   return e;
 }
 
 size_t PsboxManager::AccountingViolations(double bound) {
-  const TimeNs now = kernel_->Now();
-  // Sum each tenant's children over balloon-metered components (the
-  // direct-metered §7 components never compose — no balloons), starting
+  // Sum each tenant's children over the components that compose (a §7
+  // component's own trace has no balloons), starting
   // from the energy its retired children closed with, then check the
   // one-sided bound: a tenant's composed meter covers every child balloon,
   // so children may only exceed it by the protocol slack.
@@ -620,12 +558,12 @@ size_t PsboxManager::AccountingViolations(double bound) {
   }
   for (const BoxEntry& entry : boxes_) {
     if (entry.box->parent() >= 0) {
-      child_sum[entry.box->parent()] += BalloonMeteredEnergy(*entry.box, now);
+      child_sum[entry.box->parent()] += BalloonMeteredEnergy(*entry.box);
     }
   }
   size_t violations = 0;
   for (const auto& [tenant, sum] : child_sum) {
-    if (sum > BalloonMeteredEnergy(sandbox(tenant), now) * (1.0 + bound) + 1e-9) {
+    if (sum > BalloonMeteredEnergy(sandbox(tenant)) * (1.0 + bound) + 1e-9) {
       ++violations;
     }
   }

@@ -46,11 +46,9 @@ class PsboxManager : public PsboxService,
   void ResetEnergy(int box) override;
   size_t Sample(int box, std::vector<PowerSample>* buf, size_t max_samples) override;
   bool InBox(int box) const override;
-  // Telemetry retention: the sandboxes' exact-accounting floor (a fixpoint
-  // over meter-dropout windows inside straddling ownership spans; the spans
-  // themselves are anchored), and the fold of trimmed history into per-box
-  // energy bases + anchors + sample-backlog drop.
-  TimeNs TelemetryFloor(TimeNs desired) override;
+  // Telemetry retention: the fold of every owned piece behind the horizon
+  // into per-box energy bases, the anchors of the straddling spans' rests
+  // and the sample-backlog drop.
   void TrimTelemetry(TimeNs horizon) override;
   bool AppRetirable(AppId app) override;
   void RetireApp(AppId app) override;
@@ -68,11 +66,11 @@ class PsboxManager : public PsboxService,
   TimeNs OpenSince(int box, HwComponent hw) const;
   // Whether |box| owned |hw| at instant |t| (a closed span or the open one).
   bool OwnedAt(int box, HwComponent hw, TimeNs t) const;
-  // |box|'s virtual-meter samples of |hw| over [t0, t1), one per |period|,
-  // noise from |rng| when given (PowerSandbox::AccumulateObservedSamples on
-  // the board's rail and meter dropouts, with the open span).
-  std::vector<PowerSample> ObservedSamples(int box, HwComponent hw, TimeNs t0,
-                                           TimeNs t1, DurationNs period,
+  // |box|'s virtual-meter samples over [t0, t1), one per |period|, summed
+  // over its bound components as Sample() sums them, noise from |rng| when
+  // given.
+  std::vector<PowerSample> ObservedSamples(int box, TimeNs t0, TimeNs t1,
+                                           DurationNs period,
                                            Watts noise_stddev, Rng* rng) const;
 
   // EventTarget: the deferred kernel mode switches of EnterBox and LeaveBox
@@ -133,17 +131,22 @@ class PsboxManager : public PsboxService,
   int CreateBoxInternal(PsboxId id, AppId app,
                         const std::vector<HwComponent>& hw, PsboxId parent,
                         Joules budget, bool claim);
-  // Balloon-metered energy of |sb| (the direct-metered §7 components never
-  // compose): what the tenant audit sums.
-  Joules BalloonMeteredEnergy(PowerSandbox& sb, TimeNs now);
+  // What |sb|'s meter reads on |hw|: the domain's trace of the app's own
+  // power when it keeps one (§7), else the board's rail inside the balloon
+  // spans, with the span open now and the meter dropouts.
+  MeterSource Source(const PowerSandbox& sb, HwComponent hw) const;
+  // Energy of |sb| on the components that compose (a §7 component's own
+  // trace does not): what the tenant audit sums.
+  Joules BalloonMeteredEnergy(const PowerSandbox& sb) const;
   void ApplyEnter(int box);
   void ApplyLeave(int box);
   TimeNs OpenSince(const PowerSandbox& sb, HwComponent hw) const;
-  // Per-component observed energy over [meter_start, now); dispatches on the
-  // component kind (balloon-metered vs. entanglement-free §7 hardware).
-  Joules ComponentEnergy(PowerSandbox& sb, HwComponent hw, TimeNs now);
-  PowerSandbox::EnergyDetail ComponentEnergyDetail(PowerSandbox& sb,
-                                                   HwComponent hw, TimeNs now);
+  // Observed energy of |sb| on |hw| over [meter_start, now).
+  Joules ComponentEnergy(const PowerSandbox& sb, HwComponent hw) const;
+  // Adds |sb|'s reading at each of |grid|'s timestamps (Sample and
+  // ObservedSamples).
+  void AccumulateSamples(const PowerSandbox& sb, Watts noise_stddev, Rng* rng,
+                         std::vector<PowerSample>* grid) const;
 
   enum EventKind : uint8_t { kApplyEnter, kApplyLeave, kEventKinds };
 

@@ -31,7 +31,7 @@ void CheckStepTrace(SnapshotReader& r, const StepTrace& trace, TimeNs now,
 }
 
 // The shard's step traces: the seven rails, each core's schedule trace and
-// the GPS operating trace.
+// the GPS revealed trace.
 void CheckStepTraces(SnapshotReader& r, Board& board, Kernel& kernel,
                      TimeNs now) {
   for (size_t c = 0; c < kNumHwComponents; ++c) {
@@ -43,7 +43,7 @@ void CheckStepTraces(SnapshotReader& r, Board& board, Kernel& kernel,
     CheckStepTrace(r, kernel.scheduler().ScheduleTrace(core), now,
                    "core " + std::to_string(core) + " schedule");
   }
-  CheckStepTrace(r, board.gps().operating_trace(), now, "GPS operating");
+  CheckStepTrace(r, board.gps().revealed_trace(), now, "GPS revealed");
 }
 
 // The engine goes first: the objects after it take their timer handles

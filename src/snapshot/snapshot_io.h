@@ -92,7 +92,13 @@ namespace psbox {
 // instant in place of a flag; each sandbox's seven open spans and seven
 // nesting depths, each CPU group's coscheduling flag, notify flag and
 // balloon start, and the scheduler's balloon reference are gone.
-inline constexpr uint32_t kSnapshotFormatVersion = 9;
+// v10: one virtual meter — each step trace carries its cumulative integral
+// at its first step only (the load derives the rest); the GPS carries its
+// revealed-power trace in place of its operating trace; each sandbox's
+// display and GPS energy bases and integration starts and the NIC's
+// TX-pending flag are gone, and an anchor may sit on a dropout edge inside
+// its span.
+inline constexpr uint32_t kSnapshotFormatVersion = 10;
 inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'B', 'X',
                                            'S', 'N', 'A', 'P'};
 inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;

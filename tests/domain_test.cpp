@@ -1,7 +1,7 @@
 // The uniform ResourceDomain surface: every sandboxed resource reports the
 // same DomainStats with the same invariants, and the kernel registry covers
 // every HwComponent — balloon-carrying policies for CPU/GPU/DSP/WiFi/storage
-// and direct-metered policies for the §7 entanglement-free display and GPS.
+// and trace-supplying policies for the §7 entanglement-free display and GPS.
 // Also the decision table of the FairQueue the temporal drivers share.
 
 #include <gtest/gtest.h>
@@ -89,13 +89,14 @@ TEST(DomainRegistryTest, RegistryCoversEveryComponent) {
   }
 }
 
-TEST(DomainRegistryTest, DirectMeteredDomainsCarryNoBalloonProtocol) {
+TEST(DomainRegistryTest, EntanglementFreeDomainsCarryNoBalloonProtocol) {
   TestStack s;
   // Display and GPS take the §7 entanglement-free path: thin pass-through
-  // policies whose balloon counters stay at zero forever.
+  // policies whose balloon counters stay at zero forever, and which hand the
+  // virtual meter a trace the sandbox owns outright.
   for (HwComponent hw : {HwComponent::kDisplay, HwComponent::kGps}) {
     ResourceDomain& domain = s.kernel.domain(hw);
-    EXPECT_TRUE(domain.direct_metered()) << HwComponentName(hw);
+    EXPECT_NE(domain.AppPowerTrace(/*app=*/0), nullptr) << HwComponentName(hw);
     domain.SetSandboxed(/*app=*/0, /*box=*/1);  // arming is a no-op
     s.kernel.RunUntil(Millis(50));
     const DomainStats stats = domain.domain_stats();
@@ -104,11 +105,13 @@ TEST(DomainRegistryTest, DirectMeteredDomainsCarryNoBalloonProtocol) {
     EXPECT_EQ(domain.balloon_owner(), kNoApp) << HwComponentName(hw);
     EXPECT_TRUE(domain.timeline().empty()) << HwComponentName(hw);
   }
-  // Balloon-metered domains reject the direct surface: asking the CPU
-  // scheduler for a direct reading is a caller bug, reported by name.
-  EXPECT_FALSE(s.kernel.domain(HwComponent::kCpu).direct_metered());
-  EXPECT_DEATH(s.kernel.domain(HwComponent::kCpu).DirectPowerAt(0, 0),
-               "balloon-metered, not direct-metered");
+  // Balloon-metered domains keep no such trace: the meter reads the board's
+  // rail inside their balloon spans.
+  for (HwComponent hw : {HwComponent::kCpu, HwComponent::kGpu, HwComponent::kDsp,
+                         HwComponent::kWifi, HwComponent::kStorage}) {
+    EXPECT_EQ(s.kernel.domain(hw).AppPowerTrace(/*app=*/0), nullptr)
+        << HwComponentName(hw);
+  }
 }
 
 TEST(DomainRegistryTest, DriverForRejectsNonAccelerators) {

@@ -33,7 +33,7 @@ TEST(DisplayTest, AppEnergyIsExactShare) {
   board.sim().RunUntil(Seconds(1));
   board.display().RemoveSurface(1);
   board.sim().RunUntil(Seconds(2));
-  EXPECT_NEAR(board.display().AppEnergy(1, 0, Seconds(2)),
+  EXPECT_NEAR(board.display().AppTrace(1).IntegralOver(0, Seconds(2)),
               board.config().display.full_panel_power, 1e-9);
 }
 
@@ -57,6 +57,44 @@ TEST(DisplayTest, PsboxReadsOwnSurfaceOnly) {
   s.kernel.RunUntil(Seconds(1));
   const Joules observed = s.manager.ReadEnergyFor(box, HwComponent::kDisplay);
   EXPECT_NEAR(observed, s.board.display().AppPower(mine) * 1.0, 1e-6);
+}
+
+// The sensor-hub reading (ObservedSamples, which PowerEventMonitor takes)
+// and psbox_sample are one meter: with noise off they agree sample for
+// sample.
+void ExpectObservedSamplesMatchPsboxSample(TestStack& s, int box) {
+  const DurationNs period = s.board.config().meter.sample_period;
+  const TimeNs from = s.manager.sandbox(box).sample_cursor();
+  std::vector<PowerSample> drained;
+  ASSERT_GT(s.manager.Sample(box, &drained, 1u << 20), 0u);
+  const std::vector<PowerSample> observed =
+      s.manager.ObservedSamples(box, from, s.kernel.Now(), period, 0.0, nullptr);
+  ASSERT_EQ(observed.size(), drained.size());
+  for (size_t i = 0; i < observed.size(); ++i) {
+    ASSERT_EQ(observed[i].timestamp, drained[i].timestamp);
+    ASSERT_EQ(observed[i].watts, drained[i].watts) << "at " << drained[i].timestamp;
+  }
+}
+
+BoardConfig NoiselessMeter() {
+  BoardConfig bc;
+  bc.meter.noise_stddev = 0.0;
+  return bc;
+}
+
+TEST(DisplayTest, ObservedSamplesAreTheSandboxsPixels) {
+  TestStack s(NoiselessMeter());
+  const AppId mine = s.kernel.CreateApp("mine");
+  s.kernel.SpawnTask(mine, "t", std::make_unique<BusyBehavior>());
+  s.board.display().SetSurface(mine, 0.4, 0.5);
+  const int box = s.manager.CreateBox(mine, {HwComponent::kDisplay});
+  s.manager.EnterBox(box);
+  s.kernel.RunUntil(Millis(20));
+  const std::vector<PowerSample> observed = s.manager.ObservedSamples(
+      box, 0, Millis(20), s.board.config().meter.sample_period, 0.0, nullptr);
+  ASSERT_FALSE(observed.empty());
+  EXPECT_EQ(observed.back().watts, s.board.display().AppPower(mine));
+  ExpectObservedSamplesMatchPsboxSample(s, box);
 }
 
 // --- GPS --------------------------------------------------------------------
@@ -118,6 +156,26 @@ TEST(GpsTest, PsboxSeesOperatingPowerButNotAcquisition) {
   EXPECT_LT(observed, with_burst * 0.8);
 }
 
+TEST(GpsTest, ObservedSamplesMatchPsboxSampleWhileTracking) {
+  TestStack s(NoiselessMeter());
+  const AppId a = s.kernel.CreateApp("a");
+  s.kernel.SpawnTask(a, "t", std::make_unique<BusyBehavior>());
+  const int box = s.manager.CreateBox(a, {HwComponent::kGps});
+  s.manager.EnterBox(box);
+  s.board.gps().Request(a);
+  s.kernel.RunUntil(s.board.config().gps.cold_start);
+  std::vector<PowerSample> acquisition;
+  s.manager.Sample(box, &acquisition, 1u << 20);
+  s.kernel.RunUntil(s.board.config().gps.cold_start + Millis(50));
+  ASSERT_EQ(s.board.gps().state(), GpsState::kOn);
+  ExpectObservedSamplesMatchPsboxSample(s, box);
+  const std::vector<PowerSample> tracking = s.manager.ObservedSamples(
+      box, s.kernel.Now() - Millis(1), s.kernel.Now(),
+      s.board.config().meter.sample_period, 0.0, nullptr);
+  ASSERT_FALSE(tracking.empty());
+  EXPECT_EQ(tracking.back().watts, s.board.config().gps.on_power);
+}
+
 // --- Power events (§8.2) -----------------------------------------------------
 
 struct EventLog {
@@ -141,6 +199,27 @@ TEST(PowerEventsTest, HighPowerFiresOnSustainedLoad) {
   ASSERT_FALSE(log->events.empty());
   EXPECT_EQ(log->events.front().kind, PowerEventKind::kHighPower);
   EXPECT_GE(log->events.front().value, 1.0);
+}
+
+TEST(PowerEventsTest, HighPowerFiresOnDisplayBoundBox) {
+  // The monitor reads the sandbox's own pixels (0.22 W), not the panel's
+  // idle draw (0.08 W).
+  TestStack s;
+  const AppId a = s.kernel.CreateApp("a");
+  s.kernel.SpawnTask(a, "t", std::make_unique<BusyBehavior>());
+  s.board.display().SetSurface(a, 0.4, 0.5);
+  const int box = s.manager.CreateBox(a, {HwComponent::kDisplay});
+  s.manager.EnterBox(box);
+  PowerEventMonitor monitor(&s.kernel, &s.manager, box);
+  auto log = std::make_shared<EventLog>();
+  PowerEventSpec spec;
+  spec.kind = PowerEventKind::kHighPower;
+  spec.threshold = 0.15;
+  spec.min_duration = 3 * kMillisecond;
+  monitor.Register(spec, [log](const PowerEvent& e) { log->events.push_back(e); });
+  s.kernel.RunUntil(Millis(200));
+  ASSERT_FALSE(log->events.empty());
+  EXPECT_EQ(log->events.front().value, s.board.display().AppPower(a));
 }
 
 TEST(PowerEventsTest, NoEventBelowThreshold) {

@@ -247,9 +247,12 @@ TEST(FaultRecoveryTest, MeterDropoutDegradesToEstimation) {
   // here for a steady busy load.
   const Joules truth =
       s.manager.sandbox(box)
-          .ObservedEnergyDetail(s.board.cpu_rail(), HwComponent::kCpu,
-                                s.kernel.Now(), nullptr,
-                                s.manager.OpenSince(box, HwComponent::kCpu))
+          .ObservedEnergyDetail(
+              HwComponent::kCpu,
+              MeterSource::OfRail(s.board.cpu_rail(),
+                                  s.manager.OpenSince(box, HwComponent::kCpu),
+                                  nullptr),
+              s.kernel.Now())
           .measured;
   ASSERT_GT(truth, 0.0);
   EXPECT_NEAR(d.total(), truth, 0.2 * truth);
@@ -325,9 +328,12 @@ RunFingerprint RunCombinedFaultScenario() {
   EXPECT_NEAR(reported, d.total(), 1e-9);
   const Joules truth =
       s.manager.sandbox(box)
-          .ObservedEnergyDetail(s.board.gpu_rail(), HwComponent::kGpu,
-                                s.kernel.Now(), nullptr,
-                                s.manager.OpenSince(box, HwComponent::kGpu))
+          .ObservedEnergyDetail(
+              HwComponent::kGpu,
+              MeterSource::OfRail(s.board.gpu_rail(),
+                                  s.manager.OpenSince(box, HwComponent::kGpu),
+                                  nullptr),
+              s.kernel.Now())
           .measured;
   EXPECT_GT(truth, 0.0);
   EXPECT_NEAR(reported, truth, 0.25 * truth + 1e-3);
@@ -423,9 +429,9 @@ TEST(FaultRecoveryTest, RecoveryPathsMatchRecordedShard) {
     size_t bytes;
     uint32_t crc;
   };
-  const Cut kRecorded[] = {{Millis(400), 25286, 0x3e6ea85b},
-                           {Millis(1000), 52643, 0xe5b4f7e1},
-                           {Millis(1600), 72146, 0xa7dfb44d}};
+  const Cut kRecorded[] = {{Millis(400), 22725, 0x30069e84},
+                           {Millis(1000), 46130, 0x703f1612},
+                           {Millis(1600), 62641, 0x34fffb05}};
   for (const Cut& cut : kRecorded) {
     SCOPED_TRACE("cut at " + std::to_string(cut.at / kMillisecond) + " ms");
     s.kernel.RunUntil(cut.at);

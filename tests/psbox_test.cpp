@@ -30,8 +30,9 @@ TEST(PowerSandboxTest, ObservedEnergyIsBalloonEnergyOnly) {
   rail.SetPower(2.0);
   sb.AddOwned(HwComponent::kCpu, Millis(100), Millis(200));
   // 100 ms of 2 W owned; the rest contributes nothing.
-  EXPECT_NEAR(sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(500),
-                                      nullptr, kNoOpenSpan)
+  EXPECT_NEAR(sb.ObservedEnergyDetail(
+                    HwComponent::kCpu,
+                    MeterSource::OfRail(rail, kNoOpenSpan, nullptr), Millis(500))
                   .measured,
               0.2, 1e-9);
 }
@@ -42,8 +43,10 @@ TEST(PowerSandboxTest, OpenBalloonCountsUpToNow) {
   rail.SetPower(1.0);
   PowerSandbox sb(0, 1, {HwComponent::kCpu}, 0);
   // The balloon's domain served it at 100 ms and it is still open.
-  EXPECT_NEAR(sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(300),
-                                      nullptr, /*open_since=*/Millis(100))
+  EXPECT_NEAR(sb.ObservedEnergyDetail(
+                    HwComponent::kCpu,
+                    MeterSource::OfRail(rail, /*open_since=*/Millis(100), nullptr),
+                    Millis(300))
                   .measured,
               0.2, 1e-9);
 }
@@ -55,8 +58,10 @@ TEST(PowerSandboxTest, MeterResetRestartsAccumulation) {
   PowerSandbox sb(0, 1, {HwComponent::kCpu}, 0);
   sb.ResetMeter(Millis(100));
   // A span open since 0 counts only from the reset.
-  EXPECT_NEAR(sb.ObservedEnergyDetail(rail, HwComponent::kCpu, Millis(150),
-                                      nullptr, /*open_since=*/0)
+  EXPECT_NEAR(sb.ObservedEnergyDetail(
+                    HwComponent::kCpu,
+                    MeterSource::OfRail(rail, /*open_since=*/0, nullptr),
+                    Millis(150))
                   .measured,
               0.05, 1e-9);
 }
@@ -71,8 +76,9 @@ TEST(PowerSandboxTest, SamplesShowIdleOutsideOwnership) {
   for (TimeNs t = 0; t < Millis(30); t += kMillisecond) {
     samples.push_back({t, 0.0, false});
   }
-  sb.AccumulateObservedSamples(rail, HwComponent::kGpu, 0.0, nullptr, nullptr,
-                               kNoOpenSpan, &samples);
+  sb.AccumulateObservedSamples(HwComponent::kGpu,
+                               MeterSource::OfRail(rail, kNoOpenSpan, nullptr),
+                               0.0, nullptr, &samples);
   ASSERT_EQ(samples.size(), 30u);
   for (const PowerSample& s : samples) {
     if (s.timestamp >= Millis(10) && s.timestamp < Millis(20)) {

@@ -63,12 +63,11 @@ struct World {
   std::unique_ptr<PsboxManager> manager;
 };
 
-World MakeWorld() {
+World MakeWorld(BoardConfig config = {}, KernelConfig kernel = {}) {
   World w;
-  BoardConfig config;
   config.seed = 0x70B0;
   w.board = std::make_unique<Board>(config);
-  w.kernel = std::make_unique<Kernel>(w.board.get(), KernelConfig{});
+  w.kernel = std::make_unique<Kernel>(w.board.get(), kernel);
   w.manager = std::make_unique<PsboxManager>(w.kernel.get());
   return w;
 }
@@ -118,6 +117,62 @@ TEST(BoardSnapshotTest, RoundTripIsBitIdentical) {
   EXPECT_EQ(original.kernel->sim().total_fired(),
             restored.kernel->sim().total_fired());
   EXPECT_EQ(SaveShard(restored), SaveShard(original));
+}
+
+// A step trace travels as its steps and the cumulative integral at its
+// first one; the load derives the rest with Set's own arithmetic, so every
+// CumulativeAt comes back bit for bit — trimmed prefix included.
+TEST(BoardSnapshotTest, StepTraceIntegralsRestoreBitIdentical) {
+  BoardConfig config;
+  config.gps.cold_start = Millis(40);
+  KernelConfig kernel;
+  kernel.telemetry_retention = Millis(50);
+  World original = MakeWorld(config, kernel);
+  SpawnApps(original);
+  const AppId gps_user = 0;
+  original.board->gps().Request(gps_user);
+  original.kernel->RunUntil(Millis(560));
+  original.board->gps().Release(gps_user);
+  original.kernel->RunUntil(Millis(570));
+  original.board->gps().Request(gps_user);
+  original.kernel->RunUntil(Millis(620));
+  const std::vector<uint8_t> cut = SaveShard(original);
+
+  World restored = MakeWorld(config, kernel);
+  SnapshotReader r;
+  ASSERT_TRUE(r.Open(cut)) << r.error();
+  std::string error;
+  ASSERT_TRUE(RestoreBoardShard(r, *restored.board, *restored.kernel,
+                                *restored.manager,
+                                [&restored] { SpawnApps(restored); }, &error))
+      << error;
+
+  const auto same_integrals = [](const StepTrace& a, const StepTrace& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      const TimeNs t = a.steps()[i].time;
+      ASSERT_EQ(t, b.steps()[i].time);
+      ASSERT_EQ(a.CumulativeAt(t), b.CumulativeAt(t)) << "step " << i;
+    }
+  };
+  const StepTrace& rail = original.board->RailFor(HwComponent::kCpu).trace();
+  ASSERT_GT(rail.trimmed_steps(), 0u);
+  ASSERT_GT(rail.CumulativeAt(rail.first_time()), 0.0);
+  {
+    SCOPED_TRACE("CPU rail");
+    same_integrals(rail, restored.board->RailFor(HwComponent::kCpu).trace());
+  }
+  {
+    SCOPED_TRACE("core 0 schedule");
+    same_integrals(original.kernel->scheduler().ScheduleTrace(0),
+                   restored.kernel->scheduler().ScheduleTrace(0));
+  }
+  {
+    SCOPED_TRACE("GPS revealed power");
+    ASSERT_GT(original.board->gps().revealed_trace().size(), 1u);
+    same_integrals(original.board->gps().revealed_trace(),
+                   restored.board->gps().revealed_trace());
+  }
 }
 
 // --- fleet-level warm restart ----------------------------------------------
@@ -363,12 +418,13 @@ TEST_F(SnapshotCorruptionTest, UnknownVersionRejected) {
   // A future version, v4 (its dense records predate the live-object layout),
   // v5 (its spawn logs predate the live-app recipes), v6 (its frequency
   // context tables predate the per-principal OPPs), v7 (its event
-  // descriptors and pending-event lists predate the engine's section) and
-  // v8 (its sandboxes carry open spans and nesting depths): none may be
-  // misparsed.
+  // descriptors and pending-event lists predate the engine's section), v8
+  // (its sandboxes carry open spans and nesting depths) and v9 (its step
+  // traces carry every cumulative integral, its sandboxes direct-metered
+  // bases): none may be misparsed.
   for (const uint32_t version :
        {kSnapshotFormatVersion + 1, uint32_t{4}, uint32_t{5}, uint32_t{6},
-        uint32_t{7}, uint32_t{8}}) {
+        uint32_t{7}, uint32_t{8}, uint32_t{9}}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     std::vector<uint8_t> bytes = bytes_;
     bytes[8] = static_cast<uint8_t>(version);  // format version field (LE)
@@ -531,7 +587,7 @@ FleetScenario GoldenScenario() {
 
 std::string GoldenPath() {
   return std::string(PSBOX_SOURCE_DIR) +
-         "/tests/golden/fleet_checkpoint_v9.snap";
+         "/tests/golden/fleet_checkpoint_v10.snap";
 }
 
 TEST(GoldenSnapshotTest, CommittedCheckpointStaysRestorable) {
@@ -1561,7 +1617,7 @@ TEST(SnapshotFieldCheckTest, InconsistentAccelDriverRejected) {
   const size_t board1 = AfterSection(golden, "shard", AfterSection(golden, "shard"));
   const size_t dsp = AfterSection(golden, "accel_driver",
                                   AfterSection(golden, "accel_driver", board1));
-  ASSERT_EQ(dsp, 47783u);
+  ASSERT_EQ(dsp, 42862u);
   ASSERT_LT(dsp + 683, golden.size());
   const auto read = [&golden](size_t at, size_t width) {
     uint64_t v = 0;

@@ -2,10 +2,10 @@
 //
 // The retention contract (Kernel::TrimTelemetry): trimming power telemetry
 // behind a horizon folds exact energy bases first, so
-//   * rail-metered psbox energy reads are BIT-IDENTICAL with retention on or
-//     off (the fold replays the identical span-by-span addition sequence);
-//   * direct-metered (§7 display/GPS) reads are exact up to FP association
-//     (the banked split changes the order of additions);
+//   * psbox energy reads are BIT-IDENTICAL with retention on or off (the
+//     fold replays the identical piece-by-piece addition sequence), on the
+//     rails and on a §7 component's own trace alike, and no horizon is held
+//     back for it;
 //   * the steady-state telemetry working set is bounded by the retention
 //     window, independent of simulated duration — and so is a churning
 //     population's per-board state, once finished apps retire in the trim;
@@ -67,12 +67,23 @@ void LoneGpuBalloon(TestStack& s) {
 const RetentionInput kBusyCpu{"busy CPU box", HwComponent::kCpu, &BusyCpuBox, {}};
 const RetentionInput kLoneGpu{"lone GPU balloon", HwComponent::kGpu,
                               &LoneGpuBalloon, {}};
-// A dropout inside the open span splits it at the window's edges, so the
-// rail must keep them: the horizon stays pinned at the window's start.
+// A dropout inside the open span splits it at the window's edges: a trim
+// folds the pieces that end by its horizon and anchors where the rest
+// begins, so the window never pins the horizon.
 const RetentionInput kLoneGpuDropout{"lone GPU balloon with a dropout",
                                      HwComponent::kGpu,
                                      &LoneGpuBalloon,
                                      {{Millis(100), Millis(120)}}};
+// Several dropouts behind the final horizon and one straddling it: the rest
+// of the span begins at a measured piece, at a dropout piece and exactly at
+// a horizon on some trim along the way.
+const RetentionInput kLoneGpuDropouts{"lone GPU balloon with dropouts",
+                                      HwComponent::kGpu,
+                                      &LoneGpuBalloon,
+                                      {{Millis(100), Millis(120)},
+                                       {Millis(180), Millis(190)},
+                                       {Millis(300), Millis(340)},
+                                       {Millis(430), Millis(470)}}};
 // A reset re-clamps the open span to the reset instant, which must then be
 // anchored afresh once the horizon passes it.
 const RetentionInput kLoneGpuReset{"lone GPU balloon, meter reset mid-run",
@@ -127,7 +138,7 @@ TEST(RetentionTest, EnergyAndSamplesBitIdenticalWithRetention) {
   // energy and bit-identical sample streams: trimming folds exact bases,
   // anchors the straddling span and consumes no randomness.
   for (const RetentionInput& input :
-       {kBusyCpu, kLoneGpu, kLoneGpuDropout, kLoneGpuReset}) {
+       {kBusyCpu, kLoneGpu, kLoneGpuDropout, kLoneGpuDropouts, kLoneGpuReset}) {
     SCOPED_TRACE(input.name);
     auto plain = MakeStack(input);
     auto trimmed = MakeStack(input, RetentionConfig());
@@ -156,9 +167,10 @@ TEST(RetentionTest, EnergyAndSamplesBitIdenticalWithRetention) {
       }
     }
 
-    // The trimmed stack really trimmed (this is not a vacuous comparison) and
-    // holds strictly less history than the unbounded one.
-    EXPECT_GT(trimmed->kernel.last_trim_horizon(), 0);
+    // The trimmed stack really trimmed (this is not a vacuous comparison), at
+    // the desired horizon, and holds strictly less history than the
+    // unbounded one.
+    EXPECT_EQ(trimmed->kernel.last_trim_horizon(), Millis(500) - kRetention);
     const StepTrace& rail_plain = plain->board.RailFor(input.hw).trace();
     const StepTrace& rail_trim = trimmed->board.RailFor(input.hw).trace();
     EXPECT_GT(rail_trim.trimmed_steps(), 0u);
@@ -171,8 +183,6 @@ TEST(RetentionTest, EnergyAndSamplesBitIdenticalWithRetention) {
       EXPECT_TRUE(trimmed->manager.sandbox(box).anchored(input.hw));
     }
     if (!input.dropouts.empty()) {
-      // Only the dropout still pins the horizon, at the window's start.
-      EXPECT_EQ(trimmed->kernel.last_trim_horizon(), input.dropouts[0].begin);
       EXPECT_GT(trimmed->manager.ReadEnergyDetail(box).estimated_time, 0);
     }
   }
@@ -227,9 +237,9 @@ TEST(RetentionTest, TrimPreservesDropoutEstimationSplit) {
   EXPECT_EQ(before.estimated, after.estimated);
 }
 
-TEST(RetentionTest, DirectMeteredBankIsNearExact) {
-  // §7 display energy: banking the pre-horizon integral splits one integral
-  // into two, so the read is exact up to FP association (not bit-identical).
+TEST(RetentionTest, DisplayReadIsExactUnderRetention) {
+  // §7 display energy is the app's own surface trace, owned from time 0: its
+  // one open span is anchored like a balloon's, so the read is bit-identical.
   TestStack plain(BoardConfig{}, KernelConfig{});
   TestStack trimmed(BoardConfig{}, RetentionConfig());
   for (TestStack* s : {&plain, &trimmed}) {
@@ -245,12 +255,32 @@ TEST(RetentionTest, DirectMeteredBankIsNearExact) {
   trimmed.kernel.RunUntil(Seconds(1));
 
   const Joules expect = plain.manager.ReadEnergy(box_plain);
-  const Joules got = trimmed.manager.ReadEnergy(box_trim);
   ASSERT_GT(expect, 0.0);
-  EXPECT_NEAR(got, expect, 1e-9 * expect);
-  EXPECT_GT(trimmed.manager.sandbox(box_trim)
-                .direct_energy_base(HwComponent::kDisplay),
-            0.0);
+  EXPECT_EQ(trimmed.manager.ReadEnergy(box_trim), expect);
+  EXPECT_TRUE(trimmed.manager.sandbox(box_trim).anchored(HwComponent::kDisplay));
+}
+
+TEST(RetentionTest, DisplayBoundAppRetiresOnceItsSurfaceIsGone) {
+  // The anchor on a box's own §7 trace never holds retirement back: once
+  // the app has exited, left its box and removed its surface, the trim
+  // frees it.
+  TestStack s(BoardConfig{}, RetentionConfig());
+  const AppId app = s.kernel.CreateApp("viewer");
+  s.kernel.SpawnTask(app, "t",
+                     std::make_unique<BusyBehavior>(kMillisecond, 1.0,
+                                                    /*deadline=*/Millis(100)));
+  s.board.display().SetSurface(app, 0.4, 0.5);
+  const int box = s.manager.CreateBox(app, {HwComponent::kDisplay});
+  s.manager.EnterBox(box);
+  s.kernel.RunUntil(Millis(200));
+  ASSERT_TRUE(s.manager.sandbox(box).anchored(HwComponent::kDisplay));
+  EXPECT_FALSE(s.kernel.AppRetired(app)) << "its surface is still composited";
+
+  s.manager.LeaveBox(box);
+  s.board.display().RemoveSurface(app);
+  s.kernel.RunUntil(Millis(400));
+  EXPECT_TRUE(s.kernel.AppRetired(app));
+  EXPECT_EQ(s.manager.box_count(), 0u);
 }
 
 // --- bounded memory --------------------------------------------------------
